@@ -38,11 +38,11 @@
 use serde::Serialize;
 use stage_core::{LocalModelConfig, StageConfig};
 use stage_gbdt::{EnsembleParams, NgBoostParams};
-use stage_serve::{Codec, Response, ServeClient, ServeConfig, Server, TokenBucket};
+use stage_serve::{Codec, Response, ServeClient, ServeConfig, Server};
 use stage_workload::{FleetConfig, InstanceWorkload};
 use std::process::ExitCode;
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Retry bound for a single rejected request (~10 s at 1 ms backoff).
 const MAX_RETRIES: u32 = 10_000;
@@ -185,6 +185,57 @@ fn codec_name(codec: Codec) -> &'static str {
     match codec {
         Codec::Binary => "binary",
         Codec::Json => "json",
+    }
+}
+
+/// A token bucket: capacity `burst`, refilled continuously at `rate_per_sec`.
+/// Holds the run to its target request rate; `take` blocks (sleeping) until
+/// a token is available.
+struct TokenBucket {
+    rate_per_sec: f64,
+    burst: f64,
+    tokens: f64,
+    last_refill: Instant,
+}
+
+impl TokenBucket {
+    /// Creates a bucket emitting `rate_per_sec` tokens per second with the
+    /// given burst capacity (also the initial fill).
+    ///
+    /// # Panics
+    /// Panics unless `rate_per_sec > 0` and `burst >= 1`.
+    fn new(rate_per_sec: f64, burst: f64) -> Self {
+        assert!(rate_per_sec > 0.0, "rate must be positive");
+        assert!(burst >= 1.0, "burst must admit at least one token");
+        Self {
+            rate_per_sec,
+            burst,
+            tokens: burst,
+            last_refill: Instant::now(),
+        }
+    }
+
+    /// Takes one token if available right now.
+    fn try_take(&mut self) -> bool {
+        let now = Instant::now();
+        let dt = now.duration_since(self.last_refill).as_secs_f64();
+        self.tokens = (self.tokens + dt * self.rate_per_sec).min(self.burst);
+        self.last_refill = now;
+        if self.tokens >= 1.0 {
+            self.tokens -= 1.0;
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Blocks (sleeping in short slices) until a token is available, then
+    /// takes it.
+    fn take(&mut self) {
+        while !self.try_take() {
+            let deficit = (1.0 - self.tokens) / self.rate_per_sec;
+            std::thread::sleep(Duration::from_secs_f64(deficit.clamp(1e-5, 0.05)));
+        }
     }
 }
 
@@ -790,5 +841,24 @@ fn parse_val<T: std::str::FromStr>(argv: &[String], i: usize, flag: &str) -> Opt
             eprintln!("loadgen: invalid value for {flag}");
             None
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn token_bucket_paces() {
+        let mut tb = TokenBucket::new(1000.0, 5.0);
+        // The initial burst is free...
+        for _ in 0..5 {
+            assert!(tb.try_take());
+        }
+        // ...then tokens only arrive with time.
+        assert!(!tb.try_take());
+        let t0 = Instant::now();
+        tb.take();
+        assert!(t0.elapsed() >= Duration::from_micros(200));
     }
 }

@@ -18,9 +18,9 @@ use std::path::Path;
 impl PersistFaults for FaultPlan {
     fn before_write(&self, _path: &Path, bytes: &mut Vec<u8>) -> io::Result<()> {
         match self.decide(FaultSite::PersistWrite) {
-            // Partial write: a prefix of the payload lands on disk. The
-            // frame header's CRC was computed over the pristine payload, so
-            // the damage is caught (and the file quarantined) on restore.
+            // Partial write: a prefix of the file image lands on disk. Its
+            // header declares the pristine length and CRCs, so the damage
+            // is caught (and the file quarantined) on restore.
             Some(k) if k % 2 == 0 => {
                 bytes.truncate(bytes.len() / 2);
                 Ok(())

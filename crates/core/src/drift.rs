@@ -35,11 +35,10 @@
 //! counted within the last `degraded_hold` interval requests): a shard
 //! serving off its fallback chain knows less than its σ claims.
 //!
-//! The whole sentinel persists: as a `calibration` field inside the serde
-//! snapshot (legacy artefacts without the field restore to a cold
-//! sentinel) and as the CALIBRATION section of the stage-store layout
-//! (`crate::storefmt`), so a warm restart keeps its calibration instead of
-//! serving uncalibrated intervals until the window refills.
+//! The whole sentinel persists as the CALIBRATION section of the
+//! stage-store layout (`crate::storefmt`; a file without the section
+//! restores to a cold sentinel), so a warm restart keeps its calibration
+//! instead of serving uncalibrated intervals until the window refills.
 //!
 //! This module sits under `StagePredictor::observe`, which is on the
 //! serve request path — everything here is panic-free by construction.
@@ -121,7 +120,7 @@ const MIN_Z: f64 = 1e-3;
 /// deterministic function of the residuals pushed in, which keeps the
 /// sentinel inside stage-lint's `no-nondeterminism` scope and makes chaos
 /// runs replayable.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DriftSentinel {
     config: DriftConfig,
     // Detector state: Welford baseline over |residual| since the last
@@ -447,36 +446,6 @@ fn push_ring(buf: &mut Vec<f64>, next: &mut u32, cap: u32, x: f64) {
     }
 }
 
-// Legacy-era parity: snapshots written before the sentinel existed have no
-// `calibration` field, which the vendored serde surfaces as `Null`. A
-// hand-written impl maps that to a cold sentinel instead of an error, so
-// old JSON artefacts keep restoring (the store format handles the same
-// case by omitting the CALIBRATION section).
-impl serde::Deserialize for DriftSentinel {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        if matches!(v, serde::Value::Null) {
-            return Ok(Self::default());
-        }
-        let obj = serde::expect_object(v, "DriftSentinel")?;
-        Ok(Self {
-            config: serde::de_field(obj, "config", "DriftSentinel")?,
-            baseline: serde::de_field(obj, "baseline", "DriftSentinel")?,
-            cusum: serde::de_field(obj, "cusum", "DriftSentinel")?,
-            triggered: serde::de_field(obj, "triggered", "DriftSentinel")?,
-            detections: serde::de_field(obj, "detections", "DriftSentinel")?,
-            forced_retrains: serde::de_field(obj, "forced_retrains", "DriftSentinel")?,
-            residuals: serde::de_field(obj, "residuals", "DriftSentinel")?,
-            residual_next: serde::de_field(obj, "residual_next", "DriftSentinel")?,
-            scores: serde::de_field(obj, "scores", "DriftSentinel")?,
-            score_next: serde::de_field(obj, "score_next", "DriftSentinel")?,
-            covered: serde::de_field(obj, "covered", "DriftSentinel")?,
-            measured: serde::de_field(obj, "measured", "DriftSentinel")?,
-            last_degraded_total: serde::de_field(obj, "last_degraded_total", "DriftSentinel")?,
-            degraded_hold_left: serde::de_field(obj, "degraded_hold_left", "DriftSentinel")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -690,11 +659,8 @@ mod tests {
     }
 
     #[test]
-    fn serde_null_restores_cold_sentinel() {
+    fn serde_round_trip_is_lossless() {
         use serde::Deserialize;
-        let cold = DriftSentinel::from_value(&serde::Value::Null).expect("null tolerated");
-        assert_eq!(cold, DriftSentinel::default());
-        // And a live round trip through the value tree is lossless.
         let mut s = DriftSentinel::new(sharp());
         for _ in 0..30 {
             s.observe_residual(1.0, 0.2, 1.4);

@@ -1,41 +1,34 @@
-//! Model persistence.
+//! Artefact persistence: the I/O discipline under every checkpoint.
 //!
 //! Redshift trains the global model offline on a fleet sweep and ships the
 //! trained artefact to instances (eventually as a shared service, Fig. 9
 //! discussion); local models are checkpointed so instance restarts don't
-//! cold-start. This module provides the equivalent: JSON (de)serialization
-//! of every trained model plus the exec-time cache, with a version tag so
-//! stale artefacts fail loudly instead of predicting garbage.
+//! cold-start. Every artefact is a `stage-store` file laid out by
+//! [`crate::storefmt`]; this module holds what that path needs from the
+//! filesystem and nothing about the format itself:
 //!
-//! On-disk artefacts are additionally *framed*: a one-line header carrying
-//! the format version, a CRC32 of the payload, and the payload length,
-//! followed by the JSON envelope. Restore verifies the frame before any
-//! deserialization runs, so disk rot, truncation, and stale formats surface
-//! as a typed [`RestoreError`] — and the offending file is renamed to
-//! `<name>.quarantine` so the next restore doesn't trip over it again. The
-//! write path accepts an optional [`PersistFaults`] hook through which the
-//! chaos layer injects partial writes, fsync failures, and read-side bit
-//! flips without this module knowing anything about fault schedules.
+//! - `atomic_write` — temp file + fsync + `rename`, so a kill at any
+//!   instant leaves the old artefact or the new one, never a hybrid;
+//! - `quarantine` — a damaged file is renamed to `<name>.quarantine` so
+//!   the next restore doesn't trip over it again and the bytes survive for
+//!   forensics;
+//! - [`RestoreError`] — the typed reasons a restore can fail, so disk rot,
+//!   truncation, and stale formats fail loudly instead of predicting
+//!   garbage;
+//! - [`PersistFaults`] — the hook through which the chaos layer injects
+//!   partial writes, fsync failures, and read-side bit flips without this
+//!   module knowing anything about fault schedules.
 
-use crate::cache::ExecTimeCache;
-use crate::global::GlobalModel;
-use crate::local::LocalModel;
-use crate::stage::StageSnapshot;
-use serde::{de::DeserializeOwned, Deserialize, Serialize};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Artefact format version; bump on breaking model-layout changes.
-/// v2: snapshots carry degraded-mode counters, files carry a CRC32 frame.
-pub const PERSIST_VERSION: u32 = 2;
 
 /// Hooks through which I/O faults are injected into the file persistence
 /// path (the chaos layer implements this; production passes `None`). Every
 /// method defaults to a no-op.
 pub trait PersistFaults: Send + Sync {
-    /// Called with the serialized payload before it is written; may mutate
+    /// Called with the complete file image before it is written; may mutate
     /// it (truncation = a partial write that still renamed into place) or
     /// fail the write outright.
     fn before_write(&self, path: &Path, bytes: &mut Vec<u8>) -> io::Result<()> {
@@ -64,33 +57,34 @@ pub trait PersistFaults: Send + Sync {
 pub enum RestoreError {
     /// The file could not be read at all (includes not-found).
     Io(io::Error),
-    /// The file does not start with a recognisable artefact frame header
-    /// (pre-frame artefacts land here too — they predate v2).
+    /// The file does not start with the store magic.
     MissingHeader,
-    /// The frame is a format version this build does not support.
+    /// The file is a store format version this build does not support.
     UnsupportedVersion {
-        /// Version found in the frame header.
+        /// Version found in the file header.
         found: u32,
         /// Version this build writes and reads.
         supported: u32,
     },
-    /// The payload is shorter or longer than the frame header declares
-    /// (classic kill-mid-write / partial-write damage).
+    /// The file is shorter or longer than its header and section table
+    /// declare (classic kill-mid-write / partial-write damage).
     Truncated {
-        /// Payload length the header declares.
+        /// Length the file declares.
         expected: usize,
-        /// Payload length actually present.
+        /// Length actually present.
         actual: usize,
     },
-    /// The payload's CRC32 does not match the frame header (bit rot).
+    /// A CRC32 (header, section table, or one section's payload) does not
+    /// match the bytes it covers (bit rot).
     ChecksumMismatch {
-        /// Checksum the header declares.
+        /// Checksum the file declares.
         expected: u32,
-        /// Checksum of the payload as read.
+        /// Checksum of the bytes as read.
         actual: u32,
     },
-    /// The frame verified but the JSON envelope did not deserialize or was
-    /// of the wrong kind/version.
+    /// Every checksum verified but the contents did not decode: a missing
+    /// or inconsistent section, or a global-model payload of the wrong
+    /// kind/version.
     Malformed {
         /// Human-readable cause.
         detail: String,
@@ -109,23 +103,20 @@ impl fmt::Display for RestoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RestoreError::Io(e) => write!(f, "cannot read artefact: {e}"),
-            RestoreError::MissingHeader => write!(f, "missing or unrecognisable frame header"),
+            RestoreError::MissingHeader => write!(f, "missing or unrecognisable store header"),
             RestoreError::UnsupportedVersion { found, supported } => {
-                write!(f, "frame version {found} != supported {supported}")
+                write!(f, "store version {found} != supported {supported}")
             }
             RestoreError::Truncated { expected, actual } => {
                 write!(
                     f,
-                    "payload truncated: header declares {expected} bytes, found {actual}"
+                    "artefact truncated: file declares {expected} bytes, found {actual}"
                 )
             }
             RestoreError::ChecksumMismatch { expected, actual } => {
-                write!(
-                    f,
-                    "payload checksum {actual:08x} != declared {expected:08x}"
-                )
+                write!(f, "checksum {actual:08x} != declared {expected:08x}")
             }
-            RestoreError::Malformed { detail } => write!(f, "malformed envelope: {detail}"),
+            RestoreError::Malformed { detail } => write!(f, "malformed artefact: {detail}"),
         }
     }
 }
@@ -139,48 +130,10 @@ impl From<io::Error> for RestoreError {
 }
 
 /// CRC32 (IEEE 802.3 polynomial, the zlib/PNG variant). The implementation
-/// lives in `stage-store` (table-driven, shared with the artefact store's
-/// section checksums); the wire protocol and artefact frames keep importing
-/// it through this path. Bit-identical to the bitwise version this module
-/// shipped through PR 6 (pinned by tests in both crates).
+/// lives in `stage-store` (slice-by-8, shared with the artefact store's
+/// section checksums, known vectors pinned there); the wire protocol keeps
+/// importing it through this path.
 pub use stage_store::crc32;
-
-#[derive(Serialize, Deserialize)]
-struct Envelope<T> {
-    version: u32,
-    kind: String,
-    payload: T,
-}
-
-fn save_impl<T: Serialize, W: Write>(kind: &str, value: &T, mut out: W) -> io::Result<()> {
-    let env = Envelope {
-        version: PERSIST_VERSION,
-        kind: kind.to_string(),
-        payload: value,
-    };
-    serde_json::to_writer(&mut out, &env).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-}
-
-fn load_impl<T: DeserializeOwned, R: Read>(kind: &str, input: R) -> io::Result<T> {
-    let env: Envelope<T> = serde_json::from_reader(input)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    if env.version != PERSIST_VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "artefact version {} != supported {PERSIST_VERSION}",
-                env.version
-            ),
-        ));
-    }
-    if env.kind != kind {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("artefact kind {:?} != expected {kind:?}", env.kind),
-        ));
-    }
-    Ok(env.payload)
-}
 
 /// Monotonic counter distinguishing temp files written by one process.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -239,529 +192,104 @@ pub(crate) fn quarantine(path: &Path) -> Option<PathBuf> {
     Some(dest)
 }
 
-/// Serializes `value` and writes it to `path` inside a verified frame:
-/// `stage-artefact v<N> crc32=<hex> len=<bytes>\n` + JSON envelope. The CRC
-/// is computed over the *intended* payload before the fault hook runs, so
-/// an injected partial write lands on disk with a mismatching frame — which
-/// is exactly what restore must catch.
-fn save_file_impl<T: Serialize>(
-    kind: &str,
-    value: &T,
-    path: &Path,
-    faults: Option<&dyn PersistFaults>,
-) -> io::Result<()> {
-    let mut payload = Vec::new();
-    save_impl(kind, value, &mut payload)?;
-    let header = format!(
-        "stage-artefact v{PERSIST_VERSION} crc32={:08x} len={}\n",
-        crc32(&payload),
-        payload.len()
-    );
-    if let Some(f) = faults {
-        f.before_write(path, &mut payload)?;
-    }
-    atomic_write(
-        path,
-        |out| {
-            out.write_all(header.as_bytes())?;
-            out.write_all(&payload)
-        },
-        faults,
-    )
-}
-
-/// Parses a framed artefact: header validation, CRC check, then envelope
-/// deserialization.
-fn parse_framed<T: DeserializeOwned>(kind: &str, bytes: &[u8]) -> Result<T, RestoreError> {
-    let newline = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or(RestoreError::MissingHeader)?;
-    let (header, rest) = bytes.split_at(newline);
-    let payload = rest.get(1..).unwrap_or(&[]);
-    let header = std::str::from_utf8(header).map_err(|_| RestoreError::MissingHeader)?;
-    let mut parts = header.split_whitespace();
-    if parts.next() != Some("stage-artefact") {
-        return Err(RestoreError::MissingHeader);
-    }
-    let found = parts
-        .next()
-        .and_then(|p| p.strip_prefix('v'))
-        .and_then(|p| p.parse::<u32>().ok())
-        .ok_or(RestoreError::MissingHeader)?;
-    if found != PERSIST_VERSION {
-        return Err(RestoreError::UnsupportedVersion {
-            found,
-            supported: PERSIST_VERSION,
-        });
-    }
-    let expected_crc = parts
-        .next()
-        .and_then(|p| p.strip_prefix("crc32="))
-        .and_then(|p| u32::from_str_radix(p, 16).ok())
-        .ok_or(RestoreError::MissingHeader)?;
-    let expected_len = parts
-        .next()
-        .and_then(|p| p.strip_prefix("len="))
-        .and_then(|p| p.parse::<usize>().ok())
-        .ok_or(RestoreError::MissingHeader)?;
-    if payload.len() != expected_len {
-        return Err(RestoreError::Truncated {
-            expected: expected_len,
-            actual: payload.len(),
-        });
-    }
-    let actual = crc32(payload);
-    if actual != expected_crc {
-        return Err(RestoreError::ChecksumMismatch {
-            expected: expected_crc,
-            actual,
-        });
-    }
-    load_impl(kind, payload).map_err(|e| RestoreError::Malformed {
-        detail: e.to_string(),
-    })
-}
-
-/// Reads and verifies a framed artefact. Missing files are
-/// `RestoreError::Io` (not-found, benign); any damage (no/garbled header,
-/// wrong version, truncation, checksum mismatch, malformed envelope) gets
-/// the file renamed to `*.quarantine` before the typed error returns, so a
-/// warm restart comes up cold on that shard instead of crashing — and the
-/// damaged bytes are preserved for forensics rather than re-tripping every
-/// restart.
-fn load_file_impl<T: DeserializeOwned>(
-    kind: &str,
-    path: &Path,
-    faults: Option<&dyn PersistFaults>,
-) -> Result<T, RestoreError> {
-    let mut bytes = std::fs::read(path)?;
-    if let Some(f) = faults {
-        f.after_read(path, &mut bytes);
-    }
-    let result = parse_framed(kind, &bytes);
-    if result.is_err() {
-        let _ = quarantine(path);
-    }
-    result
-}
-
-macro_rules! persistable {
-    ($ty:ty, $kind:literal, $save:ident, $load:ident, $save_file:ident, $load_file:ident,
-     $save_file_with:ident, $load_file_with:ident) => {
-        /// Serializes the model to a writer (versioned JSON envelope).
-        pub fn $save<W: Write>(model: &$ty, out: W) -> io::Result<()> {
-            save_impl($kind, model, out)
-        }
-
-        /// Deserializes a model from a reader, validating version and kind.
-        pub fn $load<R: Read>(input: R) -> io::Result<$ty> {
-            load_impl($kind, input)
-        }
-
-        /// Saves to a file path crash-safely (CRC32 frame + temp file +
-        /// atomic rename; a kill mid-write never corrupts an existing
-        /// artefact).
-        pub fn $save_file(model: &$ty, path: &Path) -> io::Result<()> {
-            save_file_impl($kind, model, path, None)
-        }
-
-        /// Loads and verifies a framed artefact from a file path; damaged
-        /// files are quarantined (see [`RestoreError`]).
-        pub fn $load_file(path: &Path) -> Result<$ty, RestoreError> {
-            load_file_impl($kind, path, None)
-        }
-
-        /// The file-save path with a fault-injection hook (chaos testing).
-        pub fn $save_file_with(
-            model: &$ty,
-            path: &Path,
-            faults: Option<&dyn PersistFaults>,
-        ) -> io::Result<()> {
-            save_file_impl($kind, model, path, faults)
-        }
-
-        /// The file-load path with a fault-injection hook (chaos testing).
-        pub fn $load_file_with(
-            path: &Path,
-            faults: Option<&dyn PersistFaults>,
-        ) -> Result<$ty, RestoreError> {
-            load_file_impl($kind, path, faults)
-        }
-    };
-}
-
-persistable!(
-    GlobalModel,
-    "stage-global-model",
-    save_global,
-    load_global,
-    save_global_file,
-    load_global_file,
-    save_global_file_with,
-    load_global_file_with
-);
-persistable!(
-    LocalModel,
-    "stage-local-model",
-    save_local,
-    load_local,
-    save_local_file,
-    load_local_file,
-    save_local_file_with,
-    load_local_file_with
-);
-persistable!(
-    ExecTimeCache,
-    "stage-exec-time-cache",
-    save_cache,
-    load_cache,
-    save_cache_file,
-    load_cache_file,
-    save_cache_file_with,
-    load_cache_file_with
-);
-persistable!(
-    StageSnapshot,
-    "stage-predictor-snapshot",
-    save_stage,
-    load_stage,
-    save_stage_file,
-    load_stage_file,
-    save_stage_file_with,
-    load_stage_file_with
-);
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheConfig;
-    use crate::global::{plan_to_tree_sample, GlobalModelConfig};
-    use crate::local::LocalModelConfig;
-    use crate::pool::{PoolConfig, TrainingPool};
-    use crate::predictor::SystemContext;
+    use crate::predictor::{ExecTimePredictor, SystemContext};
+    use crate::stage::{StageConfig, StagePredictor, StageSnapshot};
+    use crate::storefmt::{load_stage_store, save_stage_store, snapshot_sections};
     use stage_plan::{PlanBuilder, S3Format};
 
-    fn plan(rows: f64) -> stage_plan::PhysicalPlan {
-        PlanBuilder::select()
-            .scan("t", S3Format::Local, rows, 64.0)
-            .hash_aggregate(0.01)
-            .finish()
-    }
-
-    #[test]
-    fn cache_round_trip_preserves_predictions() {
-        let mut cache = ExecTimeCache::new(CacheConfig::default());
-        for k in 0..50u64 {
-            cache.record(k, k as f64 * 0.1);
-            cache.record(k, k as f64 * 0.12);
-        }
-        let mut buf = Vec::new();
-        save_cache(&cache, &mut buf).unwrap();
-        let mut back = load_cache(buf.as_slice()).unwrap();
-        for k in 0..50u64 {
-            assert_eq!(cache.contains(k), back.contains(k));
-            assert_eq!({ back.lookup(k) }, { cache.lookup(k) }, "key {k}");
-        }
-    }
-
-    #[test]
-    fn local_model_round_trip() {
-        let mut pool = TrainingPool::new(PoolConfig::default());
-        for i in 1..=120 {
-            pool.add(vec![i as f64, 1.0], i as f64 * 0.05);
-        }
-        let mut local = LocalModel::new(LocalModelConfig {
-            ensemble: stage_gbdt::EnsembleParams {
-                n_members: 3,
-                member: stage_gbdt::NgBoostParams {
-                    n_estimators: 15,
-                    ..stage_gbdt::NgBoostParams::default()
-                },
-                seed: 1,
-            },
-            ..LocalModelConfig::default()
-        });
-        local.retrain(&pool);
-        let mut buf = Vec::new();
-        save_local(&local, &mut buf).unwrap();
-        let back = load_local(buf.as_slice()).unwrap();
-        let probe = [55.0, 1.0];
-        assert_eq!(local.predict(&probe), back.predict(&probe));
-    }
-
-    #[test]
-    fn global_model_round_trip() {
-        let sys = SystemContext::empty(2);
-        let samples: Vec<_> = (1..=25)
-            .map(|i| plan_to_tree_sample(&plan(i as f64 * 1e4), &sys, i as f64 * 0.2))
-            .collect();
-        let cfg = GlobalModelConfig {
-            hidden: 8,
-            gcn_layers: 1,
-            epochs: 3,
-            ..GlobalModelConfig::default()
-        };
-        let model = GlobalModel::train(&samples, 2, &cfg);
-        let mut buf = Vec::new();
-        save_global(&model, &mut buf).unwrap();
-        let back = load_global(buf.as_slice()).unwrap();
-        let probe = plan(3.3e5);
-        assert_eq!(model.predict(&probe, &sys), back.predict(&probe, &sys));
-    }
-
-    #[test]
-    fn wrong_kind_and_version_rejected() {
-        let cache = ExecTimeCache::new(CacheConfig::default());
-        let mut buf = Vec::new();
-        save_cache(&cache, &mut buf).unwrap();
-        // Wrong kind.
-        assert!(load_local(buf.as_slice()).is_err());
-        // Wrong version.
-        let text = String::from_utf8(buf)
-            .unwrap()
-            .replace("\"version\":2", "\"version\":999");
-        assert!(load_cache(text.as_bytes()).is_err());
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let cache = ExecTimeCache::new(CacheConfig::default());
-        let dir = std::env::temp_dir().join("stage-persist-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.json");
-        save_cache_file(&cache, &path).unwrap();
-        assert!(load_cache_file(&path).is_ok());
-    }
-
-    #[test]
-    fn stage_snapshot_round_trip_resumes_warm() {
-        use crate::predictor::{ExecTimePredictor, PredictionSource};
-        use crate::stage::{StageConfig, StagePredictor};
-
+    /// A snapshot whose cache holds exactly `n` entries — the marker the
+    /// tests below use to tell one artefact generation from another.
+    fn snapshot_with(n: usize) -> StageSnapshot {
         let mut s = StagePredictor::new(StageConfig::default());
-        s.set_instance_salt(7);
         let sys = SystemContext::empty(2);
-        for i in 1..=30 {
-            let q = plan(i as f64 * 1e4);
-            s.predict(&q, &sys);
-            s.observe(&q, &sys, i as f64 * 0.1);
+        for i in 1..=n {
+            let q = PlanBuilder::select()
+                .scan("t", S3Format::Local, i as f64 * 1e4, 64.0)
+                .hash_aggregate(0.01)
+                .finish();
+            s.observe(&q, &sys, i as f64 * 0.5);
         }
-        let mut buf = Vec::new();
-        save_stage(&s.snapshot(), &mut buf).unwrap();
-        let mut back = StagePredictor::from_snapshot(load_stage(buf.as_slice()).unwrap());
-
-        // Counters, pool contents, and salt survive.
-        assert_eq!(back.stats(), s.stats());
-        assert_eq!(back.pool().len(), s.pool().len());
-        assert_eq!(back.cache().len(), s.cache().len());
-        assert_eq!(back.local().instance_salt(), 7);
-        // A query cached before the snapshot is a warm cache hit after.
-        let p = back.predict(&plan(5e4), &sys);
-        assert_eq!(p.source, PredictionSource::Cache);
-        // The restored predictor keeps learning (same retrain cadence).
-        back.observe(&plan(9.9e5), &sys, 3.0);
-        assert_eq!(back.pool().len(), s.pool().len() + 1);
+        s.snapshot()
     }
 
-    #[test]
-    fn save_file_is_atomic_under_simulated_crash() {
-        let dir = std::env::temp_dir().join("stage-persist-atomic-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.json");
-
-        // A valid artefact exists.
-        let mut cache = ExecTimeCache::new(CacheConfig::default());
-        cache.record(1, 2.0);
-        save_cache_file(&cache, &path).unwrap();
-
-        // A checkpoint killed mid-write leaves only a partial *temp* file
-        // (this is exactly the on-disk state after a kill -9: `rename`
-        // never ran). The artefact itself must stay loadable.
-        let tmp = super::tmp_sibling(&path);
-        std::fs::write(&tmp, b"{\"version\":1,\"kind\":\"stage-exec-ti").unwrap();
-        let loaded = load_cache_file(&path).unwrap();
-        assert!(loaded.contains(1));
-
-        // A completed save over the existing artefact replaces it whole.
-        let mut newer = ExecTimeCache::new(CacheConfig::default());
-        newer.record(2, 4.0);
-        save_cache_file(&newer, &path).unwrap();
-        let loaded = load_cache_file(&path).unwrap();
-        assert!(loaded.contains(2) && !loaded.contains(1));
-
-        // Successful saves leave no temp droppings behind.
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| {
-                let name = e.file_name().to_string_lossy().into_owned();
-                name.ends_with(".tmp") && name != tmp.file_name().unwrap().to_string_lossy()
-            })
-            .collect();
-        assert!(leftovers.is_empty(), "stray temp files: {leftovers:?}");
-        let _ = std::fs::remove_file(&tmp);
+    fn cached(path: &Path) -> usize {
+        load_stage_store(path, None).unwrap().cache.len()
     }
 
-    #[test]
-    fn failed_save_preserves_existing_artefact() {
-        let dir = std::env::temp_dir().join("stage-persist-fail-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.json");
-        let mut cache = ExecTimeCache::new(CacheConfig::default());
-        cache.record(9, 1.5);
-        save_cache_file(&cache, &path).unwrap();
-
-        // A save whose write step errors must leave the artefact untouched
-        // and clean up its temp file.
-        let err = super::atomic_write(&path, |_w| Err(io::Error::other("simulated crash")), None);
-        assert!(err.is_err());
-        assert!(load_cache_file(&path).unwrap().contains(9));
-        let tmps = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
-            .count();
-        assert_eq!(tmps, 0, "temp file not cleaned up after failed save");
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // IEEE CRC32 check values (zlib/PNG polynomial).
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
-    }
-
-    fn fresh_dir(tag: &str) -> std::path::PathBuf {
+    fn fresh_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("stage-persist-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
 
-    fn sample_cache() -> ExecTimeCache {
-        let mut cache = ExecTimeCache::new(CacheConfig::default());
-        cache.record(1, 2.0);
-        cache
-    }
-
-    fn quarantine_path(path: &Path) -> std::path::PathBuf {
+    fn quarantine_path(path: &Path) -> PathBuf {
         let mut name = path.file_name().unwrap().to_os_string();
         name.push(".quarantine");
         path.with_file_name(name)
     }
 
+    fn tmp_files(dir: &Path) -> Vec<PathBuf> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .map(|e| e.path())
+            .filter(|p| p.to_string_lossy().ends_with(".tmp"))
+            .collect()
+    }
+
     #[test]
-    fn truncated_file_is_typed_error_and_quarantined() {
-        let dir = fresh_dir("truncated");
-        let path = dir.join("cache.json");
-        save_cache_file(&sample_cache(), &path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
-        let err = load_cache_file(&path).unwrap_err();
-        assert!(matches!(err, RestoreError::Truncated { .. }), "{err}");
-        assert!(!path.exists(), "damaged file must be moved aside");
-        assert!(quarantine_path(&path).exists(), "quarantine file missing");
-        // The quarantined slot is now a benign cold start.
-        assert!(load_cache_file(&path).unwrap_err().is_not_found());
+    fn save_file_is_atomic_under_simulated_crash() {
+        let dir = fresh_dir("atomic");
+        let path = dir.join("snapshot.store");
+
+        // A valid artefact exists.
+        save_stage_store(&snapshot_with(1), &path, None).unwrap();
+
+        // A checkpoint killed mid-write leaves only a partial *temp* file
+        // (this is exactly the on-disk state after a kill -9: `rename`
+        // never ran). The artefact itself must stay loadable.
+        let tmp = tmp_sibling(&path);
+        std::fs::write(&tmp, &stage_store::MAGIC[..5]).unwrap();
+        assert_eq!(cached(&path), 1);
+
+        // A completed save over the existing artefact replaces it whole.
+        save_stage_store(&snapshot_with(2), &path, None).unwrap();
+        assert_eq!(cached(&path), 2);
+
+        // Successful saves leave no temp droppings behind.
+        assert_eq!(tmp_files(&dir), vec![tmp], "stray temp files");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn bit_flip_is_checksum_mismatch_and_quarantined() {
-        let dir = fresh_dir("bitflip");
-        let path = dir.join("cache.json");
-        save_cache_file(&sample_cache(), &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x04; // flip one payload bit
-        std::fs::write(&path, &bytes).unwrap();
-        let err = load_cache_file(&path).unwrap_err();
+    fn failed_save_preserves_existing_artefact() {
+        let dir = fresh_dir("fail");
+        let path = dir.join("snapshot.store");
+        save_stage_store(&snapshot_with(1), &path, None).unwrap();
+
+        // A save whose write step errors must leave the artefact untouched
+        // and clean up its temp file.
+        let err = atomic_write(&path, |_w| Err(io::Error::other("simulated crash")), None);
+        assert!(err.is_err());
+        assert_eq!(cached(&path), 1);
         assert!(
-            matches!(err, RestoreError::ChecksumMismatch { .. }),
-            "{err}"
+            tmp_files(&dir).is_empty(),
+            "temp file not cleaned up after failed save"
         );
-        assert!(quarantine_path(&path).exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn wrong_version_and_headerless_files_are_typed_and_quarantined() {
-        let dir = fresh_dir("version");
-        let path = dir.join("cache.json");
-        save_cache_file(&sample_cache(), &path).unwrap();
-        let framed = String::from_utf8(std::fs::read(&path).unwrap()).unwrap();
-        std::fs::write(
-            &path,
-            framed.replacen("stage-artefact v2", "stage-artefact v1", 1),
-        )
-        .unwrap();
-        let err = load_cache_file(&path).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                RestoreError::UnsupportedVersion {
-                    found: 1,
-                    supported: 2
-                }
-            ),
-            "{err}"
-        );
-        assert!(quarantine_path(&path).exists());
-
-        // A pre-frame (v1-era) artefact: bare JSON, no header line.
-        let bare = dir.join("old.json");
-        let mut buf = Vec::new();
-        save_cache(&sample_cache(), &mut buf).unwrap();
-        std::fs::write(&bare, &buf).unwrap();
-        let err = load_cache_file(&bare).unwrap_err();
-        assert!(matches!(err, RestoreError::MissingHeader), "{err}");
-        assert!(quarantine_path(&bare).exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_envelope_behind_valid_frame_is_malformed() {
-        let dir = fresh_dir("malformed");
-        let path = dir.join("cache.json");
-        // A frame whose CRC and length match garbage payload: the frame
-        // verifies, the envelope does not.
-        let payload = b"{\"not\": \"an envelope\"}";
-        let header = format!(
-            "stage-artefact v{PERSIST_VERSION} crc32={:08x} len={}\n",
-            crc32(payload),
-            payload.len()
-        );
-        let mut bytes = header.into_bytes();
-        bytes.extend_from_slice(payload);
-        std::fs::write(&path, &bytes).unwrap();
-        let err = load_cache_file(&path).unwrap_err();
-        assert!(matches!(err, RestoreError::Malformed { .. }), "{err}");
-        assert!(quarantine_path(&path).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A scripted fault hook for exercising the injection points directly.
+    #[derive(Default)]
     struct ScriptedFaults {
         truncate_to: Option<usize>,
         fail_write: bool,
         fail_fsync: bool,
-        flip_read_bit: bool,
-    }
-
-    impl ScriptedFaults {
-        fn none() -> Self {
-            Self {
-                truncate_to: None,
-                fail_write: false,
-                fail_fsync: false,
-                flip_read_bit: false,
-            }
-        }
+        flip_read_bit_at: Option<usize>,
     }
 
     impl PersistFaults for ScriptedFaults {
@@ -783,10 +311,8 @@ mod tests {
         }
 
         fn after_read(&self, _path: &Path, bytes: &mut Vec<u8>) {
-            if self.flip_read_bit {
-                if let Some(last) = bytes.last_mut() {
-                    *last ^= 0x01;
-                }
+            if let Some(byte) = self.flip_read_bit_at.and_then(|at| bytes.get_mut(at)) {
+                *byte ^= 0x01;
             }
         }
     }
@@ -794,39 +320,42 @@ mod tests {
     #[test]
     fn injected_partial_write_is_caught_on_restore() {
         let dir = fresh_dir("hook-partial");
-        let path = dir.join("cache.json");
+        let path = dir.join("snapshot.store");
         let faults = ScriptedFaults {
-            truncate_to: Some(12),
-            ..ScriptedFaults::none()
+            truncate_to: Some(200),
+            ..ScriptedFaults::default()
         };
         // The save "succeeds" (the bytes hit disk and renamed into place)
-        // but the payload is short — restore must refuse it.
-        save_cache_file_with(&sample_cache(), &path, Some(&faults)).unwrap();
-        let err = load_cache_file(&path).unwrap_err();
+        // but the image is short — restore must refuse it.
+        save_stage_store(&snapshot_with(1), &path, Some(&faults)).unwrap();
+        let err = load_stage_store(&path, None).unwrap_err();
         assert!(matches!(err, RestoreError::Truncated { .. }), "{err}");
-        assert!(quarantine_path(&path).exists());
+        assert!(!path.exists(), "damaged file must be moved aside");
+        assert!(quarantine_path(&path).exists(), "quarantine file missing");
+        // The quarantined slot is now a benign cold start.
+        assert!(load_stage_store(&path, None).unwrap_err().is_not_found());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn injected_write_and_fsync_failures_preserve_old_artefact() {
         let dir = fresh_dir("hook-fsync");
-        let path = dir.join("cache.json");
-        save_cache_file(&sample_cache(), &path).unwrap();
+        let path = dir.join("snapshot.store");
+        save_stage_store(&snapshot_with(1), &path, None).unwrap();
         for faults in [
             ScriptedFaults {
                 fail_write: true,
-                ..ScriptedFaults::none()
+                ..ScriptedFaults::default()
             },
             ScriptedFaults {
                 fail_fsync: true,
-                ..ScriptedFaults::none()
+                ..ScriptedFaults::default()
             },
         ] {
-            let newer = ExecTimeCache::new(CacheConfig::default());
-            assert!(save_cache_file_with(&newer, &path, Some(&faults)).is_err());
+            assert!(save_stage_store(&snapshot_with(2), &path, Some(&faults)).is_err());
             // The original artefact is intact and loadable.
-            assert!(load_cache_file(&path).unwrap().contains(1));
+            assert_eq!(cached(&path), 1);
+            assert!(tmp_files(&dir).is_empty(), "temp file left behind");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -834,17 +363,23 @@ mod tests {
     #[test]
     fn injected_read_bit_flip_is_checksum_mismatch() {
         let dir = fresh_dir("hook-read");
-        let path = dir.join("cache.json");
-        save_cache_file(&sample_cache(), &path).unwrap();
+        let path = dir.join("snapshot.store");
+        let snap = snapshot_with(1);
+        save_stage_store(&snap, &path, None).unwrap();
+        // First payload byte of the first section: past the header and the
+        // section table, so only that section's CRC can object.
+        let first_payload_byte =
+            stage_store::HEADER_LEN + snapshot_sections(&snap).len() * stage_store::ENTRY_LEN;
         let faults = ScriptedFaults {
-            flip_read_bit: true,
-            ..ScriptedFaults::none()
+            flip_read_bit_at: Some(first_payload_byte),
+            ..ScriptedFaults::default()
         };
-        let err = load_cache_file_with(&path, Some(&faults)).unwrap_err();
+        let err = load_stage_store(&path, Some(&faults)).unwrap_err();
         assert!(
             matches!(err, RestoreError::ChecksumMismatch { .. }),
             "{err}"
         );
+        assert!(quarantine_path(&path).exists(), "quarantine file missing");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

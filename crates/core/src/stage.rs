@@ -279,8 +279,8 @@ impl StagePredictor {
     /// model + routing counters) as one artefact. Pair with
     /// [`StagePredictor::from_snapshot`] to checkpoint/restore a warm
     /// predictor across process restarts (no cold-start, Fig. 9
-    /// discussion); `crate::persist::save_stage`/`load_stage` wrap it in
-    /// the versioned on-disk envelope.
+    /// discussion); [`crate::storefmt::save_stage_store`] /
+    /// [`crate::storefmt::load_stage_store`] put it on disk.
     pub fn snapshot(&self) -> StageSnapshot {
         StageSnapshot {
             config: self.config,

@@ -1,18 +1,18 @@
-//! Store-backed snapshot persistence (the artefact-store sibling of
-//! [`crate::persist`]).
+//! Snapshot persistence: the one artefact format the system reads or
+//! writes.
 //!
-//! Where `persist` frames a JSON envelope, this module lays a
-//! [`crate::stage::StageSnapshot`] out in the `stage-store v1` sectioned
-//! binary format (`stage-store` crate): one section per predictor
-//! component, each independently CRC'd, 8-aligned, little-endian, floats
-//! as `to_bits` images. A shard restores by mapping the file and decoding
-//! in place — no JSON pass — and answers **bit-identically** to the serde
-//! path (pinned by tests and `bench_store --smoke`).
+//! This module lays a [`crate::stage::StageSnapshot`] out in the
+//! `stage-store v1` sectioned binary format (`stage-store` crate): one
+//! section per predictor component, each independently CRC'd, 8-aligned,
+//! little-endian, floats as `to_bits` images. A shard restores by mapping
+//! the file and decoding in place, and answers **bit-identically** to a
+//! serde round trip of the same snapshot (the reference
+//! `tests/store_identity.rs` compares against).
 //!
 //! Checkpoints come in two flavours:
-//! - [`save_stage_store`] — full rewrite through the crash-safe
-//!   temp-file + rename path, with the same [`PersistFaults`] injection
-//!   points as the JSON artefacts;
+//! - [`save_stage_store`] — full rewrite through [`crate::persist`]'s
+//!   crash-safe temp-file + rename path, with its [`PersistFaults`]
+//!   injection points;
 //! - [`save_stage_store_dirty`] — section-granular in-place update via
 //!   [`stage_store::StoreUpdater`]: unchanged sections are not rewritten,
 //!   a byte-identical snapshot writes nothing at all
@@ -21,10 +21,9 @@
 //!
 //! Restore failures follow `persist`'s quarantine discipline: any damage
 //! (bad magic, version skew, truncation, checksum mismatch, malformed
-//! section) renames the file to `*.quarantine` and returns the same typed
-//! [`RestoreError`] the JSON path would, so callers and the chaos ledger
-//! treat both formats uniformly. A missing file stays a benign
-//! [`RestoreError::Io`] cold start.
+//! section) renames the file to `*.quarantine` and returns a typed
+//! [`RestoreError`]. A missing file stays a benign [`RestoreError::Io`]
+//! cold start.
 //!
 //! The module also persists the fleet-shared global model as a one-section
 //! store file stamped with a caller-chosen generation
@@ -38,6 +37,7 @@ use crate::local::LocalModel;
 use crate::persist::{self, PersistFaults, RestoreError};
 use crate::pool::TrainingPool;
 use crate::stage::{DegradedStats, RoutingConfig, RoutingStats, StageConfig, StageSnapshot};
+use serde::{Deserialize, Serialize};
 use stage_store::{
     build_file, MappedStore, SectionReader, SectionWriter, StoreError, StoreUpdater, StoreView,
     UpdateOutcome, STORE_VERSION,
@@ -58,11 +58,10 @@ pub const SECTION_LOCAL: u32 = 4;
 pub const SECTION_STATS: u32 = 5;
 /// Section id: drift sentinel + conformal calibration state. Absent in
 /// files written before the sentinel existed — restore then cold-starts
-/// the calibration (era parity with the serde path's missing-field
-/// default).
+/// the calibration.
 pub const SECTION_CALIBRATION: u32 = 6;
-/// Section id: the fleet-shared global model (framed JSON envelope bytes;
-/// lives in its own single-section file, not in snapshot files).
+/// Section id: the fleet-shared global model (a versioned, kind-tagged JSON
+/// envelope; lives in its own single-section file, not in snapshot files).
 pub const SECTION_GLOBAL: u32 = 16;
 
 /// What a section-granular checkpoint actually wrote.
@@ -228,10 +227,9 @@ fn next_generation(path: &Path) -> u64 {
 }
 
 /// Writes a snapshot to `path` in store format, crash-safely (temp file +
-/// fsync + atomic rename, exactly like the JSON artefacts). The optional
-/// fault hook sees the fully built file image, so injected truncation or
-/// bit damage lands on disk with mismatching section CRCs — which restore
-/// must catch.
+/// fsync + atomic rename). The optional fault hook sees the fully built
+/// file image, so injected truncation or bit damage lands on disk with
+/// mismatching section CRCs — which restore must catch.
 pub fn save_stage_store(
     snap: &StageSnapshot,
     path: &Path,
@@ -292,8 +290,10 @@ fn load_snapshot_inner(
 
 /// Restores a snapshot from a store file. Missing files are a benign
 /// [`RestoreError::Io`] cold start; any damage quarantines the file
-/// (renamed to `*.quarantine`) before the typed error returns — identical
-/// discipline to [`crate::persist::load_stage_file`].
+/// (renamed to `*.quarantine`) before the typed error returns, so a warm
+/// restart comes up cold on that shard instead of crashing — and the
+/// damaged bytes are preserved for forensics rather than re-tripping every
+/// restart.
 pub fn load_stage_store(
     path: &Path,
     faults: Option<&dyn PersistFaults>,
@@ -305,18 +305,62 @@ pub fn load_stage_store(
     result
 }
 
-/// Writes the fleet-shared global model as a one-section store file: the
-/// framed JSON envelope bytes under [`SECTION_GLOBAL`], header stamped with
-/// the caller's `generation` (the registry-entry number servers poll to
-/// detect a hot-swapped artefact).
+/// Payload version of [`SECTION_GLOBAL`]; bump on breaking model-layout
+/// changes so stale artefacts fail loudly instead of predicting garbage.
+const GLOBAL_PAYLOAD_VERSION: u32 = 2;
+/// Payload kind tag of [`SECTION_GLOBAL`].
+const GLOBAL_PAYLOAD_KIND: &str = "stage-global-model";
+
+/// The [`SECTION_GLOBAL`] payload: the model's serde image behind a version
+/// and kind tag.
+#[derive(Serialize, Deserialize)]
+struct GlobalEnvelope<T> {
+    version: u32,
+    kind: String,
+    payload: T,
+}
+
+fn encode_global(model: &GlobalModel) -> io::Result<Vec<u8>> {
+    let env = GlobalEnvelope {
+        version: GLOBAL_PAYLOAD_VERSION,
+        kind: GLOBAL_PAYLOAD_KIND.to_string(),
+        payload: model,
+    };
+    serde_json::to_string(&env)
+        .map(String::into_bytes)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+fn decode_global(bytes: &[u8]) -> Result<GlobalModel, RestoreError> {
+    let malformed = |detail: String| RestoreError::Malformed { detail };
+    let env: GlobalEnvelope<GlobalModel> =
+        serde_json::from_reader(bytes).map_err(|e| malformed(e.to_string()))?;
+    if env.version != GLOBAL_PAYLOAD_VERSION {
+        return Err(malformed(format!(
+            "artefact version {} != supported {GLOBAL_PAYLOAD_VERSION}",
+            env.version
+        )));
+    }
+    if env.kind != GLOBAL_PAYLOAD_KIND {
+        return Err(malformed(format!(
+            "artefact kind {:?} != expected {GLOBAL_PAYLOAD_KIND:?}",
+            env.kind
+        )));
+    }
+    Ok(env.payload)
+}
+
+/// Writes the fleet-shared global model as a one-section store file: its
+/// JSON envelope under [`SECTION_GLOBAL`], header stamped with the caller's
+/// `generation` (the registry-entry number servers poll to detect a
+/// hot-swapped artefact).
 pub fn save_global_store(
     model: &GlobalModel,
     path: &Path,
     generation: u64,
     faults: Option<&dyn PersistFaults>,
 ) -> io::Result<()> {
-    let mut payload = Vec::new();
-    persist::save_global(model, &mut payload)?;
+    let payload = encode_global(model)?;
     let mut w = SectionWriter::new();
     w.put_bytes(&payload);
     let mut bytes = build_file(&[(SECTION_GLOBAL, w.finish())], generation);
@@ -336,10 +380,7 @@ fn load_global_inner(
         let mut r = SectionReader::new(bytes);
         let payload = r.bytes().map_err(store_to_restore)?;
         r.expect_end().map_err(store_to_restore)?;
-        let model = persist::load_global(payload).map_err(|e| RestoreError::Malformed {
-            detail: e.to_string(),
-        })?;
-        Ok((model, generation))
+        Ok((decode_global(payload)?, generation))
     };
     match faults {
         Some(f) => {
@@ -374,4 +415,49 @@ pub fn load_global_store(
 /// hot-swapped global model.
 pub fn store_generation(path: &Path) -> Result<u64, RestoreError> {
     stage_store::read_generation(path).map_err(store_to_restore)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::global::{plan_to_tree_sample, GlobalModelConfig};
+    use crate::predictor::SystemContext;
+    use stage_plan::{PlanBuilder, S3Format};
+
+    /// The global payload's version and kind tags are checked on restore:
+    /// a stale or foreign payload behind valid section CRCs is a typed
+    /// `Malformed`, never a model that predicts garbage.
+    #[test]
+    fn global_payload_of_wrong_version_or_kind_is_malformed() {
+        let sys = SystemContext::empty(2);
+        let samples: Vec<_> = (1..=25)
+            .map(|i| {
+                let plan = PlanBuilder::select()
+                    .scan("t", S3Format::Local, i as f64 * 1e4, 64.0)
+                    .hash_aggregate(0.01)
+                    .finish();
+                plan_to_tree_sample(&plan, &sys, i as f64 * 0.2)
+            })
+            .collect();
+        let cfg = GlobalModelConfig {
+            hidden: 8,
+            gcn_layers: 1,
+            epochs: 3,
+            ..GlobalModelConfig::default()
+        };
+        let model = GlobalModel::train(&samples, 2, &cfg);
+        let text = String::from_utf8(encode_global(&model).unwrap()).unwrap();
+        assert!(decode_global(text.as_bytes()).is_ok());
+
+        let version = format!("\"version\":{GLOBAL_PAYLOAD_VERSION}");
+        let kind = format!("\"kind\":\"{GLOBAL_PAYLOAD_KIND}\"");
+        assert!(text.contains(&version) && text.contains(&kind));
+        for damaged in [
+            text.replacen(&version, "\"version\":999", 1),
+            text.replacen(&kind, "\"kind\":\"stage-local-model\"", 1),
+        ] {
+            let err = decode_global(damaged.as_bytes()).unwrap_err();
+            assert!(matches!(err, RestoreError::Malformed { .. }), "{err}");
+        }
+    }
 }

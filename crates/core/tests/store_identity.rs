@@ -1,7 +1,7 @@
-//! The artefact-store persistence path must be a drop-in replacement for
-//! the serde path: a snapshot written as a store file and mapped back must
+//! The artefact-store persistence path is checked against a serde
+//! reference: a snapshot written as a store file and mapped back must
 //! answer every prediction **bit-identically** to the same snapshot pushed
-//! through the JSON envelope — the serving layer routes on exact
+//! through a plain `serde_json` round trip — the serving layer routes on exact
 //! thresholds, so even 1-ulp drift would route requests differently after
 //! a warm restart. The hostile-input half of this file proves restore
 //! never panics and never silently half-loads: truncation at every section
@@ -10,7 +10,7 @@
 //! file.
 
 use proptest::prelude::*;
-use stage_core::persist::{load_stage, save_stage, RestoreError};
+use stage_core::persist::RestoreError;
 use stage_core::predictor::{ExecTimePredictor, SystemContext};
 use stage_core::stage::{StageConfig, StagePredictor, StageSnapshot};
 use stage_core::storefmt::{
@@ -110,10 +110,10 @@ fn store_round_trip(snap: &StageSnapshot, dir: &Path) -> StageSnapshot {
     load_stage_store(&path, None).unwrap()
 }
 
+/// The reference the store format is checked against: the derived serde
+/// image of the snapshot, no envelope.
 fn serde_round_trip(snap: &StageSnapshot) -> StageSnapshot {
-    let mut buf = Vec::new();
-    save_stage(snap, &mut buf).unwrap();
-    load_stage(buf.as_slice()).unwrap()
+    serde_json::from_str(&serde_json::to_string(snap).unwrap()).unwrap()
 }
 
 proptest! {
@@ -134,7 +134,7 @@ proptest! {
         let mut via_serde = StagePredictor::from_snapshot(serde_round_trip(&snap));
         assert_bit_identical(&mut via_serde, &mut via_store, "store vs serde");
         // The drift sentinel / conformal calibrator (CALIBRATION section)
-        // must survive both envelopes bit-exactly: its Welford baseline and
+        // must survive both encodings bit-exactly: its Welford baseline and
         // score ring drive interval widths after a warm restart.
         prop_assert!(
             via_store.drift() == &snap.calibration && via_serde.drift() == &snap.calibration,
@@ -310,7 +310,7 @@ fn dirty_checkpoint_skips_clean_sections() {
 
 /// The CALIBRATION section specifically: corrupting any byte inside it is
 /// a typed error + quarantine (never a silently reset calibrator), and a
-/// legacy file written *without* the section restores as a cold sentinel.
+/// file written *without* the section restores as a cold sentinel.
 #[test]
 fn calibration_section_corruption_quarantines_and_absence_is_cold_start() {
     use stage_core::storefmt::SECTION_CALIBRATION;
@@ -350,7 +350,7 @@ fn calibration_section_corruption_quarantines_and_absence_is_cold_start() {
     let _ = std::fs::remove_file(quarantine_path(&path));
 
     // A pre-calibration-era file (section absent) restores with a default
-    // sentinel rather than failing: serde-era parity for old snapshots.
+    // sentinel rather than failing.
     let legacy: Vec<(u32, Vec<u8>)> = stage_core::storefmt::snapshot_sections(&snap)
         .into_iter()
         .filter(|(id, _)| *id != SECTION_CALIBRATION)

@@ -90,7 +90,6 @@ impl fmt::Display for Finding {
 /// rule.
 const NO_PANIC_FILES: &[&str] = &[
     "crates/serve/src/server.rs",
-    "crates/serve/src/queue.rs",
     "crates/serve/src/registry.rs",
     "crates/serve/src/protocol.rs",
     "crates/serve/src/client.rs",

@@ -14,15 +14,12 @@
 //!   `PredictBatch`, `Observe`, `Stats`, `Snapshot`, `Shutdown`) and the
 //!   newline-JSON framing.
 //! * [`wire`] — the binary codec: `len | crc32 | payload` frames (the
-//!   snapshot artefact-frame CRC reused on the wire), magic-byte
-//!   handshake, and bit-exact `f64` encoding.
+//!   artefact store's CRC reused on the wire), magic-byte handshake, and
+//!   bit-exact `f64` encoding.
 //! * [`evloop`] — `poll(2)` + self-pipe waker primitives for the event
 //!   loops.
 //! * [`registry`] — the sharded `RwLock` predictor registry with
 //!   crash-safe checkpointing and atomic warm restart.
-//! * [`queue`] — bounded queues (explicit `Overloaded` backpressure,
-//!   close-and-drain shutdown; the accept→loop hand-off inboxes) and the
-//!   token bucket the load generator paces with.
 //! * [`server`] — the accept thread + per-core event-loop shards,
 //!   including the degraded-mode response path: per-request deadlines
 //!   (`TimedOut`), mid-message stall reaping, per-connection write-buffer
@@ -36,28 +33,23 @@
 pub mod client;
 pub mod evloop;
 pub mod protocol;
-pub mod queue;
 pub mod registry;
 pub mod server;
 pub mod wire;
 
 pub use client::{Codec, ServeClient};
 pub use protocol::{BatchPrediction, Request, Response};
-pub use queue::{BoundedQueue, PushError, TokenBucket};
 pub use registry::{RestoreSummary, Shard, ShardRegistry};
 pub use server::{ServeConfig, Server};
 
 // Compile-time proof that the serving types crossing thread boundaries are
 // safe to share: the registry is read by event loops and the snapshot
-// checkpointer at once; inbox queues are produced into by the accept
-// thread and drained by one loop each. (`Shared`, `Sock`, and `Conn`, the
+// checkpointer at once. (`Shared`, `LoopShard`, `Sock`, and `Conn`, the
 // private counterparts, carry the same assertions in `server.rs`.)
 const _: () = {
     const fn assert_send<T: Send>() {}
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ShardRegistry>();
     assert_send::<Shard>();
-    assert_send_sync::<BoundedQueue<stage_plan::PhysicalPlan>>();
     assert_send_sync::<Server>();
-    assert_send::<TokenBucket>();
 };

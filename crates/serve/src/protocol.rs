@@ -68,10 +68,11 @@ pub enum Request {
 pub struct BatchPrediction {
     /// Point prediction in seconds.
     pub exec_secs: f64,
-    /// Lower bound of the 95% confidence interval (when the serving model
-    /// measures uncertainty).
+    /// Lower bound of the shard's split-conformal prediction interval
+    /// (target coverage `DriftConfig::target_coverage`, 0.90 by default;
+    /// `None` when the answering tier measures no uncertainty).
     pub interval_lo: Option<f64>,
-    /// Upper bound of the 95% confidence interval.
+    /// Upper bound of the same interval.
     pub interval_hi: Option<f64>,
     /// Which stage of the hierarchy answered.
     pub source: PredictionSource,
@@ -84,10 +85,12 @@ pub enum Response {
     Predicted {
         /// Point prediction in seconds.
         exec_secs: f64,
-        /// Lower bound of the 95% confidence interval (when the serving
-        /// model measures uncertainty).
+        /// Lower bound of the shard's split-conformal prediction interval
+        /// (target coverage `DriftConfig::target_coverage`, 0.90 by
+        /// default; `None` when the answering tier measures no
+        /// uncertainty).
         interval_lo: Option<f64>,
-        /// Upper bound of the 95% confidence interval.
+        /// Upper bound of the same interval.
         interval_hi: Option<f64>,
         /// Which stage of the hierarchy answered.
         source: PredictionSource,

@@ -12,7 +12,7 @@
 //! canonical `registry → shard` nesting.
 
 use stage_core::global::GlobalModel;
-use stage_core::persist::{self, PersistFaults, RestoreError};
+use stage_core::persist::{PersistFaults, RestoreError};
 use stage_core::storefmt::{self, StoreCheckpoint};
 use stage_core::sync::{OrderedRwLock, RANK_REGISTRY, RANK_SHARD};
 use stage_core::{
@@ -164,9 +164,9 @@ impl SaveSummary {
 pub struct RestoreSummary {
     /// Shards warm-started from a valid artefact.
     pub restored: u32,
-    /// Artefacts that failed validation (bad frame, checksum, version, or
-    /// envelope) and were renamed to `*.quarantine`; their shards start
-    /// cold.
+    /// Artefacts that failed validation (bad magic, checksum, version, or
+    /// section contents) and were renamed to `*.quarantine`; their shards
+    /// start cold.
     pub quarantined: u32,
 }
 
@@ -270,13 +270,6 @@ impl ShardRegistry {
         dir.join(format!("instance_{id}.store"))
     }
 
-    /// The pre-store JSON artefact path (read-only fallback so a server
-    /// upgraded across the format change still warm-starts; never written
-    /// anymore).
-    pub fn legacy_snapshot_path(dir: &Path, id: u32) -> PathBuf {
-        dir.join(format!("instance_{id}.json"))
-    }
-
     /// Checkpoints every shard to `dir` (one crash-safe store artefact per
     /// instance). Shards whose content revision hasn't moved since their
     /// last checkpoint are skipped without even encoding a snapshot; the
@@ -332,12 +325,11 @@ impl ShardRegistry {
 
     /// Warm-starts shards from artefacts in `dir` (atomic load-on-start):
     /// each instance with a valid snapshot resumes exactly where the last
-    /// checkpoint left it. Store artefacts are preferred (mapped and
-    /// decoded in place); an instance with no store file falls back to the
-    /// legacy JSON artefact. Missing artefacts leave the cold predictor in
-    /// place; damaged ones (bad magic, checksum mismatch, unsupported
-    /// version, malformed section/envelope) are quarantined — renamed to
-    /// `*.quarantine` for the operator — and their shards start cold too.
+    /// checkpoint left it (the store file is mapped and decoded in place).
+    /// Missing artefacts leave the cold predictor in place; damaged ones
+    /// (bad magic, checksum mismatch, unsupported version, malformed
+    /// section) are quarantined — renamed to `*.quarantine` for the
+    /// operator — and their shards start cold too.
     /// A restart therefore always comes up serving, never half-restored
     /// and never crash-looping on a rotten file.
     pub fn load_snapshots(&self, dir: &Path) -> RestoreSummary {
@@ -346,14 +338,7 @@ impl ShardRegistry {
         for (id, shard) in shards.iter().enumerate() {
             let id = id as u32;
             let faults = self.persist_faults.as_deref();
-            let restored = match storefmt::load_stage_store(&Self::snapshot_path(dir, id), faults) {
-                Ok(snapshot) => Ok(snapshot),
-                Err(e) if e.is_not_found() => {
-                    persist::load_stage_file_with(&Self::legacy_snapshot_path(dir, id), faults)
-                }
-                Err(e) => Err(e),
-            };
-            match restored {
+            match storefmt::load_stage_store(&Self::snapshot_path(dir, id), faults) {
                 Ok(snapshot) => {
                     shard.write().predictor = StagePredictor::from_snapshot(snapshot);
                     summary.restored += 1;
@@ -521,35 +506,24 @@ mod tests {
     }
 
     #[test]
-    fn legacy_json_artefacts_still_warm_start() {
-        let dir = std::env::temp_dir().join("stage-serve-registry-legacy-test");
+    fn json_snapshots_are_ignored_and_cold_start() {
+        let dir = std::env::temp_dir().join("stage-serve-registry-json-test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let sys = SystemContext::empty(2);
-        // A pre-store-format checkpoint: a framed JSON artefact at the old
-        // path, no store file.
-        let mut p = stage_core::StagePredictor::new(StageConfig::default());
-        p.observe(&plan(7e4), &sys, 4.5);
-        persist::save_stage_file_with(
-            &p.snapshot(),
-            &ShardRegistry::legacy_snapshot_path(&dir, 0),
-            None,
-        )
-        .unwrap();
+        // A directory left by a pre-store-format server: only the old
+        // `.json` name, no store file. It is neither restored nor touched.
+        let json = dir.join("instance_0.json");
+        std::fs::write(&json, b"stage-artefact v2 crc32=00000000 len=2\n{}").unwrap();
 
         let reg = ShardRegistry::new(1, StageConfig::default());
-        assert_eq!(
-            reg.load_snapshots(&dir),
-            RestoreSummary {
-                restored: 1,
-                quarantined: 0
-            }
-        );
+        assert_eq!(reg.load_snapshots(&dir), RestoreSummary::default());
+        assert!(json.exists(), "the .json file must be left in place");
+        assert!(!dir.join("instance_0.json.quarantine").exists());
         let got = reg
             .with_shard_write(0, |s| s.predict(&plan(7e4), &sys))
             .unwrap();
-        assert_eq!(got.source, PredictionSource::Cache);
-        assert!((got.exec_secs - 4.5).abs() < 1e-9);
+        assert_eq!(got.source, PredictionSource::Default);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

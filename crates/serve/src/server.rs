@@ -48,8 +48,7 @@
 
 use crate::evloop::{poll_fds, PollFd, Waker, POLLIN, POLLOUT};
 use crate::protocol::{write_message_buffered, BatchPrediction, Request, Response};
-use crate::queue::BoundedQueue;
-use crate::registry::ShardRegistry;
+use crate::registry::{Shard, ShardRegistry};
 use crate::wire::{self, Unframed, HANDSHAKE, MAX_FRAME_LEN};
 use stage_chaos::{ChaosStream, FaultPlan};
 use stage_core::persist::PersistFaults;
@@ -60,6 +59,7 @@ use std::net::{Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -235,9 +235,10 @@ impl Conn {
     }
 }
 
-/// One event loop's handle shared with the accept thread.
+/// One event loop's handle shared with the accept thread: the sending half
+/// of its bounded inbox (the loop thread owns the receiver) and its waker.
 struct LoopShard {
-    inbox: BoundedQueue<Sock>,
+    inbox: SyncSender<Sock>,
     waker: Waker,
 }
 
@@ -341,25 +342,25 @@ fn invalid_config(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, format!("serve config: {what}"))
 }
 
-/// Executes one shard verb (Predict / PredictBatch / Observe) inline.
-/// Admission order matters: unknown instances are rejected before
-/// anything else (no aliasing onto a live shard), then the drain flag,
-/// then the deadline — only a request that passed all three touches the
-/// shard.
-fn serve_shard_verb(shared: &Shared, request: Request, arrived: Instant) -> Response {
-    let (instance, deadline_exempt) = match &request {
-        Request::Predict { instance, .. } | Request::PredictBatch { instance, .. } => {
-            (*instance, false)
-        }
-        // Observes are exempt from the deadline: feedback must land even
-        // under backlog.
-        Request::Observe { instance, .. } => (*instance, true),
-        _ => {
-            return Response::Error {
-                message: "internal: non-shard request routed to shard path".to_string(),
-            }
-        }
-    };
+/// Admits and executes one shard verb (Predict / PredictBatch / Observe)
+/// inline: `verb` runs under the instance's shard write lock once the
+/// request has passed admission. Admission order matters: a peer
+/// pipelining requests without reading its replies is shed first (the wait
+/// moves to the client where it belongs), then unknown instances are
+/// rejected (no aliasing onto a live shard), then the drain flag, then the
+/// deadline — only a request that passed all four touches the shard.
+fn serve_shard_verb(
+    shared: &Shared,
+    instance: u32,
+    deadline_exempt: bool,
+    arrived: Instant,
+    wbuf_backlog: usize,
+    verb: impl FnOnce(&mut Shard) -> Response,
+) -> Response {
+    if wbuf_backlog > WBUF_SHED_LIMIT {
+        shared.overloaded.fetch_add(1, Ordering::Relaxed);
+        return Response::Overloaded { retry_after_ms: 1 };
+    }
     if !shared.registry.contains(instance) {
         return unknown_instance(instance, shared.registry.len());
     }
@@ -381,90 +382,10 @@ fn serve_shard_verb(shared: &Shared, request: Request, arrived: Instant) -> Resp
             }
         }
     }
-    match request {
-        Request::Predict {
-            instance,
-            plan,
-            sys,
-        } => {
-            let sys = SystemContext { features: sys };
-            shared
-                .registry
-                .with_shard_write(instance, |shard| {
-                    let p = shard.predict(&plan, &sys);
-                    // Conformal interval from the shard's drift sentinel:
-                    // width tracks the observed residual distribution (and
-                    // widens while degraded tiers answer) instead of the
-                    // fixed Gaussian 1.96σ the pre-drift server promised.
-                    let (interval_lo, interval_hi) = match shard.calibrated_interval(&p) {
-                        Some((lo, hi)) => (Some(lo), Some(hi)),
-                        None => (None, None),
-                    };
-                    Response::Predicted {
-                        exec_secs: p.exec_secs,
-                        interval_lo,
-                        interval_hi,
-                        source: p.source,
-                        latency_us: arrived.elapsed().as_micros() as u64,
-                    }
-                })
-                .unwrap_or_else(|| unknown_instance(instance, shared.registry.len()))
-        }
-        Request::PredictBatch {
-            instance,
-            plans,
-            sys,
-        } => {
-            let sys = SystemContext { features: sys };
-            shared
-                .registry
-                .with_shard_write(instance, |shard| {
-                    // One lock acquisition prices the whole batch, so
-                    // locking overhead amortises across it.
-                    let predictions = shard
-                        .predict_batch(&plans, &sys)
-                        .into_iter()
-                        .map(|p| {
-                            let (interval_lo, interval_hi) = match shard.calibrated_interval(&p) {
-                                Some((lo, hi)) => (Some(lo), Some(hi)),
-                                None => (None, None),
-                            };
-                            BatchPrediction {
-                                exec_secs: p.exec_secs,
-                                interval_lo,
-                                interval_hi,
-                                source: p.source,
-                            }
-                        })
-                        .collect();
-                    Response::PredictionsBatch {
-                        predictions,
-                        latency_us: arrived.elapsed().as_micros() as u64,
-                    }
-                })
-                .unwrap_or_else(|| unknown_instance(instance, shared.registry.len()))
-        }
-        Request::Observe {
-            instance,
-            plan,
-            sys,
-            actual_secs,
-        } => {
-            let sys = SystemContext { features: sys };
-            shared
-                .registry
-                .with_shard_write(instance, |shard| {
-                    shard.observe(&plan, &sys, actual_secs);
-                    Response::Observed {
-                        latency_us: arrived.elapsed().as_micros() as u64,
-                    }
-                })
-                .unwrap_or_else(|| unknown_instance(instance, shared.registry.len()))
-        }
-        _ => Response::Error {
-            message: "internal: non-shard request routed to shard path".to_string(),
-        },
-    }
+    shared
+        .registry
+        .with_shard_write(instance, verb)
+        .unwrap_or_else(|| unknown_instance(instance, shared.registry.len()))
 }
 
 /// Dispatches one decoded request. Returns the reply and whether the
@@ -475,17 +396,73 @@ fn serve_request(
     arrived: Instant,
     wbuf_backlog: usize,
 ) -> (Response, bool) {
+    let latency_us = || arrived.elapsed().as_micros() as u64;
     match request {
-        Request::Predict { .. } | Request::PredictBatch { .. } | Request::Observe { .. } => {
-            // Backpressure: a peer pipelining requests without reading its
-            // replies is shed before its verb executes — the wait moves to
-            // the client where it belongs.
-            if wbuf_backlog > WBUF_SHED_LIMIT {
-                shared.overloaded.fetch_add(1, Ordering::Relaxed);
-                return (Response::Overloaded { retry_after_ms: 1 }, false);
-            }
-            (serve_shard_verb(shared, request, arrived), false)
-        }
+        Request::Predict {
+            instance,
+            plan,
+            sys,
+        } => (
+            serve_shard_verb(shared, instance, false, arrived, wbuf_backlog, |shard| {
+                let p = shard.predict(&plan, &SystemContext { features: sys });
+                // Conformal interval from the shard's drift sentinel: its
+                // width tracks the observed residual distribution (and
+                // widens while degraded tiers answer).
+                let (interval_lo, interval_hi) = shard.calibrated_interval(&p).unzip();
+                Response::Predicted {
+                    exec_secs: p.exec_secs,
+                    interval_lo,
+                    interval_hi,
+                    source: p.source,
+                    latency_us: latency_us(),
+                }
+            }),
+            false,
+        ),
+        // One lock acquisition prices the whole batch, so locking overhead
+        // amortises across it.
+        Request::PredictBatch {
+            instance,
+            plans,
+            sys,
+        } => (
+            serve_shard_verb(shared, instance, false, arrived, wbuf_backlog, |shard| {
+                let predictions = shard
+                    .predict_batch(&plans, &SystemContext { features: sys })
+                    .into_iter()
+                    .map(|p| {
+                        let (interval_lo, interval_hi) = shard.calibrated_interval(&p).unzip();
+                        BatchPrediction {
+                            exec_secs: p.exec_secs,
+                            interval_lo,
+                            interval_hi,
+                            source: p.source,
+                        }
+                    })
+                    .collect();
+                Response::PredictionsBatch {
+                    predictions,
+                    latency_us: latency_us(),
+                }
+            }),
+            false,
+        ),
+        // Observes are exempt from the deadline: feedback must land even
+        // under backlog.
+        Request::Observe {
+            instance,
+            plan,
+            sys,
+            actual_secs,
+        } => (
+            serve_shard_verb(shared, instance, true, arrived, wbuf_backlog, |shard| {
+                shard.observe(&plan, &SystemContext { features: sys }, actual_secs);
+                Response::Observed {
+                    latency_us: latency_us(),
+                }
+            }),
+            false,
+        ),
         Request::Stats { instance } => (
             shared
                 .registry
@@ -771,7 +748,12 @@ fn final_flush(conns: &mut Vec<Conn>) {
 }
 
 /// One event loop: adopt inbox connections, poll, serve readiness.
-fn run_loop(shared: &Arc<Shared>, lshard: &Arc<LoopShard>, conn_read_timeout: Option<Duration>) {
+fn run_loop(
+    shared: &Arc<Shared>,
+    lshard: &Arc<LoopShard>,
+    inbox: &Receiver<Sock>,
+    conn_read_timeout: Option<Duration>,
+) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut pollfds: Vec<PollFd> = Vec::new();
     let mut json_buf = String::new();
@@ -786,9 +768,7 @@ fn run_loop(shared: &Arc<Shared>, lshard: &Arc<LoopShard>, conn_read_timeout: Op
             final_flush(&mut conns);
             return;
         }
-        while let Some(sock) = lshard.inbox.try_pop() {
-            conns.push(Conn::new(sock));
-        }
+        conns.extend(inbox.try_iter().map(Conn::new));
 
         pollfds.clear();
         pollfds.push(PollFd::new(lshard.waker.read_fd(), POLLIN));
@@ -907,8 +887,9 @@ impl Server {
         let mut loop_shards = Vec::with_capacity(config.n_loops);
         let mut loop_handles = Vec::with_capacity(config.n_loops);
         for l in 0..config.n_loops {
+            let (inbox, inbox_rx) = mpsc::sync_channel(config.queue_capacity);
             let lshard = Arc::new(LoopShard {
-                inbox: BoundedQueue::new(config.queue_capacity),
+                inbox,
                 waker: Waker::new()?,
             });
             let shared = Arc::clone(&shared);
@@ -916,7 +897,7 @@ impl Server {
             let conn_read_timeout = config.conn_read_timeout;
             let handle = std::thread::Builder::new()
                 .name(format!("serve-loop-{l}"))
-                .spawn(move || run_loop(&shared, &lshard2, conn_read_timeout))?;
+                .spawn(move || run_loop(&shared, &lshard2, &inbox_rx, conn_read_timeout))?;
             loop_shards.push(lshard);
             loop_handles.push(handle);
         }
@@ -1023,11 +1004,12 @@ impl Server {
                             continue;
                         };
                         next = next.wrapping_add(1);
-                        match lshard.inbox.try_push(sock) {
+                        match lshard.inbox.try_send(sock) {
                             Ok(()) => lshard.waker.wake(),
-                            // Inbox full (or closed): shed the connection —
-                            // the dropped socket is an EOF to the client,
-                            // which retries, and the shed is counted.
+                            // Inbox full (or its loop gone): shed the
+                            // connection — the dropped socket is an EOF to
+                            // the client, which retries, and the shed is
+                            // counted.
                             Err(_) => {
                                 shared.overloaded.fetch_add(1, Ordering::Relaxed);
                             }
@@ -1225,6 +1207,11 @@ mod tests {
         let server = Server::start(ServeConfig::default()).unwrap();
         let mut a = ServeClient::connect(server.local_addr()).unwrap();
         let mut b = ServeClient::connect(server.local_addr()).unwrap();
+        // `connect` returns once the kernel queued the socket, not once the
+        // accept thread handed it to a loop: one round trip proves `b` is
+        // adopted, so the shutdown below cannot race its accept (the accept
+        // loop exits on the drain flag and would reset a still-queued `b`).
+        b.stats(0).unwrap();
         a.shutdown().unwrap();
         // The other connection's next shard request sees the drain.
         let r = b.predict(0, &plan(1e4), &[0.0, 0.0]).unwrap();

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! `crc32` is [`stage_core::persist::crc32`] over the payload — the same
-//! IEEE polynomial the snapshot artefact frames use, so a frame damaged in
+//! IEEE polynomial the artefact store's sections use, so a frame damaged in
 //! flight (or torn by fault injection) is detected before decode, exactly
 //! like a damaged artefact is detected before restore. `len` is bounded by
 //! [`MAX_FRAME_LEN`]; an oversized header is a framing error, never an

@@ -18,8 +18,8 @@
 //!
 //! This crate sits below `stage-core` in the dependency graph: the crc32
 //! implementation lives here and `stage_core::persist` re-exports it, so
-//! the wire protocol and the artefact envelopes keep checksumming through
-//! one shared function.
+//! the wire protocol and the artefact store keep checksumming through one
+//! shared function.
 //!
 //! This file is inside `stage-lint`'s panic-freedom scope: stores are
 //! opened on the serving restore path, where hostile bytes must produce
@@ -35,10 +35,10 @@ pub use format::{
 pub use mmap::Mapping;
 
 /// IEEE crc32 (reflected, polynomial `0xEDB8_8320`), slice-by-8. Output
-/// is bit-identical to the bitwise implementation `stage_core::persist`
-/// shipped through PR 6 — the frame checksums of the binary wire protocol
-/// and the `stage-artefact` envelopes must not change under an
-/// implementation swap (pinned by tests on known vectors).
+/// is bit-identical to the bitwise reference — the frame checksums of the
+/// binary wire protocol and the section checksums of files already on disk
+/// must not change under an implementation swap (pinned by tests on known
+/// vectors and against the bitwise loop).
 ///
 /// Restore verifies every section's checksum before a shard is allowed to
 /// serve from a mapped store, so this loop is on the cold-start critical

@@ -54,12 +54,12 @@ cargo build -q --release -p stage-bench --bin loadgen
 timeout 120 ./target/release/loadgen --smoke --codec binary --out /tmp/bench_serve_smoke_binary.json
 timeout 120 ./target/release/loadgen --smoke --codec json --out /tmp/bench_serve_smoke_json.json
 
-# Artefact-store smoke: the serde and mmap restore paths must produce
-# replicas that answer every probe bit-identically (f64::to_bits) with
-# equal routing counters. Timing claims live in the full bench run, not
-# here.
-cargo build -q --release -p stage-bench --bin bench_store
-timeout 120 ./target/release/bench_store --smoke
+# Benchmark smoke: the repo's one benchmark (BENCHMARK.json) at 1/50 size,
+# every workload untraced then traced. Exits non-zero on any oracle or
+# counter-reconciliation failure, and on store.restore_mismatch — the
+# store round-trip's CI gate (checkpoint, restore into a fresh registry,
+# probes compared to_bits). No timing is asserted.
+timeout 300 bash benchmark/run.sh --smoke
 
 # Chaos smoke: the six-phase fault-injection soak at CI scale (including
 # the workload step change that must trip the drift sentinel). Asserts

@@ -3,7 +3,6 @@
 //! reloaded predictor behaves identically — the full offline pipeline the
 //! paper's fleet sweep implies.
 
-use stage::core::persist;
 use stage::core::{
     CacheConfig, CacheMode, ExecTimeCache, ExecTimePredictor, StageConfig, StagePredictor,
     SystemContext,
@@ -59,9 +58,8 @@ fn persisted_cache_resumes_mid_replay() {
     for e in &w.events[..split] {
         cache.record(ExecTimeCache::key_of(&e.plan), e.true_exec_secs);
     }
-    let mut buf = Vec::new();
-    persist::save_cache(&cache, &mut buf).unwrap();
-    let mut resumed = persist::load_cache(buf.as_slice()).unwrap();
+    let text = serde_json::to_string(&cache).unwrap();
+    let mut resumed: ExecTimeCache = serde_json::from_str(&text).unwrap();
 
     for e in &w.events[split..] {
         let key = ExecTimeCache::key_of(&e.plan);
