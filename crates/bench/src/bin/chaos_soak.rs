@@ -1,5 +1,6 @@
-//! Chaos soak: replays loadgen-style traffic against `stage-serve` under an
-//! escalating, seed-deterministic fault schedule and balances the books.
+//! Chaos soak: replays predict+observe round-trip traffic against
+//! `stage-serve` under an escalating, seed-deterministic fault schedule and
+//! balances the books.
 //!
 //! Six phases, each against a fresh server (persist/restore share a
 //! snapshot directory to exercise warm restart under disk faults):

@@ -14,7 +14,7 @@
 //!   --days F         override simulated duration
 //!   --seed N         override the master seed
 //!   --threads N      worker threads for shard-parallel replay
-//!                    (default: all cores; STAGE_THREADS overrides)
+//!                    (default: all cores)
 //!   --out DIR        artefact directory (default: results/)
 //!   --list           list experiment ids and exit
 //! ```

@@ -36,7 +36,7 @@ pub struct HarnessConfig {
     /// Workload-manager simulator settings (Fig. 6/7).
     pub wlm: WlmConfig,
     /// Worker threads for shard-parallel fleet replay (0 = all available
-    /// cores). The `STAGE_THREADS` environment variable overrides this.
+    /// cores).
     pub parallelism: usize,
     /// Directory for JSON artefacts.
     pub out_dir: PathBuf,
@@ -170,7 +170,7 @@ impl ExperimentContext {
     }
 
     /// The shard-parallel replay engine sized by this context's
-    /// `parallelism` knob (and the `STAGE_THREADS` override).
+    /// `parallelism` knob.
     pub fn replayer(&self) -> ParallelFleetReplay {
         ParallelFleetReplay::new(self.config.parallelism)
     }

@@ -1,9 +1,9 @@
 //! Fig. 9 — inference latency vs memory footprint per predictor component.
 //!
-//! Criterion benches (`cargo bench -p stage-bench`) give high-precision
-//! latency numbers; this experiment produces the same comparison quickly
-//! with `std::time::Instant`, alongside the memory accounting, so the whole
-//! figure regenerates from one command.
+//! Latencies are timed with `std::time::Instant`, alongside the memory
+//! accounting, so the whole figure regenerates from one command. The
+//! per-tier numbers tracked across commits are the benchmark's
+//! `core.predict_ns.{cache,local,global}` (`bash benchmark/run.sh`).
 
 use super::ExperimentReport;
 use crate::context::ExperimentContext;

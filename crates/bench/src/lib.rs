@@ -14,7 +14,7 @@
 //! * [`parallel`] — the shard-parallel fleet replay engine: per-instance
 //!   work distributed over a scoped worker pool, index-tagged so results
 //!   are identical to the sequential loop at any thread count
-//!   (`STAGE_THREADS` or the `parallelism` knob control sizing);
+//!   (the `parallelism` knob controls sizing);
 //! * [`experiments`] — one function per paper artefact (`fig1a` … `fig11`,
 //!   `tab1` … `tab6`) and per ablation, each returning both a human-readable
 //!   report and a JSON value;
@@ -27,5 +27,5 @@ pub mod parallel;
 pub mod replay;
 
 pub use context::{ExperimentContext, HarnessConfig};
-pub use parallel::{resolve_parallelism, ParallelFleetReplay, STAGE_THREADS_ENV};
+pub use parallel::{resolve_parallelism, ParallelFleetReplay};
 pub use replay::{ablation_replay, replay, AblationRecord, ReplayRecord};

@@ -14,29 +14,18 @@
 //! count or scheduling. A replay test asserts equality across
 //! `parallelism ∈ {1, 4}`.
 //!
-//! **Sizing.** Thread count resolves as: the `STAGE_THREADS` environment
-//! variable if set and positive, else the configured knob if positive, else
-//! `std::thread::available_parallelism()`.
+//! **Sizing.** Thread count resolves as: the configured knob if positive,
+//! else `std::thread::available_parallelism()`.
 
 use stage_workload::InstanceWorkload;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::thread;
 
-/// Environment variable overriding the configured thread count.
-pub const STAGE_THREADS_ENV: &str = "STAGE_THREADS";
-
 /// Resolves an effective worker count from a configuration knob
-/// (0 = autodetect). `STAGE_THREADS` wins over the knob; autodetect falls
-/// back to 1 if the platform cannot report its parallelism.
+/// (0 = autodetect). Autodetect falls back to 1 if the platform cannot
+/// report its parallelism.
 pub fn resolve_parallelism(knob: usize) -> usize {
-    if let Some(n) = std::env::var(STAGE_THREADS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
     if knob > 0 {
         return knob;
     }
@@ -155,19 +144,8 @@ mod tests {
     }
 
     #[test]
-    fn knob_resolution_prefers_env_then_knob() {
-        // The knob wins when positive and no env override is set; the test
-        // runner may set STAGE_THREADS globally, in which case it wins.
-        let resolved = resolve_parallelism(3);
-        match std::env::var(STAGE_THREADS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-        {
-            Some(env) => assert_eq!(resolved, env),
-            None => assert_eq!(resolved, 3),
-        }
-        // Autodetect never returns zero.
+    fn knob_resolution_prefers_knob_then_autodetect() {
+        assert_eq!(resolve_parallelism(3), 3);
         assert!(resolve_parallelism(0) >= 1);
     }
 

@@ -21,17 +21,14 @@
 //! The pass is layered: a lexer ([`source`]) blanks comments/strings
 //! offset-preservingly, a token-tree parser ([`parser`]) summarizes each
 //! file's fn items / call sites / rule facts, and a workspace call graph
-//! ([`graph`]) powers the interprocedural rules. Summaries are cached by
-//! content hash ([`cache`]) so warm runs skip the lex+parse entirely and
-//! stay fast enough for `scripts/check.sh`.
+//! ([`graph`]) powers the interprocedural rules.
 
-pub mod cache;
 pub mod graph;
 pub mod parser;
 pub mod rules;
 pub mod source;
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -131,60 +128,25 @@ const LOCK_ORDER_DIRS: &[&str] = &["crates/serve/src", "crates/core/src", "crate
 const BOUNDS_FILES: &[&str] = &["crates/serve/src/wire.rs", "crates/core/src/storefmt.rs"];
 const BOUNDS_DIRS: &[&str] = &["crates/store/src"];
 
-/// Options for [`lint_workspace_opts`].
-#[derive(Debug, Clone, Copy)]
-pub struct LintOptions {
-    /// Use the content-hash parse cache under `target/stage-lint-cache`.
-    pub use_cache: bool,
-}
-
-impl Default for LintOptions {
-    fn default() -> Self {
-        Self { use_cache: true }
-    }
-}
-
-/// Lints the workspace rooted at `root` with the default options;
-/// findings are sorted by (file, line, rule) and use workspace-relative
-/// paths.
+/// Lints the workspace rooted at `root`; findings are sorted by (file,
+/// line, rule) and use workspace-relative paths.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    lint_workspace_opts(root, LintOptions::default())
-}
-
-/// Lints the workspace rooted at `root`.
-pub fn lint_workspace_opts(root: &Path, opts: LintOptions) -> io::Result<Vec<Finding>> {
-    let sums = summarize_workspace(root, opts)?;
+    let sums = summarize_workspace(root)?;
     Ok(lint_summaries(root, &sums))
 }
 
-/// Parses (or cache-loads) every workspace source file into summaries,
-/// in path order.
-pub fn summarize_workspace(root: &Path, opts: LintOptions) -> io::Result<Vec<FileSummary>> {
-    let cache = if opts.use_cache {
-        cache::Cache::new(root)
-    } else {
-        cache::Cache::disabled()
-    };
+/// Parses every workspace source file into summaries, in path order.
+pub fn summarize_workspace(root: &Path) -> io::Result<Vec<FileSummary>> {
     let mut sums = Vec::new();
     for path in workspace_rust_files(root)? {
         let rel = rel_of(root, &path);
-        let content = std::fs::read_to_string(&path)?;
-        let sum = match cache.load(&rel, &content) {
-            Some(sum) => sum,
-            None => {
-                let file = SourceFile::parse(&path, &content);
-                let sum = parser::summarize(&file, &rel);
-                cache.store(&rel, &content, &sum);
-                sum
-            }
-        };
-        sums.push(sum);
+        let file = SourceFile::read(&path)?;
+        sums.push(parser::summarize(&file, &rel));
     }
     Ok(sums)
 }
 
-/// Runs every rule over pre-built summaries. This is the whole warm path:
-/// no file in `sums` is re-read or re-lexed.
+/// Runs every rule over pre-built summaries.
 pub fn lint_summaries(root: &Path, sums: &[FileSummary]) -> Vec<Finding> {
     let idx = graph::index_by_rel(sums);
     let mut findings = Vec::new();
@@ -271,59 +233,6 @@ pub fn lint_summaries(root: &Path, sums: &[FileSummary]) -> Vec<Finding> {
             .then_with(|| a.message.cmp(&b.message))
     });
     findings
-}
-
-/// The pre-call-graph per-file pass, kept verbatim for benchmarking:
-/// read, lex, and lexical rules on exactly the files in scope — no
-/// parser, no cache, no graph. `results/bench_lint.json` compares the
-/// cached interprocedural pass against this floor.
-pub fn lint_lexical(root: &Path) -> io::Result<Vec<Finding>> {
-    let mut plan: BTreeMap<PathBuf, Vec<&'static str>> = BTreeMap::new();
-    for rel in NO_PANIC_FILES {
-        let entry = plan.entry(root.join(rel)).or_default();
-        entry.push(RULE_NO_PANIC);
-        entry.push(RULE_UNSAFE);
-    }
-    for dir in DETERMINISM_DIRS {
-        for file in rust_files(&root.join(dir))? {
-            plan.entry(file).or_default().push(RULE_DETERMINISM);
-        }
-    }
-    for rel in DETERMINISM_FILES {
-        plan.entry(root.join(rel))
-            .or_default()
-            .push(RULE_DETERMINISM);
-    }
-    for dir in LOCK_ORDER_DIRS {
-        for file in rust_files(&root.join(dir))? {
-            plan.entry(file).or_default().push(RULE_LOCK_ORDER);
-        }
-    }
-
-    let mut findings = Vec::new();
-    for (path, rule_ids) in &plan {
-        let file = SourceFile::read(path)?;
-        for &rule in rule_ids {
-            let raw = match rule {
-                RULE_NO_PANIC => rules::no_panic::check(&file),
-                RULE_DETERMINISM => rules::determinism::check(&file),
-                RULE_LOCK_ORDER => rules::lock_order::check(&file),
-                RULE_UNSAFE => rules::unsafe_seam::check(&file),
-                _ => Vec::new(),
-            };
-            findings.extend(raw.into_iter().filter(|f| !file.allowed(f.rule, f.line)));
-        }
-        for line in file.malformed_pragmas() {
-            findings.push(Finding::new(
-                RULE_PRAGMA,
-                path,
-                line,
-                "malformed lint:allow pragma".to_string(),
-            ));
-        }
-    }
-    findings.extend(rules::protocol::check_workspace(root));
-    Ok(findings)
 }
 
 /// Workspace-relative path with forward slashes.

@@ -2,32 +2,25 @@
 //!
 //! ```text
 //! stage-lint --workspace [--json] [--root DIR] [--baseline FILE]
-//!            [--bench] [--no-cache]
 //! ```
 //!
 //! Exit codes: 0 = clean, 1 = findings (with `--baseline`: *new*
 //! findings), 2 = usage / I/O error. With `--json` the report is also
-//! written to `results/lint_report.json` under the workspace root; with
-//! `--bench`, cold/warm/lexical timings go to `results/bench_lint.json`.
+//! written to `results/lint_report.json` under the workspace root.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut json = false;
     let mut workspace = false;
-    let mut bench = false;
-    let mut no_cache = false;
     let mut baseline: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workspace" => workspace = true,
             "--json" => json = true,
-            "--bench" => bench = true,
-            "--no-cache" => no_cache = true,
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => return usage("--root requires a directory"),
@@ -43,7 +36,7 @@ fn main() -> ExitCode {
             other => return usage(&format!("unknown argument: {other}")),
         }
     }
-    if !workspace && !bench {
+    if !workspace {
         return usage("pass --workspace to lint the workspace sources");
     }
 
@@ -55,14 +48,7 @@ fn main() -> ExitCode {
         }
     };
 
-    if bench {
-        return run_bench(&root);
-    }
-
-    let opts = stage_lint::LintOptions {
-        use_cache: !no_cache,
-    };
-    let findings = match stage_lint::lint_workspace_opts(&root, opts) {
+    let findings = match stage_lint::lint_workspace(&root) {
         Ok(f) => f,
         Err(err) => {
             eprintln!("stage-lint: {err}");
@@ -135,89 +121,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Benchmarks the three lint configurations and writes
-/// `results/bench_lint.json`:
-///
-/// - `lexical_ms`: the pre-call-graph per-file pass (the historical
-///   floor);
-/// - `cold_ms`: full interprocedural pass with an empty parse cache;
-/// - `warm_ms`: same with every summary cache-hit.
-///
-/// The acceptance bar is `warm_ms < 2 × lexical_ms`.
-fn run_bench(root: &std::path::Path) -> ExitCode {
-    let time =
-        |f: &dyn Fn() -> Result<usize, std::io::Error>| -> Result<(f64, usize), std::io::Error> {
-            let t0 = Instant::now();
-            let n = f()?;
-            Ok((t0.elapsed().as_secs_f64() * 1e3, n))
-        };
-
-    let lexical = time(&|| Ok(stage_lint::lint_lexical(root)?.len()));
-    stage_lint::cache::Cache::new(root).clear();
-    let cold = time(&|| {
-        Ok(
-            stage_lint::lint_workspace_opts(root, stage_lint::LintOptions { use_cache: true })?
-                .len(),
-        )
-    });
-    let warm = time(&|| {
-        Ok(
-            stage_lint::lint_workspace_opts(root, stage_lint::LintOptions { use_cache: true })?
-                .len(),
-        )
-    });
-    let (files, fns) =
-        match stage_lint::summarize_workspace(root, stage_lint::LintOptions { use_cache: true }) {
-            Ok(sums) => (sums.len(), sums.iter().map(|s| s.fns.len()).sum::<usize>()),
-            Err(err) => {
-                eprintln!("stage-lint: {err}");
-                return ExitCode::from(2);
-            }
-        };
-    let ((lexical_ms, lexical_n), (cold_ms, cold_n), (warm_ms, warm_n)) =
-        match (lexical, cold, warm) {
-            (Ok(a), Ok(b), Ok(c)) => (a, b, c),
-            (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => {
-                eprintln!("stage-lint: {e}");
-                return ExitCode::from(2);
-            }
-        };
-
-    let ratio = if lexical_ms > 0.0 {
-        warm_ms / lexical_ms
-    } else {
-        0.0
-    };
-    let report = format!(
-        "{{\n  \"files\": {files},\n  \"fns\": {fns},\n  \"lexical_ms\": {lexical_ms:.2},\n  \
-         \"cold_ms\": {cold_ms:.2},\n  \"warm_ms\": {warm_ms:.2},\n  \
-         \"warm_over_lexical\": {ratio:.2},\n  \"lexical_findings\": {lexical_n},\n  \
-         \"cold_findings\": {cold_n},\n  \"warm_findings\": {warm_n}\n}}\n"
-    );
-    let out_dir = root.join("results");
-    let out_path = out_dir.join("bench_lint.json");
-    if let Err(err) =
-        std::fs::create_dir_all(&out_dir).and_then(|()| std::fs::write(&out_path, &report))
-    {
-        eprintln!("stage-lint: cannot write {}: {err}", out_path.display());
-        return ExitCode::from(2);
-    }
-    eprint!("{report}");
-    eprintln!("stage-lint: bench written to {}", out_path.display());
-    if cold_n != warm_n {
-        eprintln!("stage-lint: cold/warm finding counts diverge — cache bug");
-        return ExitCode::from(1);
-    }
-    if lexical_ms > 0.0 && warm_ms >= 2.0 * lexical_ms {
-        eprintln!(
-            "stage-lint: warm pass {warm_ms:.2}ms breaches the 2x lexical budget \
-             ({lexical_ms:.2}ms) — cache regression"
-        );
-        return ExitCode::from(1);
-    }
-    ExitCode::SUCCESS
-}
-
 /// Walks up from the current directory looking for a workspace root
 /// (a `Cargo.toml` next to a `crates/` directory).
 fn find_root() -> Option<PathBuf> {
@@ -232,8 +135,7 @@ fn find_root() -> Option<PathBuf> {
     }
 }
 
-const USAGE: &str =
-    "usage: stage-lint --workspace [--json] [--root DIR] [--baseline FILE] [--bench] [--no-cache]";
+const USAGE: &str = "usage: stage-lint --workspace [--json] [--root DIR] [--baseline FILE]";
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("stage-lint: {msg}");

@@ -6,10 +6,9 @@
 //! allocation sinks) that `bounds-before-alloc` replays.
 //!
 //! The output, [`FileSummary`], is deliberately self-contained and flat:
-//! it is what the content-hash parse cache serializes, so a warm lint run
-//! never re-lexes a file — the whole-workspace passes in [`crate::graph`]
-//! run on summaries alone. Anything a rule needs at report time
-//! (pragma suppression, direct lexical findings) therefore lives here too.
+//! the whole-workspace passes in [`crate::graph`] run on summaries alone,
+//! so anything a rule needs at report time (pragma suppression, direct
+//! lexical findings) lives here too.
 //!
 //! This is a heuristic single-pass scanner over the blanked token stream,
 //! not a real Rust parser. Known approximations are documented in
@@ -45,7 +44,7 @@ pub struct FileSummary {
     pub visible: Vec<String>,
 }
 
-/// A `lint:allow` pragma as the cache stores it.
+/// A well-formed `lint:allow` pragma.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PragmaRec {
     /// 1-indexed line of the pragma comment.

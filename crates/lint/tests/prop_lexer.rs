@@ -1,6 +1,6 @@
 //! Property tests for the lexer/parser stack: arbitrary byte soup must
-//! never panic anywhere in the pipeline (lex → summarize → cache
-//! round-trip), and on ASCII input the blanking must preserve byte
+//! never panic anywhere in the pipeline (lex → summarize), and on ASCII
+//! input the blanking must preserve byte
 //! offsets and line numbers *exactly* — every non-blanked character of
 //! `Line::code` sits at the same byte offset as in the raw source, and
 //! every blanked one is a space.
@@ -8,7 +8,6 @@
 use proptest::prelude::*;
 use std::path::Path;
 
-use stage_lint::cache::{deserialize, serialize};
 use stage_lint::parser::summarize;
 use stage_lint::source::SourceFile;
 
@@ -21,18 +20,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The whole pipeline — lexing, pragma parsing, token-tree
-    /// summarizing, and the cache's serialize/deserialize — digests
-    /// arbitrary (possibly invalid-UTF-8) byte soup without panicking,
-    /// and the cache round-trip is lossless for whatever came out.
+    /// summarizing — digests arbitrary (possibly invalid-UTF-8) byte soup
+    /// without panicking.
     #[test]
     fn pipeline_never_panics_on_byte_soup(bytes in proptest::collection::vec(0u8..=255u8, 0usize..512)) {
         let text = String::from_utf8_lossy(&bytes).into_owned();
         let file = SourceFile::parse(Path::new("soup.rs"), &text);
         let _ = file.pragmas();
         let _ = file.malformed_pragmas();
-        let sum = summarize(&file, "soup.rs");
-        let round = deserialize(&serialize(&sum));
-        prop_assert_eq!(round.as_ref(), Some(&sum));
+        let _ = summarize(&file, "soup.rs");
     }
 
     /// Same property on soup drawn from the lexer-hostile alphabet, which
@@ -44,9 +40,7 @@ proptest! {
         let file = SourceFile::parse(Path::new("soup.rs"), &text);
         let _ = file.pragmas();
         let _ = file.malformed_pragmas();
-        let sum = summarize(&file, "soup.rs");
-        let round = deserialize(&serialize(&sum));
-        prop_assert_eq!(round.as_ref(), Some(&sum));
+        let _ = summarize(&file, "soup.rs");
     }
 
     /// Blanking is offset- and line-exact on ASCII input: the lexed file

@@ -985,23 +985,19 @@ impl Server {
                 .name("serve-accept".to_string())
                 .spawn(move || {
                     let mut next = 0usize;
-                    for stream in listener.incoming() {
-                        if shared.shutting_down.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
+                    let mut adopt = |stream: TcpStream| {
                         // Replies are small; Nagle+delayed-ACK would add
                         // ~40 ms to every round-trip.
                         stream.set_nodelay(true).ok();
                         if stream.set_nonblocking(true).is_err() {
-                            continue;
+                            return;
                         }
                         let sock = match &chaos {
                             Some(plan) => Sock::Chaos(ChaosStream::new(stream, Arc::clone(plan))),
                             None => Sock::Plain(stream),
                         };
                         let Some(lshard) = loop_shards.get(next % loop_shards.len().max(1)) else {
-                            continue;
+                            return;
                         };
                         next = next.wrapping_add(1);
                         match lshard.inbox.try_send(sock) {
@@ -1012,6 +1008,32 @@ impl Server {
                             // counted.
                             Err(_) => {
                                 shared.overloaded.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    };
+                    for stream in listener.incoming() {
+                        // Adopt before looking at the drain flag: the stream
+                        // in hand may be a client, not the wake-up.
+                        if let Ok(stream) = stream {
+                            adopt(stream);
+                        }
+                        if shared.shutting_down.load(Ordering::SeqCst) {
+                            break;
+                        }
+                    }
+                    // Clients the kernel queued before the drain flag landed
+                    // get a loop and a `ShuttingDown` answer; closing the
+                    // listener over them would reset them instead. The
+                    // wake-up connection is adopted too and reads EOF.
+                    if listener.set_nonblocking(true).is_ok() {
+                        loop {
+                            match listener.accept() {
+                                Ok((stream, _)) => adopt(stream),
+                                // One queued peer gave up; the rest of the
+                                // backlog still counts.
+                                Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => {}
+                                // `WouldBlock`: the backlog is empty.
+                                Err(_) => break,
                             }
                         }
                     }
@@ -1209,8 +1231,8 @@ mod tests {
         let mut b = ServeClient::connect(server.local_addr()).unwrap();
         // `connect` returns once the kernel queued the socket, not once the
         // accept thread handed it to a loop: one round trip proves `b` is
-        // adopted, so the shutdown below cannot race its accept (the accept
-        // loop exits on the drain flag and would reset a still-queued `b`).
+        // adopted before the shutdown below (a `b` still queued at shutdown
+        // is `connections_in_backlog_at_shutdown_are_answered_not_reset`).
         b.stats(0).unwrap();
         a.shutdown().unwrap();
         // The other connection's next shard request sees the drain.
@@ -1218,6 +1240,31 @@ mod tests {
         assert!(matches!(r, Response::ShuttingDown));
         drop(a);
         drop(b);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn connections_in_backlog_at_shutdown_are_answered_not_reset() {
+        let server = Server::start(ServeConfig::default()).unwrap();
+        let mut a = ServeClient::connect(server.local_addr()).unwrap();
+        // `a` is adopted before the burst opens, so its Shutdown can land
+        // while the accept thread is still working through the burst.
+        a.stats(0).unwrap();
+        // No warm-up round trip: `connect` returns once the kernel queued
+        // the socket, so some of these are still in the backlog below.
+        let mut burst: Vec<ServeClient> = (0..64)
+            .map(|_| ServeClient::connect(server.local_addr()).unwrap())
+            .collect();
+        a.shutdown().unwrap();
+        for (i, c) in burst.iter_mut().enumerate() {
+            let r = c.predict(0, &plan(1e4), &[0.0, 0.0]);
+            assert!(
+                matches!(r, Ok(Response::ShuttingDown)),
+                "burst client {i} must be answered ShuttingDown, got {r:?}"
+            );
+        }
+        drop(a);
+        drop(burst);
         server.join().unwrap();
     }
 

@@ -28,8 +28,8 @@
 //! Hand-rolled and fixed: a leading tag byte selects the variant, fields
 //! follow in declaration order. Integers are little-endian, `f64`s travel
 //! as their IEEE-754 bit patterns (`to_bits`/`from_bits`, so predictions
-//! round-trip **bit-identically** — the cross-codec differential check in
-//! loadgen depends on this), enums as their stable one-hot/declaration
+//! round-trip **bit-identically** — the cross-codec differential tests in
+//! `tests/serve_integration.rs` depend on this), enums as their stable one-hot/declaration
 //! index, options as a presence byte, and vectors/strings as a `u32` count
 //! followed by the elements. Plan trees serialize pre-order with a child
 //! count per node; decode enforces [`MAX_PLAN_DEPTH`] so a hostile frame

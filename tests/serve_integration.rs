@@ -2,9 +2,10 @@
 //! full wire protocol over a real TCP socket, warm restart from snapshots,
 //! and concurrent clients losing no feedback.
 
-use stage_core::PredictionSource;
+use stage_core::{PredictionSource, StageConfig};
+use stage_gbdt::{EnsembleParams, NgBoostParams};
 use stage_plan::{PhysicalPlan, PlanBuilder, S3Format};
-use stage_serve::{Response, ServeClient, ServeConfig, Server};
+use stage_serve::{BatchPrediction, Response, ServeClient, ServeConfig, Server};
 use std::path::PathBuf;
 
 fn plan(tag: &str, rows: f64) -> PhysicalPlan {
@@ -268,9 +269,59 @@ fn socket_faults_lose_no_observes() {
     server.join().unwrap();
 }
 
+/// Prices `plans` through one `PredictBatch`, then each through the scalar
+/// verb: every position must agree `to_bits` and by source. Returns the
+/// batch answer.
+fn batch_matching_scalar(
+    client: &mut ServeClient,
+    instance: u32,
+    plans: &[PhysicalPlan],
+    sys: &[f64],
+) -> Vec<BatchPrediction> {
+    let Response::PredictionsBatch { predictions, .. } =
+        client.predict_batch(instance, plans, sys).unwrap()
+    else {
+        panic!("predict_batch did not answer PredictionsBatch");
+    };
+    assert_eq!(predictions.len(), plans.len());
+    for (k, p) in plans.iter().enumerate() {
+        let Response::Predicted {
+            exec_secs, source, ..
+        } = client.predict(instance, p, sys).unwrap()
+        else {
+            panic!("scalar predict failed");
+        };
+        assert_eq!(
+            exec_secs.to_bits(),
+            predictions[k].exec_secs.to_bits(),
+            "batch position {k} of {} diverged from scalar",
+            plans.len()
+        );
+        assert_eq!(source, predictions[k].source);
+    }
+    predictions
+}
+
 #[test]
 fn predict_batch_preserves_order_and_counts() {
-    let server = Server::start(ServeConfig::default()).unwrap();
+    // Instance 1 trains a (small) local ensemble after 30 observes, so a
+    // batch of unseen plans on it walks the model, not just Cache/Default.
+    let mut stage = StageConfig::default();
+    stage.local.ensemble = EnsembleParams {
+        n_members: 4,
+        member: NgBoostParams {
+            n_estimators: 25,
+            ..NgBoostParams::default()
+        },
+        seed: 11,
+    };
+    stage.local.min_train_examples = 30;
+    let server = Server::start(ServeConfig {
+        n_instances: 2,
+        stage,
+        ..ServeConfig::default()
+    })
+    .unwrap();
     let mut client = ServeClient::connect(server.local_addr()).unwrap();
     let sys = [0.0, 0.0];
 
@@ -288,33 +339,12 @@ fn predict_batch_preserves_order_and_counts() {
     };
 
     let plans = [a.clone(), b.clone(), c.clone()];
-    let Response::PredictionsBatch { predictions, .. } =
-        client.predict_batch(0, &plans, &sys).unwrap()
-    else {
-        panic!("predict_batch did not answer PredictionsBatch");
-    };
-    assert_eq!(predictions.len(), 3);
+    let predictions = batch_matching_scalar(&mut client, 0, &plans, &sys);
     assert_eq!(predictions[0].source, PredictionSource::Cache);
     assert!((predictions[0].exec_secs - 2.0).abs() < 1e-9);
     assert_eq!(predictions[1].source, PredictionSource::Cache);
     assert!((predictions[1].exec_secs - 5.0).abs() < 1e-9);
     assert_eq!(predictions[2].source, PredictionSource::Default);
-
-    // Every batch position must answer exactly like the scalar verb.
-    for (k, p) in plans.iter().enumerate() {
-        let Response::Predicted {
-            exec_secs, source, ..
-        } = client.predict(0, p, &sys).unwrap()
-        else {
-            panic!("scalar predict failed");
-        };
-        assert_eq!(
-            exec_secs.to_bits(),
-            predictions[k].exec_secs.to_bits(),
-            "batch position {k} diverged from scalar"
-        );
-        assert_eq!(source, predictions[k].source);
-    }
 
     // An empty batch is legal and answers an empty prediction list.
     let Response::PredictionsBatch { predictions, .. } =
@@ -344,6 +374,26 @@ fn predict_batch_preserves_order_and_counts() {
         panic!("out-of-range batch must answer Error");
     };
     assert!(message.contains("99"));
+
+    // A full-width batch of unseen plans against the trained shard: every
+    // position bit-identical to the scalar verb, and the local model
+    // answers at least one of them.
+    for r in 0..40 {
+        let p = plan("warm", 1e4 * (1.0 + r as f64));
+        let Response::Observed { .. } = client.observe(1, &p, &sys, 0.5 + r as f64).unwrap() else {
+            panic!("warm-up observe failed");
+        };
+    }
+    let unseen: Vec<PhysicalPlan> = (0..64)
+        .map(|r| plan("unseen", 1.5e4 * (1.0 + r as f64)))
+        .collect();
+    let predictions = batch_matching_scalar(&mut client, 1, &unseen, &sys);
+    assert!(
+        predictions
+            .iter()
+            .any(|p| p.source == PredictionSource::Local),
+        "no unseen plan was answered by the local model"
+    );
 
     client.shutdown().unwrap();
     drop(client);
@@ -383,6 +433,29 @@ fn json_and_binary_codecs_answer_bit_identically() {
             };
             got.push((exec_secs.to_bits(), source));
         }
+        let Response::PredictionsBatch { predictions, .. } =
+            client.predict_batch(0, &plans, &sys).unwrap()
+        else {
+            panic!("predict_batch failed");
+        };
+        got.extend(
+            predictions
+                .iter()
+                .map(|p| (p.exec_secs.to_bits(), p.source)),
+        );
+        // The server's counters reconcile with what this client sent.
+        let Response::Stats {
+            routing,
+            observes,
+            predict_batches,
+            ..
+        } = client.stats(0).unwrap()
+        else {
+            panic!("stats failed");
+        };
+        assert_eq!(observes, plans.len() as u64);
+        assert_eq!(routing.total(), got.len() as u64);
+        assert_eq!(predict_batches, 1);
         answers.push(got);
         client.shutdown().unwrap();
         drop(client);
