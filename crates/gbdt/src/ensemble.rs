@@ -13,7 +13,7 @@
 //! data); data uncertainty grows when the features can't explain the label
 //! noise. Both trigger Stage's escalation to the global model.
 
-use crate::dataset::Dataset;
+use crate::dataset::{Binner, Dataset};
 use crate::ngboost::{NgBoost, NgBoostParams};
 use serde::{Deserialize, Serialize};
 
@@ -82,20 +82,19 @@ impl BayesianEnsemble {
         if data.is_empty() || params.n_members == 0 {
             return None;
         }
-        let members: Vec<NgBoost> = (0..params.n_members)
-            .filter_map(|k| {
+        // Binning depends on the pool and `n_bins` only, so it is shared.
+        let binner = Binner::fit(data, params.member.n_bins);
+        let binned = binner.transform(data);
+        let members = (0..params.n_members)
+            .map(|k| {
                 let member_params = NgBoostParams {
                     seed: splitmix(params.seed, k as u64),
                     ..params.member
                 };
-                NgBoost::fit(data, &member_params)
+                NgBoost::fit_binned(data, &binner, &binned, &member_params)
             })
             .collect();
-        if members.is_empty() {
-            None
-        } else {
-            Some(Self { members })
-        }
+        Some(Self { members })
     }
 
     /// Predicts mean and decomposed uncertainty for a raw feature row.
@@ -278,14 +277,73 @@ mod tests {
         assert!(BayesianEnsemble::fit(&Dataset::new(1), &small_params(3)).is_none());
     }
 
+    /// Every stored number of a member — scalar head state and both tree
+    /// heads through `to_flat_parts` — as bit patterns.
+    fn member_bits(m: &NgBoost) -> Vec<u64> {
+        let (base_mu, base_log_var, lr, (lo, hi), n_cols) = m.scalar_parts();
+        let mut bits = vec![
+            base_mu.to_bits(),
+            base_log_var.to_bits(),
+            lr.to_bits(),
+            lo.to_bits(),
+            hi.to_bits(),
+            n_cols as u64,
+            m.n_rounds() as u64,
+        ];
+        for tree in m.mu_trees().iter().chain(m.var_trees()) {
+            let (feature, threshold, left, right, gain) = tree.to_flat_parts();
+            bits.extend(feature.iter().map(|&v| u64::from(v)));
+            bits.extend(threshold.iter().map(|v| v.to_bits()));
+            bits.extend(left.iter().map(|&v| u64::from(v)));
+            bits.extend(right.iter().map(|&v| u64::from(v)));
+            bits.extend(gain.iter().map(|v| v.to_bits()));
+        }
+        bits
+    }
+
+    /// Three informative columns (one coarse), one constant, one duplicate.
+    fn wide(n: usize, seed: u64) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ds = Dataset::new(5);
+        for _ in 0..n {
+            let a: f64 = rng.gen_range(0.0..10.0);
+            let b: f64 = rng.gen_range(-1.0..1.0);
+            let c = rng.gen_range(0u32..4) as f64;
+            let noise: f64 = rng.gen_range(-0.5..0.5);
+            ds.push(&[a, b, c, 3.0, a], 2.0 * a + 5.0 * b * c + noise);
+        }
+        ds
+    }
+
     #[test]
     fn deterministic_given_seed() {
-        let data = noisy_linear(200, 5);
+        let data = wide(300, 5);
         let a = BayesianEnsemble::fit(&data, &small_params(3)).unwrap();
         let b = BayesianEnsemble::fit(&data, &small_params(3)).unwrap();
-        let pa = a.predict(&[4.0]);
-        let pb = b.predict(&[4.0]);
-        assert_eq!(pa, pb);
+        for (ma, mb) in a.members().iter().zip(b.members()) {
+            assert_eq!(member_bits(ma), member_bits(mb));
+        }
+    }
+
+    #[test]
+    fn shared_binning_equals_standalone_members() {
+        // The ensemble bins the pool once; a member fitted on its own bins
+        // it again. Same cuts, same bins, so the same model bit for bit.
+        let data = wide(400, 8);
+        let params = small_params(10);
+        let ens = BayesianEnsemble::fit(&data, &params).unwrap();
+        assert_eq!(ens.n_members(), 10);
+        for (k, member) in ens.members().iter().enumerate() {
+            let alone = NgBoost::fit(
+                &data,
+                &NgBoostParams {
+                    seed: splitmix(params.seed, k as u64),
+                    ..params.member
+                },
+            )
+            .unwrap();
+            assert_eq!(member_bits(member), member_bits(&alone), "member {k}");
+        }
     }
 
     #[test]

@@ -382,15 +382,12 @@ mod tests {
         let binner = Binner::fit(data, 32);
         let binned = binner.transform(data);
         let grads: Vec<f64> = data.targets().iter().map(|&y| -y).collect();
-        let hess = vec![1.0; data.n_rows()];
         let indices: Vec<usize> = (0..data.n_rows()).collect();
         let columns: Vec<usize> = (0..data.n_cols()).collect();
         Tree::fit(
-            data,
             &binned,
             &binner,
             &grads,
-            &hess,
             &indices,
             &columns,
             &TreeParams::default(),

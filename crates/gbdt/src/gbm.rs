@@ -99,7 +99,6 @@ impl Gbm {
         let binned = binner.transform(data);
         let mut preds = vec![base; n];
         let mut grads = vec![0.0; n];
-        let hess = vec![1.0; n];
         let all_cols: Vec<usize> = (0..data.n_cols()).collect();
 
         let mut best_val = f64::INFINITY;
@@ -115,16 +114,7 @@ impl Gbm {
                 break;
             }
             let cols = sample_cols(&all_cols, params.colsample, &mut rng);
-            let tree = Tree::fit(
-                data,
-                &binned,
-                &binner,
-                &grads,
-                &hess,
-                &rows,
-                &cols,
-                &params.tree,
-            );
+            let tree = Tree::fit(&binned, &binner, &grads, &rows, &cols, &params.tree);
             for (i, pred) in preds.iter_mut().enumerate() {
                 *pred += params.learning_rate * tree.predict(data.row(i));
             }

@@ -12,7 +12,8 @@
 //! * [`dataset`] — row-major feature matrices and quantile *binning* for
 //!   histogram-based split finding;
 //! * [`tree`] — second-order regression trees (XGBoost-style gain with L2
-//!   regularization) trained on per-sample gradient/hessian pairs;
+//!   regularization) grown from per-sample gradients with unit hessians:
+//!   one flat histogram per node, siblings by subtraction;
 //! * [`gbm`] — squared-error gradient boosting with shrinkage, subsampling,
 //!   and early stopping (the AutoWLM baseline model);
 //! * [`ngboost`] — natural-gradient boosting of a Gaussian predictive

@@ -14,7 +14,7 @@
 //!   updates `θ ← θ − lr·tree(x)`;
 //! * early stopping monitors validation NLL.
 
-use crate::dataset::{Binner, Dataset};
+use crate::dataset::{BinnedDataset, Binner, Dataset};
 use crate::flat::{FlatForest, Lazy};
 use crate::gbm::{sample_cols, sample_rows};
 use crate::tree::{Tree, TreeParams};
@@ -94,6 +94,19 @@ impl NgBoost {
         if data.is_empty() {
             return None;
         }
+        let binner = Binner::fit(data, params.n_bins);
+        let binned = binner.transform(data);
+        Some(Self::fit_binned(data, &binner, &binned, params))
+    }
+
+    /// [`NgBoost::fit`] on a non-empty dataset already binned with
+    /// `params.n_bins`, so the ensemble bins its pool once for all members.
+    pub(crate) fn fit_binned(
+        data: &Dataset,
+        binner: &Binner,
+        binned: &BinnedDataset,
+        params: &NgBoostParams,
+    ) -> Self {
         let mut rng = StdRng::seed_from_u64(params.seed);
         let n = data.n_rows();
 
@@ -127,13 +140,10 @@ impl NgBoost {
             flat: Lazy::new(),
         };
 
-        let binner = Binner::fit(data, params.n_bins);
-        let binned = binner.transform(data);
         let mut mu = vec![base_mu; n];
         let mut s = vec![base_log_var; n];
         let mut grad_mu = vec![0.0; n];
         let mut grad_s = vec![0.0; n];
-        let hess = vec![1.0; n];
         let all_cols: Vec<usize> = (0..data.n_cols()).collect();
 
         let nll = |mu: &[f64], s: &[f64], idx: &[usize]| -> f64 {
@@ -155,7 +165,7 @@ impl NgBoost {
                 let d = data.target(i) - mu[i];
                 let inv_var = (-s[i]).exp();
                 // Natural gradients (see module docs). The trees fit the
-                // *negative* natural gradient via grads = natgrad, hess = 1:
+                // *negative* natural gradient via grads = natgrad, unit hessians:
                 // leaf weight = -sum(natgrad)/count = mean descent step.
                 grad_mu[i] = -d; // μ − y
                 grad_s[i] = 1.0 - d * d * inv_var;
@@ -165,26 +175,8 @@ impl NgBoost {
                 break;
             }
             let cols = sample_cols(&all_cols, params.colsample, &mut rng);
-            let t_mu = Tree::fit(
-                data,
-                &binned,
-                &binner,
-                &grad_mu,
-                &hess,
-                &rows,
-                &cols,
-                &params.tree,
-            );
-            let t_s = Tree::fit(
-                data,
-                &binned,
-                &binner,
-                &grad_s,
-                &hess,
-                &rows,
-                &cols,
-                &params.tree,
-            );
+            let t_mu = Tree::fit(binned, binner, &grad_mu, &rows, &cols, &params.tree);
+            let t_s = Tree::fit(binned, binner, &grad_s, &rows, &cols, &params.tree);
             for (i, m) in mu.iter_mut().enumerate() {
                 let row = data.row(i);
                 *m += params.learning_rate * t_mu.predict(row);
@@ -215,7 +207,7 @@ impl NgBoost {
             mu: FlatForest::from_trees(&model.mu_trees),
             var: FlatForest::from_trees(&model.var_trees),
         });
-        Some(model)
+        model
     }
 
     /// Predicts `(μ, σ²)` for a raw feature row.

@@ -122,7 +122,6 @@ impl QuantileGbm {
         let binned = binner.transform(data);
         let mut preds = vec![base; n];
         let mut grads = vec![0.0; n];
-        let hess = vec![1.0; n];
         let all_cols: Vec<usize> = (0..data.n_cols()).collect();
 
         let val_loss = |preds: &[f64]| -> f64 {
@@ -150,16 +149,7 @@ impl QuantileGbm {
                 break;
             }
             let cols = sample_cols(&all_cols, params.colsample, &mut rng);
-            let tree = Tree::fit(
-                data,
-                &binned,
-                &binner,
-                &grads,
-                &hess,
-                &rows,
-                &cols,
-                &params.tree,
-            );
+            let tree = Tree::fit(&binned, &binner, &grads, &rows, &cols, &params.tree);
             for (i, pred) in preds.iter_mut().enumerate() {
                 *pred += params.learning_rate * tree.predict(data.row(i));
             }
