@@ -386,11 +386,25 @@ fn global_store_round_trip_and_generation_poll() {
     assert_eq!(store_generation(&path).unwrap(), 7);
     let (restored, generation) = load_global_store(&path, None).unwrap();
     assert_eq!(generation, 7);
-    let probe = plan(3.3e5);
-    assert_eq!(
-        model.predict(&probe, &sys).to_bits(),
-        restored.predict(&probe, &sys).to_bits()
-    );
+    // Log-space answers, before the clamp and the `exp` can hide a stray
+    // bit, on single-chain and join-tree probes (3 to 9 plan nodes).
+    for joins in 0..4 {
+        let mut b = PlanBuilder::select().scan("t", S3Format::Local, 3.3e5, 64.0);
+        for j in 0..joins {
+            b = b
+                .scan("u", S3Format::Local, 1e4 * (j + 1) as f64, 48.0)
+                .hash_join(0.1);
+        }
+        let probe = b.hash_aggregate(0.01).finish();
+        assert_eq!(
+            model.predict_log(&probe, &sys).to_bits(),
+            restored.predict_log(&probe, &sys).to_bits()
+        );
+        assert_eq!(
+            model.predict_log_raw(&probe, &sys).to_bits(),
+            restored.predict_log_raw(&probe, &sys).to_bits()
+        );
+    }
 
     // A newer artefact bumps the polled generation.
     save_global_store(&model, &path, 8, None).unwrap();

@@ -235,11 +235,25 @@ mod tests {
         assert!((ds.target_mean() - 99.0).abs() < 1e-9);
     }
 
+    /// The width check is a `debug_assert`, so this holds in debug builds
+    /// only; `cargo test --release` runs the twin below instead.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "dimension mismatch")]
     fn push_rejects_wrong_width() {
         let mut ds = Dataset::new(3);
         ds.push(&[1.0, 2.0], 0.0);
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn push_pads_or_truncates_wrong_width_in_release() {
+        let mut ds = Dataset::new(3);
+        ds.push(&[1.0, 2.0], 0.0);
+        ds.push(&[1.0, 2.0, 3.0, 4.0], 1.0);
+        assert_eq!(ds.row(0), &[1.0, 2.0, 0.0]);
+        assert_eq!(ds.row(1), &[1.0, 2.0, 3.0]);
+        assert_eq!(ds.n_rows(), 2);
     }
 
     #[test]

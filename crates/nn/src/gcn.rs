@@ -19,7 +19,7 @@
 use crate::adam::Adam;
 use crate::graph::{Graph, Var};
 use crate::layers::{Linear, Mlp, ParamStore};
-use crate::tensor::Matrix;
+use crate::tensor::{relu_assign, row_matmul_acc, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -213,7 +213,9 @@ impl PlanGcn {
     }
 
     /// Forward pass for one sample on an existing tape. Returns the `1×1`
-    /// prediction var.
+    /// prediction var. This is the training path ([`PlanGcn::fit`], which
+    /// validates its samples first) and, in eval mode, the test oracle for
+    /// the tape-free [`PlanGcn::predict`].
     fn forward(&self, g: &mut Graph, sample: &TreeSample, training: bool, rng: &mut StdRng) -> Var {
         let order = sample.topo_order();
         let n = sample.node_feats.len();
@@ -226,15 +228,13 @@ impl PlanGcn {
             h[v] = Some(g.relu(e));
         }
 
-        // 2. Message passing, children before parents within each round.
+        // 2. Message passing; `next` is built from the previous round's
+        // `h` only, so the order within a round does not matter.
         for conv in &self.convs {
             let mut next: Vec<Option<Var>> = vec![None; n];
             for &v in &order {
-                // The topo order covers every node and children precede
-                // parents by construction ([`TreeSample::validate`]); if a
-                // malformed sample slips through anyway, skip the node and
-                // aggregate the embedded children we do have rather than
-                // panicking inside a prediction path.
+                // The topo order covers every node of a validated sample,
+                // so every `h[..]` below is `Some`.
                 let Some(hv) = h[v] else { continue };
                 let w_self = g.param(&self.store, conv.w_self);
                 let self_term = g.matmul(hv, w_self);
@@ -256,9 +256,8 @@ impl PlanGcn {
             h = next;
         }
 
-        // 3. Readout: root ⊕ system features → head. A missing root
-        // embedding (out-of-range root on a malformed sample) reads out
-        // from a zero vector instead of panicking.
+        // 3. Readout: root ⊕ system features → head (a zero vector stands
+        // in for a root embedding that is not there).
         let root_h = h
             .get(sample.root)
             .copied()
@@ -270,11 +269,77 @@ impl PlanGcn {
     }
 
     /// Predicts the target for one sample (eval mode, no dropout).
+    ///
+    /// Tape-free: the same arithmetic as [`PlanGcn::forward`] with
+    /// `training == false`, in the same order — so the answer is
+    /// bit-identical to the tape's — but over two flat `n × hidden` buffers
+    /// and the weights as they sit in the [`ParamStore`]: no [`Graph`], no
+    /// parameter clones, no gradient buffers. Never panics on a sample
+    /// [`TreeSample::validate`] would reject: every in-range node is
+    /// embedded (rows no path from the root reads are simply never used, so
+    /// unreachable nodes and cycles need no special case), an out-of-range
+    /// child id is left out of its parent's mean, and an out-of-range root
+    /// reads out from a zero embedding.
     pub fn predict(&self, sample: &TreeSample) -> f64 {
-        let mut rng = StdRng::seed_from_u64(0); // unused in eval mode
-        let mut g = Graph::new();
-        let out = self.forward(&mut g, sample, false, &mut rng);
-        g.value(out).get(0, 0)
+        let hidden = self.config.hidden;
+        let n = sample.node_feats.len();
+        let row = |v: usize| v * hidden..(v + 1) * hidden;
+
+        // 1. Embed every node; row v of `h` is node v's embedding.
+        let mut h = vec![0.0; n * hidden];
+        for (v, feats) in sample.node_feats.iter().enumerate() {
+            let e = &mut h[row(v)];
+            self.embed.eval_into(&self.store, feats, e);
+            relu_assign(e);
+        }
+
+        // 2. Message passing: `next` is written from the previous round's
+        // `h` only, then the two swap.
+        let mut next = vec![0.0; n * hidden];
+        let mut kids: Vec<usize> = Vec::new();
+        let mut agg = vec![0.0; hidden];
+        let mut child_term = vec![0.0; hidden];
+        for conv in &self.convs {
+            let w_self = self.store.value(conv.w_self).data();
+            let w_child = self.store.value(conv.w_child).data();
+            let bias = self.store.value(conv.bias).data();
+            for v in 0..n {
+                let out = &mut next[row(v)];
+                out.fill(0.0);
+                row_matmul_acc(&h[row(v)], w_self, out);
+                kids.clear();
+                let listed = sample.children.get(v).into_iter().flatten();
+                kids.extend(listed.filter(|&&c| c < n));
+                if !kids.is_empty() {
+                    // Mean as the tape takes it: per column, summed in
+                    // child order, then divided by the child count.
+                    let k = kids.len() as f64;
+                    for (j, a) in agg.iter_mut().enumerate() {
+                        *a = kids.iter().map(|&c| h[c * hidden + j]).sum::<f64>() / k;
+                    }
+                    child_term.fill(0.0);
+                    row_matmul_acc(&agg, w_child, &mut child_term);
+                    for (o, c) in out.iter_mut().zip(&child_term) {
+                        *o += c;
+                    }
+                }
+                for (o, b) in out.iter_mut().zip(bias) {
+                    *o = (*o + b).max(0.0);
+                }
+            }
+            std::mem::swap(&mut h, &mut next);
+        }
+
+        // 3. Readout: root ⊕ system features → head.
+        let mut cat = Vec::with_capacity(hidden + sample.sys_feats.len());
+        if sample.root < n {
+            cat.extend_from_slice(&h[row(sample.root)]);
+        } else {
+            cat.resize(hidden, 0.0);
+        }
+        cat.extend_from_slice(&sample.sys_feats);
+        let out = self.head.eval(&self.store, cat);
+        out.first().copied().unwrap_or(0.0)
     }
 
     /// Trains on `samples` with mini-batch Adam; returns per-epoch losses.
@@ -509,6 +574,174 @@ mod tests {
         };
         let model = PlanGcn::new(quick_config(2));
         assert!(model.predict(&s).is_finite());
+    }
+
+    /// The tape's eval-mode answer — the oracle the tape-free
+    /// [`PlanGcn::predict`] is held to, bit for bit.
+    fn tape_predict(model: &PlanGcn, sample: &TreeSample) -> f64 {
+        let mut rng = StdRng::seed_from_u64(0); // unused in eval mode
+        let mut g = Graph::new();
+        let out = model.forward(&mut g, sample, false, &mut rng);
+        g.value(out).get(0, 0)
+    }
+
+    /// A feature vector mixing exact zeros, negatives and positives.
+    fn mixed_feats(rng: &mut StdRng, dim: usize) -> Vec<f64> {
+        (0..dim)
+            .map(|_| {
+                if rng.gen_range(0u32..3) == 0 {
+                    0.0
+                } else {
+                    rng.gen_range(-2.0..2.0)
+                }
+            })
+            .collect()
+    }
+
+    /// A valid random tree of `n` nodes: a chain when `chain`, otherwise
+    /// every node hangs under an earlier one that still has fewer than five
+    /// children; ids are then shuffled so the root is not node 0 and child
+    /// ids are not ascending.
+    fn random_tree(
+        rng: &mut StdRng,
+        n: usize,
+        chain: bool,
+        node_dim: usize,
+        sys_dim: usize,
+    ) -> TreeSample {
+        let mut ids: Vec<usize> = (0..n).collect();
+        ids.shuffle(rng);
+        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for i in 1..n {
+            let parent = if chain {
+                i - 1
+            } else {
+                let open: Vec<usize> = (0..i).filter(|&p| children[ids[p]].len() < 5).collect();
+                open[rng.gen_range(0..open.len())]
+            };
+            children[ids[parent]].push(ids[i]);
+        }
+        TreeSample {
+            node_feats: (0..n).map(|_| mixed_feats(rng, node_dim)).collect(),
+            children,
+            root: ids[0],
+            sys_feats: mixed_feats(rng, sys_dim),
+            target: rng.gen_range(0.0..3.0),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn prop_tape_free_predict_is_bit_identical_to_the_tape(
+            seed in 0u64..u64::MAX,
+            (hidden_pick, gcn_layers) in (0usize..3, 0usize..5),
+            (node_dim, sys_dim) in (1usize..7, 0usize..9),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut model = PlanGcn::new(GcnConfig {
+                hidden: [1, 16, 48][hidden_pick],
+                gcn_layers,
+                epochs: 2,
+                batch_size: 4,
+                lr: 1e-2,
+                seed,
+                ..GcnConfig::new(node_dim, sys_dim)
+            });
+            // A few Adam steps so that no bias is still at its zero init.
+            let train: Vec<TreeSample> = (0..8)
+                .map(|_| {
+                    let n = rng.gen_range(1..7);
+                    random_tree(&mut rng, n, false, node_dim, sys_dim)
+                })
+                .collect();
+            model.fit(&train);
+
+            for case in 0..6 {
+                // Single nodes, chains deeper than `gcn_layers`, bushy trees.
+                let (n, chain) = match case {
+                    0 => (1, false),
+                    1 => (rng.gen_range(gcn_layers + 2..41), true),
+                    _ => (rng.gen_range(1..41), false),
+                };
+                let sample = random_tree(&mut rng, n, chain, node_dim, sys_dim);
+                proptest::prop_assert!(sample.validate().is_ok());
+                let (got, want) = (model.predict(&sample), tape_predict(&model, &sample));
+                proptest::prop_assert!(
+                    got.to_bits() == want.to_bits(),
+                    "n={n} chain={chain}: tape-free {got:e} != tape {want:e}"
+                );
+            }
+        }
+    }
+
+    /// Samples [`TreeSample::validate`] rejects (and on which the tape
+    /// would index out of bounds) still get a finite answer instead of a
+    /// panic in a prediction path.
+    #[test]
+    fn malformed_samples_predict_finite_without_panicking() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let train: Vec<TreeSample> = (0..8).map(|_| synth_sample(&mut rng, 2)).collect();
+        let mut model = PlanGcn::new(GcnConfig {
+            epochs: 2,
+            ..quick_config(2)
+        });
+        model.fit(&train);
+        let ok = TreeSample {
+            node_feats: vec![vec![0.5, -1.0], vec![0.0, 2.0], vec![1.5, 0.25]],
+            children: vec![vec![1, 2], vec![], vec![]],
+            root: 0,
+            sys_feats: vec![3.0],
+            target: 0.0,
+        };
+        let with_children = |children: Vec<Vec<usize>>| TreeSample {
+            children,
+            ..ok.clone()
+        };
+        let malformed = [
+            (
+                "out-of-range child",
+                with_children(vec![vec![1, 7], vec![], vec![]]),
+            ),
+            (
+                "out-of-range root",
+                TreeSample {
+                    root: 3,
+                    ..ok.clone()
+                },
+            ),
+            (
+                "unreachable nodes",
+                with_children(vec![vec![1], vec![], vec![]]),
+            ),
+            ("cycle", with_children(vec![vec![1], vec![2], vec![0]])),
+            ("short children list", with_children(vec![vec![1, 2]])),
+            (
+                "empty tree",
+                TreeSample {
+                    node_feats: vec![],
+                    children: vec![],
+                    ..ok.clone()
+                },
+            ),
+        ];
+        for (what, sample) in &malformed {
+            assert!(sample.validate().is_err(), "{what} should not validate");
+            let got = model.predict(sample);
+            assert!(got.is_finite(), "{what}: {got}");
+        }
+        // An out-of-range child is left out of its parent's mean and a row
+        // nothing reads changes nothing: both answer as the valid two-node
+        // tree 0 → 1 does.
+        let pruned = TreeSample {
+            node_feats: ok.node_feats[..2].to_vec(),
+            ..with_children(vec![vec![1], vec![]])
+        };
+        let want = tape_predict(&model, &pruned).to_bits();
+        for (what, sample) in [&malformed[0], &malformed[2]] {
+            assert_eq!(model.predict(sample).to_bits(), want, "{what}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Parameter storage and the Linear / MLP modules.
 
 use crate::graph::{Graph, Var};
-use crate::tensor::Matrix;
+use crate::tensor::{relu_assign, row_matmul_acc, Matrix};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
@@ -99,6 +99,17 @@ impl Linear {
         g.add_row_broadcast(h, b)
     }
 
+    /// Tape-free `out = x·W + b` for one row, rounding exactly as
+    /// [`Linear::forward`] does: the product accumulates from zero, the
+    /// bias is added last.
+    pub(crate) fn eval_into(&self, store: &ParamStore, x: &[f64], out: &mut [f64]) {
+        out.fill(0.0);
+        row_matmul_acc(x, store.value(self.w).data(), out);
+        for (o, b) in out.iter_mut().zip(store.value(self.b).data()) {
+            *o += b;
+        }
+    }
+
     /// Input width.
     pub fn in_dim(&self) -> usize {
         self.in_dim
@@ -149,6 +160,22 @@ impl Mlp {
                 h = g.relu(h);
                 h = g.dropout(h, self.dropout, training, rng);
             }
+        }
+        h
+    }
+
+    /// Tape-free eval-mode forward for one row: what [`Mlp::forward`]
+    /// computes with `training == false` (dropout is then `× 1.0`, an
+    /// identity on every value a ReLU can produce).
+    pub(crate) fn eval(&self, store: &ParamStore, x: Vec<f64>) -> Vec<f64> {
+        let mut h = x;
+        for (i, layer) in self.layers.iter().enumerate() {
+            let mut out = vec![0.0; layer.out_dim];
+            layer.eval_into(store, &h, &mut out);
+            if i + 1 < self.layers.len() {
+                relu_assign(&mut out);
+            }
+            h = out;
         }
         h
     }

@@ -93,7 +93,8 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// `self · other` (ikj loop order for cache friendliness).
+    /// `self · other`, one [`row_matmul_acc`] per row (ikj loop order for
+    /// cache friendliness).
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
@@ -107,16 +108,7 @@ impl Matrix {
         let mut out = Matrix::zeros(self.rows, other.cols);
         for i in 0..self.rows {
             let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[k * other.cols..(k + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
+            row_matmul_acc(self.row(i), &other.data, out_row);
         }
         out
     }
@@ -154,6 +146,35 @@ impl Matrix {
     }
 }
 
+/// `out += a · B` for one row `a` (`1×k`) against row-major `B`
+/// (`k × out.len()`): the one multiply-accumulate loop in the crate, shared
+/// by [`Matrix::matmul`] (hence the tape's `MatMul` op) and the tape-free
+/// inference path, so the two cannot drift apart by a rounding. `k` runs
+/// ascending and exact-zero entries of `a` are skipped (post-ReLU rows are
+/// mostly zeros); a length mismatch multiplies the overlapping prefix
+/// instead of panicking, like [`Matrix::add_assign`].
+pub(crate) fn row_matmul_acc(a: &[f64], b: &[f64], out: &mut [f64]) {
+    if out.is_empty() {
+        return;
+    }
+    for (&x, b_row) in a.iter().zip(b.chunks_exact(out.len())) {
+        if x == 0.0 {
+            continue;
+        }
+        for (o, &w) in out.iter_mut().zip(b_row) {
+            *o += x * w;
+        }
+    }
+}
+
+/// Elementwise `max(x, 0)` in place — the eval-mode twin of the tape's
+/// `Relu` op.
+pub(crate) fn relu_assign(xs: &mut [f64]) {
+    for x in xs {
+        *x = x.max(0.0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,6 +196,29 @@ mod tests {
         let i = Matrix::from_fn(2, 2, |r, c| if r == c { 1.0 } else { 0.0 });
         assert_eq!(a.matmul(&i), a);
         assert_eq!(i.matmul(&a), a);
+    }
+
+    /// The zero-skip is part of the kernel's contract, not only a speed-up:
+    /// it is what makes `0 · ∞` contribute nothing instead of a NaN, and
+    /// with finite weights it is invisible (`x + 0·w == x` to the bit), so
+    /// this is the one place that pins it.
+    #[test]
+    fn kernel_skips_zero_inputs_and_accumulates_in_k_order() {
+        let b = [f64::INFINITY, f64::NAN, 2.0, 3.0];
+        let mut out = [1.0, 10.0];
+        row_matmul_acc(&[0.0, 1.0], &b, &mut out);
+        assert_eq!(out, [3.0, 13.0]);
+        row_matmul_acc(&[-0.0], &b, &mut out);
+        assert_eq!(out, [3.0, 13.0]);
+        // k ascending: (1 + 1e-16) + 1e-16 rounds back to 1 twice, while
+        // 1 + (1e-16 + 1e-16) would not.
+        let mut acc = [0.0];
+        row_matmul_acc(&[1.0, 1.0, 1.0], &[1.0, 1e-16, 1e-16], &mut acc);
+        assert_eq!(acc, [1.0]);
+        // Mismatched lengths use the overlapping prefix; no width, no work.
+        row_matmul_acc(&[1.0, 1.0, 1.0], &[1.0, 1.0], &mut out);
+        assert_eq!(out, [4.0, 14.0]);
+        row_matmul_acc(&[1.0], &b, &mut []);
     }
 
     #[test]

@@ -1421,7 +1421,7 @@ mod tests {
         // sentinel latched on a workload shift, the checkpoint captured
         // that, and the process died before the forced retrain landed.
         let sys = SystemContext::empty(2);
-        let mut p = StagePredictor::new(stage_config.clone());
+        let mut p = StagePredictor::new(stage_config);
         for i in 1..=120u32 {
             let rows = f64::from(i % 40 + 1) * 1e4;
             p.observe(&plan(rows), &sys, rows / 1e5);

@@ -8,7 +8,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --check
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Workspace invariants (panic-freedom, determinism, lock order, protocol
 # exhaustiveness, tainted-allocation bounds, event-loop liveness) — cheap,
