@@ -111,9 +111,9 @@ impl ExecTimeCache {
     }
 
     /// Hash key of a plan (the stable hash of its 33-dim vector). Extracts
-    /// the feature vector just to hash it — callers that already hold the
-    /// features (the batched predict path) should use
-    /// [`ExecTimeCache::key_of_features`] instead and hash once.
+    /// the feature vector just to hash it — callers that need the features
+    /// too (every `StagePredictor` path) extract once and use
+    /// [`ExecTimeCache::key_of_features`] instead.
     pub fn key_of(plan: &PhysicalPlan) -> u64 {
         plan_feature_vector(plan).stable_hash()
     }
@@ -126,11 +126,11 @@ impl ExecTimeCache {
         stage_plan::stable_hash_slice(features)
     }
 
-    /// Looks up a precomputed key; returns the blended prediction on a hit.
-    /// Updates hit/miss counters. This is the lookup primitive — every other
-    /// lookup form delegates here, so counters stay consistent across the
-    /// scalar and batch paths.
-    pub fn get_by_key(&mut self, key: u64) -> Option<f64> {
+    /// Looks up a precomputed key ([`ExecTimeCache::key_of`] /
+    /// [`ExecTimeCache::key_of_features`]); returns the blended prediction on
+    /// a hit. Updates hit/miss counters. The one lookup: the scalar and batch
+    /// predict paths both call it once per plan, so their counters agree.
+    pub fn lookup(&mut self, key: u64) -> Option<f64> {
         match self.entries.get(&key) {
             Some(e) => {
                 self.hits += 1;
@@ -147,19 +147,6 @@ impl ExecTimeCache {
                 None
             }
         }
-    }
-
-    /// Looks up a plan; returns the blended prediction on a hit. Updates
-    /// hit/miss counters.
-    pub fn lookup(&mut self, key: u64) -> Option<f64> {
-        self.get_by_key(key)
-    }
-
-    /// Looks up many precomputed keys in one pass, index-aligned with
-    /// `keys`. Counter effects are exactly those of calling
-    /// [`ExecTimeCache::get_by_key`] per key, in order.
-    pub fn lookup_many(&mut self, keys: &[u64]) -> Vec<Option<f64>> {
-        keys.iter().map(|&k| self.get_by_key(k)).collect()
     }
 
     /// Whether a key is cached (no counter side effects).
@@ -561,35 +548,6 @@ mod tests {
             ExecTimeCache::key_of(&plan),
             ExecTimeCache::key_of_features(&features)
         );
-    }
-
-    #[test]
-    fn batch_lookup_counters_consistent_with_scalar() {
-        // The same key sequence through lookup_many and through per-key
-        // get_by_key must produce identical predictions AND identical
-        // hit/miss counters — the batch path may not double- or
-        // under-count.
-        let keys: Vec<u64> = vec![1, 2, 1, 3, 2, 2, 9, 1];
-        let mut batched = cache(10, 0.8);
-        let mut scalar = cache(10, 0.8);
-        for c in [&mut batched, &mut scalar] {
-            c.record(1, 4.0);
-            c.record(2, 8.0);
-            c.record(2, 10.0);
-        }
-        let from_batch = batched.lookup_many(&keys);
-        let from_scalar: Vec<Option<f64>> = keys.iter().map(|&k| scalar.get_by_key(k)).collect();
-        assert_eq!(from_batch, from_scalar);
-        assert_eq!(batched.hits(), scalar.hits());
-        assert_eq!(batched.misses(), scalar.misses());
-        assert_eq!(
-            batched.hits() + batched.misses(),
-            keys.len() as u64,
-            "every batch element must count exactly once"
-        );
-        // 1, 2 present (hits), 3, 9 absent (misses): 6 hits, 2 misses.
-        assert_eq!(batched.hits(), 6);
-        assert_eq!(batched.misses(), 2);
     }
 
     #[test]

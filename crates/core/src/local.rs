@@ -189,8 +189,9 @@ impl LocalModel {
 
     /// Predicts exec-time and uncertainty for a batch of feature vectors —
     /// bit-identical to calling [`LocalModel::predict`] per row, but one
-    /// pass over the ensemble's flat batched path. `None` until the first
-    /// training (matching the scalar contract for every row at once).
+    /// tree-major pass: every tree is walked by the whole batch before the
+    /// next tree is touched. `None` until the first training (matching the
+    /// scalar contract for every row at once).
     pub fn predict_batch<R: AsRef<[f64]>>(&self, features: &[R]) -> Option<Vec<LocalPrediction>> {
         let ensemble = self.ensemble.as_ref()?;
         Some(

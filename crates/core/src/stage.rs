@@ -29,7 +29,7 @@
 use crate::cache::{CacheConfig, ExecTimeCache};
 use crate::drift::{DriftConfig, DriftSentinel};
 use crate::global::GlobalModel;
-use crate::local::{LocalModel, LocalModelConfig};
+use crate::local::{LocalModel, LocalModelConfig, LocalPrediction};
 use crate::pool::{PoolConfig, TrainingPool};
 use crate::predictor::{
     ExecTimePredictor, Prediction, PredictionSource, SystemContext, DEFAULT_PREDICTION_SECS,
@@ -409,158 +409,51 @@ impl StagePredictor {
 }
 
 impl StagePredictor {
-    /// The local model's input: the 33-dim plan vector, optionally extended
-    /// with the system-context features (§6.3 environment factors).
-    fn local_features(&self, plan: &PhysicalPlan, sys: &SystemContext) -> Vec<f64> {
-        let mut v = plan_feature_vector(plan).0;
+    /// Extracts a plan's 33-dim vector once and hashes it for the cache:
+    /// `(key, features)`. Every path below starts here, so a plan is
+    /// extracted once per predict, per plan of a batch, and per observe.
+    fn keyed_features(plan: &PhysicalPlan) -> (u64, Vec<f64>) {
+        let features = plan_feature_vector(plan).0;
+        (ExecTimeCache::key_of_features(&features), features)
+    }
+
+    /// The local model's input: the extracted plan vector, optionally
+    /// extended with the system-context features (§6.3 environment factors).
+    fn local_input(&self, mut features: Vec<f64>, sys: &SystemContext) -> Vec<f64> {
         if self.config.env_features {
-            v.extend_from_slice(&sys.features);
+            features.extend_from_slice(&sys.features);
         }
-        v
+        features
     }
 
-    /// Predicts a whole batch of plans under one `sys` context. Routing
-    /// decisions, predictions, and every counter are identical to calling
-    /// [`ExecTimePredictor::predict`] once per plan in order; the batch path
-    /// just amortises the per-query overheads:
-    ///
-    /// * each plan's 33-dim vector is extracted once and hashed once (the
-    ///   scalar path extracts it twice — for the cache key and again for the
-    ///   local-model input);
-    /// * all cache misses go through one flat-forest ensemble pass
-    ///   ([`LocalModel::predict_batch`], bit-identical to per-row predict)
-    ///   instead of one arena traversal per query.
-    pub fn predict_batch(
+    /// Routes one cache miss, given the local tier's answer (`None`: not
+    /// trained yet, or failed over). A short or confident local answer is
+    /// returned directly; a long *and* uncertain one escalates to the global
+    /// model, unless the fault oracle fails the escalation (then the local
+    /// answer stands — the fallback chain runs downhill). Without a local
+    /// answer the transferable global model serves when attached and healthy
+    /// (a key Stage advantage on new instances), the default otherwise. The
+    /// global fault oracle is consulted only when the global tier would
+    /// actually be used.
+    fn route_miss(
         &mut self,
-        plans: &[PhysicalPlan],
+        plan: &PhysicalPlan,
         sys: &SystemContext,
-    ) -> Vec<Prediction> {
-        // Pass 1: extract + hash once per plan, probe the cache.
-        let mut results: Vec<Option<Prediction>> = Vec::with_capacity(plans.len());
-        let mut miss_idx: Vec<usize> = Vec::new();
-        let mut miss_features: Vec<Vec<f64>> = Vec::new();
-        for plan in plans {
-            let mut features = plan_feature_vector(plan).0;
-            let key = ExecTimeCache::key_of_features(&features);
-            if let Some(secs) = self.cache.get_by_key(key) {
-                self.stats.cache += 1;
-                results.push(Some(Prediction::point(secs, PredictionSource::Cache)));
-            } else {
-                if self.config.env_features {
-                    features.extend_from_slice(&sys.features);
-                }
-                miss_idx.push(results.len());
-                miss_features.push(features);
-                results.push(None);
+        local: Option<LocalPrediction>,
+    ) -> Prediction {
+        let wants_global = local.as_ref().is_none_or(|lp| {
+            let short = lp.exec_secs < self.config.routing.short_circuit_secs;
+            let confident = lp.log_std() <= self.config.routing.confident_log_std;
+            !short && !confident
+        });
+        if wants_global && self.global.is_some() && !self.fault_global_unavailable() {
+            if let Some(global) = &self.global {
+                self.stats.global += 1;
+                return Prediction::point(global.predict(plan, sys), PredictionSource::Global);
             }
         }
-        // Pass 2: one batched local-model call covers every miss. The fault
-        // oracle is consulted once per batch that would use the local tier
-        // (an all-hit batch never touches it), keeping the ledger exact.
-        let local_preds = if miss_idx.is_empty() || self.fault_local_unavailable() {
-            None
-        } else {
-            self.local.predict_batch(&miss_features)
-        };
-        match local_preds {
-            Some(local_preds) => {
-                for (&i, lp) in miss_idx.iter().zip(&local_preds) {
-                    let short = lp.exec_secs < self.config.routing.short_circuit_secs;
-                    let confident = lp.log_std() <= self.config.routing.confident_log_std;
-                    let escalate = !short
-                        && !confident
-                        && self.global.is_some()
-                        && !self.fault_global_unavailable();
-                    let p = match (escalate, &self.global, plans.get(i)) {
-                        (true, Some(global), Some(plan)) => {
-                            self.stats.global += 1;
-                            Prediction::point(global.predict(plan, sys), PredictionSource::Global)
-                        }
-                        _ => {
-                            self.stats.local += 1;
-                            Prediction {
-                                exec_secs: lp.exec_secs,
-                                log_variance: Some(lp.total_variance()),
-                                source: PredictionSource::Local,
-                            }
-                        }
-                    };
-                    if let Some(slot) = results.get_mut(i) {
-                        *slot = Some(p);
-                    }
-                }
-            }
-            None => {
-                // Cold start (or local failover) for every miss: global when
-                // attached and healthy, default otherwise — the same branch
-                // the scalar path takes.
-                for &i in &miss_idx {
-                    let use_global = self.global.is_some() && !self.fault_global_unavailable();
-                    let p = match (use_global, &self.global, plans.get(i)) {
-                        (true, Some(global), Some(plan)) => {
-                            self.stats.global += 1;
-                            Prediction::point(global.predict(plan, sys), PredictionSource::Global)
-                        }
-                        _ => {
-                            self.stats.default += 1;
-                            Prediction::point(DEFAULT_PREDICTION_SECS, PredictionSource::Default)
-                        }
-                    };
-                    if let Some(slot) = results.get_mut(i) {
-                        *slot = Some(p);
-                    }
-                }
-            }
-        }
-        results
-            .into_iter()
-            .map(|p| {
-                // Every slot is filled by the hit or miss pass; the default
-                // here is unreachable but keeps this path panic-free.
-                p.unwrap_or_else(|| {
-                    Prediction::point(DEFAULT_PREDICTION_SECS, PredictionSource::Default)
-                })
-            })
-            .collect()
-    }
-}
-
-impl ExecTimePredictor for StagePredictor {
-    fn predict(&mut self, plan: &PhysicalPlan, sys: &SystemContext) -> Prediction {
-        let key = ExecTimeCache::key_of(plan);
-        // Stage 1: exact-match cache.
-        if let Some(secs) = self.cache.lookup(key) {
-            self.stats.cache += 1;
-            return Prediction::point(secs, PredictionSource::Cache);
-        }
-        // Stage 2: local model (bypassed entirely when the fault oracle
-        // declares the tier down — the failover is counted in the consult).
-        let features = self.local_features(plan, sys);
-        let local_answer = if self.fault_local_unavailable() {
-            None
-        } else {
-            self.local.predict(&features)
-        };
-        match local_answer {
+        match local {
             Some(lp) => {
-                let short = lp.exec_secs < self.config.routing.short_circuit_secs;
-                let confident = lp.log_std() <= self.config.routing.confident_log_std;
-                // Stage 3: long + uncertain -> global model, unless the
-                // fault oracle fails the escalation (then the local answer
-                // stands — the fallback chain runs downhill).
-                let escalate = !short
-                    && !confident
-                    && self.global.is_some()
-                    && !self.fault_global_unavailable();
-                if escalate {
-                    if let Some(global) = &self.global {
-                        self.stats.global += 1;
-                        return Prediction::point(
-                            global.predict(plan, sys),
-                            PredictionSource::Global,
-                        );
-                    }
-                }
                 self.stats.local += 1;
                 Prediction {
                     exec_secs: lp.exec_secs,
@@ -569,29 +462,89 @@ impl ExecTimePredictor for StagePredictor {
                 }
             }
             None => {
-                // Cold start (or local failover): prefer the transferable
-                // global model when available and healthy (a key Stage
-                // advantage on new instances).
-                let use_global = self.global.is_some() && !self.fault_global_unavailable();
-                if use_global {
-                    if let Some(global) = &self.global {
-                        self.stats.global += 1;
-                        return Prediction::point(
-                            global.predict(plan, sys),
-                            PredictionSource::Global,
-                        );
-                    }
-                }
                 self.stats.default += 1;
                 Prediction::point(DEFAULT_PREDICTION_SECS, PredictionSource::Default)
             }
         }
     }
 
+    /// Predicts a whole batch of plans under one `sys` context. Routing
+    /// decisions, predictions, and every counter are identical to calling
+    /// [`ExecTimePredictor::predict`] once per plan in order — both go
+    /// through the same extraction, the same [`ExecTimeCache::lookup`] and
+    /// the same miss routing. What the batch amortises is the local tier:
+    /// all cache misses go through one tree-major ensemble pass
+    /// ([`LocalModel::predict_batch`], bit-identical to per-row predict), and
+    /// the local fault oracle is consulted once per batch, not per miss.
+    pub fn predict_batch(
+        &mut self,
+        plans: &[PhysicalPlan],
+        sys: &SystemContext,
+    ) -> Vec<Prediction> {
+        // Pass 1: extract + hash once per plan, probe the cache.
+        let mut cached: Vec<Option<f64>> = Vec::with_capacity(plans.len());
+        let mut miss_features: Vec<Vec<f64>> = Vec::new();
+        for plan in plans {
+            let (key, features) = Self::keyed_features(plan);
+            let hit = self.cache.lookup(key);
+            if hit.is_none() {
+                miss_features.push(self.local_input(features, sys));
+            }
+            cached.push(hit);
+        }
+        // Pass 2: one batched local-model call covers every miss. The fault
+        // oracle is consulted once per batch that would use the local tier
+        // (an all-hit batch never touches it), keeping the ledger exact.
+        let local_preds = if miss_features.is_empty() || self.fault_local_unavailable() {
+            None
+        } else {
+            self.local.predict_batch(&miss_features)
+        };
+        // Pass 3: answer in request order; misses take their local answers
+        // (none at all on a cold start or failover) in the order pass 1
+        // found them.
+        let mut local_preds = local_preds.into_iter().flatten();
+        plans
+            .iter()
+            .zip(cached)
+            .map(|(plan, hit)| match hit {
+                Some(secs) => {
+                    self.stats.cache += 1;
+                    Prediction::point(secs, PredictionSource::Cache)
+                }
+                None => {
+                    let local = local_preds.next();
+                    self.route_miss(plan, sys, local)
+                }
+            })
+            .collect()
+    }
+}
+
+impl ExecTimePredictor for StagePredictor {
+    fn predict(&mut self, plan: &PhysicalPlan, sys: &SystemContext) -> Prediction {
+        let (key, features) = Self::keyed_features(plan);
+        // Stage 1: exact-match cache.
+        if let Some(secs) = self.cache.lookup(key) {
+            self.stats.cache += 1;
+            return Prediction::point(secs, PredictionSource::Cache);
+        }
+        // Stage 2: local model (bypassed entirely when the fault oracle
+        // declares the tier down — the failover is counted in the consult).
+        let features = self.local_input(features, sys);
+        let local = if self.fault_local_unavailable() {
+            None
+        } else {
+            self.local.predict(&features)
+        };
+        // Stage 3: local answer, global model or default.
+        self.route_miss(plan, sys, local)
+    }
+
     fn observe(&mut self, plan: &PhysicalPlan, sys: &SystemContext, actual_secs: f64) {
-        let key = ExecTimeCache::key_of(plan);
+        let (key, features) = Self::keyed_features(plan);
         let was_cached = self.cache.contains(key);
-        let features = self.local_features(plan, sys);
+        let features = self.local_input(features, sys);
         // Drift sentinel: score the observation against the *current* local
         // model, before cache/pool/retrain absorb it — the residual then
         // measures what the shard would actually have mispredicted. Every
@@ -855,34 +808,93 @@ mod tests {
         assert!(!StageConfig::default().env_features);
     }
 
+    /// Restores two identical predictors from `warm` (same global model,
+    /// identically armed fault oracle each), answers the same plans
+    /// scalar-in-a-loop on one and as one batch on the other, and asserts
+    /// they agree on every answer and every counter. Returns the batched one.
+    fn batch_twin_agrees_with_scalar(
+        warm: &StagePredictor,
+        global: Option<&Arc<GlobalModel>>,
+        global_down: u64,
+        sys: &SystemContext,
+    ) -> StagePredictor {
+        let twin = || {
+            let mut p = StagePredictor::from_snapshot(warm.snapshot());
+            if let Some(g) = global {
+                p.set_global(Arc::clone(g));
+            }
+            p.set_component_faults(Arc::new(ScriptedComponentFaults {
+                global_down: AtomicU64::new(global_down),
+                ..ScriptedComponentFaults::default()
+            }));
+            p
+        };
+        let (mut scalar, mut batched) = (twin(), twin());
+        let plans: Vec<PhysicalPlan> = [1e4, 3.33e5, 2e4, 7.77e5, 1e4, 5e4]
+            .iter()
+            .map(|&r| plan(r))
+            .collect();
+        let from_scalar: Vec<Prediction> = plans.iter().map(|q| scalar.predict(q, sys)).collect();
+        let from_batch = batched.predict_batch(&plans, sys);
+        assert_eq!(from_batch, from_scalar);
+        assert_eq!(batched.stats(), scalar.stats());
+        assert_eq!(batched.cache().hits(), scalar.cache().hits());
+        assert_eq!(batched.cache().misses(), scalar.cache().misses());
+        assert_eq!(batched.degraded_stats(), scalar.degraded_stats());
+        batched
+    }
+
     #[test]
     fn predict_batch_matches_scalar_routing_and_counters() {
-        // Warm a predictor so the batch exercises all three live sources:
-        // repeats (cache hits), unseen sizes (local), untrained -> handled
-        // by the cold-start case below.
+        // Warm a predictor so the batch exercises repeats (cache hits) and
+        // unseen sizes (local); untrained is the cold-start case below.
         let mut warm = StagePredictor::new(quick_config());
         for i in 1..=60 {
             let rows = i as f64 * 1e4;
             warm.observe(&plan(rows), &sys(), rows / 1e5);
         }
         assert!(warm.local().is_trained());
-        // Two identical predictors from the same snapshot.
-        let mut scalar = StagePredictor::from_snapshot(warm.snapshot());
-        let mut batched = StagePredictor::from_snapshot(warm.snapshot());
-        let plans: Vec<PhysicalPlan> = [1e4, 3.33e5, 2e4, 7.77e5, 1e4, 5e4]
-            .iter()
-            .map(|&r| plan(r))
-            .collect();
-        let from_scalar: Vec<Prediction> =
-            plans.iter().map(|q| scalar.predict(q, &sys())).collect();
-        let from_batch = batched.predict_batch(&plans, &sys());
-        assert_eq!(from_batch, from_scalar);
-        assert_eq!(batched.stats(), scalar.stats());
-        assert_eq!(batched.cache().hits(), scalar.cache().hits());
-        assert_eq!(batched.cache().misses(), scalar.cache().misses());
+        let batched = batch_twin_agrees_with_scalar(&warm, None, 0, &sys());
         // The batch hit multiple sources (otherwise this test is vacuous).
         assert!(batched.stats().cache > 0);
         assert!(batched.stats().local > 0);
+
+        // Same again through the rest of the shared miss route: env features
+        // on the local input, a global model attached, thresholds that make
+        // every local answer long and uncertain (so each miss escalates) and
+        // the first escalation failed by the oracle (so it stays local).
+        let mut cfg = quick_config();
+        cfg.env_features = true;
+        cfg.routing.short_circuit_secs = 0.0;
+        cfg.routing.confident_log_std = 0.0;
+        let env_sys = SystemContext {
+            features: vec![3.0, 1.0],
+        };
+        let mut warm = StagePredictor::new(cfg);
+        for i in 1..=60 {
+            let rows = i as f64 * 1e4;
+            warm.observe(&plan(rows), &env_sys, rows / 1e5);
+        }
+        assert!(warm.local().is_trained());
+        let samples: Vec<_> = (1..=30)
+            .map(|i| {
+                let rows = i as f64 * 1e4;
+                plan_to_tree_sample(&plan(rows), &env_sys, rows / 1e5)
+            })
+            .collect();
+        let gcfg = GlobalModelConfig {
+            hidden: 8,
+            gcn_layers: 1,
+            dropout: 0.0,
+            epochs: 5,
+            ..GlobalModelConfig::default()
+        };
+        let global = Arc::new(GlobalModel::train(&samples, 2, &gcfg));
+        let batched = batch_twin_agrees_with_scalar(&warm, Some(&global), 1, &env_sys);
+        assert!(batched.stats().cache > 0);
+        assert!(batched.stats().local > 0);
+        assert!(batched.stats().global > 0);
+        assert!(batched.degraded_stats().global_failover > 0);
     }
 
     #[test]

@@ -113,9 +113,9 @@ impl BayesianEnsemble {
 
     /// Predicts mean and decomposed uncertainty for a batch of rows —
     /// bit-identical to calling [`BayesianEnsemble::predict`] per row. Each
-    /// member runs its flat batched path over the whole batch (member-major),
-    /// then Eqs. 1–2 combine per row in member order, matching the scalar
-    /// summation sequence exactly.
+    /// member runs [`NgBoost::predict_dist_batch`] over the whole batch
+    /// (member-major), then Eqs. 1–2 combine per row in member order,
+    /// matching the scalar summation sequence exactly.
     pub fn predict_batch<R: AsRef<[f64]>>(&self, rows: &[R]) -> Vec<EnsemblePrediction> {
         let k = self.members.len() as f64;
         let per_member: Vec<Vec<(f64, f64)>> = self

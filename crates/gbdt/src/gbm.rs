@@ -7,7 +7,6 @@
 //! fraction (the paper holds out 20%).
 
 use crate::dataset::{Binner, Dataset};
-use crate::flat::{FlatForest, Lazy};
 use crate::tree::{Tree, TreeParams};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -62,9 +61,6 @@ pub struct Gbm {
     learning_rate: f64,
     trees: Vec<Tree>,
     n_cols: usize,
-    /// Flat twin of `trees` for batched prediction. Derived state: filled at
-    /// the end of `fit`, rebuilt lazily after deserialization.
-    flat: Lazy<FlatForest>,
 }
 
 impl Gbm {
@@ -92,7 +88,6 @@ impl Gbm {
             learning_rate: params.learning_rate,
             trees: Vec::new(),
             n_cols: data.n_cols(),
-            flat: Lazy::new(),
         };
 
         let binner = Binner::fit(data, params.n_bins);
@@ -141,7 +136,6 @@ impl Gbm {
         if n_val > 0 && best_len > 0 {
             model.trees.truncate(best_len);
         }
-        model.flat = Lazy::filled(FlatForest::from_trees(&model.trees));
         Some(model)
     }
 
@@ -154,26 +148,6 @@ impl Gbm {
                 .iter()
                 .map(|t| self.learning_rate * t.predict(row))
                 .sum::<f64>()
-    }
-
-    /// Predicts targets for a batch of rows — bit-identical to calling
-    /// [`Gbm::predict`] per row, but tree-major over the flat forest: the
-    /// shrinkage-weighted leaf values accumulate per tree in boosting order
-    /// (the same addition sequence as the scalar `sum()`), with the base
-    /// score added last.
-    pub fn predict_batch<R: AsRef<[f64]>>(&self, rows: &[R]) -> Vec<f64> {
-        let flat = self
-            .flat
-            .get_or_init(|| FlatForest::from_trees(&self.trees));
-        let mut acc = vec![0.0; rows.len()];
-        let mut tmp = vec![0.0; rows.len()];
-        for t in 0..flat.n_trees() {
-            flat.predict_tree_into(t, rows, &mut tmp);
-            for (a, v) in acc.iter_mut().zip(&tmp) {
-                *a += self.learning_rate * *v;
-            }
-        }
-        acc.into_iter().map(|a| self.base + a).collect()
     }
 
     /// Number of trees after early stopping.
@@ -202,10 +176,10 @@ impl Gbm {
         imp
     }
 
-    /// Rough in-memory size in bytes (for Fig. 9-style reporting).
+    /// In-memory size in bytes: the struct plus every tree's arena (for
+    /// Fig. 9-style reporting).
     pub fn approx_size_bytes(&self) -> usize {
-        // Each node is ~24 bytes of payload in the arena representation.
-        std::mem::size_of::<Self>() + self.trees.iter().map(|t| t.n_nodes() * 24).sum::<usize>()
+        std::mem::size_of::<Self>() + self.trees.iter().map(Tree::size_bytes).sum::<usize>()
     }
 }
 

@@ -23,16 +23,17 @@
 //! * [`ensemble`] — the Bayesian ensemble (Eqs. 1–2): K independently
 //!   trained NGBoost members; prediction = mean of member means, total
 //!   uncertainty = variance of member means (model/knowledge uncertainty)
-//!   + mean of member variances (data uncertainty);
-//! * [`flat`] — structure-of-arrays flattened forests behind every model's
-//!   `predict_batch`: tree-major batch traversal, bit-identical to the
-//!   scalar arena path.
+//!   + mean of member variances (data uncertainty).
+//!
+//! A fitted [`Tree`] is one `Vec` arena: `fit` emits it, `Tree::predict`
+//! walks it (the batched paths are a tree-major loop over that same walk),
+//! and `to_flat_parts` / `from_flat_parts` move it through the artefact
+//! store.
 //!
 //! All training is deterministic given the seed.
 
 pub mod dataset;
 pub mod ensemble;
-pub mod flat;
 pub mod gbm;
 pub mod mixed;
 pub mod ngboost;
@@ -41,7 +42,6 @@ pub mod tree;
 
 pub use dataset::{BinnedDataset, Binner, Dataset};
 pub use ensemble::{BayesianEnsemble, EnsembleParams, EnsemblePrediction};
-pub use flat::{FlatForest, FlatForestView, FlatTree, FlatTreeView};
 pub use gbm::{Gbm, GbmParams};
 pub use mixed::{MixedEnsemble, MixedEnsembleParams};
 pub use ngboost::{NgBoost, NgBoostParams};

@@ -85,28 +85,6 @@ impl MixedEnsemble {
         }
     }
 
-    /// Predicts the blended mean with Bayesian uncertainty for a batch of
-    /// rows — bit-identical to calling [`MixedEnsemble::predict`] per row:
-    /// both components run their batched paths, then the scalar blend
-    /// formulas apply per row.
-    pub fn predict_batch<R: AsRef<[f64]>>(&self, rows: &[R]) -> Vec<EnsemblePrediction> {
-        let base = self.bayesian.predict_batch(rows);
-        let sq = self.squared.predict_batch(rows);
-        let w = self.squared_weight;
-        base.into_iter()
-            .zip(sq)
-            .map(|(base, sq)| {
-                let mean = (1.0 - w) * base.mean + w * sq;
-                let deviation = (sq - base.mean).powi(2);
-                EnsemblePrediction {
-                    mean,
-                    model_uncertainty: base.model_uncertainty + w * deviation,
-                    data_uncertainty: base.data_uncertainty,
-                }
-            })
-            .collect()
-    }
-
     /// The underlying probabilistic ensemble.
     pub fn bayesian(&self) -> &BayesianEnsemble {
         &self.bayesian

@@ -15,7 +15,6 @@
 //! * early stopping monitors validation NLL.
 
 use crate::dataset::{BinnedDataset, Binner, Dataset};
-use crate::flat::{FlatForest, Lazy};
 use crate::gbm::{sample_cols, sample_rows};
 use crate::tree::{Tree, TreeParams};
 use rand::rngs::StdRng;
@@ -76,16 +75,6 @@ pub struct NgBoost {
     mu_trees: Vec<Tree>,
     var_trees: Vec<Tree>,
     n_cols: usize,
-    /// Flat twins of both heads for batched prediction. Derived state:
-    /// filled at the end of `fit`, rebuilt lazily after deserialization.
-    flat: Lazy<FlatHeads>,
-}
-
-/// Flattened μ- and s-head forests, kept together so one cell covers both.
-#[derive(Debug, Clone)]
-struct FlatHeads {
-    mu: FlatForest,
-    var: FlatForest,
 }
 
 impl NgBoost {
@@ -137,7 +126,6 @@ impl NgBoost {
             mu_trees: Vec::new(),
             var_trees: Vec::new(),
             n_cols: data.n_cols(),
-            flat: Lazy::new(),
         };
 
         let mut mu = vec![base_mu; n];
@@ -203,10 +191,6 @@ impl NgBoost {
             model.mu_trees.truncate(best_len);
             model.var_trees.truncate(best_len);
         }
-        model.flat = Lazy::filled(FlatHeads {
-            mu: FlatForest::from_trees(&model.mu_trees),
-            var: FlatForest::from_trees(&model.var_trees),
-        });
         model
     }
 
@@ -224,29 +208,21 @@ impl NgBoost {
     }
 
     /// Predicts `(μ, σ²)` for a batch of rows — bit-identical to calling
-    /// [`NgBoost::predict_dist`] per row. The loop is round-major over the
-    /// flat heads: each round updates every row's μ, then every row's s
+    /// [`NgBoost::predict_dist`] per row. The loop is round-major, trees
+    /// outer and rows inner, so one tree's nodes stay hot while the whole
+    /// batch walks it: each round updates every row's μ, then every row's s
     /// (with the per-round clamp), exactly the scalar update order.
     pub fn predict_dist_batch<R: AsRef<[f64]>>(&self, rows: &[R]) -> Vec<(f64, f64)> {
-        let flat = self.flat.get_or_init(|| FlatHeads {
-            mu: FlatForest::from_trees(&self.mu_trees),
-            var: FlatForest::from_trees(&self.var_trees),
-        });
         let n = rows.len();
         let (lo, hi) = self.log_var_range;
         let mut mu = vec![self.base_mu; n];
         let mut s = vec![self.base_log_var; n];
-        let mut tmp = vec![0.0; n];
-        // Scalar traversal zips the two heads, so rounds stop at the shorter.
-        let rounds = flat.mu.n_trees().min(flat.var.n_trees());
-        for t in 0..rounds {
-            flat.mu.predict_tree_into(t, rows, &mut tmp);
-            for (m, v) in mu.iter_mut().zip(&tmp) {
-                *m += self.learning_rate * *v;
+        for (tm, ts) in self.mu_trees.iter().zip(&self.var_trees) {
+            for (m, row) in mu.iter_mut().zip(rows) {
+                *m += self.learning_rate * tm.predict(row.as_ref());
             }
-            flat.var.predict_tree_into(t, rows, &mut tmp);
-            for (sv, v) in s.iter_mut().zip(&tmp) {
-                *sv = (*sv + self.learning_rate * *v).clamp(lo, hi);
+            for (sv, row) in s.iter_mut().zip(rows) {
+                *sv = (*sv + self.learning_rate * ts.predict(row.as_ref())).clamp(lo, hi);
             }
         }
         mu.into_iter().zip(s).map(|(m, sv)| (m, sv.exp())).collect()
@@ -304,9 +280,7 @@ impl NgBoost {
     /// Reassembles a model from [`NgBoost::scalar_parts`] plus both tree
     /// heads (the artefact-store decode path). Returns `None` when the
     /// heads have different lengths — `fit` always truncates them together,
-    /// so a mismatch means the artefact is corrupt. The flat twin is
-    /// rebuilt eagerly so batched prediction never re-derives state after a
-    /// restore.
+    /// so a mismatch means the artefact is corrupt.
     #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         base_mu: f64,
@@ -320,10 +294,6 @@ impl NgBoost {
         if mu_trees.len() != var_trees.len() {
             return None;
         }
-        let flat = Lazy::filled(FlatHeads {
-            mu: FlatForest::from_trees(&mu_trees),
-            var: FlatForest::from_trees(&var_trees),
-        });
         Some(Self {
             base_mu,
             base_log_var,
@@ -332,18 +302,17 @@ impl NgBoost {
             mu_trees,
             var_trees,
             n_cols,
-            flat,
         })
     }
 
-    /// Rough in-memory size in bytes.
+    /// In-memory size in bytes: the struct plus every tree's arena.
     pub fn approx_size_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self
                 .mu_trees
                 .iter()
                 .chain(&self.var_trees)
-                .map(|t| t.n_nodes() * 24)
+                .map(Tree::size_bytes)
                 .sum::<usize>()
     }
 }

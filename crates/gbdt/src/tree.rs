@@ -133,28 +133,15 @@ impl Tree {
         }
     }
 
-    /// Visits nodes in arena order, for flattening into [`crate::flat`]
-    /// layouts. Splits invoke the visitor with `Some(feature)`; leaves pass
-    /// `None` with the leaf weight in the threshold slot and zero children.
-    pub(crate) fn for_each_node(&self, mut visit: impl FnMut(Option<u32>, f64, u32, u32)) {
-        for node in &self.nodes {
-            match node {
-                Node::Leaf { weight } => visit(None, *weight, 0, 0),
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                    ..
-                } => visit(Some(*feature), *threshold, *left, *right),
-            }
-        }
+    /// Bytes the arena's nodes occupy on the heap.
+    pub(crate) fn size_bytes(&self) -> usize {
+        self.nodes.len() * std::mem::size_of::<Node>()
     }
 
     /// Exports the arena as five parallel arrays for the artefact store:
-    /// `(feature, threshold, left, right, gain)`. Leaves use the
-    /// [`crate::flat`] convention — `feature = u32::MAX`, leaf weight in the
-    /// threshold slot, zero children — plus zero gain. The inverse is
+    /// `(feature, threshold, left, right, gain)`, node `i` of the arena at
+    /// index `i` of each. A leaf is `feature = u32::MAX` with its weight in
+    /// the threshold slot, zero children and zero gain. The inverse is
     /// [`Tree::from_flat_parts`]; a round trip is bit-exact.
     pub fn to_flat_parts(&self) -> FlatParts {
         let n = self.nodes.len();

@@ -270,7 +270,7 @@ impl PlanGcn {
 
     /// Predicts the target for one sample (eval mode, no dropout).
     ///
-    /// Tape-free: the same arithmetic as [`PlanGcn::forward`] with
+    /// Tape-free: the same arithmetic as `PlanGcn::forward` with
     /// `training == false`, in the same order — so the answer is
     /// bit-identical to the tape's — but over two flat `n × hidden` buffers
     /// and the weights as they sit in the [`ParamStore`]: no [`Graph`], no

@@ -93,7 +93,7 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// `self · other`, one [`row_matmul_acc`] per row (ikj loop order for
+    /// `self · other`, one `row_matmul_acc` per row (ikj loop order for
     /// cache friendliness).
     ///
     /// # Panics

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Repo-wide gate: formatting, clippy (warnings are errors), stage-lint
-# against its committed baseline, the workspace test suite, then the
+# Repo-wide gate: formatting, clippy and rustdoc (warnings are errors),
+# stage-lint against its committed baseline, the workspace test suite, then the
 # end-to-end smokes — stage-serve, the benchmark harness (its self-tests
 # and a 1/50-size run of every workload), the chaos soak, and the drift
 # episode. Run from anywhere inside the repository.
@@ -9,6 +9,9 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
+# Broken or private intra-doc links are errors: a deleted or renamed item
+# must not leave a dangling [`link`] behind (compiling and tests don't notice).
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
 # Workspace invariants (panic-freedom, determinism, lock order, protocol
 # exhaustiveness, tainted-allocation bounds, event-loop liveness) — cheap,
