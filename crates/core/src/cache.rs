@@ -252,8 +252,8 @@ impl ExecTimeCache {
     /// Encodes the cache into an artefact-store section: config scalars,
     /// lifetime counters, then the entries as structure-of-arrays sorted by
     /// key (the sort makes encoding deterministic across `HashMap`
-    /// iteration orders, so an unchanged cache produces byte-identical
-    /// sections and dirty-section checkpoints can skip it).
+    /// iteration orders, so an unchanged cache produces a byte-identical
+    /// section).
     pub(crate) fn store_encode(&self, w: &mut stage_store::SectionWriter) {
         w.put_u64(self.config.capacity as u64);
         w.put_f64(self.config.alpha);

@@ -346,12 +346,37 @@ mod tests {
         assert!(model.predict(&plan(5e3, 0), &sys(1.0)) >= 0.0);
     }
 
+    /// The width check is a `debug_assert`, so this holds in debug builds
+    /// only; `cargo test --release` runs the twin below instead.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "width mismatch")]
     fn wrong_sys_width_rejected() {
         let samples = vec![plan_to_tree_sample(&plan(1e4, 0), &sys(1.0), 1.0)];
         let model = GlobalModel::train(&samples, 2, &quick_config());
         model.predict(&plan(1e4, 0), &SystemContext::empty(5));
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn wrong_sys_width_padded_or_truncated_in_release() {
+        let samples: Vec<_> = (1..=20)
+            .map(|i| plan_to_tree_sample(&plan(i as f64 * 1e3, 0), &sys(1.0), i as f64 * 0.5))
+            .collect();
+        let model = GlobalModel::train(&samples, 2, &quick_config());
+        for features in [vec![1.0, 1.0, 9.0, 9.0, 9.0], vec![1.0]] {
+            let skewed = SystemContext { features };
+            let got = model.predict_log(&plan(1e4, 0), &skewed);
+            assert!(got.is_finite());
+            // The same context resized to the trained width by hand.
+            let mut sample = plan_to_tree_sample(&plan(1e4, 0), &skewed, 0.0);
+            assert_ne!(sample.sys_feats.len(), model.sys_dim);
+            sample.sys_feats.resize(model.sys_dim, 0.0);
+            let (a, b) = model.calibration;
+            let (lo, hi) = model.target_range;
+            let want = (a * model.gcn.predict(&sample) + b).clamp(lo, hi);
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
     }
 
     #[test]

@@ -53,8 +53,7 @@ pub use stage::{
     StagePredictor, StageSnapshot,
 };
 pub use storefmt::{
-    load_global_store, load_stage_store, save_global_store, save_stage_store,
-    save_stage_store_dirty, store_generation, StoreCheckpoint,
+    load_global_store, load_stage_store, save_global_store, save_stage_store, store_generation,
 };
 pub use sync::{LockRank, OrderedMutex, OrderedRwLock};
 

@@ -12,14 +12,13 @@
 //! - `quarantine` — a damaged file is renamed to `<name>.quarantine` so
 //!   the next restore doesn't trip over it again and the bytes survive for
 //!   forensics;
-//! - [`RestoreError`] — the typed reasons a restore can fail, so disk rot,
-//!   truncation, and stale formats fail loudly instead of predicting
-//!   garbage;
+//! - [`RestoreError`] — the typed reasons a restore can fail (the store
+//!   format's own error, re-exported), so disk rot, truncation, and stale
+//!   formats fail loudly instead of predicting garbage;
 //! - [`PersistFaults`] — the hook through which the chaos layer injects
 //!   partial writes, fsync failures, and read-side bit flips without this
 //!   module knowing anything about fault schedules.
 
-use std::fmt;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,84 +49,12 @@ pub trait PersistFaults: Send + Sync {
     }
 }
 
-/// Why a file restore failed. Everything except [`RestoreError::Io`] means
-/// the file existed but its contents cannot be trusted; those files are
-/// renamed to `*.quarantine` before the error is returned.
-#[derive(Debug)]
-pub enum RestoreError {
-    /// The file could not be read at all (includes not-found).
-    Io(io::Error),
-    /// The file does not start with the store magic.
-    MissingHeader,
-    /// The file is a store format version this build does not support.
-    UnsupportedVersion {
-        /// Version found in the file header.
-        found: u32,
-        /// Version this build writes and reads.
-        supported: u32,
-    },
-    /// The file is shorter or longer than its header and section table
-    /// declare (classic kill-mid-write / partial-write damage).
-    Truncated {
-        /// Length the file declares.
-        expected: usize,
-        /// Length actually present.
-        actual: usize,
-    },
-    /// A CRC32 (header, section table, or one section's payload) does not
-    /// match the bytes it covers (bit rot).
-    ChecksumMismatch {
-        /// Checksum the file declares.
-        expected: u32,
-        /// Checksum of the bytes as read.
-        actual: u32,
-    },
-    /// Every checksum verified but the contents did not decode: a missing
-    /// or inconsistent section, or a global-model payload of the wrong
-    /// kind/version.
-    Malformed {
-        /// Human-readable cause.
-        detail: String,
-    },
-}
-
-impl RestoreError {
-    /// Whether this is a benign missing-file error (cold start), as opposed
-    /// to damage.
-    pub fn is_not_found(&self) -> bool {
-        matches!(self, RestoreError::Io(e) if e.kind() == io::ErrorKind::NotFound)
-    }
-}
-
-impl fmt::Display for RestoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RestoreError::Io(e) => write!(f, "cannot read artefact: {e}"),
-            RestoreError::MissingHeader => write!(f, "missing or unrecognisable store header"),
-            RestoreError::UnsupportedVersion { found, supported } => {
-                write!(f, "store version {found} != supported {supported}")
-            }
-            RestoreError::Truncated { expected, actual } => {
-                write!(
-                    f,
-                    "artefact truncated: file declares {expected} bytes, found {actual}"
-                )
-            }
-            RestoreError::ChecksumMismatch { expected, actual } => {
-                write!(f, "checksum {actual:08x} != declared {expected:08x}")
-            }
-            RestoreError::Malformed { detail } => write!(f, "malformed artefact: {detail}"),
-        }
-    }
-}
-
-impl std::error::Error for RestoreError {}
-
-impl From<io::Error> for RestoreError {
-    fn from(e: io::Error) -> Self {
-        RestoreError::Io(e)
-    }
-}
+/// Why a file restore failed: the store format's own error type, under
+/// the name the serving layer uses. Everything except
+/// [`RestoreError::Io`] means the file existed but its contents cannot be
+/// trusted; those files are renamed to `*.quarantine` before the error is
+/// returned, and its `Display` names the damaged section.
+pub use stage_store::StoreError as RestoreError;
 
 /// CRC32 (IEEE 802.3 polynomial, the zlib/PNG variant). The implementation
 /// lives in `stage-store` (slice-by-8, shared with the artefact store's
@@ -375,10 +302,14 @@ mod tests {
             ..ScriptedFaults::default()
         };
         let err = load_stage_store(&path, Some(&faults)).unwrap_err();
+        // The error, and so the operator's quarantine message, names the
+        // damaged section.
+        let section = Some(crate::storefmt::SECTION_CONFIG);
         assert!(
-            matches!(err, RestoreError::ChecksumMismatch { .. }),
+            matches!(err, RestoreError::ChecksumMismatch { section: s, .. } if s == section),
             "{err}"
         );
+        assert!(err.to_string().starts_with("section 1 checksum"), "{err}");
         assert!(quarantine_path(&path).exists(), "quarantine file missing");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -4,20 +4,17 @@
 //! This module lays a [`crate::stage::StageSnapshot`] out in the
 //! `stage-store v1` sectioned binary format (`stage-store` crate): one
 //! section per predictor component, each independently CRC'd, 8-aligned,
-//! little-endian, floats as `to_bits` images. A shard restores by mapping
-//! the file and decoding in place, and answers **bit-identically** to a
-//! serde round trip of the same snapshot (the reference
-//! `tests/store_identity.rs` compares against).
+//! little-endian, floats as `to_bits` images. A shard restores by reading
+//! the file, validating every byte of it and decoding the sections, and
+//! answers **bit-identically** to a serde round trip of the same snapshot
+//! (the reference `tests/store_identity.rs` compares against).
 //!
-//! Checkpoints come in two flavours:
-//! - [`save_stage_store`] — full rewrite through [`crate::persist`]'s
-//!   crash-safe temp-file + rename path, with its [`PersistFaults`]
-//!   injection points;
-//! - [`save_stage_store_dirty`] — section-granular in-place update via
-//!   [`stage_store::StoreUpdater`]: unchanged sections are not rewritten,
-//!   a byte-identical snapshot writes nothing at all
-//!   ([`StoreCheckpoint::Clean`]), and any misfit falls back to a full
-//!   rewrite.
+//! There is one way to write an artefact and one way to read it, with or
+//! without a [`PersistFaults`] hook installed: [`save_stage_store`] builds
+//! the whole image and hands it to [`crate::persist`]'s crash-safe
+//! temp-file + fsync + rename, so a kill at any instant leaves the old
+//! artefact or the new one; [`load_stage_store`] reads the whole file
+//! (refusing one over 1 GiB before it reads a byte) and parses it.
 //!
 //! Restore failures follow `persist`'s quarantine discipline: any damage
 //! (bad magic, version skew, truncation, checksum mismatch, malformed
@@ -38,10 +35,7 @@ use crate::persist::{self, PersistFaults, RestoreError};
 use crate::pool::TrainingPool;
 use crate::stage::{DegradedStats, RoutingConfig, RoutingStats, StageConfig, StageSnapshot};
 use serde::{Deserialize, Serialize};
-use stage_store::{
-    build_file, MappedStore, SectionReader, SectionWriter, StoreError, StoreUpdater, StoreView,
-    UpdateOutcome, STORE_VERSION,
-};
+use stage_store::{build_file, SectionReader, SectionWriter, StoreView};
 use std::io::{self, Write};
 use std::path::Path;
 
@@ -64,51 +58,20 @@ pub const SECTION_CALIBRATION: u32 = 6;
 /// envelope; lives in its own single-section file, not in snapshot files).
 pub const SECTION_GLOBAL: u32 = 16;
 
-/// What a section-granular checkpoint actually wrote.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreCheckpoint {
-    /// Every section byte-matched the existing file; nothing was written.
-    Clean,
-    /// Only the changed sections were rewritten in place.
-    Sections {
-        /// How many of the file's sections were dirty.
-        dirty: usize,
-    },
-    /// The whole file was (re)written: first checkpoint, a section outgrew
-    /// its reserved capacity, or the existing file was unusable.
-    Full,
-}
+/// Largest file restore will read into memory. The read allocates
+/// whatever length the directory entry claims, so the claim is bounded
+/// first; the largest artefact any workload writes is ≈ 2.5 MB.
+const MAX_STORE_BYTES: u64 = 1 << 30;
 
-fn store_to_restore(e: StoreError) -> RestoreError {
-    let clamp = |v: u64| usize::try_from(v).unwrap_or(usize::MAX);
-    match e {
-        StoreError::Io(e) => RestoreError::Io(e),
-        StoreError::BadMagic => RestoreError::MissingHeader,
-        StoreError::UnsupportedVersion { found } => RestoreError::UnsupportedVersion {
-            found,
-            supported: STORE_VERSION,
-        },
-        StoreError::Truncated { expected, actual } => RestoreError::Truncated {
-            expected: clamp(expected),
-            actual: clamp(actual),
-        },
-        StoreError::ChecksumMismatch {
-            expected, actual, ..
-        } => RestoreError::ChecksumMismatch { expected, actual },
-        StoreError::Malformed { detail } => RestoreError::Malformed { detail },
-    }
-}
-
-fn missing_section(id: u32) -> StoreError {
-    StoreError::Malformed {
+fn missing_section(id: u32) -> RestoreError {
+    RestoreError::Malformed {
         detail: format!("store file has no section {id}"),
     }
 }
 
 /// Encodes a snapshot as the store's section list, in table order. The
 /// encoding is deterministic (cache entries sorted by key), so an
-/// unchanged snapshot produces byte-identical sections and
-/// [`save_stage_store_dirty`] recognises it as [`StoreCheckpoint::Clean`].
+/// unchanged snapshot produces byte-identical sections.
 pub fn snapshot_sections(snap: &StageSnapshot) -> Vec<(u32, Vec<u8>)> {
     let mut config = SectionWriter::new();
     config.put_f64(snap.config.routing.short_circuit_secs);
@@ -146,10 +109,8 @@ pub fn snapshot_sections(snap: &StageSnapshot) -> Vec<(u32, Vec<u8>)> {
     ]
 }
 
-fn decode_snapshot<'a>(
-    section: impl Fn(u32) -> Option<&'a [u8]>,
-) -> Result<StageSnapshot, StoreError> {
-    let need = |id: u32| section(id).ok_or_else(|| missing_section(id));
+fn decode_snapshot(view: &StoreView<'_>) -> Result<StageSnapshot, RestoreError> {
+    let need = |id: u32| view.section(id).ok_or_else(|| missing_section(id));
 
     let mut r = SectionReader::new(need(SECTION_CONFIG)?);
     let routing = RoutingConfig {
@@ -190,7 +151,7 @@ fn decode_snapshot<'a>(
     // CALIBRATION is optional: pre-drift files simply lack the section and
     // restore a cold sentinel. When present, any damage is a hard decode
     // error (quarantine), not a silent cold start.
-    let calibration = match section(SECTION_CALIBRATION) {
+    let calibration = match view.section(SECTION_CALIBRATION) {
         Some(bytes) => {
             let mut r = SectionReader::new(bytes);
             let c = DriftSentinel::store_decode(&mut r)?;
@@ -242,50 +203,36 @@ pub fn save_stage_store(
     persist::atomic_write(path, |out| out.write_all(&bytes), faults)
 }
 
-/// Section-granular checkpoint: rewrites only the sections whose bytes
-/// changed since the file was written (in place, two-phase, torn updates
-/// always detectable), writes nothing when the snapshot is byte-identical,
-/// and falls back to a full [`save_stage_store`]-style rewrite when the
-/// file is missing, damaged, or a section outgrew its reserved capacity.
-pub fn save_stage_store_dirty(snap: &StageSnapshot, path: &Path) -> io::Result<StoreCheckpoint> {
-    let sections = snapshot_sections(snap);
-    if path.exists() {
-        if let Ok(mut updater) = StoreUpdater::open(path) {
-            match updater.try_update(&sections) {
-                Ok(UpdateOutcome::Clean) => return Ok(StoreCheckpoint::Clean),
-                Ok(UpdateOutcome::Updated { dirty }) => {
-                    return Ok(StoreCheckpoint::Sections { dirty })
-                }
-                // A misfit or an unusable file: fall through to the full
-                // rewrite below.
-                Ok(UpdateOutcome::NeedsRewrite) | Err(_) => {}
-            }
-        }
+/// Reads a whole store file, refusing one larger than
+/// [`MAX_STORE_BYTES`] before reading a byte of it. An installed fault
+/// hook sees (and may damage) the bytes exactly where disk rot would.
+fn read_image(path: &Path, faults: Option<&dyn PersistFaults>) -> Result<Vec<u8>, RestoreError> {
+    let len = std::fs::metadata(path)?.len();
+    if len > MAX_STORE_BYTES {
+        return Err(RestoreError::Malformed {
+            detail: format!("store file of {len} bytes exceeds the {MAX_STORE_BYTES}-byte bound"),
+        });
     }
-    let bytes = build_file(&sections, next_generation(path));
-    persist::atomic_write(path, |out| out.write_all(&bytes), None)?;
-    Ok(StoreCheckpoint::Full)
+    let mut bytes = std::fs::read(path)?;
+    if let Some(f) = faults {
+        f.after_read(path, &mut bytes);
+    }
+    Ok(bytes)
 }
 
-fn load_snapshot_inner(
+/// Reads, validates and decodes a store file. Anything but an I/O error
+/// means the file exists and cannot be trusted: it is quarantined before
+/// the typed error returns.
+fn load_store<T>(
     path: &Path,
     faults: Option<&dyn PersistFaults>,
-) -> Result<StageSnapshot, RestoreError> {
-    match faults {
-        // The chaos path reads into a heap buffer so the injected read-side
-        // damage mutates a copy, then decodes from the buffer.
-        Some(f) => {
-            let mut bytes = std::fs::read(path)?;
-            f.after_read(path, &mut bytes);
-            let view = StoreView::parse(&bytes).map_err(store_to_restore)?;
-            decode_snapshot(|id| view.section(id)).map_err(store_to_restore)
-        }
-        // The production path maps the file and decodes in place.
-        None => {
-            let store = MappedStore::open(path).map_err(store_to_restore)?;
-            decode_snapshot(|id| store.section(id)).map_err(store_to_restore)
-        }
+    decode: impl FnOnce(&StoreView<'_>) -> Result<T, RestoreError>,
+) -> Result<T, RestoreError> {
+    let result = read_image(path, faults).and_then(|bytes| decode(&StoreView::parse(&bytes)?));
+    if matches!(&result, Err(e) if !matches!(e, RestoreError::Io(_))) {
+        let _ = persist::quarantine(path);
     }
+    result
 }
 
 /// Restores a snapshot from a store file. Missing files are a benign
@@ -298,11 +245,7 @@ pub fn load_stage_store(
     path: &Path,
     faults: Option<&dyn PersistFaults>,
 ) -> Result<StageSnapshot, RestoreError> {
-    let result = load_snapshot_inner(path, faults);
-    if matches!(&result, Err(e) if !matches!(e, RestoreError::Io(_))) {
-        let _ = persist::quarantine(path);
-    }
-    result
+    load_store(path, faults, decode_snapshot)
 }
 
 /// Payload version of [`SECTION_GLOBAL`]; bump on breaking model-layout
@@ -370,32 +313,6 @@ pub fn save_global_store(
     persist::atomic_write(path, |out| out.write_all(&bytes), faults)
 }
 
-fn load_global_inner(
-    path: &Path,
-    faults: Option<&dyn PersistFaults>,
-) -> Result<(GlobalModel, u64), RestoreError> {
-    let decode = |view_section: Option<&[u8]>, generation: u64| {
-        let bytes =
-            view_section.ok_or_else(|| store_to_restore(missing_section(SECTION_GLOBAL)))?;
-        let mut r = SectionReader::new(bytes);
-        let payload = r.bytes().map_err(store_to_restore)?;
-        r.expect_end().map_err(store_to_restore)?;
-        Ok((decode_global(payload)?, generation))
-    };
-    match faults {
-        Some(f) => {
-            let mut bytes = std::fs::read(path)?;
-            f.after_read(path, &mut bytes);
-            let view = StoreView::parse(&bytes).map_err(store_to_restore)?;
-            decode(view.section(SECTION_GLOBAL), view.generation())
-        }
-        None => {
-            let store = MappedStore::open(path).map_err(store_to_restore)?;
-            decode(store.section(SECTION_GLOBAL), store.generation())
-        }
-    }
-}
-
 /// Loads a global model (and its generation stamp) from a store file
 /// written by [`save_global_store`]. Same quarantine semantics as
 /// [`load_stage_store`].
@@ -403,18 +320,22 @@ pub fn load_global_store(
     path: &Path,
     faults: Option<&dyn PersistFaults>,
 ) -> Result<(GlobalModel, u64), RestoreError> {
-    let result = load_global_inner(path, faults);
-    if matches!(&result, Err(e) if !matches!(e, RestoreError::Io(_))) {
-        let _ = persist::quarantine(path);
-    }
-    result
+    load_store(path, faults, |view| {
+        let section = view
+            .section(SECTION_GLOBAL)
+            .ok_or_else(|| missing_section(SECTION_GLOBAL))?;
+        let mut r = SectionReader::new(section);
+        let payload = r.bytes()?;
+        r.expect_end()?;
+        Ok((decode_global(payload)?, view.generation()))
+    })
 }
 
 /// The generation stamp of a store file, read from its 64-byte header
 /// without touching the payload — the cheap poll servers use to notice a
 /// hot-swapped global model.
 pub fn store_generation(path: &Path) -> Result<u64, RestoreError> {
-    stage_store::read_generation(path).map_err(store_to_restore)
+    stage_store::read_generation(path)
 }
 
 #[cfg(test)]

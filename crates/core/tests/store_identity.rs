@@ -1,25 +1,24 @@
 //! The artefact-store persistence path is checked against a serde
-//! reference: a snapshot written as a store file and mapped back must
+//! reference: a snapshot written as a store file and read back must
 //! answer every prediction **bit-identically** to the same snapshot pushed
 //! through a plain `serde_json` round trip — the serving layer routes on exact
 //! thresholds, so even 1-ulp drift would route requests differently after
 //! a warm restart. The hostile-input half of this file proves restore
 //! never panics and never silently half-loads: truncation at every section
-//! boundary, single-bit flips across the whole file, and wrong
-//! magic/version all surface as typed [`RestoreError`]s and quarantine the
-//! file.
+//! boundary, single-bit flips across the whole file, wrong magic/version
+//! and a file past the size bound all surface as typed [`RestoreError`]s
+//! and quarantine the file.
 
 use proptest::prelude::*;
-use stage_core::persist::RestoreError;
+use stage_core::persist::{PersistFaults, RestoreError};
 use stage_core::predictor::{ExecTimePredictor, SystemContext};
 use stage_core::stage::{StageConfig, StagePredictor, StageSnapshot};
-use stage_core::storefmt::{
-    load_stage_store, save_stage_store, save_stage_store_dirty, StoreCheckpoint,
-};
+use stage_core::storefmt::{load_stage_store, save_stage_store, snapshot_sections};
 use stage_core::{CacheConfig, LocalModelConfig, PoolConfig};
 use stage_gbdt::{EnsembleParams, NgBoostParams};
 use stage_plan::{PlanBuilder, S3Format};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn plan(rows: f64) -> stage_plan::PhysicalPlan {
     PlanBuilder::select()
@@ -104,10 +103,32 @@ fn assert_bit_identical(a: &mut StagePredictor, b: &mut StagePredictor, tag: &st
     assert_eq!(a.stats(), b.stats(), "{tag}: routing counters diverged");
 }
 
+/// A fault hook that injects nothing and counts the images restore hands
+/// it: installing a hook must not change what is read, and a refused file
+/// must never get as far as being read.
+#[derive(Default)]
+struct CountReads(AtomicUsize);
+
+impl PersistFaults for CountReads {
+    fn after_read(&self, _path: &Path, _bytes: &mut Vec<u8>) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Saves and restores `snap`, once with no fault hook and once with a
+/// no-op one installed; the two restores must agree bit for bit.
 fn store_round_trip(snap: &StageSnapshot, dir: &Path) -> StageSnapshot {
     let path = dir.join("snapshot.store");
     save_stage_store(snap, &path, None).unwrap();
-    load_stage_store(&path, None).unwrap()
+    let plain = load_stage_store(&path, None).unwrap();
+    let hook = CountReads::default();
+    let hooked = load_stage_store(&path, Some(&hook)).unwrap();
+    assert_eq!(hook.0.load(Ordering::Relaxed), 1);
+    assert!(
+        snapshot_sections(&plain) == snapshot_sections(&hooked),
+        "restore differs with a no-op fault hook installed"
+    );
+    plain
 }
 
 /// The reference the store format is checked against: the derived serde
@@ -167,7 +188,7 @@ fn truncation_at_every_section_boundary_is_typed_and_quarantined() {
 
     // Boundaries: mid-header, end of header, each table entry, each
     // section's start/end, and one byte short of the full file.
-    let sections = stage_core::storefmt::snapshot_sections(&snap);
+    let sections = snapshot_sections(&snap);
     let mut cuts = vec![0, 7, 35, stage_store::HEADER_LEN];
     for i in 0..=sections.len() {
         cuts.push(stage_store::HEADER_LEN + i * stage_store::ENTRY_LEN);
@@ -238,7 +259,7 @@ fn wrong_magic_and_version_are_typed() {
     bytes[0] = b'X';
     std::fs::write(&path, &bytes).unwrap();
     let err = load_stage_store(&path, None).unwrap_err();
-    assert!(matches!(err, RestoreError::MissingHeader), "{err}");
+    assert!(matches!(err, RestoreError::BadMagic), "{err}");
     assert!(quarantine_path(&path).exists());
     let _ = std::fs::remove_file(quarantine_path(&path));
 
@@ -250,7 +271,7 @@ fn wrong_magic_and_version_are_typed() {
     std::fs::write(&path, &bytes).unwrap();
     let err = load_stage_store(&path, None).unwrap_err();
     assert!(
-        matches!(err, RestoreError::UnsupportedVersion { found: 99, .. }),
+        matches!(err, RestoreError::UnsupportedVersion { found: 99 }),
         "{err}"
     );
     assert!(quarantine_path(&path).exists());
@@ -261,50 +282,28 @@ fn wrong_magic_and_version_are_typed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Dirty-section checkpoints: an unchanged snapshot writes nothing, a
-/// small change rewrites only the touched sections, and the updated file
-/// restores to the new state.
+/// A directory entry claiming more than the 1 GiB restore bound is
+/// refused from its length alone — typed error, quarantined, and the
+/// read (which would allocate the claimed length) never happens.
 #[test]
-fn dirty_checkpoint_skips_clean_sections() {
-    let dir = fresh_dir("dirty");
+fn oversized_file_is_refused_before_it_is_read() {
+    let dir = fresh_dir("oversize");
     let path = dir.join("snapshot.store");
-    let mut s = warm_predictor(6, 40);
-    let snap = s.snapshot();
+    save_stage_store(&warm_predictor(8, 30).snapshot(), &path, None).unwrap();
+    // Sparse: the length is a claim, no blocks are allocated behind it.
+    let file = std::fs::File::options().write(true).open(&path).unwrap();
+    file.set_len((1 << 30) + 1).unwrap();
+    drop(file);
 
-    // First checkpoint: no file yet, full write.
-    assert_eq!(
-        save_stage_store_dirty(&snap, &path).unwrap(),
-        StoreCheckpoint::Full
+    let hook = CountReads::default();
+    let err = load_stage_store(&path, Some(&hook)).unwrap_err();
+    assert!(
+        matches!(&err, RestoreError::Malformed { detail } if detail.contains("exceeds")),
+        "{err}"
     );
-    // Identical snapshot: byte-identical sections, nothing written.
-    assert_eq!(
-        save_stage_store_dirty(&snap, &path).unwrap(),
-        StoreCheckpoint::Clean
-    );
-
-    // A little more traffic dirties cache/pool/stats but not the encoded
-    // local model (no retrain boundary crossed) or config.
-    let sys = SystemContext::empty(2);
-    s.predict(&plan(3.3e4), &sys);
-    s.observe(&plan(3.3e4), &sys, 0.4);
-    let snap2 = s.snapshot();
-    match save_stage_store_dirty(&snap2, &path).unwrap() {
-        StoreCheckpoint::Sections { dirty } => {
-            // Cache/pool/stats plus the drift calibrator (which absorbs the
-            // new residual) may rewrite; the encoded local model and config
-            // must not.
-            assert!(
-                (1..6).contains(&dirty),
-                "expected a partial rewrite, got {dirty} dirty sections"
-            );
-        }
-        other => panic!("expected a section-granular update, got {other:?}"),
-    }
-
-    // The in-place-updated file restores to the *new* snapshot.
-    let mut restored = StagePredictor::from_snapshot(load_stage_store(&path, None).unwrap());
-    let mut reference = StagePredictor::from_snapshot(snap2);
-    assert_bit_identical(&mut reference, &mut restored, "after dirty update");
+    assert_eq!(hook.0.load(Ordering::Relaxed), 0, "the file was read");
+    assert!(!path.exists(), "oversized file left in place");
+    assert!(quarantine_path(&path).exists(), "no quarantine file");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -351,7 +350,7 @@ fn calibration_section_corruption_quarantines_and_absence_is_cold_start() {
 
     // A pre-calibration-era file (section absent) restores with a default
     // sentinel rather than failing.
-    let legacy: Vec<(u32, Vec<u8>)> = stage_core::storefmt::snapshot_sections(&snap)
+    let legacy: Vec<(u32, Vec<u8>)> = snapshot_sections(&snap)
         .into_iter()
         .filter(|(id, _)| *id != SECTION_CALIBRATION)
         .collect();

@@ -79,8 +79,8 @@ impl fmt::Display for Finding {
 /// Per-rule file scopes, relative to the workspace root.
 ///
 /// `no-panic` covers the serve request path, the snapshot/persist layer
-/// (including the artefact store and its mmap FFI, which parse hostile
-/// bytes on the restore path), the degradation logic in the predictor, and
+/// (including the artefact store, which parses hostile bytes on the
+/// restore path), the degradation logic in the predictor, and
 /// the fault injector itself: a panic there takes down every connection,
 /// corrupts a checkpoint, or — in the injector's case — voids the very
 /// no-panic property under test. The same files carry the `unsafe-seam`
@@ -99,7 +99,6 @@ const NO_PANIC_FILES: &[&str] = &[
     "crates/core/src/drift.rs",
     "crates/store/src/lib.rs",
     "crates/store/src/format.rs",
-    "crates/store/src/mmap.rs",
     "crates/chaos/src/lib.rs",
     "crates/chaos/src/plan.rs",
     "crates/chaos/src/rng.rs",

@@ -1,10 +1,9 @@
 //! Rule `unsafe-seam`: every `unsafe` token on a hardened path must carry
-//! an explicit justification. The workspace's only sanctioned uses are the
-//! thin FFI seams (`poll(2)` in stage-serve, `mmap(2)`/`msync(2)` in
-//! stage-store); each one is required to state, in a
-//! `// lint:allow(unsafe-seam): <reason>` pragma, why its invariants hold
-//! — so a new `unsafe` block cannot slip into the serving or persistence
-//! layer without a reviewable argument attached to it.
+//! an explicit justification. The workspace's only sanctioned use is one
+//! thin FFI seam (`poll(2)` in stage-serve's `evloop.rs`); it is required
+//! to state, in a `// lint:allow(unsafe-seam): <reason>` pragma, why its
+//! invariants hold — so a new `unsafe` block cannot slip into the serving
+//! or persistence layer without a reviewable argument attached to it.
 
 use crate::rules::{idents, RULE_UNSAFE};
 use crate::source::SourceFile;

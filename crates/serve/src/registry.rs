@@ -13,7 +13,7 @@
 
 use stage_core::global::GlobalModel;
 use stage_core::persist::{PersistFaults, RestoreError};
-use stage_core::storefmt::{self, StoreCheckpoint};
+use stage_core::storefmt;
 use stage_core::sync::{OrderedRwLock, RANK_REGISTRY, RANK_SHARD};
 use stage_core::{
     ComponentFaults, ExecTimePredictor, Prediction, StageConfig, StagePredictor, SystemContext,
@@ -39,8 +39,8 @@ pub struct Shard {
     /// The revision the newest on-disk artefact was taken at; `None` until
     /// the first checkpoint of this process.
     last_saved_revision: Option<u64>,
-    /// Checkpoint passes that skipped this shard because nothing changed
-    /// (revision match or byte-identical sections).
+    /// Checkpoint passes that skipped this shard because its revision had
+    /// not moved since the last one.
     snapshots_skipped: u64,
 }
 
@@ -145,10 +145,9 @@ impl Shard {
 /// What [`ShardRegistry::save_snapshots`] actually wrote.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SaveSummary {
-    /// Shards whose artefact was (re)written — fully or section-granular.
+    /// Shards whose artefact was atomically replaced by a new one.
     pub written: u32,
-    /// Clean shards skipped: their revision matched the last checkpoint,
-    /// or every encoded section byte-matched the file.
+    /// Clean shards skipped: their revision matched the last checkpoint.
     pub skipped: u32,
 }
 
@@ -264,8 +263,8 @@ impl ShardRegistry {
         retrained
     }
 
-    /// Snapshot path of instance `id` under `dir` (the mappable
-    /// `stage-store` artefact).
+    /// Snapshot path of instance `id` under `dir` (a `stage-store`
+    /// artefact).
     pub fn snapshot_path(dir: &Path, id: u32) -> PathBuf {
         dir.join(format!("instance_{id}.store"))
     }
@@ -273,10 +272,10 @@ impl ShardRegistry {
     /// Checkpoints every shard to `dir` (one crash-safe store artefact per
     /// instance). Shards whose content revision hasn't moved since their
     /// last checkpoint are skipped without even encoding a snapshot; the
-    /// rest go through the section-granular updater, which rewrites only
-    /// dirty sections (and recognises byte-identical snapshots as another
-    /// kind of skip). Snapshot encoding runs under the shard read lock;
-    /// file I/O runs with no shard lock held, so serving continues.
+    /// rest are written whole to a temp file and renamed into place, so a
+    /// kill at any instant leaves the previous artefact or the new one.
+    /// Snapshot encoding runs under the shard read lock; file I/O runs
+    /// with no shard lock held, so serving continues.
     pub fn save_snapshots(&self, dir: &Path) -> io::Result<SaveSummary> {
         std::fs::create_dir_all(dir)?;
         let mut summary = SaveSummary::default();
@@ -300,32 +299,16 @@ impl ShardRegistry {
                 }
                 (guard.revision, guard.predictor.snapshot())
             };
-            // Under injected faults every checkpoint takes the full-write
-            // path: the fault hooks (partial write, fsync failure) live on
-            // the crash-safe rewrite, which is exactly the surface chaos
-            // wants to exercise. Production uses the in-place updater.
-            let outcome = match self.persist_faults.as_deref() {
-                Some(faults) => {
-                    storefmt::save_stage_store(&snapshot, &path, Some(faults))?;
-                    StoreCheckpoint::Full
-                }
-                None => storefmt::save_stage_store_dirty(&snapshot, &path)?,
-            };
-            let mut guard = shard.write();
-            guard.last_saved_revision = Some(revision);
-            if outcome == StoreCheckpoint::Clean {
-                guard.snapshots_skipped += 1;
-                summary.skipped += 1;
-            } else {
-                summary.written += 1;
-            }
+            storefmt::save_stage_store(&snapshot, &path, self.persist_faults.as_deref())?;
+            shard.write().last_saved_revision = Some(revision);
+            summary.written += 1;
         }
         Ok(summary)
     }
 
     /// Warm-starts shards from artefacts in `dir` (atomic load-on-start):
     /// each instance with a valid snapshot resumes exactly where the last
-    /// checkpoint left it (the store file is mapped and decoded in place).
+    /// checkpoint left it.
     /// Missing artefacts leave the cold predictor in place; damaged ones
     /// (bad magic, checksum mismatch, unsupported version, malformed
     /// section) are quarantined — renamed to `*.quarantine` for the
@@ -357,8 +340,8 @@ impl ShardRegistry {
 
     /// Installs `model` as the shared global (fleet-trained) model of every
     /// shard. One `Arc` backs all shards — the registry-entry mechanism for
-    /// fleet-wide model hot-swap: the artefact is parsed once and mapped
-    /// into every instance's routing, not copied per shard.
+    /// fleet-wide model hot-swap: the artefact is parsed once and shared
+    /// by every instance's routing, not copied per shard.
     pub fn set_global(&self, model: Arc<GlobalModel>) {
         let shards = self.shards.read();
         for shard in shards.iter() {
@@ -502,6 +485,58 @@ mod tests {
             reg.with_shard_read(0, |s| s.snapshots_skipped()).unwrap(),
             2
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint replaces the artefact and never writes into it: a hard
+    /// link to the previous artefact keeps the previous bytes and restores
+    /// the previous state, while the live path restores the new one.
+    #[test]
+    fn checkpoints_never_write_into_the_live_artefact() {
+        let dir = std::env::temp_dir().join("stage-serve-registry-atomic-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let sys = SystemContext::empty(2);
+        let reg = ShardRegistry::new(1, StageConfig::default());
+        let observe_then_predict = |secs: f64| {
+            reg.with_shard_write(0, |s| {
+                s.observe(&plan(5e4), &sys, secs);
+                s.predict(&plan(5e4), &sys)
+            })
+            .unwrap()
+        };
+        let restored_answer = |path: &Path| {
+            let snapshot = storefmt::load_stage_store(path, None).unwrap();
+            StagePredictor::from_snapshot(snapshot).predict(&plan(5e4), &sys)
+        };
+
+        let first = observe_then_predict(2.0);
+        reg.save_snapshots(&dir).unwrap();
+        let live = ShardRegistry::snapshot_path(&dir, 0);
+        let aside = dir.join("first-checkpoint.store");
+        std::fs::hard_link(&live, &aside).unwrap();
+        let first_bytes = std::fs::read(&aside).unwrap();
+
+        // The same plan again: no section changes length, so nothing about
+        // the second image's layout would stop it being written in place.
+        let second = observe_then_predict(4.0);
+        assert_ne!(first.exec_secs.to_bits(), second.exec_secs.to_bits());
+        assert_eq!(
+            reg.save_snapshots(&dir).unwrap(),
+            SaveSummary {
+                written: 1,
+                skipped: 0
+            }
+        );
+
+        assert!(
+            std::fs::read(&aside).unwrap() == first_bytes,
+            "the second checkpoint wrote into the first checkpoint's file"
+        );
+        let (old, new) = (restored_answer(&aside), restored_answer(&live));
+        assert_eq!(old.source, PredictionSource::Cache);
+        assert_eq!(old.exec_secs.to_bits(), first.exec_secs.to_bits());
+        assert_eq!(new.source, PredictionSource::Cache);
+        assert_eq!(new.exec_secs.to_bits(), second.exec_secs.to_bits());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -97,7 +97,7 @@ pub struct ServeConfig {
     /// (`Snapshot` request) and at shutdown.
     pub snapshot_every: Option<Duration>,
     /// Read-only global-model artefact (`stage-store` format, written by
-    /// fleet training): mapped at start and shared by every shard through
+    /// fleet training): loaded at start and shared by every shard through
     /// one `Arc`, then polled for generation bumps so a fleet-wide GCN
     /// hot-swap lands without restarting the server. `None` — the default —
     /// serves whatever global model `stage` configured (usually none).
@@ -904,7 +904,7 @@ impl Server {
 
         // One background health loop drives every periodic duty: the
         // per-shard drift poll (forcing out-of-band retrains when a
-        // sentinel latches), dirty-section checkpoints (when a cadence is
+        // sentinel latches), checkpoints (when a cadence is
         // configured), and the global-model generation poll (when an
         // artefact path is configured). It always spawns — drift health
         // must not depend on persistence being enabled.
@@ -1060,7 +1060,7 @@ impl Server {
     }
 
     /// Generation of the installed shared global model, `None` until the
-    /// first artefact is mapped.
+    /// first artefact is loaded.
     pub fn global_generation(&self) -> Option<u64> {
         match self.shared.global_generation.load(Ordering::SeqCst) {
             u64::MAX => None,
@@ -1389,7 +1389,7 @@ mod tests {
             ..ServeConfig::default()
         })
         .unwrap();
-        // The artefact was mapped before serving started.
+        // The artefact was loaded before serving started.
         assert_eq!(server.global_generation(), Some(1));
 
         // Fleet training publishes a newer generation; the background poll

@@ -1,20 +1,17 @@
-//! `stage-store`: the memory-mapped artefact store.
+//! `stage-store`: the artefact store's on-disk format.
 //!
 //! A store file is a versioned, checksummed container of independently
 //! addressable **sections** — flat byte ranges identified by a numeric id,
-//! each carrying its own crc32 and a reserved capacity. The layout is
-//! designed so a reader can `mmap(2)` the file and consume primitive arrays
-//! in place (little-endian, 8-byte aligned), and so a checkpointer can
-//! rewrite only the sections that changed (an in-place write into the
-//! reserved slot plus a table update) instead of rewriting the whole
-//! artefact. See `DESIGN.md` §13 for the on-disk layout and the
-//! dirty-section checkpoint protocol.
+//! each carrying its own crc32 (little-endian, 8-byte aligned). A writer
+//! builds the whole image in memory ([`build_file`]) and the caller puts it
+//! on disk atomically; a reader validates the whole image up front
+//! ([`StoreView::parse`]) and decodes sections through bounds-checked
+//! cursors. See `DESIGN.md` §13 for the on-disk layout.
 //!
-//! The crate is std-only. The only platform surface is a minimal
-//! `mmap(2)`/`msync(2)`/`munmap(2)` FFI in [`mmap`], in the same style as
-//! `stage-serve`'s `poll(2)` seam. Everything else is plain byte
-//! manipulation, which keeps the format testable without touching a
-//! filesystem.
+//! The crate is std-only, has no FFI and forbids `unsafe`: everything is
+//! plain byte manipulation, which keeps the format testable without
+//! touching a filesystem ([`read_generation`] is the one function that
+//! opens a file).
 //!
 //! This crate sits below `stage-core` in the dependency graph: the crc32
 //! implementation lives here and `stage_core::persist` re-exports it, so
@@ -25,14 +22,14 @@
 //! opened on the serving restore path, where hostile bytes must produce
 //! typed errors, never panics.
 
+#![forbid(unsafe_code)]
+
 pub mod format;
-pub mod mmap;
 
 pub use format::{
-    build_file, read_generation, MappedStore, SectionReader, SectionWriter, StoreError,
-    StoreUpdater, StoreView, UpdateOutcome, ENTRY_LEN, HEADER_LEN, MAGIC, STORE_VERSION,
+    build_file, read_generation, SectionReader, SectionWriter, StoreError, StoreView, ENTRY_LEN,
+    HEADER_LEN, MAGIC, STORE_VERSION,
 };
-pub use mmap::Mapping;
 
 /// IEEE crc32 (reflected, polynomial `0xEDB8_8320`), slice-by-8. Output
 /// is bit-identical to the bitwise reference — the frame checksums of the
@@ -41,9 +38,8 @@ pub use mmap::Mapping;
 /// vectors and against the bitwise loop).
 ///
 /// Restore verifies every section's checksum before a shard is allowed to
-/// serve from a mapped store, so this loop is on the cold-start critical
-/// path; eight bytes per iteration keeps the integrity sweep from eating
-/// the latency the mapping saved.
+/// serve from a store file, so this loop is on the cold-start critical
+/// path, and the binary wire codec runs it over every frame.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     let mut chunks = bytes.chunks_exact(8);
