@@ -180,12 +180,6 @@ impl DriftSentinel {
         self.config
     }
 
-    /// Replaces the tuning without touching accumulated state (benches and
-    /// the soak harness sharpen the detector for short phases).
-    pub fn set_config(&mut self, config: DriftConfig) {
-        self.config = config;
-    }
-
     /// Feeds one scored observation: the local model said `(log_mu,
     /// log_sigma)` in `ln(1+secs)` space, the query actually took
     /// `log_actual`. Updates coverage accounting (against the interval

@@ -25,7 +25,6 @@
 //! so callers only ever see seconds.
 
 pub mod autowlm;
-pub mod benefit;
 pub mod cache;
 pub mod drift;
 pub mod global;
@@ -38,7 +37,6 @@ pub mod storefmt;
 pub mod sync;
 
 pub use autowlm::{AutoWlmConfig, AutoWlmPredictor};
-pub use benefit::{estimate_benefit, BenefitEstimate};
 pub use cache::{CacheConfig, CacheMode, ExecTimeCache};
 pub use drift::{DriftConfig, DriftSentinel};
 pub use global::{plan_to_tree_sample, GlobalModel, GlobalModelConfig, GLOBAL_SYS_DIM_BASE};

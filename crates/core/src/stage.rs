@@ -27,7 +27,7 @@
 //! shard for every later request.
 
 use crate::cache::{CacheConfig, ExecTimeCache};
-use crate::drift::{DriftConfig, DriftSentinel};
+use crate::drift::DriftSentinel;
 use crate::global::GlobalModel;
 use crate::local::{LocalModel, LocalModelConfig, LocalPrediction};
 use crate::pool::{PoolConfig, TrainingPool};
@@ -349,12 +349,6 @@ impl StagePredictor {
     /// accounting — read access for health loops and reports).
     pub fn drift(&self) -> &DriftSentinel {
         &self.drift
-    }
-
-    /// Replaces the drift/calibration tuning, keeping accumulated state
-    /// (benches and soak harnesses sharpen the detector for short runs).
-    pub fn set_drift_config(&mut self, config: DriftConfig) {
-        self.drift.set_config(config);
     }
 
     /// Whether the drift detector has fired since the last retrain — the

@@ -3,26 +3,27 @@
 //! The workspace declares one total order over its named locks:
 //!
 //! ```text
-//! registry (0)  →  shard (1)  →  queue (2)  →  session (3)
+//! shard (0)  →  session (1)
 //! ```
 //!
 //! A thread may only acquire locks in non-decreasing rank order; taking a
 //! lower-ranked lock while a higher-ranked one is held is the classic
-//! deadlock recipe (thread A holds queue wanting shard, thread B holds
-//! shard wanting queue). [`OrderedMutex`] and [`OrderedRwLock`] wrap the
+//! deadlock recipe (thread A holds session wanting shard, thread B holds
+//! shard wanting session). [`OrderedMutex`] and [`OrderedRwLock`] wrap the
 //! std primitives and, **in debug builds**, keep a per-thread stack of held
 //! ranks and panic — naming both locks — the instant an out-of-order
 //! acquisition happens, whether or not it would have deadlocked this run.
 //! Release builds compile the bookkeeping out entirely; the wrappers add
 //! zero overhead there.
 //!
-//! `stage-lint`'s `lock-order` rule checks the same order lexically over
-//! nested guard scopes, so both layers agree on the single source of truth:
-//! the rank constants below. Poisoning is deliberately swallowed
-//! (`PoisonError::into_inner`): every guarded value in this workspace is a
-//! predictor/bookkeeping structure whose partially-updated state is still
-//! structurally valid (at worst a stale model), and a panic-freedom lint
-//! guards the paths that mutate them.
+//! The one nesting the workspace has is `shard → session`: the chaos
+//! plan's counters are consulted under a shard lock. The inverse — holding
+//! the checkpoint gate across a call that takes shard locks — is the
+//! inversion this detector exists to catch. Poisoning is deliberately
+//! swallowed (`PoisonError::into_inner`): every guarded value in this
+//! workspace is a predictor/bookkeeping structure whose partially-updated
+//! state is still structurally valid (at worst a stale model), and a
+//! panic-freedom lint guards the paths that mutate them.
 
 use std::cell::RefCell;
 use std::sync::{
@@ -41,30 +42,20 @@ pub struct LockRank {
     pub name: &'static str,
 }
 
-/// The shard-table lock of a serving registry.
-pub const RANK_REGISTRY: LockRank = LockRank {
-    rank: 0,
-    name: "registry",
-};
 /// One instance's predictor shard.
 pub const RANK_SHARD: LockRank = LockRank {
-    rank: 1,
+    rank: 0,
     name: "shard",
 };
-/// A worker's bounded admission queue.
-pub const RANK_QUEUE: LockRank = LockRank {
-    rank: 2,
-    name: "queue",
-};
-/// Per-process session bookkeeping (connection tables, checkpoint gate).
+/// Per-process session bookkeeping (checkpoint gate, fault-plan counters).
 pub const RANK_SESSION: LockRank = LockRank {
-    rank: 3,
+    rank: 1,
     name: "session",
 };
 
 /// Human-readable rendering of the declared order, for panic messages and
 /// docs.
-pub const DECLARED_ORDER: &str = "registry(0) -> shard(1) -> queue(2) -> session(3)";
+pub const DECLARED_ORDER: &str = "shard(0) -> session(1)";
 
 thread_local! {
     /// Ranks of locks currently held by this thread (debug builds only).
@@ -166,7 +157,7 @@ impl<T> std::ops::Deref for OrderedMutexGuard<'_, T> {
     fn deref(&self) -> &T {
         match &self.inner {
             Some(g) => g,
-            // lint:allow(no-panic): the Option is vacated only inside wait(), which consumes the guard
+            // lint:allow(no-panic): the Option is vacated only inside wait_timeout(), which consumes the guard
             None => unreachable!("guard vacated outside a condvar wait"),
         }
     }
@@ -176,7 +167,7 @@ impl<T> std::ops::DerefMut for OrderedMutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         match &mut self.inner {
             Some(g) => g,
-            // lint:allow(no-panic): the Option is vacated only inside wait(), which consumes the guard
+            // lint:allow(no-panic): the Option is vacated only inside wait_timeout(), which consumes the guard
             None => unreachable!("guard vacated outside a condvar wait"),
         }
     }
@@ -190,25 +181,9 @@ impl<T> Drop for OrderedMutexGuard<'_, T> {
     }
 }
 
-/// Releases `guard` into `cv.wait`, restoring the rank bookkeeping when the
-/// thread wakes and re-acquires. Use exactly like
-/// `guard = sync::wait(&cv, guard)`.
-pub fn wait<'a, T>(cv: &Condvar, mut guard: OrderedMutexGuard<'a, T>) -> OrderedMutexGuard<'a, T> {
-    let rank = guard.rank;
-    let Some(inner) = guard.inner.take() else {
-        // lint:allow(no-panic): the Option is vacated only inside wait(), which consumes the guard
-        unreachable!("guard vacated outside a condvar wait");
-    };
-    track_release(rank);
-    let inner = cv.wait(inner).unwrap_or_else(PoisonError::into_inner);
-    track_acquire(rank);
-    OrderedMutexGuard {
-        inner: Some(inner),
-        rank,
-    }
-}
-
-/// Timed variant of [`wait`].
+/// Releases `guard` into `cv.wait_timeout`, restoring the rank bookkeeping
+/// when the thread wakes and re-acquires. Use exactly like
+/// `(guard, _) = sync::wait_timeout(&cv, guard, dur)`.
 pub fn wait_timeout<'a, T>(
     cv: &Condvar,
     mut guard: OrderedMutexGuard<'a, T>,
@@ -216,7 +191,7 @@ pub fn wait_timeout<'a, T>(
 ) -> (OrderedMutexGuard<'a, T>, WaitTimeoutResult) {
     let rank = guard.rank;
     let Some(inner) = guard.inner.take() else {
-        // lint:allow(no-panic): the Option is vacated only inside wait(), which consumes the guard
+        // lint:allow(no-panic): the Option is vacated only inside wait_timeout(), which consumes the guard
         unreachable!("guard vacated outside a condvar wait");
     };
     track_release(rank);
@@ -333,8 +308,8 @@ impl<T> Drop for OrderedRwLockWriteGuard<'_, T> {
 // The wrappers must be as thread-capable as the primitives they replace.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<OrderedMutex<Vec<u8>>>();
-    assert_send_sync::<OrderedRwLock<Vec<u8>>>();
+    assert_send_sync::<OrderedMutex<u64>>();
+    assert_send_sync::<OrderedRwLock<u64>>();
 };
 
 #[cfg(test)]
@@ -344,18 +319,15 @@ mod tests {
 
     #[test]
     fn in_order_nesting_is_fine() {
-        let registry = OrderedRwLock::new(RANK_REGISTRY, vec![1u32]);
         let shard = OrderedRwLock::new(RANK_SHARD, 7u32);
-        let queue = OrderedMutex::new(RANK_QUEUE, Vec::<u32>::new());
-        let r = registry.read();
+        let session = OrderedMutex::new(RANK_SESSION, Vec::<u32>::new());
         let mut s = shard.write();
-        *s += r[0];
-        let mut q = queue.lock();
+        *s += 1;
+        let mut q = session.lock();
         q.push(*s);
         assert_eq!(q.as_slice(), &[8]);
         drop(q);
         drop(s);
-        drop(r);
         assert!(held_ranks().is_empty(), "all held entries released");
     }
 
@@ -370,23 +342,25 @@ mod tests {
 
     #[test]
     fn sequential_reacquisition_after_release_is_fine() {
+        let session = OrderedMutex::new(RANK_SESSION, 0u32);
         let shard = OrderedRwLock::new(RANK_SHARD, 0u32);
-        let registry = OrderedRwLock::new(RANK_REGISTRY, 0u32);
         {
-            let _s = shard.write();
+            let _g = session.lock();
         }
-        // The shard guard is gone; going back down to registry is legal.
-        let _r = registry.read();
+        // The session guard is gone; going back down to shard is legal.
+        let _s = shard.read();
     }
 
+    /// The one cross-rank inversion the workspace can express: hold the
+    /// session-rank checkpoint gate, then take a shard lock.
     #[cfg(debug_assertions)]
     #[test]
     fn inverted_acquisition_panics_with_both_lock_names() {
-        let queue = Arc::new(OrderedMutex::new(RANK_QUEUE, ()));
+        let session = Arc::new(OrderedMutex::new(RANK_SESSION, ()));
         let shard = Arc::new(OrderedRwLock::new(RANK_SHARD, ()));
         let handle = std::thread::spawn(move || {
-            let _q = queue.lock();
-            let _s = shard.write(); // queue(2) held while acquiring shard(1): boom
+            let _g = session.lock();
+            let _s = shard.write(); // session(1) held while acquiring shard(0): boom
         });
         let panic = handle
             .join()
@@ -396,7 +370,7 @@ mod tests {
             .cloned()
             .unwrap_or_else(|| "<non-string panic>".to_string());
         assert!(
-            message.contains("\"shard\"") && message.contains("\"queue\""),
+            message.contains("\"shard\"") && message.contains("\"session\""),
             "panic must name both locks: {message}"
         );
         assert!(
@@ -408,22 +382,22 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn condvar_wait_releases_the_held_rank() {
-        // While a consumer waits on the queue condvar it holds nothing, so
-        // another acquisition (even lower-ranked) on that thread after the
-        // wait returns must still see correct bookkeeping.
-        let queue = Arc::new(OrderedMutex::new(RANK_QUEUE, false));
+        // While a waiter is parked on the gate's condvar it holds nothing,
+        // so another acquisition (even lower-ranked) on that thread after
+        // the wait returns must still see correct bookkeeping.
+        let gate = Arc::new(OrderedMutex::new(RANK_SESSION, false));
         let cv = Arc::new(Condvar::new());
-        let (q2, cv2) = (Arc::clone(&queue), Arc::clone(&cv));
+        let (g2, cv2) = (Arc::clone(&gate), Arc::clone(&cv));
         let waiter = std::thread::spawn(move || {
-            let mut g = q2.lock();
+            let mut g = g2.lock();
             while !*g {
-                g = wait(&cv2, g);
+                (g, _) = wait_timeout(&cv2, g, Duration::from_secs(5));
             }
             drop(g);
             held_ranks().is_empty()
         });
         std::thread::sleep(Duration::from_millis(20));
-        *queue.lock() = true;
+        *gate.lock() = true;
         cv.notify_all();
         assert!(waiter.join().expect("waiter panicked"));
     }

@@ -5,8 +5,6 @@
 //!   unsuppressed panic construct, and via which shortest path;
 //! - `block_reach`: same for blocking calls (sleep / condvar / recv /
 //!   accept / join);
-//! - `min_rank`: the lowest lock rank this fn (transitively) acquires,
-//!   for held-across-call ordering checks;
 //! - `producer` / `sanitizer`: taint classification for
 //!   `bounds-before-alloc` (a producer returns data derived from raw
 //!   wire/store bytes; a sanitizer is a producer that bounds-checks
@@ -43,16 +41,6 @@ pub struct Reach {
     pub depth: u32,
 }
 
-/// Transitive minimum lock rank with its acquisition path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RankReach {
-    pub rank: u8,
-    pub lock: String,
-    pub via: Option<FnId>,
-    pub file: usize,
-    pub line: usize,
-}
-
 /// The materialized graph. Lifetimes are avoided by indexing into the
 /// caller-owned summary slice.
 pub struct Graph<'a> {
@@ -70,7 +58,6 @@ pub struct Graph<'a> {
     vis_sets: Vec<HashSet<&'a str>>,
     panic_reach: Vec<Option<Reach>>,
     block_reach: Vec<Option<Reach>>,
-    min_rank: Vec<Option<RankReach>>,
     producer: Vec<bool>,
     sanitizer: Vec<bool>,
 }
@@ -110,7 +97,6 @@ impl<'a> Graph<'a> {
                 .collect(),
             panic_reach: Vec::new(),
             block_reach: Vec::new(),
-            min_rank: Vec::new(),
             producer: Vec::new(),
             sanitizer: Vec::new(),
         };
@@ -155,7 +141,6 @@ impl<'a> Graph<'a> {
             .collect();
         g.panic_reach = g.propagate(|def| def.panics.first().map(|s| (s.line, s.what.clone())));
         g.block_reach = g.propagate(|def| def.blocking.first().map(|s| (s.line, s.what.clone())));
-        g.min_rank = g.propagate_rank();
         g.classify_taint();
         g
     }
@@ -239,10 +224,6 @@ impl<'a> Graph<'a> {
         self.block_reach[fid].as_ref()
     }
 
-    pub fn min_rank(&self, fid: FnId) -> Option<&RankReach> {
-        self.min_rank[fid].as_ref()
-    }
-
     /// Taint-producing call names (workspace fns returning raw-derived
     /// data without a bounds check), for `bounds-before-alloc`.
     pub fn producer_names(&self) -> HashSet<&'a str> {
@@ -309,53 +290,6 @@ impl<'a> Graph<'a> {
             }
         }
         reach
-    }
-
-    /// Fixpoint for the transitive minimum acquired lock rank. Monotone
-    /// (ranks only decrease), so a simple sweep-until-stable terminates;
-    /// sweeps go in fn-index order for determinism.
-    fn propagate_rank(&self) -> Vec<Option<RankReach>> {
-        let n = self.fns.len();
-        let mut rank: Vec<Option<RankReach>> = vec![None; n];
-        for (fid, slot) in rank.iter_mut().enumerate() {
-            if let Some(a) = self.def(fid).acquires.iter().min_by_key(|a| a.rank) {
-                *slot = Some(RankReach {
-                    rank: a.rank,
-                    lock: a.lock.clone(),
-                    via: None,
-                    file: self.file_of(fid),
-                    line: a.line,
-                });
-            }
-        }
-        loop {
-            let mut changed = false;
-            for fid in 0..n {
-                for &callee in &self.edges[fid] {
-                    let Some(cr) = rank[callee].clone() else {
-                        continue;
-                    };
-                    let better = match &rank[fid] {
-                        None => true,
-                        Some(own) => cr.rank < own.rank,
-                    };
-                    if better {
-                        rank[fid] = Some(RankReach {
-                            rank: cr.rank,
-                            lock: cr.lock,
-                            via: Some(callee),
-                            file: cr.file,
-                            line: cr.line,
-                        });
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        rank
     }
 
     /// Fixpoint for taint producers: a fn produces taint when it decodes
@@ -518,24 +452,6 @@ mod tests {
             g.panic_reach(top).is_none(),
             "2-arg Cache::get must not match 1-arg .get()"
         );
-    }
-
-    #[test]
-    fn min_rank_propagates_through_calls() {
-        let sums = files(&[
-            (
-                "a.rs",
-                "impl S { fn inner(&self) { let g = self.registry.lock(); } }\n",
-            ),
-            ("b.rs", "impl S { fn outer(&self) { self.inner(); } }\n"),
-        ]);
-        let g = Graph::build(&sums);
-        let outer = (0..g.fns.len())
-            .find(|&f| g.def(f).name == "outer")
-            .unwrap();
-        let r = g.min_rank(outer).expect("outer transitively locks");
-        assert_eq!(r.rank, 0);
-        assert_eq!(r.lock, "registry");
     }
 
     #[test]

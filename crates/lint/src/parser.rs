@@ -1,9 +1,8 @@
 //! A token-tree view of one lexed source file: `fn` items (with their
 //! `impl` container and arity), the call sites inside each body, and the
 //! rule-relevant facts the interprocedural passes consume — explicit panic
-//! sites, blocking calls, lock acquisitions with the rank held at each
-//! call site, and the taint events (`let` bindings, bounds guards,
-//! allocation sinks) that `bounds-before-alloc` replays.
+//! sites, blocking calls, and the taint events (`let` bindings, bounds
+//! guards, allocation sinks) that `bounds-before-alloc` replays.
 //!
 //! The output, [`FileSummary`], is deliberately self-contained and flat:
 //! the whole-workspace passes in [`crate::graph`] run on summaries alone,
@@ -15,7 +14,7 @@
 //! DESIGN.md §14; they are all chosen so that *missing* structure degrades
 //! toward fewer edges (unsound, documented) rather than phantom findings.
 
-use crate::rules::{self, lock_order};
+use crate::rules;
 use crate::source::SourceFile;
 
 /// Everything the workspace passes need to know about one file.
@@ -80,8 +79,6 @@ pub struct FnDef {
     pub panics: Vec<Site>,
     /// Calls that block the current thread (see [`BLOCKING_CALLS`]).
     pub blocking: Vec<Site>,
-    /// Direct lock acquisitions, by rank.
-    pub acquires: Vec<AcquireSite>,
     /// Ordered taint events for `bounds-before-alloc`.
     pub taint: Vec<TaintEvent>,
     /// Body mentions `from_le_bytes`-style raw decoding (taint source).
@@ -95,14 +92,6 @@ pub struct FnDef {
 pub struct Site {
     pub line: usize,
     pub what: String,
-}
-
-/// A direct lock acquisition.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AcquireSite {
-    pub rank: u8,
-    pub lock: String,
-    pub line: usize,
 }
 
 /// One call site inside a function body.
@@ -119,12 +108,6 @@ pub struct CallSite {
     pub method: bool,
     /// Argument count (top-level commas; `self` not included).
     pub argc: usize,
-    /// Highest lock rank held at this call site (`-1` = none). Includes
-    /// guards acquired earlier on the same line (over-approximate).
-    pub held_rank: i8,
-    /// Name of the worst held lock and the line it was acquired on.
-    pub held_lock: String,
-    pub held_line: usize,
 }
 
 /// Taint events, replayed in line order by `bounds-before-alloc`.
@@ -270,7 +253,6 @@ pub fn summarize(file: &SourceFile, rel: &str) -> FileSummary {
     for f in crate::rules::no_panic::check(file)
         .into_iter()
         .chain(crate::rules::determinism::check(file))
-        .chain(crate::rules::lock_order::check(file))
         .chain(crate::rules::unsafe_seam::check(file))
     {
         direct.push((f.rule.to_string(), f.line, f.message));
@@ -684,9 +666,6 @@ fn scan_body(
                     qual,
                     method,
                     argc,
-                    held_rank: -1,
-                    held_lock: String::new(),
-                    held_line: 0,
                 });
             }
         }
@@ -973,8 +952,7 @@ fn parse_vec_repeat(toks: &[Tok], at: usize, hi: usize) -> Option<TaintEvent> {
 }
 
 /// Fills in line-anchored facts that are easier to read off the lexed
-/// lines than the token stream: explicit panic sites, direct lock
-/// acquisitions, and the lock rank held at each call site.
+/// lines than the token stream: explicit panic sites.
 fn attach_line_facts(file: &SourceFile, def: &mut FnDef) {
     for (line, what) in rules::no_panic::explicit_panics(file, def.start, def.end) {
         if !file.allowed(rules::RULE_NO_PANIC, line) {
@@ -986,15 +964,6 @@ fn attach_line_facts(file: &SourceFile, def: &mut FnDef) {
     // for the callers of this fn.
     def.blocking
         .retain(|s| !file.allowed(rules::RULE_BLOCKING, s.line));
-    let (acquires, held) = lock_order::replay_held(file, def.start, def.end);
-    def.acquires = acquires;
-    for call in &mut def.calls {
-        if let Some((rank, lock, at)) = held.get(&call.line) {
-            call.held_rank = *rank as i8;
-            call.held_lock = lock.clone();
-            call.held_line = *at;
-        }
-    }
     def.taint.sort_by_key(|e| match e {
         TaintEvent::Let { line, .. }
         | TaintEvent::Guard { line, .. }
@@ -1131,23 +1100,6 @@ mod tests {
         assert_eq!(inner.argc, 1);
         let t = s.fns.iter().find(|f| f.name == "t").unwrap();
         assert!(t.in_test);
-    }
-
-    #[test]
-    fn held_rank_recorded_at_call_sites() {
-        let s = summarize_src(
-            "fn go(&self) {\n\
-                 let g = self.queue.lock();\n\
-                 helper();\n\
-                 drop(g);\n\
-                 after();\n\
-             }\n",
-        );
-        let f = &s.fns[0];
-        let helper = f.calls.iter().find(|c| c.name == "helper").unwrap();
-        assert_eq!(helper.held_rank, 2);
-        let after = f.calls.iter().find(|c| c.name == "after").unwrap();
-        assert_eq!(after.held_rank, -1);
     }
 
     #[test]

@@ -7,19 +7,15 @@
 
 pub mod bounds_alloc;
 pub mod determinism;
-pub mod lock_order;
 pub mod no_blocking;
 pub mod no_panic;
 pub mod protocol;
 pub mod unsafe_seam;
 
-/// Stable rule identifiers (used in findings, pragmas, and the JSON
-/// report).
+/// Stable rule identifiers (used in findings and pragmas).
 pub const RULE_NO_PANIC: &str = "no-panic";
 /// See [`determinism`].
 pub const RULE_DETERMINISM: &str = "no-nondeterminism";
-/// See [`lock_order`].
-pub const RULE_LOCK_ORDER: &str = "lock-order";
 /// See [`protocol`].
 pub const RULE_PROTOCOL: &str = "protocol-exhaustive";
 /// See [`unsafe_seam`].
@@ -30,6 +26,17 @@ pub const RULE_BOUNDS: &str = "bounds-before-alloc";
 pub const RULE_BLOCKING: &str = "no-blocking-in-evloop";
 /// Malformed `lint:allow` pragmas (never suppressible).
 pub const RULE_PRAGMA: &str = "pragma";
+
+/// Every invariant rule the workspace pass runs ([`RULE_PRAGMA`] polices
+/// the suppression syntax itself and is not one of them).
+pub const RULES: [&str; 6] = [
+    RULE_NO_PANIC,
+    RULE_DETERMINISM,
+    RULE_PROTOCOL,
+    RULE_UNSAFE,
+    RULE_BOUNDS,
+    RULE_BLOCKING,
+];
 
 /// Splits `code` into identifier-ish words with their byte offsets.
 pub(crate) fn idents(code: &str) -> Vec<(usize, &str)> {

@@ -9,8 +9,8 @@
 //! Deliberately *not* banned: socket writes (`write_all` — the drain
 //! flush flips a connection to blocking with a bounded timeout by
 //! design), `connect` (shutdown self-wake), and `lock()` (in-loop shard
-//! dispatch holds ordered locks by design; the `lock-order` rule guards
-//! those). See DESIGN.md §14.
+//! dispatch holds ordered locks by design; the debug-build rank detector
+//! in `stage_core::sync` guards those). See DESIGN.md §14.
 
 use std::collections::HashSet;
 use std::path::Path;

@@ -642,7 +642,7 @@ mod tests {
         assert!(f.allowed("no-panic", 2), "own-line pragma covers next line");
         assert!(f.allowed("no-panic", 3), "trailing pragma covers its line");
         assert!(!f.allowed("no-panic", 4), "empty reason is not a pragma");
-        assert!(!f.allowed("lock-order", 2), "rule ids must match");
+        assert!(!f.allowed("unsafe-seam", 2), "rule ids must match");
         assert_eq!(f.malformed_pragmas(), vec![4]);
         assert_eq!(f.pragmas().len(), 2);
     }

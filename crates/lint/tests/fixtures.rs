@@ -66,28 +66,6 @@ fn determinism_clean_fixture_is_silent() {
 }
 
 #[test]
-fn lock_order_violation_fixture_lines() {
-    let findings = run(rules::lock_order::check, "lock_order_violation.rs");
-    assert_eq!(
-        lines_of(&findings, "lock-order"),
-        vec![5, 9],
-        "shard-under-queue and registry-under-shard: {findings:#?}"
-    );
-    assert!(
-        findings[0].message.contains("\"shard\" (rank 1)")
-            && findings[0].message.contains("\"queue\" (rank 2)"),
-        "message names both locks and ranks: {}",
-        findings[0].message
-    );
-}
-
-#[test]
-fn lock_order_clean_fixture_is_silent() {
-    let findings = run(rules::lock_order::check, "lock_order_clean.rs");
-    assert!(findings.is_empty(), "clean fixture flagged: {findings:#?}");
-}
-
-#[test]
 fn unsafe_seam_violation_fixture_lines() {
     let findings = run(rules::unsafe_seam::check, "unsafe_seam_violation.rs");
     assert_eq!(

@@ -35,8 +35,7 @@ fn main() -> ExitCode {
                 i += 1;
                 config.n_instances = parse(&args, i, "--instances");
             }
-            // `--workers` is the pre-event-loop spelling, kept as an alias.
-            "--loops" | "--workers" => {
+            "--loops" => {
                 i += 1;
                 config.n_loops = parse(&args, i, "--loops");
             }

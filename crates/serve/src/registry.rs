@@ -3,18 +3,16 @@
 //! other — the serving-layer analogue of the shard-parallel replay engine's
 //! "an instance owns its predictors" invariant.
 //!
-//! The registry is a two-level locked structure on the declared workspace
-//! lock order: the shard *table* sits behind a rank-0 `registry` lock
-//! (today it only grows at boot, but the rank-0 slot is what lets a future
-//! dynamic-membership PR add/remove instances without re-deriving the
-//! hierarchy), and each shard behind its own rank-1 `shard` lock. Every
-//! request therefore exercises the debug-build lock-order detector on the
-//! canonical `registry → shard` nesting.
+//! The shard *table* is fixed by [`ShardRegistry::new`] and never changes
+//! afterwards (the set of instances a process serves is decided when it
+//! starts), so it is shared without a lock: nothing can mutate it through
+//! `&self`. Each shard sits behind its own `shard`-rank lock, the only lock
+//! a Predict / PredictBatch / Observe takes.
 
 use stage_core::global::GlobalModel;
 use stage_core::persist::{PersistFaults, RestoreError};
 use stage_core::storefmt;
-use stage_core::sync::{OrderedRwLock, RANK_REGISTRY, RANK_SHARD};
+use stage_core::sync::{OrderedRwLock, RANK_SHARD};
 use stage_core::{
     ComponentFaults, ExecTimePredictor, Prediction, StageConfig, StagePredictor, SystemContext,
 };
@@ -171,7 +169,8 @@ pub struct RestoreSummary {
 
 /// All shards of one server process, indexed by instance id.
 pub struct ShardRegistry {
-    shards: OrderedRwLock<Vec<OrderedRwLock<Shard>>>,
+    /// Fixed at construction: no `&self` path mutates the table.
+    shards: Vec<OrderedRwLock<Shard>>,
     /// Snapshot I/O fault hook (chaos testing; `None` in production).
     persist_faults: Option<Arc<dyn PersistFaults>>,
 }
@@ -180,7 +179,7 @@ impl ShardRegistry {
     /// Creates `n_instances` cold predictors with per-instance seed salts
     /// (instance id, matching the replay engine's convention).
     pub fn new(n_instances: u32, config: StageConfig) -> Self {
-        let table = (0..n_instances)
+        let shards = (0..n_instances)
             .map(|id| {
                 let mut p = StagePredictor::new(config);
                 p.set_instance_salt(u64::from(id));
@@ -188,7 +187,7 @@ impl ShardRegistry {
             })
             .collect();
         Self {
-            shards: OrderedRwLock::new(RANK_REGISTRY, table),
+            shards,
             persist_faults: None,
         }
     }
@@ -196,8 +195,7 @@ impl ShardRegistry {
     /// Installs a component-level fault oracle on every shard's predictor
     /// (chaos testing; production never calls this).
     pub fn set_component_faults(&self, faults: Arc<dyn ComponentFaults>) {
-        let shards = self.shards.read();
-        for shard in shards.iter() {
+        for shard in &self.shards {
             shard
                 .write()
                 .predictor
@@ -214,7 +212,7 @@ impl ShardRegistry {
 
     /// Number of shards.
     pub fn len(&self) -> usize {
-        self.shards.read().len()
+        self.shards.len()
     }
 
     /// Whether the registry has no shards.
@@ -227,20 +225,18 @@ impl ShardRegistry {
         (id as usize) < self.len()
     }
 
-    /// Runs `f` under instance `id`'s shard read lock (nested inside the
-    /// registry read lock), or returns `None` for an unknown id.
+    /// Runs `f` under instance `id`'s shard read lock, or returns `None`
+    /// for an unknown id.
     pub fn with_shard_read<R>(&self, id: u32, f: impl FnOnce(&Shard) -> R) -> Option<R> {
-        let shards = self.shards.read();
-        let shard = shards.get(id as usize)?;
+        let shard = self.shards.get(id as usize)?;
         let result = f(&shard.read());
         Some(result)
     }
 
-    /// Runs `f` under instance `id`'s shard write lock (nested inside the
-    /// registry read lock), or returns `None` for an unknown id.
+    /// Runs `f` under instance `id`'s shard write lock, or returns `None`
+    /// for an unknown id.
     pub fn with_shard_write<R>(&self, id: u32, f: impl FnOnce(&mut Shard) -> R) -> Option<R> {
-        let shards = self.shards.read();
-        let shard = shards.get(id as usize)?;
+        let shard = self.shards.get(id as usize)?;
         let result = f(&mut shard.write());
         Some(result)
     }
@@ -253,8 +249,7 @@ impl ShardRegistry {
     /// a writer.
     pub fn poll_drift(&self) -> u32 {
         let mut retrained = 0;
-        let shards = self.shards.read();
-        for shard in shards.iter() {
+        for shard in &self.shards {
             let latched = shard.read().predictor.drift_detected();
             if latched && shard.write().force_retrain_if_drifted() {
                 retrained += 1;
@@ -279,8 +274,7 @@ impl ShardRegistry {
     pub fn save_snapshots(&self, dir: &Path) -> io::Result<SaveSummary> {
         std::fs::create_dir_all(dir)?;
         let mut summary = SaveSummary::default();
-        let shards = self.shards.read();
-        for (id, shard) in shards.iter().enumerate() {
+        for (id, shard) in self.shards.iter().enumerate() {
             let path = Self::snapshot_path(dir, id as u32);
             let (revision, snapshot) = {
                 let guard = shard.read();
@@ -317,8 +311,7 @@ impl ShardRegistry {
     /// and never crash-looping on a rotten file.
     pub fn load_snapshots(&self, dir: &Path) -> RestoreSummary {
         let mut summary = RestoreSummary::default();
-        let shards = self.shards.read();
-        for (id, shard) in shards.iter().enumerate() {
+        for (id, shard) in self.shards.iter().enumerate() {
             let id = id as u32;
             let faults = self.persist_faults.as_deref();
             match storefmt::load_stage_store(&Self::snapshot_path(dir, id), faults) {
@@ -343,8 +336,7 @@ impl ShardRegistry {
     /// fleet-wide model hot-swap: the artefact is parsed once and shared
     /// by every instance's routing, not copied per shard.
     pub fn set_global(&self, model: Arc<GlobalModel>) {
-        let shards = self.shards.read();
-        for shard in shards.iter() {
+        for shard in &self.shards {
             shard.write().predictor.set_global(Arc::clone(&model));
         }
     }
@@ -394,6 +386,20 @@ mod tests {
         assert!(!reg.contains(2));
         assert_eq!(reg.len(), 2);
         assert!(!reg.is_empty());
+    }
+
+    /// The shard lock is the only lock a verb takes: the table is immutable
+    /// after `new`, so reaching a shard acquires nothing.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_shard_verb_holds_exactly_one_lock() {
+        use stage_core::sync::held_ranks;
+        let reg = ShardRegistry::new(1, StageConfig::default());
+        let in_write = reg.with_shard_write(0, |_| held_ranks()).unwrap();
+        assert_eq!(in_write, [RANK_SHARD]);
+        let in_read = reg.with_shard_read(0, |_| held_ranks()).unwrap();
+        assert_eq!(in_read, [RANK_SHARD]);
+        assert!(held_ranks().is_empty());
     }
 
     #[test]

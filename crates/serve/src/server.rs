@@ -43,8 +43,11 @@
 //! This file is inside `stage-lint`'s panic-freedom scope: the request
 //! path must never `unwrap`/`expect`/`panic!` — malformed input, unknown
 //! instances, and resource exhaustion all map to protocol errors or
-//! `io::Result`s. All locks are `stage_core::sync` ordered locks, so the
-//! debug-build lock-order detector runs on every request.
+//! `io::Result`s. All locks are `stage_core::sync` ordered locks: a verb
+//! takes its shard's lock (under chaos, the fault plan's session-rank
+//! counters nest inside it), the health thread parks on the session-rank
+//! checkpoint gate, and the debug-build lock-order detector runs on every
+//! acquisition.
 
 use crate::evloop::{poll_fds, PollFd, Waker, POLLIN, POLLOUT};
 use crate::protocol::{write_message_buffered, BatchPrediction, Request, Response};
@@ -938,7 +941,7 @@ impl Server {
                             let guard = gate.lock();
                             // The returned guard is dropped immediately so
                             // no session-rank lock is held while the
-                            // checkpoint takes registry/shard locks below.
+                            // checkpoint takes shard locks below.
                             let _ = sync::wait_timeout(cv, guard, tick);
                             if shared.shutting_down.load(Ordering::SeqCst) {
                                 // The final checkpoint runs in `join` after

@@ -25,9 +25,7 @@
 //!   scaling clusters).
 
 pub mod sim;
-pub mod sizing;
 pub mod stats;
 
 pub use sim::{QueueKind, SimQuery, SimResult, Simulation, WlmConfig, WlmSummary};
-pub use sizing::{choose_cluster_size, SizingCandidate, SizingDecision, SizingPolicy};
 pub use stats::{queue_depth_timeline, queue_stats, QueueStats};
