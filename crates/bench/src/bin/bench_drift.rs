@@ -9,8 +9,9 @@
 //!
 //! - **detection latency** — post-shift queries until the sentinel
 //!   latches (the paper's step-change scenario, §5.3);
-//! - **pre/post-retrain error** — mean `|log1p error|` between shift and
-//!   forced retrain vs the recovery tail after it;
+//! - **pre/post-retrain error** — mean `|log1p error|` between the shift
+//!   and the retrain (every plan is fresh, so the observe that latches is
+//!   the pool add that retrains) vs the recovery tail after it;
 //! - **empirical coverage vs nominal** — client-measured coverage of the
 //!   calibrated intervals over the recovery tail, against the
 //!   `target_coverage` the calibrator promises;
@@ -44,7 +45,7 @@ use std::process::ExitCode;
 const STEADY: usize = 80;
 /// Post-shift query budget for detection.
 const DETECT_BUDGET: usize = 240;
-/// Recovery-tail queries after the forced retrain.
+/// Recovery-tail queries after the drift retrain.
 const RECOVERY: usize = 120;
 
 struct Args {
@@ -65,7 +66,7 @@ struct ShardOutcome {
     /// query window the shifted arm is judged on (the shard's error
     /// floor).
     steady_log_err: f64,
-    /// Mean |log1p error| between the shift and the forced retrain.
+    /// Mean |log1p error| between the shift and the drift retrain.
     pre_retrain_log_err: f64,
     /// Mean |log1p error| over the recovery tail.
     post_retrain_log_err: f64,
@@ -143,7 +144,7 @@ fn workload(seed: u64, instance: u32) -> InstanceWorkload {
     )
 }
 
-/// Drives one shard through steady → shift → detect → forced retrain →
+/// Drives one shard through steady → shift → detect-and-retrain →
 /// recovery, plus the unshifted control arm.
 fn run_shard(seed: u64, instance: u32, factor: f64) -> ShardOutcome {
     let wl = workload(seed, instance);
@@ -178,7 +179,7 @@ fn run_shard(seed: u64, instance: u32, factor: f64) -> ShardOutcome {
         s.observe(&event.plan, &sys, event.true_exec_secs);
     }
 
-    // Shifted until detection (or the budget runs out).
+    // Shifted until detection, which retrains (or the budget runs out).
     let mut pre_errs: Vec<f64> = Vec::new();
     let mut latency = DETECT_BUDGET as u64;
     let mut detected = false;
@@ -188,16 +189,11 @@ fn run_shard(seed: u64, instance: u32, factor: f64) -> ShardOutcome {
         let p = s.predict(&event.plan, &sys);
         pre_errs.push(log_err(p.exec_secs, actual));
         s.observe(&event.plan, &sys, actual);
-        if s.drift_detected() {
+        if s.drift().detections() > 0 {
             detected = true;
             latency = (i + 1) as u64;
             break;
         }
-    }
-
-    // The health loop's move, taken inline: force the out-of-band retrain.
-    if detected {
-        s.force_retrain();
     }
 
     // Recovery tail: error and client-measured interval coverage.

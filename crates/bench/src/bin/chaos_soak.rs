@@ -21,7 +21,7 @@
 //! 6. `step_change` — the `WorkloadShift` site fires exactly once in the
 //!    load driver, multiplying every true execution time from then on;
 //!    every shard's drift sentinel must latch within the detection budget,
-//!    the health loop must force an out-of-band retrain that recovers the
+//!    every latched shard must retrain on its next pool add and recover the
 //!    error, and the served calibrated intervals must keep their target
 //!    coverage through the whole episode.
 //!
@@ -98,7 +98,7 @@ struct PhaseReport {
     /// Step-change phase only (zero elsewhere): drift detections across
     /// all shards.
     drift_detections: u64,
-    /// Step-change phase only: forced out-of-band retrains across shards.
+    /// Step-change phase only: latch-driven retrains across shards.
     forced_retrains: u64,
     /// Step-change phase only: post-shift observes per shard before every
     /// sentinel had latched (upper bound; driven in chunks).
@@ -306,7 +306,7 @@ const STEADY_ROUNDS: u64 = 80;
 const DETECT_CHUNK: u64 = 20;
 const DETECT_CHUNKS_MAX: u64 = 12;
 
-/// Recovery rounds per instance after the forced retrain landed.
+/// Recovery rounds per instance after every sentinel has latched.
 const RECOVERY_ROUNDS: u64 = 80;
 
 /// Builds the escalating fault plan for one phase. Caps scale with the
@@ -705,8 +705,8 @@ fn drift_sweep(client: &mut ServeClient, instances: u32) -> std::io::Result<Drif
 /// The step-change phase: steady traffic, then a driver-side workload
 /// shift (`SHIFT_FACTOR`× every true execution time); the server must
 /// notice (drift sentinel latches on every shard within the detection
-/// budget), recover (the health loop forces an out-of-band retrain that
-/// pulls the log error back down), and keep honest uncertainty (client-
+/// budget), recover (each latched shard retrains on its next pool add,
+/// which pulls the log error back down), and keep honest uncertainty (client-
 /// measured interval coverage in the recovery tail stays within two
 /// points of the nominal 90%).
 fn run_step_change(args: &Args) -> std::io::Result<PhaseReport> {
@@ -754,7 +754,7 @@ fn run_step_change(args: &Args) -> std::io::Result<PhaseReport> {
     let mut round = 0u64;
 
     // Stage A: steady traffic. The sentinel must stay quiet — a false
-    // positive here would mean spurious forced retrains in production.
+    // positive here would mean spurious retrains in production.
     for _ in 0..STEADY_ROUNDS {
         if plan.decide(FaultSite::WorkloadShift).is_some() {
             mult = SHIFT_FACTOR;
@@ -805,25 +805,9 @@ fn run_step_change(args: &Args) -> std::io::Result<PhaseReport> {
         )));
     }
 
-    // Stage C: the health loop (200ms tick without a snapshot cadence)
-    // must force an out-of-band retrain on every drifted shard.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let sweep = drift_sweep(&mut client, args.instances)?;
-        if sweep.shards_retrained == args.instances {
-            break;
-        }
-        if Instant::now() > deadline {
-            return Err(std::io::Error::other(format!(
-                "health loop forced retrains on only {}/{} shards within 30s",
-                sweep.shards_retrained, args.instances
-            )));
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-
-    // Stage D: recovery tail. The retrained model must pull the error
-    // back down and the recalibrated intervals must keep coverage.
+    // Stage C: recovery tail. The retrained model must pull the error
+    // back down and the recalibrated intervals must keep coverage. (A shard
+    // that latched on a cache hit retrains on its first fresh plan here.)
     let mut tail_errs: Vec<f64> = Vec::new();
     let mut covered = 0u64;
     let mut measured = 0u64;
@@ -866,6 +850,12 @@ fn run_step_change(args: &Args) -> std::io::Result<PhaseReport> {
     }
 
     let sweep = drift_sweep(&mut client, args.instances)?;
+    if sweep.shards_retrained != args.instances {
+        return Err(std::io::Error::other(format!(
+            "only {}/{} latched shards retrained by the end of the recovery tail",
+            sweep.shards_retrained, args.instances
+        )));
+    }
     let Response::ShuttingDown = client.shutdown()? else {
         return Err(std::io::Error::other("bad shutdown reply"));
     };

@@ -114,12 +114,12 @@ pub fn ablation_replay(
             global_secs,
         });
 
-        // Observe, mirroring StagePredictor::observe.
+        // Observe, mirroring StagePredictor::observe (no drift sentinel).
         let was_cached = cache.contains(key);
         cache.record(key, event.true_exec_secs);
         if !was_cached {
             pool.add(features.0, event.true_exec_secs);
-            local.note_observation(&pool);
+            local.note_observation(&pool, false);
         }
     }
     out

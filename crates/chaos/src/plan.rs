@@ -41,7 +41,7 @@ pub enum FaultSite {
     /// miscalibrated. Unlike the other sites this one lives in the load
     /// driver rather than the server — the fault is in the *world*, and
     /// the system under test must notice (drift detection) and recover
-    /// (forced retrain).
+    /// (the latched shard retrains on its next pool add).
     WorkloadShift,
 }
 
@@ -201,8 +201,8 @@ pub struct SiteStats {
 
 /// A live fault plan: configuration plus per-site counters. Shared across
 /// every hook via `Arc`; its one lock sits at the bottom of the workspace
-/// lock hierarchy (`RANK_SESSION`) so hooks may be called while registry,
-/// shard, or queue locks are held.
+/// lock hierarchy (`RANK_SESSION`) so hooks may be called while a shard
+/// lock is held.
 pub struct FaultPlan {
     config: FaultPlanConfig,
     disarmed: AtomicBool,

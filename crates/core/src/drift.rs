@@ -1,16 +1,12 @@
-//! Per-shard drift sentinel: windowed residual tracking, Page-Hinkley
-//! step-change detection, and online conformal calibration of prediction
-//! intervals (paper §5.3's step-change scenario; PAPERS.md "Uncertainty
-//! Aware Query Execution Time Prediction" for the calibration argument).
+//! Per-shard drift sentinel: Page-Hinkley step-change detection and online
+//! conformal calibration of prediction intervals (paper §5.3's step-change
+//! scenario; PAPERS.md "Uncertainty Aware Query Execution Time Prediction"
+//! for the calibration argument).
 //!
 //! Every observation the local model can score produces a log-space
-//! residual `r = ln(1+actual) − μ`. Three things consume the stream:
+//! residual `r = ln(1+actual) − μ`. Two things consume the stream:
 //!
-//! 1. a **windowed residual tracker** — a bounded ring of recent signed
-//!    residuals summarised on demand through [`stage_metrics::Welford`]
-//!    (mean bias + spread of the current window, reported by `bench_drift`
-//!    and the chaos soak);
-//! 2. a **Page-Hinkley-style one-sided CUSUM detector** over `|r|`: a
+//! 1. a **Page-Hinkley-style one-sided CUSUM detector** over `|r|`: a
 //!    [`stage_metrics::Welford`] baseline of the absolute residuals seen
 //!    since the last retrain supplies a running mean `x̄` and spread `s`,
 //!    and the statistic `S = max(0, S + min((|r| − x̄)/s, clip) − k)`
@@ -18,17 +14,22 @@
 //!    spreads, with each sample's contribution winsorized at `clip` so a
 //!    lone heavy-tail query can never fire the detector by itself. A step
 //!    change inflates residuals, `S` climbs past `λ` within a handful of
-//!    queries, and the detector latches until a retrain resets it.
+//!    queries, and the detector latches: `StagePredictor::observe` reads
+//!    the latch on every pool add and retrains on it, and a retrain that
+//!    runs while latched clears it.
 //!    Normalizing by the baseline spread makes `k`/`λ` unit-free — the
 //!    same thresholds work for a tight production model and a rough
 //!    freshly-trained one. The state is a pure function of the observed
 //!    residual sequence — no clocks, no randomness — so replays detect on
 //!    exactly the same query;
-//! 3. an **online conformal calibrator**: a bounded ring of normalized
+//! 2. an **online conformal calibrator**: a bounded ring of normalized
 //!    scores `z = |r| / σ`. The served interval uses the empirical
 //!    `target_coverage`-quantile of recent scores instead of a
 //!    normal-theory constant, so if the ensemble's σ is over- or
 //!    under-confident the interval width self-corrects within one window.
+//!    The quantile copies and sorts the window on every call
+//!    ([`DriftSentinel::z_multiplier`]), per served interval and per scored
+//!    observation.
 //!
 //! Intervals are additionally widened by `degraded_widen` while any
 //! [`crate::stage::DegradedStats`] tier is active (a degraded answer was
@@ -69,8 +70,7 @@ pub struct DriftConfig {
     pub min_spread: f64,
     /// Residuals the detector must see before it may fire (warm-up).
     pub min_samples: u64,
-    /// Ring-buffer capacity for both the residual window and the
-    /// conformal score window.
+    /// Ring-buffer capacity of the conformal score window.
     pub window: u32,
     /// Nominal coverage the calibrated interval targets (e.g. `0.9`).
     pub target_coverage: f64,
@@ -131,11 +131,8 @@ pub struct DriftSentinel {
     triggered: bool,
     detections: u64,
     forced_retrains: u64,
-    // Windowed signed residuals (ring buffer; `residual_next` is the slot
+    // Conformal scores z = |r|/σ (ring buffer; `score_next` is the slot
     // the next push overwrites once the ring is full).
-    residuals: Vec<f64>,
-    residual_next: u32,
-    // Conformal scores z = |r|/σ (same ring discipline).
     scores: Vec<f64>,
     score_next: u32,
     // Online coverage accounting: of the intervals this sentinel would
@@ -164,8 +161,6 @@ impl DriftSentinel {
             triggered: false,
             detections: 0,
             forced_retrains: 0,
-            residuals: Vec::new(),
-            residual_next: 0,
             scores: Vec::new(),
             score_next: 0,
             covered: 0,
@@ -184,7 +179,7 @@ impl DriftSentinel {
     /// log_sigma)` in `ln(1+secs)` space, the query actually took
     /// `log_actual`. Updates coverage accounting (against the interval
     /// that would have been served *before* absorbing this residual), the
-    /// residual window, the conformal window, and the detector.
+    /// conformal window, and the detector.
     pub fn observe_residual(&mut self, log_mu: f64, log_sigma: f64, log_actual: f64) {
         let r = log_actual - log_mu;
         if !r.is_finite() {
@@ -203,7 +198,6 @@ impl DriftSentinel {
             }
         }
         let cap = self.config.window;
-        push_ring(&mut self.residuals, &mut self.residual_next, cap, r);
         if log_sigma.is_finite() && log_sigma > MIN_SIGMA {
             let z = r.abs() / log_sigma;
             if z.is_finite() {
@@ -273,8 +267,8 @@ impl DriftSentinel {
         self.detections
     }
 
-    /// Lifetime count of forced (out-of-band) retrains acknowledged via
-    /// [`DriftSentinel::note_forced_retrain`].
+    /// Lifetime count of retrains a latched sentinel brought forward,
+    /// acknowledged via [`DriftSentinel::note_forced_retrain`].
     pub fn forced_retrains(&self) -> u64 {
         self.forced_retrains
     }
@@ -300,22 +294,13 @@ impl DriftSentinel {
         self.cusum
     }
 
-    /// Mean/spread summary of the current residual window.
-    pub fn window_stats(&self) -> Welford {
-        let mut w = Welford::new();
-        for &r in &self.residuals {
-            w.push(r);
-        }
-        w
-    }
-
     /// Counts one forced retrain.
     pub fn note_forced_retrain(&mut self) {
         self.forced_retrains = self.forced_retrains.saturating_add(1);
     }
 
-    /// Clears the detector and the residual window after a retrain: the
-    /// old residual stream described the old model. The conformal score
+    /// Clears the detector after a retrain that ran while it was latched:
+    /// the old residual baseline described the old model. The conformal score
     /// window is deliberately **kept** — normalized scores transfer far
     /// better than raw residuals, and holding the (wide) post-drift scores
     /// keeps intervals conservative while the new model proves itself,
@@ -324,13 +309,12 @@ impl DriftSentinel {
         self.baseline = Welford::new();
         self.cusum = 0.0;
         self.triggered = false;
-        self.residuals.clear();
-        self.residual_next = 0;
     }
 
     /// Encodes the sentinel as a stage-store section (CALIBRATION). All
     /// floats as `to_bits` images via the section writer — the round trip
-    /// is bit-exact.
+    /// is bit-exact. The signed-residual ring of earlier builds keeps its
+    /// slot (written empty), so files restore across builds both ways.
     pub fn store_encode(&self, w: &mut SectionWriter) {
         w.put_f64(self.config.cusum_k);
         w.put_f64(self.config.cusum_lambda);
@@ -354,9 +338,9 @@ impl DriftSentinel {
         w.put_u64(self.measured);
         w.put_u64(self.last_degraded_total);
         w.put_u32(self.degraded_hold_left);
-        w.put_u32(self.residual_next);
+        w.put_u32(0);
         w.put_u32(self.score_next);
-        w.put_f64_slice(&self.residuals);
+        w.put_f64_slice(&[]);
         w.put_f64_slice(&self.scores);
     }
 
@@ -386,6 +370,7 @@ impl DriftSentinel {
         let measured = r.u64()?;
         let last_degraded_total = r.u64()?;
         let degraded_hold_left = r.u32()?;
+        // Earlier builds' signed-residual ring: validated, then dropped.
         let residual_next = r.u32()?;
         let score_next = r.u32()?;
         let residuals = r.f64_vec()?;
@@ -413,8 +398,6 @@ impl DriftSentinel {
             triggered,
             detections,
             forced_retrains,
-            residuals,
-            residual_next,
             scores,
             score_next,
             covered,
@@ -612,10 +595,10 @@ mod tests {
         for i in 0..10 {
             s.observe_residual(1.0, 0.1, 1.0 + 0.01 * (i + 1) as f64);
         }
-        // Window holds only the last 4 residuals.
-        assert_eq!(s.window_stats().count(), 4);
-        let m = s.window_stats().mean();
-        assert!((m - 0.085).abs() < 1e-12, "window mean {m}");
+        // The window holds only the last 4 scores: the served multiplier is
+        // their quantile and nothing older's.
+        let want = quantile(&[0.7, 0.8, 0.9, 1.0], s.config().target_coverage).unwrap();
+        assert!((s.z_multiplier() - want).abs() < 1e-9);
     }
 
     #[test]
@@ -641,7 +624,7 @@ mod tests {
         let mut s = DriftSentinel::new(sharp());
         s.observe_residual(1.0, 0.2, 1.5);
         // Corrupt the cursor past the ring length.
-        s.residual_next = 99;
+        s.score_next = 99;
         let mut w = SectionWriter::new();
         s.store_encode(&mut w);
         let bytes = w.finish();

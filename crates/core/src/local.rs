@@ -120,13 +120,11 @@ impl LocalModel {
     }
 
     /// Notes one new pool observation and retrains when due: first at
-    /// `min_train_examples`, then every `retrain_interval` observations.
-    pub fn note_observation(&mut self, pool: &TrainingPool) {
+    /// `min_train_examples`, then every `retrain_interval` observations —
+    /// or at once when `drifted` (the shard's drift sentinel is latched).
+    pub fn note_observation(&mut self, pool: &TrainingPool, drifted: bool) {
+        let due = self.retrain_due_after_next(pool, drifted);
         self.observations_since_train += 1;
-        let due = match self.ensemble {
-            None => pool.len() >= self.config.min_train_examples,
-            Some(_) => self.observations_since_train >= self.config.retrain_interval,
-        };
         if due {
             self.retrain(pool);
         }
@@ -135,11 +133,13 @@ impl LocalModel {
     /// Whether the *next* [`LocalModel::note_observation`] call would
     /// trigger a retraining (given `pool` already contains the new
     /// observation). Lets callers intercept a due retrain — e.g. to skip a
-    /// poisoned one — before committing to it.
-    pub fn retrain_due_after_next(&self, pool: &TrainingPool) -> bool {
+    /// poisoned one — before committing to it. A latched drift sentinel
+    /// (`drifted`) brings a trained model's next retrain forward to this
+    /// observation; an untrained one still waits for `min_train_examples`.
+    pub fn retrain_due_after_next(&self, pool: &TrainingPool, drifted: bool) -> bool {
         match self.ensemble {
             None => pool.len() >= self.config.min_train_examples,
-            Some(_) => self.observations_since_train + 1 >= self.config.retrain_interval,
+            Some(_) => drifted || self.observations_since_train + 1 >= self.config.retrain_interval,
         }
     }
 
@@ -151,7 +151,7 @@ impl LocalModel {
         self.observations_since_train += 1;
     }
 
-    /// Forces a retraining from the pool (no-op on an empty pool).
+    /// Retrains from the pool now (no-op on an empty pool).
     pub fn retrain(&mut self, pool: &TrainingPool) {
         let Some(dataset) = pool.to_dataset() else {
             return;
@@ -470,7 +470,7 @@ mod tests {
         for i in 0..25 {
             let x: f64 = rng.gen_range(0.0..100.0);
             pool.add(vec![x, 1.0], 0.1 * x);
-            m.note_observation(&pool);
+            m.note_observation(&pool, false);
             if i < 18 {
                 assert!(!m.is_trained(), "trained too early at {i}");
             }
@@ -486,7 +486,7 @@ mod tests {
         m.retrain(&pool);
         assert_eq!(m.trainings(), 1);
         for _ in 0..50 {
-            m.note_observation(&pool);
+            m.note_observation(&pool, false);
         }
         assert_eq!(m.trainings(), 2);
     }
@@ -533,22 +533,22 @@ mod tests {
         let mut m = LocalModel::new(quick_config()); // min 20, interval 50
         let pool = filled_pool(100, 5);
         // Untrained + a big-enough pool: the next observation would train.
-        assert!(m.retrain_due_after_next(&pool));
+        assert!(m.retrain_due_after_next(&pool, false));
         m.retrain(&pool);
         assert_eq!(m.trainings(), 1);
         for _ in 0..48 {
-            assert!(!m.retrain_due_after_next(&pool));
-            m.note_observation(&pool);
+            assert!(!m.retrain_due_after_next(&pool, false));
+            m.note_observation(&pool, false);
         }
         assert_eq!(m.trainings(), 1);
-        m.note_observation(&pool); // 49th since training
-        assert!(m.retrain_due_after_next(&pool), "50th would retrain");
+        m.note_observation(&pool, false); // 49th since training
+        assert!(m.retrain_due_after_next(&pool, false), "50th would retrain");
         // A poisoned retrain defers: the observation counts, training
         // doesn't run, and the debt stays due until a healthy observation.
         m.defer_retrain();
         assert_eq!(m.trainings(), 1);
-        assert!(m.retrain_due_after_next(&pool));
-        m.note_observation(&pool);
+        assert!(m.retrain_due_after_next(&pool, false));
+        m.note_observation(&pool, false);
         assert_eq!(m.trainings(), 2);
     }
 

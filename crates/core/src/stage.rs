@@ -12,7 +12,10 @@
 //!
 //! After execution, the observed exec-time feeds the cache, and — only on a
 //! cache miss, implementing the paper's dedup-via-cache trick — the local
-//! training pool.
+//! training pool. A pool add is the only thing that retrains the local
+//! model — when the cadence says so, or at once when the shard's
+//! [`DriftSentinel`] is latched — so everything a predictor does is a
+//! function of the verbs it was sent.
 //!
 //! The routing hierarchy doubles as a **fallback chain**: a
 //! [`ComponentFaults`] hook (production: none; chaos testing:
@@ -346,33 +349,9 @@ impl StagePredictor {
     }
 
     /// The drift sentinel (detector state, calibration window, coverage
-    /// accounting — read access for health loops and reports).
+    /// accounting — read access for `Stats` and reports).
     pub fn drift(&self) -> &DriftSentinel {
         &self.drift
-    }
-
-    /// Whether the drift detector has fired since the last retrain — the
-    /// signal the serve health loop polls to force an out-of-band retrain.
-    pub fn drift_detected(&self) -> bool {
-        self.drift.drift_detected()
-    }
-
-    /// Forces an out-of-band retrain from the current pool (the health
-    /// loop's response to a drift detection). On success the detector and
-    /// residual window reset — the old residual stream described the old
-    /// model — while the conformal score window is kept so intervals stay
-    /// conservatively wide until the new model proves itself. Returns
-    /// `false` when the pool cannot train a model yet (nothing changes;
-    /// the detection stays latched so the next poll retries).
-    pub fn force_retrain(&mut self) -> bool {
-        let before = self.local.trainings();
-        self.local.retrain(&self.pool);
-        let trained = self.local.trainings() > before;
-        if trained {
-            self.drift.note_forced_retrain();
-            self.drift.reset_after_retrain();
-        }
-        trained
     }
 
     /// The calibrated prediction interval for `p`, in seconds: half-width
@@ -554,10 +533,15 @@ impl ExecTimePredictor for StagePredictor {
         // local training pool.
         if !was_cached || !self.config.routing.dedup_via_cache {
             self.pool.add(features, actual_secs);
+            // A latched sentinel makes this pool add's retrain due, on the
+            // same path as the cadence; an observation that adds nothing to
+            // the pool never refits it, latched or not.
+            let drifted = self.drift.drift_detected();
+            let trainings_before = self.local.trainings();
             // Retrain interception: the fault oracle is consulted only when
             // this observation would actually trigger a retrain, so the
             // injection ledger lines up one-to-one with retrain attempts.
-            let fault = if self.local.retrain_due_after_next(&self.pool) {
+            let fault = if self.local.retrain_due_after_next(&self.pool, drifted) {
                 self.faults.as_ref().and_then(|f| f.retrain_fault())
             } else {
                 None
@@ -565,7 +549,7 @@ impl ExecTimePredictor for StagePredictor {
             match fault {
                 Some(RetrainFault::Poisoned) => {
                     // Skip the retrain; the stale ensemble keeps serving and
-                    // the training debt stays due for the next observation.
+                    // the training debt (and any latch) stays for the next add.
                     self.degraded.retrains_poisoned += 1;
                     self.local.defer_retrain();
                 }
@@ -573,9 +557,15 @@ impl ExecTimePredictor for StagePredictor {
                     // The hook models the latency itself (e.g. it slept
                     // before returning); the retrain then proceeds normally.
                     self.degraded.retrains_slowed += 1;
-                    self.local.note_observation(&self.pool);
+                    self.local.note_observation(&self.pool, drifted);
                 }
-                None => self.local.note_observation(&self.pool),
+                None => self.local.note_observation(&self.pool, drifted),
+            }
+            // A retrain ran while latched: count it and re-arm the detector
+            // (its baseline described the old model; the score window stays).
+            if drifted && self.local.trainings() > trainings_before {
+                self.drift.note_forced_retrain();
+                self.drift.reset_after_retrain();
             }
         }
     }
@@ -1084,43 +1074,77 @@ mod tests {
         assert_eq!(s.degraded_stats().total(), 1);
     }
 
-    #[test]
-    fn drift_detection_forces_retrain_and_recovers() {
-        let mut s = StagePredictor::new(quick_config());
-        // Steady workload: exec time tracks row count. The default config's
-        // warm-up (`min_samples`) must absorb the noisy residuals right
-        // after the first training without firing.
-        let mut max_cusum = 0.0f64;
-        for i in 1..=120 {
-            let rows = (i % 40 + 1) as f64 * 1e4;
-            s.observe(&plan(rows), &sys(), rows / 1e5);
-            max_cusum = max_cusum.max(s.drift().cusum_level());
+    /// Observes query `i` of the drift tests' workload: 40 plans whose exec
+    /// time tracks row count, `mult`× slower after the step change. `fresh`
+    /// nudges the row count so the plan is one the shard has never seen.
+    fn observe_drift_query(s: &mut StagePredictor, i: usize, fresh: bool, mult: f64) {
+        let rows = (i % 40 + 1) as f64 * 1e4 + if fresh { (i + 1) as f64 } else { 0.0 };
+        s.observe(&plan(rows), &sys(), mult * rows / 1e5);
+    }
+
+    /// Steady traffic on the 40 repeating plans (trained once, sentinel warm
+    /// and quiet, a cadence only a latch can beat), then the 5× shift on
+    /// fresh or repeated plans up to the observe on which the sentinel fires.
+    fn shifted_shard(fresh: bool) -> StagePredictor {
+        let mut cfg = quick_config();
+        cfg.local.retrain_interval = 10_000;
+        let mut s = StagePredictor::new(cfg);
+        (0..120).for_each(|i| observe_drift_query(&mut s, i, false, 1.0));
+        assert_eq!((s.local().trainings(), s.drift().detections()), (1, 0));
+        let mut i = 0;
+        while s.drift().detections() == 0 && i < 400 {
+            observe_drift_query(&mut s, i, fresh, 5.0);
+            i += 1;
         }
-        assert!(s.local().is_trained());
-        assert!(
-            !s.drift_detected(),
-            "steady workload must not trigger (max cusum {max_cusum:.2})"
-        );
-        // Step change: the same plans now run 5x slower.
-        let mut shifted = 0u64;
-        while !s.drift_detected() && shifted < 400 {
-            let rows = (shifted % 40 + 1) as f64 * 1e4;
-            s.observe(&plan(rows), &sys(), 5.0 * rows / 1e5);
-            shifted += 1;
-        }
-        assert!(s.drift_detected(), "detector must fire on a 5x shift");
-        assert_eq!(s.drift().detections(), 1);
-        // The health loop's response: force an out-of-band retrain.
-        assert!(s.force_retrain());
-        assert!(!s.drift_detected(), "forced retrain clears the latch");
-        assert_eq!(s.drift().forced_retrains(), 1);
+        assert_eq!(s.drift().detections(), 1, "a 5x shift must fire");
+        s
     }
 
     #[test]
-    fn force_retrain_on_empty_pool_is_a_noop() {
-        let mut s = StagePredictor::new(quick_config());
-        assert!(!s.force_retrain());
-        assert_eq!(s.drift().forced_retrains(), 0);
+    fn drift_latch_retrains_on_the_pool_add_that_latched_it() {
+        // Fresh plans: every shifted observe enters the pool, so the one
+        // that latches the sentinel is also the one that retrains.
+        let s = shifted_shard(true);
+        assert_eq!(s.drift().forced_retrains(), 1);
+        assert!(!s.drift().drift_detected(), "the retrain clears the latch");
+        assert_eq!(s.local().trainings(), 2, "one detection buys one retrain");
+    }
+
+    #[test]
+    fn drift_latch_on_repeated_plans_holds_until_a_pool_add() {
+        let mut s = shifted_shard(false);
+        // Cache hits add nothing to the pool: there is nothing new to train
+        // on, so the latch is held and nothing refits, however long.
+        let before = (s.local().trainings(), s.pool().len());
+        (0..200).for_each(|i| observe_drift_query(&mut s, i, false, 5.0));
+        assert!(s.drift().drift_detected());
+        assert_eq!(
+            (s.drift().detections(), s.drift().forced_retrains()),
+            (1, 0)
+        );
+        assert_eq!((s.local().trainings(), s.pool().len()), before);
+        // One fresh plan is the next pool add: the retrain is due on it.
+        observe_drift_query(&mut s, 0, true, 5.0);
+        assert_eq!(s.drift().forced_retrains(), 1);
+        assert!(!s.drift().drift_detected());
+        assert_eq!(s.local().trainings(), before.0 + 1);
+    }
+
+    #[test]
+    fn poisoned_drift_retrain_stays_latched_for_the_next_pool_add() {
+        let mut s = shifted_shard(false);
+        s.set_component_faults(Arc::new(ScriptedComponentFaults {
+            poison: AtomicU64::new(1),
+            ..ScriptedComponentFaults::default()
+        }));
+        // Consulted, poisoned and ledgered like a scheduled retrain: skipped
+        // and still due, so the pool add after it retrains.
+        for (add, forced) in [(0, 0), (1, 1)] {
+            observe_drift_query(&mut s, add, true, 5.0);
+            assert_eq!(s.drift().forced_retrains(), forced);
+            assert_eq!(s.drift().drift_detected(), forced == 0);
+            assert_eq!(s.degraded_stats().retrains_poisoned, 1);
+        }
     }
 
     #[test]

@@ -137,10 +137,12 @@ pub enum Response {
         /// checkpoint, or byte-identical sections).
         snapshots_skipped: u64,
         /// Workload step-changes the drift sentinel has detected on this
-        /// instance (CUSUM threshold crossings) since start or restore.
+        /// instance (CUSUM threshold crossings), a lifetime count that is
+        /// part of the checkpointed state.
         drift_detections: u64,
-        /// Out-of-band retrains the health loop forced after a drift
-        /// detection (only successful retrains count).
+        /// Retrains a latched sentinel brought forward to the shard's next
+        /// pool add (only retrains that ran count); `drift_detections`
+        /// above this: latched, and no new plan seen since.
         forced_retrains: u64,
         /// Background checkpoint passes that failed server-wide (the
         /// health loop backs off exponentially while this climbs).

@@ -8,6 +8,9 @@
 //! starts), so it is shared without a lock: nothing can mutate it through
 //! `&self`. Each shard sits behind its own `shard`-rank lock, the only lock
 //! a Predict / PredictBatch / Observe takes.
+//! Nothing else touches a shard's model (no background pass retrains), so
+//! an in-process [`StagePredictor`] fed the same verbs answers bit for bit
+//! what the served shard answers.
 
 use stage_core::global::GlobalModel;
 use stage_core::persist::{PersistFaults, RestoreError};
@@ -80,8 +83,8 @@ impl Shard {
         self.predict_batches
     }
 
-    /// Ingests one observed exec-time (cache + pool + retrain cadence,
-    /// exactly as offline replay does).
+    /// Ingests one observed exec-time (cache + pool + retrain by cadence or
+    /// drift latch, exactly as offline replay does).
     pub fn observe(&mut self, plan: &PhysicalPlan, sys: &SystemContext, actual_secs: f64) {
         self.predictor.observe(plan, sys, actual_secs);
         self.observes += 1;
@@ -116,21 +119,6 @@ impl Shard {
     /// shard's drift sentinel, widened while degraded tiers are active).
     pub fn calibrated_interval(&mut self, p: &Prediction) -> Option<(f64, f64)> {
         self.predictor.calibrated_interval(p)
-    }
-
-    /// If this shard's drift sentinel is latched, forces an out-of-band
-    /// retrain and re-arms the detector. Returns whether a retrain
-    /// actually ran (an empty pool is a no-op that leaves the detector
-    /// latched for the next health-loop pass — the pool may fill).
-    pub fn force_retrain_if_drifted(&mut self) -> bool {
-        if !self.predictor.drift_detected() {
-            return false;
-        }
-        let retrained = self.predictor.force_retrain();
-        if retrained {
-            self.revision += 1;
-        }
-        retrained
     }
 
     /// Checkpoint passes that skipped this shard because its artefact was
@@ -239,23 +227,6 @@ impl ShardRegistry {
         let shard = self.shards.get(id as usize)?;
         let result = f(&mut shard.write());
         Some(result)
-    }
-
-    /// One health-loop pass over every shard: shards whose drift sentinel
-    /// latched since the last pass are retrained out of band (under their
-    /// own write lock, one at a time — serving on other shards continues).
-    /// Returns how many shards retrained. The cheap latched-or-not check
-    /// runs under the read lock so the common all-steady pass never blocks
-    /// a writer.
-    pub fn poll_drift(&self) -> u32 {
-        let mut retrained = 0;
-        for shard in &self.shards {
-            let latched = shard.read().predictor.drift_detected();
-            if latched && shard.write().force_retrain_if_drifted() {
-                retrained += 1;
-            }
-        }
-        retrained
     }
 
     /// Snapshot path of instance `id` under `dir` (a `stage-store`

@@ -24,7 +24,9 @@
 //! served newline-delimited JSON exactly as before. Verbs execute inline
 //! on the loop thread under the target shard's lock — on the small hosts
 //! this repo benches on, a handoff to a worker pool costs more than the
-//! verb itself (PR 4 measured the same effect for parsing).
+//! verb itself (PR 4 measured the same effect for parsing). Every refit is
+//! such a verb's work — a shard retrains only inside the `Observe` that
+//! makes it due, never on the background `serve-health` thread.
 //!
 //! Backpressure is per connection now: a peer that stops reading while
 //! pipelining requests grows its own write buffer, and past a bound its
@@ -268,9 +270,6 @@ struct Shared {
     /// an operator sees a sick snapshot directory before a crash loses
     /// warm state.
     checkpoint_failures: AtomicU64,
-    /// Out-of-band retrains the health loop forced after drift detections,
-    /// summed over all shards (per-shard counts live on each sentinel).
-    forced_retrains: AtomicU64,
 }
 
 // Compile-time proof that everything crossing a thread boundary is safe to
@@ -824,13 +823,13 @@ pub struct Server {
     accept_handle: JoinHandle<()>,
     loop_handles: Vec<JoinHandle<()>>,
     loop_shards: Vec<Arc<LoopShard>>,
-    checkpoint_handle: Option<JoinHandle<()>>,
+    checkpoint_handle: JoinHandle<()>,
 }
 
 impl Server {
     /// Binds, warm-starts from the snapshot directory when one is
     /// configured, and spawns the accept loop, event loops, and
-    /// (optionally) the background checkpointer. Invalid configuration and
+    /// the background health loop. Invalid configuration and
     /// failed spawns are `Err`s, never panics.
     pub fn start(config: ServeConfig) -> io::Result<Self> {
         if config.n_loops == 0 {
@@ -880,7 +879,6 @@ impl Server {
             checkpoint_gate: (OrderedMutex::new(RANK_SESSION, ()), Condvar::new()),
             request_deadline: config.request_deadline,
             checkpoint_failures: AtomicU64::new(0),
-            forced_retrains: AtomicU64::new(0),
         });
         // Map the shared global-model artefact before serving starts so the
         // first request already routes through it (a missing file is fine —
@@ -905,79 +903,65 @@ impl Server {
             loop_handles.push(handle);
         }
 
-        // One background health loop drives every periodic duty: the
-        // per-shard drift poll (forcing out-of-band retrains when a
-        // sentinel latches), checkpoints (when a cadence is
-        // configured), and the global-model generation poll (when an
-        // artefact path is configured). It always spawns — drift health
-        // must not depend on persistence being enabled.
+        // One background health loop drives both periodic duties: the
+        // global-model generation poll (when an artefact path is
+        // configured) and checkpoints (when a cadence is configured).
         let snapshot_cadence = match (&config.snapshot_dir, config.snapshot_every) {
             (Some(dir), Some(every)) => Some((dir.clone(), every)),
             _ => None,
         };
         let checkpoint_handle = {
             let shared = Arc::clone(&shared);
-            // The generation poll is a 64-byte header read and the drift
-            // poll a latched-flag read per shard; a sub-second cadence
-            // keeps hot-swap and retrain latency low without measurable
-            // cost. A configured snapshot cadence paces the whole loop.
+            // The generation poll is a 64-byte header read; a sub-second
+            // cadence keeps hot-swap latency low without measurable cost.
+            // A configured snapshot cadence paces the whole loop.
             let tick = snapshot_cadence
                 .as_ref()
                 .map_or(Duration::from_millis(200), |(_, every)| *every);
-            Some(
-                std::thread::Builder::new()
-                    .name("serve-health".to_string())
-                    .spawn(move || {
-                        // Bounded exponential backoff on checkpoint
-                        // failures: a sick snapshot directory (full disk,
-                        // yanked mount) must not burn a full encode of
-                        // every shard each tick. Skips double per
-                        // consecutive failure, capped at 32 ticks; any
-                        // success re-arms the full cadence.
-                        let mut consecutive_failures = 0u32;
-                        let mut skip_ticks = 0u64;
-                        loop {
-                            let (gate, cv) = &shared.checkpoint_gate;
-                            let guard = gate.lock();
-                            // The returned guard is dropped immediately so
-                            // no session-rank lock is held while the
-                            // checkpoint takes shard locks below.
-                            let _ = sync::wait_timeout(cv, guard, tick);
-                            if shared.shutting_down.load(Ordering::SeqCst) {
-                                // The final checkpoint runs in `join` after
-                                // the drain completes.
-                                return;
+            std::thread::Builder::new()
+                .name("serve-health".to_string())
+                .spawn(move || {
+                    // Bounded exponential backoff on checkpoint failures: a
+                    // sick snapshot directory (full disk, yanked mount) must
+                    // not burn a full encode of every shard each tick. Skips
+                    // double per consecutive failure, capped at 32 ticks; any
+                    // success re-arms the full cadence.
+                    let mut consecutive_failures = 0u32;
+                    let mut skip_ticks = 0u64;
+                    loop {
+                        let (gate, cv) = &shared.checkpoint_gate;
+                        let guard = gate.lock();
+                        // The returned guard is dropped immediately so no
+                        // session-rank lock is held while the checkpoint
+                        // takes shard locks below.
+                        let _ = sync::wait_timeout(cv, guard, tick);
+                        if shared.shutting_down.load(Ordering::SeqCst) {
+                            // The final checkpoint runs in `join` after the
+                            // drain completes.
+                            return;
+                        }
+                        shared.poll_global_model();
+                        if let Some((dir, _)) = &snapshot_cadence {
+                            if skip_ticks > 0 {
+                                skip_ticks -= 1;
+                                continue;
                             }
-                            shared.poll_global_model();
-                            let retrained = shared.registry.poll_drift();
-                            if retrained > 0 {
-                                shared
-                                    .forced_retrains
-                                    .fetch_add(u64::from(retrained), Ordering::Relaxed);
-                            }
-                            if let Some((dir, _)) = &snapshot_cadence {
-                                if skip_ticks > 0 {
-                                    skip_ticks -= 1;
-                                    continue;
-                                }
-                                match shared.registry.save_snapshots(dir) {
-                                    Ok(_) => consecutive_failures = 0,
-                                    Err(e) => {
-                                        shared.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
-                                        consecutive_failures =
-                                            consecutive_failures.saturating_add(1);
-                                        skip_ticks = (1u64 << consecutive_failures.min(5)) - 1;
-                                        eprintln!(
-                                            "stage-serve: background checkpoint failed ({e}); \
-                                             retrying in {} ticks",
-                                            skip_ticks + 1
-                                        );
-                                    }
+                            match shared.registry.save_snapshots(dir) {
+                                Ok(_) => consecutive_failures = 0,
+                                Err(e) => {
+                                    shared.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
+                                    consecutive_failures = consecutive_failures.saturating_add(1);
+                                    skip_ticks = (1u64 << consecutive_failures.min(5)) - 1;
+                                    eprintln!(
+                                        "stage-serve: background checkpoint failed ({e}); \
+                                         retrying in {} ticks",
+                                        skip_ticks + 1
+                                    );
                                 }
                             }
                         }
-                    })?,
-            )
+                    }
+                })?
         };
 
         let accept_handle = {
@@ -1076,12 +1060,6 @@ impl Server {
         self.shared.checkpoint_failures.load(Ordering::Relaxed)
     }
 
-    /// Out-of-band retrains the health loop forced after drift detections,
-    /// summed over all shards.
-    pub fn forced_retrains(&self) -> u64 {
-        self.shared.forced_retrains.load(Ordering::Relaxed)
-    }
-
     /// Requests answered [`Response::TimedOut`] so far, all instances.
     pub fn timed_out_count(&self) -> u64 {
         let n = self.shared.registry.len() as u32;
@@ -1111,10 +1089,9 @@ impl Server {
             h.join()
                 .map_err(|_| io::Error::other("event loop thread panicked"))?;
         }
-        if let Some(h) = self.checkpoint_handle {
-            h.join()
-                .map_err(|_| io::Error::other("checkpointer thread panicked"))?;
-        }
+        self.checkpoint_handle
+            .join()
+            .map_err(|_| io::Error::other("checkpointer thread panicked"))?;
         // Every in-flight request is now answered (or its connection
         // closed); persist the final state so a restart resumes warm.
         if let Some(dir) = &self.shared.snapshot_dir {
@@ -1421,23 +1398,20 @@ mod tests {
         stage_config.local.retrain_interval = 200;
 
         // Build the exact state a kill-9 mid-recovery leaves on disk: the
-        // sentinel latched on a workload shift, the checkpoint captured
-        // that, and the process died before the forced retrain landed.
+        // sentinel latched on a shift of *repeated* plans (cache hits add
+        // nothing to the pool, so the latch is held), the checkpoint
+        // captured that, and the process died before a new plan arrived.
         let sys = SystemContext::empty(2);
         let mut p = StagePredictor::new(stage_config);
+        let repeated = |i: u32| f64::from(i % 40 + 1) * 1e4;
         for i in 1..=120u32 {
-            let rows = f64::from(i % 40 + 1) * 1e4;
-            p.observe(&plan(rows), &sys, rows / 1e5);
+            p.observe(&plan(repeated(i)), &sys, repeated(i) / 1e5);
         }
-        assert!(!p.drift_detected(), "steady warm-up must stay quiet");
+        assert_eq!(p.drift().detections(), 0, "steady warm-up must stay quiet");
         for i in 1..=120u32 {
-            let rows = f64::from(i % 40 + 1) * 1e4 + f64::from(i);
-            p.observe(&plan(rows), &sys, rows / 1e5 * 30.0);
-            if p.drift_detected() {
-                break;
-            }
+            p.observe(&plan(repeated(i)), &sys, repeated(i) / 1e5 * 30.0);
         }
-        assert!(p.drift_detected(), "the shift must latch the sentinel");
+        assert!(p.drift().drift_detected(), "the shift must latch");
         assert_eq!(p.drift().forced_retrains(), 0, "killed before the retrain");
 
         let dir =
@@ -1453,8 +1427,8 @@ mod tests {
         .unwrap();
         drop(p);
 
-        // Warm restart: the latch must survive the crash, and the health
-        // loop must finish the interrupted recovery on its own.
+        // Warm restart: the latch must survive the crash, and the first new
+        // plan the shard observes must finish the interrupted recovery.
         let server = Server::start(ServeConfig {
             n_instances: 1,
             stage: stage_config,
@@ -1463,37 +1437,26 @@ mod tests {
         })
         .unwrap();
         let mut client = ServeClient::connect(server.local_addr()).unwrap();
-
-        let s = client.stats(0).unwrap();
-        let Response::Stats {
-            drift_detections, ..
-        } = s
-        else {
-            panic!("expected Stats, got {s:?}");
+        let drift_counters = |client: &mut ServeClient| match client.stats(0).unwrap() {
+            Response::Stats {
+                drift_detections,
+                forced_retrains,
+                ..
+            } => (drift_detections, forced_retrains),
+            other => panic!("expected Stats, got {other:?}"),
         };
-        assert!(
-            drift_detections >= 1,
-            "restored shard lost its drift detection"
+        assert_eq!(
+            drift_counters(&mut client),
+            (1, 0),
+            "restored shard lost its latch"
         );
-
-        let deadline = Instant::now() + Duration::from_secs(15);
-        loop {
-            let s = client.stats(0).unwrap();
-            let Response::Stats {
-                forced_retrains, ..
-            } = s
-            else {
-                panic!("expected Stats, got {s:?}");
-            };
-            if forced_retrains >= 1 {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "health loop never completed the interrupted forced retrain"
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        let r = client.observe(0, &plan(4.15e5), &[0.0, 0.0], 4.15 * 30.0);
+        assert!(matches!(r, Ok(Response::Observed { .. })), "got {r:?}");
+        assert_eq!(
+            drift_counters(&mut client),
+            (1, 1),
+            "the next pool add must retrain"
+        );
 
         // And the shard keeps serving calibrated answers after recovery.
         let r = client.predict(0, &plan(1.55e5), &[0.0, 0.0]).unwrap();

@@ -37,16 +37,22 @@ timeout 120 ./target/release/stage-serve --smoke
 # (incl. BENCHMARK.json <-> code); run them here.
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 timeout 300 bash benchmark/run.sh --smoke
+# Served == library with the drift sentinel live: the cheapest run (~3 s)
+# that puts a drift retrain inside the oracle prefix (on this seed a shard
+# latches and refits within its first 700 queries). Exits non-zero on any
+# answer that differs from the in-process StagePredictor's.
+timeout 120 bash benchmark/run.sh --workload miss_heavy --seed 107 --seconds 2 --trace 0
 
 # Chaos smoke: the six-phase fault-injection soak at CI scale (including
-# the workload step change that must trip the drift sentinel). Asserts
+# the workload step change that must trip the drift sentinel and retrain
+# every shard). Asserts
 # zero server panics, zero lost observes, and that every injected fault is
 # accounted for by a degraded-mode counter (DESIGN.md §10). The injection
 # caps quiesce every schedule, so the bound is generous, not load-bearing.
 cargo build -q --release -p stage-bench --bin chaos_soak
 timeout 300 ./target/release/chaos_soak --smoke --out /tmp/bench_chaos_smoke.json
 
-# Drift smoke: the shift/detect/force-retrain/recover episode against
+# Drift smoke: the shift/detect-and-retrain/recover episode against
 # StagePredictor directly (DESIGN.md §15). Gates detection on the
 # headline shift factor, post-retrain error below pre-retrain, interval
 # coverage within two points of nominal, and zero steady false alarms.

@@ -2,7 +2,7 @@
 //! full wire protocol over a real TCP socket, warm restart from snapshots,
 //! and concurrent clients losing no feedback.
 
-use stage_core::{PredictionSource, StageConfig};
+use stage_core::{ExecTimePredictor, PredictionSource, StageConfig, StagePredictor, SystemContext};
 use stage_gbdt::{EnsembleParams, NgBoostParams};
 use stage_plan::{PhysicalPlan, PlanBuilder, S3Format};
 use stage_serve::{BatchPrediction, Response, ServeClient, ServeConfig, Server};
@@ -626,6 +626,76 @@ fn concurrent_clients_lose_no_observes() {
         total_predicts, expected,
         "predict routing counters diverged"
     );
+
+    client.shutdown().unwrap();
+    drop(client);
+    server.join().unwrap();
+}
+
+/// Served shard 0 and an in-process `StagePredictor` (same config; salt 0 is
+/// the default) fed the same steady → 30× trace of fresh plans: the drift
+/// retrain happens inside an `Observe`, so the library replays it and every
+/// answer before, across and after it is equal to the bit.
+#[test]
+fn served_equals_library_across_a_drift_retrain() {
+    let mut stage = StageConfig::default();
+    stage.local.ensemble.n_members = 2;
+    stage.local.ensemble.member.n_estimators = 10;
+    let server = Server::start(ServeConfig {
+        n_instances: 1,
+        stage,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut client = ServeClient::connect(server.local_addr()).unwrap();
+    let mut library = StagePredictor::new(stage);
+
+    let sys = SystemContext::empty(2);
+    let bits = |x: Option<f64>| x.map(f64::to_bits);
+    // 100 steady rounds, then 80 at 30×: short of the 300-add cadence, so
+    // the only retrain after the first is the one the sentinel brings on.
+    for i in 0..180u32 {
+        let rows = f64::from(i % 40 + 1) * 1e4 + f64::from(i);
+        let query = plan("drift", rows);
+        let secs = rows / 1e5 * if i < 100 { 1.0 } else { 30.0 };
+
+        let want = library.predict(&query, &sys);
+        let (want_lo, want_hi) = library.calibrated_interval(&want).unzip();
+        let Ok(Response::Predicted {
+            exec_secs,
+            interval_lo,
+            interval_hi,
+            source,
+            ..
+        }) = client.predict(0, &query, &sys.features)
+        else {
+            panic!("predict did not answer Predicted");
+        };
+        assert_eq!(
+            (exec_secs.to_bits(), bits(interval_lo), bits(interval_hi)),
+            (want.exec_secs.to_bits(), bits(want_lo), bits(want_hi)),
+            "served != library at query {i}"
+        );
+        assert_eq!(source, want.source, "routing differs at query {i}");
+
+        library.observe(&query, &sys, secs);
+        let served = client.observe(0, &query, &sys.features, secs);
+        assert!(matches!(served, Ok(Response::Observed { .. })));
+    }
+
+    let Ok(Response::Stats {
+        routing,
+        drift_detections,
+        forced_retrains,
+        ..
+    }) = client.stats(0)
+    else {
+        panic!("stats did not answer Stats");
+    };
+    assert_eq!(routing, library.stats());
+    assert_eq!(drift_detections, library.drift().detections());
+    assert_eq!(forced_retrains, library.drift().forced_retrains());
+    assert_eq!(forced_retrains, 1, "the trace must cross a drift retrain");
 
     client.shutdown().unwrap();
     drop(client);
