@@ -1,7 +1,8 @@
 //! Drift benchmark: detection latency, retrain recovery, and calibrated
 //! interval coverage, measured directly against [`StagePredictor`] (no
 //! server in the loop — this isolates the sentinel from transport noise;
-//! `chaos_soak`'s step-change phase covers the serving loop end to end).
+//! `tests/serve_integration.rs::served_equals_library_across_a_drift_retrain`
+//! proves the served shard answers what this predictor answers).
 //!
 //! Per `(shift factor, shard)` cell the harness drives a generated
 //! workload trace: a steady warm-up, then every true execution time is
@@ -108,8 +109,8 @@ struct DriftReport {
     scenarios: Vec<Scenario>,
 }
 
-/// Mirrors the chaos soak's serving-speed configuration so the two
-/// artefacts describe the same model.
+/// A serving-speed configuration: a small ensemble and a short retrain
+/// cadence, so an episode of a few hundred queries crosses several refits.
 fn bench_stage_config() -> StageConfig {
     StageConfig {
         local: LocalModelConfig {

@@ -6,8 +6,8 @@
 //! opportunity, so the plan's per-site injection counters form an exact
 //! ledger against the degraded-mode counters the serving stack keeps:
 //! every injected `LocalPredict` is one `local_failover`, every injected
-//! `LocalRetrain` is one poisoned or slowed retrain, and so on. The soak
-//! harness asserts this correspondence after every phase.
+//! `LocalRetrain` is one poisoned or slowed retrain, and so on. The
+//! per-family tests of `tests/oracle.rs` assert this correspondence.
 
 use crate::plan::{FaultPlan, FaultSite};
 use stage_core::persist::PersistFaults;

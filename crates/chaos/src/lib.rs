@@ -6,10 +6,9 @@
 //! fallback chain, and this crate is how the reproduction proves its
 //! serving layer degrades instead of dying.
 //!
-//! The design is a single [`FaultPlan`] — per-site schedules (base
-//! probability, arming delay, escalation ramp, injection cap) over a fixed
-//! set of [`FaultSite`]s — consulted by thin hooks threaded through the
-//! stack:
+//! The design is a single [`FaultPlan`] — per-site schedules (injection
+//! probability, injection cap) over a fixed set of [`FaultSite`]s —
+//! consulted by thin hooks threaded through the stack:
 //!
 //! * [`io::ChaosStream`] wraps a socket half and injects torn frames,
 //!   mid-message disconnects, and slow-loris stalls ([`FaultSite::SockRead`],
@@ -26,8 +25,10 @@
 //! Every decision is a pure function of `(seed, site, per-site call
 //! ordinal)` — no entropy, no clocks — so a run with the same seed and the
 //! same per-site traffic injects the same faults, and the injected counters
-//! ([`FaultPlan::stats`]) give the soak harness an exact ledger to balance
-//! against the server's degraded-mode counters.
+//! ([`FaultPlan::injected`]) are an exact ledger: the test driver
+//! (`tests/support`) balances them against the server's degraded-mode
+//! counters and against a second plan, built from the same configuration,
+//! that its in-process model consults.
 //!
 //! This crate is std-only and inside `stage-lint`'s panic-freedom scope:
 //! a fault injector that panics would void the very property under test.
@@ -38,10 +39,10 @@ pub mod plan;
 pub mod rng;
 
 pub use io::ChaosStream;
-pub use plan::{FaultPlan, FaultPlanConfig, FaultSite, SitePolicy, SiteStats};
+pub use plan::{FaultPlan, FaultPlanConfig, FaultSite, SitePolicy};
 
-// The plan is shared by connection threads, workers, the checkpointer, and
-// the soak driver at once; prove at compile time that it can be.
+// The plan is shared by the event loops, the health thread and the test
+// driver at once; prove at compile time that it can be.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<FaultPlan>();

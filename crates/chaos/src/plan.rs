@@ -4,10 +4,9 @@
 //! call/injection counters. Hooks call [`FaultPlan::decide`] at the moment a
 //! fault *could* happen; the plan answers "inject (and which flavour)" or
 //! "pass" as a pure function of the seed, the site, and that site's call
-//! ordinal. Escalating schedules fall out of the policy shape: an arming
-//! delay models a healthy warm-up window, a per-call ramp models a slow
-//! burn, and an injection cap bounds total damage so a soak run always
-//! converges back to a healthy system.
+//! ordinal. A policy is a flat probability plus an injection cap; the cap
+//! bounds total damage, so a faulted run always converges back to a
+//! healthy system.
 
 use crate::rng::{mix, unit};
 use stage_core::sync::{OrderedMutex, RANK_SESSION};
@@ -36,32 +35,12 @@ pub enum FaultSite {
     LocalRetrain,
     /// The global model refuses to answer an escalated prediction.
     GlobalPredict,
-    /// A workload step-change: the driver multiplies true execution times
-    /// from this decision on, so every model trained before it is suddenly
-    /// miscalibrated. Unlike the other sites this one lives in the load
-    /// driver rather than the server — the fault is in the *world*, and
-    /// the system under test must notice (drift detection) and recover
-    /// (the latched shard retrains on its next pool add).
-    WorkloadShift,
 }
 
 /// Number of distinct fault sites.
-pub const SITE_COUNT: usize = 9;
+pub const SITE_COUNT: usize = 8;
 
 impl FaultSite {
-    /// Every site, in index order.
-    pub const ALL: [FaultSite; SITE_COUNT] = [
-        FaultSite::SockRead,
-        FaultSite::SockWrite,
-        FaultSite::PersistWrite,
-        FaultSite::PersistFsync,
-        FaultSite::PersistRestore,
-        FaultSite::LocalPredict,
-        FaultSite::LocalRetrain,
-        FaultSite::GlobalPredict,
-        FaultSite::WorkloadShift,
-    ];
-
     fn index(self) -> usize {
         match self {
             FaultSite::SockRead => 0,
@@ -72,22 +51,6 @@ impl FaultSite {
             FaultSite::LocalPredict => 5,
             FaultSite::LocalRetrain => 6,
             FaultSite::GlobalPredict => 7,
-            FaultSite::WorkloadShift => 8,
-        }
-    }
-
-    /// Stable snake_case name (used in reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultSite::SockRead => "sock_read",
-            FaultSite::SockWrite => "sock_write",
-            FaultSite::PersistWrite => "persist_write",
-            FaultSite::PersistFsync => "persist_fsync",
-            FaultSite::PersistRestore => "persist_restore",
-            FaultSite::LocalPredict => "local_predict",
-            FaultSite::LocalRetrain => "local_retrain",
-            FaultSite::GlobalPredict => "global_predict",
-            FaultSite::WorkloadShift => "workload_shift",
         }
     }
 }
@@ -95,14 +58,10 @@ impl FaultSite {
 /// One site's injection schedule.
 #[derive(Debug, Clone, Copy)]
 pub struct SitePolicy {
-    /// Base injection probability per call once armed.
+    /// Injection probability per call.
     pub probability: f64,
-    /// Calls to pass through before the site arms (healthy warm-up).
-    pub start_after: u64,
-    /// Probability added per armed call (escalation; clamped to 1.0).
-    pub ramp_per_call: f64,
     /// Hard cap on total injections (`u64::MAX` = unbounded). A finite cap
-    /// guarantees an escalating schedule eventually quiesces.
+    /// guarantees the schedule eventually quiesces.
     pub max_injections: u64,
 }
 
@@ -110,8 +69,6 @@ impl SitePolicy {
     /// A disabled site (never injects).
     pub const OFF: SitePolicy = SitePolicy {
         probability: 0.0,
-        start_after: 0,
-        ramp_per_call: 0.0,
         max_injections: 0,
     };
 
@@ -119,20 +76,6 @@ impl SitePolicy {
     pub fn flat(p: f64, cap: u64) -> Self {
         Self {
             probability: p,
-            start_after: 0,
-            ramp_per_call: 0.0,
-            max_injections: cap,
-        }
-    }
-
-    /// An escalating schedule: quiet for `start_after` calls, then the
-    /// injection probability climbs from `base` by `ramp` per call until
-    /// `cap` injections have landed.
-    pub fn ramped(base: f64, start_after: u64, ramp: f64, cap: u64) -> Self {
-        Self {
-            probability: base,
-            start_after,
-            ramp_per_call: ramp,
             max_injections: cap,
         }
     }
@@ -173,8 +116,7 @@ impl FaultPlanConfig {
         self
     }
 
-    /// The policy of one site.
-    pub fn policy(&self, site: FaultSite) -> SitePolicy {
+    fn policy(&self, site: FaultSite) -> SitePolicy {
         self.policies
             .get(site.index())
             .copied()
@@ -186,17 +128,6 @@ impl FaultPlanConfig {
 struct SiteCounters {
     calls: u64,
     injected: u64,
-}
-
-/// Observed activity of one site (for reports and ledger checks).
-#[derive(Debug, Clone, Copy)]
-pub struct SiteStats {
-    /// The site.
-    pub site: FaultSite,
-    /// Decisions taken at the site.
-    pub calls: u64,
-    /// Decisions that injected a fault.
-    pub injected: u64,
 }
 
 /// A live fault plan: configuration plus per-site counters. Shared across
@@ -244,12 +175,10 @@ impl FaultPlan {
             return None;
         }
         let policy = self.config.policy(site);
-        if counters.injected >= policy.max_injections || call < policy.start_after {
+        if counters.injected >= policy.max_injections {
             return None;
         }
-        let armed_for = call - policy.start_after;
-        let p = (policy.probability + policy.ramp_per_call * armed_for as f64).clamp(0.0, 1.0);
-        if unit(self.config.seed, i as u64, call) < p {
+        if unit(self.config.seed, i as u64, call) < policy.probability {
             let k = counters.injected;
             counters.injected += 1;
             Some(k)
@@ -258,9 +187,9 @@ impl FaultPlan {
         }
     }
 
-    /// Turns every site off (counters keep tracking calls). The soak
-    /// harness disarms before graceful shutdown so the final checkpoint and
-    /// drain run clean.
+    /// Turns every site off (call ordinals keep advancing). A test driver
+    /// disarms before a graceful shutdown it wants clean: the final
+    /// checkpoint and drain then run unfaulted.
     pub fn disarm(&self) {
         self.disarmed.store(true, Ordering::Relaxed);
     }
@@ -275,11 +204,6 @@ impl FaultPlan {
         self.config.stall
     }
 
-    /// The configured seed.
-    pub fn seed(&self) -> u64 {
-        self.config.seed
-    }
-
     /// Injections at one site so far.
     pub fn injected(&self, site: FaultSite) -> u64 {
         self.state
@@ -288,27 +212,9 @@ impl FaultPlan {
             .map_or(0, |c| c.injected)
     }
 
-    /// Decisions at one site so far.
-    pub fn calls(&self, site: FaultSite) -> u64 {
-        self.state.lock().get(site.index()).map_or(0, |c| c.calls)
-    }
-
     /// Total injections across all sites.
     pub fn injected_total(&self) -> u64 {
         self.state.lock().iter().map(|c| c.injected).sum()
-    }
-
-    /// Per-site activity snapshot.
-    pub fn stats(&self) -> Vec<SiteStats> {
-        let state = self.state.lock();
-        FaultSite::ALL
-            .iter()
-            .map(|&site| SiteStats {
-                site,
-                calls: state.get(site.index()).map_or(0, |c| c.calls),
-                injected: state.get(site.index()).map_or(0, |c| c.injected),
-            })
-            .collect()
     }
 
     /// A deterministic pseudo-random u64 for hook-internal choices (e.g.
@@ -328,7 +234,6 @@ mod tests {
         for _ in 0..500 {
             assert_eq!(plan.decide(FaultSite::SockRead), None);
         }
-        assert_eq!(plan.calls(FaultSite::SockRead), 500);
         assert_eq!(plan.injected_total(), 0);
     }
 
@@ -355,39 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn arming_delay_and_cap_bound_the_schedule() {
-        let plan = FaultPlan::new(
-            FaultPlanConfig::new(5)
-                .site(FaultSite::PersistWrite, SitePolicy::ramped(1.0, 10, 0.0, 3)),
-        );
-        let mut injected_at = Vec::new();
-        for call in 0..50u64 {
-            if plan.decide(FaultSite::PersistWrite).is_some() {
-                injected_at.push(call);
-            }
-        }
-        // p=1.0 once armed: exactly calls 10, 11, 12 inject, then the cap.
-        assert_eq!(injected_at, vec![10, 11, 12]);
-        assert_eq!(plan.injected(FaultSite::PersistWrite), 3);
-    }
-
-    #[test]
-    fn ramp_escalates_to_certainty() {
-        let plan = FaultPlan::new(FaultPlanConfig::new(3).site(
-            FaultSite::LocalPredict,
-            SitePolicy::ramped(0.0, 0, 0.01, u64::MAX),
-        ));
-        // After 100 armed calls the probability is clamped at 1.0.
-        for _ in 0..100 {
-            plan.decide(FaultSite::LocalPredict);
-        }
-        assert_eq!(
-            plan.decide(FaultSite::LocalPredict),
-            Some(plan.injected(FaultSite::LocalPredict) - 1)
-        );
-    }
-
-    #[test]
     fn injection_ordinals_count_up() {
         let plan = FaultPlan::new(
             FaultPlanConfig::new(8).site(FaultSite::SockRead, SitePolicy::flat(1.0, u64::MAX)),
@@ -409,27 +281,5 @@ mod tests {
         }
         plan.rearm();
         assert!(plan.decide(FaultSite::SockRead).is_some());
-    }
-
-    #[test]
-    fn stats_ledger_matches_counters() {
-        let plan = FaultPlan::new(
-            FaultPlanConfig::new(4)
-                .site(FaultSite::SockRead, SitePolicy::flat(0.5, u64::MAX))
-                .site(FaultSite::LocalRetrain, SitePolicy::flat(0.5, u64::MAX)),
-        );
-        for _ in 0..100 {
-            plan.decide(FaultSite::SockRead);
-            plan.decide(FaultSite::LocalRetrain);
-        }
-        let stats = plan.stats();
-        assert_eq!(stats.len(), SITE_COUNT);
-        let total: u64 = stats.iter().map(|s| s.injected).sum();
-        assert_eq!(total, plan.injected_total());
-        for s in &stats {
-            assert_eq!(s.injected, plan.injected(s.site));
-            assert_eq!(s.calls, plan.calls(s.site));
-            assert!(s.injected <= s.calls);
-        }
     }
 }

@@ -22,7 +22,7 @@
 //! `stage-chaos`) can declare the local or global tier unavailable for a
 //! given call, or a due retrain poisoned/slowed, and the predictor degrades
 //! to the next-cheaper tier instead of failing — counting every degraded
-//! answer in [`DegradedStats`] so operators (and the soak harness's fault
+//! answer in [`DegradedStats`] so operators (and the test driver's fault
 //! ledger) can see exactly how often each tier was bypassed.
 //!
 //! This file is inside `stage-lint`'s panic-freedom scope: predictions are
@@ -201,10 +201,10 @@ pub struct StageSnapshot {
     pub stats: RoutingStats,
     /// Degraded-mode counters (how often each tier was bypassed).
     pub degraded: DegradedStats,
-    /// Drift sentinel + conformal calibration state. Snapshots written
-    /// before the sentinel existed restore a cold one (the field's
-    /// hand-written `Deserialize` maps the missing-field `Null` to
-    /// `DriftSentinel::default()`).
+    /// Drift sentinel + conformal calibration state. Store files written
+    /// before the sentinel existed have no CALIBRATION section and restore
+    /// a cold one ([`crate::storefmt`]'s absent-section arm); the serde
+    /// image has no such fallback — `DriftSentinel` derives `Deserialize`.
     pub calibration: DriftSentinel,
 }
 

@@ -1,5 +1,5 @@
-//! A blocking client for the stage-serve protocol, used by the load
-//! generator, the integration tests, and the `--smoke` self-check.
+//! A blocking client for the stage-serve protocol, used by the benchmark
+//! and the integration tests.
 //!
 //! The client speaks either wire codec. [`ServeClient::connect`] opens the
 //! binary codec (the hot-path default): it sends the [`crate::wire`] magic

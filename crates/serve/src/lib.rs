@@ -26,7 +26,7 @@
 //!   shedding, component fallback counters, and the optional
 //!   `stage-chaos` fault plan threaded through sockets, snapshot I/O, and
 //!   model tiers.
-//! * [`client`] — a blocking dual-codec client used by the load generator
+//! * [`client`] — a blocking dual-codec client used by the benchmark
 //!   and tests (socket timeouts and capped decorrelated-jitter retries by
 //!   default).
 

@@ -57,7 +57,8 @@ pub enum Request {
     },
     /// Checkpoint every instance's predictor to the snapshot directory.
     Snapshot,
-    /// Gracefully drain all queues, checkpoint, and stop the server.
+    /// Start the graceful drain: shard verbs answer `ShuttingDown` from now
+    /// on, pending replies flush, a final checkpoint runs, the server stops.
     Shutdown,
 }
 
@@ -94,7 +95,7 @@ pub enum Response {
         interval_hi: Option<f64>,
         /// Which stage of the hierarchy answered.
         source: PredictionSource,
-        /// Server-side service latency (enqueue → answered) in µs.
+        /// Server-side service latency (socket arrival → answered) in µs.
         latency_us: u64,
     },
     /// Answer to [`Request::PredictBatch`]: one prediction per submitted
@@ -102,8 +103,8 @@ pub enum Response {
     PredictionsBatch {
         /// Per-plan predictions, index-aligned with the request's `plans`.
         predictions: Vec<BatchPrediction>,
-        /// Server-side service latency (enqueue → answered) in µs for the
-        /// whole batch.
+        /// Server-side service latency (socket arrival → answered) in µs for
+        /// the whole batch.
         latency_us: u64,
     },
     /// Answer to [`Request::Observe`].
@@ -129,8 +130,8 @@ pub enum Response {
         /// Degraded-mode counters: predictions answered by a cheaper tier
         /// because a component was (injected or genuinely) unavailable.
         degraded: DegradedStats,
-        /// Requests answered [`Response::TimedOut`] because they overstayed
-        /// the per-request deadline in this instance's queue.
+        /// Requests for this instance answered [`Response::TimedOut`]
+        /// because they overstayed the per-request deadline before dispatch.
         timed_out: u64,
         /// Checkpoint passes that skipped this instance because its
         /// artefact was already current (no state change since the last
@@ -160,19 +161,22 @@ pub enum Response {
     },
     /// Answer to [`Request::Shutdown`]: the drain has begun.
     ShuttingDown,
-    /// Backpressure: the target worker's queue is full (or draining). The
-    /// request was **not** executed; retry after a pause or shed load.
+    /// Backpressure: this connection has more than 1 MiB of replies
+    /// buffered that its peer has not read, so its shard verbs are refused
+    /// until the backlog drains. The request was **not** executed; read the
+    /// pending replies, then retry.
     Overloaded {
         /// Suggested client backoff in milliseconds.
         retry_after_ms: u64,
     },
-    /// Degraded answer: the request waited in its worker queue past the
-    /// server's per-request deadline, so it was answered without being
-    /// executed — a stale prediction is worse than a fast "no answer" for
-    /// an admission controller. Observes are never timed out (feedback is
-    /// durable); only predictions degrade this way.
+    /// Degraded answer: more than the server's per-request deadline passed
+    /// between the request's bytes arriving on the socket and its dispatch,
+    /// so it was answered without being executed — a stale prediction is
+    /// worse than a fast "no answer" for an admission controller. Observes
+    /// are never timed out (feedback is durable); only predictions degrade
+    /// this way.
     TimedOut {
-        /// How long the request had waited when the worker picked it up, µs.
+        /// Socket-arrival-to-dispatch wait when the deadline was checked, µs.
         waited_us: u64,
     },
     /// The request was malformed or referenced an unknown instance.

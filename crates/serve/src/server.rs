@@ -14,28 +14,26 @@
 //! Connections are non-blocking sockets owned by one of a handful of event
 //! loops; a loop `poll(2)`s every socket it owns plus a waker pipe, so one
 //! box holds tens of thousands of idle WLM connections at the cost of a
-//! few file descriptors per loop iteration — not a stack and a parked
-//! thread per connection, which is what the old thread-per-socket model
-//! burned.
+//! few file descriptors per loop iteration — no stack and no parked
+//! thread per connection.
 //!
 //! Each connection speaks one of two codecs, negotiated by its first
 //! bytes: the [`crate::wire`] magic preamble selects length-prefixed
 //! CRC-checked binary frames, anything else (JSON starts `{` or `"`) is
-//! served newline-delimited JSON exactly as before. Verbs execute inline
+//! served newline-delimited JSON. Verbs execute inline
 //! on the loop thread under the target shard's lock — on the small hosts
 //! this repo benches on, a handoff to a worker pool costs more than the
 //! verb itself (PR 4 measured the same effect for parsing). Every refit is
 //! such a verb's work — a shard retrains only inside the `Observe` that
 //! makes it due, never on the background `serve-health` thread.
 //!
-//! Backpressure is per connection now: a peer that stops reading while
+//! Backpressure is per connection: a peer that stops reading while
 //! pipelining requests grows its own write buffer, and past a bound its
 //! shard verbs are answered [`Response::Overloaded`] until the backlog
 //! drains. A full accept inbox sheds the new connection instead. Unknown
-//! instances are rejected *before* any dispatch — the old
-//! `instance % n_workers` routing silently aliased out-of-range ids onto
-//! a valid worker and dropped their timed-out counts; the counter now
-//! lives on the shard itself so its index space is the registry's.
+//! instances are rejected *before* any dispatch — an out-of-range id is
+//! never aliased onto a live shard — and the timed-out counter lives on
+//! the shard itself, so its index space is the registry's.
 //!
 //! `Shutdown` flips the drain flag: shard verbs answer `ShuttingDown`
 //! (Stats/Snapshot still serve), the accept loop exits, and
@@ -144,8 +142,8 @@ impl Default for ServeConfig {
 
 /// An accepted socket, optionally wrapped in the chaos fault injector.
 /// Both variants are non-blocking; the wrapper passes `WouldBlock`
-/// through untouched, so injected faults land on the event-loop path
-/// exactly as they did on the thread-per-socket path.
+/// through untouched, so the event loop drives a faulted socket exactly
+/// like a plain one.
 enum Sock {
     Plain(TcpStream),
     Chaos(ChaosStream<TcpStream>),
@@ -570,7 +568,7 @@ fn process_input(
                 } else {
                     // JSON requests start with '{' or '"'; anything that
                     // isn't the magic byte is served as newline-JSON, which
-                    // will answer garbage with a parse error as before.
+                    // answers garbage with a parse error.
                     conn.codec = CodecState::Json;
                 }
             }
@@ -1250,9 +1248,9 @@ mod tests {
 
     #[test]
     fn unknown_instances_are_rejected_not_aliased() {
-        // The old `instance % n_workers` routing would alias instance 7
-        // onto a live worker; the answer must be an explicit rejection
-        // regardless of how it relates to the loop/shard counts.
+        // An id the registry does not host must be rejected explicitly,
+        // however it relates to the loop and shard counts — never mapped
+        // onto a live shard.
         let server = Server::start(ServeConfig {
             n_instances: 2,
             n_loops: 2,

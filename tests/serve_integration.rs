@@ -2,35 +2,22 @@
 //! full wire protocol over a real TCP socket, warm restart from snapshots,
 //! and concurrent clients losing no feedback.
 
+// This file uses the driver's temp dir and its at-least-once link;
+// `tests/oracle.rs` uses the rest.
+#[allow(dead_code)]
+mod support;
+
 use stage_core::{ExecTimePredictor, PredictionSource, StageConfig, StagePredictor, SystemContext};
 use stage_gbdt::{EnsembleParams, NgBoostParams};
 use stage_plan::{PhysicalPlan, PlanBuilder, S3Format};
-use stage_serve::{BatchPrediction, Response, ServeClient, ServeConfig, Server};
-use std::path::PathBuf;
+use stage_serve::{BatchPrediction, Codec, Request, Response, ServeClient, ServeConfig, Server};
+use support::{Link, TempDir};
 
 fn plan(tag: &str, rows: f64) -> PhysicalPlan {
     PlanBuilder::select()
         .scan(tag, S3Format::Local, rows, 64.0)
         .hash_aggregate(0.01)
         .finish()
-}
-
-/// A unique temp dir per test; removed on drop so reruns start clean.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(name: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 #[test]
@@ -219,27 +206,27 @@ fn socket_faults_lose_no_observes() {
 
     const ROUNDS: usize = 40;
     let mut confirmed = 0u64;
-    let mut io_errors = 0u64;
-    let mut client = ServeClient::connect(addr).unwrap();
+    // Sends the server applied: the confirmed ones plus the ones whose ack
+    // was torn (the link learns of those from `Stats` before it resends).
+    let mut applied = 0u64;
+    let mut link = Link::new(addr, Codec::Binary);
     for r in 0..ROUNDS {
-        let query = plan("chaos", 1e4 + r as f64);
         // At-least-once delivery: on any I/O error, reconnect and resend.
         // (The observe may have been applied before the ack was torn; the
         // cache dedups the resend, so counters stay exact per unique plan.)
-        loop {
-            match client.observe(0, &query, &sys, 1.0) {
-                Ok(Response::Observed { .. }) => {
-                    confirmed += 1;
-                    break;
-                }
-                Ok(Response::Overloaded { .. }) => continue,
-                Ok(other) => panic!("observe rejected: {other:?}"),
-                Err(_) => {
-                    io_errors += 1;
-                    client = ServeClient::connect(addr).unwrap();
-                }
-            }
-        }
+        let request = Request::Observe {
+            instance: 0,
+            plan: plan("chaos", 1e4 + r as f64),
+            sys: sys.to_vec(),
+            actual_secs: 1.0,
+        };
+        let (reply, lost) = link.deliver(&request, applied);
+        assert!(
+            matches!(reply, Response::Observed { .. }),
+            "observe rejected: {reply:?}"
+        );
+        confirmed += 1;
+        applied += lost + 1;
     }
     assert_eq!(confirmed, ROUNDS as u64);
     assert!(
@@ -260,12 +247,12 @@ fn socket_faults_lose_no_observes() {
         panic!("stats did not answer Stats");
     };
     assert!(observes >= ROUNDS as u64, "observes lost: {observes}");
+    assert_eq!(observes, applied, "a duplicate went uncounted");
     assert_eq!(cache_len, ROUNDS as u64, "one cache entry per unique plan");
-    let _ = io_errors; // informational; the exact count is seed-dependent
 
     check.shutdown().unwrap();
     drop(check);
-    drop(client);
+    drop(link);
     server.join().unwrap();
 }
 
@@ -498,26 +485,24 @@ fn codecs_agree_bit_for_bit_even_under_torn_frames() {
             ..ServeConfig::default()
         })
         .unwrap();
-        let addr = server.local_addr();
-        let connect = |use_json: bool| {
-            if use_json {
-                ServeClient::connect_json(addr)
-            } else {
-                ServeClient::connect(addr)
-            }
-        };
-        let mut client = connect(use_json).unwrap();
+        let codec = if use_json { Codec::Json } else { Codec::Binary };
+        let mut link = Link::new(server.local_addr(), codec);
+        let mut applied = 0u64;
         for (r, p) in plans.iter().enumerate() {
             // At-least-once: on any I/O error (possibly a torn frame killing
             // the connection), reconnect and resend; the cache dedups.
-            loop {
-                match client.observe(0, p, &sys, 1.0 + r as f64) {
-                    Ok(Response::Observed { .. }) => break,
-                    Ok(Response::Overloaded { .. }) => continue,
-                    Ok(other) => panic!("observe rejected: {other:?}"),
-                    Err(_) => client = connect(use_json).unwrap(),
-                }
-            }
+            let request = Request::Observe {
+                instance: 0,
+                plan: p.clone(),
+                sys: sys.to_vec(),
+                actual_secs: 1.0 + r as f64,
+            };
+            let (reply, lost) = link.deliver(&request, applied);
+            assert!(
+                matches!(reply, Response::Observed { .. }),
+                "observe rejected: {reply:?}"
+            );
+            applied += lost + 1;
         }
         assert!(
             chaos.injected_total() > 0,
@@ -527,17 +512,25 @@ fn codecs_agree_bit_for_bit_even_under_torn_frames() {
 
         let mut got = Vec::new();
         for p in &plans {
-            let Response::Predicted {
-                exec_secs, source, ..
-            } = client.predict(0, p, &sys).unwrap()
+            let request = Request::Predict {
+                instance: 0,
+                plan: p.clone(),
+                sys: sys.to_vec(),
+            };
+            let (
+                Response::Predicted {
+                    exec_secs, source, ..
+                },
+                _,
+            ) = link.deliver(&request, 0)
             else {
                 panic!("predict failed");
             };
             got.push((exec_secs.to_bits(), source));
         }
         answers.push(got);
-        client.shutdown().unwrap();
-        drop(client);
+        link.deliver(&Request::Shutdown, 0);
+        drop(link);
         server.join().unwrap();
     }
     assert_eq!(
