@@ -3,10 +3,7 @@
 //! ```text
 //! cargo run --release -p stage-bench --bin experiments -- <experiment|all> [flags]
 //!
-//! experiments: fig1a fig1b tab1 tab2 tab3 tab4 tab5 tab6 fig6 fig7 fig9
-//!              fig10 fig11 ablation_alpha ablation_k ablation_pool
-//!              ablation_coldstart ablation_routing ablation_drift
-//!              ablation_hash ablation_welford
+//! experiments: every id of `ALL_EXPERIMENTS` (`--list` prints them)
 //! flags:
 //!   --quick          small fleet / small models (default)
 //!   --full           paper-scale (for this substrate) configuration

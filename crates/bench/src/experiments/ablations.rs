@@ -67,18 +67,12 @@ pub fn ensemble_k_sweep(ctx: &ExperimentContext) -> ExperimentReport {
     let ks = [1usize, 3, 5, 10];
     let mut rows = Vec::new();
     for &k in &ks {
-        let mut local_cfg = ctx.config.stage.local;
-        local_cfg.ensemble.n_members = k;
+        let mut cfg = ctx.config.stage;
+        cfg.local.ensemble.n_members = k;
         let mut errors = Vec::new();
         let mut uncertainties = Vec::new();
         for w in &instances {
-            let records = ablation_replay(
-                w,
-                local_cfg,
-                ctx.config.stage.cache,
-                ctx.config.stage.pool,
-                None,
-            );
+            let (_, records) = ablation_replay(w, &mut StagePredictor::new(cfg));
             for r in &records {
                 if r.is_cache_hit() {
                     continue;
@@ -507,6 +501,7 @@ pub fn heterogeneity(ctx: &ExperimentContext) -> ExperimentReport {
     use crate::replay::training_samples;
     use stage_core::GlobalModel;
     use stage_workload::instance::INSTANCE_FEATURE_DIM;
+    use std::sync::Arc;
 
     let levels = [0.0, 0.2, 0.4, 0.8];
     let mut rows = Vec::new();
@@ -533,17 +528,16 @@ pub fn heterogeneity(ctx: &ExperimentContext) -> ExperimentReport {
             .into_iter()
             .flatten()
             .collect();
-        let global = GlobalModel::train(&samples, INSTANCE_FEATURE_DIM, &ctx.config.global);
+        let global = Arc::new(GlobalModel::train(
+            &samples,
+            INSTANCE_FEATURE_DIM,
+            &ctx.config.global,
+        ));
 
         let per_instance = ctx.replayer().run(fleet_cfg.n_instances, |id| {
             let w = InstanceWorkload::generate(&fleet_cfg, id as u32);
-            let records = ablation_replay(
-                &w,
-                ctx.config.stage.local,
-                ctx.config.stage.cache,
-                ctx.config.stage.pool,
-                Some(&global),
-            );
+            let mut stage = StagePredictor::with_global(ctx.config.stage, Arc::clone(&global));
+            let (_, records) = ablation_replay(&w, &mut stage);
             let mut local = Vec::new();
             let mut glob = Vec::new();
             for r in &records {

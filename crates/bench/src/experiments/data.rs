@@ -1,6 +1,9 @@
-//! Shared replay collection: one pass over every evaluation instance with
-//! the Stage predictor, the AutoWLM baseline, and the component-wise
-//! ablation replay. Every table/figure experiment slices this data.
+//! Shared replay collection: every evaluation instance replayed through
+//! the Stage predictor and the AutoWLM baseline. Every table/figure
+//! experiment slices this data. The component records (Tables 3–6,
+//! Figs. 10–11) are what the tiers of the *replayed* Stage predictor would
+//! each have answered ([`ablation_replay`]: one pass, one salted predictor,
+//! read two ways) — not a second model of it.
 
 use crate::context::ExperimentContext;
 use crate::replay::{ablation_replay, replay, AblationRecord, ReplayRecord};
@@ -75,11 +78,9 @@ impl Collected {
 /// shared. Results carry their instance id and come back in id order, so
 /// the output is identical to the sequential loop at any thread count.
 pub fn collect(ctx: &ExperimentContext, with_global: bool) -> Collected {
-    let global = if with_global {
-        Some(ctx.global_model())
-    } else {
-        None
-    };
+    if with_global {
+        ctx.global_model(); // trained here, once; the workers share it
+    }
     let instances = ctx.replayer().run(ctx.n_eval(), |shard| {
         let id = shard as u32;
         let workload = ctx.eval_instance(id);
@@ -89,25 +90,15 @@ pub fn collect(ctx: &ExperimentContext, with_global: bool) -> Collected {
         } else {
             ctx.stage_predictor_no_global_for(id)
         };
-        let stage = replay(&workload, &mut stage_predictor);
+        let (stage, ablation) = ablation_replay(&workload, &mut stage_predictor);
 
-        let mut deployed_predictor = ctx.stage_predictor_no_global_for(id);
         let stage_deployed = if with_global {
-            replay(&workload, &mut deployed_predictor)
+            replay(&workload, &mut ctx.stage_predictor_no_global_for(id))
         } else {
             stage.clone()
         };
 
-        let mut auto_predictor = ctx.autowlm_predictor_for(id);
-        let auto = replay(&workload, &mut auto_predictor);
-
-        let ablation = ablation_replay(
-            &workload,
-            ctx.config.stage.local,
-            ctx.config.stage.cache,
-            ctx.config.stage.pool,
-            global.as_deref(),
-        );
+        let auto = replay(&workload, &mut ctx.autowlm_predictor_for(id));
 
         InstanceData {
             id,
@@ -158,6 +149,9 @@ pub(crate) mod tests {
         for inst in &c.instances {
             assert_eq!(inst.stage.len(), inst.auto.len());
             assert_eq!(inst.stage.len(), inst.ablation.len());
+            // One predictor read two ways: Table 3's hits are its cache answers.
+            let hits = inst.ablation.iter().filter(|r| r.is_cache_hit()).count();
+            assert_eq!(hits as u64, inst.stage_stats.cache);
             for ((s, a), ab) in inst.stage.iter().zip(&inst.auto).zip(&inst.ablation) {
                 assert_eq!(s.actual_secs, a.actual_secs);
                 assert_eq!(s.actual_secs, ab.actual_secs);

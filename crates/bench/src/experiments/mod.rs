@@ -76,19 +76,12 @@ pub fn run(
     ctx: &ExperimentContext,
     shared: &mut Option<data::Collected>,
 ) -> Option<ExperimentReport> {
-    let needs_global = matches!(
+    let needs_collected = matches!(
         name,
         "tab1" | "tab2" | "tab3" | "tab4" | "tab5" | "tab6" | "fig6" | "fig7" | "fig10" | "fig11"
     );
-    let needs_collected = needs_global;
-    if needs_collected {
-        let usable = shared
-            .as_ref()
-            .map(|c| c.with_global || !needs_global)
-            .unwrap_or(false);
-        if !usable {
-            *shared = Some(data::collect(ctx, needs_global));
-        }
+    if needs_collected && !shared.as_ref().is_some_and(|c| c.with_global) {
+        *shared = Some(data::collect(ctx, true));
     }
     let collected = shared.as_ref();
     Some(match name {

@@ -7,8 +7,9 @@
 //!
 //! * [`mod@replay`] — sequential query replay through any
 //!   [`stage_core::ExecTimePredictor`] (the paper's §5.1 protocol: predict,
-//!   execute, observe), and the *ablation replay* that records cache / local
-//!   / global / AutoWLM predictions side by side for every query;
+//!   execute, observe), and the *ablation replay*: the same replay through a
+//!   `StagePredictor`, also recording what each of its tiers (cache / local
+//!   / global) would have answered for every query;
 //! * [`context`] — experiment configuration, fleet construction, and global
 //!   model training on disjoint training instances;
 //! * [`parallel`] — the shard-parallel fleet replay engine: per-instance

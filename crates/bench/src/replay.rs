@@ -5,12 +5,9 @@
 
 use serde::{Deserialize, Serialize};
 use stage_core::{
-    plan_to_tree_sample, ExecTimePredictor, GlobalModel, LocalModel, LocalModelConfig, PoolConfig,
-    PredictionSource, SystemContext, TrainingPool,
+    plan_to_tree_sample, ExecTimePredictor, PredictionSource, StagePredictor, SystemContext,
 };
-use stage_core::{CacheConfig, ExecTimeCache};
-use stage_plan::plan_feature_vector;
-use stage_workload::InstanceWorkload;
+use stage_workload::{InstanceWorkload, QueryEvent};
 
 /// One replayed query: what happened and what was predicted.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -31,11 +28,22 @@ pub fn replay(
     workload: &InstanceWorkload,
     predictor: &mut dyn ExecTimePredictor,
 ) -> Vec<ReplayRecord> {
+    replay_with(workload, predictor, |_, _, _| {})
+}
+
+/// The one replay loop: per event `before` (a read-only look at the
+/// predictor), then predict, then observe.
+fn replay_with<P: ExecTimePredictor + ?Sized>(
+    workload: &InstanceWorkload,
+    predictor: &mut P,
+    mut before: impl FnMut(&P, &QueryEvent, &SystemContext),
+) -> Vec<ReplayRecord> {
     let mut out = Vec::with_capacity(workload.events.len());
     for event in &workload.events {
         let sys = SystemContext {
             features: workload.spec.system_features(event.concurrency),
         };
+        before(predictor, event, &sys);
         let p = predictor.predict(&event.plan, &sys);
         predictor.observe(&event.plan, &sys, event.true_exec_secs);
         out.push(ReplayRecord {
@@ -76,53 +84,31 @@ impl AblationRecord {
     }
 }
 
-/// Replays an instance while querying *every* Stage component on *every*
-/// query (not just the component the router would pick), so component
-/// accuracies can be compared on identical query subsets. The cache, pool,
-/// and local model evolve exactly as inside `StagePredictor` (dedup via
-/// cache, same retraining cadence); the global model is frozen/offline.
+/// [`replay`] through a Stage predictor that also records, before every
+/// query, what *each* of its tiers would answer
+/// ([`StagePredictor::tier_answers`]) — not just the tier the router picks
+/// — so component accuracies can be compared on identical query subsets.
+/// Both records come off the one predictor: a cache hit in one is a
+/// `Cache`-sourced answer in the other, and a `Local`-sourced answer is the
+/// other's `local_secs`, bit for bit.
 pub fn ablation_replay(
     workload: &InstanceWorkload,
-    local_config: LocalModelConfig,
-    cache_config: CacheConfig,
-    pool_config: PoolConfig,
-    global: Option<&GlobalModel>,
-) -> Vec<AblationRecord> {
-    let mut cache = ExecTimeCache::new(cache_config);
-    let mut pool = TrainingPool::new(pool_config);
-    let mut local = LocalModel::new(local_config);
-    let mut out = Vec::with_capacity(workload.events.len());
-
-    for event in &workload.events {
-        let key = ExecTimeCache::key_of(&event.plan);
-        let features = plan_feature_vector(&event.plan);
-        let sys = SystemContext {
-            features: workload.spec.system_features(event.concurrency),
-        };
-
-        let cache_secs = cache.lookup(key);
-        let local_pred = local.predict(features.as_slice());
-        let global_secs = global.map(|g| g.predict(&event.plan, &sys));
-
-        out.push(AblationRecord {
+    predictor: &mut StagePredictor,
+) -> (Vec<ReplayRecord>, Vec<AblationRecord>) {
+    let mut tiers = Vec::with_capacity(workload.events.len());
+    let routed = replay_with(workload, predictor, |p, event, sys| {
+        let t = p.tier_answers(&event.plan, sys);
+        tiers.push(AblationRecord {
             arrival_secs: event.arrival_secs,
             actual_secs: event.true_exec_secs,
-            cache_secs,
-            local_secs: local_pred.map(|p| p.exec_secs),
-            local_log_std: local_pred.map(|p| p.log_std()),
-            local_secs_std: local_pred.map(|p| p.seconds_std()),
-            global_secs,
+            cache_secs: t.cache,
+            local_secs: t.local.map(|l| l.exec_secs),
+            local_log_std: t.local.map(|l| l.log_std()),
+            local_secs_std: t.local.map(|l| l.seconds_std()),
+            global_secs: t.global,
         });
-
-        // Observe, mirroring StagePredictor::observe (no drift sentinel).
-        let was_cached = cache.contains(key);
-        cache.record(key, event.true_exec_secs);
-        if !was_cached {
-            pool.add(features.0, event.true_exec_secs);
-            local.note_observation(&pool, false);
-        }
-    }
-    out
+    });
+    (routed, tiers)
 }
 
 /// Builds GCN training samples from an instance's events, sub-sampled to at
@@ -193,7 +179,7 @@ fn take_evenly(from: &[usize], cap: usize, into: &mut Vec<usize>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stage_core::{AutoWlmConfig, AutoWlmPredictor, StageConfig, StagePredictor};
+    use stage_core::{AutoWlmConfig, AutoWlmPredictor, LocalModelConfig, StageConfig};
     use stage_gbdt::{EnsembleParams, NgBoostParams};
     use stage_workload::FleetConfig;
 
@@ -245,26 +231,51 @@ mod tests {
     }
 
     #[test]
-    fn ablation_replay_hit_pattern_matches_stage() {
-        let w = workload();
-        let records = ablation_replay(
-            &w,
-            quick_local(),
-            CacheConfig::default(),
-            PoolConfig::default(),
-            None,
-        );
-        assert_eq!(records.len(), w.events.len());
-        // First occurrence of any plan must be a miss.
-        assert!(!records[0].is_cache_hit());
-        let hits = records.iter().filter(|r| r.is_cache_hit()).count();
-        assert!(hits > 0, "tiny fleet has repeats");
-        // No global supplied -> no global predictions.
-        assert!(records.iter().all(|r| r.global_secs.is_none()));
-        // Local predictions appear once trained, with uncertainties.
-        let trained: Vec<_> = records.iter().filter(|r| r.local_secs.is_some()).collect();
-        assert!(!trained.is_empty());
-        assert!(trained.iter().all(|r| r.local_log_std.unwrap() >= 0.0));
+    fn ablation_records_are_the_replayed_predictors_own_answers() {
+        for id in 0..2u32 {
+            let w = InstanceWorkload::generate(&FleetConfig::tiny(), id);
+            // Instance 1 logs 26 queries: train early, refit often.
+            let salted = || {
+                let mut p = StagePredictor::new(StageConfig {
+                    local: LocalModelConfig {
+                        min_train_examples: 10,
+                        retrain_interval: 5,
+                        ..quick_local()
+                    },
+                    ..StageConfig::default()
+                });
+                p.set_instance_salt(u64::from(id));
+                p
+            };
+            // Asking every tier first changes nothing about the replay.
+            let plain = replay(&w, &mut salted());
+            let (routed, tiers) = ablation_replay(&w, &mut salted());
+            assert_eq!(routed, plain);
+            assert_eq!(tiers.len(), w.events.len());
+            // Whatever tier answered, the side-by-side record holds that
+            // answer; a cache hit there is a `Cache` answer here.
+            let (mut hits, mut locals) = (0, 0);
+            for (r, t) in plain.iter().zip(&tiers) {
+                assert_eq!(t.is_cache_hit(), r.source == PredictionSource::Cache);
+                let own = match r.source {
+                    PredictionSource::Cache => t.cache_secs,
+                    PredictionSource::Local => t.local_secs,
+                    _ => continue,
+                };
+                assert_eq!(own.map(f64::to_bits), Some(r.predicted_secs.to_bits()));
+                hits += usize::from(t.is_cache_hit());
+                locals += usize::from(!t.is_cache_hit());
+            }
+            assert!(
+                hits > 0 && locals > 0,
+                "vacuous: {hits} hits, {locals} local"
+            );
+            // No global attached -> no global answers; local ones carry
+            // their uncertainty.
+            assert!(tiers.iter().all(|t| t.global_secs.is_none()));
+            let trained = tiers.iter().filter(|t| t.local_secs.is_some());
+            assert!(trained.clone().all(|t| t.local_log_std.unwrap() >= 0.0));
+        }
     }
 
     #[test]

@@ -126,27 +126,29 @@ impl ExecTimeCache {
         stage_plan::stable_hash_slice(features)
     }
 
-    /// Looks up a precomputed key ([`ExecTimeCache::key_of`] /
-    /// [`ExecTimeCache::key_of_features`]); returns the blended prediction on
-    /// a hit. Updates hit/miss counters. The one lookup: the scalar and batch
-    /// predict paths both call it once per plan, so their counters agree.
+    /// What a lookup of a precomputed key ([`ExecTimeCache::key_of`] /
+    /// [`ExecTimeCache::key_of_features`]) would answer — the blended
+    /// prediction on a hit — counting nothing. The one blend formula.
+    pub fn peek(&self, key: u64) -> Option<f64> {
+        let e = self.entries.get(&key)?;
+        Some(match self.config.mode {
+            CacheMode::AlphaBlend => {
+                self.config.alpha * e.stats.mean() + (1.0 - self.config.alpha) * e.last_secs
+            }
+            CacheMode::Holt { .. } => (e.holt_level + e.holt_trend).max(0.0),
+        })
+    }
+
+    /// [`ExecTimeCache::peek`], counted as a hit or a miss. The one lookup:
+    /// the scalar and batch predict paths both call it once per plan, so
+    /// their counters agree.
     pub fn lookup(&mut self, key: u64) -> Option<f64> {
-        match self.entries.get(&key) {
-            Some(e) => {
-                self.hits += 1;
-                let pred = match self.config.mode {
-                    CacheMode::AlphaBlend => {
-                        self.config.alpha * e.stats.mean() + (1.0 - self.config.alpha) * e.last_secs
-                    }
-                    CacheMode::Holt { .. } => (e.holt_level + e.holt_trend).max(0.0),
-                };
-                Some(pred)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let hit = self.peek(key);
+        match hit {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
+        hit
     }
 
     /// Whether a key is cached (no counter side effects).

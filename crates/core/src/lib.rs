@@ -48,7 +48,7 @@ pub use predictor::{
 };
 pub use stage::{
     ComponentFaults, DegradedStats, RetrainFault, RoutingConfig, RoutingStats, StageConfig,
-    StagePredictor, StageSnapshot,
+    StagePredictor, StageSnapshot, TierAnswers,
 };
 pub use storefmt::{
     load_global_store, load_stage_store, save_global_store, save_stage_store, store_generation,

@@ -208,6 +208,19 @@ pub struct StageSnapshot {
     pub calibration: DriftSentinel,
 }
 
+/// What each tier of a [`StagePredictor`] would answer for one plan right
+/// now, whichever of them routing would pick
+/// ([`StagePredictor::tier_answers`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TierAnswers {
+    /// The exec-time cache's blended answer (`None` on a miss).
+    pub cache: Option<f64>,
+    /// The local model's answer (`None` before its first training).
+    pub local: Option<LocalPrediction>,
+    /// The global model's answer (`None` when none is attached).
+    pub global: Option<f64>,
+}
+
 /// The hierarchical Stage predictor.
 pub struct StagePredictor {
     config: StageConfig,
@@ -397,6 +410,20 @@ impl StagePredictor {
             features.extend_from_slice(&sys.features);
         }
         features
+    }
+
+    /// What every tier would answer for `plan` now — the same key, the same
+    /// local input and the same models [`ExecTimePredictor::predict`] reads,
+    /// asked side by side instead of routed. Touches no counter, consults no
+    /// fault oracle and changes nothing: a predictor answers and evolves the
+    /// same with or without these calls in between.
+    pub fn tier_answers(&self, plan: &PhysicalPlan, sys: &SystemContext) -> TierAnswers {
+        let (key, features) = Self::keyed_features(plan);
+        TierAnswers {
+            cache: self.cache.peek(key),
+            local: self.local.predict(&self.local_input(features, sys)),
+            global: self.global.as_ref().map(|g| g.predict(plan, sys)),
+        }
     }
 
     /// Routes one cache miss, given the local tier's answer (`None`: not
@@ -634,6 +661,21 @@ mod tests {
         }
     }
 
+    /// A tiny global model fitted to `secs(rows)` on thirty plan sizes.
+    fn tiny_global(sys: &SystemContext, secs: impl Fn(f64) -> f64) -> Arc<GlobalModel> {
+        let samples: Vec<_> = (1..=30)
+            .map(|i| plan_to_tree_sample(&plan(i as f64 * 1e4), sys, secs(i as f64 * 1e4)))
+            .collect();
+        let gcfg = GlobalModelConfig {
+            hidden: 8,
+            gcn_layers: 1,
+            dropout: 0.0,
+            epochs: 5,
+            ..GlobalModelConfig::default()
+        };
+        Arc::new(GlobalModel::train(&samples, 2, &gcfg))
+    }
+
     #[test]
     fn cold_start_default_then_cache_hit() {
         let mut s = StagePredictor::new(quick_config());
@@ -696,21 +738,7 @@ mod tests {
 
     #[test]
     fn global_serves_cold_start_when_attached() {
-        // Train a tiny global model on plans of varying size.
-        let samples: Vec<_> = (1..=40)
-            .map(|i| {
-                let rows = i as f64 * 1e4;
-                plan_to_tree_sample(&plan(rows), &sys(), rows / 1e5)
-            })
-            .collect();
-        let gcfg = GlobalModelConfig {
-            hidden: 16,
-            gcn_layers: 2,
-            dropout: 0.0,
-            epochs: 15,
-            ..GlobalModelConfig::default()
-        };
-        let global = Arc::new(GlobalModel::train(&samples, 2, &gcfg));
+        let global = tiny_global(&sys(), |rows| rows / 1e5);
         let mut s = StagePredictor::with_global(quick_config(), global);
         let p = s.predict(&plan(2e5), &sys());
         assert_eq!(p.source, PredictionSource::Global);
@@ -722,17 +750,7 @@ mod tests {
         // Local model trained on uniformly short queries -> predictions
         // stay below the short-circuit threshold -> no global calls even
         // though a global model is attached.
-        let samples: Vec<_> = (1..=30)
-            .map(|i| plan_to_tree_sample(&plan(i as f64 * 1e3), &sys(), 0.05))
-            .collect();
-        let gcfg = GlobalModelConfig {
-            hidden: 8,
-            gcn_layers: 1,
-            dropout: 0.0,
-            epochs: 5,
-            ..GlobalModelConfig::default()
-        };
-        let global = Arc::new(GlobalModel::train(&samples, 2, &gcfg));
+        let global = tiny_global(&sys(), |_| 0.05);
         let mut s = StagePredictor::with_global(quick_config(), global);
         for i in 1..=60 {
             s.observe(&plan(i as f64 * 1e3), &sys(), 0.05);
@@ -860,20 +878,7 @@ mod tests {
             warm.observe(&plan(rows), &env_sys, rows / 1e5);
         }
         assert!(warm.local().is_trained());
-        let samples: Vec<_> = (1..=30)
-            .map(|i| {
-                let rows = i as f64 * 1e4;
-                plan_to_tree_sample(&plan(rows), &env_sys, rows / 1e5)
-            })
-            .collect();
-        let gcfg = GlobalModelConfig {
-            hidden: 8,
-            gcn_layers: 1,
-            dropout: 0.0,
-            epochs: 5,
-            ..GlobalModelConfig::default()
-        };
-        let global = Arc::new(GlobalModel::train(&samples, 2, &gcfg));
+        let global = tiny_global(&env_sys, |rows| rows / 1e5);
         let batched = batch_twin_agrees_with_scalar(&warm, Some(&global), 1, &env_sys);
         assert!(batched.stats().cache > 0);
         assert!(batched.stats().local > 0);
@@ -945,6 +950,55 @@ mod tests {
     }
 
     #[test]
+    fn tier_answers_touches_no_state() {
+        let global = tiny_global(&sys(), |rows| rows / 1e5);
+        // Fifty plans seen three times each, every fault kind armed (a
+        // consult made by `tier_answers` would move the ledger), with and
+        // without `tier_answers` before and after every predict.
+        let run = |peek: bool| {
+            let faults = Arc::new(ScriptedComponentFaults {
+                local_down: AtomicU64::new(3),
+                global_down: AtomicU64::new(3),
+                poison: AtomicU64::new(1),
+                slow: AtomicU64::new(1),
+            });
+            let mut s = StagePredictor::with_global(quick_config(), Arc::clone(&global));
+            s.set_component_faults(Arc::clone(&faults) as Arc<dyn ComponentFaults>);
+            let mut answered = [false; 3];
+            for i in 0..150 {
+                let rows = (i % 50 + 1) as f64 * 1e4;
+                let (q, sys) = (plan(rows), sys());
+                if peek {
+                    let t = s.tier_answers(&q, &sys);
+                    answered[0] |= t.cache.is_some();
+                    answered[1] |= t.local.is_some();
+                    answered[2] |= t.global.is_some();
+                }
+                s.predict(&q, &sys);
+                if peek {
+                    s.tier_answers(&q, &sys);
+                }
+                s.observe(&q, &sys, rows / 1e5);
+            }
+            assert!(!peek || answered == [true; 3], "vacuous: {answered:?}");
+            let ledger = [
+                &faults.local_down,
+                &faults.global_down,
+                &faults.poison,
+                &faults.slow,
+            ]
+            .map(|budget| budget.load(Ordering::SeqCst));
+            (
+                crate::storefmt::snapshot_sections(&s.snapshot()),
+                s.stats(),
+                s.degraded_stats(),
+                ledger,
+            )
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
     fn local_failover_degrades_to_default_then_heals() {
         let mut s = StagePredictor::new(quick_config());
         for i in 1..=60 {
@@ -969,20 +1023,7 @@ mod tests {
 
     #[test]
     fn global_failover_degrades_to_default_then_heals() {
-        let samples: Vec<_> = (1..=40)
-            .map(|i| {
-                let rows = i as f64 * 1e4;
-                plan_to_tree_sample(&plan(rows), &sys(), rows / 1e5)
-            })
-            .collect();
-        let gcfg = GlobalModelConfig {
-            hidden: 16,
-            gcn_layers: 2,
-            dropout: 0.0,
-            epochs: 15,
-            ..GlobalModelConfig::default()
-        };
-        let global = Arc::new(GlobalModel::train(&samples, 2, &gcfg));
+        let global = tiny_global(&sys(), |rows| rows / 1e5);
         let mut s = StagePredictor::with_global(quick_config(), global);
         let faults = Arc::new(ScriptedComponentFaults {
             global_down: AtomicU64::new(1),

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Repo-wide gate: formatting, clippy and rustdoc (warnings are errors),
 # stage-lint (any finding fails), the workspace test suite — which is
-# where the serving stack's fault suite runs (tests/oracle.rs) — then the
-# benchmark harness (its self-tests, a 1/50-size run of every workload and
-# the served == library run across a drift retrain) and the drift episode.
+# where the serving stack's fault suite runs (tests/oracle.rs) — a check
+# that results/ was recorded on this code, then the benchmark harness (its
+# self-tests, a 1/50-size run of every workload and the served == library
+# run across a drift retrain) and the drift episode.
 # Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -22,6 +23,22 @@ cargo build -q --release -p stage-lint
 ./target/release/stage-lint --workspace --root .
 
 cargo test -q --workspace
+
+# results/ must have been recorded on this code: the four artefacts that fit
+# no model and time nothing (0.1 s together) are regenerated and compared
+# byte for byte, so a change to the generator, the RNG stand-in or the JSON
+# writer cannot leave EXPERIMENTS.md describing a fleet nobody can replay.
+cargo build -q --release -p stage-bench --bin experiments
+guard=(fig1a fig1b ablation_hash ablation_welford)
+tmp=target/results-guard
+./target/release/experiments "${guard[@]}" --quick --out "$tmp" >/dev/null
+for id in "${guard[@]}"; do
+  cmp "$tmp/$id.json" "results/$id.json" || {
+    echo "results/ was not recorded on this code — re-run \`experiments all --quick\`" >&2
+    exit 1
+  }
+done
+rm -rf "$tmp"
 
 # Benchmark smoke: the repo's one benchmark (BENCHMARK.json) at 1/50 size,
 # every workload untraced then traced. Exits non-zero on any oracle or

@@ -55,7 +55,7 @@ fn random_interleavings_answer_what_the_library_answers() {
         (FaultSite::SockWrite, SitePolicy::flat(0.02, 25)),
     ];
     let mut all_steps = Vec::new();
-    let (mut forced, mut degraded, mut lost, mut global) = (0, 0, 0, 0);
+    let (mut forced, mut degraded, mut lost, mut global, mut skipped) = (0, 0, 0, 0, 0);
     for seed in SEEDS {
         let sites = &sites[..if seed % 2 == 0 { 3 } else { 5 }];
         let steps = generate(seed, 1200, 2, &EVERYTHING);
@@ -64,6 +64,7 @@ fn random_interleavings_answer_what_the_library_answers() {
         degraded += report.degraded.total();
         lost += report.lost_observes;
         global += report.answered_global;
+        skipped += report.skipped;
         all_steps.extend(steps);
     }
     for (what, n) in [
@@ -75,6 +76,7 @@ fn random_interleavings_answer_what_the_library_answers() {
         ("faults absorbed by a tier", degraded),
         ("observes applied whose reply was lost", lost),
         ("answers from the global tier", global),
+        ("clean shards skipped by a checkpoint", skipped),
     ] {
         assert!(n > 0, "vacuous: no {what} on any seed");
     }
@@ -115,26 +117,35 @@ fn model_faults_balance_against_the_degraded_counters() {
 }
 
 /// Persist family: every hard-error injection is one `Snapshot` answered
-/// `Error`, and every artefact after every pass is the model's new
-/// sections, its previous ones, or unparsable (`audit_disk`); an unparsable
-/// one is quarantined at the next start and its shard comes up cold.
+/// `Error`, and every artefact after every pass is what the model's pass
+/// left (`audit_disk`): its sections, a torn image, or — where a clean
+/// shard was skipped or the pass ended earlier — the bytes already there. A
+/// torn artefact is not healed until its shard is touched: left alone it is
+/// quarantined at the next start and its shard comes up cold.
 #[test]
 fn persist_faults_leave_the_new_artefact_the_old_one_or_an_unparsable_one() {
     let sites = [
-        (FaultSite::PersistWrite, SitePolicy::flat(1.0, 5)),
+        (FaultSite::PersistWrite, SitePolicy::flat(1.0, 7)),
         (FaultSite::PersistFsync, SitePolicy::flat(1.0, 2)),
     ];
     let traffic = |seed| generate(seed, 60, 2, &TRAFFIC);
-    // Five faulted passes: torn + fsync, write error, torn + fsync, write
-    // error, then a pass that completes with shard 0's artefact torn — and
-    // the kill lands there.
     let steps = [
         traffic(1),
         vec![Snapshot, Snapshot, Snapshot],
         traffic(2),
-        vec![Snapshot, Snapshot, Faults(false), Kill { torn_tmp: true }],
+        // Five faulted passes, each answered `Error`: torn + fsync, write
+        // error, torn + fsync, write error, then shard 0 written torn before
+        // shard 1's write fails. Nothing moves shard 0 after that, so the
+        // disarmed pass and the graceful stop's both skip it, and the start
+        // sets it aside.
+        vec![Snapshot, Snapshot, Faults(false), Snapshot, Restart],
+        vec![Faults(true)],
         traffic(3),
-        vec![Faults(true), Snapshot, Restart, Stats { shard: 0 }],
+        // The last injection tears shard 0 again in a pass that completes;
+        // touched, it is rewritten by the next, and this start finds nothing
+        // to set aside.
+        vec![Snapshot, Faults(false), Predict { shard: 0, plan: 0 }],
+        vec![Snapshot, Restart, Stats { shard: 0 }],
     ]
     .concat();
     let report = check("persist family", &setup(2, 3, &sites), &steps);
@@ -143,11 +154,17 @@ fn persist_faults_leave_the_new_artefact_the_old_one_or_an_unparsable_one() {
         plan.injected(FaultSite::PersistWrite) / 2 + plan.injected(FaultSite::PersistFsync);
     assert_eq!(
         plan.injected_total(),
-        7,
+        9,
         "vacuous: the caps were not reached"
     );
-    assert_eq!((report.snapshot_errors, hard_errors), (4, 4));
-    assert_eq!(report.quarantined, 1, "the torn artefact must be set aside");
+    assert_eq!((report.snapshot_errors, hard_errors), (5, 5));
+    assert_eq!(
+        report.quarantined, 1,
+        "the torn artefact left alone is set aside, the one rewritten is not"
+    );
+    // Shard 0 by the disarmed pass, both by the first stop; shard 1 by the
+    // last pass, both by the second stop.
+    assert_eq!(report.skipped, 6);
 }
 
 /// Restore family: every injected bit flip is one `*.quarantine` file and
@@ -236,6 +253,36 @@ fn a_kill_restores_the_last_completed_checkpoint() {
         ],
     );
     assert_eq!(report.quarantined, 0);
+}
+
+/// A kill in the middle of a drift recovery: the sentinel latched on a shift
+/// of *repeated* plans (cache hits add nothing to the pool, so the latch is
+/// held), the checkpoint captured that and the process died before a new
+/// plan arrived. The latch survives the restore, and the first new plan the
+/// shard observes finishes the interrupted recovery.
+#[test]
+fn a_latched_sentinel_survives_a_kill_and_retrains_on_the_next_new_plan() {
+    let repeats = |shift: f64| {
+        (0..120).map(move |i| Observe {
+            shard: 0,
+            plan: i % 40,
+            secs: secs_of(i % 40) * shift,
+        })
+    };
+    let latched: Vec<Step> = repeats(1.0)
+        .chain(repeats(30.0))
+        .chain([Snapshot, Kill { torn_tmp: false }, Stats { shard: 0 }])
+        .collect();
+    let report = check("fixed: latched kill", &setup(1, 0, &[]), &latched);
+    assert_eq!((report.drift_detections, report.forced_retrains), (1, 0));
+    let fresh = Observe {
+        shard: 0,
+        plan: 1000,
+        secs: secs_of(1000) * 30.0,
+    };
+    let recovered = [latched, vec![fresh, Stats { shard: 0 }]].concat();
+    let report = check("fixed: latched kill", &setup(1, 0, &[]), &recovered);
+    assert_eq!((report.drift_detections, report.forced_retrains), (1, 1));
 }
 
 /// A published generation reaches every shard, answers the misses of cold

@@ -102,12 +102,12 @@ fn uncertainty_ranks_errors_positively() {
     // Paper Fig. 11: the local model's uncertainty correlates with its
     // error (positive PRR on pooled queries).
     let cfg = fleet_config();
-    let stage_cfg = StageConfig::default();
     let mut errors = Vec::new();
     let mut uncertainties = Vec::new();
     for id in 0..cfg.n_instances as u32 {
         let w = InstanceWorkload::generate(&cfg, id);
-        let records = ablation_replay(&w, stage_cfg.local, stage_cfg.cache, stage_cfg.pool, None);
+        let mut stage = StagePredictor::new(StageConfig::default());
+        let (_, records) = ablation_replay(&w, &mut stage);
         for r in &records {
             if r.is_cache_hit() {
                 continue;

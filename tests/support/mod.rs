@@ -5,9 +5,11 @@
 //! [`FaultPlan`] built from the same configuration as the server's — and
 //! checks after every step that the two cannot be told apart: answers and
 //! interval bounds by `to_bits`, `source`, every `Stats` counter, and after
-//! every checkpoint the sections of every artefact on disk — so a restart
-//! can restore the model from those bytes: they are what it would have
-//! written.
+//! every checkpoint pass every artefact on disk — the model's sections
+//! where the pass wrote, a torn image where its plan tore the write, and
+//! the bytes that were there where a clean shard was skipped or the pass
+//! never got that far — so a restart can restore the model from those
+//! bytes: they are what it would have written.
 //!
 //! [`Link::deliver`] is the only at-least-once loop in the repository.
 //! [`falsify`] turns a diverging trace into a label (the seed), a shrunk
@@ -17,7 +19,7 @@ use stage_chaos::{FaultPlan, FaultPlanConfig, FaultSite};
 use stage_core::storefmt::{self, snapshot_sections};
 use stage_core::{
     plan_to_tree_sample, ComponentFaults, DegradedStats, ExecTimePredictor, GlobalModel,
-    GlobalModelConfig, Prediction, StageConfig, StagePredictor, SystemContext,
+    GlobalModelConfig, PersistFaults, Prediction, StageConfig, StagePredictor, SystemContext,
 };
 use stage_plan::{OperatorKind, PhysicalPlan, PlanBuilder, PlanNode, S3Format};
 use stage_serve::{
@@ -334,11 +336,24 @@ fn globals() -> &'static [GlobalModel; 2] {
     })
 }
 
-/// The library predictor plus the per-process counters a served shard adds.
+/// The library predictor plus the per-process state a served shard adds.
 struct ModelShard {
     predictor: StagePredictor,
     observes: u64,
     predict_batches: u64,
+    snapshots_skipped: u64,
+    /// No verb has moved the shard since this process last wrote its
+    /// artefact: the next checkpoint pass skips it.
+    saved: bool,
+}
+
+/// What one or more checkpoint passes did, as the model ran them.
+struct Passes {
+    /// Whether the last pass reached the end (`false`: a write failed).
+    completed: bool,
+    /// Per shard: `None` if no pass wrote its artefact, else whether the
+    /// last write was torn on its way to disk.
+    wrote: Vec<Option<bool>>,
 }
 
 /// What a completed trace did: what the ledgers and vacuity checks read.
@@ -351,6 +366,9 @@ pub struct Report {
     pub lost_observes: u64,
     /// `Snapshot` steps answered `Error` (every one beside an injection).
     pub snapshot_errors: u64,
+    /// Clean shards the checkpoint passes skipped (the served shards count
+    /// the same: `Stats::snapshots_skipped`).
+    pub skipped: u64,
     /// `*.quarantine` files found after a start; the model restarted each
     /// of those shards cold and the next `Stats` found the served one equal.
     pub quarantined: u64,
@@ -359,6 +377,7 @@ pub struct Report {
     pub observes: u64,
     pub answered_global: u64,
     pub degraded: DegradedStats,
+    pub drift_detections: u64,
     pub forced_retrains: u64,
 }
 
@@ -441,12 +460,6 @@ impl Run<'_> {
         ShardRegistry::snapshot_path(&self.dir.0, shard as u32)
     }
 
-    /// Persist-write and fsync faults the server's plan has injected.
-    fn persist_injected(&self) -> u64 {
-        let plan = &self.served_plan;
-        plan.injected(FaultSite::PersistWrite) + plan.injected(FaultSite::PersistFsync)
-    }
-
     /// A model shard as `ShardRegistry::new` builds it.
     fn cold(&self, shard: u32) -> ModelShard {
         let mut predictor = StagePredictor::new(small_stage());
@@ -465,6 +478,8 @@ impl Run<'_> {
             predictor,
             observes: 0,
             predict_batches: 0,
+            snapshots_skipped: 0,
+            saved: false,
         }
     }
 
@@ -535,45 +550,80 @@ impl Run<'_> {
         Some(StagePredictor::from_snapshot(snapshot))
     }
 
-    /// Stops the server; `Ok(true)` when its final checkpoint completed.
-    /// Every thread must join — a panic anywhere in the server ends here.
-    fn stop(&mut self) -> Result<bool, String> {
-        self.link.client = None;
-        let faulted_before = self.persist_injected();
-        let server = self.server.take().expect("a booted run has a server");
-        server.shutdown();
-        let Err(e) = server.join() else {
-            return Ok(true);
+    /// Runs `n` checkpoint passes on the model as `save_snapshots` runs them:
+    /// in shard order, a shard no verb has moved since this process wrote it
+    /// is skipped and counts that; any other is written through the model's
+    /// own fault plan, which may tear the image on its way to disk or fail
+    /// the write — and a failed write ends the pass.
+    fn checkpoint(&mut self, n: u64) -> Passes {
+        let plan: &dyn PersistFaults = &*self.model_plan;
+        let mut passes = Passes {
+            completed: true,
+            wrote: vec![None; self.shards.len()],
         };
-        let panicked = e.to_string().contains("panicked");
-        ensure!(!panicked, "server thread died: {e}");
-        let faulted = self.persist_injected() > faulted_before;
-        ensure!(
-            faulted,
-            "final checkpoint failed with no injected fault: {e}"
-        );
-        Ok(false)
+        for _ in 0..n {
+            passes.completed = true;
+            for (shard, wrote) in self.shards.iter_mut().zip(&mut passes.wrote) {
+                if shard.saved {
+                    shard.snapshots_skipped += 1;
+                    self.report.skipped += 1;
+                    continue;
+                }
+                let (at, mut image) = (Path::new(""), vec![0; 2]);
+                let written = plan.before_write(at, &mut image);
+                if written.and_then(|()| plan.on_fsync(at)).is_err() {
+                    passes.completed = false;
+                    break;
+                }
+                shard.saved = true;
+                *wrote = Some(image.len() < 2);
+            }
+        }
+        passes
     }
 
-    /// Reads every artefact and checks it is one of the three things a
-    /// checkpoint attempt may leave: the model's sections as of now, the
-    /// bytes that were there before, or bytes that do not parse — the last
-    /// two only when a persist fault was injected (`!clean`).
-    fn audit_disk(&mut self, clean: bool) -> Result<(), String> {
-        for i in 0..self.shards.len() {
+    /// Stops the server, whose final checkpoint the model runs too: both
+    /// must end the same way. Every thread must join — a panic anywhere in
+    /// the server ends here.
+    fn stop(&mut self) -> Result<Passes, String> {
+        self.link.client = None;
+        let server = self.server.take().expect("a booted run has a server");
+        server.shutdown();
+        let stopped = server.join();
+        let panicked = matches!(&stopped, Err(e) if e.to_string().contains("panicked"));
+        ensure!(!panicked, "server thread died: {stopped:?}");
+        let passes = self.checkpoint(1);
+        ensure!(
+            stopped.is_ok() == passes.completed,
+            "final checkpoint: {stopped:?}, the model's completed: {}",
+            passes.completed
+        );
+        Ok(passes)
+    }
+
+    /// Reads every artefact and checks it is what the model's passes left:
+    /// its sections as of now where the last write went through, bytes that
+    /// do not parse where that write was torn, and where nothing wrote — a
+    /// clean shard skipped, a failed write, a pass that ended earlier — the
+    /// bytes that were there before, torn ones included.
+    fn audit_disk(&mut self, wrote: &[Option<bool>]) -> Result<(), String> {
+        for (i, wrote) in wrote.iter().enumerate() {
             let found = std::fs::read(self.artefact(i)).ok();
-            let now = snapshot_sections(&self.shards[i].predictor.snapshot());
-            let legal = match found.as_deref().map(StoreView::parse) {
-                Some(Ok(view)) if view.section_ids().iter().eq(now.iter().map(|(id, _)| id)) => now
-                    .iter()
-                    .all(|(id, bytes)| view.section(*id) == Some(&bytes[..])),
-                Some(Err(_)) => !clean,
+            let legal = match (wrote, found.as_deref().map(StoreView::parse)) {
+                (None, _) => found == self.disk[i],
+                (Some(true), parsed) => matches!(parsed, Some(Err(_))),
+                (Some(false), Some(Ok(view))) => {
+                    let now = snapshot_sections(&self.shards[i].predictor.snapshot());
+                    view.section_ids().iter().eq(now.iter().map(|(id, _)| id))
+                        && now
+                            .iter()
+                            .all(|(id, bytes)| view.section(*id) == Some(&bytes[..]))
+                }
                 _ => false,
             };
             ensure!(
-                legal || (!clean && found == self.disk[i]),
-                "shard {i}: artefact is neither the model's sections (clean checkpoint: {clean}), \
-                 nor the previous artefact, nor unparsable"
+                legal,
+                "shard {i}: the artefact is not what the model left (wrote, torn: {wrote:?})"
             );
             self.disk[i] = found;
         }
@@ -584,10 +634,9 @@ impl Run<'_> {
     /// the dying process wrote after its last checkpoint attempt.
     fn restart(&mut self, kill: Option<bool>) -> Result<(), String> {
         let io = |e: io::Error| e.to_string();
-        let faulted_before = self.persist_injected();
-        let checkpointed = self.stop()?;
+        let passes = self.stop()?;
         let Some(torn_tmp) = kill else {
-            self.audit_disk(checkpointed && self.persist_injected() == faulted_before)?;
+            self.audit_disk(&passes.wrote)?;
             return self.boot();
         };
         for (i, bytes) in self.disk.iter().enumerate() {
@@ -616,9 +665,10 @@ impl Run<'_> {
                 plan,
                 sys,
             } => {
-                let predictor = &mut self.shards[*instance as usize].predictor;
-                let p = predictor.predict(plan, &context(sys));
-                let (interval_lo, interval_hi) = predictor.calibrated_interval(&p).unzip();
+                let s = &mut self.shards[*instance as usize];
+                s.saved = false;
+                let p = s.predictor.predict(plan, &context(sys));
+                let (interval_lo, interval_hi) = s.predictor.calibrated_interval(&p).unzip();
                 Response::Predicted {
                     exec_secs: p.exec_secs,
                     interval_lo,
@@ -634,6 +684,7 @@ impl Run<'_> {
             } => {
                 let s = &mut self.shards[*instance as usize];
                 s.predict_batches += 1;
+                s.saved = false;
                 let predictions = s.predictor.predict_batch(plans, &context(sys));
                 let answers = predictions.into_iter().map(|p: Prediction| {
                     let (interval_lo, interval_hi) = s.predictor.calibrated_interval(&p).unzip();
@@ -657,6 +708,7 @@ impl Run<'_> {
             } => {
                 let s = &mut self.shards[*instance as usize];
                 s.observes += 1;
+                s.saved = false;
                 s.predictor.observe(plan, &context(sys), *actual_secs);
                 Response::Observed { latency_us: 0 }
             }
@@ -672,9 +724,7 @@ impl Run<'_> {
                     local_trained: p.local().is_trained(),
                     degraded: p.degraded_stats(),
                     timed_out: 0,
-                    // A server with a fault plan installed rewrites every
-                    // shard on every pass.
-                    snapshots_skipped: 0,
+                    snapshots_skipped: s.snapshots_skipped,
                     drift_detections: p.drift().detections(),
                     forced_retrains: p.drift().forced_retrains(),
                     checkpoint_failures: 0,
@@ -708,6 +758,8 @@ impl Run<'_> {
             FaultSite::LocalPredict,
             FaultSite::LocalRetrain,
             FaultSite::GlobalPredict,
+            FaultSite::PersistWrite,
+            FaultSite::PersistFsync,
         ] {
             let (served, model) = (
                 self.served_plan.injected(site),
@@ -757,19 +809,31 @@ impl Run<'_> {
             }
             Step::Stats { shard } => self.stats(shard).map(drop),
             Step::Snapshot => {
-                let faulted_before = self.persist_injected();
+                let resends = self.link.io_errors;
                 let (reply, _) = self.link.deliver(&Request::Snapshot, 0);
-                let faulted = self.persist_injected() > faulted_before;
-                match reply {
-                    Response::Snapshotted { instances } if instances == self.setup.shards => {
-                        self.audit_disk(!faulted)
-                    }
-                    Response::Error { .. } if faulted => {
-                        self.report.snapshot_errors += 1;
-                        self.audit_disk(false)
-                    }
-                    other => Err(format!("snapshot answered {other:?} (fault: {faulted})")),
+                // One pass per send that arrived. A send whose reply was lost
+                // is a pass the driver did not see, but shard 0 did: every
+                // pass after the first finds it clean, skips it and counts.
+                let mut passes = 1;
+                if self.link.io_errors > resends {
+                    let (stats, _) = self.link.deliver(&Request::Stats { instance: 0 }, 0);
+                    let Response::Stats {
+                        snapshots_skipped, ..
+                    } = stats
+                    else {
+                        return Err(format!("shard 0 answered {stats:?}"));
+                    };
+                    let first = &self.shards[0];
+                    passes = snapshots_skipped + u64::from(!first.saved) - first.snapshots_skipped;
                 }
+                let passes = self.checkpoint(passes);
+                match reply {
+                    Response::Snapshotted { instances }
+                        if instances == self.setup.shards && passes.completed => {}
+                    Response::Error { .. } if !passes.completed => self.report.snapshot_errors += 1,
+                    other => return Err(format!("snapshot answered {other:?}")),
+                }
+                self.audit_disk(&passes.wrote)
             }
             Step::Restart => self.restart(None),
             Step::Kill { torn_tmp } => self.restart(Some(torn_tmp)),
@@ -843,6 +907,7 @@ impl Run<'_> {
                 routing,
                 observes,
                 degraded,
+                drift_detections,
                 forced_retrains,
                 ..
             } = self.stats(shard)?
@@ -851,16 +916,18 @@ impl Run<'_> {
             };
             self.report.observes += observes;
             self.report.answered_global += routing.global;
+            self.report.drift_detections += drift_detections;
             self.report.forced_retrains += forced_retrains;
             self.report.degraded.global_failover += degraded.global_failover;
             self.report.degraded.local_failover += degraded.local_failover;
             self.report.degraded.retrains_poisoned += degraded.retrains_poisoned;
             self.report.degraded.retrains_slowed += degraded.retrains_slowed;
         }
-        ensure!(self.stop()?, "the disarmed final checkpoint failed");
+        let passes = self.stop()?;
+        ensure!(passes.completed, "the disarmed final checkpoint failed");
         self.report.io_errors = self.link.io_errors;
         self.report.plan = Some(Arc::clone(&self.served_plan));
-        self.audit_disk(true)
+        self.audit_disk(&passes.wrote)
     }
 }
 
