@@ -13,6 +13,10 @@ use stage_core::{ExecTimePredictor, SystemContext};
 use std::time::Instant;
 
 /// Median of `n` timed executions of `f`, in microseconds.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "timing is this experiment's output (Fig. 9); it feeds no model or replay"
+)]
 fn time_us<F: FnMut()>(n: usize, mut f: F) -> f64 {
     let mut samples = Vec::with_capacity(n);
     for _ in 0..n {

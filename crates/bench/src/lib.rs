@@ -22,6 +22,9 @@
 //! * `src/bin/experiments.rs` — the CLI entry point
 //!   (`cargo run -p stage-bench --bin experiments -- <exp> [--quick]`).
 
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 pub mod context;
 pub mod experiments;
 pub mod parallel;

@@ -60,6 +60,10 @@ impl ComponentFaults for FaultPlan {
         self.decide(FaultSite::GlobalPredict).is_some()
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a slowed retrain's latency is the injected fault; chaos runs opt into it"
+    )]
     fn retrain_fault(&self) -> Option<RetrainFault> {
         self.decide(FaultSite::LocalRetrain).map(|k| {
             if k % 2 == 0 {

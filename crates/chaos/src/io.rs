@@ -51,6 +51,10 @@ impl<S: std::os::unix::io::AsRawFd> std::os::unix::io::AsRawFd for ChaosStream<S
 }
 
 impl<S: Read> Read for ChaosStream<S> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the stall is the injected fault; chaos runs opt into it"
+    )]
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self.plan.decide(FaultSite::SockRead) {
             Some(k) if k % 2 == 0 => Err(io::Error::new(
@@ -60,7 +64,6 @@ impl<S: Read> Read for ChaosStream<S> {
             Some(_) => {
                 // Slow-loris: stall, then trickle at most one byte so the
                 // peer's message crawls in.
-                // lint:allow(no-blocking-in-evloop): the stall is the injected fault — chaos runs opt into it
                 std::thread::sleep(self.plan.stall());
                 if buf.is_empty() {
                     return self.inner.read(buf);
@@ -74,6 +77,10 @@ impl<S: Read> Read for ChaosStream<S> {
 }
 
 impl<S: Write> Write for ChaosStream<S> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the stall is the injected fault; chaos runs opt into it"
+    )]
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         match self.plan.decide(FaultSite::SockWrite) {
             Some(k) => match k % 3 {
@@ -96,7 +103,6 @@ impl<S: Write> Write for ChaosStream<S> {
                     "chaos: injected write disconnect",
                 )),
                 _ => {
-                    // lint:allow(no-blocking-in-evloop): the stall is the injected fault — chaos runs opt into it
                     std::thread::sleep(self.plan.stall());
                     self.inner.write(buf)
                 }

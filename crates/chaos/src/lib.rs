@@ -30,8 +30,16 @@
 //! counters and against a second plan, built from the same configuration,
 //! that its in-process model consults.
 //!
-//! This crate is std-only and inside `stage-lint`'s panic-freedom scope:
-//! a fault injector that panics would void the very property under test.
+//! This crate is std-only and denies every panicking construct, indexing
+//! included (the lint levels below): a fault injector that panics would
+//! void the very property under test.
+
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::disallowed_macros))]
 
 pub mod hooks;
 pub mod io;

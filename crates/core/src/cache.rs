@@ -82,10 +82,13 @@ impl ExecTimeCache {
     ///
     /// # Panics
     /// Panics if `capacity == 0` or `alpha ∉ [0, 1]`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "constructor precondition: Server::start and the snapshot decoder reject such \
+                  configs first (StageConfig::validate)"
+    )]
     pub fn new(config: CacheConfig) -> Self {
-        // lint:allow(no-panic): startup-time config validation — callers pass static configs; failing fast here never reaches the request path
         assert!(config.capacity > 0, "cache capacity must be positive");
-        // lint:allow(no-panic): startup-time config validation, as above
         assert!(
             (0.0..=1.0).contains(&config.alpha),
             "alpha must be in [0, 1]"
@@ -95,7 +98,6 @@ impl ExecTimeCache {
             trend_beta,
         } = config.mode
         {
-            // lint:allow(no-panic): startup-time config validation, as above
             assert!(
                 (0.0..=1.0).contains(&level_alpha) && (0.0..=1.0).contains(&trend_beta),
                 "Holt smoothing factors must be in [0, 1]"
@@ -163,6 +165,10 @@ impl ExecTimeCache {
 
     /// Records an observed exec-time, inserting or updating the entry and
     /// evicting the least-recently-updated entry when over capacity.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug_assert! expands to assert!; release builds compile the check out"
+    )]
     pub fn record(&mut self, key: u64, actual_secs: f64) {
         self.update_seq += 1;
         let seq = self.update_seq;
@@ -332,10 +338,10 @@ impl ExecTimeCache {
         );
     }
 
-    /// Decodes a cache from an artefact-store section. All config values
-    /// are re-validated (the constructor's assertions must never fire on
-    /// hostile bytes — bad values become typed errors) and the SoA arrays
-    /// must agree on length.
+    /// Decodes a cache from an artefact-store section. The SoA arrays must
+    /// agree on length; the config values are range-checked with the rest
+    /// of the snapshot's config ([`crate::StageConfig::validate`]), so the
+    /// constructor's assertions never fire on hostile bytes.
     pub(crate) fn store_decode(
         r: &mut stage_store::SectionReader<'_>,
     ) -> Result<Self, stage_store::StoreError> {
@@ -353,18 +359,6 @@ impl ExecTimeCache {
             },
             t => return Err(malformed(&format!("unknown cache mode tag {t}"))),
         };
-        if capacity == 0 || !(0.0..=1.0).contains(&alpha) {
-            return Err(malformed("cache config out of range"));
-        }
-        if let CacheMode::Holt {
-            level_alpha,
-            trend_beta,
-        } = mode
-        {
-            if !(0.0..=1.0).contains(&level_alpha) || !(0.0..=1.0).contains(&trend_beta) {
-                return Err(malformed("Holt factors out of range"));
-            }
-        }
         let update_seq = r.u64()?;
         let hits = r.u64()?;
         let misses = r.u64()?;
@@ -426,6 +420,10 @@ impl ExecTimeCache {
     /// Evicts the entry with the smallest `last_update`. Linear scan —
     /// at the paper's capacity (2 000) this is microseconds and happens at
     /// most once per insert.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug_assert! expands to assert!; release builds compile the check out"
+    )]
     fn evict_oldest(&mut self) {
         let before = self.entries.len();
         if let Some((&key, _)) = self.entries.iter().min_by_key(|(_, e)| e.last_update) {

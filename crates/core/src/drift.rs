@@ -44,6 +44,8 @@
 //! This module sits under `StagePredictor::observe`, which is on the
 //! serve request path — everything here is panic-free by construction.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use serde::{Deserialize, Serialize};
 use stage_metrics::quantile::quantile;
 use stage_metrics::{interval_coverage, Welford};
@@ -117,9 +119,9 @@ const MIN_SIGMA: f64 = 1e-9;
 const MIN_Z: f64 = 1e-3;
 
 /// Per-shard drift + calibration state. Pure data: every transition is a
-/// deterministic function of the residuals pushed in, which keeps the
-/// sentinel inside stage-lint's `no-nondeterminism` scope and makes chaos
-/// runs replayable.
+/// deterministic function of the residuals pushed in (the crate denies
+/// clock and entropy reads, `clippy::disallowed_methods`), which makes
+/// chaos runs replayable.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DriftSentinel {
     config: DriftConfig,

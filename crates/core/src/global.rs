@@ -111,6 +111,10 @@ impl GlobalModel {
     ///
     /// # Panics
     /// Panics if `samples` is empty or widths disagree with the config.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "training-time precondition: the global model is trained offline, never inside a verb"
+    )]
     pub fn train(
         samples: &[TreeSample],
         instance_feature_dim: usize,
@@ -208,6 +212,10 @@ impl GlobalModel {
     }
 
     /// Calibrated log-space prediction.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug_assert! expands to assert!; release builds compile the check out"
+    )]
     pub fn predict_log(&self, plan: &PhysicalPlan, sys: &SystemContext) -> f64 {
         let mut sample = plan_to_tree_sample(plan, sys, 0.0);
         // Width skew between the context and the trained model is a

@@ -24,6 +24,12 @@
 //! the fleet's heavy latency skew; conversions happen at the trait boundary
 //! so callers only ever see seconds.
 
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_macros))]
+
 pub mod autowlm;
 pub mod cache;
 pub mod drift;

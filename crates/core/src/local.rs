@@ -4,6 +4,8 @@
 //! [`crate::pool::TrainingPool`] as observations accumulate — the online
 //! analogue of Redshift retraining per-cluster models in the background.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::from_log_space;
 use crate::pool::TrainingPool;
 use serde::{Deserialize, Serialize};
@@ -267,7 +269,12 @@ impl LocalModel {
     }
 
     /// Decodes a local model from an artefact-store section; malformed
-    /// trees (bad child links) and inconsistent heads are typed errors.
+    /// trees (bad child links), inconsistent heads, and members the predict
+    /// path would panic on are typed errors: every member must share the
+    /// section's feature width (the first member's `n_cols`), split only on
+    /// features below it, and carry a finite `lo <= hi` variance clamp. The
+    /// retrain hyper-parameters are checked with the rest of the snapshot's
+    /// config ([`crate::StageConfig::validate`]).
     pub(crate) fn store_decode(
         r: &mut stage_store::SectionReader<'_>,
     ) -> Result<Self, stage_store::StoreError> {
@@ -288,13 +295,23 @@ impl LocalModel {
             if n_members.saturating_mul(64) > r.remaining() + 64 {
                 return Err(malformed("member count overruns section"));
             }
-            let mut members = Vec::with_capacity(n_members);
+            let mut members: Vec<stage_gbdt::NgBoost> = Vec::with_capacity(n_members);
             for _ in 0..n_members {
                 let base_mu = r.f64()?;
                 let base_log_var = r.f64()?;
                 let learning_rate = r.f64()?;
                 let log_var_range = (r.f64()?, r.f64()?);
                 let n_cols = usize::try_from(r.u64()?).map_err(|_| malformed("n_cols"))?;
+                let (lo, hi) = log_var_range;
+                if !(lo.is_finite() && hi.is_finite() && lo <= hi) {
+                    return Err(malformed("member log_var_range is not a finite lo <= hi"));
+                }
+                if members
+                    .first()
+                    .is_some_and(|m| m.scalar_parts().4 != n_cols)
+                {
+                    return Err(malformed("member n_cols differs from the section's width"));
+                }
                 let mut heads = Vec::with_capacity(2);
                 for _ in 0..2 {
                     let n_trees = usize::try_from(r.u64()?).map_err(|_| malformed("tree count"))?;
@@ -308,6 +325,12 @@ impl LocalModel {
                         let left = r.u32_vec()?;
                         let right = r.u32_vec()?;
                         let gain = r.f64_vec()?;
+                        if feature
+                            .iter()
+                            .any(|&f| f != u32::MAX && f as usize >= n_cols)
+                        {
+                            return Err(malformed("tree splits on a feature past n_cols"));
+                        }
                         let tree = stage_gbdt::Tree::from_flat_parts(
                             &feature, &threshold, &left, &right, &gain,
                         )

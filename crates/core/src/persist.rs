@@ -19,6 +19,8 @@
 //!   partial writes, fsync failures, and read-side bit flips without this
 //!   module knowing anything about fault schedules.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

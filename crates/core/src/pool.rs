@@ -107,6 +107,10 @@ impl TrainingPool {
 
     /// Debug-build invariant: no bucket ever exceeds its cap (per-bucket
     /// caps when bucketing, the summed cap as one FIFO otherwise).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug_assert! expands to assert!; release builds compile the check out"
+    )]
     fn debug_check_caps(&self) {
         if cfg!(debug_assertions) {
             if self.config.bucketing {

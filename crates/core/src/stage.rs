@@ -25,11 +25,14 @@
 //! answer in [`DegradedStats`] so operators (and the test driver's fault
 //! ledger) can see exactly how often each tier was bypassed.
 //!
-//! This file is inside `stage-lint`'s panic-freedom scope: predictions are
-//! served on the request path of `stage-serve`, where a panic poisons a
-//! shard for every later request.
+//! This file denies indexing on top of the crate's panic, assert and
+//! clock lints (its head and `lib.rs`): predictions are served on the
+//! request path of `stage-serve`, where a panic poisons a shard for every
+//! later request.
 
-use crate::cache::{CacheConfig, ExecTimeCache};
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
+use crate::cache::{CacheConfig, CacheMode, ExecTimeCache};
 use crate::drift::DriftSentinel;
 use crate::global::GlobalModel;
 use crate::local::{LocalModel, LocalModelConfig, LocalPrediction};
@@ -39,6 +42,7 @@ use crate::predictor::{
 };
 use crate::to_log_space;
 use serde::{Deserialize, Serialize};
+use stage_gbdt::Binner;
 use stage_plan::{plan_feature_vector, PhysicalPlan};
 use std::sync::Arc;
 
@@ -84,6 +88,74 @@ pub struct StageConfig {
     /// "environment factors" future-work direction. Off by default: the
     /// published Stage uses the plan-only 33-dim vector.
     pub env_features: bool,
+}
+
+/// Most ensemble members [`StageConfig::validate`] accepts (the paper uses 10).
+const MAX_ENSEMBLE_MEMBERS: usize = 1_000;
+/// Most boosting rounds per member [`StageConfig::validate`] accepts (the
+/// paper uses 200; a lying word past this is a retrain that never ends).
+const MAX_BOOSTING_ROUNDS: usize = 100_000;
+
+impl StageConfig {
+    /// Checks every value the predictor's constructors and its fit and
+    /// predict paths assume, naming the first one that fails. A config that
+    /// passes cannot panic later: not in [`ExecTimeCache::new`], and not
+    /// inside a verb's retrain (`Binner::fit`'s bin count, `f64::clamp` on
+    /// the variance range, `2 × min_samples_leaf`). `stage-serve` refuses
+    /// to start on a failing config, and the snapshot decoder quarantines a
+    /// file whose config fails.
+    pub fn validate(&self) -> Result<(), String> {
+        let unit = |x: f64| (0.0..=1.0).contains(&x);
+        let (c, e) = (&self.cache, &self.local.ensemble);
+        let m = &e.member;
+        let (lo, hi) = m.log_var_range;
+        let checks = [
+            (c.capacity > 0, "cache.capacity must be positive"),
+            (unit(c.alpha), "cache.alpha must be in [0, 1]"),
+            (
+                match c.mode {
+                    CacheMode::AlphaBlend => true,
+                    CacheMode::Holt {
+                        level_alpha,
+                        trend_beta,
+                    } => unit(level_alpha) && unit(trend_beta),
+                },
+                "cache Holt factors must be in [0, 1]",
+            ),
+            (
+                (1..=MAX_ENSEMBLE_MEMBERS).contains(&e.n_members),
+                "ensemble n_members must be in 1..=1000",
+            ),
+            (
+                m.n_estimators <= MAX_BOOSTING_ROUNDS,
+                "ensemble n_estimators must be at most 100000",
+            ),
+            (
+                (2..=Binner::MAX_BINS).contains(&m.n_bins),
+                "ensemble n_bins must be in 2..=256",
+            ),
+            (
+                lo.is_finite() && hi.is_finite() && lo <= hi,
+                "ensemble log_var_range must be finite with lo <= hi",
+            ),
+            (
+                m.subsample > 0.0 && m.subsample <= 1.0 && m.colsample > 0.0 && m.colsample <= 1.0,
+                "ensemble subsample and colsample must be in (0, 1]",
+            ),
+            (
+                (0.0..1.0).contains(&m.validation_fraction),
+                "ensemble validation_fraction must be in [0, 1)",
+            ),
+            (
+                m.tree.min_samples_leaf.checked_mul(2).is_some(),
+                "ensemble min_samples_leaf overflows when doubled",
+            ),
+        ];
+        match checks.iter().find(|(ok, _)| !ok) {
+            Some((_, what)) => Err((*what).to_string()),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Counters for which stage served each prediction (paper Fig. 9 reports

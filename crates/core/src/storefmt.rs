@@ -27,6 +27,8 @@
 //! ([`save_global_store`]); servers poll [`store_generation`] (a 64-byte
 //! header read) to detect hot-swapped artefacts without re-parsing.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::cache::ExecTimeCache;
 use crate::drift::DriftSentinel;
 use crate::global::GlobalModel;
@@ -168,6 +170,9 @@ fn decode_snapshot(view: &StoreView<'_>) -> Result<StageSnapshot, RestoreError> 
         routing,
         env_features,
     };
+    config
+        .validate()
+        .map_err(|detail| RestoreError::Malformed { detail })?;
     Ok(StageSnapshot {
         config,
         cache,

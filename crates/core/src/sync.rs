@@ -63,12 +63,15 @@ thread_local! {
 }
 
 /// Records an acquisition, panicking on an out-of-order one (debug only).
+#[expect(
+    clippy::disallowed_macros,
+    reason = "this panic IS the debug-only lock-order enforcement; release builds skip the whole branch"
+)]
 fn track_acquire(rank: LockRank) {
     if cfg!(debug_assertions) {
         HELD.with(|held| {
             let mut held = held.borrow_mut();
             if let Some(worst) = held.iter().max_by_key(|r| r.rank) {
-                // lint:allow(no-panic): this panic IS the debug-only lock-order enforcement; release builds skip the whole branch
                 assert!(
                     worst.rank <= rank.rank,
                     "lock order violation: acquiring \"{}\" (rank {}) while holding \"{}\" \
@@ -154,20 +157,26 @@ pub struct OrderedMutexGuard<'a, T> {
 
 impl<T> std::ops::Deref for OrderedMutexGuard<'_, T> {
     type Target = T;
+    #[expect(
+        clippy::unreachable,
+        reason = "the Option is vacated only inside wait_timeout(), which consumes the guard"
+    )]
     fn deref(&self) -> &T {
         match &self.inner {
             Some(g) => g,
-            // lint:allow(no-panic): the Option is vacated only inside wait_timeout(), which consumes the guard
             None => unreachable!("guard vacated outside a condvar wait"),
         }
     }
 }
 
 impl<T> std::ops::DerefMut for OrderedMutexGuard<'_, T> {
+    #[expect(
+        clippy::unreachable,
+        reason = "the Option is vacated only inside wait_timeout(), which consumes the guard"
+    )]
     fn deref_mut(&mut self) -> &mut T {
         match &mut self.inner {
             Some(g) => g,
-            // lint:allow(no-panic): the Option is vacated only inside wait_timeout(), which consumes the guard
             None => unreachable!("guard vacated outside a condvar wait"),
         }
     }
@@ -184,6 +193,14 @@ impl<T> Drop for OrderedMutexGuard<'_, T> {
 /// Releases `guard` into `cv.wait_timeout`, restoring the rank bookkeeping
 /// when the thread wakes and re-acquires. Use exactly like
 /// `(guard, _) = sync::wait_timeout(&cv, guard, dur)`.
+#[expect(
+    clippy::unreachable,
+    reason = "the Option is vacated only inside wait_timeout(), which consumes the guard"
+)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the workspace's one condvar wait: bounded by `dur`, and never called on the event loop"
+)]
 pub fn wait_timeout<'a, T>(
     cv: &Condvar,
     mut guard: OrderedMutexGuard<'a, T>,
@@ -191,7 +208,6 @@ pub fn wait_timeout<'a, T>(
 ) -> (OrderedMutexGuard<'a, T>, WaitTimeoutResult) {
     let rank = guard.rank;
     let Some(inner) = guard.inner.take() else {
-        // lint:allow(no-panic): the Option is vacated only inside wait_timeout(), which consumes the guard
         unreachable!("guard vacated outside a condvar wait");
     };
     track_release(rank);

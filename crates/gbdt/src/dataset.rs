@@ -109,12 +109,12 @@ impl Binner {
     /// # Panics
     /// Panics if `n_bins < 2` or `n_bins > 256`, or the dataset is empty.
     pub fn fit(data: &Dataset, n_bins: usize) -> Self {
-        // lint:allow(no-panic): startup-config validation — n_bins comes from a static GbdtConfig, never from data
+        // Never fires on a serving path: stage_core's StageConfig::validate
+        // rejects such an n_bins at server start and on every restored snapshot.
         assert!(
             (2..=Self::MAX_BINS).contains(&n_bins),
             "n_bins must be in 2..=256"
         );
-        // lint:allow(no-panic): retrain callers gate on a non-empty pool (to_dataset returns None when empty)
         assert!(!data.is_empty(), "cannot bin an empty dataset");
         let n = data.n_rows();
         let mut cuts = Vec::with_capacity(data.n_cols());
@@ -164,7 +164,6 @@ impl Binner {
 
     /// Bins an entire dataset into a [`BinnedDataset`].
     pub fn transform(&self, data: &Dataset) -> BinnedDataset {
-        // lint:allow(no-panic): train-pipeline invariant — the binner is always fit on the dataset it transforms
         assert_eq!(data.n_cols(), self.n_features());
         let n = data.n_rows();
         let mut bins = vec![0u8; n * self.n_features()];

@@ -281,7 +281,6 @@ impl NgBoost {
     /// heads (the artefact-store decode path). Returns `None` when the
     /// heads have different lengths — `fit` always truncates them together,
     /// so a mismatch means the artefact is corrupt.
-    #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         base_mu: f64,
         base_log_var: f64,

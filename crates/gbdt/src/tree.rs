@@ -86,9 +86,7 @@ impl Tree {
         columns: &[usize],
         params: &TreeParams,
     ) -> Self {
-        // lint:allow(no-panic): train-pipeline invariant — the booster keeps one gradient per binned row
         assert_eq!(grads.len(), binned.n_rows());
-        // lint:allow(no-panic): fit is gated on a non-empty dataset upstream (to_dataset returns None when empty)
         assert!(!indices.is_empty(), "cannot fit a tree on zero rows");
         let mut idx = indices.to_vec();
         let mut grower = Grower::new(binned, binner, grads, idx.len(), columns, params);

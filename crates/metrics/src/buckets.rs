@@ -126,6 +126,11 @@ impl BucketReport {
     }
 
     /// The row for a specific bucket.
+    #[expect(
+        clippy::expect_used,
+        reason = "from_pairs pushes a row for every bucket; reports are read by the experiment \
+                  harness, never on a verb's path"
+    )]
     pub fn bucket(&self, bucket: ExecTimeBucket) -> &BucketRow {
         self.rows
             .iter()

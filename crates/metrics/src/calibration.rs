@@ -60,7 +60,7 @@ fn average_ranks(xs: &[f64]) -> Option<Vec<f64>> {
         return None;
     }
     let mut order: Vec<usize> = (0..xs.len()).collect();
-    order.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).expect("no NaN"));
+    order.sort_by(|&a, &b| xs[a].total_cmp(&xs[b]));
     let mut ranks = vec![0.0; xs.len()];
     let mut i = 0;
     while i < order.len() {

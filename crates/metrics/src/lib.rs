@@ -15,6 +15,12 @@
 //! All statistics are deterministic and allocation-light; nothing here draws
 //! randomness.
 
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 pub mod buckets;
 pub mod calibration;
 pub mod error;

@@ -35,6 +35,11 @@ impl PrrCurves {
     /// Builds the curves from parallel slices of absolute errors and
     /// predicted uncertainties. Returns `None` if inputs are empty,
     /// mismatched, or total error is zero (PRR undefined).
+    #[expect(
+        clippy::expect_used,
+        reason = "a NaN error or uncertainty has no rank; PRR is scored by the experiment \
+                  harness on finite model outputs, never on a verb's path"
+    )]
     pub fn new(errors: &[f64], uncertainties: &[f64]) -> Option<Self> {
         if errors.is_empty() || errors.len() != uncertainties.len() {
             return None;

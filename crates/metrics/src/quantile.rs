@@ -30,8 +30,8 @@ pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
 
 /// Like [`quantile`] but assumes `sorted` is already ascending, avoiding the
 /// sort. Total and panic-free: an empty slice yields NaN, and `q` is clamped
-/// into `[0, 1]` (this sits under the serving drift calibrator, which is in
-/// stage-lint's transitive no-panic scope).
+/// into `[0, 1]` (this sits under the serving drift calibrator, on every
+/// Observe's path).
 pub fn quantile_of_sorted(sorted: &[f64], q: f64) -> f64 {
     let (Some(&first), Some(&last)) = (sorted.first(), sorted.last()) else {
         return f64::NAN;

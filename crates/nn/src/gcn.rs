@@ -347,6 +347,11 @@ impl PlanGcn {
     /// # Panics
     /// Panics if any sample fails [`TreeSample::validate`] or has mismatched
     /// feature widths.
+    #[expect(
+        clippy::panic,
+        reason = "training-time precondition: the global model is fit offline on built samples, \
+                  never inside a verb"
+    )]
     pub fn fit(&mut self, samples: &[TreeSample]) -> TrainReport {
         for (i, s) in samples.iter().enumerate() {
             if let Err(e) = s.validate() {

@@ -123,9 +123,7 @@ impl Graph {
     pub fn add_row_broadcast(&mut self, x: Var, bias: Var) -> Var {
         let xv = &self.nodes[x.0].value;
         let bv = &self.nodes[bias.0].value;
-        // lint:allow(no-panic): tape shape contract — a violation is a model-construction bug, never input-dependent
         assert_eq!(bv.rows(), 1, "bias must be a row vector");
-        // lint:allow(no-panic): tape shape contract — a violation is a model-construction bug, never input-dependent
         assert_eq!(xv.cols(), bv.cols(), "bias width mismatch");
         let value = Matrix::from_fn(xv.rows(), xv.cols(), |r, c| xv.get(r, c) + bv.get(0, c));
         self.push(Op::AddRowBroadcast(x, bias), value)
@@ -146,7 +144,6 @@ impl Graph {
             // Identity via Scale keeps the tape uniform.
             return self.scale(x, 1.0);
         }
-        // lint:allow(no-panic): startup-config validation — dropout comes from a static model config, never from data
         assert!(p < 1.0, "dropout probability must be < 1");
         let xv = &self.nodes[x.0].value;
         let keep = 1.0 / (1.0 - p);
@@ -172,15 +169,12 @@ impl Graph {
     /// # Panics
     /// Panics if `rows` is empty or widths differ.
     pub fn stack_rows(&mut self, rows: &[Var]) -> Var {
-        // lint:allow(no-panic): tape shape contract — a violation is a model-construction bug, never input-dependent
         assert!(!rows.is_empty(), "stack_rows needs at least one row");
         let cols = self.nodes[rows[0].0].value.cols();
         let mut data = Vec::with_capacity(rows.len() * cols);
         for &v in rows {
             let m = &self.nodes[v.0].value;
-            // lint:allow(no-panic): tape shape contract — a violation is a model-construction bug, never input-dependent
             assert_eq!(m.rows(), 1, "stack_rows expects row vectors");
-            // lint:allow(no-panic): tape shape contract — a violation is a model-construction bug, never input-dependent
             assert_eq!(m.cols(), cols, "stack_rows width mismatch");
             data.extend_from_slice(m.data());
         }
@@ -202,9 +196,7 @@ impl Graph {
     pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
         let av = &self.nodes[a.0].value;
         let bv = &self.nodes[b.0].value;
-        // lint:allow(no-panic): tape shape contract — a violation is a model-construction bug, never input-dependent
         assert_eq!(av.rows(), 1);
-        // lint:allow(no-panic): tape shape contract — a violation is a model-construction bug, never input-dependent
         assert_eq!(bv.rows(), 1);
         let mut data = av.data().to_vec();
         data.extend_from_slice(bv.data());
@@ -231,7 +223,6 @@ impl Graph {
     /// Sums a list of `1×1` scalars and divides by their count (batch-mean
     /// loss). Returns the last element unchanged for a single term.
     pub fn mean_scalars(&mut self, terms: &[Var]) -> Var {
-        // lint:allow(no-panic): tape shape contract — a violation is a model-construction bug, never input-dependent
         assert!(!terms.is_empty());
         let mut acc = terms[0];
         for &t in &terms[1..] {
@@ -246,7 +237,6 @@ impl Graph {
     pub fn backward(&mut self, loss: Var, store: &mut ParamStore) {
         {
             let n = &mut self.nodes[loss.0];
-            // lint:allow(no-panic): tape shape contract — a violation is a model-construction bug, never input-dependent
             assert_eq!(
                 (n.value.rows(), n.value.cols()),
                 (1, 1),

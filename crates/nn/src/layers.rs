@@ -109,16 +109,6 @@ impl Linear {
             *o += b;
         }
     }
-
-    /// Input width.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output width.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
 }
 
 /// A multi-layer perceptron: Linear → ReLU (→ Dropout) …, with a linear
@@ -178,16 +168,6 @@ impl Mlp {
             h = out;
         }
         h
-    }
-
-    /// Output width.
-    pub fn out_dim(&self) -> usize {
-        self.layers.last().expect("non-empty").out_dim()
-    }
-
-    /// Input width.
-    pub fn in_dim(&self) -> usize {
-        self.layers.first().expect("non-empty").in_dim()
     }
 }
 

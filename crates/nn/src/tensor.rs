@@ -38,7 +38,6 @@ impl Matrix {
     /// # Panics
     /// Panics if `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        // lint:allow(no-panic): tape shape contract — a violation is a model-construction bug, never input-dependent
         assert_eq!(data.len(), rows * cols, "shape/data mismatch");
         Self { rows, cols, data }
     }
@@ -99,7 +98,6 @@ impl Matrix {
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        // lint:allow(no-panic): tape shape contract — a violation is a model-construction bug, never input-dependent
         assert_eq!(
             self.cols, other.rows,
             "matmul {}x{} · {}x{}",

@@ -232,7 +232,6 @@ impl PlanBuilder {
 
     /// Pops all pending sub-plans and unions them (UNION ALL / Append).
     pub fn append_all(mut self) -> Self {
-        // lint:allow(no-panic): builder-API misuse check — the stack shape is fixed by calling code, never by data
         assert!(
             !self.stack.is_empty(),
             "append_all needs at least one input"
@@ -274,15 +273,14 @@ impl PlanBuilder {
     ///
     /// # Panics
     /// Panics if the stack does not hold exactly one sub-plan.
+    #[expect(clippy::expect_used, reason = "non-empty: asserted just above")]
     pub fn finish(mut self) -> PhysicalPlan {
-        // lint:allow(no-panic): builder-API misuse check — the stack shape is fixed by calling code, never by data (pinned by finish_rejects_multiple_pending)
         assert_eq!(
             self.stack.len(),
             1,
             "finish() requires exactly one sub-plan on the stack, found {}",
             self.stack.len()
         );
-        // lint:allow(no-panic): non-empty just asserted above
         let child = self.stack.pop().expect("just checked");
         let rows = child.est_rows;
         let width = child.width;
@@ -305,8 +303,12 @@ impl PlanBuilder {
         self
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "builder-API misuse check: the stack shape is fixed by calling code, never by data \
+                  (pinned by join_requires_two_inputs / unary-input tests)"
+    )]
     fn pop(&mut self, msg: &str) -> PlanNode {
-        // lint:allow(no-panic): builder-API misuse check — pinned by join_requires_two_inputs / unary-input tests
         self.stack.pop().unwrap_or_else(|| panic!("{msg}"))
     }
 }

@@ -21,6 +21,12 @@
 //! * [`builder`] — ergonomic construction of plan trees for tests, examples,
 //!   and the synthetic workload generator.
 
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 pub mod builder;
 pub mod features;
 pub mod operator;

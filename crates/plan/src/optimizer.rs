@@ -12,6 +12,12 @@
 //! The enumeration is exact for up to [`MAX_DP_TABLES`] tables and falls
 //! back to a greedy heuristic beyond that (as production optimizers do).
 
+#![expect(
+    clippy::expect_used,
+    reason = "enumeration over a join graph `optimize` has checked is connected always yields a \
+              plan; only experiments and tests plan through this module, never a verb"
+)]
+
 use crate::operator::{OperatorKind, QueryType, S3Format};
 use crate::tree::{PhysicalPlan, PlanNode};
 

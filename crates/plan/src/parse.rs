@@ -18,6 +18,12 @@
 //! Nesting is conveyed by two-space indentation per level; scan nodes carry
 //! optional `format=… table_rows=…` attributes.
 
+#![expect(
+    clippy::expect_used,
+    reason = "tree-rebuild stack invariants (the root stays on the stack until the end); only \
+              the experiment and log pipelines parse EXPLAIN text, never a verb"
+)]
+
 use crate::operator::{OperatorKind, QueryType, S3Format};
 use crate::tree::{PhysicalPlan, PlanNode};
 use std::fmt;

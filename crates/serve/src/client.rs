@@ -246,6 +246,10 @@ impl ServeClient {
     /// the *successful* attempt's round trip took. Backoff sleeps and the
     /// refused attempts are excluded, so latency percentiles built from
     /// this number measure the service, not the client's retry schedule.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "client-side backoff and round-trip timing; the client runs on its caller's thread"
+    )]
     pub fn observe_with_retry_timed(
         &mut self,
         instance: u32,

@@ -8,9 +8,10 @@
 //! threads poke to interrupt a sleep — the accept thread after handing a
 //! connection over, and `shutdown`/`join` when the drain state changes.
 //!
-//! This file is inside `stage-lint`'s panic-freedom scope; the only unsafe
-//! block is the `poll` FFI call, whose invariants (valid slice pointer and
-//! length) are established immediately above it.
+//! `stage-serve` denies `unsafe_code` at its crate root; the one
+//! `#[expect(unsafe_code, …)]` is [`poll_fds`], whose `poll` FFI call
+//! carries the `// SAFETY:` argument `clippy::undocumented_unsafe_blocks`
+//! requires (valid slice pointer and length, established right above it).
 
 use std::io;
 use std::os::unix::io::{AsRawFd, RawFd};
@@ -65,12 +66,15 @@ extern "C" {
 /// Blocks until at least one descriptor in `fds` is ready or `timeout_ms`
 /// elapses (`-1` = no timeout). Returns the number of ready descriptors
 /// (0 on timeout). `EINTR` is retried internally.
+#[expect(
+    unsafe_code,
+    reason = "the poll(2) FFI seam over an exclusively borrowed repr(C) slice"
+)]
 pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
     loop {
         // SAFETY: `fds` is a live, exclusively borrowed slice of
         // `#[repr(C)]` pollfd-layout structs; the pointer and length
         // describe exactly that allocation for the duration of the call.
-        // lint:allow(unsafe-seam): poll FFI over an exclusively borrowed repr(C) slice
         let rc = unsafe {
             poll(
                 fds.as_mut_ptr(),

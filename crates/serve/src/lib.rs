@@ -30,6 +30,13 @@
 //!   and tests (socket timeouts and capped decorrelated-jitter retries by
 //!   default).
 
+#![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::disallowed_macros))]
+
 pub mod client;
 pub mod evloop;
 pub mod protocol;

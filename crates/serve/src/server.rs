@@ -40,8 +40,9 @@
 //! [`Server::join`] terminates the loops — each flushes pending replies
 //! best-effort, then the final checkpoint runs.
 //!
-//! This file is inside `stage-lint`'s panic-freedom scope: the request
-//! path must never `unwrap`/`expect`/`panic!` — malformed input, unknown
+//! The crate root's lint levels cover this file: no `unwrap`/`expect`/
+//! `panic!`/assert/indexing and no clock or blocking call outside an
+//! `#[expect(…, reason)]` — malformed input, unknown
 //! instances, and resource exhaustion all map to protocol errors or
 //! `io::Result`s. All locks are `stage_core::sync` ordered locks: a verb
 //! takes its shard's lock (under chaos, the fault plan's session-rank
@@ -218,6 +219,10 @@ struct Conn {
 }
 
 impl Conn {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "stall-reaper clock: a connection's age, never part of an answer"
+    )]
     fn new(sock: Sock) -> Self {
         let fd = sock.fd();
         Self {
@@ -693,6 +698,10 @@ fn flush_writes(conn: &mut Conn) {
 /// Reads whatever the socket has (up to the fairness budget), then parses,
 /// dispatches, and flushes.
 fn handle_readable(shared: &Shared, conn: &mut Conn, json_buf: &mut String, bin_buf: &mut Vec<u8>) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the request-deadline clock; a timed-out verb is answered TimedOut, not blocked"
+    )]
     let arrived = Instant::now();
     let mut tmp = [0u8; 16 * 1024];
     let mut budget = READ_BUDGET;
@@ -781,7 +790,10 @@ fn run_loop(
         }
         if poll_fds(&mut pollfds, poll_ms).is_err() {
             // EINVAL/ENOMEM from poll: back off rather than spin.
-            // lint:allow(no-blocking-in-evloop): bounded 1ms backoff on a failing poll — the loop is already not serving
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "bounded 1 ms backoff on a failing poll; the loop is already not serving"
+            )]
             std::thread::sleep(Duration::from_millis(1));
             continue;
         }
@@ -839,6 +851,7 @@ impl Server {
         if config.queue_capacity == 0 {
             return Err(invalid_config("queue capacity must be positive"));
         }
+        config.stage.validate().map_err(|e| invalid_config(&e))?;
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
 
@@ -962,6 +975,10 @@ impl Server {
                 })?
         };
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the accept thread blocks in accept by design; it serves no connection"
+        )]
         let accept_handle = {
             let shared = Arc::clone(&shared);
             let loop_shards: Vec<Arc<LoopShard>> = loop_shards.iter().map(Arc::clone).collect();
@@ -1074,6 +1091,10 @@ impl Server {
     /// Blocks until the server has fully drained and stopped, then runs
     /// the final checkpoint. Call after `shutdown` / a client `Shutdown`.
     /// A serving thread that panicked surfaces as an `Err` here.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "join runs on the caller's thread after the drain, never on an event loop"
+    )]
     pub fn join(self) -> io::Result<()> {
         self.accept_handle
             .join()
@@ -1325,6 +1346,28 @@ mod tests {
                 panic!("degenerate config must be refused");
             };
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        }
+    }
+
+    /// A stage config that would panic later — in `start` itself (a
+    /// zero-capacity cache) or inside the first retrain's Observe on an
+    /// event-loop thread (the rest) — is refused up front.
+    #[test]
+    fn server_start_rejects_configs_a_verb_would_panic_on() {
+        assert!(StageConfig::default().validate().is_ok());
+        let broken: [fn(&mut StageConfig); 4] = [
+            |c| c.cache.capacity = 0,
+            |c| c.local.ensemble.member.n_bins = 1,
+            |c| c.local.ensemble.member.log_var_range = (1.0, -1.0),
+            |c| c.local.ensemble.n_members = u32::MAX as usize,
+        ];
+        for (i, breaks) in broken.iter().enumerate() {
+            let mut config = ServeConfig::default();
+            breaks(&mut config.stage);
+            let Err(err) = Server::start(config) else {
+                panic!("broken stage config {i} must be refused");
+            };
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "config {i}");
         }
     }
 }

@@ -35,9 +35,11 @@
 //! count per node; decode enforces [`MAX_PLAN_DEPTH`] so a hostile frame
 //! cannot overflow the stack.
 //!
-//! This file is inside `stage-lint`'s panic-freedom scope: decoding is
-//! driven by untrusted bytes, so every read is bounds-checked and every
-//! malformed input maps to `io::ErrorKind::InvalidData`.
+//! The crate root's lint levels deny every panicking construct here,
+//! indexing included: decoding is driven by untrusted bytes, so every read
+//! is bounds-checked and every malformed input maps to
+//! `io::ErrorKind::InvalidData` (`tests/hostile_bytes.rs` overwrites every
+//! word of every verb's payload to hold decoders to it).
 
 use crate::protocol::{BatchPrediction, Request, Response};
 use stage_core::persist::crc32;
@@ -742,28 +744,37 @@ mod tests {
             .finish()
     }
 
-    fn requests() -> Vec<Request> {
-        vec![
-            Request::Predict {
-                instance: 3,
-                plan: plan(),
-                sys: vec![1.0, -0.0, f64::MAX],
-            },
-            Request::PredictBatch {
-                instance: 1,
-                plans: vec![plan(), plan()],
-                sys: vec![0.5],
-            },
-            Request::Observe {
-                instance: 0,
-                plan: plan(),
-                sys: vec![],
-                actual_secs: 4.25,
-            },
-            Request::Stats { instance: 9 },
-            Request::Snapshot,
-            Request::Shutdown,
-        ]
+    /// One value of every [`Request`] variant, each chosen by its
+    /// predecessor through an exhaustive `match` with no `_` arm: a new
+    /// verb does not compile until it is listed here, and then the tests
+    /// below hold both codecs and README's verb table to it.
+    fn every_request() -> Vec<Request> {
+        let mut all = vec![Request::Snapshot];
+        while let Some(last) = all.last() {
+            let next = match last {
+                Request::Snapshot => Request::Shutdown,
+                Request::Shutdown => Request::Stats { instance: 9 },
+                Request::Stats { .. } => Request::Predict {
+                    instance: 3,
+                    plan: plan(),
+                    sys: vec![1.0, -0.0, f64::MAX],
+                },
+                Request::Predict { .. } => Request::PredictBatch {
+                    instance: 1,
+                    plans: vec![plan(), plan()],
+                    sys: vec![0.5],
+                },
+                Request::PredictBatch { .. } => Request::Observe {
+                    instance: 0,
+                    plan: plan(),
+                    sys: vec![],
+                    actual_secs: 4.25,
+                },
+                Request::Observe { .. } => break,
+            };
+            all.push(next);
+        }
+        all
     }
 
     fn responses() -> Vec<Response> {
@@ -820,15 +831,30 @@ mod tests {
         ]
     }
 
+    /// Every verb survives both codecs bit for bit (the binary encoding
+    /// writes floats as `to_bits`, so equal payloads are equal values) and
+    /// is named in README's verb table.
     #[test]
-    fn every_request_round_trips() {
-        for r in requests() {
+    fn every_request_round_trips_both_codecs_and_is_documented() {
+        let readme = include_str!("../../../README.md");
+        for r in every_request() {
             let mut payload = Vec::new();
             encode_request(&r, &mut payload);
-            let back = decode_request(&payload).unwrap();
-            let mut again = Vec::new();
-            encode_request(&back, &mut again);
-            assert_eq!(payload, again, "re-encode must be byte-identical: {r:?}");
+            let json = serde_json::to_string(&r).unwrap();
+            for back in [
+                decode_request(&payload).unwrap(),
+                serde_json::from_str(&json).unwrap(),
+            ] {
+                let mut again = Vec::new();
+                encode_request(&back, &mut again);
+                assert_eq!(payload, again, "round trip must be bit-exact: {r:?}");
+            }
+            let verb = json.trim_start_matches(['{', '"']).split('"').next();
+            let row = verb.map(|v| format!("| `{v}` |"));
+            assert!(
+                row.is_some_and(|row| readme.contains(&row)),
+                "README's verb table must name {verb:?}"
+            );
         }
     }
 

@@ -31,8 +31,8 @@
 //! PR 18 carry `round8(len + len / 4 + 64)` of zeroed slack instead, and
 //! must keep validating and reading identically.
 //!
-//! This file is inside `stage-lint`'s panic-freedom scope: it parses
-//! hostile bytes on the serving restore path.
+//! The crate root's lint levels deny every panicking construct here,
+//! indexing included: it parses hostile bytes on the serving restore path.
 
 use crate::crc32;
 use std::fmt;

@@ -18,11 +18,17 @@
 //! the wire protocol and the artefact store keep checksumming through one
 //! shared function.
 //!
-//! This file is inside `stage-lint`'s panic-freedom scope: stores are
-//! opened on the serving restore path, where hostile bytes must produce
-//! typed errors, never panics.
+//! The whole crate denies panicking constructs (the lint levels below,
+//! indexing and the assert family included): stores are opened on the
+//! serving restore path, where hostile bytes must produce typed errors,
+//! never panics.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::disallowed_macros))]
 
 pub mod format;
 
@@ -66,14 +72,21 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// One slice-by-8 table lookup; both indices are masked into bounds.
 #[inline(always)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "k is masked to 0..8 and byte to 0..256, matching the table dimensions"
+)]
 fn tab(k: usize, byte: u32) -> u32 {
-    // lint:allow(no-panic): k is masked to 0..8 and byte to 0..256, matching the table dimensions
     CRC_TABLES[k & 7][(byte & 0xFF) as usize]
 }
 
 /// Slice-by-8 lookup tables for [`crc32`], built at compile time.
 /// `CRC_TABLES[0]` is the classic byte-at-a-time table; table `k` maps a
 /// byte to its contribution from `k` positions deeper in the 8-byte chunk.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "compile-time loops with k < 8 and i < 256; a slip is a build error"
+)]
 static CRC_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
@@ -88,7 +101,6 @@ static CRC_TABLES: [[u32; 256]; 8] = {
             };
             bit += 1;
         }
-        // lint:allow(no-panic): compile-time loop with i < 256; a slip is a build error
         tables[0][i] = crc;
         i += 1;
     }
@@ -96,9 +108,7 @@ static CRC_TABLES: [[u32; 256]; 8] = {
     while k < 8 {
         let mut i = 0;
         while i < 256 {
-            // lint:allow(no-panic): compile-time loops with k < 8 and i < 256; a slip is a build error
             let prev = tables[k - 1][i];
-            // lint:allow(no-panic): compile-time loops with k < 8 and i < 256; a slip is a build error
             tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
         }

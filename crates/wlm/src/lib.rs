@@ -24,6 +24,9 @@
 //!   threshold, burst slots activate (modeling Redshift's concurrency
 //!   scaling clusters).
 
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 pub mod sim;
 pub mod stats;
 

@@ -34,6 +34,9 @@
 //! * [`generator`] — fleet assembly and event-log generation;
 //! * [`stats`] — Fig. 1a/1b style fleet statistics.
 
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 pub mod export;
 pub mod generator;
 pub mod instance;

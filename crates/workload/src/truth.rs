@@ -250,7 +250,10 @@ impl CostTruthModel {
 
     /// Full stochastic exec-time: base × load factor × log-normal noise,
     /// with rare outliers. σ grows with the base time.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one call site per replay; the arguments are the query's realized state"
+    )]
     pub fn exec_time(
         &self,
         plan: &PhysicalPlan,

@@ -15,6 +15,8 @@
 //! * [`metrics`] — error/PRR/quantile statistics
 //! * [`core`] — the Stage predictor itself (cache → local → global)
 
+#![forbid(unsafe_code)]
+
 pub use stage_core as core;
 pub use stage_gbdt as gbdt;
 pub use stage_metrics as metrics;

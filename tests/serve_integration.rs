@@ -2,9 +2,11 @@
 //! full wire protocol over a real TCP socket, warm restart from snapshots,
 //! and concurrent clients losing no feedback.
 
-// This file uses the driver's temp dir and its at-least-once link;
-// `tests/oracle.rs` uses the rest.
-#[allow(dead_code)]
+#[expect(
+    dead_code,
+    reason = "this file uses the driver's temp dir and its at-least-once link; \
+              tests/oracle.rs uses the rest"
+)]
 mod support;
 
 use stage_core::{ExecTimePredictor, PredictionSource, StageConfig, StagePredictor, SystemContext};
