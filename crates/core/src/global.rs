@@ -100,7 +100,7 @@ pub struct GlobalModel {
     calibration: (f64, f64),
     /// Log-space target range seen in training; predictions are clamped to
     /// it (the model has no business extrapolating beyond observed labels).
-    target_range: (f64, f64),
+    pub(crate) target_range: (f64, f64),
     /// Mean epoch losses recorded during training (diagnostics).
     pub training_losses: Vec<f64>,
 }

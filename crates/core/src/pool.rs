@@ -210,7 +210,11 @@ impl TrainingPool {
             bucket_capacity,
             bucketing,
         };
-        let summed_cap: usize = bucket_capacity.iter().sum::<usize>().max(1);
+        // Saturating: caps whose sum overflows decode, and the snapshot's
+        // `StageConfig::validate` refuses them.
+        let summed_cap = (bucket_capacity.iter())
+            .fold(0usize, |sum, &cap| sum.saturating_add(cap))
+            .max(1);
         let mut buckets = Vec::with_capacity(N_BUCKETS);
         for (b, &bucket_cap) in bucket_capacity.iter().enumerate() {
             let len = usize::try_from(r.u64()?)

@@ -99,9 +99,10 @@ const MAX_BOOSTING_ROUNDS: usize = 100_000;
 impl StageConfig {
     /// Checks every value the predictor's constructors and its fit and
     /// predict paths assume, naming the first one that fails. A config that
-    /// passes cannot panic later: not in [`ExecTimeCache::new`], and not
-    /// inside a verb's retrain (`Binner::fit`'s bin count, `f64::clamp` on
-    /// the variance range, `2 × min_samples_leaf`). `stage-serve` refuses
+    /// passes cannot panic later: not in [`ExecTimeCache::new`], not in a
+    /// pool add (the summed bucket caps), and not inside a verb's retrain
+    /// (`Binner::fit`'s bin count, `f64::clamp` on the variance range,
+    /// `2 × min_samples_leaf`). `stage-serve` refuses
     /// to start on a failing config, and the snapshot decoder quarantines a
     /// file whose config fails.
     pub fn validate(&self) -> Result<(), String> {
@@ -112,6 +113,12 @@ impl StageConfig {
         let checks = [
             (c.capacity > 0, "cache.capacity must be positive"),
             (unit(c.alpha), "cache.alpha must be in [0, 1]"),
+            (
+                (self.pool.bucket_capacity.iter())
+                    .try_fold(0usize, |sum, &cap| sum.checked_add(cap))
+                    .is_some(),
+                "pool bucket capacities overflow when summed",
+            ),
             (
                 match c.mode {
                     CacheMode::AlphaBlend => true,
@@ -746,6 +753,17 @@ mod tests {
             ..GlobalModelConfig::default()
         };
         Arc::new(GlobalModel::train(&samples, 2, &gcfg))
+    }
+
+    /// The one-FIFO pool sums its bucket caps: caps whose sum overflows are
+    /// refused, caps that sum to `usize::MAX` are not.
+    #[test]
+    fn validate_refuses_pool_caps_that_overflow_when_summed() {
+        let mut config = StageConfig::default();
+        config.pool.bucket_capacity = [usize::MAX - 1, 1, 0];
+        assert_eq!(config.validate(), Ok(()));
+        config.pool.bucket_capacity = [usize::MAX - 1, 1, 1];
+        assert!(config.validate().unwrap_err().contains("pool"));
     }
 
     #[test]

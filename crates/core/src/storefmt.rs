@@ -295,6 +295,14 @@ fn decode_global(bytes: &[u8]) -> Result<GlobalModel, RestoreError> {
             env.kind
         )));
     }
+    // Every answer is clamped to this range: `f64::clamp` panics on it
+    // unless it is a finite lo <= hi.
+    let (lo, hi) = env.payload.target_range;
+    if !(lo.is_finite() && hi.is_finite() && lo <= hi) {
+        return Err(malformed(format!(
+            "global model target range [{lo}, {hi}] is not a finite lo <= hi"
+        )));
+    }
     Ok(env.payload)
 }
 

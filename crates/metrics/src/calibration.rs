@@ -13,8 +13,8 @@
 /// Fraction of `(truth, lo, hi)` triples with `lo <= truth <= hi`.
 ///
 /// This is the single coverage implementation in the workspace — the replay
-/// experiments, the serve `Stats.interval_coverage` counter, and
-/// `bench_drift` all funnel through it so "coverage" means the same thing
+/// experiments, the serve `Stats.interval_coverage` counter, and the drift
+/// episode test all funnel through it so "coverage" means the same thing
 /// everywhere. Edge cases are explicit rather than silent:
 ///
 /// * empty input → `None` (coverage of nothing is undefined, not `0.0`);

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Repo-wide gate: formatting, clippy and rustdoc (warnings are errors),
 # the workspace test suite — which is where the serving stack's fault
-# suite (tests/oracle.rs) and the hostile-bytes sweep run — a check
-# that results/ was recorded on this code, then the benchmark harness (its
-# self-tests, a 1/50-size run of every workload and the served == library
-# run across a drift retrain) and the drift episode.
+# suite (tests/oracle.rs), the hostile-bytes sweep and the drift episode
+# (tests/drift.rs) run — a check that results/ was recorded on this code,
+# then the benchmark harness (its self-tests, a 1/50-size run of every
+# workload and the served == library run across a drift retrain).
 # Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -53,10 +53,3 @@ timeout 300 bash benchmark/run.sh --smoke
 # latches and refits within its first 700 queries). Exits non-zero on any
 # answer that differs from the in-process StagePredictor's.
 timeout 120 bash benchmark/run.sh --workload miss_heavy --seed 107 --seconds 2 --trace 0
-
-# Drift smoke: the shift/detect-and-retrain/recover episode against
-# StagePredictor directly (DESIGN.md §15). Gates detection on the
-# headline shift factor, post-retrain error below pre-retrain, interval
-# coverage within two points of nominal, and zero steady false alarms.
-cargo build -q --release -p stage-bench --bin bench_drift
-timeout 300 ./target/release/bench_drift --smoke --out /tmp/bench_drift_smoke.json

@@ -1,10 +1,12 @@
 //! Decoders never trust a word. Every 4-byte window of every wire payload,
 //! and every aligned word of every section of a trained snapshot and of a
 //! global-model store, is overwritten with `u32::MAX` in turn (store CRCs
-//! rebuilt, so the damage reaches the decoders). Each decode must return
-//! with no single allocation over 64 × its input, and every predictor a
-//! damaged store decodes to must then serve 25 Predict + Observe rounds,
-//! one retrain among them, without a panic.
+//! rebuilt, so the damage reaches the decoders), and the global model's
+//! clamp range is swapped. Each decode must return with no single
+//! allocation over 64 × its input, and every predictor a damaged store
+//! decodes to — a global model on a cold shard, so it answers the misses —
+//! must then serve 25 Predict + Observe rounds, one retrain among them,
+//! without a panic.
 
 use stage_core::global::{plan_to_tree_sample, GlobalModelConfig};
 use stage_core::storefmt::{snapshot_sections, SECTION_GLOBAL};
@@ -14,7 +16,7 @@ use stage_core::{
 };
 use stage_plan::{PhysicalPlan, PlanBuilder, S3Format};
 use stage_serve::{wire, BatchPrediction, Request, Response};
-use stage_store::{build_file, StoreView};
+use stage_store::{build_file, SectionWriter, StoreView};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -196,15 +198,20 @@ fn no_lying_word_in_a_wire_payload_panics_or_sizes_an_allocation() {
     assert!(largest > 0, "no allocation was counted");
 }
 
-/// A small trained shard: 2 members × 5 rounds, 40 cache entries, retrain
-/// due at the 20th new plan after the snapshot.
-fn trained_predictor() -> StagePredictor {
+/// A small cold shard: 2 members × 5 rounds, trained at the 20th new plan.
+fn small_predictor() -> StagePredictor {
     let mut config = StageConfig::default();
     config.local.ensemble.n_members = 2;
     config.local.ensemble.member.n_estimators = 5;
     config.local.min_train_examples = 20;
     config.local.retrain_interval = 20;
-    let mut p = StagePredictor::new(config);
+    StagePredictor::new(config)
+}
+
+/// [`small_predictor`] with 40 cache entries, retrain due at the 20th new
+/// plan after the snapshot.
+fn trained_predictor() -> StagePredictor {
+    let mut p = small_predictor();
     let sys = SystemContext::empty(2);
     for id in 0..40 {
         p.observe(&plan(id), &sys, secs(id));
@@ -275,16 +282,26 @@ fn no_lying_word_in_a_store_image_panics_or_sizes_an_allocation() {
         .section(SECTION_GLOBAL)
         .unwrap()
         .to_vec();
-    for (at, lying) in lying_words(&section, 4) {
+    // One more lie no single word tells: the clamp range, swapped.
+    let json = std::str::from_utf8(&section[8..]).unwrap();
+    let (head, tail) = json.split_once("\"target_range\":[").unwrap();
+    let (range, rest) = tail.split_once(']').unwrap();
+    let (lo, hi) = range.split_once(',').unwrap();
+    let mut swapped = SectionWriter::new();
+    swapped.put_bytes(format!("{head}\"target_range\":[{hi},{lo}]{rest}").as_bytes());
+    let swapped = ("the swapped target_range".to_string(), swapped.finish());
+    let words = lying_words(&section, 4).map(|(at, lying)| (format!("word {at}"), lying));
+    for (what, lying) in words.chain([swapped]) {
         let image = build_file(&[(SECTION_GLOBAL, lying)], 1);
         std::fs::write(&gpath, &image).unwrap();
         let (loaded, _) = capped(64 * image.len(), || load_global_store(&gpath, None));
         if let Ok((model, _)) = loaded {
-            let mut p = trained_predictor();
+            // Cold, so the global model answers every miss until it trains.
+            let mut p = small_predictor();
             p.set_global(Arc::new(model));
             assert!(
                 serve_traffic(p).is_some(),
-                "global word {at}: a verb panicked"
+                "global model, {what}: a verb panicked"
             );
         }
     }

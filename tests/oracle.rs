@@ -9,35 +9,26 @@
 //! every server thread joins (zero panics). What the tests below add is
 //! each family's ledger and that no trace is vacuous.
 
+#[expect(
+    dead_code,
+    reason = "`Step::Truncate` is for the fixed traces of tests/serve_integration.rs"
+)]
 mod support;
 
-use stage_chaos::{FaultPlanConfig, FaultSite, SitePolicy};
+use stage_chaos::{FaultSite, SitePolicy};
 use stage_core::storefmt::load_stage_store;
 use stage_serve::{wire, Response, ServeClient, ServeConfig, Server, ShardRegistry};
 use stage_store::StoreView;
-use std::time::Duration;
 use support::Frame::*;
 use support::Step::*;
 use support::{
-    check, falsify, generate, plan_of, run, secs_of, small_stage, Setup, Step, TempDir, EVERYTHING,
-    SYS, TRAFFIC,
+    check, falsify, generate, plan_of, run, secs_of, setup, small_stage, Setup, Step, TempDir,
+    EVERYTHING, SYS, TRAFFIC,
 };
 
 /// The seeds of the random-interleaving test. A seed that ever fails is
 /// kept here (or its shrunk trace becomes a fixed trace below).
 const SEEDS: [u64; 12] = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233];
-
-/// `shards` shards served under a fault plan with `sites` enabled (none:
-/// the plan is installed and injects nothing).
-fn setup(shards: u32, seed: u64, sites: &[(FaultSite, SitePolicy)]) -> Setup {
-    let config = FaultPlanConfig::new(seed).stall(Duration::from_millis(1));
-    let with = |config: FaultPlanConfig, &(site, policy)| config.site(site, policy);
-    Setup {
-        shards,
-        faults: sites.iter().fold(config, with),
-        sabotage: None,
-    }
-}
 
 fn count(steps: &[Step], kind: impl Fn(&Step) -> bool) -> u64 {
     steps.iter().filter(|s| kind(s)).count() as u64

@@ -11,11 +11,13 @@
 //! never got that far — so a restart can restore the model from those
 //! bytes: they are what it would have written.
 //!
+//! A finished run's [`Report`] holds the served reply of every step: what
+//! a fixed trace asserts on beyond the model's agreement.
 //! [`Link::deliver`] is the only at-least-once loop in the repository.
 //! [`falsify`] turns a diverging trace into a label (the seed), a shrunk
 //! trace and a Rust literal that pastes back in as a fixed trace.
 
-use stage_chaos::{FaultPlan, FaultPlanConfig, FaultSite};
+use stage_chaos::{FaultPlan, FaultPlanConfig, FaultSite, SitePolicy};
 use stage_core::storefmt::{self, snapshot_sections};
 use stage_core::{
     plan_to_tree_sample, ComponentFaults, DegradedStats, ExecTimePredictor, GlobalModel,
@@ -62,9 +64,10 @@ impl Drop for TempDir {
 }
 
 /// The counter a shard verb moves when the server applies it, read out of
-/// a `Stats` reply.
+/// a `Stats` reply (an unknown shard's is an `Error`: no verb moves it).
 fn moved(request: &Request, stats: &Response) -> u64 {
     match (request, stats) {
+        (_, Response::Error { .. }) => 0,
         (Request::Predict { .. }, Response::Stats { routing, .. }) => routing.total(),
         (
             Request::PredictBatch { .. },
@@ -74,6 +77,17 @@ fn moved(request: &Request, stats: &Response) -> u64 {
         ) => *predict_batches,
         (Request::Observe { .. }, Response::Stats { observes, .. }) => *observes,
         _ => panic!("{request:?} moves no counter of {stats:?}"),
+    }
+}
+
+/// The shard a request names, if any.
+fn shard_of(request: &Request) -> Option<u32> {
+    match request {
+        Request::Predict { instance, .. }
+        | Request::PredictBatch { instance, .. }
+        | Request::Observe { instance, .. }
+        | Request::Stats { instance } => Some(*instance),
+        Request::Snapshot | Request::Shutdown => None,
     }
 }
 
@@ -122,12 +136,8 @@ impl Link {
     /// first send. Returns the reply and how many unanswered sends the
     /// server applied; the answered one is the caller's to count.
     pub fn deliver(&mut self, request: &Request, before: u64) -> (Response, u64) {
-        let shard = match request {
-            Request::Predict { instance, .. }
-            | Request::PredictBatch { instance, .. }
-            | Request::Observe { instance, .. } => Some(*instance),
-            Request::Stats { .. } | Request::Snapshot | Request::Shutdown => None,
-        };
+        // `Stats` moves nothing: it is resent blind.
+        let shard = shard_of(request).filter(|_| !matches!(request, Request::Stats { .. }));
         let mut lost = 0;
         for _ in 0..MAX_SENDS {
             match (self.call(request), shard) {
@@ -196,6 +206,12 @@ pub enum Step {
     /// mid-checkpoint leaves behind.
     Kill {
         torn_tmp: bool,
+    },
+    /// The shard's artefact loses its second half in place: damage the
+    /// crash-safe writer never does (a disk fault), which the next start
+    /// must quarantine unless a checkpoint rewrites the file first.
+    Truncate {
+        shard: u32,
     },
     /// Reconnect on the other codec (binary ↔ JSON).
     SwitchCodec,
@@ -304,6 +320,18 @@ pub struct Setup {
     pub sabotage: Option<u32>,
 }
 
+/// `shards` shards served under a fault plan with `sites` enabled (none:
+/// the plan is installed and injects nothing).
+pub fn setup(shards: u32, seed: u64, sites: &[(FaultSite, SitePolicy)]) -> Setup {
+    let config = FaultPlanConfig::new(seed).stall(Duration::from_millis(1));
+    let with = |config: FaultPlanConfig, &(site, policy)| config.site(site, policy);
+    Setup {
+        shards,
+        faults: sites.iter().fold(config, with),
+        sabotage: None,
+    }
+}
+
 /// The ensemble every trace serves: a thousand steps cross dozens of refits
 /// in well under a second.
 pub fn small_stage() -> StageConfig {
@@ -359,6 +387,10 @@ struct Passes {
 /// What a completed trace did: what the ledgers and vacuity checks read.
 #[derive(Debug, Default)]
 pub struct Report {
+    /// Per step, the served reply (its clock reading zeroed) that the model
+    /// matched: `None` for a step that sends no verb, or whose reply the
+    /// sockets lost. `Restart` and `Kill` answer the `Shutdown` verb.
+    pub replies: Vec<Option<Response>>,
     /// The server's fault plan (its `injected` counters are the ledger).
     pub plan: Option<Arc<FaultPlan>>,
     pub io_errors: u64,
@@ -425,7 +457,8 @@ pub fn run(setup: &Setup, steps: &[Step]) -> Result<Report, (usize, String)> {
     run.shards = (0..setup.shards).map(|i| run.cold(i)).collect();
     run.boot().map_err(|what| (0, what))?;
     for (i, step) in steps.iter().enumerate() {
-        run.step(step).map_err(|what| (i, what))?;
+        let reply = run.step(step).map_err(|what| (i, what))?;
+        run.report.replies.push(reply);
     }
     run.finish().map_err(|what| (steps.len(), what))?;
     Ok(run.report)
@@ -434,25 +467,25 @@ pub fn run(setup: &Setup, steps: &[Step]) -> Result<Report, (usize, String)> {
 /// `served` must be the reply the model expects, compared as the bytes the
 /// binary codec puts on the wire for each — an `f64` travels as its
 /// `to_bits` image, so equal bytes are equal bits — with the one field that
-/// is a clock reading zeroed.
-fn same_reply(served: &Response, model: &Response) -> Result<(), String> {
+/// is a clock reading zeroed. Returns `served` so zeroed.
+fn same_reply(served: &Response, model: &Response) -> Result<Response, String> {
+    let mut served = served.clone();
+    if let Response::Predicted { latency_us, .. }
+    | Response::PredictionsBatch { latency_us, .. }
+    | Response::Observed { latency_us } = &mut served
+    {
+        *latency_us = 0;
+    }
     let image = |reply: &Response| {
-        let mut reply = reply.clone();
-        if let Response::Predicted { latency_us, .. }
-        | Response::PredictionsBatch { latency_us, .. }
-        | Response::Observed { latency_us } = &mut reply
-        {
-            *latency_us = 0;
-        }
         let mut bytes = Vec::new();
-        wire::encode_response(&reply, &mut bytes);
+        wire::encode_response(reply, &mut bytes);
         bytes
     };
     ensure!(
-        image(served) == image(model),
+        image(&served) == image(model),
         "served {served:?}, the library answers {model:?}"
     );
-    Ok(())
+    Ok(served)
 }
 
 impl Run<'_> {
@@ -582,13 +615,18 @@ impl Run<'_> {
         passes
     }
 
-    /// Stops the server, whose final checkpoint the model runs too: both
+    /// Stops the server with the `Shutdown` verb — and where the sockets
+    /// lost it or its reply, with the same drain called in-process (it is
+    /// idempotent) — then runs its final checkpoint on the model too: both
     /// must end the same way. Every thread must join — a panic anywhere in
-    /// the server ends here.
-    fn stop(&mut self) -> Result<Passes, String> {
+    /// the server ends here. Returns the verb's reply, if one arrived.
+    fn stop(&mut self) -> Result<(Option<Response>, Passes), String> {
+        let reply = self.link.call(&Request::Shutdown).ok();
         self.link.client = None;
         let server = self.server.take().expect("a booted run has a server");
-        server.shutdown();
+        if !matches!(reply, Some(Response::ShuttingDown)) {
+            server.shutdown();
+        }
         let stopped = server.join();
         let panicked = matches!(&stopped, Err(e) if e.to_string().contains("panicked"));
         ensure!(!panicked, "server thread died: {stopped:?}");
@@ -598,7 +636,7 @@ impl Run<'_> {
             "final checkpoint: {stopped:?}, the model's completed: {}",
             passes.completed
         );
-        Ok(passes)
+        Ok((reply, passes))
     }
 
     /// Reads every artefact and checks it is what the model's passes left:
@@ -631,13 +669,14 @@ impl Run<'_> {
     }
 
     /// `kill`: `None` restarts gracefully; `Some(torn_tmp)` undoes whatever
-    /// the dying process wrote after its last checkpoint attempt.
-    fn restart(&mut self, kill: Option<bool>) -> Result<(), String> {
+    /// the dying process wrote after its last checkpoint attempt. Returns
+    /// the `Shutdown` verb's reply.
+    fn restart(&mut self, kill: Option<bool>) -> Result<Option<Response>, String> {
         let io = |e: io::Error| e.to_string();
-        let passes = self.stop()?;
+        let (reply, passes) = self.stop()?;
         let Some(torn_tmp) = kill else {
             self.audit_disk(&passes.wrote)?;
-            return self.boot();
+            return self.boot().map(|()| reply);
         };
         for (i, bytes) in self.disk.iter().enumerate() {
             match bytes {
@@ -650,7 +689,7 @@ impl Run<'_> {
             tmp.push(".99999.0.tmp");
             std::fs::write(tmp, &bytes[..bytes.len() / 3]).map_err(io)?;
         }
-        self.boot()
+        self.boot().map(|()| reply)
     }
 
     /// Applies `request` to the model and answers as `serve_request` would
@@ -659,6 +698,12 @@ impl Run<'_> {
         let context = |sys: &[f64]| SystemContext {
             features: sys.to_vec(),
         };
+        let n = self.shards.len();
+        if let Some(instance) = shard_of(request).filter(|&i| i as usize >= n) {
+            return Response::Error {
+                message: format!("unknown instance {instance} (server hosts 0..{n})"),
+            };
+        }
         match request {
             Request::Predict {
                 instance,
@@ -737,7 +782,7 @@ impl Run<'_> {
 
     /// Sends a shard verb, applies it to the model as often as the server
     /// applied it, and compares the answer with the model's last.
-    fn shard_verb(&mut self, shard: u32, request: &Request) -> Result<(), String> {
+    fn shard_verb(&mut self, shard: u32, request: &Request) -> Result<Response, String> {
         let stats = self.model_reply(&Request::Stats { instance: shard });
         let (served, lost) = self.link.deliver(request, moved(request, &stats));
         let mut model = self.model_reply(request);
@@ -753,7 +798,7 @@ impl Run<'_> {
     fn stats(&mut self, shard: u32) -> Result<Response, String> {
         let request = Request::Stats { instance: shard };
         let (served, _) = self.link.deliver(&request, 0);
-        same_reply(&served, &self.model_reply(&request))?;
+        let served = same_reply(&served, &self.model_reply(&request))?;
         for site in [
             FaultSite::LocalPredict,
             FaultSite::LocalRetrain,
@@ -773,7 +818,8 @@ impl Run<'_> {
         Ok(served)
     }
 
-    fn step(&mut self, step: &Step) -> Result<(), String> {
+    /// Applies one step to both sides; returns the served reply it matched.
+    fn step(&mut self, step: &Step) -> Result<Option<Response>, String> {
         let sys = SYS.to_vec();
         match *step {
             Step::Predict { shard, plan } => {
@@ -783,7 +829,7 @@ impl Run<'_> {
                     plan,
                     sys,
                 };
-                self.shard_verb(shard, &request)
+                self.shard_verb(shard, &request).map(Some)
             }
             Step::PredictBatch { shard, first, len } => {
                 let request = Request::PredictBatch {
@@ -791,7 +837,7 @@ impl Run<'_> {
                     plans: (first..first + len).map(plan_of).collect(),
                     sys,
                 };
-                self.shard_verb(shard, &request)
+                self.shard_verb(shard, &request).map(Some)
             }
             Step::Observe { shard, plan, secs } => {
                 let request = Request::Observe {
@@ -803,11 +849,11 @@ impl Run<'_> {
                 if self.setup.sabotage == Some(plan) {
                     // The planted divergence: the server alone observes.
                     self.link.deliver(&request, 0);
-                    return Ok(());
+                    return Ok(None);
                 }
-                self.shard_verb(shard, &request)
+                self.shard_verb(shard, &request).map(Some)
             }
-            Step::Stats { shard } => self.stats(shard).map(drop),
+            Step::Stats { shard } => self.stats(shard).map(Some),
             Step::Snapshot => {
                 let resends = self.link.io_errors;
                 let (reply, _) = self.link.deliver(&Request::Snapshot, 0);
@@ -833,17 +879,25 @@ impl Run<'_> {
                     Response::Error { .. } if !passes.completed => self.report.snapshot_errors += 1,
                     other => return Err(format!("snapshot answered {other:?}")),
                 }
-                self.audit_disk(&passes.wrote)
+                self.audit_disk(&passes.wrote).map(|()| Some(reply))
             }
             Step::Restart => self.restart(None),
             Step::Kill { torn_tmp } => self.restart(Some(torn_tmp)),
+            Step::Truncate { shard } => {
+                let path = self.artefact(shard as usize);
+                if let Some(bytes) = &mut self.disk[shard as usize] {
+                    bytes.truncate(bytes.len() / 2);
+                    std::fs::write(path, bytes).map_err(|e| e.to_string())?;
+                }
+                Ok(None)
+            }
             Step::SwitchCodec => {
                 let other = match self.link.codec {
                     Codec::Binary => Codec::Json,
                     Codec::Json => Codec::Binary,
                 };
                 self.link.retarget(self.link.addr, other);
-                Ok(())
+                Ok(None)
             }
             Step::HotSwap => {
                 self.generation += 1;
@@ -867,7 +921,7 @@ impl Run<'_> {
                     s.predictor.set_global(Arc::clone(&loaded));
                 }
                 self.global = Some(loaded);
-                Ok(())
+                Ok(None)
             }
             Step::Faults(armed) => {
                 for plan in [&self.served_plan, &self.model_plan] {
@@ -877,7 +931,7 @@ impl Run<'_> {
                         plan.disarm();
                     }
                 }
-                Ok(())
+                Ok(None)
             }
             Step::Garbage(frame) => {
                 let probe = Request::Stats { instance: 0 };
@@ -894,7 +948,7 @@ impl Run<'_> {
                 ensure!(refused, "{frame:?} answered {message:?}");
                 // The same connection answered the next request, and the
                 // shard is where the model left it.
-                same_reply(stats, &self.model_reply(&probe))
+                same_reply(stats, &self.model_reply(&probe)).map(|_| None)
             }
         }
     }
@@ -923,7 +977,7 @@ impl Run<'_> {
             self.report.degraded.retrains_poisoned += degraded.retrains_poisoned;
             self.report.degraded.retrains_slowed += degraded.retrains_slowed;
         }
-        let passes = self.stop()?;
+        let (_, passes) = self.stop()?;
         ensure!(passes.completed, "the disarmed final checkpoint failed");
         self.report.io_errors = self.link.io_errors;
         self.report.plan = Some(Arc::clone(&self.served_plan));
