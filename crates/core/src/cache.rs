@@ -11,7 +11,10 @@
 //! ```
 //!
 //! Eviction removes the least-recently-*updated* entry once capacity is
-//! exceeded (the paper keeps 2 000 unique queries).
+//! exceeded (the paper keeps 2 000 unique queries). Capacity is that bound
+//! and nothing more: the table starts empty and grows with its entries, so
+//! a young shard holding two dozen queries costs two dozen entries, not a
+//! table sized for 2 000.
 
 use serde::{Deserialize, Serialize};
 use stage_metrics::Welford;
@@ -38,7 +41,8 @@ pub enum CacheMode {
 /// Cache tuning knobs.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct CacheConfig {
-    /// Maximum number of unique queries retained (paper: 2 000).
+    /// Maximum number of unique queries retained (paper: 2 000): an
+    /// eviction bound, not a reservation.
     pub capacity: usize,
     /// Mean-vs-last blending factor α (paper: 0.8).
     pub alpha: f64,
@@ -105,7 +109,7 @@ impl ExecTimeCache {
         }
         Self {
             config,
-            entries: HashMap::with_capacity(config.capacity.saturating_add(1).min(4_096)),
+            entries: HashMap::new(),
             update_seq: 0,
             hits: 0,
             misses: 0,
@@ -244,11 +248,13 @@ impl ExecTimeCache {
         }
     }
 
-    /// Approximate resident size in bytes: each entry is a key (8) plus
-    /// four stat scalars + seq (paper's "4 values per hash table entry"
-    /// plus bookkeeping).
+    /// Approximate resident size in bytes: every slot the table has
+    /// reserved, held or not — a key (8) plus four stat scalars + seq (the
+    /// paper's "4 values per hash table entry" plus bookkeeping) and one
+    /// control byte.
     pub fn approx_size_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.entries.len() * (8 + std::mem::size_of::<Entry>())
+        std::mem::size_of::<Self>()
+            + self.entries.capacity() * (std::mem::size_of::<(u64, Entry)>() + 1)
     }
 
     /// The configuration this cache was built with (store restore needs it
@@ -562,14 +568,55 @@ mod tests {
         cache(10, 1.5);
     }
 
+    /// The size follows the table, and the table follows the entries: an
+    /// empty cache reserves no slot whatever its capacity, and a filled one
+    /// counts every slot it reserved.
     #[test]
-    fn size_accounting_grows_with_entries() {
-        let mut c = cache(100, 0.8);
+    fn size_accounting_tracks_the_reservation() {
+        let mut c = cache(100_000, 0.8);
         let empty = c.approx_size_bytes();
+        assert_eq!(empty, std::mem::size_of::<ExecTimeCache>());
         for k in 0..50u64 {
             c.record(k, 1.0);
         }
-        assert!(c.approx_size_bytes() > empty);
+        let slot = std::mem::size_of::<(u64, Entry)>() + 1;
+        assert!(c.entries.capacity() >= 50);
+        assert_eq!(c.approx_size_bytes(), empty + c.entries.capacity() * slot);
+        assert!(c.approx_size_bytes() < empty + 128 * slot);
+    }
+
+    fn encoded(c: &ExecTimeCache) -> Vec<u8> {
+        let mut w = stage_store::SectionWriter::new();
+        c.store_encode(&mut w);
+        w.finish()
+    }
+
+    /// Two caches holding the same entries behind tables of different
+    /// growth histories — one grown record by record, one decoded into a
+    /// table sized to its entry count, each with its own hash seed — evict
+    /// the same key (the minimum `last_update`, never an iteration-order
+    /// accident) and encode to the same bytes, step after step.
+    #[test]
+    fn eviction_and_encoding_ignore_the_tables_growth_history() {
+        let mut grown = cache(64, 0.8);
+        for k in 0..200u64 {
+            grown.record(k % 97, 1.0 + k as f64);
+        }
+        let bytes = encoded(&grown);
+        let mut r = stage_store::SectionReader::new(&bytes);
+        let mut decoded = ExecTimeCache::store_decode(&mut r).unwrap();
+        for k in 0..300u64 {
+            let key = (k * 31) % 151;
+            let oldest = |c: &ExecTimeCache| {
+                let (&key, _) = c.entries.iter().min_by_key(|(_, e)| e.last_update)?;
+                Some(key)
+            };
+            assert_eq!(oldest(&grown), oldest(&decoded), "step {k}");
+            grown.record(key, k as f64);
+            decoded.record(key, k as f64);
+            assert_eq!(encoded(&grown), encoded(&decoded), "step {k}");
+        }
+        assert_eq!(grown.len(), 64);
     }
 
     #[test]

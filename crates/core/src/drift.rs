@@ -296,6 +296,12 @@ impl DriftSentinel {
         self.cusum
     }
 
+    /// Approximate resident size in bytes: the conformal window as
+    /// reserved (it grows with its scores up to `window`).
+    pub fn approx_size_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.scores.capacity() * std::mem::size_of::<f64>()
+    }
+
     /// Counts one forced retrain.
     pub fn note_forced_retrain(&mut self) {
         self.forced_retrains = self.forced_retrains.saturating_add(1);

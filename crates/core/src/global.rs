@@ -136,8 +136,8 @@ impl GlobalModel {
         // Hold out every 10th sample for calibration.
         let (fit_set, holdout): (Vec<_>, Vec<_>) =
             samples.iter().enumerate().partition(|(i, _)| i % 10 != 9);
-        let fit_samples: Vec<TreeSample> = fit_set.into_iter().map(|(_, s)| s.clone()).collect();
-        let holdout: Vec<TreeSample> = holdout.into_iter().map(|(_, s)| s.clone()).collect();
+        let fit_samples: Vec<&TreeSample> = fit_set.into_iter().map(|(_, s)| s).collect();
+        let holdout: Vec<&TreeSample> = holdout.into_iter().map(|(_, s)| s).collect();
 
         let mut gcn = PlanGcn::new(gcn_config);
         let report = gcn.fit(&fit_samples);
@@ -385,6 +385,87 @@ mod tests {
             let want = (a * model.gcn.predict(&sample) + b).clamp(lo, hi);
             assert_eq!(got.to_bits(), want.to_bits());
         }
+    }
+
+    /// FNV-1a over the `to_bits` image of every number in a value tree, in
+    /// tree order (`-0.0` and `0.0` differ here, unlike the cache key).
+    fn bits_digest(v: &serde_json::Value, h: &mut u64) {
+        use serde_json::Value;
+        let mut eat = |bits: u64| {
+            for byte in bits.to_le_bytes() {
+                *h = (*h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        match v {
+            Value::Float(x) => eat(x.to_bits()),
+            Value::Int(i) => eat(*i as u64),
+            Value::UInt(u) => eat(*u),
+            Value::Array(items) => items.iter().for_each(|i| bits_digest(i, h)),
+            Value::Object(fields) => fields.iter().for_each(|(_, f)| bits_digest(f, h)),
+            _ => {}
+        }
+    }
+
+    /// Every weight and bias [`GlobalModel::train`] produces, pinned to the
+    /// bit: the training tape may change how it holds parameters and
+    /// gradients, never the arithmetic. Dropout is on so the mask draws
+    /// are pinned too. The digest covers the parameter values; the last
+    /// step's gradients, the epoch losses and three raw predictions are
+    /// pinned beside them.
+    #[test]
+    fn trained_weights_are_pinned_to_the_bit() {
+        let samples: Vec<TreeSample> = (1..=120)
+            .map(|i| {
+                let (rows, speed) = (i as f64 * 7e3, [1.0, 2.5, 4.0][i % 3]);
+                let p = plan(rows, i % 4);
+                plan_to_tree_sample(&p, &sys(speed), rows / 3e4 / speed)
+            })
+            .collect();
+        let config = GlobalModelConfig {
+            hidden: 12,
+            gcn_layers: 3,
+            dropout: 0.2,
+            epochs: 3,
+            lr: 5e-3,
+            batch_size: 8,
+            seed: 17,
+        };
+        let model = GlobalModel::train(&samples, 2, &config);
+        let tree = serde_json::to_value(&model);
+        let digest = |v: &serde_json::Value| {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            bits_digest(v, &mut h);
+            h
+        };
+        let store = &tree["gcn"]["store"];
+        let raw: Vec<u64> = [plan(2e4, 0), plan(3e5, 2), plan(9e5, 3)]
+            .iter()
+            .map(|p| model.predict_log_raw(p, &sys(2.5)).to_bits())
+            .collect();
+        assert_eq!(
+            digest(&store["values"]),
+            0x0204_824c_d0f1_1e68,
+            "parameter values"
+        );
+        assert_eq!(
+            digest(&store["grads"]),
+            0x342d_7cd6_6f9c_44e8,
+            "last step's gradients"
+        );
+        assert_eq!(
+            digest(&tree["training_losses"]),
+            0x1c3e_36d3_f786_88dd,
+            "epoch losses"
+        );
+        assert_eq!(
+            raw,
+            [
+                0x3fe2_d608_a662_877a,
+                0x4001_d749_4eab_130f,
+                0x4006_6d9f_545c_6eab
+            ],
+            "raw predictions"
+        );
     }
 
     #[test]

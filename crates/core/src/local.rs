@@ -116,6 +116,13 @@ impl LocalModel {
         self.ensemble.is_some()
     }
 
+    /// The feature width the ensemble trained on; `None` until the first
+    /// training.
+    pub(crate) fn n_cols(&self) -> Option<usize> {
+        let first = self.ensemble.as_ref()?.members().first()?;
+        Some(first.n_cols())
+    }
+
     /// Number of trainings performed.
     pub fn trainings(&self) -> u64 {
         self.trainings

@@ -56,7 +56,7 @@ struct Example {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrainingPool {
     config: PoolConfig,
-    buckets: Vec<VecDeque<Example>>,
+    buckets: [VecDeque<Example>; N_BUCKETS],
     total_added: u64,
 }
 
@@ -65,7 +65,7 @@ impl TrainingPool {
     pub fn new(config: PoolConfig) -> Self {
         Self {
             config,
-            buckets: (0..N_BUCKETS).map(|_| VecDeque::new()).collect(),
+            buckets: Default::default(),
             total_added: 0,
         }
     }
@@ -157,11 +157,17 @@ impl TrainingPool {
         self.total_added
     }
 
+    /// The feature width of the pool's first example, which
+    /// [`TrainingPool::to_dataset`] trains on; `None` when empty.
+    pub(crate) fn n_cols(&self) -> Option<usize> {
+        let first = self.buckets.iter().flatten().next()?;
+        Some(first.features.len())
+    }
+
     /// Materializes the pool as a training dataset (targets in log space).
     /// Returns `None` when empty.
     pub fn to_dataset(&self) -> Option<Dataset> {
-        let first = self.buckets.iter().flatten().next()?;
-        let mut ds = Dataset::new(first.features.len());
+        let mut ds = Dataset::new(self.n_cols()?);
         for ex in self.buckets.iter().flatten() {
             ds.push(&ex.features, ex.log_target);
         }
@@ -215,8 +221,8 @@ impl TrainingPool {
         let summed_cap = (bucket_capacity.iter())
             .fold(0usize, |sum, &cap| sum.saturating_add(cap))
             .max(1);
-        let mut buckets = Vec::with_capacity(N_BUCKETS);
-        for (b, &bucket_cap) in bucket_capacity.iter().enumerate() {
+        let mut buckets: [VecDeque<Example>; N_BUCKETS] = Default::default();
+        for (b, (&bucket_cap, bucket)) in bucket_capacity.iter().zip(&mut buckets).enumerate() {
             let len = usize::try_from(r.u64()?)
                 .map_err(|_| malformed("pool bucket length overflows".into()))?;
             let cap = if bucketing {
@@ -236,7 +242,7 @@ impl TrainingPool {
                     "pool bucket {b} length {len} overruns section"
                 )));
             }
-            let mut bucket = VecDeque::with_capacity(len);
+            bucket.reserve_exact(len);
             for _ in 0..len {
                 let features = r.f64_vec()?;
                 let log_target = r.f64()?;
@@ -245,7 +251,6 @@ impl TrainingPool {
                     log_target,
                 });
             }
-            buckets.push(bucket);
         }
         let pool = Self {
             config,
@@ -256,15 +261,16 @@ impl TrainingPool {
         Ok(pool)
     }
 
-    /// Approximate resident size in bytes.
+    /// Approximate resident size in bytes: what the bucket FIFOs and the
+    /// examples' feature vectors have reserved, not only what they hold.
     pub fn approx_size_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self
-                .buckets
-                .iter()
-                .flatten()
-                .map(|e| e.features.len() * 8 + 16)
-                .sum::<usize>()
+        let fifos = (self.buckets.iter())
+            .map(|b| b.capacity() * std::mem::size_of::<Example>())
+            .sum::<usize>();
+        let features = (self.buckets.iter().flatten())
+            .map(|e| e.features.capacity() * std::mem::size_of::<f64>())
+            .sum::<usize>();
+        std::mem::size_of::<Self>() + fifos + features
     }
 
     /// The configuration this pool was built with (store restore needs it

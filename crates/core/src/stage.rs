@@ -484,9 +484,17 @@ impl StagePredictor {
 
     /// The local model's input: the extracted plan vector, optionally
     /// extended with the system-context features (§6.3 environment factors).
+    /// The shard's width is the one its ensemble trained on, else the one
+    /// its pool holds (the first observation sets it): a request's `sys`
+    /// of another width is zero-padded or truncated to it, as the global
+    /// tier does, so a short one cannot index past a tree's row and a long
+    /// one cannot mix widths in the pool.
     fn local_input(&self, mut features: Vec<f64>, sys: &SystemContext) -> Vec<f64> {
         if self.config.env_features {
             features.extend_from_slice(&sys.features);
+            if let Some(width) = self.local.n_cols().or_else(|| self.pool.n_cols()) {
+                features.resize(width, 0.0);
+            }
         }
         features
     }
@@ -682,7 +690,7 @@ impl ExecTimePredictor for StagePredictor {
 
     fn approx_size_bytes(&self) -> usize {
         let (c, p, l) = self.size_breakdown();
-        std::mem::size_of::<Self>() + c + p + l
+        std::mem::size_of::<Self>() + c + p + l + self.drift.approx_size_bytes()
     }
 }
 
@@ -898,6 +906,75 @@ mod tests {
         assert!(p.exec_secs.is_finite() && p.exec_secs >= 0.0);
         // The flag must be off by default (published Stage semantics).
         assert!(!StageConfig::default().env_features);
+    }
+
+    /// A shard that trained on two sys features answers a request whose
+    /// `sys` is empty or too long as if it were cut or zero-padded to two,
+    /// on every verb, instead of indexing past the trees' rows.
+    #[test]
+    fn a_sys_of_another_width_is_padded_or_cut_to_the_trained_one() {
+        let mut cfg = quick_config();
+        cfg.env_features = true;
+        let sys2 = |a: f64, b: f64| SystemContext {
+            features: vec![a, b],
+        };
+        let mut warm = StagePredictor::new(cfg);
+        for i in 1..=60 {
+            let rows = i as f64 * 1e4;
+            warm.observe(&plan(rows), &sys2((i % 5) as f64, 1.0), rows / 1e5);
+        }
+        assert!(warm.local().is_trained());
+        let plans = [plan(3.33e5), plan(7.77e5)];
+        for (skewed, same) in [
+            (SystemContext { features: vec![] }, sys2(0.0, 0.0)),
+            (
+                SystemContext {
+                    features: vec![2.0, 1.0, 9.0],
+                },
+                sys2(2.0, 1.0),
+            ),
+        ] {
+            let (mut got, mut want) = (
+                StagePredictor::from_snapshot(warm.snapshot()),
+                StagePredictor::from_snapshot(warm.snapshot()),
+            );
+            assert_eq!(
+                got.predict(&plans[0], &skewed),
+                want.predict(&plans[0], &same)
+            );
+            assert_eq!(
+                got.predict_batch(&plans, &skewed),
+                want.predict_batch(&plans, &same)
+            );
+            got.observe(&plans[1], &skewed, 4.0);
+            want.observe(&plans[1], &same, 4.0);
+            let sections = |p: &StagePredictor| crate::storefmt::snapshot_sections(&p.snapshot());
+            assert_eq!(sections(&got), sections(&want));
+        }
+
+        // A cold shard: the first observation fixes the width the pool and
+        // the first ensemble use.
+        let mut cold = StagePredictor::new(cfg);
+        for i in 1..=60 {
+            let rows = i as f64 * 1e4;
+            let sys = match i % 3 {
+                0 => SystemContext { features: vec![] },
+                1 => sys2(1.0, 1.0),
+                _ => SystemContext {
+                    features: vec![1.0, 1.0, 7.0],
+                },
+            };
+            cold.observe(&plan(rows), &sys, rows / 1e5);
+        }
+        assert!(cold.local().is_trained());
+        assert_eq!(
+            cold.local().n_cols(),
+            Some(stage_plan::CACHE_FEATURE_DIM + 2)
+        );
+        assert_eq!(
+            cold.pool().n_cols(),
+            Some(stage_plan::CACHE_FEATURE_DIM + 2)
+        );
     }
 
     /// Restores two identical predictors from `warm` (same global model,

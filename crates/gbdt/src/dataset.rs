@@ -155,9 +155,14 @@ impl Binner {
         &self.cuts[c]
     }
 
-    /// Bin index of value `x` in feature `c`.
+    /// Bin index of value `x` in feature `c`. NaN goes to the top bin:
+    /// `NaN <= t` is false for every threshold, so [`crate::tree::Tree`]
+    /// sends it right at every split, and the grower must too.
     pub fn bin(&self, c: usize, x: f64) -> u8 {
         let cuts = &self.cuts[c];
+        if x.is_nan() {
+            return cuts.len() as u8;
+        }
         // partition_point: first index where !(cut < x); bins: x <= cuts[b] -> bin <= b.
         cuts.partition_point(|&cut| cut < x) as u8
     }
@@ -280,12 +285,21 @@ mod tests {
 
     #[test]
     fn bin_cut_consistency() {
-        // x <= cuts[b]  <=>  bin(x) <= b — the invariant tree splits rely on.
+        // x <= cuts[b]  <=>  bin(x) <= b — the invariant tree splits rely on,
+        // for every value a row can carry: the grower routes by bin, the
+        // fitted tree by the raw comparison, and the two must agree.
         let ds = toy();
         let binner = Binner::fit(&ds, 8);
         let cuts = binner.cuts(0).to_vec();
         for (b, &cut) in cuts.iter().enumerate() {
-            for x in [cut - 0.5, cut, cut + 0.5] {
+            for x in [
+                cut - 0.5,
+                cut,
+                cut + 0.5,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ] {
                 let lhs = x <= cut;
                 let rhs = (binner.bin(0, x) as usize) <= b;
                 assert_eq!(lhs, rhs, "x={x} cut={cut} b={b} bin={}", binner.bin(0, x));

@@ -304,6 +304,11 @@ impl NgBoost {
         })
     }
 
+    /// The feature width this model was fitted on.
+    pub fn n_cols(&self) -> usize {
+        self.n_cols
+    }
+
     /// In-memory size in bytes: the struct plus every tree's arena.
     pub fn approx_size_bytes(&self) -> usize {
         std::mem::size_of::<Self>()

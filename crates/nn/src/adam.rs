@@ -89,12 +89,13 @@ mod tests {
         let mut adam = Adam::new(&store, 0.1);
         for _ in 0..500 {
             store.zero_grads();
-            let mut g = Graph::new();
+            let mut g = Graph::new(&store);
             let x = g.input(Matrix::row_vector(&[1.0]));
-            let wv = g.param(&store, w);
+            let wv = g.param(w);
             let y = g.matmul(x, wv);
             let loss = g.squared_error(y, 4.0);
-            g.backward(loss, &mut store);
+            let grads = g.backward(loss);
+            store.add_grads(grads);
             adam.step(&mut store);
         }
         assert!((store.value(w).get(0, 0) - 4.0).abs() < 1e-3);

@@ -24,6 +24,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// A plan tree prepared for the GCN: per-node feature vectors, child lists,
 /// the root index, system features, and the regression target.
@@ -224,7 +225,7 @@ impl PlanGcn {
         let mut h: Vec<Option<Var>> = vec![None; n];
         for &v in &order {
             let x = g.input(Matrix::row_vector(&sample.node_feats[v]));
-            let e = self.embed.forward(g, &self.store, x);
+            let e = self.embed.forward(g, x);
             h[v] = Some(g.relu(e));
         }
 
@@ -236,7 +237,7 @@ impl PlanGcn {
                 // The topo order covers every node of a validated sample,
                 // so every `h[..]` below is `Some`.
                 let Some(hv) = h[v] else { continue };
-                let w_self = g.param(&self.store, conv.w_self);
+                let w_self = g.param(conv.w_self);
                 let self_term = g.matmul(hv, w_self);
                 let kids: Vec<Var> = sample.children[v].iter().filter_map(|&c| h[c]).collect();
                 let combined = if kids.is_empty() {
@@ -244,11 +245,11 @@ impl PlanGcn {
                 } else {
                     let stacked = g.stack_rows(&kids);
                     let agg = g.mean_rows(stacked);
-                    let w_child = g.param(&self.store, conv.w_child);
+                    let w_child = g.param(conv.w_child);
                     let child_term = g.matmul(agg, w_child);
                     g.add(self_term, child_term)
                 };
-                let b = g.param(&self.store, conv.bias);
+                let b = g.param(conv.bias);
                 let biased = g.add_row_broadcast(combined, b);
                 let activated = g.relu(biased);
                 next[v] = Some(g.dropout(activated, self.config.dropout, training, rng));
@@ -265,7 +266,7 @@ impl PlanGcn {
             .unwrap_or_else(|| g.input(Matrix::row_vector(&vec![0.0; self.config.hidden])));
         let sys = g.input(Matrix::row_vector(&sample.sys_feats));
         let cat = g.concat_cols(root_h, sys);
-        self.head.forward(g, &self.store, cat, training, rng)
+        self.head.forward(g, cat, training, rng)
     }
 
     /// Predicts the target for one sample (eval mode, no dropout).
@@ -342,7 +343,8 @@ impl PlanGcn {
         out.first().copied().unwrap_or(0.0)
     }
 
-    /// Trains on `samples` with mini-batch Adam; returns per-epoch losses.
+    /// Trains on `samples` (owned or borrowed) with mini-batch Adam;
+    /// returns per-epoch losses.
     ///
     /// # Panics
     /// Panics if any sample fails [`TreeSample::validate`] or has mismatched
@@ -352,8 +354,8 @@ impl PlanGcn {
         reason = "training-time precondition: the global model is fit offline on built samples, \
                   never inside a verb"
     )]
-    pub fn fit(&mut self, samples: &[TreeSample]) -> TrainReport {
-        for (i, s) in samples.iter().enumerate() {
+    pub fn fit<S: Borrow<TreeSample>>(&mut self, samples: &[S]) -> TrainReport {
+        for (i, s) in samples.iter().map(Borrow::borrow).enumerate() {
             if let Err(e) = s.validate() {
                 panic!("invalid sample {i}: {e}");
             }
@@ -391,16 +393,18 @@ impl PlanGcn {
             let mut batches = 0usize;
             for chunk in order.chunks(self.config.batch_size.max(1)) {
                 self.store.zero_grads();
-                let mut g = Graph::new();
+                let mut g = Graph::new(&self.store);
                 let mut terms = Vec::with_capacity(chunk.len());
                 for &i in chunk {
-                    let out = self.forward(&mut g, &samples[i], true, &mut rng);
-                    terms.push(g.squared_error(out, samples[i].target));
+                    let sample = samples[i].borrow();
+                    let out = self.forward(&mut g, sample, true, &mut rng);
+                    terms.push(g.squared_error(out, sample.target));
                 }
                 let loss = g.mean_scalars(&terms);
                 epoch_loss += g.value(loss).get(0, 0);
                 batches += 1;
-                g.backward(loss, &mut self.store);
+                let grads = g.backward(loss);
+                self.store.add_grads(grads);
                 adam.step(&mut self.store);
             }
             epoch_losses.push(epoch_loss / batches.max(1) as f64);
@@ -585,7 +589,7 @@ mod tests {
     /// [`PlanGcn::predict`] is held to, bit for bit.
     fn tape_predict(model: &PlanGcn, sample: &TreeSample) -> f64 {
         let mut rng = StdRng::seed_from_u64(0); // unused in eval mode
-        let mut g = Graph::new();
+        let mut g = Graph::new(&model.store);
         let out = model.forward(&mut g, sample, false, &mut rng);
         g.value(out).get(0, 0)
     }

@@ -45,6 +45,16 @@ impl ParamStore {
         &mut self.grads[pid]
     }
 
+    /// Adds a tape's parameter gradients ([`Graph::backward`]) to the
+    /// accumulators; `None` entries leave theirs untouched.
+    pub fn add_grads(&mut self, grads: Vec<Option<Matrix>>) {
+        for (acc, g) in self.grads.iter_mut().zip(grads) {
+            if let Some(g) = g {
+                acc.add_assign(&g);
+            }
+        }
+    }
+
     /// Zeroes all gradients (call between optimizer steps).
     pub fn zero_grads(&mut self) {
         for g in &mut self.grads {
@@ -91,10 +101,10 @@ impl Linear {
     }
 
     /// Forward pass on the tape.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: Var) -> Var {
+    pub fn forward(&self, g: &mut Graph, x: Var) -> Var {
         debug_assert_eq!(g.value(x).cols(), self.in_dim);
-        let w = g.param(store, self.w);
-        let b = g.param(store, self.b);
+        let w = g.param(self.w);
+        let b = g.param(self.b);
         let h = g.matmul(x, w);
         g.add_row_broadcast(h, b)
     }
@@ -134,18 +144,11 @@ impl Mlp {
     }
 
     /// Forward pass; ReLU + dropout after every layer except the last.
-    pub fn forward(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        x: Var,
-        training: bool,
-        rng: &mut StdRng,
-    ) -> Var {
+    pub fn forward(&self, g: &mut Graph, x: Var, training: bool, rng: &mut StdRng) -> Var {
         let mut h = x;
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(g, store, h);
+            h = layer.forward(g, h);
             if i < last {
                 h = g.relu(h);
                 h = g.dropout(h, self.dropout, training, rng);
@@ -196,9 +199,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut s = ParamStore::new();
         let lin = Linear::new(&mut s, 3, 5, &mut rng);
-        let mut g = Graph::new();
+        let mut g = Graph::new(&s);
         let x = g.input(Matrix::zeros(2, 3));
-        let y = lin.forward(&mut g, &s, x);
+        let y = lin.forward(&mut g, x);
         assert_eq!((g.value(y).rows(), g.value(y).cols()), (2, 5));
     }
 
@@ -220,24 +223,25 @@ mod tests {
         let mut last_loss = f64::INFINITY;
         for _epoch in 0..300 {
             store.zero_grads();
-            let mut g = Graph::new();
+            let mut g = Graph::new(&store);
             let mut terms = Vec::new();
             for (x, y) in &data {
                 let xin = g.input(Matrix::row_vector(x));
-                let out = mlp.forward(&mut g, &store, xin, true, &mut rng);
+                let out = mlp.forward(&mut g, xin, true, &mut rng);
                 terms.push(g.squared_error(out, *y));
             }
             let loss = g.mean_scalars(&terms);
             last_loss = g.value(loss).get(0, 0);
-            g.backward(loss, &mut store);
+            let grads = g.backward(loss);
+            store.add_grads(grads);
             adam.step(&mut store);
         }
         assert!(last_loss < 0.05, "XOR loss did not converge: {last_loss}");
         // Spot-check the four corners.
         let mut eval = |x: [f64; 2]| -> f64 {
-            let mut g = Graph::new();
+            let mut g = Graph::new(&store);
             let xin = g.input(Matrix::row_vector(&x));
-            let out = mlp.forward(&mut g, &store, xin, false, &mut rng);
+            let out = mlp.forward(&mut g, xin, false, &mut rng);
             g.value(out).get(0, 0)
         };
         assert!(eval([0.9, 0.1]) > 0.7);

@@ -111,9 +111,50 @@ impl Matrix {
         out
     }
 
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
+    /// `self · otherᵀ` without building the transpose: what a
+    /// [`Matrix::matmul`] against the explicit transpose computes, to the
+    /// bit — element
+    /// `(i, m)` is [`row_matmul_acc`] of row `i` of `self` against row `m`
+    /// of `other` read as a column.
+    ///
+    /// # Panics
+    /// Panics on inner-dimension mismatch.
+    pub(crate) fn matmul_transposed(&self, other: &Matrix) -> Matrix {
+        assert_eq!(
+            self.cols, other.cols,
+            "matmul_transposed {}x{} · ({}x{})ᵀ",
+            self.rows, self.cols, other.rows, other.cols
+        );
+        Matrix::from_fn(self.rows, other.rows, |i, m| {
+            let mut acc = 0.0;
+            row_matmul_acc(self.row(i), other.row(m), std::slice::from_mut(&mut acc));
+            acc
+        })
+    }
+
+    /// `selfᵀ · other` without building the transpose: what the explicit
+    /// transpose's [`Matrix::matmul`] computes, to the bit — row `m` of
+    /// the output is [`row_matmul_acc`] of column `m` of `self` against
+    /// `other`.
+    ///
+    /// # Panics
+    /// Panics on inner-dimension mismatch.
+    pub(crate) fn transposed_matmul(&self, other: &Matrix) -> Matrix {
+        assert_eq!(
+            self.rows, other.rows,
+            "transposed_matmul ({}x{})ᵀ · {}x{}",
+            self.rows, self.cols, other.rows, other.cols
+        );
+        let mut out = Matrix::zeros(self.cols, other.cols);
+        let mut column = vec![0.0; self.rows];
+        for m in 0..self.cols {
+            for (i, x) in column.iter_mut().enumerate() {
+                *x = self.get(i, m);
+            }
+            let out_row = &mut out.data[m * other.cols..(m + 1) * other.cols];
+            row_matmul_acc(&column, &other.data, out_row);
+        }
+        out
     }
 
     /// Elementwise sum into self. A shape mismatch is a programmer error:
@@ -146,8 +187,9 @@ impl Matrix {
 
 /// `out += a · B` for one row `a` (`1×k`) against row-major `B`
 /// (`k × out.len()`): the one multiply-accumulate loop in the crate, shared
-/// by [`Matrix::matmul`] (hence the tape's `MatMul` op) and the tape-free
-/// inference path, so the two cannot drift apart by a rounding. `k` runs
+/// by [`Matrix::matmul`] (hence the tape's `MatMul` op), the backward
+/// pass's two products against a transpose and the tape-free inference
+/// path, so none of them can drift apart by a rounding. `k` runs
 /// ascending and exact-zero entries of `a` are skipped (post-ReLU rows are
 /// mostly zeros); a length mismatch multiplies the overlapping prefix
 /// instead of panicking, like [`Matrix::add_assign`].
@@ -227,13 +269,30 @@ mod tests {
         a.matmul(&b);
     }
 
+    /// The backward pass's two products against a transpose, held to the
+    /// bit to the matmul over an explicit transpose that they replace:
+    /// random shapes, exact zeros (skipped), and sums whose rounding
+    /// depends on the accumulation order.
     #[test]
-    fn transpose_round_trip() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let t = a.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.get(0, 1), 4.0);
-        assert_eq!(t.transpose(), a);
+    fn transposed_products_match_matmul_over_a_transpose_to_the_bit() {
+        let transpose = |m: &Matrix| Matrix::from_fn(m.cols(), m.rows(), |r, c| m.get(c, r));
+        let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut draw = |rows: usize, cols: usize| {
+            Matrix::from_fn(rows, cols, |_, _| match rng.gen_range(0u32..4) {
+                0 => 0.0,
+                1 => rng.gen_range(-1e-8..1e-8),
+                _ => rng.gen_range(-3.0..3.0) * 1e8,
+            })
+        };
+        for (r, k, c) in [(1, 48, 48), (1, 7, 1), (3, 5, 4), (6, 1, 2), (1, 1, 1)] {
+            let (a, b) = (draw(r, k), draw(c, k));
+            let want = a.matmul(&transpose(&b));
+            assert_eq!(bits(&a.matmul_transposed(&b)), bits(&want));
+            let (a, g) = (draw(r, k), draw(r, c));
+            let want = transpose(&a).matmul(&g);
+            assert_eq!(bits(&a.transposed_matmul(&g)), bits(&want));
+        }
     }
 
     #[test]
