@@ -1,0 +1,138 @@
+//! Exactness goldens: what the local model computes, pinned to the bit.
+//!
+//! A Bayesian ensemble trained on a fixed fleet pool is digested whole —
+//! every tree's `to_flat_parts` arrays and its prediction on every pool
+//! row — and so are the bytes of a trained predictor's `.store` file. A
+//! change to how trees are laid out or walked, or to how the calibration
+//! window is kept, must leave both digests where they are: the serving
+//! layer routes on exact thresholds, and a warm restart reads the files
+//! earlier builds wrote.
+
+use stage::core::storefmt::save_stage_store;
+use stage::core::{ExecTimePredictor, PoolConfig, StageConfig, StagePredictor, SystemContext};
+use stage::gbdt::{BayesianEnsemble, Dataset, EnsembleParams};
+use stage::plan::{plan_feature_vector, PhysicalPlan};
+use stage::workload::generator::{FleetConfig, InstanceWorkload};
+
+/// FNV-1a over 64-bit words, little-endian.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn word(&mut self, w: u64) {
+        self.bytes(&w.to_le_bytes());
+    }
+
+    fn f64(&mut self, x: f64) {
+        self.word(x.to_bits());
+    }
+}
+
+/// The first `n` queries of each of a four-instance fleet's logs: plan,
+/// system context and exec-time.
+fn fleet(n: usize) -> Vec<(PhysicalPlan, SystemContext, f64)> {
+    let cfg = FleetConfig {
+        n_instances: 4,
+        duration_days: 1.0,
+        max_events_per_instance: n,
+        seed: 32,
+        ..FleetConfig::default()
+    };
+    (0..4)
+        .flat_map(|id| {
+            let w = InstanceWorkload::generate(&cfg, id);
+            let spec = w.spec;
+            w.events
+                .into_iter()
+                .take(n)
+                .map(|e| {
+                    let sys = SystemContext {
+                        features: spec.system_features(e.concurrency),
+                    };
+                    (e.plan, sys, e.true_exec_secs)
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+/// The fleet's queries as the local model's training pool sees them.
+fn fleet_pool() -> Dataset {
+    let mut pool = stage::core::TrainingPool::new(PoolConfig::default());
+    for (plan, _, secs) in fleet(300) {
+        pool.add(plan_feature_vector(&plan).0, secs);
+    }
+    pool.to_dataset().expect("a non-empty pool")
+}
+
+#[test]
+fn a_trained_ensemble_is_pinned_to_the_bit() {
+    let data = fleet_pool();
+    let ens = BayesianEnsemble::fit(&data, &EnsembleParams::default()).expect("trains");
+    let mut h = Fnv::new();
+    let mut n_trees = 0;
+    for m in ens.members() {
+        let (base_mu, base_log_var, lr, (lo, hi), n_cols) = m.scalar_parts();
+        [base_mu, base_log_var, lr, lo, hi]
+            .into_iter()
+            .for_each(|x| h.f64(x));
+        h.word(n_cols as u64);
+        for tree in m.mu_trees().iter().chain(m.var_trees()) {
+            let (feature, threshold, left, right, gain) = tree.to_flat_parts();
+            h.word(feature.len() as u64);
+            feature.iter().for_each(|&f| h.word(u64::from(f)));
+            threshold.iter().for_each(|&t| h.f64(t));
+            left.iter().for_each(|&l| h.word(u64::from(l)));
+            right.iter().for_each(|&r| h.word(u64::from(r)));
+            gain.iter().for_each(|&g| h.f64(g));
+            n_trees += 1;
+        }
+    }
+    let rows: Vec<&[f64]> = (0..data.n_rows()).map(|i| data.row(i)).collect();
+    let batch = ens.predict_batch(&rows);
+    for (row, b) in rows.iter().zip(&batch) {
+        let p = ens.predict(row);
+        assert_eq!(p, *b, "batch and scalar answers differ");
+        h.f64(p.mean);
+        h.f64(p.model_uncertainty);
+        h.f64(p.data_uncertainty);
+    }
+    eprintln!("{} rows, {n_trees} trees, digest {:#018x}", rows.len(), h.0);
+    assert_eq!((rows.len(), n_trees), (1_200, 606));
+    assert_eq!(h.0, 0xd8ae_f01d_c1ca_5016, "ensemble digest");
+}
+
+#[test]
+fn a_trained_store_file_is_pinned_to_the_byte() {
+    let mut s = StagePredictor::new(StageConfig::default());
+    s.set_instance_salt(32);
+    for (plan, sys, secs) in fleet(120) {
+        s.predict(&plan, &sys);
+        s.observe(&plan, &sys, secs);
+    }
+    assert!(s.local().trainings() >= 2, "the local model retrained");
+    let dir = std::env::temp_dir().join(format!("stage-exactness-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("trained.store");
+    save_stage_store(&s.snapshot(), &path, None).expect("save");
+    let bytes = std::fs::read(&path).expect("read back");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut h = Fnv::new();
+    h.bytes(&bytes);
+    eprintln!("{} bytes, digest {:#018x}", bytes.len(), h.0);
+    assert_eq!(
+        (bytes.len(), h.0),
+        (742_600, 0x4d24_1719_fb9b_480c),
+        "store file length and digest"
+    );
+}
