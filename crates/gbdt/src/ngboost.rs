@@ -16,7 +16,7 @@
 
 use crate::dataset::{BinnedDataset, Binner, Dataset};
 use crate::gbm::{sample_cols, sample_rows};
-use crate::tree::{Tree, TreeParams};
+use crate::tree::{Tree, TreeParams, LANES};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -132,7 +132,9 @@ impl NgBoost {
         let mut s = vec![base_log_var; n];
         let mut grad_mu = vec![0.0; n];
         let mut grad_s = vec![0.0; n];
+        let mut leaf = vec![0.0; n];
         let all_cols: Vec<usize> = (0..data.n_cols()).collect();
+        let all_rows: Vec<&[f64]> = (0..n).map(|i| data.row(i)).collect();
 
         let nll = |mu: &[f64], s: &[f64], idx: &[usize]| -> f64 {
             idx.iter()
@@ -165,10 +167,13 @@ impl NgBoost {
             let cols = sample_cols(&all_cols, params.colsample, &mut rng);
             let t_mu = Tree::fit(binned, binner, &grad_mu, &rows, &cols, &params.tree);
             let t_s = Tree::fit(binned, binner, &grad_s, &rows, &cols, &params.tree);
-            for (i, m) in mu.iter_mut().enumerate() {
-                let row = data.row(i);
-                *m += params.learning_rate * t_mu.predict(row);
-                s[i] = (s[i] + params.learning_rate * t_s.predict(row)).clamp(lo, hi);
+            t_mu.predict_rows(&all_rows, &mut leaf);
+            for (m, w) in mu.iter_mut().zip(&leaf) {
+                *m += params.learning_rate * w;
+            }
+            t_s.predict_rows(&all_rows, &mut leaf);
+            for (sv, w) in s.iter_mut().zip(&leaf) {
+                *sv = (*sv + params.learning_rate * w).clamp(lo, hi);
             }
             model.mu_trees.push(t_mu);
             model.var_trees.push(t_s);
@@ -194,35 +199,52 @@ impl NgBoost {
         model
     }
 
-    /// Predicts `(μ, σ²)` for a raw feature row.
+    /// Predicts `(μ, σ²)` for a raw feature row. Each head's trees are
+    /// walked [`LANES`] at a time in lockstep; μ and s then take the leaf
+    /// weights in boosting order, each s step clamped.
     pub fn predict_dist(&self, row: &[f64]) -> (f64, f64) {
         debug_assert_eq!(row.len(), self.n_cols);
         let mut mu = self.base_mu;
         let mut s = self.base_log_var;
         let (lo, hi) = self.log_var_range;
-        for (tm, ts) in self.mu_trees.iter().zip(&self.var_trees) {
-            mu += self.learning_rate * tm.predict(row);
-            s = (s + self.learning_rate * ts.predict(row)).clamp(lo, hi);
+        let mut leaf = [0.0; LANES];
+        for (tm, ts) in self
+            .mu_trees
+            .chunks(LANES)
+            .zip(self.var_trees.chunks(LANES))
+        {
+            let leaf = &mut leaf[..tm.len()];
+            Tree::predict_trees(tm, row, leaf);
+            for w in leaf.iter() {
+                mu += self.learning_rate * w;
+            }
+            Tree::predict_trees(ts, row, leaf);
+            for w in leaf.iter() {
+                s = (s + self.learning_rate * w).clamp(lo, hi);
+            }
         }
         (mu, s.exp())
     }
 
     /// Predicts `(μ, σ²)` for a batch of rows — bit-identical to calling
-    /// [`NgBoost::predict_dist`] per row. The loop is round-major, trees
-    /// outer and rows inner, so one tree's nodes stay hot while the whole
-    /// batch walks it: each round updates every row's μ, then every row's s
+    /// [`NgBoost::predict_dist`] per row. The loop is round-major: each
+    /// tree walks the whole batch, [`LANES`] rows in lockstep, while its
+    /// nodes are hot; each round updates every row's μ, then every row's s
     /// (with the per-round clamp), exactly the scalar update order.
     pub fn predict_dist_batch<R: AsRef<[f64]>>(&self, rows: &[R]) -> Vec<(f64, f64)> {
         let n = rows.len();
         let (lo, hi) = self.log_var_range;
         let mut mu = vec![self.base_mu; n];
         let mut s = vec![self.base_log_var; n];
+        let mut leaf = vec![0.0; n];
         for (tm, ts) in self.mu_trees.iter().zip(&self.var_trees) {
-            for (m, row) in mu.iter_mut().zip(rows) {
-                *m += self.learning_rate * tm.predict(row.as_ref());
+            tm.predict_rows(rows, &mut leaf);
+            for (m, w) in mu.iter_mut().zip(&leaf) {
+                *m += self.learning_rate * w;
             }
-            for (sv, row) in s.iter_mut().zip(rows) {
-                *sv = (*sv + self.learning_rate * ts.predict(row.as_ref())).clamp(lo, hi);
+            ts.predict_rows(rows, &mut leaf);
+            for (sv, w) in s.iter_mut().zip(&leaf) {
+                *sv = (*sv + self.learning_rate * w).clamp(lo, hi);
             }
         }
         mu.into_iter().zip(s).map(|(m, sv)| (m, sv.exp())).collect()

@@ -1,4 +1,5 @@
-//! Second-order regression trees with histogram split finding.
+//! Second-order regression trees with histogram split finding, and the one
+//! walk that reads them.
 //!
 //! Trees are grown depth-first on per-sample gradients with the XGBoost gain
 //! criterion
@@ -16,6 +17,16 @@
 //! fills a flat `(Σg, count)` histogram over the tree's non-constant columns;
 //! after a split only the smaller child is filled from rows and its sibling
 //! is `parent − smaller`; candidates are scored from a `1/(k+λ)` table.
+//!
+//! A fitted tree is one `Vec` arena of 24-byte nodes plus its depth. A step
+//! from node `n` goes to `n.kids[!(x[n.feature] <= n.threshold)]` — NaN goes
+//! right — and a leaf's two kids are the leaf itself, its weight in the
+//! threshold slot. Walking exactly `depth` steps from the root therefore
+//! lands on the leaf a walk that stops at leaves would find, with no
+//! data-dependent branch. The kernel walks up to [`LANES`] independent
+//! (tree, row) chains in lockstep, so their loads overlap: [`Tree::predict`]
+//! is one chain, a boosted head walks many trees for one row, and a batch
+//! walks one tree for many rows.
 
 use crate::dataset::{BinnedDataset, Binner};
 use serde::{Deserialize, Serialize};
@@ -23,6 +34,9 @@ use serde::{Deserialize, Serialize};
 /// The five parallel arrays of [`Tree::to_flat_parts`]:
 /// `(feature, threshold, left, right, gain)`.
 pub type FlatParts = (Vec<u32>, Vec<f64>, Vec<u32>, Vec<u32>, Vec<f64>);
+
+/// How many (tree, row) chains one walk interleaves.
+pub const LANES: usize = 16;
 
 /// Tree-growing hyper-parameters.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -51,27 +65,66 @@ impl Default for TreeParams {
     }
 }
 
-/// Arena node: either a leaf weight or a split on `x[feature] <= threshold`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum Node {
-    Leaf {
-        weight: f64,
-    },
-    Split {
-        feature: u32,
-        /// Go left iff `x[feature] <= threshold`.
-        threshold: f64,
-        /// Gain realized by this split (for feature-importance accounting).
-        gain: f64,
-        left: u32,
-        right: u32,
-    },
+/// Arena node. A split goes to `kids[0]` iff `x[feature] <= threshold`,
+/// else to `kids[1]`. A leaf at index `i` has `kids == [i, i]`, its weight
+/// as `threshold` and `feature == 0`, so a step from it stays put.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct Node {
+    threshold: f64,
+    kids: [u32; 2],
+    feature: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Node>() <= 24);
+
+impl Node {
+    fn leaf(at: usize, weight: f64) -> Self {
+        Node {
+            threshold: weight,
+            kids: [at as u32; 2],
+            feature: 0,
+        }
+    }
+
+    fn is_leaf(&self, at: usize) -> bool {
+        self.kids[0] as usize == at
+    }
 }
 
 /// A trained regression tree.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Tree {
     nodes: Vec<Node>,
+    /// Each split's gain (0 at a leaf), parallel to `nodes`: read only by
+    /// feature importance and export, so it stays out of the walked node.
+    gains: Vec<f64>,
+    /// The longest root-to-leaf path: every walk takes this many steps.
+    depth: usize,
+}
+
+/// Walks `out.len()` (at most [`LANES`]) chains in lockstep, chain `j`
+/// being tree `chain(j).0` on row `chain(j).1`, and writes each chain's leaf
+/// weight to `out[j]`. Every chain takes the deepest tree's step count; a
+/// chain already at its leaf steps onto the same leaf.
+#[inline]
+#[expect(
+    clippy::neg_cmp_op_on_partial_ord,
+    reason = "`!(x <= t)` is the step: a NaN feature compares false and goes right"
+)]
+fn walk<'a>(out: &mut [f64], chain: impl Fn(usize) -> (&'a Tree, &'a [f64])) {
+    let mut at = [0u32; LANES];
+    let at = &mut at[..out.len()];
+    let depth = (0..at.len()).map(|j| chain(j).0.depth).max().unwrap_or(0);
+    for _ in 0..depth {
+        for (j, i) in at.iter_mut().enumerate() {
+            let (tree, row) = chain(j);
+            let node = &tree.nodes[*i as usize];
+            *i = node.kids[usize::from(!(row[node.feature as usize] <= node.threshold))];
+        }
+    }
+    for (j, (o, &i)) in out.iter_mut().zip(at.iter()).enumerate() {
+        *o = chain(j).0.nodes[i as usize].threshold;
+    }
 }
 
 impl Tree {
@@ -95,13 +148,17 @@ impl Tree {
         grower.build(&mut idx, g_sum, 0, hist);
         Tree {
             nodes: grower.nodes,
+            gains: grower.gains,
+            depth: grower.depth,
         }
     }
 
     /// Creates a single-leaf tree with a constant output.
     pub fn constant(weight: f64) -> Self {
         Tree {
-            nodes: vec![Node::Leaf { weight }],
+            nodes: vec![Node::leaf(0, weight)],
+            gains: vec![0.0],
+            depth: 0,
         }
     }
 
@@ -114,7 +171,8 @@ impl Tree {
     pub fn n_leaves(&self) -> usize {
         self.nodes
             .iter()
-            .filter(|n| matches!(n, Node::Leaf { .. }))
+            .enumerate()
+            .filter(|(i, n)| n.is_leaf(*i))
             .count()
     }
 
@@ -124,16 +182,16 @@ impl Tree {
     /// # Panics
     /// Panics if a split references a feature outside `into`.
     pub fn accumulate_importance(&self, into: &mut [f64]) {
-        for node in &self.nodes {
-            if let Node::Split { feature, gain, .. } = node {
-                into[*feature as usize] += gain.max(0.0);
+        for (i, (node, gain)) in self.nodes.iter().zip(&self.gains).enumerate() {
+            if !node.is_leaf(i) {
+                into[node.feature as usize] += gain.max(0.0);
             }
         }
     }
 
-    /// Bytes the arena's nodes occupy on the heap.
+    /// Bytes the arena's nodes and gains occupy on the heap.
     pub(crate) fn size_bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<Node>()
+        self.nodes.len() * (std::mem::size_of::<Node>() + std::mem::size_of::<f64>())
     }
 
     /// Exports the arena as five parallel arrays for the artefact store:
@@ -148,39 +206,27 @@ impl Tree {
         let mut left = Vec::with_capacity(n);
         let mut right = Vec::with_capacity(n);
         let mut gain = Vec::with_capacity(n);
-        for node in &self.nodes {
-            match node {
-                Node::Leaf { weight } => {
-                    feature.push(u32::MAX);
-                    threshold.push(*weight);
-                    left.push(0);
-                    right.push(0);
-                    gain.push(0.0);
-                }
-                Node::Split {
-                    feature: f,
-                    threshold: t,
-                    gain: g,
-                    left: l,
-                    right: r,
-                } => {
-                    feature.push(*f);
-                    threshold.push(*t);
-                    left.push(*l);
-                    right.push(*r);
-                    gain.push(*g);
-                }
-            }
+        for (i, (node, g)) in self.nodes.iter().zip(&self.gains).enumerate() {
+            let leaf = node.is_leaf(i);
+            feature.push(if leaf { u32::MAX } else { node.feature });
+            threshold.push(node.threshold);
+            left.push(if leaf { 0 } else { node.kids[0] });
+            right.push(if leaf { 0 } else { node.kids[1] });
+            gain.push(if leaf { 0.0 } else { *g });
         }
         (feature, threshold, left, right, gain)
     }
 
     /// Rebuilds a tree from [`Tree::to_flat_parts`] arrays. Returns `None`
-    /// on malformed input — mismatched lengths, zero nodes, or a split
-    /// child index that is out of bounds or not strictly greater than its
-    /// parent (the arena is built depth-first, so children always follow
-    /// their parent; enforcing that makes `predict`'s unguarded traversal
-    /// provably terminating on restored trees).
+    /// on malformed input — mismatched lengths, zero nodes, a leaf with
+    /// children, or a split child index that is out of bounds or not
+    /// strictly greater than its parent (the arena is built depth-first, so
+    /// children always follow their parent).
+    ///
+    /// The walk's step count is the longest path from the root to a leaf it
+    /// reaches: a child two parents share takes the deeper of the two, and
+    /// unreachable nodes count for nothing. Children strictly follow their
+    /// parent, so the depth is below the node count.
     pub fn from_flat_parts(
         feature: &[u32],
         threshold: &[f64],
@@ -194,51 +240,91 @@ impl Tree {
             return None;
         }
         let mut nodes = Vec::with_capacity(n);
+        let mut gains = Vec::with_capacity(n);
         for i in 0..n {
             if feature[i] == u32::MAX {
                 if left[i] != 0 || right[i] != 0 {
                     return None;
                 }
-                nodes.push(Node::Leaf {
-                    weight: threshold[i],
-                });
+                nodes.push(Node::leaf(i, threshold[i]));
+                gains.push(0.0);
             } else {
                 let (l, r) = (left[i] as usize, right[i] as usize);
                 if l <= i || r <= i || l >= n || r >= n {
                     return None;
                 }
-                nodes.push(Node::Split {
-                    feature: feature[i],
+                nodes.push(Node {
                     threshold: threshold[i],
-                    gain: gain[i],
-                    left: left[i],
-                    right: right[i],
+                    kids: [left[i], right[i]],
+                    feature: feature[i],
                 });
+                gains.push(gain[i]);
             }
         }
-        Some(Tree { nodes })
-    }
-
-    /// Predicts the leaf weight for a raw (unbinned) feature row.
-    pub fn predict(&self, row: &[f64]) -> f64 {
-        let mut i = 0usize;
-        loop {
-            match &self.nodes[i] {
-                Node::Leaf { weight } => return *weight,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                    ..
-                } => {
-                    i = if row[*feature as usize] <= *threshold {
-                        *left as usize
-                    } else {
-                        *right as usize
-                    };
+        // Depth of each node the root reaches, in arena order: every parent
+        // precedes its children, so a node's depth is final when visited.
+        let mut reached: Vec<Option<usize>> = vec![None; n];
+        reached[0] = Some(0);
+        let mut depth = 0;
+        for i in 0..n {
+            let Some(d) = reached[i] else { continue };
+            if nodes[i].is_leaf(i) {
+                depth = depth.max(d);
+            } else {
+                for k in nodes[i].kids {
+                    let kid = &mut reached[k as usize];
+                    *kid = Some(kid.map_or(d + 1, |e| e.max(d + 1)));
                 }
             }
+        }
+        Some(Tree {
+            nodes,
+            gains,
+            depth,
+        })
+    }
+
+    /// Predicts the leaf weight for a raw (unbinned) feature row: the walk
+    /// with one chain.
+    pub fn predict(&self, row: &[f64]) -> f64 {
+        let mut out = [0.0];
+        walk(&mut out, |_| (self, row));
+        out[0]
+    }
+
+    /// `out[j]` = the leaf weight of `trees[j]` for `row`, the trees walked
+    /// [`LANES`] at a time. `out` and `trees` have the same length.
+    pub(crate) fn predict_trees(trees: &[Tree], row: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(trees.len(), out.len());
+        for (ts, o) in trees.chunks(LANES).zip(out.chunks_mut(LANES)) {
+            walk(o, |j| (&ts[j], row));
+        }
+    }
+
+    /// `out[j]` = this tree's leaf weight for `rows[j]`, the rows walked
+    /// [`LANES`] at a time. `out` and `rows` have the same length.
+    pub(crate) fn predict_rows<R: AsRef<[f64]>>(&self, rows: &[R], out: &mut [f64]) {
+        debug_assert_eq!(rows.len(), out.len());
+        for (rs, o) in rows.chunks(LANES).zip(out.chunks_mut(LANES)) {
+            walk(o, |j| (self, rs[j].as_ref()));
+        }
+    }
+
+    /// The walk this module used before the lockstep kernel: follow
+    /// children until a leaf. The reference the kernel is held to.
+    #[cfg(test)]
+    fn reference_predict(&self, row: &[f64]) -> f64 {
+        let mut i = 0usize;
+        loop {
+            let node = &self.nodes[i];
+            if node.is_leaf(i) {
+                return node.threshold;
+            }
+            i = if row[node.feature as usize] <= node.threshold {
+                node.kids[0] as usize
+            } else {
+                node.kids[1] as usize
+            };
         }
     }
 }
@@ -295,6 +381,9 @@ struct Grower<'a> {
     /// Right-hand rows of the partition in flight, one slot per tree row.
     spill: Vec<usize>,
     nodes: Vec<Node>,
+    gains: Vec<f64>,
+    /// The deepest leaf pushed so far.
+    depth: usize,
 }
 
 impl<'a> Grower<'a> {
@@ -336,6 +425,8 @@ impl<'a> Grower<'a> {
             free: Vec::new(),
             spill: vec![0; n_rows],
             nodes: Vec::new(),
+            gains: Vec::new(),
+            depth: 0,
         }
     }
 
@@ -464,11 +555,13 @@ impl<'a> Grower<'a> {
         }
     }
 
-    fn push_leaf(&mut self, g_sum: f64, n: usize) -> u32 {
-        self.nodes.push(Node::Leaf {
-            weight: -g_sum / (n as f64 + self.params.lambda),
-        });
-        (self.nodes.len() - 1) as u32
+    fn push_leaf(&mut self, g_sum: f64, n: usize, depth: usize) -> u32 {
+        let at = self.nodes.len();
+        let weight = -g_sum / (n as f64 + self.params.lambda);
+        self.nodes.push(Node::leaf(at, weight));
+        self.gains.push(0.0);
+        self.depth = self.depth.max(depth);
+        at as u32
     }
 
     /// Recursively builds the subtree over `idx`, returning the arena index
@@ -483,11 +576,11 @@ impl<'a> Grower<'a> {
     ) -> u32 {
         let n = idx.len();
         let Some(hist) = hist else {
-            return self.push_leaf(g_sum, n);
+            return self.push_leaf(g_sum, n, depth);
         };
         let Some(split) = self.best_split(&hist, g_sum, n) else {
             self.free.push(hist);
-            return self.push_leaf(g_sum, n);
+            return self.push_leaf(g_sum, n, depth);
         };
 
         // Stable partition of idx: bin <= split bin stays in front, the rest
@@ -513,22 +606,15 @@ impl<'a> Grower<'a> {
 
         let node_pos = self.nodes.len();
         // Placeholder; children indices patched after recursion.
-        self.nodes.push(Node::Split {
-            feature: split.col as u32,
+        self.nodes.push(Node {
             threshold: self.binner.cuts(split.col)[split.bin as usize],
-            gain: split.gain,
-            left: 0,
-            right: 0,
+            kids: [0, 0],
+            feature: split.col as u32,
         });
+        self.gains.push(split.gain);
         let left = self.build(left_rows, split.g_left, depth + 1, hist_left);
         let right = self.build(right_rows, g_sum - split.g_left, depth + 1, hist_right);
-        if let Node::Split {
-            left: l, right: r, ..
-        } = &mut self.nodes[node_pos]
-        {
-            *l = left;
-            *r = right;
-        }
+        self.nodes[node_pos].kids = [left, right];
         node_pos as u32
     }
 }
@@ -640,56 +726,56 @@ mod tests {
                 || n < 2 * p.min_samples_leaf
                 || n < 2
                 || (n as f64) < 2.0 * p.min_child_weight;
-            match &self.tree.nodes[node as usize] {
-                Node::Leaf { weight } => {
-                    let want = -g_sum / (n as f64 + p.lambda);
-                    let tol = 1e-12 * self.g_scale / (n as f64 + p.lambda);
+            let at = node as usize;
+            let Node {
+                threshold,
+                kids: [left, right],
+                feature,
+            } = self.tree.nodes[at];
+            if self.tree.nodes[at].is_leaf(at) {
+                let weight = threshold;
+                let want = -g_sum / (n as f64 + p.lambda);
+                let tol = 1e-12 * self.g_scale / (n as f64 + p.lambda);
+                prop_assert!(
+                    (weight - want).abs() <= tol,
+                    "leaf weight {weight} != {want} over {n} rows"
+                );
+                prop_assert!(depth <= self.tree.depth, "leaf below the tree's depth");
+                if let (false, Some((_, _, best))) = (must_be_leaf, reference) {
+                    // Only a gain the two roundings disagree on may be left unsplit.
                     prop_assert!(
-                        (weight - want).abs() <= tol,
-                        "leaf weight {weight} != {want} over {n} rows"
+                        best <= p.min_gain + 1e-9 * self.g_scale.max(1.0),
+                        "leaf over {n} rows although the reference gains {best}"
                     );
-                    if let (false, Some((_, _, best))) = (must_be_leaf, reference) {
-                        // Only a gain the two roundings disagree on may be left unsplit.
-                        prop_assert!(
-                            best <= p.min_gain + 1e-9 * self.g_scale.max(1.0),
-                            "leaf over {n} rows although the reference gains {best}"
-                        );
-                    }
                 }
-                Node::Split {
-                    feature,
-                    threshold,
-                    gain,
-                    left,
-                    right,
-                } => {
-                    prop_assert!(!must_be_leaf, "split at depth {depth} over {n} rows");
-                    prop_assert!(self.columns.contains(&(*feature as usize)));
-                    let (l, r): (Vec<usize>, Vec<usize>) = rows
-                        .iter()
-                        .partition(|&&i| self.data.row(i)[*feature as usize] <= *threshold);
-                    let min_child = |rows: &[usize]| {
-                        rows.len() >= p.min_samples_leaf && rows.len() as f64 >= p.min_child_weight
-                    };
-                    prop_assert!(min_child(&l) && min_child(&r), "child too small");
-                    let score = |rows: &[usize]| {
-                        let g: f64 = rows.iter().map(|&i| self.grads[i]).sum();
-                        g * g / (rows.len() as f64 + p.lambda)
-                    };
-                    let placed = score(&l) + score(&r) - score(rows);
-                    let best = reference.map_or(f64::NEG_INFINITY, |(_, _, g)| g);
-                    let tol = 1e-9 * best.abs().max(1.0);
-                    prop_assert!(
-                        placed >= best - tol,
-                        "placed gain {placed} < reference best {best}"
-                    );
-                    prop_assert!(
-                        (gain - placed).abs() <= tol,
-                        "stored gain {gain} != {placed}"
-                    );
-                    self.check(*left, &l, depth + 1)?;
-                    self.check(*right, &r, depth + 1)?;
-                }
+            } else {
+                let gain = self.tree.gains[at];
+                prop_assert!(!must_be_leaf, "split at depth {depth} over {n} rows");
+                prop_assert!(self.columns.contains(&(feature as usize)));
+                let (l, r): (Vec<usize>, Vec<usize>) = rows
+                    .iter()
+                    .partition(|&&i| self.data.row(i)[feature as usize] <= threshold);
+                let min_child = |rows: &[usize]| {
+                    rows.len() >= p.min_samples_leaf && rows.len() as f64 >= p.min_child_weight
+                };
+                prop_assert!(min_child(&l) && min_child(&r), "child too small");
+                let score = |rows: &[usize]| {
+                    let g: f64 = rows.iter().map(|&i| self.grads[i]).sum();
+                    g * g / (rows.len() as f64 + p.lambda)
+                };
+                let placed = score(&l) + score(&r) - score(rows);
+                let best = reference.map_or(f64::NEG_INFINITY, |(_, _, g)| g);
+                let tol = 1e-9 * best.abs().max(1.0);
+                prop_assert!(
+                    placed >= best - tol,
+                    "placed gain {placed} < reference best {best}"
+                );
+                prop_assert!(
+                    (gain - placed).abs() <= tol,
+                    "stored gain {gain} != {placed}"
+                );
+                self.check(left, &l, depth + 1)?;
+                self.check(right, &r, depth + 1)?;
             }
             Ok(())
         }
@@ -887,6 +973,138 @@ mod tests {
         .is_none());
         // Leaf with nonzero children.
         assert!(Tree::from_flat_parts(&[u32::MAX], &[1.0], &[1], &[0], &[0.0]).is_none());
+    }
+
+    #[test]
+    fn restored_depth_is_the_longest_path_to_a_reached_leaf() {
+        // 0 → (1, 3), 1 → (2, 3): leaf 3 is shared at depths 1 and 2.
+        // 4 → (5, 6), 5 → (6, 6) are unreachable and would count 2 more.
+        let leaf = u32::MAX;
+        let tree = Tree::from_flat_parts(
+            &[0, 1, leaf, leaf, 0, 0, leaf],
+            &[0.5, -1.0, 7.0, 9.0, 0.0, 0.0, 3.0],
+            &[1, 2, 0, 0, 5, 6, 0],
+            &[3, 3, 0, 0, 6, 6, 0],
+            &[1.0, 2.0, 0.0, 0.0, 4.0, 5.0, 0.0],
+        )
+        .unwrap();
+        assert_eq!(tree.depth, 2);
+        assert_eq!(tree.predict(&[0.0, -2.0]), 7.0);
+        assert_eq!(tree.predict(&[0.0, 2.0]), 9.0);
+        assert_eq!(tree.predict(&[1.0, -2.0]), 9.0);
+        assert_eq!(tree.predict(&[f64::NAN, -2.0]), 9.0);
+        // A leaf root walks no step, so it never reads the row.
+        let root_leaf = Tree::from_flat_parts(
+            &[leaf, 0, leaf],
+            &[4.0, 1.0, 2.0],
+            &[0, 2, 0],
+            &[0, 2, 0],
+            &[0.0; 3],
+        )
+        .unwrap();
+        assert_eq!((root_leaf.depth, root_leaf.predict(&[])), (0, 4.0));
+        // Fitting and restoring agree on the depth.
+        let fitted = fit_on_targets(&step_data(), &TreeParams::default());
+        let (f, t, l, r, g) = fitted.to_flat_parts();
+        assert_eq!(
+            Tree::from_flat_parts(&f, &t, &l, &r, &g).unwrap().depth,
+            fitted.depth
+        );
+        assert!(fitted.depth >= 1);
+    }
+
+    /// A random arena in [`Tree::to_flat_parts`] form, restored: the last
+    /// node is a leaf, any other a leaf or a split whose kids are drawn from
+    /// the nodes after it, so kids are shared and nodes unreachable as often
+    /// as not, and the root is a leaf (depth 0) one time in three.
+    fn random_arena(rng: &mut StdRng, n_cols: usize) -> Tree {
+        let n = rng.gen_range(1usize..24);
+        let mut parts: FlatParts = Default::default();
+        for i in 0..n {
+            let split =
+                i + 1 < n && (i > 0 || rng.gen_range(0u32..3) > 0) && rng.gen_range(0u32..4) > 0;
+            let (f, l, r) = if split {
+                let kid = |rng: &mut StdRng| rng.gen_range(i as u32 + 1..n as u32);
+                (rng.gen_range(0..n_cols as u32), kid(rng), kid(rng))
+            } else {
+                (u32::MAX, 0, 0)
+            };
+            parts.0.push(f);
+            parts.1.push(rng.gen_range(-2.0f64..2.0).round());
+            parts.2.push(l);
+            parts.3.push(r);
+            parts.4.push(rng.gen_range(0.0f64..1.0));
+        }
+        let (f, t, l, r, g) = parts;
+        Tree::from_flat_parts(&f, &t, &l, &r, &g).unwrap()
+    }
+
+    /// A row of whole numbers near the arena thresholds, so rows land on
+    /// them exactly, with NaN and ±∞ mixed in.
+    fn random_row(rng: &mut StdRng, n_cols: usize) -> Vec<f64> {
+        (0..n_cols)
+            .map(|_| match rng.gen_range(0u32..8) {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => -0.0,
+                _ => rng.gen_range(-3.0f64..3.0).round(),
+            })
+            .collect()
+    }
+
+    /// A fitted tree on random whole-number data.
+    fn random_fitted(rng: &mut StdRng, n_cols: usize) -> Tree {
+        let n = rng.gen_range(4usize..60);
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| {
+                (0..n_cols)
+                    .map(|_| rng.gen_range(-3.0f64..3.0).round())
+                    .collect()
+            })
+            .collect();
+        let targets: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0f64..5.0)).collect();
+        let params = TreeParams {
+            max_depth: rng.gen_range(0usize..7),
+            ..TreeParams::default()
+        };
+        fit_on_targets(&Dataset::from_rows(&rows, &targets), &params)
+    }
+
+    proptest! {
+        /// The lockstep walk lands where the stop-at-a-leaf walk does, bit
+        /// for bit: K trees × 1 row and 1 tree × K rows for K one under,
+        /// at and one over [`LANES`], on fitted trees, constants and
+        /// restored arenas with shared kids and unreachable nodes.
+        #[test]
+        fn prop_lockstep_walk_equals_the_reference(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n_cols = rng.gen_range(1usize..5);
+            let trees: Vec<Tree> = (0..LANES + 1)
+                .map(|_| match rng.gen_range(0u32..4) {
+                    0 => Tree::constant(rng.gen_range(-1.0f64..1.0)),
+                    1 => random_fitted(&mut rng, n_cols),
+                    _ => random_arena(&mut rng, n_cols),
+                })
+                .collect();
+            let rows: Vec<Vec<f64>> = (0..LANES + 1).map(|_| random_row(&mut rng, n_cols)).collect();
+            for k in [1, LANES - 1, LANES, LANES + 1] {
+                let mut out = vec![f64::NAN; k];
+                for row in &rows {
+                    Tree::predict_trees(&trees[..k], row, &mut out);
+                    for (tree, got) in trees.iter().zip(&out) {
+                        prop_assert_eq!(got.to_bits(), tree.reference_predict(row).to_bits());
+                        prop_assert_eq!(tree.predict(row).to_bits(), got.to_bits());
+                    }
+                }
+                for tree in &trees {
+                    tree.predict_rows(&rows[..k], &mut out);
+                    for (row, got) in rows.iter().zip(&out) {
+                        prop_assert_eq!(got.to_bits(), tree.reference_predict(row).to_bits());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

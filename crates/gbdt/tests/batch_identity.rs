@@ -12,6 +12,7 @@
 use proptest::prelude::*;
 use stage_gbdt::ensemble::{BayesianEnsemble, EnsembleParams};
 use stage_gbdt::ngboost::{NgBoost, NgBoostParams};
+use stage_gbdt::tree::LANES;
 use stage_gbdt::Dataset;
 
 /// Small-but-real hyper-parameters: enough rounds to grow several trees.
@@ -89,6 +90,67 @@ proptest! {
                 scalar.data_uncertainty.to_bits(),
                 got.data_uncertainty.to_bits()
             );
+        }
+    }
+}
+
+/// The four lengths where the lockstep walk's chunking can go wrong: one
+/// chain, one short of a full chunk, a full chunk, one over.
+const BOUNDARIES: [usize; 4] = [1, LANES - 1, LANES, LANES + 1];
+
+/// Heads of exactly 1, K−1, K and K+1 trees (no early stopping), walked by
+/// batches of 1, K−1, K and K+1 rows: the batch answers, the scalar
+/// answers and a fold of the heads' trees one `Tree::predict` at a time in
+/// boosting order all agree to the bit.
+#[test]
+fn ngboost_batch_bit_identical_at_every_lane_boundary() {
+    let triples: Vec<(f64, f64, f64)> = (0..90)
+        .map(|i| {
+            let x0 = ((i * 37) % 23) as f64 - 11.0;
+            let x1 = ((i * 11) % 7) as f64;
+            (x0, x1, x0 * 0.7 + x1 * x1 - 3.0)
+        })
+        .collect();
+    let data = dataset(&triples);
+    let rows: Vec<Vec<f64>> = (0..LANES + 1)
+        .map(|i| match i % 6 {
+            0 => vec![f64::NAN, i as f64],
+            1 => vec![i as f64 - 8.0, f64::INFINITY],
+            2 => vec![f64::NEG_INFINITY, -0.0],
+            _ => vec![(i * 5 % 23) as f64 - 11.5, (i % 7) as f64],
+        })
+        .collect();
+    for n_trees in BOUNDARIES {
+        let params = NgBoostParams {
+            n_estimators: n_trees,
+            early_stopping_rounds: 0,
+            ..ngboost_params(n_trees as u64)
+        };
+        let model = NgBoost::fit(&data, &params).expect("non-empty dataset");
+        assert_eq!(model.n_rounds(), n_trees);
+        let (base_mu, base_log_var, lr, (lo, hi), _) = model.scalar_parts();
+        for n_rows in BOUNDARIES {
+            let batch = model.predict_dist_batch(&rows[..n_rows]);
+            for (row, got) in rows.iter().zip(&batch) {
+                let (mut mu, mut s) = (base_mu, base_log_var);
+                for (tm, ts) in model.mu_trees().iter().zip(model.var_trees()) {
+                    mu += lr * tm.predict(row);
+                    s = (s + lr * ts.predict(row)).clamp(lo, hi);
+                }
+                let scalar = model.predict_dist(row);
+                assert_eq!(scalar.0.to_bits(), mu.to_bits(), "{n_trees} trees: μ");
+                assert_eq!(scalar.1.to_bits(), s.exp().to_bits(), "{n_trees} trees: σ²");
+                assert_eq!(
+                    got.0.to_bits(),
+                    mu.to_bits(),
+                    "{n_trees} trees, {n_rows} rows"
+                );
+                assert_eq!(
+                    got.1.to_bits(),
+                    s.exp().to_bits(),
+                    "{n_trees} trees, {n_rows} rows"
+                );
+            }
         }
     }
 }
