@@ -27,9 +27,11 @@
 //!    `target_coverage`-quantile of recent scores instead of a
 //!    normal-theory constant, so if the ensemble's σ is over- or
 //!    under-confident the interval width self-corrects within one window.
-//!    The quantile copies and sorts the window on every call
-//!    ([`DriftSentinel::z_multiplier`]), per served interval and per scored
-//!    observation.
+//!    Beside the ring the sentinel keeps a sorted copy, updated on each
+//!    push by one binary-search removal and one insertion, so the quantile
+//!    ([`DriftSentinel::z_multiplier`]), read per served interval and per
+//!    scored observation, neither copies nor sorts. Only the ring persists;
+//!    restore sorts it once.
 //!
 //! Intervals are additionally widened by `degraded_widen` while any
 //! [`crate::stage::DegradedStats`] tier is active (a degraded answer was
@@ -46,8 +48,8 @@
 
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
-use serde::{Deserialize, Serialize};
-use stage_metrics::quantile::quantile;
+use serde::{Deserialize, Serialize, Value};
+use stage_metrics::quantile::quantile_of_sorted;
 use stage_metrics::{interval_coverage, Welford};
 use stage_store::{SectionReader, SectionWriter, StoreError};
 
@@ -133,10 +135,8 @@ pub struct DriftSentinel {
     triggered: bool,
     detections: u64,
     forced_retrains: u64,
-    // Conformal scores z = |r|/σ (ring buffer; `score_next` is the slot
-    // the next push overwrites once the ring is full).
-    scores: Vec<f64>,
-    score_next: u32,
+    // Conformal scores z = |r|/σ.
+    scores: ScoreWindow,
     // Online coverage accounting: of the intervals this sentinel would
     // have served at observe time, how many contained the truth.
     covered: u64,
@@ -163,8 +163,7 @@ impl DriftSentinel {
             triggered: false,
             detections: 0,
             forced_retrains: 0,
-            scores: Vec::new(),
-            score_next: 0,
+            scores: ScoreWindow::default(),
             covered: 0,
             measured: 0,
             last_degraded_total: 0,
@@ -203,7 +202,7 @@ impl DriftSentinel {
         if log_sigma.is_finite() && log_sigma > MIN_SIGMA {
             let z = r.abs() / log_sigma;
             if z.is_finite() {
-                push_ring(&mut self.scores, &mut self.score_next, cap, z);
+                self.scores.push(cap, z);
             }
         }
         // One-sided CUSUM over |r|, normalized by the baseline the
@@ -229,8 +228,10 @@ impl DriftSentinel {
     /// (normal-theory fallback until the window has `min_scores`), times
     /// the degraded widening when active.
     pub fn z_multiplier(&self) -> f64 {
-        let base = if self.scores.len() >= self.config.min_scores as usize {
-            quantile(&self.scores, self.config.target_coverage).unwrap_or(self.config.fallback_z)
+        let base = if self.scores.ring.len() >= self.config.min_scores as usize {
+            self.scores
+                .quantile(self.config.target_coverage)
+                .unwrap_or(self.config.fallback_z)
         } else {
             self.config.fallback_z
         };
@@ -296,10 +297,12 @@ impl DriftSentinel {
         self.cusum
     }
 
-    /// Approximate resident size in bytes: the conformal window as
-    /// reserved (it grows with its scores up to `window`).
+    /// Approximate resident size in bytes: the conformal window and its
+    /// sorted copy as reserved (they grow with their scores up to `window`).
     pub fn approx_size_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.scores.capacity() * std::mem::size_of::<f64>()
+        std::mem::size_of::<Self>()
+            + (self.scores.ring.capacity() + self.scores.sorted.capacity())
+                * std::mem::size_of::<f64>()
     }
 
     /// Counts one forced retrain.
@@ -347,14 +350,15 @@ impl DriftSentinel {
         w.put_u64(self.last_degraded_total);
         w.put_u32(self.degraded_hold_left);
         w.put_u32(0);
-        w.put_u32(self.score_next);
+        w.put_u32(self.scores.next);
         w.put_f64_slice(&[]);
-        w.put_f64_slice(&self.scores);
+        w.put_f64_slice(&self.scores.ring);
     }
 
     /// Decodes a sentinel from its CALIBRATION section. Hostile-input
     /// hardened: ring lengths and cursor indices are validated against the
-    /// declared window before the state is accepted.
+    /// declared window, and the scores must be finite, before the state is
+    /// accepted ([`ScoreWindow::from_ring`]).
     pub fn store_decode(r: &mut SectionReader) -> Result<Self, StoreError> {
         let config = DriftConfig {
             cusum_k: r.f64()?,
@@ -383,22 +387,16 @@ impl DriftSentinel {
         let score_next = r.u32()?;
         let residuals = r.f64_vec()?;
         let scores = r.f64_vec()?;
-        let cap = config.window as usize;
-        if residuals.len() > cap || scores.len() > cap {
-            return Err(StoreError::Malformed {
-                detail: format!(
-                    "calibration rings exceed window {}: {} residuals, {} scores",
-                    cap,
-                    residuals.len(),
-                    scores.len()
-                ),
-            });
+        let malformed = |detail: String| StoreError::Malformed { detail };
+        if residuals.len() > config.window as usize || residual_next as usize > residuals.len() {
+            return Err(malformed(format!(
+                "calibration residual ring of {} (cursor {residual_next}) past window {}",
+                residuals.len(),
+                config.window
+            )));
         }
-        if residual_next as usize > residuals.len() || score_next as usize > scores.len() {
-            return Err(StoreError::Malformed {
-                detail: "calibration ring cursor out of range".to_string(),
-            });
-        }
+        let scores =
+            ScoreWindow::from_ring(scores, score_next, config.window).map_err(malformed)?;
         Ok(Self {
             config,
             baseline,
@@ -407,7 +405,6 @@ impl DriftSentinel {
             detections,
             forced_retrains,
             scores,
-            score_next,
             covered,
             measured,
             last_degraded_total,
@@ -416,24 +413,118 @@ impl DriftSentinel {
     }
 }
 
-/// Appends into a bounded ring: grow until `cap`, then overwrite the slot
-/// at `next` (the oldest element) and advance.
-fn push_ring(buf: &mut Vec<f64>, next: &mut u32, cap: u32, x: f64) {
-    if cap == 0 {
-        return;
+/// The conformal scores, as a bounded ring and a sorted copy of it. The
+/// ring is what persists; the copy is rebuilt from it on restore and kept
+/// in step on each push, so a quantile is a read.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct ScoreWindow {
+    /// Scores in arrival order, growing to the window and then a ring:
+    /// `next` is the slot the next push overwrites once it is full (and the
+    /// length while it grows).
+    ring: Vec<f64>,
+    next: u32,
+    /// `ring` ordered by `f64::total_cmp`.
+    sorted: Vec<f64>,
+}
+
+impl ScoreWindow {
+    /// Accepts a persisted ring only in a state [`ScoreWindow::push`]
+    /// produces: at most `cap` finite scores, `next` equal to the length
+    /// while the ring grows and below `cap` once it is full. (A full ring
+    /// with `next == cap` would drop every later score.)
+    fn from_ring(ring: Vec<f64>, next: u32, cap: u32) -> Result<Self, String> {
+        let len = ring.len();
+        if len > cap as usize {
+            return Err(format!(
+                "calibration score ring of {len} exceeds window {cap}"
+            ));
+        }
+        let cursor_ok = if len == cap as usize && cap > 0 {
+            next < cap
+        } else {
+            next as usize == len
+        };
+        if !cursor_ok {
+            return Err(format!(
+                "calibration score cursor {next} is no state a ring of {len} in window {cap} reaches"
+            ));
+        }
+        if ring.iter().any(|z| !z.is_finite()) {
+            return Err("calibration score ring holds a non-finite score".to_string());
+        }
+        let mut sorted = ring.clone();
+        sorted.sort_by(f64::total_cmp);
+        Ok(Self { ring, next, sorted })
     }
-    if buf.len() < cap as usize {
-        buf.push(x);
-        *next = buf.len() as u32 % cap;
-    } else if let Some(slot) = buf.get_mut(*next as usize) {
-        *slot = x;
-        *next = (*next + 1) % cap;
+
+    /// Appends into the ring — grow until `cap`, then overwrite the slot at
+    /// `next` (the oldest score) and advance — and moves the sorted copy in
+    /// step: the overwritten score out, `z` in.
+    fn push(&mut self, cap: u32, z: f64) {
+        if cap == 0 {
+            return;
+        }
+        if self.ring.len() < cap as usize {
+            self.ring.push(z);
+            self.next = self.ring.len() as u32 % cap;
+        } else if let Some(slot) = self.ring.get_mut(self.next as usize) {
+            let old = std::mem::replace(slot, z);
+            if let Ok(i) = self.sorted.binary_search_by(|y| y.total_cmp(&old)) {
+                self.sorted.remove(i);
+            }
+            self.next = (self.next + 1) % cap;
+        } else {
+            return;
+        }
+        let at = self.sorted.partition_point(|y| y.total_cmp(&z).is_lt());
+        self.sorted.insert(at, z);
+    }
+
+    /// The `q`-quantile of the window (R-7, as
+    /// [`stage_metrics::quantile::quantile`] computes it), or `None` for an
+    /// empty window, a `q` outside `[0, 1]` or NaN, or a non-finite score.
+    fn quantile(&self, q: f64) -> Option<f64> {
+        let (first, last) = (self.sorted.first()?, self.sorted.last()?);
+        if !(0.0..=1.0).contains(&q) || !first.is_finite() || !last.is_finite() {
+            return None;
+        }
+        Some(quantile_of_sorted(&self.sorted, q))
+    }
+}
+
+/// The serde image is the ring and its cursor, as the store section holds
+/// them; the sorted copy is rebuilt.
+impl Serialize for ScoreWindow {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("ring".to_string(), self.ring.to_value()),
+            ("next".to_string(), self.next.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for ScoreWindow {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let obj = serde::expect_object(v, "ScoreWindow")?;
+        let ring: Vec<f64> = serde::de_field(obj, "ring", "ScoreWindow")?;
+        let next: u32 = serde::de_field(obj, "next", "ScoreWindow")?;
+        // The window's capacity is the sentinel's config, not part of this
+        // image: a cursor inside the ring reads as a full ring, a cursor at
+        // its end as a growing one.
+        let cap = if next as usize == ring.len() {
+            u32::MAX
+        } else {
+            u32::try_from(ring.len()).map_err(|e| serde::Error::custom(e.to_string()))?
+        };
+        Self::from_ring(ring, next, cap).map_err(serde::Error::custom)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use stage_metrics::quantile::quantile;
 
     fn sharp() -> DriftConfig {
         DriftConfig {
@@ -632,7 +723,7 @@ mod tests {
         let mut s = DriftSentinel::new(sharp());
         s.observe_residual(1.0, 0.2, 1.5);
         // Corrupt the cursor past the ring length.
-        s.score_next = 99;
+        s.scores.next = 99;
         let mut w = SectionWriter::new();
         s.store_encode(&mut w);
         let bytes = w.finish();
@@ -641,6 +732,129 @@ mod tests {
             DriftSentinel::store_decode(&mut r),
             Err(StoreError::Malformed { .. })
         ));
+    }
+
+    /// A CALIBRATION section for a cold `sharp()` sentinel with window
+    /// `window`, serving its quantile from one score on, whose score ring is `scores` with cursor `next`, written
+    /// field by field as [`DriftSentinel::store_encode`] lays it out.
+    fn calibration_section(window: u32, next: u32, scores: &[f64]) -> Vec<u8> {
+        let c = DriftConfig {
+            window,
+            min_scores: 1,
+            ..sharp()
+        };
+        let mut w = SectionWriter::new();
+        for x in [c.cusum_k, c.cusum_lambda, c.cusum_clip, c.min_spread] {
+            w.put_f64(x);
+        }
+        w.put_u64(c.min_samples);
+        w.put_u32(c.window);
+        w.put_f64(c.target_coverage);
+        w.put_f64(c.fallback_z);
+        w.put_u32(c.min_scores);
+        w.put_f64(c.degraded_widen);
+        w.put_u32(c.degraded_hold);
+        w.put_u64(0);
+        w.put_f64(0.0);
+        w.put_f64(0.0);
+        w.put_f64(0.0);
+        w.put_bool(false);
+        for _ in 0..5 {
+            w.put_u64(0);
+        }
+        w.put_u32(0);
+        w.put_u32(0);
+        w.put_u32(next);
+        w.put_f64_slice(&[]);
+        w.put_f64_slice(scores);
+        w.finish()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<DriftSentinel, StoreError> {
+        DriftSentinel::store_decode(&mut SectionReader::new(bytes))
+    }
+
+    /// A full ring whose cursor sits at its end is no state a push leaves
+    /// behind, and from it every later score was dropped: the quantile
+    /// froze. The decoder refuses it, a growing ring whose cursor is not at
+    /// its end, and a non-finite score; every state a push does reach
+    /// restores and keeps moving.
+    #[test]
+    fn store_decode_refuses_a_ring_that_would_freeze() {
+        let full = [0.5, 1.0, 1.5, 2.0];
+        for (next, scores) in [
+            (4, &full[..]),
+            (9, &full[..]),
+            (0, &full[..2]),
+            (3, &full[..2]),
+            (2, &[0.5, f64::INFINITY][..]),
+            (2, &[f64::NAN, 0.5][..]),
+        ] {
+            let got = decode(&calibration_section(4, next, scores));
+            assert!(
+                matches!(got, Err(StoreError::Malformed { .. })),
+                "cursor {next} over {scores:?} decoded: {got:?}"
+            );
+        }
+        for (next, scores) in [
+            (0, &[][..]),
+            (2, &full[..2]),
+            (0, &full[..]),
+            (3, &full[..]),
+        ] {
+            let mut s = decode(&calibration_section(4, next, scores)).expect("a reachable state");
+            let before = s.z_multiplier();
+            for _ in 0..4 {
+                s.observe_residual(1.0, 0.1, 1.9);
+            }
+            assert!(s.z_multiplier() > before, "the quantile moved off {before}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_coverage_serves_the_fallback() {
+        for target_coverage in [-0.1, 1.5, f64::NAN] {
+            let mut s = DriftSentinel::new(DriftConfig {
+                target_coverage,
+                ..sharp()
+            });
+            for i in 0..30 {
+                s.observe_residual(1.0, 0.1, 1.0 + 0.01 * i as f64);
+            }
+            assert_eq!(s.z_multiplier(), sharp().fallback_z, "{target_coverage}");
+        }
+    }
+
+    proptest! {
+        /// The sorted copy answers what sorting the ring answers, to the
+        /// bit, after every push — repeats, zeros and wrap-around included
+        /// — and survives both encodings.
+        #[test]
+        fn prop_sorted_window_quantile_equals_sorting_the_ring(
+            window in 1u32..9,
+            coverage in 0.0f64..1.0,
+            residuals in proptest::collection::vec(0u32..6, 1..40),
+        ) {
+            let config = DriftConfig {
+                window,
+                min_scores: 1,
+                target_coverage: coverage,
+                ..sharp()
+            };
+            let mut s = DriftSentinel::new(config);
+            for r in residuals {
+                s.observe_residual(1.0, 0.25, 1.0 + f64::from(r) * 0.125);
+                let want = quantile(&s.scores.ring, coverage).unwrap().max(MIN_Z);
+                prop_assert_eq!(s.z_multiplier().to_bits(), want.to_bits());
+                let mut sorted = s.scores.ring.clone();
+                sorted.sort_by(f64::total_cmp);
+                prop_assert_eq!(&s.scores.sorted, &sorted);
+            }
+            let mut w = SectionWriter::new();
+            s.store_encode(&mut w);
+            prop_assert_eq!(&decode(&w.finish()).unwrap(), &s);
+            prop_assert_eq!(&DriftSentinel::from_value(&serde::Serialize::to_value(&s)).unwrap(), &s);
+        }
     }
 
     #[test]
