@@ -6,11 +6,12 @@
 use stage::core::global::plan_to_tree_sample;
 use stage::core::{GlobalModel, GlobalModelConfig, StageConfig, SystemContext};
 use stage::nn::TreeSample;
-use stage::plan::PhysicalPlan;
+use stage::plan::{plan_feature_vector, PhysicalPlan};
 use stage::workload::generator::{FleetConfig, InstanceWorkload};
 use stage::workload::instance::INSTANCE_FEATURE_DIM;
 use stage_serve::ShardRegistry;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Mutex, PoisonError};
 
@@ -163,4 +164,31 @@ fn a_young_shard_holds_what_it_has_seen() {
     let per_shard = live as usize / SHARDS as usize;
     eprintln!("young shard: {per_shard} B of live heap");
     assert!(per_shard <= 16 << 10, "a young shard holds {per_shard} B");
+}
+
+/// A warm shard under the default config: 1 500 unique plans observed, so
+/// its cache and pool are full of them and its ten-member ensemble has
+/// trained and retrained. The local model is about half of it.
+#[test]
+fn a_warm_shard_holds_a_few_megabytes() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    const OBSERVES: usize = 1_500;
+    let mut seen = HashSet::new();
+    let queries: Vec<_> = fleet_queries(13, 2_000)
+        .into_iter()
+        .filter(|(plan, _, _)| seen.insert(plan_feature_vector(plan).stable_hash()))
+        .take(OBSERVES)
+        .collect();
+    assert_eq!(queries.len(), OBSERVES);
+    let (registry, live, _) = measure(|| {
+        let registry = ShardRegistry::new(1, StageConfig::default());
+        for (plan, sys, secs) in &queries {
+            registry.with_shard_write(0, |s| s.observe(plan, sys, *secs));
+        }
+        registry
+    });
+    let trainings = registry.with_shard_read(0, |s| s.predictor().local().trainings());
+    assert!(trainings >= Some(2), "the shard trained: {trainings:?}");
+    eprintln!("warm shard: {} KiB of live heap", live / 1024);
+    assert!(live <= 7 << 19, "a warm shard holds {live} B");
 }
