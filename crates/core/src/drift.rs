@@ -358,7 +358,7 @@ impl DriftSentinel {
     /// Decodes a sentinel from its CALIBRATION section. Hostile-input
     /// hardened: ring lengths and cursor indices are validated against the
     /// declared window, and the scores must be finite, before the state is
-    /// accepted ([`ScoreWindow::from_ring`]).
+    /// accepted: only a ring a push can leave behind restores.
     pub fn store_decode(r: &mut SectionReader) -> Result<Self, StoreError> {
         let config = DriftConfig {
             cusum_k: r.f64()?,
@@ -735,8 +735,9 @@ mod tests {
     }
 
     /// A CALIBRATION section for a cold `sharp()` sentinel with window
-    /// `window`, serving its quantile from one score on, whose score ring is `scores` with cursor `next`, written
-    /// field by field as [`DriftSentinel::store_encode`] lays it out.
+    /// `window`, serving its quantile from one score on, whose score ring
+    /// is `scores` with cursor `next`, written field by field as
+    /// [`DriftSentinel::store_encode`] lays it out.
     fn calibration_section(window: u32, next: u32, scores: &[f64]) -> Vec<u8> {
         let c = DriftConfig {
             window,

@@ -25,10 +25,12 @@
 //!   uncertainty = variance of member means (model/knowledge uncertainty)
 //!   + mean of member variances (data uncertainty).
 //!
-//! A fitted [`Tree`] is one `Vec` arena: `fit` emits it, `Tree::predict`
-//! walks it (the batched paths are a tree-major loop over that same walk),
-//! and `to_flat_parts` / `from_flat_parts` move it through the artefact
-//! store.
+//! A fitted [`Tree`] is one `Vec` arena whose leaves loop to themselves:
+//! `fit` emits it, one branch-free kernel walks it — [`tree::LANES`]
+//! (tree, row) chains in lockstep, each exactly the tree's depth in steps;
+//! [`Tree::predict`] is one chain, a boosted head walks many trees per row
+//! and a batch many rows per tree — and `to_flat_parts` /
+//! `from_flat_parts` move it through the artefact store.
 //!
 //! All training is deterministic given the seed.
 

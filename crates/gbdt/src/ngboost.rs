@@ -16,7 +16,7 @@
 
 use crate::dataset::{BinnedDataset, Binner, Dataset};
 use crate::gbm::{sample_cols, sample_rows};
-use crate::tree::{Tree, TreeParams, LANES};
+use crate::tree::{walk, Tree, TreeParams, LANES};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -214,11 +214,11 @@ impl NgBoost {
             .zip(self.var_trees.chunks(LANES))
         {
             let leaf = &mut leaf[..tm.len()];
-            Tree::predict_trees(tm, row, leaf);
+            walk(leaf, |j| (&tm[j], row));
             for w in leaf.iter() {
                 mu += self.learning_rate * w;
             }
-            Tree::predict_trees(ts, row, leaf);
+            walk(leaf, |j| (&ts[j], row));
             for w in leaf.iter() {
                 s = (s + self.learning_rate * w).clamp(lo, hi);
             }

@@ -111,7 +111,7 @@ pub struct Tree {
     clippy::neg_cmp_op_on_partial_ord,
     reason = "`!(x <= t)` is the step: a NaN feature compares false and goes right"
 )]
-fn walk<'a>(out: &mut [f64], chain: impl Fn(usize) -> (&'a Tree, &'a [f64])) {
+pub(crate) fn walk<'a>(out: &mut [f64], chain: impl Fn(usize) -> (&'a Tree, &'a [f64])) {
     let mut at = [0u32; LANES];
     let at = &mut at[..out.len()];
     let depth = (0..at.len()).map(|j| chain(j).0.depth).max().unwrap_or(0);
@@ -290,15 +290,6 @@ impl Tree {
         let mut out = [0.0];
         walk(&mut out, |_| (self, row));
         out[0]
-    }
-
-    /// `out[j]` = the leaf weight of `trees[j]` for `row`, the trees walked
-    /// [`LANES`] at a time. `out` and `trees` have the same length.
-    pub(crate) fn predict_trees(trees: &[Tree], row: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(trees.len(), out.len());
-        for (ts, o) in trees.chunks(LANES).zip(out.chunks_mut(LANES)) {
-            walk(o, |j| (&ts[j], row));
-        }
     }
 
     /// `out[j]` = this tree's leaf weight for `rows[j]`, the rows walked
@@ -1091,7 +1082,9 @@ mod tests {
             for k in [1, LANES - 1, LANES, LANES + 1] {
                 let mut out = vec![f64::NAN; k];
                 for row in &rows {
-                    Tree::predict_trees(&trees[..k], row, &mut out);
+                    for (ts, o) in trees[..k].chunks(LANES).zip(out.chunks_mut(LANES)) {
+                        walk(o, |j| (&ts[j], row));
+                    }
                     for (tree, got) in trees.iter().zip(&out) {
                         prop_assert_eq!(got.to_bits(), tree.reference_predict(row).to_bits());
                         prop_assert_eq!(tree.predict(row).to_bits(), got.to_bits());

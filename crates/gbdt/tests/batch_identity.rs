@@ -1,6 +1,6 @@
-//! Bit-identity of the batched inference path (tree-major loop order)
-//! against the scalar row-major walk, across every model class the serving
-//! path uses.
+//! Bit-identity of the batched inference path (tree-major: one tree walks
+//! many rows in lockstep) against the scalar path (row-major: one row walks
+//! many trees in lockstep), across every model class the serving path uses.
 //!
 //! Reordering the loops must not change a single prediction: the serving
 //! layer routes on exact thresholds (`short_circuit_secs`, confidence
