@@ -11,8 +11,7 @@ use super::ExperimentReport;
 use crate::context::ExperimentContext;
 use serde_json::json;
 use stage_core::ExecTimeCache;
-use stage_gbdt::quantile::{QuantileBand, QuantileGbmParams};
-use stage_gbdt::{BayesianEnsemble, Dataset};
+use stage_gbdt::{BayesianEnsemble, Dataset, GbmParams, QuantileBand};
 use stage_metrics::{interval_coverage, prr_score};
 use stage_plan::plan_feature_vector;
 
@@ -52,9 +51,15 @@ pub fn uncertainty_sources(ctx: &ExperimentContext) -> ExperimentReport {
         &train,
         0.1,
         0.9,
-        &QuantileGbmParams {
+        // Pinball gradients are small constants, so validation loss improves
+        // slowly: the quantile heads take a larger step, subsample and wait
+        // longer before stopping than the squared/NLL models.
+        &GbmParams {
             n_estimators: ctx.config.stage.local.ensemble.member.n_estimators,
-            ..QuantileGbmParams::default()
+            learning_rate: 0.2,
+            subsample: 0.9,
+            early_stopping_rounds: 25,
+            ..GbmParams::default()
         },
     )
     .expect("non-empty");

@@ -9,7 +9,7 @@
 use crate::from_log_space;
 use crate::pool::TrainingPool;
 use serde::{Deserialize, Serialize};
-use stage_gbdt::{BayesianEnsemble, EnsembleParams, NgBoostParams};
+use stage_gbdt::{BayesianEnsemble, EnsembleParams, EnsemblePrediction, NgBoostParams};
 
 /// Local-model configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -53,6 +53,18 @@ pub struct LocalPrediction {
     pub model_uncertainty: f64,
     /// Mean member variance (data uncertainty; Eq. 2, term 2).
     pub data_uncertainty: f64,
+}
+
+impl From<EnsemblePrediction> for LocalPrediction {
+    /// The ensemble's log-space answer, with its mean mapped back to seconds.
+    fn from(p: EnsemblePrediction) -> Self {
+        LocalPrediction {
+            exec_secs: from_log_space(p.mean),
+            log_mean: p.mean,
+            model_uncertainty: p.model_uncertainty,
+            data_uncertainty: p.data_uncertainty,
+        }
+    }
 }
 
 impl LocalPrediction {
@@ -186,14 +198,7 @@ impl LocalModel {
     /// Predicts exec-time and uncertainty for a 33-dim feature vector.
     /// `None` until the first training.
     pub fn predict(&self, features: &[f64]) -> Option<LocalPrediction> {
-        let ensemble = self.ensemble.as_ref()?;
-        let p = ensemble.predict(features);
-        Some(LocalPrediction {
-            exec_secs: from_log_space(p.mean),
-            log_mean: p.mean,
-            model_uncertainty: p.model_uncertainty,
-            data_uncertainty: p.data_uncertainty,
-        })
+        Some(self.ensemble.as_ref()?.predict(features).into())
     }
 
     /// Predicts exec-time and uncertainty for a batch of feature vectors —
@@ -207,12 +212,7 @@ impl LocalModel {
             ensemble
                 .predict_batch(features)
                 .into_iter()
-                .map(|p| LocalPrediction {
-                    exec_secs: from_log_space(p.mean),
-                    log_mean: p.mean,
-                    model_uncertainty: p.model_uncertainty,
-                    data_uncertainty: p.data_uncertainty,
-                })
+                .map(LocalPrediction::from)
                 .collect(),
         )
     }

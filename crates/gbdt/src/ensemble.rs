@@ -75,6 +75,20 @@ pub(crate) fn splitmix(seed: u64, k: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Eqs. 1–2 over the members' `(μ_k, σ_k²)`, each sum taken in member
+/// order.
+fn combine(dists: &[(f64, f64)]) -> EnsemblePrediction {
+    let k = dists.len() as f64;
+    let mean = dists.iter().map(|d| d.0).sum::<f64>() / k;
+    let model_uncertainty = dists.iter().map(|d| (d.0 - mean).powi(2)).sum::<f64>() / k;
+    let data_uncertainty = dists.iter().map(|d| d.1).sum::<f64>() / k;
+    EnsemblePrediction {
+        mean,
+        model_uncertainty,
+        data_uncertainty,
+    }
+}
+
 impl BayesianEnsemble {
     /// Trains K independent members. `None` on an empty dataset or
     /// `n_members == 0`.
@@ -99,44 +113,27 @@ impl BayesianEnsemble {
 
     /// Predicts mean and decomposed uncertainty for a raw feature row.
     pub fn predict(&self, row: &[f64]) -> EnsemblePrediction {
-        let k = self.members.len() as f64;
         let dists: Vec<(f64, f64)> = self.members.iter().map(|m| m.predict_dist(row)).collect();
-        let mean = dists.iter().map(|d| d.0).sum::<f64>() / k;
-        let model_uncertainty = dists.iter().map(|d| (d.0 - mean).powi(2)).sum::<f64>() / k;
-        let data_uncertainty = dists.iter().map(|d| d.1).sum::<f64>() / k;
-        EnsemblePrediction {
-            mean,
-            model_uncertainty,
-            data_uncertainty,
-        }
+        combine(&dists)
     }
 
     /// Predicts mean and decomposed uncertainty for a batch of rows —
     /// bit-identical to calling [`BayesianEnsemble::predict`] per row. Each
     /// member runs [`NgBoost::predict_dist_batch`] over the whole batch
-    /// (member-major), then Eqs. 1–2 combine per row in member order,
-    /// matching the scalar summation sequence exactly.
+    /// (member-major), then each row's member answers are combined in
+    /// member order, exactly as the scalar path combines them.
     pub fn predict_batch<R: AsRef<[f64]>>(&self, rows: &[R]) -> Vec<EnsemblePrediction> {
-        let k = self.members.len() as f64;
         let per_member: Vec<Vec<(f64, f64)>> = self
             .members
             .iter()
             .map(|m| m.predict_dist_batch(rows))
             .collect();
+        let mut dists = Vec::with_capacity(per_member.len());
         (0..rows.len())
             .map(|r| {
-                let mean = per_member.iter().map(|d| d[r].0).sum::<f64>() / k;
-                let model_uncertainty = per_member
-                    .iter()
-                    .map(|d| (d[r].0 - mean).powi(2))
-                    .sum::<f64>()
-                    / k;
-                let data_uncertainty = per_member.iter().map(|d| d[r].1).sum::<f64>() / k;
-                EnsemblePrediction {
-                    mean,
-                    model_uncertainty,
-                    data_uncertainty,
-                }
+                dists.clear();
+                dists.extend(per_member.iter().map(|d| d[r]));
+                combine(&dists)
             })
             .collect()
     }

@@ -1,12 +1,15 @@
-//! Squared-error gradient boosting — the AutoWLM baseline model class.
+//! Squared-error gradient boosting — the AutoWLM baseline model class —
+//! and the boosting loop every model in this crate fits through.
 //!
 //! The prior Redshift predictor is "a lightweight XGBoost model" trained on
 //! flattened plan vectors (paper §2.1). [`Gbm`] reproduces that: additive
 //! regression trees fit to squared-error gradients with shrinkage, optional
 //! row/column subsampling, and early stopping on a held-out validation
-//! fraction (the paper holds out 20%).
+//! fraction (the paper holds out 20%). The same rounds, over one head or
+//! two, fit the pinball-loss [`Gbm::fit_quantile`] and the Gaussian
+//! [`crate::NgBoost`].
 
-use crate::dataset::{Binner, Dataset};
+use crate::dataset::{BinnedDataset, Binner, Dataset};
 use crate::tree::{Tree, TreeParams};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -66,77 +69,44 @@ pub struct Gbm {
 impl Gbm {
     /// Fits a GBM on `data`. Returns `None` if the dataset is empty.
     pub fn fit(data: &Dataset, params: &GbmParams) -> Option<Self> {
+        Self::fit_loss(
+            data,
+            params,
+            |ys| [ys.iter().sum::<f64>() / ys.len() as f64],
+            |y, [f]| [f - y],
+            |y, [f]| (f - y).powi(2),
+        )
+    }
+
+    /// A one-head [`boost`] under `params`, binning `data` with
+    /// `params.n_bins`; `None` on an empty dataset.
+    pub(crate) fn fit_loss(
+        data: &Dataset,
+        params: &GbmParams,
+        base: impl FnOnce(Vec<f64>) -> [f64; 1],
+        grad: impl Fn(f64, [f64; 1]) -> [f64; 1],
+        loss: impl Fn(f64, [f64; 1]) -> f64,
+    ) -> Option<Self> {
         if data.is_empty() {
             return None;
         }
-        let mut rng = StdRng::seed_from_u64(params.seed);
-        let n = data.n_rows();
-
-        // Validation split for early stopping (skipped for tiny datasets).
-        let mut order: Vec<usize> = (0..n).collect();
-        order.shuffle(&mut rng);
-        let n_val = if params.early_stopping_rounds > 0 && n >= 10 {
-            ((n as f64 * params.validation_fraction) as usize).min(n - 1)
-        } else {
-            0
-        };
-        let (val_idx, train_idx) = order.split_at(n_val);
-
-        let base = train_idx.iter().map(|&i| data.target(i)).sum::<f64>() / train_idx.len() as f64;
-        let mut model = Gbm {
-            base,
-            learning_rate: params.learning_rate,
-            trees: Vec::new(),
-            n_cols: data.n_cols(),
-        };
-
         let binner = Binner::fit(data, params.n_bins);
         let binned = binner.transform(data);
-        let mut preds = vec![base; n];
-        let mut grads = vec![0.0; n];
-        let all_cols: Vec<usize> = (0..data.n_cols()).collect();
-
-        let mut best_val = f64::INFINITY;
-        let mut best_len = 0usize;
-        let mut stall = 0usize;
-
-        for _round in 0..params.n_estimators {
-            for &i in train_idx {
-                grads[i] = preds[i] - data.target(i);
-            }
-            let rows = sample_rows(train_idx, params.subsample, &mut rng);
-            if rows.is_empty() {
-                break;
-            }
-            let cols = sample_cols(&all_cols, params.colsample, &mut rng);
-            let tree = Tree::fit(&binned, &binner, &grads, &rows, &cols, &params.tree);
-            for (i, pred) in preds.iter_mut().enumerate() {
-                *pred += params.learning_rate * tree.predict(data.row(i));
-            }
-            model.trees.push(tree);
-
-            if n_val > 0 {
-                let val_mse = val_idx
-                    .iter()
-                    .map(|&i| (preds[i] - data.target(i)).powi(2))
-                    .sum::<f64>()
-                    / n_val as f64;
-                if val_mse + 1e-12 < best_val {
-                    best_val = val_mse;
-                    best_len = model.trees.len();
-                    stall = 0;
-                } else {
-                    stall += 1;
-                    if stall >= params.early_stopping_rounds {
-                        break;
-                    }
-                }
-            }
-        }
-        if n_val > 0 && best_len > 0 {
-            model.trees.truncate(best_len);
-        }
-        Some(model)
+        let ([base], [trees]) = boost(
+            data,
+            (&binner, &binned),
+            params,
+            [UNCLAMPED],
+            base,
+            grad,
+            loss,
+        );
+        Some(Gbm {
+            base,
+            learning_rate: params.learning_rate,
+            trees,
+            n_cols: data.n_cols(),
+        })
     }
 
     /// Predicts the target for a raw feature row.
@@ -183,35 +153,122 @@ impl Gbm {
     }
 }
 
-/// Samples `frac` of `from` without replacement (at least one row).
-pub(crate) fn sample_rows(from: &[usize], frac: f64, rng: &mut StdRng) -> Vec<usize> {
+/// The clamp range of a head that is not clamped: `x.clamp(−∞, ∞)` is `x`,
+/// bit for bit, NaN included.
+pub(crate) const UNCLAMPED: (f64, f64) = (f64::NEG_INFINITY, f64::INFINITY);
+
+/// The one boosting loop, over `K` heads that share every round's row and
+/// column sample (one head for squared and pinball loss, two for NGBoost's
+/// μ and log σ²). A model supplies only its loss:
+///
+/// * `base` — each head's start, from the training rows' targets in split
+///   order;
+/// * `grad` — each head's gradient at one row, from its target and the
+///   heads' current values (the trees fit it with unit hessians);
+/// * `loss` — one validation row's loss, averaged for early stopping;
+///
+/// plus each head's clamp `range` ([`UNCLAMPED`] for none).
+/// The loop owns the rest: the seeded shuffle and validation split (none
+/// below 10 rows or without early stopping), each round's samples, one
+/// [`Tree::fit`] per head, the update `f ← clamp(f + lr·tree(x))` in head
+/// order, and early stopping, which truncates every head to the best
+/// round. Returns each head's base and trees.
+pub(crate) fn boost<const K: usize>(
+    data: &Dataset,
+    (binner, binned): (&Binner, &BinnedDataset),
+    params: &GbmParams,
+    range: [(f64, f64); K],
+    base: impl FnOnce(Vec<f64>) -> [f64; K],
+    grad: impl Fn(f64, [f64; K]) -> [f64; K],
+    loss: impl Fn(f64, [f64; K]) -> f64,
+) -> ([f64; K], [Vec<Tree>; K]) {
+    let mut rng = StdRng::seed_from_u64(params.seed);
+    let n = data.n_rows();
+
+    let mut order: Vec<usize> = (0..n).collect();
+    order.shuffle(&mut rng);
+    let n_val = if params.early_stopping_rounds > 0 && n >= 10 {
+        ((n as f64 * params.validation_fraction) as usize).min(n - 1)
+    } else {
+        0
+    };
+    let (val_idx, train_idx) = order.split_at(n_val);
+
+    let base = base(train_idx.iter().map(|&i| data.target(i)).collect());
+    let mut heads: [Vec<Tree>; K] = std::array::from_fn(|_| Vec::new());
+    let mut f: [Vec<f64>; K] = base.map(|b| vec![b; n]);
+    let at = |f: &[Vec<f64>; K], i: usize| -> [f64; K] { std::array::from_fn(|k| f[k][i]) };
+    let mut grads: [Vec<f64>; K] = std::array::from_fn(|_| vec![0.0; n]);
+    let mut leaf = vec![0.0; n];
+    let all_cols: Vec<usize> = (0..data.n_cols()).collect();
+    let all_rows: Vec<&[f64]> = (0..n).map(|i| data.row(i)).collect();
+
+    let mut best_val = f64::INFINITY;
+    let mut best_len = 0usize;
+    let mut stall = 0usize;
+
+    for round in 1..=params.n_estimators {
+        for &i in train_idx {
+            let g = grad(data.target(i), at(&f, i));
+            for (gk, g) in grads.iter_mut().zip(g) {
+                gk[i] = g;
+            }
+        }
+        let rows = sample(train_idx, params.subsample, &mut rng);
+        let mut cols = sample(&all_cols, params.colsample, &mut rng);
+        cols.sort_unstable();
+        let trees: [Tree; K] = std::array::from_fn(|k| {
+            Tree::fit(binned, binner, &grads[k], &rows, &cols, &params.tree)
+        });
+        for ((fk, (lo, hi)), tree) in f.iter_mut().zip(range).zip(&trees) {
+            tree.predict_rows(&all_rows, &mut leaf);
+            for (v, w) in fk.iter_mut().zip(&leaf) {
+                *v = (*v + params.learning_rate * w).clamp(lo, hi);
+            }
+        }
+        for (head, tree) in heads.iter_mut().zip(trees) {
+            head.push(tree);
+        }
+
+        if n_val > 0 {
+            let val = val_idx
+                .iter()
+                .map(|&i| loss(data.target(i), at(&f, i)))
+                .sum::<f64>()
+                / n_val as f64;
+            if val + 1e-12 < best_val {
+                best_val = val;
+                best_len = round;
+                stall = 0;
+            } else {
+                stall += 1;
+                if stall >= params.early_stopping_rounds {
+                    break;
+                }
+            }
+        }
+    }
+    if n_val > 0 && best_len > 0 {
+        for head in &mut heads {
+            head.truncate(best_len);
+        }
+    }
+    (base, heads)
+}
+
+/// Samples `frac` of `from` without replacement (at least one), by a
+/// partial Fisher-Yates shuffle of the first `k`.
+fn sample(from: &[usize], frac: f64, rng: &mut StdRng) -> Vec<usize> {
     if frac >= 1.0 {
         return from.to_vec();
     }
     let k = ((from.len() as f64 * frac).round() as usize).clamp(1, from.len());
     let mut v = from.to_vec();
-    // Partial Fisher-Yates: shuffle the first k.
     for i in 0..k {
         let j = rng.gen_range(i..v.len());
         v.swap(i, j);
     }
     v.truncate(k);
-    v
-}
-
-/// Samples `frac` of the columns (at least one).
-pub(crate) fn sample_cols(all: &[usize], frac: f64, rng: &mut StdRng) -> Vec<usize> {
-    if frac >= 1.0 {
-        return all.to_vec();
-    }
-    let k = ((all.len() as f64 * frac).round() as usize).clamp(1, all.len());
-    let mut v = all.to_vec();
-    for i in 0..k {
-        let j = rng.gen_range(i..v.len());
-        v.swap(i, j);
-    }
-    v.truncate(k);
-    v.sort_unstable();
     v
 }
 
@@ -358,10 +415,10 @@ mod tests {
     }
 
     #[test]
-    fn sample_rows_bounds() {
+    fn sample_bounds() {
         let mut rng = StdRng::seed_from_u64(0);
         let from: Vec<usize> = (0..100).collect();
-        let s = sample_rows(&from, 0.3, &mut rng);
+        let s = sample(&from, 0.3, &mut rng);
         assert_eq!(s.len(), 30);
         assert!(s.iter().all(|i| *i < 100));
         // No duplicates.
@@ -370,8 +427,8 @@ mod tests {
         q.dedup();
         assert_eq!(q.len(), 30);
         // frac >= 1 keeps everything.
-        assert_eq!(sample_rows(&from, 1.0, &mut rng).len(), 100);
+        assert_eq!(sample(&from, 1.0, &mut rng).len(), 100);
         // tiny frac still samples one.
-        assert_eq!(sample_rows(&from, 1e-9, &mut rng).len(), 1);
+        assert_eq!(sample(&from, 1e-9, &mut rng).len(), 1);
     }
 }

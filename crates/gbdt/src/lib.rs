@@ -15,11 +15,16 @@
 //!   regularization) grown from per-sample gradients with unit hessians:
 //!   one flat histogram per node, siblings by subtraction;
 //! * [`gbm`] — squared-error gradient boosting with shrinkage, subsampling,
-//!   and early stopping (the AutoWLM baseline model);
+//!   and early stopping (the AutoWLM baseline model), and the one boosting
+//!   loop every model here fits through: it owns the validation split, the
+//!   row and column samples, the trees, the updates and early stopping,
+//!   and a model supplies only its loss;
+//! * [`quantile`] — pinball-loss boosting ([`Gbm::fit_quantile`]) and the
+//!   (lo, median, hi) [`QuantileBand`], the §2.2 alternative;
 //! * [`ngboost`] — natural-gradient boosting of a Gaussian predictive
 //!   distribution `N(μ, σ²)` (the probabilistic likelihood loss of [48/31]):
 //!   each iteration fits one tree to the natural gradient of the NLL w.r.t.
-//!   μ and one w.r.t. log σ²;
+//!   μ and one w.r.t. log σ², the loop's two-head case;
 //! * [`ensemble`] — the Bayesian ensemble (Eqs. 1–2): K independently
 //!   trained NGBoost members; prediction = mean of member means, total
 //!   uncertainty = variance of member means (model/knowledge uncertainty)
@@ -53,5 +58,5 @@ pub use ensemble::{BayesianEnsemble, EnsembleParams, EnsemblePrediction};
 pub use gbm::{Gbm, GbmParams};
 pub use mixed::{MixedEnsemble, MixedEnsembleParams};
 pub use ngboost::{NgBoost, NgBoostParams};
-pub use quantile::{QuantileBand, QuantileGbm, QuantileGbmParams};
+pub use quantile::QuantileBand;
 pub use tree::{Tree, TreeParams};

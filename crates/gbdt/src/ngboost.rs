@@ -15,11 +15,8 @@
 //! * early stopping monitors validation NLL.
 
 use crate::dataset::{BinnedDataset, Binner, Dataset};
-use crate::gbm::{sample_cols, sample_rows};
+use crate::gbm::{boost, GbmParams, UNCLAMPED};
 use crate::tree::{walk, Tree, TreeParams, LANES};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// NGBoost hyper-parameters (defaults mirror the paper's local-model member:
@@ -96,107 +93,49 @@ impl NgBoost {
         binned: &BinnedDataset,
         params: &NgBoostParams,
     ) -> Self {
-        let mut rng = StdRng::seed_from_u64(params.seed);
-        let n = data.n_rows();
-
-        let mut order: Vec<usize> = (0..n).collect();
-        order.shuffle(&mut rng);
-        let n_val = if params.early_stopping_rounds > 0 && n >= 10 {
-            ((n as f64 * params.validation_fraction) as usize).min(n - 1)
-        } else {
-            0
+        let schedule = GbmParams {
+            n_estimators: params.n_estimators,
+            learning_rate: params.learning_rate,
+            tree: params.tree,
+            subsample: params.subsample,
+            colsample: params.colsample,
+            early_stopping_rounds: params.early_stopping_rounds,
+            validation_fraction: params.validation_fraction,
+            n_bins: params.n_bins,
+            seed: params.seed,
         };
-        let (val_idx, train_idx) = order.split_at(n_val);
-
-        let nt = train_idx.len() as f64;
-        let base_mu = train_idx.iter().map(|&i| data.target(i)).sum::<f64>() / nt;
-        let var = train_idx
-            .iter()
-            .map(|&i| (data.target(i) - base_mu).powi(2))
-            .sum::<f64>()
-            / nt;
         let (lo, hi) = params.log_var_range;
-        let base_log_var = var.max(1e-8).ln().clamp(lo, hi);
-
-        let mut model = NgBoost {
+        let ([base_mu, base_log_var], [mu_trees, var_trees]) = boost(
+            data,
+            (binner, binned),
+            &schedule,
+            [UNCLAMPED, (lo, hi)],
+            |ys| {
+                let nt = ys.len() as f64;
+                let mu = ys.iter().sum::<f64>() / nt;
+                let var = ys.iter().map(|y| (y - mu).powi(2)).sum::<f64>() / nt;
+                [mu, var.max(1e-8).ln().clamp(lo, hi)]
+            },
+            // Natural gradients (see module docs): the trees fit them with
+            // unit hessians, so a leaf weight is the mean descent step.
+            |y, [mu, s]| {
+                let d = y - mu;
+                [-d, 1.0 - d * d * (-s).exp()]
+            },
+            |y, [mu, s]| {
+                let d = y - mu;
+                0.5 * (s + d * d * (-s).exp())
+            },
+        );
+        NgBoost {
             base_mu,
             base_log_var,
             learning_rate: params.learning_rate,
             log_var_range: params.log_var_range,
-            mu_trees: Vec::new(),
-            var_trees: Vec::new(),
+            mu_trees,
+            var_trees,
             n_cols: data.n_cols(),
-        };
-
-        let mut mu = vec![base_mu; n];
-        let mut s = vec![base_log_var; n];
-        let mut grad_mu = vec![0.0; n];
-        let mut grad_s = vec![0.0; n];
-        let mut leaf = vec![0.0; n];
-        let all_cols: Vec<usize> = (0..data.n_cols()).collect();
-        let all_rows: Vec<&[f64]> = (0..n).map(|i| data.row(i)).collect();
-
-        let nll = |mu: &[f64], s: &[f64], idx: &[usize]| -> f64 {
-            idx.iter()
-                .map(|&i| {
-                    let d = data.target(i) - mu[i];
-                    0.5 * (s[i] + d * d * (-s[i]).exp())
-                })
-                .sum::<f64>()
-                / idx.len() as f64
-        };
-
-        let mut best_val = f64::INFINITY;
-        let mut best_len = 0usize;
-        let mut stall = 0usize;
-
-        for _round in 0..params.n_estimators {
-            for &i in train_idx {
-                let d = data.target(i) - mu[i];
-                let inv_var = (-s[i]).exp();
-                // Natural gradients (see module docs). The trees fit the
-                // *negative* natural gradient via grads = natgrad, unit hessians:
-                // leaf weight = -sum(natgrad)/count = mean descent step.
-                grad_mu[i] = -d; // μ − y
-                grad_s[i] = 1.0 - d * d * inv_var;
-            }
-            let rows = sample_rows(train_idx, params.subsample, &mut rng);
-            if rows.is_empty() {
-                break;
-            }
-            let cols = sample_cols(&all_cols, params.colsample, &mut rng);
-            let t_mu = Tree::fit(binned, binner, &grad_mu, &rows, &cols, &params.tree);
-            let t_s = Tree::fit(binned, binner, &grad_s, &rows, &cols, &params.tree);
-            t_mu.predict_rows(&all_rows, &mut leaf);
-            for (m, w) in mu.iter_mut().zip(&leaf) {
-                *m += params.learning_rate * w;
-            }
-            t_s.predict_rows(&all_rows, &mut leaf);
-            for (sv, w) in s.iter_mut().zip(&leaf) {
-                *sv = (*sv + params.learning_rate * w).clamp(lo, hi);
-            }
-            model.mu_trees.push(t_mu);
-            model.var_trees.push(t_s);
-
-            if n_val > 0 {
-                let val = nll(&mu, &s, val_idx);
-                if val + 1e-12 < best_val {
-                    best_val = val;
-                    best_len = model.mu_trees.len();
-                    stall = 0;
-                } else {
-                    stall += 1;
-                    if stall >= params.early_stopping_rounds {
-                        break;
-                    }
-                }
-            }
         }
-        if n_val > 0 && best_len > 0 {
-            model.mu_trees.truncate(best_len);
-            model.var_trees.truncate(best_len);
-        }
-        model
     }
 
     /// Predicts `(μ, σ²)` for a raw feature row. Each head's trees are
@@ -346,7 +285,8 @@ impl NgBoost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use rand_distr_shim::normal;
 
     /// Tiny Box-Muller shim so tests don't need rand_distr.

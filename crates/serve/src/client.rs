@@ -5,8 +5,8 @@
 //! binary codec (the hot-path default): it sends the [`crate::wire`] magic
 //! preamble at connect and pipelines the first request behind it, deferring
 //! the ack read until just before the first response — codec negotiation
-//! costs zero extra round trips. [`ServeClient::connect_json`] keeps the
-//! newline-JSON codec for debuggability and as the old clients' path.
+//! costs zero extra round trips. [`ServeClient::connect_with_codec`] opens
+//! either codec explicitly.
 //!
 //! Robustness posture: every connection carries read and write timeouts by
 //! default (a hung server must surface as `WouldBlock`/`TimedOut`, never as
@@ -88,12 +88,6 @@ impl ServeClient {
     /// binary codec.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Self> {
         Self::connect_with_timeout(addr, Some(DEFAULT_IO_TIMEOUT))
-    }
-
-    /// Connects on the newline-JSON codec (default I/O timeouts) — the
-    /// debuggable wire format, and what pre-binary clients speak.
-    pub fn connect_json<A: ToSocketAddrs>(addr: A) -> io::Result<Self> {
-        Self::connect_with_codec(addr, Some(DEFAULT_IO_TIMEOUT), Codec::Json)
     }
 
     /// Connects on the binary codec with an explicit socket read/write

@@ -23,12 +23,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
 cargo test -q --workspace
 
-# results/ must have been recorded on this code: the four artefacts that fit
-# no model and time nothing (0.1 s together) are regenerated and compared
-# byte for byte, so a change to the generator, the RNG stand-in or the JSON
-# writer cannot leave EXPERIMENTS.md describing a fleet nobody can replay.
+# results/ must have been recorded on this code: seven quick artefacts that
+# time nothing (≈ 1 s together) are regenerated and compared byte for byte.
+# Four fit no model, so a change to the generator, the RNG stand-in or the
+# JSON writer cannot leave EXPERIMENTS.md describing a fleet nobody can
+# replay; three fit every booster in stage-gbdt (the Bayesian ensemble, the
+# squared-error Gbm and the quantile band), so a change to a trained model's
+# bits cannot leave results/ stale either.
 cargo build -q --release -p stage-bench --bin experiments
-guard=(fig1a fig1b ablation_hash ablation_welford)
+guard=(fig1a fig1b ablation_hash ablation_welford ablation_uncertainty ablation_mixed ablation_importance)
 tmp=target/results-guard
 ./target/release/experiments "${guard[@]}" --quick --out "$tmp" >/dev/null
 for id in "${guard[@]}"; do

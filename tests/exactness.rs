@@ -6,11 +6,14 @@
 //! change to how trees are laid out or walked, or to how the calibration
 //! window is kept, must leave both digests where they are: the serving
 //! layer routes on exact thresholds, and a warm restart reads the files
-//! earlier builds wrote.
+//! earlier builds wrote. The single-head boosters on the same pool (the
+//! squared-error `Gbm` and the pinball-loss quantile models) are digested
+//! the same way, so a change to the boosting loop they share with the
+//! ensemble's members cannot move any model's bits unnoticed.
 
 use stage::core::storefmt::save_stage_store;
 use stage::core::{ExecTimePredictor, PoolConfig, StageConfig, StagePredictor, SystemContext};
-use stage::gbdt::{BayesianEnsemble, Dataset, EnsembleParams};
+use stage::gbdt::{BayesianEnsemble, Dataset, EnsembleParams, Gbm, GbmParams, Tree};
 use stage::plan::{plan_feature_vector, PhysicalPlan};
 use stage::workload::generator::{FleetConfig, InstanceWorkload};
 
@@ -135,4 +138,54 @@ fn a_trained_store_file_is_pinned_to_the_byte() {
         (742_600, 0x4d24_1719_fb9b_480c),
         "store file length and digest"
     );
+}
+
+/// Every tree of a single-head booster, read back out of its serde form
+/// (the trees are private), as `to_flat_parts` words.
+fn hash_trees(h: &mut Fnv, model: &serde_json::Value) -> usize {
+    let trees: Vec<Tree> = serde_json::from_value(&model["trees"]).expect("trees");
+    for tree in &trees {
+        let (feature, threshold, left, right, gain) = tree.to_flat_parts();
+        h.word(feature.len() as u64);
+        feature.iter().for_each(|&f| h.word(u64::from(f)));
+        threshold.iter().for_each(|&t| h.f64(t));
+        left.iter().for_each(|&l| h.word(u64::from(l)));
+        right.iter().for_each(|&r| h.word(u64::from(r)));
+        gain.iter().for_each(|&g| h.f64(g));
+    }
+    trees.len()
+}
+
+#[test]
+fn trained_boosters_are_pinned_to_the_bit() {
+    let data = fleet_pool();
+    let mut rows: Vec<Vec<f64>> = (0..data.n_rows()).map(|i| data.row(i).to_vec()).collect();
+    rows.push(vec![f64::NAN; data.n_cols()]);
+    let mut h = Fnv::new();
+    let mut n_trees = Vec::new();
+    for subsample in [1.0, 0.8] {
+        let params = GbmParams {
+            subsample,
+            ..GbmParams::default()
+        };
+        let gbm = Gbm::fit(&data, &params).expect("trains");
+        h.f64(gbm.base_score());
+        n_trees.push(hash_trees(&mut h, &serde_json::to_value(&gbm)));
+        rows.iter().for_each(|r| h.f64(gbm.predict(r)));
+    }
+    let quantile = GbmParams {
+        n_estimators: 300,
+        learning_rate: 0.2,
+        subsample: 0.9,
+        early_stopping_rounds: 25,
+        ..GbmParams::default()
+    };
+    for q in [0.1, 0.5, 0.9] {
+        let model = Gbm::fit_quantile(&data, q, &quantile).expect("trains");
+        n_trees.push(hash_trees(&mut h, &serde_json::to_value(&model)));
+        rows.iter().for_each(|r| h.f64(model.predict(r)));
+    }
+    eprintln!("trees {n_trees:?}, digest {:#018x}", h.0);
+    assert_eq!(n_trees, [75, 90, 54, 92, 117]);
+    assert_eq!(h.0, 0x26cd_9216_3c39_3e47, "booster digest");
 }
