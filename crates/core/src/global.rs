@@ -406,6 +406,12 @@ mod tests {
         }
     }
 
+    fn digest(v: &serde_json::Value) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        bits_digest(v, &mut h);
+        h
+    }
+
     /// Every weight and bias [`GlobalModel::train`] produces, pinned to the
     /// bit: the training tape may change how it holds parameters and
     /// gradients, never the arithmetic. Dropout is on so the mask draws
@@ -432,11 +438,6 @@ mod tests {
         };
         let model = GlobalModel::train(&samples, 2, &config);
         let tree = serde_json::to_value(&model);
-        let digest = |v: &serde_json::Value| {
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            bits_digest(v, &mut h);
-            h
-        };
         let store = &tree["gcn"]["store"];
         let raw: Vec<u64> = [plan(2e4, 0), plan(3e5, 2), plan(9e5, 3)]
             .iter()
@@ -463,6 +464,71 @@ mod tests {
                 0x3fe2_d608_a662_877a,
                 0x4001_d749_4eab_130f,
                 0x4006_6d9f_545c_6eab
+            ],
+            "raw predictions"
+        );
+    }
+
+    /// The same pin at the benchmark's shape: hidden 48, three rounds,
+    /// dropout 0.2, batches of 32 and the default learning rate, two epochs
+    /// over a fixed fleet of 200 plans of 2 to 14 nodes (joins, and a
+    /// three-way union for fan-out) on three instances, so each epoch runs
+    /// five full batches and an odd one of 20.
+    #[test]
+    fn trained_weights_at_the_benchmark_shape_are_pinned_to_the_bit() {
+        let samples: Vec<TreeSample> = (1..=200)
+            .map(|i| {
+                let (rows, speed) = (i as f64 * 4e3, [1.0, 2.5, 4.0][i % 3]);
+                let p = if i % 7 == 0 {
+                    PlanBuilder::select()
+                        .scan("u0", S3Format::Local, rows, 32.0)
+                        .scan("u1", S3Format::Parquet, rows / 2.0, 40.0)
+                        .scan("u2", S3Format::Local, rows / 3.0, 24.0)
+                        .append_all()
+                        .hash_aggregate(0.1)
+                        .finish()
+                } else {
+                    plan(rows, i % 5)
+                };
+                plan_to_tree_sample(&p, &sys(speed), rows / 2e4 / speed)
+            })
+            .collect();
+        let config = GlobalModelConfig {
+            hidden: 48,
+            gcn_layers: 3,
+            dropout: 0.2,
+            epochs: 2,
+            batch_size: 32,
+            ..GlobalModelConfig::default()
+        };
+        let model = GlobalModel::train(&samples, 2, &config);
+        let tree = serde_json::to_value(&model);
+        let store = &tree["gcn"]["store"];
+        let raw: Vec<u64> = [plan(2e4, 0), plan(3e5, 2), plan(9e5, 4)]
+            .iter()
+            .map(|p| model.predict_log_raw(p, &sys(2.5)).to_bits())
+            .collect();
+        assert_eq!(
+            digest(&store["values"]),
+            0x4621_3b28_4b3d_9cc4,
+            "parameter values"
+        );
+        assert_eq!(
+            digest(&store["grads"]),
+            0xa930_4997_02a8_844a,
+            "last step's gradients"
+        );
+        assert_eq!(
+            digest(&tree["training_losses"]),
+            0xb5c2_5743_feb4_8435,
+            "epoch losses"
+        );
+        assert_eq!(
+            raw,
+            [
+                0x4000_4976_b039_3991,
+                0x4000_fbc6_7cd1_da6f,
+                0x3fd3_0c1c_5b8c_6546
             ],
             "raw predictions"
         );
