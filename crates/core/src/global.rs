@@ -100,7 +100,7 @@ pub struct GlobalModel {
     calibration: (f64, f64),
     /// Log-space target range seen in training; predictions are clamped to
     /// it (the model has no business extrapolating beyond observed labels).
-    pub(crate) target_range: (f64, f64),
+    target_range: (f64, f64),
     /// Mean epoch losses recorded during training (diagnostics).
     pub training_losses: Vec<f64>,
 }
@@ -196,6 +196,33 @@ impl GlobalModel {
             target_range: (lo.min(hi), hi.max(lo)),
             training_losses: report.epoch_losses,
         }
+    }
+
+    /// Checks a deserialized model before it answers anything: the GCN's
+    /// structure ([`PlanGcn::validate`]), a system width equal to the
+    /// GCN's (`predict_log` sizes a buffer by it), a finite calibration,
+    /// and a finite clamp range with `lo <= hi` (`f64::clamp` panics
+    /// otherwise).
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        self.gcn.validate()?;
+        let gcn_sys_dim = self.gcn.config().sys_feat_dim;
+        if self.sys_dim != gcn_sys_dim {
+            return Err(format!(
+                "system width {} where the GCN reads {gcn_sys_dim}",
+                self.sys_dim
+            ));
+        }
+        let (a, b) = self.calibration;
+        if !(a.is_finite() && b.is_finite()) {
+            return Err(format!("calibration ({a}, {b}) is not finite"));
+        }
+        let (lo, hi) = self.target_range;
+        if !(lo.is_finite() && hi.is_finite() && lo <= hi) {
+            return Err(format!(
+                "target range [{lo}, {hi}] is not a finite lo <= hi"
+            ));
+        }
+        Ok(())
     }
 
     /// The fitted calibration `(slope, intercept)` in log space.
@@ -413,8 +440,8 @@ mod tests {
     }
 
     /// Every weight and bias [`GlobalModel::train`] produces, pinned to the
-    /// bit: the training tape may change how it holds parameters and
-    /// gradients, never the arithmetic. Dropout is on so the mask draws
+    /// bit: the trainer may change how it holds parameters and gradients,
+    /// never the arithmetic. Dropout is on so the mask draws
     /// are pinned too. The digest covers the parameter values; the last
     /// step's gradients, the epoch losses and three raw predictions are
     /// pinned beside them.
@@ -471,7 +498,7 @@ mod tests {
 
     /// The same pin at the benchmark's shape: hidden 48, three rounds,
     /// dropout 0.2, batches of 32 and the default learning rate, two epochs
-    /// over a fixed fleet of 200 plans of 2 to 14 nodes (joins, and a
+    /// over a fixed fleet of 200 plans of 3 to 19 nodes (joins, and a
     /// three-way union for fan-out) on three instances, so each epoch runs
     /// five full batches and an odd one of 20.
     #[test]

@@ -15,11 +15,19 @@
 //!
 //! The paper's production model uses hidden size 512 and 8 layers on GPUs;
 //! defaults here are CPU-scaled (64/3) and both are configurable.
+//!
+//! Inference ([`PlanGcn::predict`]) and training ([`PlanGcn::fit`]) run on
+//! flat `n × hidden` row buffers and the weights as they sit in the
+//! [`ParamStore`]; the backward is written by hand. Both share each
+//! round's arithmetic, and the multiply-accumulate loop in `tensor.rs`, so
+//! every answer and every trained weight is what the reference autodiff
+//! tape (`graph.rs`, compiled for tests only) computes, to the bit.
 
 use crate::adam::Adam;
+#[cfg(test)]
 use crate::graph::{Graph, Var};
-use crate::layers::{Linear, Mlp, ParamStore};
-use crate::tensor::{relu_assign, row_matmul_acc, Matrix};
+use crate::layers::{dropout_row, relu_dropout_backward, Linear, Mlp, MlpTrace, ParamStore};
+use crate::tensor::{add_acc, outer_acc, relu_assign, row_matmul_acc, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -159,6 +167,98 @@ struct ConvLayer {
     bias: usize,
 }
 
+impl ConvLayer {
+    /// One node's round, rounded as the tape rounds it:
+    /// `out = ReLU(h_v·W_self + mean(h_kids)·W_child + b)` over the rows of
+    /// `h` (`out.len()` wide), each product accumulated from `+0.0` and
+    /// the mean taken per column, summed in child order, then divided by
+    /// the child count. Leaves that mean in `agg` (a leaf leaves it alone);
+    /// `child_term` is scratch.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the rows in and out and two scratch rows, shared by predict and training"
+    )]
+    fn eval_row(
+        &self,
+        store: &ParamStore,
+        h: &[f64],
+        v: usize,
+        kids: &[usize],
+        agg: &mut [f64],
+        child_term: &mut [f64],
+        out: &mut [f64],
+    ) {
+        let hidden = out.len();
+        out.fill(0.0);
+        row_matmul_acc(
+            &h[v * hidden..(v + 1) * hidden],
+            store.value(self.w_self).data(),
+            out,
+        );
+        if !kids.is_empty() {
+            let k = kids.len() as f64;
+            for (j, a) in agg.iter_mut().enumerate() {
+                *a = kids.iter().map(|&c| h[c * hidden + j]).sum::<f64>() / k;
+            }
+            child_term.fill(0.0);
+            row_matmul_acc(agg, store.value(self.w_child).data(), child_term);
+            for (o, c) in out.iter_mut().zip(&*child_term) {
+                *o += c;
+            }
+        }
+        for (o, b) in out.iter_mut().zip(store.value(self.bias).data()) {
+            *o = (*o + b).max(0.0);
+        }
+    }
+}
+
+/// One training sample's forward, kept for its backward: the tape's node
+/// order and, per round (0 is the embedding), flat `n × hidden` buffers
+/// whose row `v` is node `v`'s.
+#[derive(Debug, Default)]
+struct Trace {
+    /// Post-order, children before parents.
+    order: Vec<usize>,
+    rounds: Vec<Round>,
+    /// Scratch for [`ConvLayer::eval_row`].
+    child_term: Vec<f64>,
+    /// The head's input: the root's last-round row ⊕ the system features.
+    cat: Vec<f64>,
+    head: MlpTrace,
+    /// ∂(batch loss)/∂output: `2·(output − target)/batch`.
+    g_out: f64,
+}
+
+#[derive(Debug, Default)]
+struct Round {
+    /// Post-ReLU rows, before dropout.
+    act: Vec<f64>,
+    /// Dropout masks; empty in round 0 and with dropout off.
+    mask: Vec<f64>,
+    /// What the next round and the readout read: `act × mask`.
+    h: Vec<f64>,
+    /// Each node's mean child row (rounds ≥ 1; a leaf's row is unused).
+    agg: Vec<f64>,
+}
+
+/// Buffers one [`PlanGcn::fit`] reuses from batch to batch: a trace per
+/// sample of the batch, and the backward's gradient rows.
+#[derive(Debug, Default)]
+struct Workspace {
+    traces: Vec<Trace>,
+    rows: GradRows,
+}
+
+#[derive(Debug, Default)]
+struct GradRows {
+    /// ∂loss/∂rows of the round being walked back, and of the one below.
+    g: Vec<f64>,
+    g_below: Vec<f64>,
+    /// One row: a node's gradient past its ReLU and dropout, and scratch.
+    gz: Vec<f64>,
+    tmp: Vec<f64>,
+}
+
 /// The trainable plan-GCN model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PlanGcn {
@@ -213,10 +313,10 @@ impl PlanGcn {
         }
     }
 
-    /// Forward pass for one sample on an existing tape. Returns the `1×1`
-    /// prediction var. This is the training path ([`PlanGcn::fit`], which
-    /// validates its samples first) and, in eval mode, the test oracle for
-    /// the tape-free [`PlanGcn::predict`].
+    /// Forward pass for one sample on the reference tape, which the tests
+    /// hold [`PlanGcn::predict`] (eval mode) and the trainer's gradients
+    /// (training mode) to, bit for bit. Returns the `1×1` prediction var.
+    #[cfg(test)]
     fn forward(&self, g: &mut Graph, sample: &TreeSample, training: bool, rng: &mut StdRng) -> Var {
         let order = sample.topo_order();
         let n = sample.node_feats.len();
@@ -271,16 +371,15 @@ impl PlanGcn {
 
     /// Predicts the target for one sample (eval mode, no dropout).
     ///
-    /// Tape-free: the same arithmetic as `PlanGcn::forward` with
-    /// `training == false`, in the same order — so the answer is
-    /// bit-identical to the tape's — but over two flat `n × hidden` buffers
-    /// and the weights as they sit in the [`ParamStore`]: no [`Graph`], no
-    /// parameter clones, no gradient buffers. Never panics on a sample
-    /// [`TreeSample::validate`] would reject: every in-range node is
-    /// embedded (rows no path from the root reads are simply never used, so
-    /// unreachable nodes and cycles need no special case), an out-of-range
-    /// child id is left out of its parent's mean, and an out-of-range root
-    /// reads out from a zero embedding.
+    /// The same arithmetic as the training forward and the reference tape,
+    /// in the same order — so the answer is bit-identical to the tape's —
+    /// over two flat `n × hidden` buffers and the weights as they sit in
+    /// the [`ParamStore`]. Never panics on a sample [`TreeSample::validate`]
+    /// would reject: every in-range node is embedded (rows no path from the
+    /// root reads are simply never used, so unreachable nodes and cycles
+    /// need no special case), an out-of-range child id is left out of its
+    /// parent's mean, and an out-of-range root reads out from a zero
+    /// embedding.
     pub fn predict(&self, sample: &TreeSample) -> f64 {
         let hidden = self.config.hidden;
         let n = sample.node_feats.len();
@@ -301,32 +400,12 @@ impl PlanGcn {
         let mut agg = vec![0.0; hidden];
         let mut child_term = vec![0.0; hidden];
         for conv in &self.convs {
-            let w_self = self.store.value(conv.w_self).data();
-            let w_child = self.store.value(conv.w_child).data();
-            let bias = self.store.value(conv.bias).data();
             for v in 0..n {
-                let out = &mut next[row(v)];
-                out.fill(0.0);
-                row_matmul_acc(&h[row(v)], w_self, out);
                 kids.clear();
                 let listed = sample.children.get(v).into_iter().flatten();
                 kids.extend(listed.filter(|&&c| c < n));
-                if !kids.is_empty() {
-                    // Mean as the tape takes it: per column, summed in
-                    // child order, then divided by the child count.
-                    let k = kids.len() as f64;
-                    for (j, a) in agg.iter_mut().enumerate() {
-                        *a = kids.iter().map(|&c| h[c * hidden + j]).sum::<f64>() / k;
-                    }
-                    child_term.fill(0.0);
-                    row_matmul_acc(&agg, w_child, &mut child_term);
-                    for (o, c) in out.iter_mut().zip(&child_term) {
-                        *o += c;
-                    }
-                }
-                for (o, b) in out.iter_mut().zip(bias) {
-                    *o = (*o + b).max(0.0);
-                }
+                let out = &mut next[row(v)];
+                conv.eval_row(&self.store, &h, v, &kids, &mut agg, &mut child_term, out);
             }
             std::mem::swap(&mut h, &mut next);
         }
@@ -343,12 +422,157 @@ impl PlanGcn {
         out.first().copied().unwrap_or(0.0)
     }
 
+    /// Training forward for one validated sample: [`PlanGcn::predict`]'s
+    /// arithmetic with nodes in post-order and dropout drawn after every
+    /// round and every hidden head layer, in the tape's order
+    /// ([`dropout_row`]). Fills `t` for [`PlanGcn::backward`] and returns
+    /// the output.
+    fn train_forward(&self, sample: &TreeSample, rng: &mut StdRng, t: &mut Trace) -> f64 {
+        let (hidden, p) = (self.config.hidden, self.config.dropout);
+        let n = sample.node_feats.len();
+        let row = |v: usize| v * hidden..(v + 1) * hidden;
+        t.order = sample.topo_order();
+        t.rounds.resize_with(self.convs.len() + 1, Round::default);
+        for (r, round) in t.rounds.iter_mut().enumerate() {
+            let width = if r == 0 { 0 } else { n * hidden };
+            round.act.resize(n * hidden, 0.0);
+            round.h.resize(n * hidden, 0.0);
+            round.agg.resize(width, 0.0);
+            round.mask.resize(if p > 0.0 { width } else { 0 }, 0.0);
+        }
+        t.child_term.resize(hidden, 0.0);
+
+        // 1. Embed every node.
+        let embedded = &mut t.rounds[0];
+        for (v, feats) in sample.node_feats.iter().enumerate() {
+            let e = &mut embedded.act[row(v)];
+            self.embed.eval_into(&self.store, feats, e);
+            relu_assign(e);
+        }
+        embedded.h.copy_from_slice(&embedded.act);
+
+        // 2. Message passing, each round reading the one below.
+        for (r, conv) in self.convs.iter().enumerate() {
+            let (done, rest) = t.rounds.split_at_mut(r + 1);
+            let (below, round) = (&done[r], &mut rest[0]);
+            for &v in &t.order {
+                let (agg, act) = (&mut round.agg[row(v)], &mut round.act[row(v)]);
+                let kids = &sample.children[v];
+                conv.eval_row(&self.store, &below.h, v, kids, agg, &mut t.child_term, act);
+                let mask = round.mask.get_mut(row(v)).unwrap_or_default();
+                dropout_row(act, p, rng, mask, &mut round.h[row(v)]);
+            }
+        }
+
+        // 3. Readout.
+        let top = &t.rounds[self.convs.len()];
+        t.cat.clear();
+        t.cat.extend_from_slice(&top.h[row(sample.root)]);
+        t.cat.extend_from_slice(&sample.sys_feats);
+        self.head
+            .train_forward(&self.store, &t.cat, rng, &mut t.head)
+    }
+
+    /// Backward of one [`PlanGcn::train_forward`] in the tape's reverse
+    /// order — the head, then the rounds from the last to the first with
+    /// nodes in reverse post-order, then the embedding — adding every
+    /// weight's gradient into the store. `wt` holds this batch's transposed
+    /// weights. A node whose gradient past its ReLU is all zero sends
+    /// nothing, and a row collects its parent's share of the child mean
+    /// before its own `δ·W_selfᵀ`, as the tape's reverse walk adds them.
+    fn backward(&mut self, sample: &TreeSample, t: &Trace, wt: &[Matrix], w: &mut GradRows) {
+        let hidden = self.config.hidden;
+        let n = sample.node_feats.len();
+        let row = |v: usize| v * hidden..(v + 1) * hidden;
+        let Some(g_cat) = self.head.backward(&mut self.store, wt, &t.head, t.g_out) else {
+            return;
+        };
+        w.g.clear();
+        w.g.resize(n * hidden, 0.0);
+        w.g[row(sample.root)].copy_from_slice(&g_cat[..hidden]);
+        w.gz.resize(hidden, 0.0);
+        w.tmp.resize(hidden, 0.0);
+
+        for (r, conv) in self.convs.iter().enumerate().rev() {
+            let (below, round) = (&t.rounds[r], &t.rounds[r + 1]);
+            w.g_below.clear();
+            w.g_below.resize(n * hidden, 0.0);
+            for &v in t.order.iter().rev() {
+                let mask = round.mask.get(row(v)).unwrap_or_default();
+                if !relu_dropout_backward(&w.g[row(v)], &round.act[row(v)], mask, &mut w.gz) {
+                    continue;
+                }
+                add_acc(self.store.grad_mut(conv.bias).data_mut(), &w.gz);
+                let kids = &sample.children[v];
+                if !kids.is_empty() {
+                    let grad = self.store.grad_mut(conv.w_child).data_mut();
+                    outer_acc(&round.agg[row(v)], &w.gz, grad);
+                    w.tmp.fill(0.0);
+                    row_matmul_acc(&w.gz, wt[conv.w_child].data(), &mut w.tmp);
+                    let k = kids.len() as f64;
+                    for &c in kids {
+                        for (o, &g) in w.g_below[row(c)].iter_mut().zip(&w.tmp) {
+                            *o += g / k;
+                        }
+                    }
+                }
+                w.tmp.fill(0.0);
+                row_matmul_acc(&w.gz, wt[conv.w_self].data(), &mut w.tmp);
+                add_acc(&mut w.g_below[row(v)], &w.tmp);
+                let grad = self.store.grad_mut(conv.w_self).data_mut();
+                outer_acc(&below.h[row(v)], &w.gz, grad);
+            }
+            std::mem::swap(&mut w.g, &mut w.g_below);
+        }
+
+        // The embedding's input takes no gradient.
+        let embedded = &t.rounds[0];
+        for &v in t.order.iter().rev() {
+            if relu_dropout_backward(&w.g[row(v)], &embedded.act[row(v)], &[], &mut w.gz) {
+                let feats = &sample.node_feats[v];
+                self.embed
+                    .backward(&mut self.store, wt, feats, &w.gz, &mut []);
+            }
+        }
+    }
+
+    /// One mini-batch: zeroes the store's gradients, runs every sample's
+    /// training forward in batch order (so dropout draws as the tape drew
+    /// it), then every backward from the last sample to the first (so
+    /// every gradient sums in the tape's order), and returns the batch's
+    /// mean squared error.
+    fn batch_gradients(
+        &mut self,
+        batch: &[&TreeSample],
+        rng: &mut StdRng,
+        w: &mut Workspace,
+    ) -> f64 {
+        self.store.zero_grads();
+        let wt = self.store.transposed_values();
+        if w.traces.len() < batch.len() {
+            w.traces.resize_with(batch.len(), Trace::default);
+        }
+        let scale = 1.0 / batch.len() as f64;
+        let mut sum: Option<f64> = None;
+        for (sample, t) in batch.iter().zip(&mut w.traces) {
+            let d = self.train_forward(sample, rng, t) - sample.target;
+            t.g_out = 2.0 * d * scale;
+            sum = Some(sum.map_or(d * d, |acc| acc + d * d));
+        }
+        for (sample, t) in batch.iter().zip(&w.traces).rev() {
+            self.backward(sample, t, &wt, &mut w.rows);
+        }
+        sum.unwrap_or(0.0) * scale
+    }
+
     /// Trains on `samples` (owned or borrowed) with mini-batch Adam;
-    /// returns per-epoch losses.
+    /// returns per-epoch losses. Each batch runs a training forward over
+    /// flat row buffers and a hand-written backward (see the module docs);
+    /// the weights it leaves are the reference tape's, to the bit.
     ///
     /// # Panics
     /// Panics if any sample fails [`TreeSample::validate`] or has mismatched
-    /// feature widths.
+    /// feature widths, or if dropout is not below 1.
     #[expect(
         clippy::panic,
         reason = "training-time precondition: the global model is fit offline on built samples, \
@@ -371,10 +595,13 @@ impl PlanGcn {
                 "sample {i}: system feature width mismatch"
             );
         }
+        assert!(self.config.dropout < 1.0, "dropout probability must be < 1");
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x5eed);
         let mut adam = Adam::new(&self.store, self.config.lr);
         let mut order: Vec<usize> = (0..samples.len()).collect();
         let mut epoch_losses = Vec::with_capacity(self.config.epochs);
+        let mut work = Workspace::default();
+        let mut batch = Vec::with_capacity(self.config.batch_size);
 
         for epoch in 0..self.config.epochs {
             // Step-decay schedule: full LR for the first 60% of epochs,
@@ -392,24 +619,46 @@ impl PlanGcn {
             let mut epoch_loss = 0.0;
             let mut batches = 0usize;
             for chunk in order.chunks(self.config.batch_size.max(1)) {
-                self.store.zero_grads();
-                let mut g = Graph::new(&self.store);
-                let mut terms = Vec::with_capacity(chunk.len());
-                for &i in chunk {
-                    let sample = samples[i].borrow();
-                    let out = self.forward(&mut g, sample, true, &mut rng);
-                    terms.push(g.squared_error(out, sample.target));
-                }
-                let loss = g.mean_scalars(&terms);
-                epoch_loss += g.value(loss).get(0, 0);
+                batch.clear();
+                batch.extend(chunk.iter().map(|&i| samples[i].borrow()));
+                epoch_loss += self.batch_gradients(&batch, &mut rng, &mut work);
                 batches += 1;
-                let grads = g.backward(loss);
-                self.store.add_grads(grads);
                 adam.step(&mut self.store);
             }
             epoch_losses.push(epoch_loss / batches.max(1) as f64);
         }
         TrainReport { epoch_losses }
+    }
+
+    /// Checks a deserialized model before it answers anything: every
+    /// parameter id in range, every matrix `rows × cols` long with finite
+    /// weights, `gcn_layers` rounds, and every layer shaped as `hidden`,
+    /// `node_feat_dim` and the head's input width `hidden + sys_feat_dim`
+    /// say, the head ending in one output. A model that passes predicts
+    /// without indexing out of range, and sizes no buffer beyond what its
+    /// weights already hold.
+    pub fn validate(&self) -> Result<(), String> {
+        let c = &self.config;
+        self.store.validate()?;
+        self.embed
+            .validate(&self.store, c.node_feat_dim, c.hidden)?;
+        if self.convs.len() != c.gcn_layers {
+            return Err(format!(
+                "{} message-passing rounds where gcn_layers is {}",
+                self.convs.len(),
+                c.gcn_layers
+            ));
+        }
+        for conv in &self.convs {
+            self.store.expect_shape(conv.w_self, c.hidden, c.hidden)?;
+            self.store.expect_shape(conv.w_child, c.hidden, c.hidden)?;
+            self.store.expect_shape(conv.bias, 1, c.hidden)?;
+        }
+        let head_in = c
+            .hidden
+            .checked_add(c.sys_feat_dim)
+            .ok_or("head input width overflows")?;
+        self.head.validate(&self.store, head_in, 1)
     }
 
     /// Architecture configuration.
@@ -431,7 +680,7 @@ impl PlanGcn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
+    use rand::{Rng, RngCore};
 
     /// Builds a random chain/binary tree whose target is a simple function
     /// of the node features: sum over nodes of feat[0] (learnable from the
@@ -683,6 +932,182 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The reference tape's gradient of one batch's mean squared error,
+    /// left in the store as [`PlanGcn::batch_gradients`] leaves it, and the
+    /// batch loss.
+    fn tape_batch_gradients(model: &mut PlanGcn, batch: &[&TreeSample], rng: &mut StdRng) -> f64 {
+        model.store.zero_grads();
+        let mut g = Graph::new(&model.store);
+        let terms: Vec<Var> = batch
+            .iter()
+            .map(|s| {
+                let out = model.forward(&mut g, s, true, rng);
+                g.squared_error(out, s.target)
+            })
+            .collect();
+        let loss = g.mean_scalars(&terms);
+        let value = g.value(loss).get(0, 0);
+        let grads = g.backward(loss);
+        model.store.add_grads(grads);
+        value
+    }
+
+    /// Every gradient in the store, as bits, tensor by tensor.
+    fn grad_bits(model: &PlanGcn) -> Vec<Vec<u64>> {
+        (0..model.store.n_tensors())
+            .map(|p| {
+                model
+                    .store
+                    .grad(p)
+                    .data()
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A root over `kids` leaves, the root not node 0.
+    fn fan_out(rng: &mut StdRng, kids: usize, node_dim: usize, sys_dim: usize) -> TreeSample {
+        let mut children = vec![Vec::new(); kids + 1];
+        children[kids] = (0..kids).collect();
+        TreeSample {
+            node_feats: (0..=kids).map(|_| mixed_feats(rng, node_dim)).collect(),
+            children,
+            root: kids,
+            sys_feats: mixed_feats(rng, sys_dim),
+            target: rng.gen_range(0.0..3.0),
+        }
+    }
+
+    /// Runs one batch through the tape and through the trainer from the
+    /// same RNG state; fails unless every gradient, the loss and the
+    /// number of dropout draws agree to the bit.
+    fn assert_trainer_matches_tape(
+        model: &mut PlanGcn,
+        batch: &[&TreeSample],
+        seed: u64,
+        work: &mut Workspace,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let (mut tape_rng, mut rng) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        let want_loss = tape_batch_gradients(model, batch, &mut tape_rng);
+        let want = grad_bits(model);
+        let got_loss = model.batch_gradients(batch, &mut rng, work);
+        let got = grad_bits(model);
+        for (pid, (g, w)) in got.iter().zip(&want).enumerate() {
+            proptest::prop_assert!(g == w, "parameter {pid}: trainer and tape disagree");
+        }
+        proptest::prop_assert_eq!(got_loss.to_bits(), want_loss.to_bits());
+        let draws_agree = rng.next_u64() == tape_rng.next_u64();
+        proptest::prop_assert!(draws_agree, "the two drew dropout masks differently");
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The hand-written backward is the tape's, to the bit: one batch's
+        /// gradients over single nodes, chains deeper than the rounds,
+        /// fan-outs of 3 to 6 and plan-sized trees, at several widths and
+        /// depths, with and without dropout, in batches of 1, odd sizes
+        /// and 32, twice on one workspace so a batch of small trees
+        /// follows a batch of large ones.
+        #[test]
+        fn prop_trainer_gradients_are_bit_identical_to_the_tape(
+            seed in 0u64..u64::MAX,
+            (hidden_pick, gcn_layers, dropout) in (0usize..4, 0usize..5, proptest::bool::ANY),
+            (node_dim, sys_dim) in (1usize..7, 0usize..9),
+            batch_pick in 0usize..4,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut model = PlanGcn::new(GcnConfig {
+                hidden: [1, 5, 16, 48][hidden_pick],
+                gcn_layers,
+                dropout: if dropout { 0.2 } else { 0.0 },
+                epochs: 1,
+                batch_size: 4,
+                lr: 1e-2,
+                seed,
+                ..GcnConfig::new(node_dim, sys_dim)
+            });
+            // A few Adam steps so that no bias is still at its zero init.
+            let train: Vec<TreeSample> = (0..8)
+                .map(|_| {
+                    let n = rng.gen_range(1..7);
+                    random_tree(&mut rng, n, false, node_dim, sys_dim)
+                })
+                .collect();
+            model.fit(&train);
+
+            let mut work = Workspace::default();
+            for max_nodes in [41, 4] {
+                let size = [1, 3, 7, 32][batch_pick];
+                let samples: Vec<TreeSample> = (0..size)
+                    .map(|i| match i % 4 {
+                        0 => random_tree(&mut rng, 1, false, node_dim, sys_dim),
+                        1 => {
+                            let n = rng.gen_range(gcn_layers + 2..max_nodes.max(gcn_layers + 3));
+                            random_tree(&mut rng, n, true, node_dim, sys_dim)
+                        }
+                        2 => {
+                            let kids = rng.gen_range(3..7);
+                            fan_out(&mut rng, kids, node_dim, sys_dim)
+                        }
+                        _ => {
+                            let n = rng.gen_range(1..max_nodes);
+                            random_tree(&mut rng, n, false, node_dim, sys_dim)
+                        }
+                    })
+                    .collect();
+                let batch: Vec<&TreeSample> = samples.iter().collect();
+                assert_trainer_matches_tape(&mut model, &batch, rng.next_u64(), &mut work)?;
+            }
+        }
+    }
+
+    /// A sample whose ReLUs all stay shut (every bias −1, every feature
+    /// zero) sends its gradient only to the head's output bias, in a batch
+    /// of its own and beside live samples alike, as the tape does.
+    #[test]
+    fn a_sample_whose_relus_kill_every_gradient_moves_only_the_output_bias() {
+        let (node_dim, sys_dim) = (3, 2);
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut model = PlanGcn::new(GcnConfig {
+            hidden: 8,
+            dropout: 0.2,
+            ..GcnConfig::new(node_dim, sys_dim)
+        });
+        for pid in 0..model.store.n_tensors() {
+            if model.store.value(pid).rows() == 1 {
+                model.store.value_mut(pid).data_mut().fill(-1.0);
+            }
+        }
+        let mut dead = random_tree(&mut rng, 9, false, node_dim, sys_dim);
+        dead.node_feats.iter_mut().for_each(|f| f.fill(0.0));
+        dead.sys_feats.fill(0.0);
+        let mut work = Workspace::default();
+        assert_trainer_matches_tape(&mut model, &[&dead], 1, &mut work).unwrap();
+        let grads = grad_bits(&model);
+        let (output_bias, rest) = grads.split_last().unwrap();
+        assert!(rest.iter().flatten().all(|&g| g == 0), "a shut ReLU leaked");
+        assert_ne!(output_bias, &[0]);
+
+        let live: Vec<TreeSample> = (0..4)
+            .map(|_| {
+                let mut s = random_tree(&mut rng, 7, false, node_dim, sys_dim);
+                s.node_feats.iter_mut().flatten().for_each(|x| *x *= 4.0);
+                s
+            })
+            .collect();
+        let batch = [&live[0], &dead, &live[1], &live[2], &live[3]];
+        assert_trainer_matches_tape(&mut model, &batch, 2, &mut work).unwrap();
+        let grads = grad_bits(&model);
+        assert!(
+            grads[0].iter().any(|&g| g != 0),
+            "the live samples moved nothing"
+        );
     }
 
     /// Samples [`TreeSample::validate`] rejects (and on which the tape

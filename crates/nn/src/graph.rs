@@ -1,21 +1,27 @@
-//! Tape-based reverse-mode automatic differentiation.
+//! Tape-based reverse-mode automatic differentiation: the reference
+//! implementation of the plan-GCN's gradients, compiled for tests only.
 //!
 //! A [`Graph`] is a define-by-run tape: every operation appends a node
 //! holding its output value; [`Graph::backward`] walks the tape in reverse,
 //! propagating gradients, and returns the parameters' gradients for
 //! [`ParamStore::add_grads`]. A fresh graph is built per mini-batch, which
-//! keeps the implementation small and auditable — exactly what backprop
-//! through variable-shaped plan *trees* needs.
+//! keeps the implementation small and auditable.
+//!
+//! The library does not use it. `PlanGcn::fit` runs a hand-written forward
+//! and backward over flat row buffers, and `PlanGcn::predict` a tape-free
+//! forward (see `gcn.rs`). Both are held to this tape by `to_bits`: the
+//! trainer's gradients for whole batches, and predict's answers. The tape
+//! fixes the order of every rounding the trainer must repeat: samples are
+//! walked back from the last to the first, each node in reverse creation
+//! order, an all-zero incoming gradient sends nothing, and every product
+//! accumulates from `+0.0` with `k` ascending and exact-zero inputs
+//! skipped (`tensor::row_matmul_acc`, which both call).
 //!
 //! The tape borrows the [`ParamStore`] it was built on: a parameter node
 //! ([`Graph::param`]) holds only its id and reads the weights in place,
-//! forward and backward, so no weight matrix is ever copied onto the tape.
-//! Gradients exist only while backward needs them: a node's buffer is
-//! allocated when the first gradient reaches it and dropped once the node
-//! has passed it on, and inputs take none. The tape is for **training
-//! only**: `PlanGcn::predict` computes the same numbers, bit for bit, from
-//! the [`ParamStore`] with no tape (see `gcn.rs`); the two share the
-//! multiply-accumulate loops in `tensor.rs`.
+//! forward and backward. Gradients exist only while backward needs them: a
+//! node's buffer is allocated when the first gradient reaches it and
+//! dropped once the node has passed it on, and inputs take none.
 
 use crate::layers::ParamStore;
 use crate::tensor::Matrix;
@@ -88,16 +94,6 @@ impl<'p> Graph<'p> {
             Op::Param(pid) => self.params.value(pid),
             _ => &node.value,
         }
-    }
-
-    /// Number of tape nodes (diagnostics).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the tape is empty.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Registers an external input.

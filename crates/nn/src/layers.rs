@@ -1,8 +1,11 @@
-//! Parameter storage and the Linear / MLP modules.
+//! Parameter storage and the Linear / MLP modules: their inference
+//! forward, their training forward and their hand-written backward.
 
+#[cfg(test)]
 use crate::graph::{Graph, Var};
-use crate::tensor::{relu_assign, row_matmul_acc, Matrix};
+use crate::tensor::{add_acc, outer_acc, relu_assign, row_matmul_acc, Matrix};
 use rand::rngs::StdRng;
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Owns all parameter tensors and their gradient accumulators.
@@ -47,6 +50,7 @@ impl ParamStore {
 
     /// Adds a tape's parameter gradients ([`Graph::backward`]) to the
     /// accumulators; `None` entries leave theirs untouched.
+    #[cfg(test)]
     pub fn add_grads(&mut self, grads: Vec<Option<Matrix>>) {
         for (acc, g) in self.grads.iter_mut().zip(grads) {
             if let Some(g) = g {
@@ -76,6 +80,95 @@ impl ParamStore {
     pub fn approx_size_bytes(&self) -> usize {
         self.n_scalars() * 2 * std::mem::size_of::<f64>()
     }
+
+    /// Checks a deserialized store: one gradient per value, each of its
+    /// value's shape, every matrix's data exactly `rows × cols` long, and
+    /// every value finite.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if self.grads.len() != self.values.len() {
+            return Err(format!(
+                "{} gradients for {} parameters",
+                self.grads.len(),
+                self.values.len()
+            ));
+        }
+        for (pid, (v, g)) in self.values.iter().zip(&self.grads).enumerate() {
+            for m in [v, g] {
+                if m.rows().checked_mul(m.cols()) != Some(m.data().len()) {
+                    return Err(format!(
+                        "parameter {pid}: {} values for a {}x{} matrix",
+                        m.data().len(),
+                        m.rows(),
+                        m.cols()
+                    ));
+                }
+            }
+            if (g.rows(), g.cols()) != (v.rows(), v.cols()) {
+                return Err(format!("parameter {pid}: gradient shape differs"));
+            }
+            if !v.data().iter().all(|x| x.is_finite()) {
+                return Err(format!("parameter {pid} has a non-finite weight"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Fails unless parameter `pid` exists with shape `rows × cols`.
+    pub(crate) fn expect_shape(&self, pid: usize, rows: usize, cols: usize) -> Result<(), String> {
+        match self.values.get(pid) {
+            Some(m) if (m.rows(), m.cols()) == (rows, cols) => Ok(()),
+            Some(m) => Err(format!(
+                "parameter {pid} is {}x{}, not {rows}x{cols}",
+                m.rows(),
+                m.cols()
+            )),
+            None => Err(format!(
+                "parameter id {pid} out of range ({} parameters)",
+                self.values.len()
+            )),
+        }
+    }
+
+    /// Every parameter's transpose, by id: what one training batch's
+    /// backward reads its `δ·Wᵀ` products from.
+    pub(crate) fn transposed_values(&self) -> Vec<Matrix> {
+        self.values.iter().map(Matrix::transposed).collect()
+    }
+}
+
+/// Inverted dropout over one row, drawn as the tape drew it: one
+/// `gen_range(0.0..1.0)` per element in order, the mask `0` where the draw
+/// is below `p` and `1/(1-p)` elsewhere, and `h = act × mask`. An empty
+/// `mask` means dropout is off: nothing is drawn and `h = act`.
+pub(crate) fn dropout_row(act: &[f64], p: f64, rng: &mut StdRng, mask: &mut [f64], h: &mut [f64]) {
+    if mask.is_empty() {
+        h.copy_from_slice(act);
+        return;
+    }
+    let keep = 1.0 / (1.0 - p);
+    for ((m, o), &a) in mask.iter_mut().zip(h.iter_mut()).zip(act) {
+        *m = if rng.gen_range(0.0..1.0) < p {
+            0.0
+        } else {
+            keep
+        };
+        *o = a * *m;
+    }
+}
+
+/// Backward through ReLU then [`dropout_row`] for one row: `gz = g × mask`
+/// where the ReLU let its input through (`act > 0`), else `0` (an empty
+/// mask is dropout off). Returns whether any of `gz` is non-zero: an
+/// all-zero gradient sends nothing further.
+pub(crate) fn relu_dropout_backward(g: &[f64], act: &[f64], mask: &[f64], gz: &mut [f64]) -> bool {
+    for (j, (z, &a)) in gz.iter_mut().zip(act).enumerate() {
+        *z = match (a > 0.0, mask.get(j)) {
+            (false, _) => 0.0,
+            (true, Some(m)) => g[j] * m,
+            (true, None) => g[j],
+        };
+    }
+    gz.iter().any(|&z| z != 0.0)
 }
 
 /// A fully connected layer `y = x·W + b`.
@@ -101,6 +194,7 @@ impl Linear {
     }
 
     /// Forward pass on the tape.
+    #[cfg(test)]
     pub fn forward(&self, g: &mut Graph, x: Var) -> Var {
         debug_assert_eq!(g.value(x).cols(), self.in_dim);
         let w = g.param(self.w);
@@ -119,6 +213,60 @@ impl Linear {
             *o += b;
         }
     }
+
+    /// Backward of [`Linear::eval_into`] for one row, given `g` = ∂loss/∂y
+    /// (not all zero): `g` adds into b's gradient, the outer product
+    /// `xᵀ·g` into W's, and `dx` (unless empty, as for a layer whose input
+    /// takes no gradient) is set to `g·Wᵀ`, accumulated from `+0.0` against
+    /// `wt[w]`, this batch's transpose of W.
+    pub(crate) fn backward(
+        &self,
+        store: &mut ParamStore,
+        wt: &[Matrix],
+        x: &[f64],
+        g: &[f64],
+        dx: &mut [f64],
+    ) {
+        add_acc(store.grad_mut(self.b).data_mut(), g);
+        outer_acc(x, g, store.grad_mut(self.w).data_mut());
+        dx.fill(0.0);
+        row_matmul_acc(g, wt[self.w].data(), dx);
+    }
+
+    /// Fails unless this layer maps `in_dim → out_dim` and its weight and
+    /// bias in `store` have the matching shapes.
+    pub(crate) fn validate(
+        &self,
+        store: &ParamStore,
+        in_dim: usize,
+        out_dim: usize,
+    ) -> Result<(), String> {
+        if (self.in_dim, self.out_dim) != (in_dim, out_dim) {
+            return Err(format!(
+                "a {}→{} layer where {in_dim}→{out_dim} belongs",
+                self.in_dim, self.out_dim
+            ));
+        }
+        store.expect_shape(self.w, in_dim, out_dim)?;
+        store.expect_shape(self.b, 1, out_dim)
+    }
+}
+
+/// One row's training forward through an [`Mlp`], kept for
+/// [`Mlp::backward`]: per layer its input, and for every layer but the last
+/// its post-ReLU output and dropout mask (empty with dropout off).
+#[derive(Debug, Default)]
+pub(crate) struct MlpTrace {
+    steps: Vec<MlpStep>,
+    /// The output layer's row.
+    out: Vec<f64>,
+}
+
+#[derive(Debug, Default)]
+struct MlpStep {
+    x: Vec<f64>,
+    act: Vec<f64>,
+    mask: Vec<f64>,
 }
 
 /// A multi-layer perceptron: Linear → ReLU (→ Dropout) …, with a linear
@@ -144,6 +292,7 @@ impl Mlp {
     }
 
     /// Forward pass; ReLU + dropout after every layer except the last.
+    #[cfg(test)]
     pub fn forward(&self, g: &mut Graph, x: Var, training: bool, rng: &mut StdRng) -> Var {
         let mut h = x;
         let last = self.layers.len() - 1;
@@ -171,6 +320,89 @@ impl Mlp {
             h = out;
         }
         h
+    }
+
+    /// Training forward for one row: [`Mlp::eval`]'s arithmetic with
+    /// dropout drawn after every hidden layer ([`dropout_row`]), everything
+    /// the backward needs kept in `t`. Returns the first output.
+    pub(crate) fn train_forward(
+        &self,
+        store: &ParamStore,
+        x: &[f64],
+        rng: &mut StdRng,
+        t: &mut MlpTrace,
+    ) -> f64 {
+        t.steps.resize_with(self.layers.len(), MlpStep::default);
+        if let Some(first) = t.steps.first_mut() {
+            first.x.clear();
+            first.x.extend_from_slice(x);
+        }
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = t.steps.split_at_mut(i + 1);
+            let step = &mut done[i];
+            let Some(next) = rest.first_mut() else {
+                t.out.resize(layer.out_dim, 0.0);
+                layer.eval_into(store, &step.x, &mut t.out);
+                break;
+            };
+            step.act.resize(layer.out_dim, 0.0);
+            layer.eval_into(store, &step.x, &mut step.act);
+            relu_assign(&mut step.act);
+            let width = if self.dropout > 0.0 { layer.out_dim } else { 0 };
+            step.mask.resize(width, 0.0);
+            next.x.resize(layer.out_dim, 0.0);
+            dropout_row(&step.act, self.dropout, rng, &mut step.mask, &mut next.x);
+        }
+        t.out.first().copied().unwrap_or(0.0)
+    }
+
+    /// Backward of [`Mlp::train_forward`] from `g_out` = ∂loss/∂output (a
+    /// one-output head), last layer first, every weight's gradient added
+    /// into `store`. Returns ∂loss/∂x, or `None` once a gradient is all
+    /// zero (then nothing reaches `x`).
+    pub(crate) fn backward(
+        &self,
+        store: &mut ParamStore,
+        wt: &[Matrix],
+        t: &MlpTrace,
+        g_out: f64,
+    ) -> Option<Vec<f64>> {
+        let mut g = vec![g_out];
+        let mut gz = Vec::new();
+        for (i, (layer, step)) in self.layers.iter().zip(&t.steps).enumerate().rev() {
+            gz.resize(g.len(), 0.0);
+            let live = if i + 1 < self.layers.len() {
+                relu_dropout_backward(&g, &step.act, &step.mask, &mut gz)
+            } else {
+                gz.copy_from_slice(&g);
+                gz.iter().any(|&z| z != 0.0)
+            };
+            if !live {
+                return None;
+            }
+            g.resize(layer.in_dim, 0.0);
+            layer.backward(store, wt, &step.x, &gz, &mut g);
+        }
+        Some(g)
+    }
+
+    /// Fails unless the layers chain `in_dim → … → out_dim` with matching
+    /// parameter shapes in `store`.
+    pub(crate) fn validate(
+        &self,
+        store: &ParamStore,
+        in_dim: usize,
+        out_dim: usize,
+    ) -> Result<(), String> {
+        let mut width = in_dim;
+        for layer in &self.layers {
+            layer.validate(store, width, layer.out_dim)?;
+            width = layer.out_dim;
+        }
+        if self.layers.is_empty() || width != out_dim {
+            return Err(format!("the MLP does not end in {out_dim} outputs"));
+        }
+        Ok(())
     }
 }
 

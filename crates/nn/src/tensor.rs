@@ -1,4 +1,5 @@
-//! Dense row-major matrices and the kernels the autodiff tape needs.
+//! Dense row-major matrices and the multiply-accumulate kernels the plan-GCN
+//! runs on, forward and backward.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -92,11 +93,18 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// The transpose, built once per training batch so that each
+    /// backward product `δ·Wᵀ` is one `row_matmul_acc` against it.
+    pub(crate) fn transposed(&self) -> Matrix {
+        Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
+    }
+
     /// `self · other`, one `row_matmul_acc` per row (ikj loop order for
-    /// cache friendliness).
+    /// cache friendliness): the tape's `MatMul`.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
+    #[cfg(test)]
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
@@ -119,6 +127,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
+    #[cfg(test)]
     pub(crate) fn matmul_transposed(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
@@ -139,6 +148,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
+    #[cfg(test)]
     pub(crate) fn transposed_matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.rows, other.rows,
@@ -187,9 +197,8 @@ impl Matrix {
 
 /// `out += a · B` for one row `a` (`1×k`) against row-major `B`
 /// (`k × out.len()`): the one multiply-accumulate loop in the crate, shared
-/// by [`Matrix::matmul`] (hence the tape's `MatMul` op), the backward
-/// pass's two products against a transpose and the tape-free inference
-/// path, so none of them can drift apart by a rounding. `k` runs
+/// by inference, the training forward and the backward's `δ·Wᵀ` (against a
+/// transpose), so none of them can drift apart by a rounding. `k` runs
 /// ascending and exact-zero entries of `a` are skipped (post-ReLU rows are
 /// mostly zeros); a length mismatch multiplies the overlapping prefix
 /// instead of panicking, like [`Matrix::add_assign`].
@@ -204,6 +213,33 @@ pub(crate) fn row_matmul_acc(a: &[f64], b: &[f64], out: &mut [f64]) {
         for (o, &w) in out.iter_mut().zip(b_row) {
             *o += x * w;
         }
+    }
+}
+
+/// `grad += xᵀ · g`, the outer product of one input row and one output
+/// gradient (`grad` is `x.len() × g.len()`, row-major): a weight's gradient
+/// from one use. Rows whose `x` entry is exactly zero are skipped, as
+/// [`row_matmul_acc`] skips them when the same product is taken as a
+/// matrix product from `+0.0`, so adding it here straight onto the running
+/// sum rounds the same.
+pub(crate) fn outer_acc(x: &[f64], g: &[f64], grad: &mut [f64]) {
+    if g.is_empty() {
+        return;
+    }
+    for (&xi, row) in x.iter().zip(grad.chunks_exact_mut(g.len())) {
+        if xi == 0.0 {
+            continue;
+        }
+        for (o, &gj) in row.iter_mut().zip(g) {
+            *o += xi * gj;
+        }
+    }
+}
+
+/// `acc += g`, elementwise: a bias's gradient from one use.
+pub(crate) fn add_acc(acc: &mut [f64], g: &[f64]) {
+    for (a, &x) in acc.iter_mut().zip(g) {
+        *a += x;
     }
 }
 
@@ -275,7 +311,7 @@ mod tests {
     /// depends on the accumulation order.
     #[test]
     fn transposed_products_match_matmul_over_a_transpose_to_the_bit() {
-        let transpose = |m: &Matrix| Matrix::from_fn(m.cols(), m.rows(), |r, c| m.get(c, r));
+        let transpose = Matrix::transposed;
         let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut rng = StdRng::seed_from_u64(5);
         let mut draw = |rows: usize, cols: usize| {

@@ -23,15 +23,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
 cargo test -q --workspace
 
-# results/ must have been recorded on this code: seven quick artefacts that
-# time nothing (≈ 1 s together) are regenerated and compared byte for byte.
-# Four fit no model, so a change to the generator, the RNG stand-in or the
-# JSON writer cannot leave EXPERIMENTS.md describing a fleet nobody can
-# replay; three fit every booster in stage-gbdt (the Bayesian ensemble, the
-# squared-error Gbm and the quantile band), so a change to a trained model's
-# bits cannot leave results/ stale either.
+# results/ must have been recorded on this code: eight quick artefacts that
+# time nothing (≈ 7 s together on 2 vCPUs) are regenerated and compared
+# byte for byte. Four fit no model, so a change to the generator, the RNG
+# stand-in or the JSON writer cannot leave EXPERIMENTS.md describing a fleet
+# nobody can replay; three fit every booster in stage-gbdt (the Bayesian
+# ensemble, the squared-error Gbm and the quantile band), and
+# ablation_coldstart (≈ 4.7 s; 14.6 s while training ran on the autodiff
+# tape) trains the global plan-GCN, so a change to a trained model's bits
+# cannot leave results/ stale either.
 cargo build -q --release -p stage-bench --bin experiments
-guard=(fig1a fig1b ablation_hash ablation_welford ablation_uncertainty ablation_mixed ablation_importance)
+guard=(fig1a fig1b ablation_hash ablation_welford ablation_uncertainty ablation_mixed ablation_importance ablation_coldstart)
 tmp=target/results-guard
 ./target/release/experiments "${guard[@]}" --quick --out "$tmp" >/dev/null
 for id in "${guard[@]}"; do

@@ -1,12 +1,14 @@
 //! Decoders never trust a word. Every 4-byte window of every wire payload,
 //! and every aligned word of every section of a trained snapshot and of a
 //! global-model store, is overwritten with `u32::MAX` in turn (store CRCs
-//! rebuilt, so the damage reaches the decoders), and the global model's
-//! clamp range is swapped. Each decode must return with no single
+//! rebuilt, so the damage reaches the decoders), the global model's
+//! clamp range is swapped, and each integer of its JSON image is set to
+//! 4 000 000 000 in turn. Each decode must return with no single
 //! allocation over 64 × its input, and every predictor a damaged store
 //! decodes to — a global model on a cold shard, so it answers the misses —
 //! must then serve 25 Predict + Observe rounds, one retrain among them,
-//! without a panic.
+//! without a panic (and, for a global store, with no single allocation
+//! over 64 MiB).
 
 use stage_core::global::{plan_to_tree_sample, GlobalModelConfig};
 use stage_core::storefmt::{snapshot_sections, SECTION_GLOBAL};
@@ -290,22 +292,75 @@ fn no_lying_word_in_a_store_image_panics_or_sizes_an_allocation() {
     let mut swapped = SectionWriter::new();
     swapped.put_bytes(format!("{head}\"target_range\":[{hi},{lo}]{rest}").as_bytes());
     let swapped = ("the swapped target_range".to_string(), swapped.finish());
+    // And the lies about the GCN's structure, which parse and pass every
+    // CRC: each JSON integer (a parameter id, a shape, a width, a layer
+    // count) set to 4 000 000 000 in turn.
+    let integers: Vec<_> = json_integers(json)
+        .into_iter()
+        .map(|(key, at, len)| {
+            let mut lying = SectionWriter::new();
+            let edited = format!("{}4000000000{}", &json[..at], &json[at + len..]);
+            lying.put_bytes(edited.as_bytes());
+            (format!("{key} = 4000000000"), lying.finish())
+        })
+        .collect();
+    assert!(integers.len() > 50, "only {} JSON integers", integers.len());
     let words = lying_words(&section, 4).map(|(at, lying)| (format!("word {at}"), lying));
-    for (what, lying) in words.chain([swapped]) {
+    for (what, lying) in words.chain([swapped]).chain(integers) {
         let image = build_file(&[(SECTION_GLOBAL, lying)], 1);
         std::fs::write(&gpath, &image).unwrap();
         let (loaded, _) = capped(64 * image.len(), || load_global_store(&gpath, None));
         if let Ok((model, _)) = loaded {
             // Cold, so the global model answers every miss until it trains.
+            // A width that lies would size a buffer by it: no single
+            // allocation while serving may pass 64 MiB.
             let mut p = small_predictor();
             p.set_global(Arc::new(model));
             assert!(
-                serve_traffic(p).is_some(),
+                capped(64 << 20, || serve_traffic(p)).0.is_some(),
                 "global model, {what}: a verb panicked"
             );
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every integer literal in a JSON text as `(key, offset, length)`, the
+/// key being the object field it sits under (`[]` inside an array).
+fn json_integers(json: &str) -> Vec<(String, usize, usize)> {
+    let bytes = json.as_bytes();
+    let mut found = Vec::new();
+    let (mut at, mut key, mut in_string, mut string_start) = (0, String::new(), false, 0);
+    while at < bytes.len() {
+        let b = bytes[at];
+        if in_string {
+            if b == b'"' {
+                in_string = false;
+                key = json[string_start..at].to_string();
+            }
+            at += 1;
+            continue;
+        }
+        match b {
+            b'"' => (in_string, string_start) = (true, at + 1),
+            b'[' => key = "[]".to_string(),
+            b'0'..=b'9' | b'-' => {
+                let len = bytes[at..]
+                    .iter()
+                    .take_while(|c| matches!(c, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+                    .count();
+                let token = &json[at..at + len];
+                if token.bytes().all(|c| c.is_ascii_digit()) {
+                    found.push((key.clone(), at, len));
+                }
+                at += len;
+                continue;
+            }
+            _ => {}
+        }
+        at += 1;
+    }
+    found
 }
 
 fn tiny_global() -> GlobalModel {

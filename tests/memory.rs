@@ -115,7 +115,10 @@ fn fleet_queries(seed: u64, per_instance: usize) -> Vec<(PhysicalPlan, SystemCon
 
 /// One epoch of the global model at the benchmark's shape (400 samples,
 /// hidden 48, 3 GCN layers, batches of 32). The model is ≈ 150 KB; a tape
-/// that copied every weight matrix at every use held ≈ 90 MB per batch.
+/// that copied every weight matrix at every use held ≈ 90 MB per batch,
+/// the tape that read weights in place 6 422 KiB, and the tape-free
+/// trainer, whose peak is one batch's kept forward rows, 5 110 KiB. The
+/// bound is that plus 50 %.
 #[test]
 fn one_global_training_epoch_peaks_at_a_few_megabytes() {
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
@@ -133,7 +136,10 @@ fn one_global_training_epoch_peaks_at_a_few_megabytes() {
     let (model, _, peak) = measure(|| GlobalModel::train(&samples, INSTANCE_FEATURE_DIM, &config));
     assert!(model.n_parameters() > 19_000);
     eprintln!("one epoch: peak live heap {} KiB", peak / 1024);
-    assert!(peak <= 8 << 20, "one epoch peaked at {peak} B of live heap");
+    assert!(
+        peak <= 7_665 << 10,
+        "one epoch peaked at {peak} B of live heap"
+    );
 }
 
 /// A fleet of young shards (the paper's new-cluster case): 3 000 shards,
