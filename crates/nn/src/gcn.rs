@@ -219,6 +219,8 @@ impl ConvLayer {
 struct Trace {
     /// Post-order, children before parents.
     order: Vec<usize>,
+    /// Each node's distance from the root, in edges.
+    depth: Vec<usize>,
     rounds: Vec<Round>,
     /// Scratch for [`ConvLayer::eval_row`].
     child_term: Vec<f64>,
@@ -229,6 +231,9 @@ struct Trace {
     g_out: f64,
 }
 
+/// One round's rows. A row that cannot reach the readout holds whatever
+/// an earlier sample left there: no output depends on it, and it takes
+/// no gradient.
 #[derive(Debug, Default)]
 struct Round {
     /// Post-ReLU rows, before dropout.
@@ -423,10 +428,10 @@ impl PlanGcn {
     }
 
     /// Training forward for one validated sample: [`PlanGcn::predict`]'s
-    /// arithmetic with nodes in post-order and dropout drawn after every
-    /// round and every hidden head layer, in the tape's order
-    /// ([`dropout_row`]). Fills `t` for [`PlanGcn::backward`] and returns
-    /// the output.
+    /// arithmetic with nodes in post-order, only for the rows that reach
+    /// the readout, and dropout drawn after every round and every hidden
+    /// head layer in the tape's order ([`dropout_row`]). Fills `t` for
+    /// [`PlanGcn::backward`] and returns the output.
     fn train_forward(&self, sample: &TreeSample, rng: &mut StdRng, t: &mut Trace) -> f64 {
         let (hidden, p) = (self.config.hidden, self.config.dropout);
         let n = sample.node_feats.len();
@@ -441,13 +446,26 @@ impl PlanGcn {
             round.mask.resize(if p > 0.0 { width } else { 0 }, 0.0);
         }
         t.child_term.resize(hidden, 0.0);
+        // Round r's row for a node more than `gcn_layers − r` edges below
+        // the root never reaches the readout, so it is not computed; its
+        // dropout is still drawn, keeping the tape's mask stream.
+        t.depth.clear();
+        t.depth.resize(n, 0);
+        for &v in t.order.iter().rev() {
+            for &c in &sample.children[v] {
+                t.depth[c] = t.depth[v] + 1;
+            }
+        }
+        let reaches = |v: usize, r: usize| t.depth[v] + r <= self.convs.len();
 
-        // 1. Embed every node.
+        // 1. Embed every node that reaches the readout.
         let embedded = &mut t.rounds[0];
         for (v, feats) in sample.node_feats.iter().enumerate() {
-            let e = &mut embedded.act[row(v)];
-            self.embed.eval_into(&self.store, feats, e);
-            relu_assign(e);
+            if reaches(v, 0) {
+                let e = &mut embedded.act[row(v)];
+                self.embed.eval_into(&self.store, feats, e);
+                relu_assign(e);
+            }
         }
         embedded.h.copy_from_slice(&embedded.act);
 
@@ -457,8 +475,10 @@ impl PlanGcn {
             let (below, round) = (&done[r], &mut rest[0]);
             for &v in &t.order {
                 let (agg, act) = (&mut round.agg[row(v)], &mut round.act[row(v)]);
-                let kids = &sample.children[v];
-                conv.eval_row(&self.store, &below.h, v, kids, agg, &mut t.child_term, act);
+                if reaches(v, r + 1) {
+                    let kids = &sample.children[v];
+                    conv.eval_row(&self.store, &below.h, v, kids, agg, &mut t.child_term, act);
+                }
                 let mask = round.mask.get_mut(row(v)).unwrap_or_default();
                 dropout_row(act, p, rng, mask, &mut round.h[row(v)]);
             }
