@@ -24,12 +24,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 cargo test -q --workspace
 
 # results/ must have been recorded on this code: eight quick artefacts that
-# time nothing (≈ 5 s together on 2 vCPUs) are regenerated and compared
+# time nothing (≈ 4 s together on 2 vCPUs) are regenerated and compared
 # byte for byte. Four fit no model, so a change to the generator, the RNG
 # stand-in or the JSON writer cannot leave EXPERIMENTS.md describing a fleet
 # nobody can replay; three fit every booster in stage-gbdt (the Bayesian
 # ensemble, the squared-error Gbm and the quantile band), and
-# ablation_coldstart (≈ 3.8 s; 14.1 s while training ran on the autodiff
+# ablation_coldstart (≈ 3.2 s; 13.8 s while training ran on the autodiff
 # tape) trains the global plan-GCN, so a change to a trained model's bits
 # cannot leave results/ stale either.
 cargo build -q --release -p stage-bench --bin experiments
