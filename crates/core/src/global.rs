@@ -200,7 +200,7 @@ impl GlobalModel {
 
     /// Checks a deserialized model before it answers anything: the GCN's
     /// structure ([`PlanGcn::validate`]), a system width equal to the
-    /// GCN's (`predict_log` sizes a buffer by it), a finite calibration,
+    /// GCN's (`predict_log_raw` sizes a buffer by it), a finite calibration,
     /// and a finite clamp range with `lo <= hi` (`f64::clamp` panics
     /// otherwise).
     pub(crate) fn validate(&self) -> Result<(), String> {
@@ -238,12 +238,20 @@ impl GlobalModel {
         from_log_space(self.predict_log(plan, sys))
     }
 
-    /// Calibrated log-space prediction.
+    /// Calibrated log-space prediction: [`GlobalModel::predict_log_raw`]
+    /// calibrated, then clamped to the training label range.
+    pub fn predict_log(&self, plan: &PhysicalPlan, sys: &SystemContext) -> f64 {
+        let (a, b) = self.calibration;
+        let raw = self.predict_log_raw(plan, sys);
+        (a * raw + b).clamp(self.target_range.0, self.target_range.1)
+    }
+
+    /// Uncalibrated log-space prediction (for calibration analyses).
     #[expect(
         clippy::disallowed_macros,
         reason = "debug_assert! expands to assert!; release builds compile the check out"
     )]
-    pub fn predict_log(&self, plan: &PhysicalPlan, sys: &SystemContext) -> f64 {
+    pub fn predict_log_raw(&self, plan: &PhysicalPlan, sys: &SystemContext) -> f64 {
         let mut sample = plan_to_tree_sample(plan, sys, 0.0);
         // Width skew between the context and the trained model is a
         // deployment bug: debug builds assert, release builds pad/truncate
@@ -254,14 +262,6 @@ impl GlobalModel {
             "system-feature width mismatch"
         );
         sample.sys_feats.resize(self.sys_dim, 0.0);
-        let (a, b) = self.calibration;
-        let raw = self.gcn.predict(&sample);
-        (a * raw + b).clamp(self.target_range.0, self.target_range.1)
-    }
-
-    /// Uncalibrated log-space prediction (for calibration analyses).
-    pub fn predict_log_raw(&self, plan: &PhysicalPlan, sys: &SystemContext) -> f64 {
-        let sample = plan_to_tree_sample(plan, sys, 0.0);
         self.gcn.predict(&sample)
     }
 
@@ -409,8 +409,13 @@ mod tests {
             sample.sys_feats.resize(model.sys_dim, 0.0);
             let (a, b) = model.calibration;
             let (lo, hi) = model.target_range;
-            let want = (a * model.gcn.predict(&sample) + b).clamp(lo, hi);
+            let raw = model.gcn.predict(&sample);
+            let want = (a * raw + b).clamp(lo, hi);
             assert_eq!(got.to_bits(), want.to_bits());
+            // The calibrated answer is the raw one, calibrated and clamped.
+            let raw_served = model.predict_log_raw(&plan(1e4, 0), &skewed);
+            assert_eq!(raw_served.to_bits(), raw.to_bits());
+            assert_eq!(got.to_bits(), (a * raw_served + b).clamp(lo, hi).to_bits());
         }
     }
 

@@ -16,12 +16,13 @@
 //! The paper's production model uses hidden size 512 and 8 layers on GPUs;
 //! defaults here are CPU-scaled (64/3) and both are configurable.
 //!
-//! Inference ([`PlanGcn::predict`]) and training ([`PlanGcn::fit`]) run on
-//! flat `n × hidden` row buffers and the weights as they sit in the
-//! [`ParamStore`]; the backward is written by hand. Both share each
-//! round's arithmetic, and the multiply-accumulate loop in `tensor.rs`, so
-//! every answer and every trained weight is what the reference autodiff
-//! tape (`graph.rs`, compiled for tests only) computes, to the bit.
+//! Training ([`PlanGcn::fit`]) and inference ([`PlanGcn::predict`]) run
+//! one forward over flat `n × hidden` row buffers and the weights as they
+//! sit in the [`ParamStore`], dropout on for the first and off for the
+//! second; the backward is written by hand. Both run on the
+//! multiply-accumulate loop in `tensor.rs`, so every answer and every
+//! trained weight is what the reference autodiff tape (`graph.rs`,
+//! compiled for tests only) computes, to the bit.
 
 use crate::adam::Adam;
 #[cfg(test)]
@@ -92,10 +93,15 @@ impl TreeSample {
 
     /// Post-order over the tree from the root (children before parents).
     /// On cyclic or partially unreachable input the returned order is
-    /// truncated, which [`TreeSample::validate`] uses for detection.
+    /// truncated, which [`TreeSample::validate`] uses for detection. An
+    /// out-of-range child id or a missing children list is skipped, and an
+    /// out-of-range root gives an empty order.
     pub fn topo_order(&self) -> Vec<usize> {
         let n = self.node_feats.len();
         let mut order = Vec::with_capacity(n);
+        if self.root >= n {
+            return order;
+        }
         let mut state = vec![0u8; n]; // 0 unseen, 1 on stack, 2 done
         let mut stack = vec![(self.root, false)];
         while let Some((v, expanded)) = stack.pop() {
@@ -109,13 +115,21 @@ impl TreeSample {
             }
             state[v] = 1;
             stack.push((v, true));
-            for &c in &self.children[v] {
+            for c in self.kids(v) {
                 if state[c] == 0 {
                     stack.push((c, false));
                 }
             }
         }
         order
+    }
+
+    /// Node `v`'s children, in order, without the ids that name no node
+    /// (none, once [`TreeSample::validate`] passes).
+    fn kids(&self, v: usize) -> impl Iterator<Item = usize> + Clone + '_ {
+        let n = self.node_feats.len();
+        let listed = self.children.get(v).into_iter().flatten();
+        listed.copied().filter(move |&c| c < n)
     }
 }
 
@@ -169,42 +183,23 @@ struct ConvLayer {
 
 impl ConvLayer {
     /// One node's round, rounded as the tape rounds it:
-    /// `out = ReLU(h_v·W_self + mean(h_kids)·W_child + b)` over the rows of
-    /// `h` (`out.len()` wide), each product accumulated from `+0.0` and
-    /// the mean taken per column, summed in child order, then divided by
-    /// the child count. Leaves that mean in `agg` (a leaf leaves it alone);
-    /// `child_term` is scratch.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the rows in and out and two scratch rows, shared by predict and training"
-    )]
+    /// `out = ReLU(h_v·W_self + agg·W_child + b)`, each product accumulated
+    /// from `+0.0`, the child term (none for a leaf, whose `agg` is `None`)
+    /// added to the self term, then the bias. `child_term` is scratch.
     fn eval_row(
         &self,
         store: &ParamStore,
-        h: &[f64],
-        v: usize,
-        kids: &[usize],
-        agg: &mut [f64],
+        h_v: &[f64],
+        agg: Option<&[f64]>,
         child_term: &mut [f64],
         out: &mut [f64],
     ) {
-        let hidden = out.len();
         out.fill(0.0);
-        row_matmul_acc(
-            &h[v * hidden..(v + 1) * hidden],
-            store.value(self.w_self).data(),
-            out,
-        );
-        if !kids.is_empty() {
-            let k = kids.len() as f64;
-            for (j, a) in agg.iter_mut().enumerate() {
-                *a = kids.iter().map(|&c| h[c * hidden + j]).sum::<f64>() / k;
-            }
+        row_matmul_acc(h_v, store.value(self.w_self).data(), out);
+        if let Some(agg) = agg {
             child_term.fill(0.0);
             row_matmul_acc(agg, store.value(self.w_child).data(), child_term);
-            for (o, c) in out.iter_mut().zip(&*child_term) {
-                *o += c;
-            }
+            add_acc(out, child_term);
         }
         for (o, b) in out.iter_mut().zip(store.value(self.bias).data()) {
             *o = (*o + b).max(0.0);
@@ -212,9 +207,23 @@ impl ConvLayer {
     }
 }
 
-/// One training sample's forward, kept for its backward: the tape's node
-/// order and, per round (0 is the embedding), flat `n × hidden` buffers
-/// whose row `v` is node `v`'s.
+/// The mean of rows `kids` of `h` (each `agg.len()` wide) into `agg`, as the
+/// tape rounds it: per column summed in child order, then divided by the
+/// child count. Returns `false`, leaving `agg` alone, when there are none.
+fn mean_row(h: &[f64], kids: impl Iterator<Item = usize> + Clone, agg: &mut [f64]) -> bool {
+    let (hidden, k) = (agg.len(), kids.clone().count());
+    if k == 0 {
+        return false;
+    }
+    for (j, a) in agg.iter_mut().enumerate() {
+        *a = kids.clone().map(|c| h[c * hidden + j]).sum::<f64>() / k as f64;
+    }
+    true
+}
+
+/// One sample's forward, kept for its backward: the tape's node order and,
+/// per round (0 is the embedding), flat `n × hidden` buffers whose row `v`
+/// is node `v`'s.
 #[derive(Debug, Default)]
 struct Trace {
     /// Post-order, children before parents.
@@ -232,8 +241,8 @@ struct Trace {
 }
 
 /// One round's rows. A row that cannot reach the readout holds whatever
-/// an earlier sample left there: no output depends on it, and it takes
-/// no gradient.
+/// an earlier sample left there (zero in a fresh trace): no output depends
+/// on it, and it takes no gradient.
 #[derive(Debug, Default)]
 struct Round {
     /// Post-ReLU rows, before dropout.
@@ -322,7 +331,13 @@ impl PlanGcn {
     /// hold [`PlanGcn::predict`] (eval mode) and the trainer's gradients
     /// (training mode) to, bit for bit. Returns the `1×1` prediction var.
     #[cfg(test)]
-    fn forward(&self, g: &mut Graph, sample: &TreeSample, training: bool, rng: &mut StdRng) -> Var {
+    fn tape_forward(
+        &self,
+        g: &mut Graph,
+        sample: &TreeSample,
+        training: bool,
+        rng: &mut StdRng,
+    ) -> Var {
         let order = sample.topo_order();
         let n = sample.node_feats.len();
 
@@ -330,7 +345,7 @@ impl PlanGcn {
         let mut h: Vec<Option<Var>> = vec![None; n];
         for &v in &order {
             let x = g.input(Matrix::row_vector(&sample.node_feats[v]));
-            let e = self.embed.forward(g, x);
+            let e = self.embed.tape_forward(g, x);
             h[v] = Some(g.relu(e));
         }
 
@@ -371,69 +386,29 @@ impl PlanGcn {
             .unwrap_or_else(|| g.input(Matrix::row_vector(&vec![0.0; self.config.hidden])));
         let sys = g.input(Matrix::row_vector(&sample.sys_feats));
         let cat = g.concat_cols(root_h, sys);
-        self.head.forward(g, cat, training, rng)
+        self.head.tape_forward(g, cat, training, rng)
     }
 
-    /// Predicts the target for one sample (eval mode, no dropout).
-    ///
-    /// The same arithmetic as the training forward and the reference tape,
-    /// in the same order — so the answer is bit-identical to the tape's —
-    /// over two flat `n × hidden` buffers and the weights as they sit in
-    /// the [`ParamStore`]. Never panics on a sample [`TreeSample::validate`]
-    /// would reject: every in-range node is embedded (rows no path from the
-    /// root reads are simply never used, so unreachable nodes and cycles
-    /// need no special case), an out-of-range child id is left out of its
-    /// parent's mean, and an out-of-range root reads out from a zero
-    /// embedding.
+    /// Predicts the target for one sample: the forward [`PlanGcn::fit`]
+    /// trains through, with dropout off, so the answer is the tape's
+    /// eval-mode one, to the bit.
+    /// Never panics on a sample [`TreeSample::validate`] would reject: the
+    /// walk covers the nodes reachable from an in-range root (so
+    /// unreachable nodes and cycles need no special case), an out-of-range
+    /// child id is left out of its parent's mean, and a root without a row
+    /// reads out from a zero one.
     pub fn predict(&self, sample: &TreeSample) -> f64 {
-        let hidden = self.config.hidden;
-        let n = sample.node_feats.len();
-        let row = |v: usize| v * hidden..(v + 1) * hidden;
-
-        // 1. Embed every node; row v of `h` is node v's embedding.
-        let mut h = vec![0.0; n * hidden];
-        for (v, feats) in sample.node_feats.iter().enumerate() {
-            let e = &mut h[row(v)];
-            self.embed.eval_into(&self.store, feats, e);
-            relu_assign(e);
-        }
-
-        // 2. Message passing: `next` is written from the previous round's
-        // `h` only, then the two swap.
-        let mut next = vec![0.0; n * hidden];
-        let mut kids: Vec<usize> = Vec::new();
-        let mut agg = vec![0.0; hidden];
-        let mut child_term = vec![0.0; hidden];
-        for conv in &self.convs {
-            for v in 0..n {
-                kids.clear();
-                let listed = sample.children.get(v).into_iter().flatten();
-                kids.extend(listed.filter(|&&c| c < n));
-                let out = &mut next[row(v)];
-                conv.eval_row(&self.store, &h, v, &kids, &mut agg, &mut child_term, out);
-            }
-            std::mem::swap(&mut h, &mut next);
-        }
-
-        // 3. Readout: root ⊕ system features → head.
-        let mut cat = Vec::with_capacity(hidden + sample.sys_feats.len());
-        if sample.root < n {
-            cat.extend_from_slice(&h[row(sample.root)]);
-        } else {
-            cat.resize(hidden, 0.0);
-        }
-        cat.extend_from_slice(&sample.sys_feats);
-        let out = self.head.eval(&self.store, cat);
-        out.first().copied().unwrap_or(0.0)
+        self.forward(sample, None, &mut Trace::default())
     }
 
-    /// Training forward for one validated sample: [`PlanGcn::predict`]'s
-    /// arithmetic with nodes in post-order, only for the rows that reach
-    /// the readout, and dropout drawn after every round and every hidden
-    /// head layer in the tape's order ([`dropout_row`]). Fills `t` for
+    /// The forward for one sample, in the tape's order: nodes in
+    /// post-order, only the rows that reach the readout, and — when `rng`
+    /// is given and dropout is on — dropout drawn after every round and
+    /// every hidden head layer ([`dropout_row`]). Fills `t` for
     /// [`PlanGcn::backward`] and returns the output.
-    fn train_forward(&self, sample: &TreeSample, rng: &mut StdRng, t: &mut Trace) -> f64 {
+    fn forward(&self, sample: &TreeSample, rng: Option<&mut StdRng>, t: &mut Trace) -> f64 {
         let (hidden, p) = (self.config.hidden, self.config.dropout);
+        let mut rng = rng.filter(|_| p > 0.0);
         let n = sample.node_feats.len();
         let row = |v: usize| v * hidden..(v + 1) * hidden;
         t.order = sample.topo_order();
@@ -443,7 +418,8 @@ impl PlanGcn {
             round.act.resize(n * hidden, 0.0);
             round.h.resize(n * hidden, 0.0);
             round.agg.resize(width, 0.0);
-            round.mask.resize(if p > 0.0 { width } else { 0 }, 0.0);
+            let masked = if rng.is_some() { width } else { 0 };
+            round.mask.resize(masked, 0.0);
         }
         t.child_term.resize(hidden, 0.0);
         // Round r's row for a node more than `gcn_layers − r` edges below
@@ -452,7 +428,7 @@ impl PlanGcn {
         t.depth.clear();
         t.depth.resize(n, 0);
         for &v in t.order.iter().rev() {
-            for &c in &sample.children[v] {
+            for c in sample.kids(v) {
                 t.depth[c] = t.depth[v] + 1;
             }
         }
@@ -474,26 +450,30 @@ impl PlanGcn {
             let (done, rest) = t.rounds.split_at_mut(r + 1);
             let (below, round) = (&done[r], &mut rest[0]);
             for &v in &t.order {
-                let (agg, act) = (&mut round.agg[row(v)], &mut round.act[row(v)]);
+                let act = &mut round.act[row(v)];
                 if reaches(v, r + 1) {
-                    let kids = &sample.children[v];
-                    conv.eval_row(&self.store, &below.h, v, kids, agg, &mut t.child_term, act);
+                    let agg = &mut round.agg[row(v)];
+                    let agg = mean_row(&below.h, sample.kids(v), agg).then_some(&*agg);
+                    let h_v = &below.h[row(v)];
+                    conv.eval_row(&self.store, h_v, agg, &mut t.child_term, act);
                 }
                 let mask = round.mask.get_mut(row(v)).unwrap_or_default();
-                dropout_row(act, p, rng, mask, &mut round.h[row(v)]);
+                dropout_row(act, p, rng.as_deref_mut(), mask, &mut round.h[row(v)]);
             }
         }
 
-        // 3. Readout.
+        // 3. Readout: root ⊕ system features → head.
         let top = &t.rounds[self.convs.len()];
         t.cat.clear();
-        t.cat.extend_from_slice(&top.h[row(sample.root)]);
+        match (sample.root < n).then(|| &top.h[row(sample.root)]) {
+            Some(root) => t.cat.extend_from_slice(root),
+            None => t.cat.resize(hidden, 0.0),
+        }
         t.cat.extend_from_slice(&sample.sys_feats);
-        self.head
-            .train_forward(&self.store, &t.cat, rng, &mut t.head)
+        self.head.forward(&self.store, &t.cat, rng, &mut t.head)
     }
 
-    /// Backward of one [`PlanGcn::train_forward`] in the tape's reverse
+    /// Backward of one [`PlanGcn::forward`] in the tape's reverse
     /// order — the head, then the rounds from the last to the first with
     /// nodes in reverse post-order, then the embedding — adding every
     /// weight's gradient into the store. `wt` holds this batch's transposed
@@ -557,8 +537,8 @@ impl PlanGcn {
     }
 
     /// One mini-batch: zeroes the store's gradients, runs every sample's
-    /// training forward in batch order (so dropout draws as the tape drew
-    /// it), then every backward from the last sample to the first (so
+    /// forward with dropout on in batch order (so dropout draws as the tape
+    /// drew it), then every backward from the last sample to the first (so
     /// every gradient sums in the tape's order), and returns the batch's
     /// mean squared error.
     fn batch_gradients(
@@ -575,7 +555,7 @@ impl PlanGcn {
         let scale = 1.0 / batch.len() as f64;
         let mut sum: Option<f64> = None;
         for (sample, t) in batch.iter().zip(&mut w.traces) {
-            let d = self.train_forward(sample, rng, t) - sample.target;
+            let d = self.forward(sample, Some(&mut *rng), t) - sample.target;
             t.g_out = 2.0 * d * scale;
             sum = Some(sum.map_or(d * d, |acc| acc + d * d));
         }
@@ -586,9 +566,9 @@ impl PlanGcn {
     }
 
     /// Trains on `samples` (owned or borrowed) with mini-batch Adam;
-    /// returns per-epoch losses. Each batch runs a training forward over
-    /// flat row buffers and a hand-written backward (see the module docs);
-    /// the weights it leaves are the reference tape's, to the bit.
+    /// returns per-epoch losses. Each batch runs the forward over flat row
+    /// buffers and a hand-written backward (see the module docs); the
+    /// weights it leaves are the reference tape's, to the bit.
     ///
     /// # Panics
     /// Panics if any sample fails [`TreeSample::validate`] or has mismatched
@@ -859,7 +839,7 @@ mod tests {
     fn tape_predict(model: &PlanGcn, sample: &TreeSample) -> f64 {
         let mut rng = StdRng::seed_from_u64(0); // unused in eval mode
         let mut g = Graph::new(&model.store);
-        let out = model.forward(&mut g, sample, false, &mut rng);
+        let out = model.tape_forward(&mut g, sample, false, &mut rng);
         g.value(out).get(0, 0)
     }
 
@@ -963,7 +943,7 @@ mod tests {
         let terms: Vec<Var> = batch
             .iter()
             .map(|s| {
-                let out = model.forward(&mut g, s, true, rng);
+                let out = model.tape_forward(&mut g, s, true, rng);
                 g.squared_error(out, s.target)
             })
             .collect();

@@ -1,5 +1,6 @@
-//! Parameter storage and the Linear / MLP modules: their inference
-//! forward, their training forward and their hand-written backward.
+//! Parameter storage and the Linear / MLP modules: their one forward
+//! (dropout on for training, off for inference) and their hand-written
+//! backward.
 
 #[cfg(test)]
 use crate::graph::{Graph, Var};
@@ -138,13 +139,20 @@ impl ParamStore {
 
 /// Inverted dropout over one row, drawn as the tape drew it: one
 /// `gen_range(0.0..1.0)` per element in order, the mask `0` where the draw
-/// is below `p` and `1/(1-p)` elsewhere, and `h = act × mask`. An empty
-/// `mask` means dropout is off: nothing is drawn and `h = act`.
-pub(crate) fn dropout_row(act: &[f64], p: f64, rng: &mut StdRng, mask: &mut [f64], h: &mut [f64]) {
-    if mask.is_empty() {
+/// is below `p` and `1/(1-p)` elsewhere, and `h = act × mask`. Without an
+/// RNG dropout is off: nothing is drawn, `mask` is not touched and
+/// `h = act`.
+pub(crate) fn dropout_row(
+    act: &[f64],
+    p: f64,
+    rng: Option<&mut StdRng>,
+    mask: &mut [f64],
+    h: &mut [f64],
+) {
+    let Some(rng) = rng else {
         h.copy_from_slice(act);
         return;
-    }
+    };
     let keep = 1.0 / (1.0 - p);
     for ((m, o), &a) in mask.iter_mut().zip(h.iter_mut()).zip(act) {
         // `keep × 1` or `keep × 0`: the tape's two mask values exactly,
@@ -194,7 +202,7 @@ impl Linear {
 
     /// Forward pass on the tape.
     #[cfg(test)]
-    pub fn forward(&self, g: &mut Graph, x: Var) -> Var {
+    pub fn tape_forward(&self, g: &mut Graph, x: Var) -> Var {
         debug_assert_eq!(g.value(x).cols(), self.in_dim);
         let w = g.param(self.w);
         let b = g.param(self.b);
@@ -202,9 +210,9 @@ impl Linear {
         g.add_row_broadcast(h, b)
     }
 
-    /// Tape-free `out = x·W + b` for one row, rounding exactly as
-    /// [`Linear::forward`] does: the product accumulates from zero, the
-    /// bias is added last.
+    /// Tape-free `out = x·W + b` for one row, rounding exactly as the
+    /// tape does: the product accumulates from zero, the bias is added
+    /// last.
     pub(crate) fn eval_into(&self, store: &ParamStore, x: &[f64], out: &mut [f64]) {
         out.fill(0.0);
         row_matmul_acc(x, store.value(self.w).data(), out);
@@ -251,9 +259,9 @@ impl Linear {
     }
 }
 
-/// One row's training forward through an [`Mlp`], kept for
-/// [`Mlp::backward`]: per layer its input, and for every layer but the last
-/// its post-ReLU output and dropout mask (empty with dropout off).
+/// One row's forward through an [`Mlp`], kept for [`Mlp::backward`]: per
+/// layer its input, and for every layer but the last its post-ReLU output
+/// and dropout mask (empty with dropout off).
 #[derive(Debug, Default)]
 pub(crate) struct MlpTrace {
     steps: Vec<MlpStep>,
@@ -290,13 +298,14 @@ impl Mlp {
         Self { layers, dropout }
     }
 
-    /// Forward pass; ReLU + dropout after every layer except the last.
+    /// Forward pass on the tape; ReLU + dropout after every layer except
+    /// the last.
     #[cfg(test)]
-    pub fn forward(&self, g: &mut Graph, x: Var, training: bool, rng: &mut StdRng) -> Var {
+    pub fn tape_forward(&self, g: &mut Graph, x: Var, training: bool, rng: &mut StdRng) -> Var {
         let mut h = x;
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(g, h);
+            h = layer.tape_forward(g, h);
             if i < last {
                 h = g.relu(h);
                 h = g.dropout(h, self.dropout, training, rng);
@@ -305,32 +314,19 @@ impl Mlp {
         h
     }
 
-    /// Tape-free eval-mode forward for one row: what [`Mlp::forward`]
-    /// computes with `training == false` (dropout is then `× 1.0`, an
-    /// identity on every value a ReLU can produce).
-    pub(crate) fn eval(&self, store: &ParamStore, x: Vec<f64>) -> Vec<f64> {
-        let mut h = x;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let mut out = vec![0.0; layer.out_dim];
-            layer.eval_into(store, &h, &mut out);
-            if i + 1 < self.layers.len() {
-                relu_assign(&mut out);
-            }
-            h = out;
-        }
-        h
-    }
-
-    /// Training forward for one row: [`Mlp::eval`]'s arithmetic with
-    /// dropout drawn after every hidden layer ([`dropout_row`]), everything
-    /// the backward needs kept in `t`. Returns the first output.
-    pub(crate) fn train_forward(
+    /// Forward for one row, everything the backward needs kept in `t`:
+    /// ReLU after every hidden layer, then dropout drawn from `rng`
+    /// ([`dropout_row`]) when training, none when `rng` is `None` — the
+    /// tape's `training == false`, whose `× 1.0` is an identity. Returns
+    /// the first output.
+    pub(crate) fn forward(
         &self,
         store: &ParamStore,
         x: &[f64],
-        rng: &mut StdRng,
+        rng: Option<&mut StdRng>,
         t: &mut MlpTrace,
     ) -> f64 {
+        let mut rng = rng.filter(|_| self.dropout > 0.0);
         t.steps.resize_with(self.layers.len(), MlpStep::default);
         if let Some(first) = t.steps.first_mut() {
             first.x.clear();
@@ -347,15 +343,16 @@ impl Mlp {
             step.act.resize(layer.out_dim, 0.0);
             layer.eval_into(store, &step.x, &mut step.act);
             relu_assign(&mut step.act);
-            let width = if self.dropout > 0.0 { layer.out_dim } else { 0 };
+            let width = if rng.is_some() { layer.out_dim } else { 0 };
             step.mask.resize(width, 0.0);
             next.x.resize(layer.out_dim, 0.0);
-            dropout_row(&step.act, self.dropout, rng, &mut step.mask, &mut next.x);
+            let r = rng.as_deref_mut();
+            dropout_row(&step.act, self.dropout, r, &mut step.mask, &mut next.x);
         }
         t.out.first().copied().unwrap_or(0.0)
     }
 
-    /// Backward of [`Mlp::train_forward`] from `g_out` = ∂loss/∂output (a
+    /// Backward of [`Mlp::forward`] from `g_out` = ∂loss/∂output (a
     /// one-output head), last layer first, every weight's gradient added
     /// into `store`. Returns ∂loss/∂x, or `None` once a gradient is all
     /// zero (then nothing reaches `x`).
@@ -432,7 +429,7 @@ mod tests {
         let lin = Linear::new(&mut s, 3, 5, &mut rng);
         let mut g = Graph::new(&s);
         let x = g.input(Matrix::zeros(2, 3));
-        let y = lin.forward(&mut g, x);
+        let y = lin.tape_forward(&mut g, x);
         assert_eq!((g.value(y).rows(), g.value(y).cols()), (2, 5));
     }
 
@@ -458,7 +455,7 @@ mod tests {
             let mut terms = Vec::new();
             for (x, y) in &data {
                 let xin = g.input(Matrix::row_vector(x));
-                let out = mlp.forward(&mut g, xin, true, &mut rng);
+                let out = mlp.tape_forward(&mut g, xin, true, &mut rng);
                 terms.push(g.squared_error(out, *y));
             }
             let loss = g.mean_scalars(&terms);
@@ -472,7 +469,7 @@ mod tests {
         let mut eval = |x: [f64; 2]| -> f64 {
             let mut g = Graph::new(&store);
             let xin = g.input(Matrix::row_vector(&x));
-            let out = mlp.forward(&mut g, xin, false, &mut rng);
+            let out = mlp.tape_forward(&mut g, xin, false, &mut rng);
             g.value(out).get(0, 0)
         };
         assert!(eval([0.9, 0.1]) > 0.7);

@@ -6,21 +6,22 @@
 //! so this crate implements the needed subset from scratch, CPU-only:
 //!
 //! * [`tensor`] — dense row-major `f64` matrices and the one
-//!   multiply-accumulate loop (plus an outer-product twin) that inference,
-//!   training and the backward all run on;
+//!   multiply-accumulate loop (plus an outer-product twin) that the forward
+//!   and the backward both run on;
 //! * [`layers`] — `Linear` / `Mlp` modules over a [`ParamStore`], each with
-//!   an inference forward, a training forward (dropout) and a hand-written
-//!   backward;
+//!   one forward (dropout on for training, off for inference) and a
+//!   hand-written backward;
 //! * [`adam`] — the Adam optimizer;
 //! * [`gcn`] — the plan-GCN itself: node-feature embedding MLP, L rounds of
 //!   directed child→parent message passing, root readout concatenated with a
 //!   system feature vector, and a regression head (Fig. 5's architecture),
-//!   trained by mini-batch backprop over flat row buffers.
+//!   trained by mini-batch backprop over flat row buffers; prediction runs
+//!   the trainer's forward with dropout off.
 //!
 //! There is no autodiff in the library. A reference tape-based reverse-mode
 //! autodiff (`graph.rs`) is compiled for tests only: it is the oracle the
-//! hand-written backward and the inference forward are held to, bit for
-//! bit, as the stop-at-a-leaf walk is for `stage-gbdt`'s tree walk.
+//! forward (in both modes) and the hand-written backward are held to, bit
+//! for bit, as the stop-at-a-leaf walk is for `stage-gbdt`'s tree walk.
 //!
 //! The GCN consumes generic [`gcn::TreeSample`]s (node feature vectors +
 //! child lists + system features), keeping this crate independent of the

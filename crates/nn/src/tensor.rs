@@ -197,10 +197,9 @@ impl Matrix {
 
 /// `out += a · B` for one row `a` (`1×k`) against row-major `B`
 /// (`k × out.len()`): the one multiply-accumulate loop in the crate, shared
-/// by inference, the training forward and the backward's `δ·Wᵀ` (against a
-/// transpose), so none of them can drift apart by a rounding. `k` runs
-/// ascending and exact-zero entries of `a` are skipped (post-ReLU rows are
-/// mostly zeros); a length mismatch multiplies the overlapping prefix
+/// by the forward and the backward's `δ·Wᵀ` (against a transpose), so
+/// neither can drift from the other by a rounding. `k` runs ascending and
+/// exact-zero entries of `a` are skipped (post-ReLU rows are mostly zeros); a length mismatch multiplies the overlapping prefix
 /// instead of panicking, like [`Matrix::add_assign`].
 pub(crate) fn row_matmul_acc(a: &[f64], b: &[f64], out: &mut [f64]) {
     if out.is_empty() {

@@ -2,9 +2,10 @@
 # Repo-wide gate: formatting, clippy and rustdoc (warnings are errors),
 # the workspace test suite — which is where the serving stack's fault
 # suite (tests/oracle.rs), the hostile-bytes sweep and the drift episode
-# (tests/drift.rs) run — a check that results/ was recorded on this code,
-# then the benchmark harness (its self-tests, a 1/50-size run of every
-# workload and the served == library run across a drift retrain).
+# (tests/drift.rs) run — and its release-only tests, a check that results/
+# was recorded on this code, then the benchmark harness (its self-tests, a
+# 1/50-size run of every workload and the served == library run across a
+# drift retrain).
 # Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -22,6 +23,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
 cargo test -q --workspace
+# The step above builds with debug assertions, which compiles out the
+# release-only twins of two debug_assert tests: a system or feature vector
+# of the wrong width is padded or cut to the trained width in release
+# builds, the servers' build, instead of asserting. Run them here.
+cargo test --release -q -p stage-core -p stage-gbdt --lib -- in_release
 
 # results/ must have been recorded on this code: eight quick artefacts that
 # time nothing (≈ 4 s together on 2 vCPUs) are regenerated and compared

@@ -3,9 +3,13 @@
 
 use proptest::prelude::*;
 use stage::core::{
-    CacheConfig, ExecTimeCache, ExecTimePredictor, StageConfig, StagePredictor, SystemContext,
+    plan_to_tree_sample, CacheConfig, ExecTimeCache, ExecTimePredictor, GlobalModel,
+    GlobalModelConfig, LocalModelConfig, Prediction, StageConfig, StagePredictor, SystemContext,
 };
-use stage::plan::{plan_feature_vector, PhysicalPlan, PlanBuilder, S3Format, CACHE_FEATURE_DIM};
+use stage::plan::{
+    plan_feature_vector, PhysicalPlan, PlanBuilder, PlanNode, S3Format, CACHE_FEATURE_DIM,
+};
+use std::sync::Arc;
 
 /// Strategy: a random but well-formed plan.
 fn arb_plan() -> impl Strategy<Value = PhysicalPlan> {
@@ -102,4 +106,125 @@ proptest! {
             prop_assert!(text.contains(node.op.name()));
         }
     }
+}
+
+/// Optimizer estimates and system features no sane optimizer reports.
+const WILD: [f64; 5] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1e308, -1e308];
+
+/// Plan `i` of a family of distinct, ordinary plans.
+fn ordinary_plan(i: usize) -> PhysicalPlan {
+    let rows = 1e3 * (1 + i % 97) as f64;
+    let mut b = PlanBuilder::select().scan("t0", S3Format::Local, rows, 64.0);
+    for j in 0..i % 3 {
+        b = b
+            .scan("tj", S3Format::Parquet, rows / (j + 2) as f64, 48.0)
+            .hash_join(0.1);
+    }
+    if i.is_multiple_of(2) {
+        b = b.hash_aggregate(0.05);
+    }
+    b.finish()
+}
+
+/// Plan `i` with some node's `est_cost` or `est_rows` (or both) replaced
+/// by a [`WILD`] value, a different node and value for each `i`.
+fn wild_plan(i: usize) -> PhysicalPlan {
+    fn walk(node: &mut PlanNode, at: &mut usize, i: usize) {
+        let wild = WILD[(i + *at) % WILD.len()];
+        match (i + *at) % 4 {
+            0 => node.est_cost = wild,
+            1 => node.est_rows = wild,
+            2 => (node.est_cost, node.est_rows) = (wild, wild),
+            _ => {}
+        }
+        *at += 1;
+        for child in &mut node.children {
+            walk(child, at, i);
+        }
+    }
+    let mut plan = ordinary_plan(i);
+    walk(&mut plan.root, &mut 0, i);
+    plan
+}
+
+/// Fails unless `p` is finite and non-negative and its calibrated
+/// interval, if any, is finite.
+fn check(stage: &mut StagePredictor, p: &Prediction, what: &str) {
+    assert!(
+        p.exec_secs.is_finite() && p.exec_secs >= 0.0,
+        "{what}: {p:?}"
+    );
+    if let Some((lo, hi)) = stage.calibrated_interval(p) {
+        assert!(lo.is_finite() && hi.is_finite(), "{what}: [{lo}, {hi}]");
+    }
+}
+
+/// Plans whose `est_cost` / `est_rows` and system features hold ±∞, NaN
+/// and ±1e308 get a finite, non-negative answer from every tier — the
+/// cache, a local model that retrains on them and the global model — one
+/// at a time and in batches, and every calibrated interval is finite.
+#[test]
+fn non_finite_estimates_answer_finite_from_every_tier() {
+    let calm = SystemContext {
+        features: vec![1.0, 0.5],
+    };
+    let secs = |i: usize| 0.05 * (1 + i % 40) as f64;
+    let train: Vec<_> = (0..40)
+        .map(|i| plan_to_tree_sample(&ordinary_plan(i), &calm, secs(i)))
+        .collect();
+    let global = GlobalModel::train(
+        &train,
+        calm.features.len(),
+        &GlobalModelConfig {
+            hidden: 8,
+            gcn_layers: 2,
+            epochs: 3,
+            ..GlobalModelConfig::default()
+        },
+    );
+    let config = StageConfig {
+        local: LocalModelConfig {
+            retrain_interval: 60,
+            ..LocalModelConfig::default()
+        },
+        ..StageConfig::default()
+    };
+    let mut stage = StagePredictor::with_global(config, Arc::new(global));
+    let contexts: Vec<SystemContext> = WILD
+        .iter()
+        .map(|&w| SystemContext {
+            features: vec![w, 0.5],
+        })
+        .chain([calm.clone()])
+        .collect();
+    for i in 0..300 {
+        let sys = &contexts[i % contexts.len()];
+        // Every third plan repeats an earlier one, so the cache answers too.
+        let id = if i % 3 == 2 { i / 3 } else { i };
+        let plans = [wild_plan(id), ordinary_plan(id)];
+        for plan in &plans {
+            let p = stage.predict(plan, sys);
+            check(
+                &mut stage,
+                &p,
+                &format!("plan {id} under {:?}", sys.features),
+            );
+            stage.observe(plan, sys, secs(id));
+        }
+        if i.is_multiple_of(10) {
+            for p in stage.predict_batch(&plans, sys) {
+                check(
+                    &mut stage,
+                    &p,
+                    &format!("batch {id} under {:?}", sys.features),
+                );
+            }
+        }
+    }
+    let stats = stage.stats();
+    assert!(stage.local().trainings() >= 3, "{stats:?}");
+    assert!(
+        stats.cache > 0 && stats.local > 0 && stats.global > 0,
+        "{stats:?}"
+    );
 }
