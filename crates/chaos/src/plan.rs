@@ -7,11 +7,16 @@
 //! ordinal. A policy is a flat probability plus an injection cap; the cap
 //! bounds total damage, so a faulted run always converges back to a
 //! healthy system.
+//!
+//! The counters sit behind one private `std::sync::Mutex`, a leaf lock:
+//! each guard lives inside one [`FaultPlan`] method that calls out to
+//! nothing while holding it, so hooks may run under a shard lock without
+//! any ordering to keep.
 
 use crate::rng::{mix, unit};
-use stage_core::sync::{OrderedMutex, RANK_SESSION};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// A place in the serving stack where a fault can be injected.
@@ -131,13 +136,11 @@ struct SiteCounters {
 }
 
 /// A live fault plan: configuration plus per-site counters. Shared across
-/// every hook via `Arc`; its one lock sits at the bottom of the workspace
-/// lock hierarchy (`RANK_SESSION`) so hooks may be called while a shard
-/// lock is held.
+/// every hook via `Arc`.
 pub struct FaultPlan {
     config: FaultPlanConfig,
     disarmed: AtomicBool,
-    state: OrderedMutex<[SiteCounters; SITE_COUNT]>,
+    state: Mutex<[SiteCounters; SITE_COUNT]>,
 }
 
 impl fmt::Debug for FaultPlan {
@@ -155,8 +158,14 @@ impl FaultPlan {
         Self {
             config,
             disarmed: AtomicBool::new(false),
-            state: OrderedMutex::new(RANK_SESSION, [SiteCounters::default(); SITE_COUNT]),
+            state: Mutex::new([SiteCounters::default(); SITE_COUNT]),
         }
+    }
+
+    /// The counters. Poison is absorbed: every update is a plain
+    /// increment, so a holder that panicked left them valid.
+    fn counters(&self) -> MutexGuard<'_, [SiteCounters; SITE_COUNT]> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Decides whether this call at `site` injects a fault. `Some(k)` means
@@ -167,7 +176,7 @@ impl FaultPlan {
     /// of how threads interleave across *different* sites.
     pub fn decide(&self, site: FaultSite) -> Option<u64> {
         let i = site.index();
-        let mut state = self.state.lock();
+        let mut state = self.counters();
         let counters = state.get_mut(i)?;
         let call = counters.calls;
         counters.calls += 1;
@@ -206,15 +215,12 @@ impl FaultPlan {
 
     /// Injections at one site so far.
     pub fn injected(&self, site: FaultSite) -> u64 {
-        self.state
-            .lock()
-            .get(site.index())
-            .map_or(0, |c| c.injected)
+        self.counters().get(site.index()).map_or(0, |c| c.injected)
     }
 
     /// Total injections across all sites.
     pub fn injected_total(&self) -> u64 {
-        self.state.lock().iter().map(|c| c.injected).sum()
+        self.counters().iter().map(|c| c.injected).sum()
     }
 
     /// A deterministic pseudo-random u64 for hook-internal choices (e.g.

@@ -40,7 +40,6 @@ pub mod pool;
 pub mod predictor;
 pub mod stage;
 pub mod storefmt;
-pub mod sync;
 
 pub use autowlm::{AutoWlmConfig, AutoWlmPredictor};
 pub use cache::{CacheConfig, CacheMode, ExecTimeCache};
@@ -59,7 +58,6 @@ pub use stage::{
 pub use storefmt::{
     load_global_store, load_stage_store, save_global_store, save_stage_store, store_generation,
 };
-pub use sync::{LockRank, OrderedMutex, OrderedRwLock};
 
 /// Converts seconds to the model target space `ln(1 + secs)`.
 pub fn to_log_space(secs: f64) -> f64 {

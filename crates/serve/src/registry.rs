@@ -6,8 +6,11 @@
 //! The shard *table* is fixed by [`ShardRegistry::new`] and never changes
 //! afterwards (the set of instances a process serves is decided when it
 //! starts), so it is shared without a lock: nothing can mutate it through
-//! `&self`. Each shard sits behind its own `shard`-rank lock, the only lock
-//! a Predict / PredictBatch / Observe takes.
+//! `&self`. Each shard sits behind its own `RwLock`, the only lock a
+//! Predict / PredictBatch / Observe takes. Shards are peers: no code path
+//! holds two of them at once, so there is no lock order to keep. A verb
+//! that panicked poisons only its own shard's lock, and the poison is
+//! absorbed (`read` / `write` below).
 //! Nothing else touches a shard's model (no background pass retrains), so
 //! an in-process [`StagePredictor`] fed the same verbs answers bit for bit
 //! what the served shard answers.
@@ -15,14 +18,13 @@
 use stage_core::global::GlobalModel;
 use stage_core::persist::{PersistFaults, RestoreError};
 use stage_core::storefmt;
-use stage_core::sync::{OrderedRwLock, RANK_SHARD};
 use stage_core::{
     ComponentFaults, ExecTimePredictor, Prediction, StageConfig, StagePredictor, SystemContext,
 };
 use stage_plan::PhysicalPlan;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// One instance's serving state: the predictor plus ingestion counters the
 /// bare predictor doesn't track.
@@ -155,10 +157,24 @@ pub struct RestoreSummary {
     pub quarantined: u32,
 }
 
+/// A shard's read guard; with `write`, the one place poison is absorbed.
+/// A verb that panicked mid-update leaves a structurally valid predictor
+/// (at worst a stale model), so its shard keeps serving rather than
+/// failing every later verb.
+fn read(shard: &RwLock<Shard>) -> RwLockReadGuard<'_, Shard> {
+    shard.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A shard's write guard, poison absorbed as in `read`.
+fn write(shard: &RwLock<Shard>) -> RwLockWriteGuard<'_, Shard> {
+    shard.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// All shards of one server process, indexed by instance id.
 pub struct ShardRegistry {
-    /// Fixed at construction: no `&self` path mutates the table.
-    shards: Vec<OrderedRwLock<Shard>>,
+    /// Fixed at construction: a boxed slice cannot grow or shrink, and no
+    /// `&self` path mutates the table.
+    shards: Box<[RwLock<Shard>]>,
     /// Snapshot I/O fault hook (chaos testing; `None` in production).
     persist_faults: Option<Arc<dyn PersistFaults>>,
 }
@@ -171,7 +187,7 @@ impl ShardRegistry {
             .map(|id| {
                 let mut p = StagePredictor::new(config);
                 p.set_instance_salt(u64::from(id));
-                OrderedRwLock::new(RANK_SHARD, Shard::new(p))
+                RwLock::new(Shard::new(p))
             })
             .collect();
         Self {
@@ -184,8 +200,7 @@ impl ShardRegistry {
     /// (chaos testing; production never calls this).
     pub fn set_component_faults(&self, faults: Arc<dyn ComponentFaults>) {
         for shard in &self.shards {
-            shard
-                .write()
+            write(shard)
                 .predictor
                 .set_component_faults(Arc::clone(&faults));
         }
@@ -217,7 +232,7 @@ impl ShardRegistry {
     /// for an unknown id.
     pub fn with_shard_read<R>(&self, id: u32, f: impl FnOnce(&Shard) -> R) -> Option<R> {
         let shard = self.shards.get(id as usize)?;
-        let result = f(&shard.read());
+        let result = f(&read(shard));
         Some(result)
     }
 
@@ -225,7 +240,7 @@ impl ShardRegistry {
     /// for an unknown id.
     pub fn with_shard_write<R>(&self, id: u32, f: impl FnOnce(&mut Shard) -> R) -> Option<R> {
         let shard = self.shards.get(id as usize)?;
-        let result = f(&mut shard.write());
+        let result = f(&mut write(shard));
         Some(result)
     }
 
@@ -248,20 +263,20 @@ impl ShardRegistry {
         for (id, shard) in self.shards.iter().enumerate() {
             let path = Self::snapshot_path(dir, id as u32);
             let (revision, snapshot) = {
-                let guard = shard.read();
+                let guard = read(shard);
                 // The skip trusts that the last write reached disk intact: an
                 // artefact torn on its way there is found at the next start
                 // (quarantined, cold shard) or replaced once the shard moves.
                 if guard.last_saved_revision == Some(guard.revision) && path.exists() {
                     drop(guard);
-                    shard.write().snapshots_skipped += 1;
+                    write(shard).snapshots_skipped += 1;
                     summary.skipped += 1;
                     continue;
                 }
                 (guard.revision, guard.predictor.snapshot())
             };
             storefmt::save_stage_store(&snapshot, &path, self.persist_faults.as_deref())?;
-            shard.write().last_saved_revision = Some(revision);
+            write(shard).last_saved_revision = Some(revision);
             summary.written += 1;
         }
         Ok(summary)
@@ -283,7 +298,7 @@ impl ShardRegistry {
             let faults = self.persist_faults.as_deref();
             match storefmt::load_stage_store(&Self::snapshot_path(dir, id), faults) {
                 Ok(snapshot) => {
-                    shard.write().predictor = StagePredictor::from_snapshot(snapshot);
+                    write(shard).predictor = StagePredictor::from_snapshot(snapshot);
                     summary.restored += 1;
                 }
                 Err(e) if e.is_not_found() => {}
@@ -304,7 +319,7 @@ impl ShardRegistry {
     /// by every instance's routing, not copied per shard.
     pub fn set_global(&self, model: Arc<GlobalModel>) {
         for shard in &self.shards {
-            shard.write().predictor.set_global(Arc::clone(&model));
+            write(shard).predictor.set_global(Arc::clone(&model));
         }
     }
 
@@ -325,6 +340,8 @@ mod tests {
     use super::*;
     use stage_core::PredictionSource;
     use stage_plan::{PlanBuilder, S3Format};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn plan(rows: f64) -> PhysicalPlan {
         PlanBuilder::select()
@@ -353,20 +370,76 @@ mod tests {
         assert!(!reg.contains(2));
         assert_eq!(reg.len(), 2);
         assert!(!reg.is_empty());
+
+        // Reaching a shard takes no lock but the shard's own: while another
+        // thread holds shard 0's write lock, shard 1 serves both verbs. A
+        // wrong lock shows as a timeout here, not as a hung test.
+        let reg = Arc::new(reg);
+        let (held_tx, held_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let holder = {
+            let reg = Arc::clone(&reg);
+            std::thread::spawn(move || {
+                reg.with_shard_write(0, |_| {
+                    held_tx.send(()).unwrap();
+                    let _ = release_rx.recv();
+                })
+            })
+        };
+        held_rx.recv().unwrap();
+        let (done_tx, done_rx) = mpsc::channel();
+        {
+            let reg = Arc::clone(&reg);
+            std::thread::spawn(move || {
+                let wrote = reg.with_shard_write(1, |s| s.observes());
+                let read = reg.with_shard_read(1, |s| s.observes());
+                let _ = done_tx.send((wrote, read));
+            });
+        }
+        let got = done_rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(
+            got,
+            Ok((Some(0), Some(0))),
+            "shard 1 waited on shard 0's lock"
+        );
+        release_tx.send(()).unwrap();
+        holder.join().unwrap();
     }
 
-    /// The shard lock is the only lock a verb takes: the table is immutable
-    /// after `new`, so reaching a shard acquires nothing.
-    #[cfg(debug_assertions)]
+    /// A verb that panics under its shard's write lock poisons that lock;
+    /// the poison is absorbed, so the shard still predicts, observes and
+    /// checkpoints afterwards.
     #[test]
-    fn a_shard_verb_holds_exactly_one_lock() {
-        use stage_core::sync::held_ranks;
+    fn a_panicked_verb_leaves_its_shard_serving() {
+        let dir = std::env::temp_dir().join("stage-serve-registry-poison-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let sys = SystemContext::empty(2);
         let reg = ShardRegistry::new(1, StageConfig::default());
-        let in_write = reg.with_shard_write(0, |_| held_ranks()).unwrap();
-        assert_eq!(in_write, [RANK_SHARD]);
-        let in_read = reg.with_shard_read(0, |_| held_ranks()).unwrap();
-        assert_eq!(in_read, [RANK_SHARD]);
-        assert!(held_ranks().is_empty());
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            reg.with_shard_write(0, |s| {
+                s.observe(&plan(5e4), &sys, 3.5);
+                panic!("a verb panicked mid-update");
+            })
+        }));
+        assert!(panicked.is_err());
+        assert!(reg.shards[0].is_poisoned());
+
+        let p = reg
+            .with_shard_write(0, |s| s.predict(&plan(5e4), &sys))
+            .unwrap();
+        assert_eq!(p.source, PredictionSource::Cache);
+        assert!((p.exec_secs - 3.5).abs() < 1e-9);
+        reg.with_shard_write(0, |s| s.observe(&plan(6e4), &sys, 1.0))
+            .unwrap();
+        assert_eq!(reg.with_shard_read(0, |s| s.observes()), Some(2));
+        assert_eq!(
+            reg.save_snapshots(&dir).unwrap(),
+            SaveSummary {
+                written: 1,
+                skipped: 0
+            }
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

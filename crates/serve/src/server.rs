@@ -44,11 +44,11 @@
 //! `panic!`/assert/indexing and no clock or blocking call outside an
 //! `#[expect(…, reason)]` — malformed input, unknown
 //! instances, and resource exhaustion all map to protocol errors or
-//! `io::Result`s. All locks are `stage_core::sync` ordered locks: a verb
-//! takes its shard's lock (under chaos, the fault plan's session-rank
-//! counters nest inside it), the health thread parks on the session-rank
-//! checkpoint gate, and the debug-build lock-order detector runs on every
-//! acquisition.
+//! `io::Result`s. A verb takes exactly one lock, its shard's (under chaos,
+//! the fault plan's leaf counter lock nests inside it). The health thread
+//! holds no lock while it waits: it sleeps on a one-slot channel that
+//! `Shutdown` fills, so a wake sent while it is busy checkpointing stays
+//! buffered instead of being lost.
 
 use crate::evloop::{poll_fds, PollFd, Waker, POLLIN, POLLOUT};
 use crate::protocol::{write_message_buffered, BatchPrediction, Request, Response};
@@ -56,7 +56,6 @@ use crate::registry::{Shard, ShardRegistry};
 use crate::wire::{self, Unframed, HANDSHAKE, MAX_FRAME_LEN};
 use stage_chaos::{ChaosStream, FaultPlan};
 use stage_core::persist::PersistFaults;
-use stage_core::sync::{self, OrderedMutex, RANK_SESSION};
 use stage_core::{ComponentFaults, StageConfig, SystemContext};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream};
@@ -64,7 +63,7 @@ use std::os::unix::io::{AsRawFd, RawFd};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
-use std::sync::{Arc, Condvar};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -265,8 +264,9 @@ struct Shared {
     /// thread on a hot-swap, read by tests and the next poll.
     global_generation: AtomicU64,
     local_addr: SocketAddr,
-    // Wakes the background health loop early (for shutdown).
-    checkpoint_gate: (OrderedMutex<()>, Condvar),
+    /// Wakes the background health loop early (for shutdown). One slot:
+    /// a wake sent while the loop is busy waits for its next `recv`.
+    health_wake: SyncSender<()>,
     request_deadline: Option<Duration>,
     /// Background checkpoint passes that failed (server-wide). The health
     /// loop backs off exponentially while this climbs; Stats reports it so
@@ -296,7 +296,7 @@ impl Shared {
         if self.shutting_down.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.checkpoint_gate.1.notify_all();
+        let _ = self.health_wake.try_send(());
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
     }
@@ -878,6 +878,7 @@ impl Server {
         if let Some(plan) = &config.chaos {
             registry.set_component_faults(Arc::clone(plan) as Arc<dyn ComponentFaults>);
         }
+        let (health_wake, health_woken) = mpsc::sync_channel(1);
         let shared = Arc::new(Shared {
             registry,
             shutting_down: AtomicBool::new(false),
@@ -887,7 +888,7 @@ impl Server {
             global_model_path: config.global_model_path.clone(),
             global_generation: AtomicU64::new(u64::MAX),
             local_addr,
-            checkpoint_gate: (OrderedMutex::new(RANK_SESSION, ()), Condvar::new()),
+            health_wake,
             request_deadline: config.request_deadline,
             checkpoint_failures: AtomicU64::new(0),
         });
@@ -940,12 +941,11 @@ impl Server {
                     let mut consecutive_failures = 0u32;
                     let mut skip_ticks = 0u64;
                     loop {
-                        let (gate, cv) = &shared.checkpoint_gate;
-                        let guard = gate.lock();
-                        // The returned guard is dropped immediately so no
-                        // session-rank lock is held while the checkpoint
-                        // takes shard locks below.
-                        let _ = sync::wait_timeout(cv, guard, tick);
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "the health thread's tick, bounded by `tick`; it serves no connection"
+                        )]
+                        let _ = health_woken.recv_timeout(tick);
                         if shared.shutting_down.load(Ordering::SeqCst) {
                             // The final checkpoint runs in `join` after the
                             // drain completes.
@@ -1323,6 +1323,37 @@ mod tests {
 
         server.shutdown();
         server.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A shutdown that lands while the health loop is mid-checkpoint wakes
+    /// it as soon as the checkpoint ends, instead of being lost until the
+    /// loop's next tick.
+    #[test]
+    fn a_shutdown_during_a_checkpoint_is_not_lost() {
+        let dir =
+            std::env::temp_dir().join(format!("stage-serve-lost-wake-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let tick = Duration::from_secs(2);
+        let server = Server::start(ServeConfig {
+            snapshot_dir: Some(dir.clone()),
+            snapshot_every: Some(tick),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        // Holding shard 0 past the first tick parks that tick's checkpoint
+        // on the lock; the shutdown lands while it waits.
+        server.shared.registry.with_shard_write(0, |_| {
+            std::thread::sleep(tick + Duration::from_millis(500));
+            server.shutdown();
+        });
+        let started = Instant::now();
+        server.join().unwrap();
+        let joined = started.elapsed();
+        assert!(
+            joined < tick / 2,
+            "join took {joined:?} against a {tick:?} tick"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
