@@ -20,12 +20,13 @@
 //!   loops.
 //! * [`registry`] — the sharded `RwLock` predictor registry with
 //!   crash-safe checkpointing and atomic warm restart.
-//! * [`server`] — the accept thread + per-core event-loop shards,
-//!   including the degraded-mode response path: per-request deadlines
-//!   (`TimedOut`), mid-message stall reaping, per-connection write-buffer
-//!   shedding, component fallback counters, and the optional
-//!   `stage-chaos` fault plan threaded through sockets, snapshot I/O, and
-//!   model tiers.
+//! * [`server`] — the accept thread + per-core event-loop shards (their
+//!   connection state machine in `conn.rs`, verb dispatch in `dispatch.rs`,
+//!   the checkpoint and hot-swap thread in `health.rs`), including the
+//!   degraded-mode response path: per-request deadlines (`TimedOut`),
+//!   mid-message stall reaping, per-connection write-buffer shedding,
+//!   component fallback counters, and the optional `stage-chaos` fault
+//!   plan threaded through sockets, snapshot I/O, and model tiers.
 //! * [`client`] — a blocking dual-codec client used by the benchmark
 //!   and tests (socket timeouts and capped decorrelated-jitter retries by
 //!   default).
@@ -38,7 +39,10 @@
 #![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::disallowed_macros))]
 
 pub mod client;
+mod conn;
+mod dispatch;
 pub mod evloop;
+mod health;
 pub mod protocol;
 pub mod registry;
 pub mod server;
