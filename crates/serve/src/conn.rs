@@ -170,7 +170,7 @@ fn process_input(
         if conn.dead || conn.closing {
             return;
         }
-        match conn.codec {
+        let decoded = match conn.codec {
             CodecState::Negotiating => {
                 let Some(&first) = conn.rbuf.first() else {
                     return;
@@ -196,6 +196,7 @@ fn process_input(
                     // answers garbage with a parse error.
                     conn.codec = CodecState::Json;
                 }
+                continue;
             }
             CodecState::Json => {
                 let Some(nl) = conn.rbuf.iter().position(|&b| b == b'\n') else {
@@ -217,26 +218,8 @@ fn process_input(
                     .map(|line| serde_json::from_str::<Request>(line.trim_end()));
                 conn.rbuf.drain(..nl + 1);
                 match parsed {
-                    Some(Ok(request)) => {
-                        let backlog = conn.wbuf.len() - conn.wpos;
-                        let (response, close) = serve_request(shared, request, arrived, backlog);
-                        push_response(conn, &response, json_buf, bin_buf);
-                        if close {
-                            conn.closing = true;
-                        }
-                    }
-                    Some(Err(e)) => {
-                        let r = Response::Error {
-                            message: format!("bad request: {e}"),
-                        };
-                        push_response(conn, &r, json_buf, bin_buf);
-                    }
-                    None => {
-                        let r = Response::Error {
-                            message: "bad request: not UTF-8".to_string(),
-                        };
-                        push_response(conn, &r, json_buf, bin_buf);
-                    }
+                    Some(parsed) => parsed.map_err(|e| e.to_string()),
+                    None => Err("not UTF-8".to_string()),
                 }
             }
             CodecState::Binary => {
@@ -258,26 +241,20 @@ fn process_input(
                     }
                 };
                 conn.rbuf.drain(..consumed);
-                match decoded {
-                    Ok(request) => {
-                        let backlog = conn.wbuf.len() - conn.wpos;
-                        let (response, close) = serve_request(shared, request, arrived, backlog);
-                        push_response(conn, &response, json_buf, bin_buf);
-                        if close {
-                            conn.closing = true;
-                        }
-                    }
-                    // The frame boundary was intact (CRC passed), so a
-                    // decode error is answerable without losing sync.
-                    Err(e) => {
-                        let r = Response::Error {
-                            message: format!("bad request: {e}"),
-                        };
-                        push_response(conn, &r, json_buf, bin_buf);
-                    }
-                }
+                // The frame boundary was intact (CRC passed), so a decode
+                // error is answerable without losing sync.
+                decoded.map_err(|e| e.to_string())
             }
-        }
+        };
+        let (response, close) = match decoded {
+            Ok(request) => serve_request(shared, request, arrived, conn.wbuf.len() - conn.wpos),
+            Err(e) => {
+                let message = format!("bad request: {e}");
+                (Response::Error { message }, false)
+            }
+        };
+        push_response(conn, &response, json_buf, bin_buf);
+        conn.closing |= close;
     }
 }
 

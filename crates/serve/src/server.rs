@@ -624,13 +624,10 @@ mod tests {
     }
 
     /// A shutdown that lands while the health loop is mid-checkpoint wakes
-    /// it as soon as the checkpoint ends, instead of being lost until the
-    /// loop's next tick.
+    /// it when the checkpoint ends, not a full tick later.
     #[test]
     fn a_shutdown_during_a_checkpoint_is_not_lost() {
-        let dir =
-            std::env::temp_dir().join(format!("stage-serve-lost-wake-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = std::env::temp_dir().join("stage-serve-lost-wake-test");
         let tick = Duration::from_secs(2);
         let server = Server::start(ServeConfig {
             snapshot_dir: Some(dir.clone()),
@@ -647,10 +644,7 @@ mod tests {
         let started = Instant::now();
         server.join().unwrap();
         let joined = started.elapsed();
-        assert!(
-            joined < tick / 2,
-            "join took {joined:?} against a {tick:?} tick"
-        );
+        assert!(joined < tick / 2, "join took {joined:?} on a {tick:?} tick");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
