@@ -50,17 +50,16 @@ pub(crate) fn run_health(
     woken: &Receiver<()>,
     snapshot_cadence: Option<(PathBuf, Duration)>,
 ) {
-    // The generation poll is a 64-byte header read; a sub-second
-    // cadence keeps hot-swap latency low without measurable cost.
-    // A configured snapshot cadence paces the whole loop.
+    // The generation poll is a 64-byte header read; a sub-second cadence
+    // keeps hot-swap latency low without measurable cost. A configured
+    // snapshot cadence paces the whole loop.
     let tick = snapshot_cadence
         .as_ref()
         .map_or(Duration::from_millis(200), |(_, every)| *every);
-    // Bounded exponential backoff on checkpoint failures: a
-    // sick snapshot directory (full disk, yanked mount) must
-    // not burn a full encode of every shard each tick. Skips
-    // double per consecutive failure, capped at 32 ticks; any
-    // success re-arms the full cadence.
+    // Bounded exponential backoff on checkpoint failures: a sick snapshot
+    // directory (full disk, yanked mount) must not burn a full encode of
+    // every shard each tick. Skips double per consecutive failure, capped
+    // at 32 ticks; any success re-arms the full cadence.
     let mut consecutive_failures = 0u32;
     let mut skip_ticks = 0u64;
     loop {
@@ -70,8 +69,7 @@ pub(crate) fn run_health(
         )]
         let _ = woken.recv_timeout(tick);
         if shared.shutting_down.load(Ordering::SeqCst) {
-            // The final checkpoint runs in `join` after the
-            // drain completes.
+            // The final checkpoint runs in `join` after the drain completes.
             return;
         }
         shared.poll_global_model();

@@ -20,7 +20,7 @@
 //! `panic!`/assert/indexing and no clock or blocking call outside an
 //! `#[expect(…, reason)]` — malformed input, unknown
 //! instances, and resource exhaustion all map to protocol errors or
-//! `io::Result`s. A verb takes exactly one lock, its shard's (under chaos,
+//! `io::Result`s. A verb takes exactly one shard lock, its own (under chaos,
 //! the fault plan's leaf counter lock nests inside it). The health thread
 //! holds no lock while it waits: it sleeps on a one-slot channel that
 //! `Shutdown` fills, so a wake sent while it is busy checkpointing stays
@@ -72,9 +72,9 @@ pub struct ServeConfig {
     pub global_model_path: Option<PathBuf>,
     /// Per-request deadline: a predict request that waited longer than
     /// this between arriving on the socket and dispatching is answered
-    /// [`Response::TimedOut`](crate::Response::TimedOut) instead of executed (a stale prediction is
-    /// worse than a fast "no answer"). Observes are exempt — feedback is
-    /// never dropped. `None` disables.
+    /// [`Response::TimedOut`](crate::Response::TimedOut) instead of
+    /// executed (a stale prediction is worse than a fast "no answer").
+    /// Observes are exempt — feedback is never dropped. `None` disables.
     pub request_deadline: Option<Duration>,
     /// Mid-message stall bound: a connection holding an unfinished request
     /// (partial line, partial frame, partial handshake) with no progress
@@ -370,7 +370,8 @@ impl Server {
         self.shared.checkpoint_failures.load(Ordering::Relaxed)
     }
 
-    /// Requests answered [`Response::TimedOut`](crate::Response::TimedOut) so far, all instances.
+    /// Requests answered [`Response::TimedOut`](crate::Response::TimedOut)
+    /// so far, all instances.
     pub fn timed_out_count(&self) -> u64 {
         let n = self.shared.registry.len() as u32;
         (0..n)
@@ -378,7 +379,8 @@ impl Server {
             .sum()
     }
 
-    /// Initiates the same graceful drain a [`Request::Shutdown`](crate::Request::Shutdown) does.
+    /// Initiates the same graceful drain a
+    /// [`Request::Shutdown`](crate::Request::Shutdown) does.
     pub fn shutdown(&self) {
         self.shared.begin_shutdown();
     }
