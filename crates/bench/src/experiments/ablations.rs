@@ -12,12 +12,40 @@ use stage_plan::plan_feature_vector;
 use stage_workload::{FleetConfig, InstanceWorkload};
 use std::collections::HashMap;
 
-/// How many evaluation instances the ablations use (they sweep several
-/// configurations, so they run on a subset for tractability). Generation is
-/// shard-parallel; results come back in id order.
+/// How many evaluation instances the ablations use at most (they sweep
+/// several configurations, so they run on a subset for tractability).
+const ABLATION_INSTANCES: usize = 3;
+
+/// The ablations' evaluation instances. Generation is shard-parallel;
+/// results come back in id order.
 fn ablation_instances(ctx: &ExperimentContext) -> Vec<InstanceWorkload> {
-    let n = ctx.n_eval().min(3);
+    let n = ctx.n_eval().min(ABLATION_INSTANCES);
     ctx.replayer().run(n, |id| ctx.eval_instance(id as u32))
+}
+
+/// The ablation instances' first-seen plans as `(features, secs)`: a plan
+/// the exec-time cache already holds is a repeat, exactly as Stage's pool
+/// deduplicates. Built shard-parallel (the dedup cache is per instance)
+/// and concatenated in id order, each instance's in arrival order.
+pub(super) fn dedup_pool(ctx: &ExperimentContext) -> Vec<(Vec<f64>, f64)> {
+    let n = ctx.n_eval().min(ABLATION_INSTANCES);
+    ctx.replayer()
+        .run(n, |id| {
+            let w = ctx.eval_instance(id as u32);
+            let mut cache = ExecTimeCache::new(ctx.config.stage.cache);
+            let mut out = Vec::new();
+            for e in &w.events {
+                let key = ExecTimeCache::key_of(&e.plan);
+                if !cache.contains(key) {
+                    out.push((plan_feature_vector(&e.plan).0, e.true_exec_secs));
+                }
+                cache.record(key, e.true_exec_secs);
+            }
+            out
+        })
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// Cache α sweep: MAE of cache-hit predictions as α moves from pure
@@ -345,23 +373,10 @@ pub fn drift(ctx: &ExperimentContext) -> ExperimentReport {
 /// absolute error into the Bayesian ensemble" (§5.4). Trains on the first
 /// 70% of an instance's cache-missing queries, evaluates on the rest.
 pub fn mixed_ensemble(ctx: &ExperimentContext) -> ExperimentReport {
-    use stage_core::ExecTimeCache as Cache;
     use stage_gbdt::{BayesianEnsemble, Dataset, MixedEnsemble, MixedEnsembleParams};
 
     let mut rows = Vec::new();
-    let instances = ablation_instances(ctx);
-    let mut pooled: Vec<(Vec<f64>, f64)> = Vec::new();
-    for w in &instances {
-        // Deduplicate repeats exactly as Stage's pool would.
-        let mut cache = Cache::new(ctx.config.stage.cache);
-        for e in &w.events {
-            let key = Cache::key_of(&e.plan);
-            if !cache.contains(key) {
-                pooled.push((plan_feature_vector(&e.plan).0, e.true_exec_secs));
-            }
-            cache.record(key, e.true_exec_secs);
-        }
-    }
+    let pooled = dedup_pool(ctx);
     let split = pooled.len() * 7 / 10;
     let mut train = Dataset::new(stage_plan::CACHE_FEATURE_DIM);
     for (f, secs) in &pooled[..split] {
@@ -646,20 +661,9 @@ pub fn feature_importance(ctx: &ExperimentContext) -> ExperimentReport {
     use stage_gbdt::{BayesianEnsemble, Dataset, Gbm};
     use stage_plan::feature_name;
 
-    // Deduplicated training pool from up to 3 instances.
     let mut train = Dataset::new(stage_plan::CACHE_FEATURE_DIM);
-    for w in &ablation_instances(ctx) {
-        let mut cache = ExecTimeCache::new(ctx.config.stage.cache);
-        for e in &w.events {
-            let key = ExecTimeCache::key_of(&e.plan);
-            if !cache.contains(key) {
-                train.push(
-                    plan_feature_vector(&e.plan).as_slice(),
-                    e.true_exec_secs.ln_1p(),
-                );
-            }
-            cache.record(key, e.true_exec_secs);
-        }
+    for (f, secs) in &dedup_pool(ctx) {
+        train.push(f, secs.ln_1p());
     }
     let gbm = Gbm::fit(&train, &ctx.config.autowlm.gbm).expect("non-empty");
     let ensemble =

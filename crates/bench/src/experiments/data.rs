@@ -28,13 +28,6 @@ pub struct InstanceData {
     pub stage_stats: RoutingStats,
 }
 
-impl InstanceData {
-    /// True exec-times in arrival order.
-    pub fn actuals(&self) -> Vec<f64> {
-        self.stage.iter().map(|r| r.actual_secs).collect()
-    }
-}
-
 /// The full collected dataset.
 #[derive(Debug, Clone)]
 pub struct Collected {

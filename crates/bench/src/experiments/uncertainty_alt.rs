@@ -10,34 +10,12 @@
 use super::ExperimentReport;
 use crate::context::ExperimentContext;
 use serde_json::json;
-use stage_core::ExecTimeCache;
 use stage_gbdt::{BayesianEnsemble, Dataset, GbmParams, QuantileBand};
 use stage_metrics::{interval_coverage, prr_score};
-use stage_plan::plan_feature_vector;
 
 /// Runs the comparison; see the module docs.
 pub fn uncertainty_sources(ctx: &ExperimentContext) -> ExperimentReport {
-    // Deduplicated (features, secs) stream from up to 3 instances, built
-    // shard-parallel (the dedup cache is per-instance) and concatenated in
-    // id order.
-    let pooled: Vec<(Vec<f64>, f64)> = ctx
-        .replayer()
-        .run(ctx.n_eval().min(3), |id| {
-            let w = ctx.eval_instance(id as u32);
-            let mut cache = ExecTimeCache::new(ctx.config.stage.cache);
-            let mut out = Vec::new();
-            for e in &w.events {
-                let key = ExecTimeCache::key_of(&e.plan);
-                if !cache.contains(key) {
-                    out.push((plan_feature_vector(&e.plan).0, e.true_exec_secs));
-                }
-                cache.record(key, e.true_exec_secs);
-            }
-            out
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+    let pooled = super::ablations::dedup_pool(ctx);
     let split = pooled.len() * 7 / 10;
     let mut train = Dataset::new(stage_plan::CACHE_FEATURE_DIM);
     for (f, secs) in &pooled[..split] {

@@ -17,7 +17,6 @@
 //! **Sizing.** Thread count resolves as: the configured knob if positive,
 //! else `std::thread::available_parallelism()`.
 
-use stage_workload::InstanceWorkload;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::thread;
@@ -97,16 +96,6 @@ impl ParallelFleetReplay {
                     .expect("worker filled every slot")
             })
             .collect()
-    }
-
-    /// Distributes pre-generated instance workloads across the pool,
-    /// returning per-instance results in input order.
-    pub fn map_workloads<'w, T, F>(&self, workloads: &'w [InstanceWorkload], job: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&'w InstanceWorkload) -> T + Sync,
-    {
-        self.run(workloads.len(), |i| job(&workloads[i]))
     }
 }
 

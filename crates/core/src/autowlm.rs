@@ -7,11 +7,11 @@
 //! [`DEFAULT_PREDICTION_SECS`], which is the cold-start weakness the paper
 //! calls out.
 
+use crate::from_log_space;
 use crate::pool::{PoolConfig, TrainingPool};
 use crate::predictor::{
     ExecTimePredictor, Prediction, PredictionSource, SystemContext, DEFAULT_PREDICTION_SECS,
 };
-use crate::{from_log_space, to_log_space};
 use serde::{Deserialize, Serialize};
 use stage_gbdt::{Gbm, GbmParams};
 use stage_plan::{plan_feature_vector, PhysicalPlan};
@@ -146,12 +146,6 @@ impl ExecTimePredictor for AutoWlmPredictor {
             + self.pool.approx_size_bytes()
             + self.model.as_ref().map(Gbm::approx_size_bytes).unwrap_or(0)
     }
-}
-
-/// Targets are stored in log space; expose the transform used so tests can
-/// assert symmetry with the local model.
-pub fn autowlm_target(secs: f64) -> f64 {
-    to_log_space(secs)
 }
 
 #[cfg(test)]

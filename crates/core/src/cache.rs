@@ -162,11 +162,6 @@ impl ExecTimeCache {
         self.entries.contains_key(&key)
     }
 
-    /// Observed variance of a cached query's exec-times, if present.
-    pub fn observed_variance(&self, key: u64) -> Option<f64> {
-        self.entries.get(&key).map(|e| e.stats.variance())
-    }
-
     /// Records an observed exec-time, inserting or updating the entry and
     /// evicting the least-recently-updated entry when over capacity.
     #[expect(
@@ -516,15 +511,6 @@ mod tests {
         for k in 95..100 {
             assert!(c.contains(k));
         }
-    }
-
-    #[test]
-    fn observed_variance_tracks_spread() {
-        let mut c = cache(10, 0.8);
-        c.record(1, 10.0);
-        c.record(1, 20.0);
-        assert!((c.observed_variance(1).unwrap() - 25.0).abs() < 1e-9);
-        assert_eq!(c.observed_variance(99), None);
     }
 
     #[test]

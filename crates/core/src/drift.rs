@@ -24,7 +24,7 @@
 //!    exactly the same query;
 //! 2. an **online conformal calibrator**: a bounded ring of normalized
 //!    scores `z = |r| / σ`. The served interval uses the empirical
-//!    `target_coverage`-quantile of recent scores instead of a
+//!    [`TARGET_COVERAGE`]-quantile of recent scores instead of a
 //!    normal-theory constant, so if the ensemble's σ is over- or
 //!    under-confident the interval width self-corrects within one window.
 //!    Beside the ring the sentinel keeps a sorted copy, updated on each
@@ -33,9 +33,9 @@
 //!    scored observation, neither copies nor sorts. Only the ring persists;
 //!    restore sorts it once.
 //!
-//! Intervals are additionally widened by `degraded_widen` while any
+//! Intervals are additionally widened by `DEGRADED_WIDEN` (1.5×) while any
 //! [`crate::stage::DegradedStats`] tier is active (a degraded answer was
-//! counted within the last `degraded_hold` interval requests): a shard
+//! counted within the last `DEGRADED_HOLD` = 64 served intervals): a shard
 //! serving off its fallback chain knows less than its σ claims.
 //!
 //! The whole sentinel persists as the CALIBRATION section of the
@@ -53,63 +53,44 @@ use stage_metrics::quantile::quantile_of_sorted;
 use stage_metrics::{interval_coverage, Welford};
 use stage_store::{SectionReader, SectionWriter, StoreError};
 
-/// Tuning for the detector, the calibrator, and the widening policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DriftConfig {
-    /// CUSUM slack `k`, in baseline-spread units: per-sample tolerance
-    /// subtracted from the normalized exceedance, so ordinary noise never
-    /// accumulates.
-    pub cusum_k: f64,
-    /// CUSUM threshold `λ`, in baseline-spread units: the detector fires
-    /// when the accumulated exceedance climbs past it.
-    pub cusum_lambda: f64,
-    /// Winsorization cap on a single sample's normalized exceedance
-    /// (before `k` is subtracted). One heavy-tail outlier query must not
-    /// fire the detector on its own: with the cap at `c`, crossing `λ`
-    /// needs at least `λ / (c − k)` net-elevated samples, so a detection
-    /// always testifies to a *sustained* shift.
-    pub cusum_clip: f64,
-    /// Floor on the baseline spread (in `ln(1+secs)` space) so a
-    /// near-perfect model doesn't fire on microscopic noise.
-    pub min_spread: f64,
-    /// Residuals the detector must see before it may fire (warm-up).
-    pub min_samples: u64,
-    /// Ring-buffer capacity of the conformal score window.
-    pub window: u32,
-    /// Nominal coverage the calibrated interval targets (e.g. `0.9`).
-    pub target_coverage: f64,
-    /// z-multiplier served before `min_scores` conformal scores exist
-    /// (normal-theory fallback).
-    pub fallback_z: f64,
-    /// Conformal scores required before the empirical quantile replaces
-    /// [`DriftConfig::fallback_z`].
-    pub min_scores: u32,
-    /// Interval-width multiplier while a degraded tier is active.
-    pub degraded_widen: f64,
-    /// How many interval requests a single degraded event keeps the
-    /// widening active for.
-    pub degraded_hold: u32,
-}
+// The detector's, the calibrator's and the widening policy's thresholds.
+// They are constants, not configuration: every build writes them into the
+// CALIBRATION section's eleven policy slots, and a file whose slots hold
+// anything else is refused on restore.
 
-impl Default for DriftConfig {
-    fn default() -> Self {
-        Self {
-            cusum_k: 1.0,
-            cusum_lambda: 6.0,
-            // λ/(clip−k) = 4: at least four net-elevated samples to fire.
-            cusum_clip: 2.5,
-            min_spread: 0.02,
-            min_samples: 30,
-            window: 256,
-            target_coverage: 0.9,
-            // Normal-theory two-sided 90% multiplier.
-            fallback_z: 1.645,
-            min_scores: 20,
-            degraded_widen: 1.5,
-            degraded_hold: 64,
-        }
-    }
-}
+/// CUSUM slack `k`, in baseline-spread units: per-sample tolerance
+/// subtracted from the normalized exceedance, so ordinary noise never
+/// accumulates.
+const CUSUM_K: f64 = 1.0;
+/// CUSUM threshold `λ`, in baseline-spread units: the detector fires when
+/// the accumulated exceedance climbs past it.
+const CUSUM_LAMBDA: f64 = 6.0;
+/// Winsorization cap on a single sample's normalized exceedance (before
+/// `k` is subtracted). One heavy-tail outlier query must not fire the
+/// detector on its own: crossing `λ` needs at least `λ / (clip − k)` = 4
+/// net-elevated samples, so a detection always testifies to a *sustained*
+/// shift.
+const CUSUM_CLIP: f64 = 2.5;
+/// Floor on the baseline spread (in `ln(1+secs)` space) so a near-perfect
+/// model doesn't fire on microscopic noise.
+const MIN_SPREAD: f64 = 0.02;
+/// Residuals the detector must see before it may fire (warm-up).
+const MIN_SAMPLES: u64 = 30;
+/// Ring-buffer capacity of the conformal score window.
+const WINDOW: u32 = 256;
+/// Nominal coverage the calibrated interval targets.
+pub const TARGET_COVERAGE: f64 = 0.9;
+/// z-multiplier served before [`MIN_SCORES`] conformal scores exist: the
+/// normal-theory two-sided 90% multiplier.
+const FALLBACK_Z: f64 = 1.645;
+/// Conformal scores required before the empirical quantile replaces
+/// [`FALLBACK_Z`].
+const MIN_SCORES: u32 = 20;
+/// Interval-width multiplier while a degraded tier is active.
+const DEGRADED_WIDEN: f64 = 1.5;
+/// How many served intervals a single degraded event keeps the widening
+/// active for.
+const DEGRADED_HOLD: u32 = 64;
 
 /// σ below this is treated as "no usable uncertainty": the residual still
 /// feeds the detector, but no conformal score is formed (dividing by a
@@ -124,9 +105,8 @@ const MIN_Z: f64 = 1e-3;
 /// deterministic function of the residuals pushed in (the crate denies
 /// clock and entropy reads, `clippy::disallowed_methods`), which makes
 /// chaos runs replayable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DriftSentinel {
-    config: DriftConfig,
     // Detector state: Welford baseline over |residual| since the last
     // reset, plus the one-sided CUSUM statistic.
     baseline: Welford,
@@ -147,35 +127,7 @@ pub struct DriftSentinel {
     degraded_hold_left: u32,
 }
 
-impl Default for DriftSentinel {
-    fn default() -> Self {
-        Self::new(DriftConfig::default())
-    }
-}
-
 impl DriftSentinel {
-    /// A cold sentinel.
-    pub fn new(config: DriftConfig) -> Self {
-        Self {
-            config,
-            baseline: Welford::new(),
-            cusum: 0.0,
-            triggered: false,
-            detections: 0,
-            forced_retrains: 0,
-            scores: ScoreWindow::default(),
-            covered: 0,
-            measured: 0,
-            last_degraded_total: 0,
-            degraded_hold_left: 0,
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> DriftConfig {
-        self.config
-    }
-
     /// Feeds one scored observation: the local model said `(log_mu,
     /// log_sigma)` in `ln(1+secs)` space, the query actually took
     /// `log_actual`. Updates coverage accounting (against the interval
@@ -198,24 +150,23 @@ impl DriftSentinel {
                 }
             }
         }
-        let cap = self.config.window;
         if log_sigma.is_finite() && log_sigma > MIN_SIGMA {
             let z = r.abs() / log_sigma;
             if z.is_finite() {
-                self.scores.push(cap, z);
+                self.scores.push(z);
             }
         }
         // One-sided CUSUM over |r|, normalized by the baseline the
         // detector had *before* this sample (a shifted sample must not
         // dilute the very baseline it is judged against).
         let x = r.abs();
-        if self.baseline.count() >= self.config.min_samples {
-            let spread = self.baseline.std_dev().max(self.config.min_spread);
+        if self.baseline.count() >= MIN_SAMPLES {
+            let spread = self.baseline.std_dev().max(MIN_SPREAD);
             // Winsorized: a lone outlier contributes at most `clip − k`.
-            let normalized = ((x - self.baseline.mean()) / spread).min(self.config.cusum_clip);
-            let exceedance = normalized - self.config.cusum_k;
+            let normalized = ((x - self.baseline.mean()) / spread).min(CUSUM_CLIP);
+            let exceedance = normalized - CUSUM_K;
             self.cusum = (self.cusum + exceedance).max(0.0);
-            if !self.triggered && self.cusum > self.config.cusum_lambda {
+            if !self.triggered && self.cusum > CUSUM_LAMBDA {
                 self.triggered = true;
                 self.detections = self.detections.saturating_add(1);
             }
@@ -224,19 +175,17 @@ impl DriftSentinel {
     }
 
     /// The z-multiplier a calibrated interval should use right now: the
-    /// empirical `target_coverage`-quantile of recent conformal scores
-    /// (normal-theory fallback until the window has `min_scores`), times
+    /// empirical [`TARGET_COVERAGE`]-quantile of recent conformal scores
+    /// (normal-theory fallback until the window has `MIN_SCORES`), times
     /// the degraded widening when active.
     pub fn z_multiplier(&self) -> f64 {
-        let base = if self.scores.ring.len() >= self.config.min_scores as usize {
-            self.scores
-                .quantile(self.config.target_coverage)
-                .unwrap_or(self.config.fallback_z)
+        let base = if self.scores.ring.len() >= MIN_SCORES as usize {
+            self.scores.quantile(TARGET_COVERAGE).unwrap_or(FALLBACK_Z)
         } else {
-            self.config.fallback_z
+            FALLBACK_Z
         };
         let widen = if self.degraded_hold_left > 0 {
-            self.config.degraded_widen
+            DEGRADED_WIDEN
         } else {
             1.0
         };
@@ -245,11 +194,11 @@ impl DriftSentinel {
 
     /// Reports the current [`crate::stage::DegradedStats::total`] before an
     /// interval is formed: a fresh degraded event re-arms the widening for
-    /// `degraded_hold` interval requests; otherwise the hold decays by one.
+    /// `DEGRADED_HOLD` interval requests; otherwise the hold decays by one.
     pub fn note_degraded_total(&mut self, total: u64) {
         if total > self.last_degraded_total {
             self.last_degraded_total = total;
-            self.degraded_hold_left = self.config.degraded_hold;
+            self.degraded_hold_left = DEGRADED_HOLD;
         } else {
             self.degraded_hold_left = self.degraded_hold_left.saturating_sub(1);
         }
@@ -324,20 +273,22 @@ impl DriftSentinel {
 
     /// Encodes the sentinel as a stage-store section (CALIBRATION). All
     /// floats as `to_bits` images via the section writer — the round trip
-    /// is bit-exact. The signed-residual ring of earlier builds keeps its
-    /// slot (written empty), so files restore across builds both ways.
+    /// is bit-exact. The section opens with eleven policy slots, which hold
+    /// the module's threshold constants, and the signed-residual ring of
+    /// earlier builds keeps its slot (written empty), so files restore
+    /// across builds both ways.
     pub fn store_encode(&self, w: &mut SectionWriter) {
-        w.put_f64(self.config.cusum_k);
-        w.put_f64(self.config.cusum_lambda);
-        w.put_f64(self.config.cusum_clip);
-        w.put_f64(self.config.min_spread);
-        w.put_u64(self.config.min_samples);
-        w.put_u32(self.config.window);
-        w.put_f64(self.config.target_coverage);
-        w.put_f64(self.config.fallback_z);
-        w.put_u32(self.config.min_scores);
-        w.put_f64(self.config.degraded_widen);
-        w.put_u32(self.config.degraded_hold);
+        w.put_f64(CUSUM_K);
+        w.put_f64(CUSUM_LAMBDA);
+        w.put_f64(CUSUM_CLIP);
+        w.put_f64(MIN_SPREAD);
+        w.put_u64(MIN_SAMPLES);
+        w.put_u32(WINDOW);
+        w.put_f64(TARGET_COVERAGE);
+        w.put_f64(FALLBACK_Z);
+        w.put_u32(MIN_SCORES);
+        w.put_f64(DEGRADED_WIDEN);
+        w.put_u32(DEGRADED_HOLD);
         w.put_u64(self.baseline.count());
         w.put_f64(self.baseline.mean());
         w.put_f64(self.baseline.m2());
@@ -356,23 +307,30 @@ impl DriftSentinel {
     }
 
     /// Decodes a sentinel from its CALIBRATION section. Hostile-input
-    /// hardened: ring lengths and cursor indices are validated against the
-    /// declared window, and the scores must be finite, before the state is
-    /// accepted: only a ring a push can leave behind restores.
+    /// hardened: every policy slot must hold its constant's exact bits,
+    /// ring lengths and cursor indices are validated against the window,
+    /// and the scores must be finite, before the state is accepted: only a
+    /// ring a push can leave behind restores.
     pub fn store_decode(r: &mut SectionReader) -> Result<Self, StoreError> {
-        let config = DriftConfig {
-            cusum_k: r.f64()?,
-            cusum_lambda: r.f64()?,
-            cusum_clip: r.f64()?,
-            min_spread: r.f64()?,
-            min_samples: r.u64()?,
-            window: r.u32()?,
-            target_coverage: r.f64()?,
-            fallback_z: r.f64()?,
-            min_scores: r.u32()?,
-            degraded_widen: r.f64()?,
-            degraded_hold: r.u32()?,
-        };
+        policy_slot("cusum_k", r.f64()?.to_bits(), CUSUM_K.to_bits())?;
+        policy_slot("cusum_lambda", r.f64()?.to_bits(), CUSUM_LAMBDA.to_bits())?;
+        policy_slot("cusum_clip", r.f64()?.to_bits(), CUSUM_CLIP.to_bits())?;
+        policy_slot("min_spread", r.f64()?.to_bits(), MIN_SPREAD.to_bits())?;
+        policy_slot("min_samples", r.u64()?, MIN_SAMPLES)?;
+        policy_slot("window", r.u32()?.into(), WINDOW.into())?;
+        policy_slot(
+            "target_coverage",
+            r.f64()?.to_bits(),
+            TARGET_COVERAGE.to_bits(),
+        )?;
+        policy_slot("fallback_z", r.f64()?.to_bits(), FALLBACK_Z.to_bits())?;
+        policy_slot("min_scores", r.u32()?.into(), MIN_SCORES.into())?;
+        policy_slot(
+            "degraded_widen",
+            r.f64()?.to_bits(),
+            DEGRADED_WIDEN.to_bits(),
+        )?;
+        policy_slot("degraded_hold", r.u32()?.into(), DEGRADED_HOLD.into())?;
         let baseline = Welford::from_parts(r.u64()?, r.f64()?, r.f64()?);
         let cusum = r.f64()?;
         let triggered = r.bool()?;
@@ -388,17 +346,14 @@ impl DriftSentinel {
         let residuals = r.f64_vec()?;
         let scores = r.f64_vec()?;
         let malformed = |detail: String| StoreError::Malformed { detail };
-        if residuals.len() > config.window as usize || residual_next as usize > residuals.len() {
+        if residuals.len() > WINDOW as usize || residual_next as usize > residuals.len() {
             return Err(malformed(format!(
-                "calibration residual ring of {} (cursor {residual_next}) past window {}",
+                "calibration residual ring of {} (cursor {residual_next}) past window {WINDOW}",
                 residuals.len(),
-                config.window
             )));
         }
-        let scores =
-            ScoreWindow::from_ring(scores, score_next, config.window).map_err(malformed)?;
+        let scores = ScoreWindow::from_ring(scores, score_next).map_err(malformed)?;
         Ok(Self {
-            config,
             baseline,
             cusum,
             triggered,
@@ -411,6 +366,17 @@ impl DriftSentinel {
             degraded_hold_left,
         })
     }
+}
+
+/// Refuses a CALIBRATION policy slot whose bits are not its constant's:
+/// every build writes the constants, so anything else is damage or a lie.
+fn policy_slot(slot: &str, got: u64, want: u64) -> Result<(), StoreError> {
+    if got == want {
+        return Ok(());
+    }
+    Err(StoreError::Malformed {
+        detail: format!("calibration policy slot {slot} holds bits {got:#x}, not {want:#x}"),
+    })
 }
 
 /// The conformal scores, as a bounded ring and a sorted copy of it. The
@@ -429,24 +395,24 @@ struct ScoreWindow {
 
 impl ScoreWindow {
     /// Accepts a persisted ring only in a state [`ScoreWindow::push`]
-    /// produces: at most `cap` finite scores, `next` equal to the length
-    /// while the ring grows and below `cap` once it is full. (A full ring
-    /// with `next == cap` would drop every later score.)
-    fn from_ring(ring: Vec<f64>, next: u32, cap: u32) -> Result<Self, String> {
+    /// produces: at most [`WINDOW`] finite scores, `next` equal to the
+    /// length while the ring grows and below the window once it is full.
+    /// (A full ring with `next == WINDOW` would drop every later score.)
+    fn from_ring(ring: Vec<f64>, next: u32) -> Result<Self, String> {
         let len = ring.len();
-        if len > cap as usize {
+        if len > WINDOW as usize {
             return Err(format!(
-                "calibration score ring of {len} exceeds window {cap}"
+                "calibration score ring of {len} exceeds window {WINDOW}"
             ));
         }
-        let cursor_ok = if len == cap as usize && cap > 0 {
-            next < cap
+        let cursor_ok = if len == WINDOW as usize {
+            next < WINDOW
         } else {
             next as usize == len
         };
         if !cursor_ok {
             return Err(format!(
-                "calibration score cursor {next} is no state a ring of {len} in window {cap} reaches"
+                "calibration score cursor {next} is no state a ring of {len} in window {WINDOW} reaches"
             ));
         }
         if ring.iter().any(|z| !z.is_finite()) {
@@ -457,22 +423,19 @@ impl ScoreWindow {
         Ok(Self { ring, next, sorted })
     }
 
-    /// Appends into the ring — grow until `cap`, then overwrite the slot at
-    /// `next` (the oldest score) and advance — and moves the sorted copy in
-    /// step: the overwritten score out, `z` in.
-    fn push(&mut self, cap: u32, z: f64) {
-        if cap == 0 {
-            return;
-        }
-        if self.ring.len() < cap as usize {
+    /// Appends into the ring — grow until [`WINDOW`], then overwrite the
+    /// slot at `next` (the oldest score) and advance — and moves the sorted
+    /// copy in step: the overwritten score out, `z` in.
+    fn push(&mut self, z: f64) {
+        if self.ring.len() < WINDOW as usize {
             self.ring.push(z);
-            self.next = self.ring.len() as u32 % cap;
+            self.next = self.ring.len() as u32 % WINDOW;
         } else if let Some(slot) = self.ring.get_mut(self.next as usize) {
             let old = std::mem::replace(slot, z);
             if let Ok(i) = self.sorted.binary_search_by(|y| y.total_cmp(&old)) {
                 self.sorted.remove(i);
             }
-            self.next = (self.next + 1) % cap;
+            self.next = (self.next + 1) % WINDOW;
         } else {
             return;
         }
@@ -508,15 +471,7 @@ impl Deserialize for ScoreWindow {
         let obj = serde::expect_object(v, "ScoreWindow")?;
         let ring: Vec<f64> = serde::de_field(obj, "ring", "ScoreWindow")?;
         let next: u32 = serde::de_field(obj, "next", "ScoreWindow")?;
-        // The window's capacity is the sentinel's config, not part of this
-        // image: a cursor inside the ring reads as a full ring, a cursor at
-        // its end as a growing one.
-        let cap = if next as usize == ring.len() {
-            u32::MAX
-        } else {
-            u32::try_from(ring.len()).map_err(|e| serde::Error::custom(e.to_string()))?
-        };
-        Self::from_ring(ring, next, cap).map_err(serde::Error::custom)
+        Self::from_ring(ring, next).map_err(serde::Error::custom)
     }
 }
 
@@ -526,18 +481,9 @@ mod tests {
     use proptest::prelude::*;
     use stage_metrics::quantile::quantile;
 
-    fn sharp() -> DriftConfig {
-        DriftConfig {
-            min_samples: 10,
-            cusum_lambda: 4.0,
-            min_scores: 5,
-            ..DriftConfig::default()
-        }
-    }
-
     #[test]
     fn steady_residuals_never_trigger() {
-        let mut s = DriftSentinel::new(sharp());
+        let mut s = DriftSentinel::default();
         for i in 0..500 {
             // Small alternating noise around zero.
             let r = if i % 2 == 0 { 0.05 } else { -0.05 };
@@ -550,7 +496,7 @@ mod tests {
 
     #[test]
     fn step_change_triggers_and_latches() {
-        let mut s = DriftSentinel::new(sharp());
+        let mut s = DriftSentinel::default();
         for i in 0..100 {
             let r = if i % 2 == 0 { 0.05 } else { -0.05 };
             s.observe_residual(1.0, 0.2, 1.0 + r);
@@ -579,7 +525,7 @@ mod tests {
 
     #[test]
     fn single_outlier_does_not_trigger() {
-        let mut s = DriftSentinel::new(sharp());
+        let mut s = DriftSentinel::default();
         for i in 0..60 {
             let r = if i % 2 == 0 { 0.05 } else { -0.05 };
             s.observe_residual(1.0, 0.2, 1.0 + r);
@@ -593,7 +539,7 @@ mod tests {
             "a lone outlier must not read as drift (cusum {})",
             s.cusum_level()
         );
-        assert!(s.cusum_level() <= sharp().cusum_clip - sharp().cusum_k + 1e-12);
+        assert!(s.cusum_level() <= CUSUM_CLIP - CUSUM_K + 1e-12);
         for i in 0..10 {
             let r = if i % 2 == 0 { 0.05 } else { -0.05 };
             s.observe_residual(1.0, 0.2, 1.0 + r);
@@ -610,8 +556,8 @@ mod tests {
                 s.observe_residual(0.5, 0.1, 0.5 + r);
             }
         };
-        let mut a = DriftSentinel::new(sharp());
-        let mut b = DriftSentinel::new(sharp());
+        let mut a = DriftSentinel::default();
+        let mut b = DriftSentinel::default();
         feed(&mut a);
         feed(&mut b);
         assert_eq!(a, b, "same residual stream, bit-identical state");
@@ -620,7 +566,7 @@ mod tests {
 
     #[test]
     fn conformal_quantile_tracks_overconfident_sigma() {
-        let mut s = DriftSentinel::new(sharp());
+        let mut s = DriftSentinel::default();
         // Model claims σ=0.1 but residuals are ±0.3: z ≈ 3 everywhere.
         for i in 0..50 {
             let r = if i % 2 == 0 { 0.3 } else { -0.3 };
@@ -633,37 +579,35 @@ mod tests {
 
     #[test]
     fn fallback_z_before_enough_scores() {
-        let s = DriftSentinel::new(DriftConfig::default());
-        assert_eq!(s.z_multiplier(), DriftConfig::default().fallback_z);
+        let s = DriftSentinel::default();
+        assert_eq!(s.z_multiplier(), FALLBACK_Z);
         assert_eq!(s.coverage(), None);
     }
 
     #[test]
     fn degenerate_sigma_feeds_detector_but_not_calibrator() {
-        let mut s = DriftSentinel::new(sharp());
+        let mut s = DriftSentinel::default();
         for _ in 0..50 {
             s.observe_residual(1.0, 0.0, 1.3);
         }
         assert_eq!(s.residuals_seen(), 50);
         // No scores formed: quantile still the fallback.
-        assert_eq!(s.z_multiplier(), sharp().fallback_z);
+        assert_eq!(s.z_multiplier(), FALLBACK_Z);
         // σ=0 point intervals measured honestly: all missed.
         assert_eq!(s.coverage(), Some(0.0));
     }
 
     #[test]
     fn degraded_widening_arms_and_decays() {
-        let mut s = DriftSentinel::new(DriftConfig {
-            degraded_hold: 3,
-            degraded_widen: 2.0,
-            ..DriftConfig::default()
-        });
+        let mut s = DriftSentinel::default();
         let base = s.z_multiplier();
         s.note_degraded_total(1);
         assert!(s.degraded_active());
-        assert!((s.z_multiplier() - base * 2.0).abs() < 1e-12);
-        s.note_degraded_total(1);
-        s.note_degraded_total(1);
+        assert!((s.z_multiplier() - base * DEGRADED_WIDEN).abs() < 1e-12);
+        for _ in 1..DEGRADED_HOLD {
+            s.note_degraded_total(1);
+        }
+        assert!(s.degraded_active(), "held for DEGRADED_HOLD intervals");
         s.note_degraded_total(1);
         assert!(!s.degraded_active(), "hold decays without fresh events");
         assert_eq!(s.z_multiplier(), base);
@@ -674,8 +618,9 @@ mod tests {
 
     #[test]
     fn coverage_accounts_served_intervals() {
-        let mut s = DriftSentinel::new(sharp());
-        // Well-calibrated: σ=0.5, residuals ±0.1 — fallback z=1.645 covers.
+        let mut s = DriftSentinel::default();
+        // Well-calibrated: σ=0.5, residuals ±0.1 — fallback z=1.645 covers,
+        // and so does the conformal quantile that replaces it.
         for i in 0..40 {
             let r = if i % 2 == 0 { 0.1 } else { -0.1 };
             s.observe_residual(1.0, 0.5, 1.0 + r);
@@ -686,23 +631,22 @@ mod tests {
 
     #[test]
     fn ring_buffer_wraps() {
-        let mut s = DriftSentinel::new(DriftConfig {
-            window: 4,
-            min_scores: 2,
-            ..sharp()
-        });
-        for i in 0..10 {
-            s.observe_residual(1.0, 0.1, 1.0 + 0.01 * (i + 1) as f64);
+        let mut s = DriftSentinel::default();
+        let actual = |i: u32| 1.0 + 0.01 * f64::from(i + 1);
+        let n = WINDOW + 10;
+        for i in 0..n {
+            s.observe_residual(1.0, 0.1, actual(i));
         }
-        // The window holds only the last 4 scores: the served multiplier is
-        // their quantile and nothing older's.
-        let want = quantile(&[0.7, 0.8, 0.9, 1.0], s.config().target_coverage).unwrap();
-        assert!((s.z_multiplier() - want).abs() < 1e-9);
+        // The window holds only the last WINDOW scores: the served
+        // multiplier is their quantile and nothing older's.
+        let last: Vec<f64> = (n - WINDOW..n).map(|i| (actual(i) - 1.0) / 0.1).collect();
+        let want = quantile(&last, TARGET_COVERAGE).unwrap();
+        assert_eq!(s.z_multiplier().to_bits(), want.to_bits());
     }
 
     #[test]
     fn store_round_trip_is_bit_exact() {
-        let mut s = DriftSentinel::new(sharp());
+        let mut s = DriftSentinel::default();
         for i in 0..75 {
             let r = if i < 60 { 0.07 } else { 0.9 };
             s.observe_residual(1.0, 0.2, 1.0 + r);
@@ -720,7 +664,7 @@ mod tests {
 
     #[test]
     fn store_decode_rejects_hostile_cursors() {
-        let mut s = DriftSentinel::new(sharp());
+        let mut s = DriftSentinel::default();
         s.observe_residual(1.0, 0.2, 1.5);
         // Corrupt the cursor past the ring length.
         s.scores.next = 99;
@@ -734,27 +678,21 @@ mod tests {
         ));
     }
 
-    /// A CALIBRATION section for a cold `sharp()` sentinel with window
-    /// `window`, serving its quantile from one score on, whose score ring
-    /// is `scores` with cursor `next`, written field by field as
+    /// A CALIBRATION section for a cold sentinel whose score ring is
+    /// `scores` with cursor `next`, written field by field as
     /// [`DriftSentinel::store_encode`] lays it out.
-    fn calibration_section(window: u32, next: u32, scores: &[f64]) -> Vec<u8> {
-        let c = DriftConfig {
-            window,
-            min_scores: 1,
-            ..sharp()
-        };
+    fn calibration_section(next: u32, scores: &[f64]) -> Vec<u8> {
         let mut w = SectionWriter::new();
-        for x in [c.cusum_k, c.cusum_lambda, c.cusum_clip, c.min_spread] {
+        for x in [CUSUM_K, CUSUM_LAMBDA, CUSUM_CLIP, MIN_SPREAD] {
             w.put_f64(x);
         }
-        w.put_u64(c.min_samples);
-        w.put_u32(c.window);
-        w.put_f64(c.target_coverage);
-        w.put_f64(c.fallback_z);
-        w.put_u32(c.min_scores);
-        w.put_f64(c.degraded_widen);
-        w.put_u32(c.degraded_hold);
+        w.put_u64(MIN_SAMPLES);
+        w.put_u32(WINDOW);
+        w.put_f64(TARGET_COVERAGE);
+        w.put_f64(FALLBACK_Z);
+        w.put_u32(MIN_SCORES);
+        w.put_f64(DEGRADED_WIDEN);
+        w.put_u32(DEGRADED_HOLD);
         w.put_u64(0);
         w.put_f64(0.0);
         w.put_f64(0.0);
@@ -782,19 +720,20 @@ mod tests {
     /// restores and keeps moving.
     #[test]
     fn store_decode_refuses_a_ring_that_would_freeze() {
-        let full = [0.5, 1.0, 1.5, 2.0];
+        let full: Vec<f64> = (1..=WINDOW).map(|i| f64::from(i) / 128.0).collect();
         for (next, scores) in [
-            (4, &full[..]),
-            (9, &full[..]),
+            (WINDOW, &full[..]),
+            (WINDOW + 5, &full[..]),
             (0, &full[..2]),
             (3, &full[..2]),
             (2, &[0.5, f64::INFINITY][..]),
             (2, &[f64::NAN, 0.5][..]),
         ] {
-            let got = decode(&calibration_section(4, next, scores));
+            let got = decode(&calibration_section(next, scores));
             assert!(
                 matches!(got, Err(StoreError::Malformed { .. })),
-                "cursor {next} over {scores:?} decoded: {got:?}"
+                "cursor {next} over {} scores decoded: {got:?}",
+                scores.len()
             );
         }
         for (next, scores) in [
@@ -803,51 +742,71 @@ mod tests {
             (0, &full[..]),
             (3, &full[..]),
         ] {
-            let mut s = decode(&calibration_section(4, next, scores)).expect("a reachable state");
+            let mut s = decode(&calibration_section(next, scores)).expect("a reachable state");
             let before = s.z_multiplier();
-            for _ in 0..4 {
+            for _ in 0..MIN_SCORES {
                 s.observe_residual(1.0, 0.1, 1.9);
             }
             assert!(s.z_multiplier() > before, "the quantile moved off {before}");
         }
     }
 
+    /// Each of the eleven policy slots must hold its constant's bits: a
+    /// file that claims any other threshold is refused, not obeyed.
+    #[test]
+    fn store_decode_refuses_a_policy_other_than_the_constants() {
+        let good = calibration_section(0, &[]);
+        assert!(decode(&good).is_ok());
+        let slot_starts = [0, 8, 16, 24, 32, 40, 44, 52, 60, 64, 72];
+        for at in slot_starts {
+            let mut bad = good.clone();
+            bad[at] ^= 1;
+            let got = decode(&bad);
+            assert!(
+                matches!(&got, Err(StoreError::Malformed { detail }) if detail.contains("policy slot")),
+                "slot at byte {at} decoded: {got:?}"
+            );
+        }
+    }
+
     #[test]
     fn out_of_range_coverage_serves_the_fallback() {
-        for target_coverage in [-0.1, 1.5, f64::NAN] {
-            let mut s = DriftSentinel::new(DriftConfig {
-                target_coverage,
-                ..sharp()
-            });
-            for i in 0..30 {
-                s.observe_residual(1.0, 0.1, 1.0 + 0.01 * i as f64);
-            }
-            assert_eq!(s.z_multiplier(), sharp().fallback_z, "{target_coverage}");
+        let mut s = DriftSentinel::default();
+        for i in 0..30 {
+            s.observe_residual(1.0, 0.1, 1.0 + 0.01 * i as f64);
+        }
+        assert!(s.scores.quantile(TARGET_COVERAGE).is_some());
+        // `z_multiplier` serves `FALLBACK_Z` wherever the window answers
+        // `None`.
+        for q in [-0.1, 1.5, f64::NAN] {
+            assert_eq!(s.scores.quantile(q), None, "{q}");
         }
     }
 
     proptest! {
         /// The sorted copy answers what sorting the ring answers, to the
-        /// bit, after every push — repeats, zeros and wrap-around included
-        /// — and survives both encodings.
+        /// bit, after every push — repeats, zeros and wrap-around of the
+        /// full window included — and survives both encodings.
         #[test]
         fn prop_sorted_window_quantile_equals_sorting_the_ring(
-            window in 1u32..9,
             coverage in 0.0f64..1.0,
-            residuals in proptest::collection::vec(0u32..6, 1..40),
+            residuals in proptest::collection::vec(0u32..6, 1..600),
         ) {
-            let config = DriftConfig {
-                window,
-                min_scores: 1,
-                target_coverage: coverage,
-                ..sharp()
-            };
-            let mut s = DriftSentinel::new(config);
+            let mut s = DriftSentinel::default();
             for r in residuals {
                 s.observe_residual(1.0, 0.25, 1.0 + f64::from(r) * 0.125);
-                let want = quantile(&s.scores.ring, coverage).unwrap().max(MIN_Z);
+                let ring = &s.scores.ring;
+                prop_assert_eq!(
+                    s.scores.quantile(coverage).map(f64::to_bits),
+                    quantile(ring, coverage).map(f64::to_bits)
+                );
+                let want = if ring.len() >= MIN_SCORES as usize {
+                    quantile(ring, TARGET_COVERAGE).unwrap().max(MIN_Z)
+                } else {
+                    FALLBACK_Z
+                };
                 prop_assert_eq!(s.z_multiplier().to_bits(), want.to_bits());
-                let mut sorted = s.scores.ring.clone();
+                let mut sorted = ring.clone();
                 sorted.sort_by(f64::total_cmp);
                 prop_assert_eq!(&s.scores.sorted, &sorted);
             }
@@ -861,7 +820,7 @@ mod tests {
     #[test]
     fn serde_round_trip_is_lossless() {
         use serde::Deserialize;
-        let mut s = DriftSentinel::new(sharp());
+        let mut s = DriftSentinel::default();
         for _ in 0..30 {
             s.observe_residual(1.0, 0.2, 1.4);
         }

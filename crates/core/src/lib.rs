@@ -43,7 +43,7 @@ pub mod storefmt;
 
 pub use autowlm::{AutoWlmConfig, AutoWlmPredictor};
 pub use cache::{CacheConfig, CacheMode, ExecTimeCache};
-pub use drift::{DriftConfig, DriftSentinel};
+pub use drift::DriftSentinel;
 pub use global::{plan_to_tree_sample, GlobalModel, GlobalModelConfig, GLOBAL_SYS_DIM_BASE};
 pub use local::{LocalModel, LocalModelConfig, LocalPrediction};
 pub use persist::{PersistFaults, RestoreError};

@@ -7,17 +7,19 @@
 //! [`crate::storefmt`]; this module holds what that path needs from the
 //! filesystem and nothing about the format itself:
 //!
-//! - `atomic_write` — temp file + fsync + `rename`, so a kill at any
-//!   instant leaves the old artefact or the new one, never a hybrid;
-//! - `quarantine` — a damaged file is renamed to `<name>.quarantine` so
-//!   the next restore doesn't trip over it again and the bytes survive for
-//!   forensics;
+//! - `write_image` — the one write: temp file + fsync + `rename`, so a kill
+//!   at any instant leaves the old artefact or the new one, never a hybrid;
+//! - `read_image` — the one read: a size bound checked before a byte is
+//!   read, then the decode; a file that fails to decode is renamed to
+//!   `<name>.quarantine` so the next restore doesn't trip over it again
+//!   and the bytes survive for forensics;
 //! - [`RestoreError`] — the typed reasons a restore can fail (the store
 //!   format's own error, re-exported), so disk rot, truncation, and stale
 //!   formats fail loudly instead of predicting garbage;
 //! - [`PersistFaults`] — the hook through which the chaos layer injects
 //!   partial writes, fsync failures, and read-side bit flips without this
-//!   module knowing anything about fault schedules.
+//!   module knowing anything about fault schedules. Both of its call sites
+//!   are the two functions above.
 
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
@@ -78,29 +80,34 @@ fn tmp_sibling(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Crash-safe file write: streams through `write` into a temp file in the
-/// target directory, fsyncs, then atomically `rename`s into place. A kill
-/// at any instant leaves either the old artefact or the new one at `path`
-/// — never a truncated hybrid (the failure mode of writing in place).
-/// An injected fsync failure (`faults`) aborts before the rename, exactly
-/// like a real one.
-pub(crate) fn atomic_write<F>(
+/// Largest file restore will read into memory. The read allocates
+/// whatever length the directory entry claims, so the claim is bounded
+/// first; the largest artefact any workload writes is ≈ 2.5 MB.
+const MAX_STORE_BYTES: u64 = 1 << 30;
+
+/// Crash-safe write of a whole file image: writes a temp file in the target
+/// directory, fsyncs, then atomically `rename`s into place. A kill at any
+/// instant leaves either the old artefact or the new one at `path` — never
+/// a truncated hybrid (the failure mode of writing in place). The fault
+/// hook sees the finished image first, so injected truncation or bit
+/// damage lands on disk behind mismatching section CRCs; an injected
+/// fsync failure aborts before the rename, exactly like a real one.
+pub(crate) fn write_image(
     path: &Path,
-    write: F,
+    mut bytes: Vec<u8>,
     faults: Option<&dyn PersistFaults>,
-) -> io::Result<()>
-where
-    F: FnOnce(&mut io::BufWriter<std::fs::File>) -> io::Result<()>,
-{
+) -> io::Result<()> {
+    if let Some(f) = faults {
+        f.before_write(path, &mut bytes)?;
+    }
     let tmp = tmp_sibling(path);
     let result = (|| {
-        let mut out = io::BufWriter::new(std::fs::File::create(&tmp)?);
-        write(&mut out)?;
-        out.flush()?;
+        let mut out = std::fs::File::create(&tmp)?;
+        out.write_all(&bytes)?;
         if let Some(f) = faults {
             f.on_fsync(path)?;
         }
-        out.get_ref().sync_all()?;
+        out.sync_all()?;
         std::fs::rename(&tmp, path)
     })();
     if result.is_err() {
@@ -110,15 +117,38 @@ where
     result
 }
 
-/// Renames a damaged artefact to `<name>.quarantine` (best effort) so the
-/// next restore doesn't re-parse known-bad bytes; returns the new path when
-/// the rename succeeded.
-pub(crate) fn quarantine(path: &Path) -> Option<PathBuf> {
-    let mut name = path.file_name()?.to_os_string();
-    name.push(".quarantine");
-    let dest = path.with_file_name(name);
-    std::fs::rename(path, &dest).ok()?;
-    Some(dest)
+/// Reads a whole file, refusing one over [`MAX_STORE_BYTES`] before
+/// reading a byte of it, and decodes it. The fault hook sees (and may
+/// damage) the bytes exactly where disk rot would. Anything but an I/O
+/// error means the file exists and cannot be trusted: it is renamed to
+/// `<name>.quarantine` (best effort) before the typed error returns.
+pub(crate) fn read_image<T>(
+    path: &Path,
+    faults: Option<&dyn PersistFaults>,
+    decode: impl FnOnce(&[u8]) -> Result<T, RestoreError>,
+) -> Result<T, RestoreError> {
+    let read = || {
+        let len = std::fs::metadata(path)?.len();
+        if len > MAX_STORE_BYTES {
+            return Err(RestoreError::Malformed {
+                detail: format!(
+                    "store file of {len} bytes exceeds the {MAX_STORE_BYTES}-byte bound"
+                ),
+            });
+        }
+        let mut bytes = std::fs::read(path)?;
+        if let Some(f) = faults {
+            f.after_read(path, &mut bytes);
+        }
+        Ok(bytes)
+    };
+    let result = read().and_then(|bytes| decode(&bytes));
+    if matches!(&result, Err(e) if !matches!(e, RestoreError::Io(_))) {
+        let mut name = path.file_name().unwrap_or_default().to_os_string();
+        name.push(".quarantine");
+        let _ = std::fs::rename(path, path.with_file_name(name));
+    }
+    result
 }
 
 #[cfg(test)]
@@ -200,10 +230,13 @@ mod tests {
         let path = dir.join("snapshot.store");
         save_stage_store(&snapshot_with(1), &path, None).unwrap();
 
-        // A save whose write step errors must leave the artefact untouched
-        // and clean up its temp file.
-        let err = atomic_write(&path, |_w| Err(io::Error::other("simulated crash")), None);
-        assert!(err.is_err());
+        // A save that fails after its temp file is written must leave the
+        // artefact untouched and clean up the temp file.
+        let faults = ScriptedFaults {
+            fail_fsync: true,
+            ..ScriptedFaults::default()
+        };
+        assert!(save_stage_store(&snapshot_with(2), &path, Some(&faults)).is_err());
         assert_eq!(cached(&path), 1);
         assert!(
             tmp_files(&dir).is_empty(),

@@ -44,11 +44,12 @@ impl Prediction {
     }
 
     /// A symmetric confidence interval in seconds: `exp(μ ± z·σ)` mapped
-    /// back from log space. Returns `None` when no variance is available.
+    /// back from log space (a negative variance reads as zero). Returns
+    /// `None` when no variance is available.
     pub fn confidence_interval(&self, z: f64) -> Option<(f64, f64)> {
         let var = self.log_variance?;
         let mu = self.exec_secs.max(0.0).ln_1p();
-        let half = z * var.sqrt();
+        let half = z * var.max(0.0).sqrt();
         Some(((mu - half).exp_m1().max(0.0), (mu + half).exp_m1().max(0.0)))
     }
 }

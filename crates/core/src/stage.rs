@@ -446,19 +446,16 @@ impl StagePredictor {
         &self.drift
     }
 
-    /// The calibrated prediction interval for `p`, in seconds: half-width
-    /// `ẑ·σ` in `ln(1+secs)` space where `ẑ` is the conformal quantile of
-    /// recent normalized residuals (not a fixed normal-theory constant),
-    /// widened by the configured multiplier while any degraded tier is
-    /// active. `None` when the producing stage measured no variance
-    /// (cache/default answers), exactly like
-    /// [`Prediction::confidence_interval`].
+    /// The calibrated prediction interval for `p`, in seconds:
+    /// [`Prediction::confidence_interval`] at `ẑ`, the conformal quantile
+    /// of recent normalized residuals (not a fixed normal-theory constant),
+    /// widened while any degraded tier is active. `None` when the producing
+    /// stage measured no variance (cache/default answers). Every call
+    /// counts as one served interval for the degraded hold, cache answers
+    /// included.
     pub fn calibrated_interval(&mut self, p: &Prediction) -> Option<(f64, f64)> {
         self.drift.note_degraded_total(self.degraded.total());
-        let var = p.log_variance?;
-        let half = self.drift.z_multiplier() * var.max(0.0).sqrt();
-        let mu = p.exec_secs.max(0.0).ln_1p();
-        Some(((mu - half).exp_m1().max(0.0), (mu + half).exp_m1().max(0.0)))
+        p.confidence_interval(self.drift.z_multiplier())
     }
 
     /// Component-wise memory breakdown `(cache, pool, local)` in bytes. The

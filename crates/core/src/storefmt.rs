@@ -9,12 +9,13 @@
 //! answers **bit-identically** to a serde round trip of the same snapshot
 //! (the reference `tests/store_identity.rs` compares against).
 //!
-//! There is one way to write an artefact and one way to read it, with or
-//! without a [`PersistFaults`] hook installed: [`save_stage_store`] builds
-//! the whole image and hands it to [`crate::persist`]'s crash-safe
-//! temp-file + fsync + rename, so a kill at any instant leaves the old
-//! artefact or the new one; [`load_stage_store`] reads the whole file
-//! (refusing one over 1 GiB before it reads a byte) and parses it.
+//! This module only lays bytes out. There is one way to write an artefact
+//! and one way to read it, both in [`crate::persist`], which alone calls a
+//! [`PersistFaults`] hook: [`save_stage_store`] builds the whole image and
+//! hands it to the crash-safe temp-file + fsync + rename, so a kill at any
+//! instant leaves the old artefact or the new one; [`load_stage_store`]
+//! hands its parser to the read, which refuses a file over 1 GiB before it
+//! reads a byte.
 //!
 //! Restore failures follow `persist`'s quarantine discipline: any damage
 //! (bad magic, version skew, truncation, checksum mismatch, malformed
@@ -38,7 +39,7 @@ use crate::pool::TrainingPool;
 use crate::stage::{DegradedStats, RoutingConfig, RoutingStats, StageConfig, StageSnapshot};
 use serde::{Deserialize, Serialize};
 use stage_store::{build_file, SectionReader, SectionWriter, StoreView};
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 
 /// Section id: routing policy + feature flags (the `StageConfig` fields not
@@ -59,11 +60,6 @@ pub const SECTION_CALIBRATION: u32 = 6;
 /// Section id: the fleet-shared global model (a versioned, kind-tagged JSON
 /// envelope; lives in its own single-section file, not in snapshot files).
 pub const SECTION_GLOBAL: u32 = 16;
-
-/// Largest file restore will read into memory. The read allocates
-/// whatever length the directory entry claims, so the claim is bounded
-/// first; the largest artefact any workload writes is ≈ 2.5 MB.
-const MAX_STORE_BYTES: u64 = 1 << 30;
 
 fn missing_section(id: u32) -> RestoreError {
     RestoreError::Malformed {
@@ -193,51 +189,14 @@ fn next_generation(path: &Path) -> u64 {
 }
 
 /// Writes a snapshot to `path` in store format, crash-safely (temp file +
-/// fsync + atomic rename). The optional fault hook sees the fully built
-/// file image, so injected truncation or bit damage lands on disk with
-/// mismatching section CRCs — which restore must catch.
+/// fsync + atomic rename, `crate::persist`).
 pub fn save_stage_store(
     snap: &StageSnapshot,
     path: &Path,
     faults: Option<&dyn PersistFaults>,
 ) -> io::Result<()> {
-    let mut bytes = build_file(&snapshot_sections(snap), next_generation(path));
-    if let Some(f) = faults {
-        f.before_write(path, &mut bytes)?;
-    }
-    persist::atomic_write(path, |out| out.write_all(&bytes), faults)
-}
-
-/// Reads a whole store file, refusing one larger than
-/// [`MAX_STORE_BYTES`] before reading a byte of it. An installed fault
-/// hook sees (and may damage) the bytes exactly where disk rot would.
-fn read_image(path: &Path, faults: Option<&dyn PersistFaults>) -> Result<Vec<u8>, RestoreError> {
-    let len = std::fs::metadata(path)?.len();
-    if len > MAX_STORE_BYTES {
-        return Err(RestoreError::Malformed {
-            detail: format!("store file of {len} bytes exceeds the {MAX_STORE_BYTES}-byte bound"),
-        });
-    }
-    let mut bytes = std::fs::read(path)?;
-    if let Some(f) = faults {
-        f.after_read(path, &mut bytes);
-    }
-    Ok(bytes)
-}
-
-/// Reads, validates and decodes a store file. Anything but an I/O error
-/// means the file exists and cannot be trusted: it is quarantined before
-/// the typed error returns.
-fn load_store<T>(
-    path: &Path,
-    faults: Option<&dyn PersistFaults>,
-    decode: impl FnOnce(&StoreView<'_>) -> Result<T, RestoreError>,
-) -> Result<T, RestoreError> {
-    let result = read_image(path, faults).and_then(|bytes| decode(&StoreView::parse(&bytes)?));
-    if matches!(&result, Err(e) if !matches!(e, RestoreError::Io(_))) {
-        let _ = persist::quarantine(path);
-    }
-    result
+    let bytes = build_file(&snapshot_sections(snap), next_generation(path));
+    persist::write_image(path, bytes, faults)
 }
 
 /// Restores a snapshot from a store file. Missing files are a benign
@@ -250,7 +209,9 @@ pub fn load_stage_store(
     path: &Path,
     faults: Option<&dyn PersistFaults>,
 ) -> Result<StageSnapshot, RestoreError> {
-    load_store(path, faults, decode_snapshot)
+    persist::read_image(path, faults, |bytes| {
+        decode_snapshot(&StoreView::parse(bytes)?)
+    })
 }
 
 /// Payload version of [`SECTION_GLOBAL`]; bump on breaking model-layout
@@ -316,11 +277,11 @@ pub fn save_global_store(
     let payload = encode_global(model)?;
     let mut w = SectionWriter::new();
     w.put_bytes(&payload);
-    let mut bytes = build_file(&[(SECTION_GLOBAL, w.finish())], generation);
-    if let Some(f) = faults {
-        f.before_write(path, &mut bytes)?;
-    }
-    persist::atomic_write(path, |out| out.write_all(&bytes), faults)
+    persist::write_image(
+        path,
+        build_file(&[(SECTION_GLOBAL, w.finish())], generation),
+        faults,
+    )
 }
 
 /// Loads a global model (and its generation stamp) from a store file
@@ -330,7 +291,8 @@ pub fn load_global_store(
     path: &Path,
     faults: Option<&dyn PersistFaults>,
 ) -> Result<(GlobalModel, u64), RestoreError> {
-    load_store(path, faults, |view| {
+    persist::read_image(path, faults, |bytes| {
+        let view = StoreView::parse(bytes)?;
         let section = view
             .section(SECTION_GLOBAL)
             .ok_or_else(|| missing_section(SECTION_GLOBAL))?;

@@ -5,9 +5,10 @@
 //! thresholds, so even 1-ulp drift would route requests differently after
 //! a warm restart. The hostile-input half of this file proves restore
 //! never panics and never silently half-loads: truncation at every section
-//! boundary, single-bit flips across the whole file, wrong magic/version
-//! and a file past the size bound all surface as typed [`RestoreError`]s
-//! and quarantine the file.
+//! boundary, single-bit flips across the whole file, wrong magic/version,
+//! a file past the size bound and a calibration policy slot that differs
+//! from the constants all surface as typed [`RestoreError`]s and quarantine
+//! the file.
 
 use proptest::prelude::*;
 use stage_core::persist::{PersistFaults, RestoreError};
@@ -357,6 +358,39 @@ fn calibration_section_corruption_quarantines_and_absence_is_cold_start() {
     std::fs::write(&path, stage_store::build_file(&legacy, 0)).unwrap();
     let restored = load_stage_store(&path, None).unwrap();
     assert_eq!(restored.calibration, DriftSentinel::default());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The CALIBRATION section opens with eleven policy slots that every build
+/// fills with the drift sentinel's constants. A file whose `fallback_z`
+/// slot claims 1e300 behind valid CRCs is refused — typed `Malformed`, and
+/// quarantined — rather than restored into a sentinel that serves `(0, ∞)`
+/// for every local answer until its score window fills.
+#[test]
+fn a_hostile_policy_slot_is_refused() {
+    use stage_core::storefmt::SECTION_CALIBRATION;
+
+    let dir = fresh_dir("policy");
+    let path = dir.join("snapshot.store");
+    let snap = warm_predictor(7, 32).snapshot();
+    // Past four f64 slots, a u64 and a u32, then `target_coverage`.
+    const FALLBACK_Z_AT: usize = 4 * 8 + 8 + 4 + 8;
+    let sections: Vec<(u32, Vec<u8>)> = snapshot_sections(&snap)
+        .into_iter()
+        .map(|(id, mut bytes)| {
+            if id == SECTION_CALIBRATION {
+                let slot = &mut bytes[FALLBACK_Z_AT..FALLBACK_Z_AT + 8];
+                assert_eq!(slot, &1.645f64.to_le_bytes()[..], "not the fallback_z slot");
+                slot.copy_from_slice(&1e300f64.to_le_bytes());
+            }
+            (id, bytes)
+        })
+        .collect();
+    std::fs::write(&path, stage_store::build_file(&sections, 0)).unwrap();
+    let err = load_stage_store(&path, None).unwrap_err();
+    assert!(matches!(err, RestoreError::Malformed { .. }), "{err}");
+    assert!(!path.exists(), "hostile file left in place");
+    assert!(quarantine_path(&path).exists(), "no quarantine file");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

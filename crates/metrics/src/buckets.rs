@@ -161,46 +161,6 @@ impl BucketReport {
         out
     }
 
-    /// Renders two reports side by side, paper-table style: one row per
-    /// bucket with both predictors' MAE/P50/P90 columns.
-    ///
-    /// # Panics
-    /// Panics if the two reports have different row structures.
-    pub fn render_abs_side_by_side(
-        &self,
-        other: &BucketReport,
-        title: &str,
-        self_name: &str,
-        other_name: &str,
-    ) -> String {
-        assert_eq!(self.rows.len(), other.rows.len(), "row structure mismatch");
-        let mut out = format!(
-            "{title}\n{:<13} {:>10} | {:^32} | {:^32}\n{:<13} {:>10} | {:>10} {:>10} {:>10} | {:>10} {:>10} {:>10}\n",
-            "", "", self_name, other_name,
-            "Exec-time", "# Queries", "MAE", "P50-AE", "P90-AE", "MAE", "P50-AE", "P90-AE"
-        );
-        for (a, b) in self.rows.iter().zip(&other.rows) {
-            let label = a.bucket.map(|x| x.label()).unwrap_or("Overall");
-            let cell = |s: Option<AbsErrorSummary>| -> (String, String, String) {
-                match s {
-                    Some(s) => (
-                        format!("{:.3}", s.mae),
-                        format!("{:.3}", s.p50),
-                        format!("{:.3}", s.p90),
-                    ),
-                    None => ("-".into(), "-".into(), "-".into()),
-                }
-            };
-            let (am, a5, a9) = cell(a.abs);
-            let (bm, b5, b9) = cell(b.abs);
-            out.push_str(&format!(
-                "{label:<13} {:>10} | {am:>10} {a5:>10} {a9:>10} | {bm:>10} {b5:>10} {b9:>10}\n",
-                a.count()
-            ));
-        }
-        out
-    }
-
     /// Renders the Q-error columns (`label  #queries  MQE  P50-QE  P90-QE`).
     pub fn render_q(&self, title: &str) -> String {
         let mut out = format!(
@@ -279,31 +239,6 @@ mod tests {
             assert!(q.contains(b.label()));
         }
         assert!(abs.contains("Overall"));
-    }
-
-    #[test]
-    fn side_by_side_renders_both_columns() {
-        let actual = [1.0, 15.0, 70.0, 150.0, 400.0];
-        let a = BucketReport::from_pairs(&actual, &[1.0, 10.0, 60.0, 100.0, 300.0]).unwrap();
-        let b = BucketReport::from_pairs(&actual, &[2.0, 20.0, 80.0, 200.0, 500.0]).unwrap();
-        let text = a.render_abs_side_by_side(&b, "Table 1", "Stage", "AutoWLM");
-        assert!(text.contains("Stage"));
-        assert!(text.contains("AutoWLM"));
-        assert!(text.contains("Overall"));
-        for bucket in ExecTimeBucket::ALL {
-            assert!(text.contains(bucket.label()));
-        }
-        // Every non-header row has both predictors' numbers.
-        assert!(text.lines().count() >= 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "row structure mismatch")]
-    fn side_by_side_rejects_mismatched_reports() {
-        let a = BucketReport::from_pairs(&[1.0], &[1.0]).unwrap();
-        let mut b = BucketReport::from_pairs(&[1.0], &[1.0]).unwrap();
-        b.rows.pop();
-        let _ = a.render_abs_side_by_side(&b, "t", "x", "y");
     }
 
     #[test]

@@ -30,9 +30,9 @@ pub mod quantile;
 pub mod welford;
 
 pub use buckets::{BucketReport, BucketRow, ExecTimeBucket};
-pub use calibration::{interval_coverage, spearman};
+pub use calibration::interval_coverage;
 pub use error::{AbsErrorSummary, QErrorSummary};
 pub use histogram::LogHistogram;
 pub use prr::{prr_score, PrrCurves};
-pub use quantile::{percentile, quantile};
+pub use quantile::quantile;
 pub use welford::Welford;

@@ -51,11 +51,6 @@ pub fn quantile_of_sorted(sorted: &[f64], q: f64) -> f64 {
     a + (b - a) * frac
 }
 
-/// Percentile convenience wrapper: `percentile(xs, 90.0)` == `quantile(xs, 0.9)`.
-pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
-    quantile(xs, p / 100.0)
-}
-
 /// Computes several quantiles in one pass (single sort).
 pub fn quantiles(xs: &[f64], qs: &[f64]) -> Option<Vec<f64>> {
     if xs.is_empty() {
@@ -140,12 +135,6 @@ mod tests {
     fn unsorted_input_is_handled() {
         let xs = [50.0, 10.0, 40.0, 20.0, 30.0];
         assert_eq!(quantile(&xs, 0.5), Some(30.0));
-    }
-
-    #[test]
-    fn percentile_matches_quantile() {
-        let xs = [1.0, 2.0, 3.0, 9.0];
-        assert_eq!(percentile(&xs, 90.0), quantile(&xs, 0.9));
     }
 
     #[test]

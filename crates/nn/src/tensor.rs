@@ -188,11 +188,6 @@ impl Matrix {
     pub fn fill_zero(&mut self) {
         self.data.fill(0.0);
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
 }
 
 /// `out += a · B` for one row `a` (`1×k`) against row-major `B`
@@ -358,11 +353,5 @@ mod tests {
         let v = Matrix::row_vector(&[1.0, 2.0]);
         assert_eq!((v.rows(), v.cols()), (1, 2));
         assert_eq!(v.row(0), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn frobenius() {
-        let m = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 }

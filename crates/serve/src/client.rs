@@ -87,17 +87,7 @@ impl ServeClient {
     /// Connects to a running server with the default I/O timeouts on the
     /// binary codec.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Self> {
-        Self::connect_with_timeout(addr, Some(DEFAULT_IO_TIMEOUT))
-    }
-
-    /// Connects on the binary codec with an explicit socket read/write
-    /// timeout (`None` blocks forever — only sensible in tests that own
-    /// both ends).
-    pub fn connect_with_timeout<A: ToSocketAddrs>(
-        addr: A,
-        timeout: Option<Duration>,
-    ) -> io::Result<Self> {
-        Self::connect_with_codec(addr, timeout, Codec::Binary)
+        Self::connect_with_codec(addr, Some(DEFAULT_IO_TIMEOUT), Codec::Binary)
     }
 
     /// Connects with explicit timeout and codec.

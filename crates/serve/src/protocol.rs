@@ -70,7 +70,7 @@ pub struct BatchPrediction {
     /// Point prediction in seconds.
     pub exec_secs: f64,
     /// Lower bound of the shard's split-conformal prediction interval
-    /// (target coverage `DriftConfig::target_coverage`, 0.90 by default;
+    /// (target coverage [`stage_core::drift::TARGET_COVERAGE`], 0.90;
     /// `None` when the answering tier measures no uncertainty).
     pub interval_lo: Option<f64>,
     /// Upper bound of the same interval.
@@ -87,9 +87,8 @@ pub enum Response {
         /// Point prediction in seconds.
         exec_secs: f64,
         /// Lower bound of the shard's split-conformal prediction interval
-        /// (target coverage `DriftConfig::target_coverage`, 0.90 by
-        /// default; `None` when the answering tier measures no
-        /// uncertainty).
+        /// (target coverage [`stage_core::drift::TARGET_COVERAGE`], 0.90;
+        /// `None` when the answering tier measures no uncertainty).
         interval_lo: Option<f64>,
         /// Upper bound of the same interval.
         interval_hi: Option<f64>,

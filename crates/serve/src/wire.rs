@@ -656,19 +656,11 @@ pub enum Unframed<'a> {
 /// mismatch) mean the stream is desynchronised — unlike newline-JSON there
 /// is no resync point, so the caller answers an `Error` and closes.
 pub fn try_unframe(buf: &[u8]) -> io::Result<Unframed<'_>> {
-    let Some(header) = buf.get(..8) else {
+    let Some(&header) = buf.first_chunk::<8>() else {
         return Ok(Unframed::NeedMore);
     };
-    let (len_bytes, crc_bytes) = header.split_at(4);
-    let mut a = [0u8; 4];
-    a.copy_from_slice(len_bytes);
-    let len = u32::from_le_bytes(a);
-    a.copy_from_slice(crc_bytes);
-    let expect_crc = u32::from_le_bytes(a);
-    if len > MAX_FRAME_LEN {
-        return Err(bad("frame length header exceeds MAX_FRAME_LEN"));
-    }
-    let total = 8 + len as usize;
+    let (len, expect_crc) = parse_frame_header(header)?;
+    let total = 8 + len;
     let Some(payload) = buf.get(8..total) else {
         return Ok(Unframed::NeedMore);
     };
@@ -689,22 +681,26 @@ pub fn read_frame<R: Read>(input: &mut R, payload: &mut Vec<u8>) -> io::Result<b
     if !read_full(input, &mut header)? {
         return Ok(false);
     }
-    let (len_bytes, crc_bytes) = header.split_at(4);
-    let mut a = [0u8; 4];
-    a.copy_from_slice(len_bytes);
-    let len = u32::from_le_bytes(a);
-    a.copy_from_slice(crc_bytes);
-    let expect_crc = u32::from_le_bytes(a);
-    if len > MAX_FRAME_LEN {
-        return Err(bad("frame length header exceeds MAX_FRAME_LEN"));
-    }
+    let (len, expect_crc) = parse_frame_header(header)?;
     payload.clear();
-    payload.resize(len as usize, 0);
+    payload.resize(len, 0);
     input.read_exact(payload)?;
     if crc32(payload) != expect_crc {
         return Err(bad("frame checksum mismatch"));
     }
     Ok(true)
+}
+
+/// Splits a frame header into the payload length and the payload's
+/// expected CRC, refusing a length over [`MAX_FRAME_LEN`] before anything
+/// is sized by it.
+fn parse_frame_header(header: [u8; 8]) -> io::Result<(usize, u32)> {
+    let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]);
+    if len > MAX_FRAME_LEN {
+        return Err(bad("frame length header exceeds MAX_FRAME_LEN"));
+    }
+    Ok((len as usize, u32::from_le_bytes([c0, c1, c2, c3])))
 }
 
 /// `read_exact`, except a clean EOF before the first byte is `Ok(false)`

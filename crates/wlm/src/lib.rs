@@ -28,7 +28,5 @@
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 pub mod sim;
-pub mod stats;
 
 pub use sim::{QueueKind, SimQuery, SimResult, Simulation, WlmConfig, WlmSummary};
-pub use stats::{queue_depth_timeline, queue_stats, QueueStats};

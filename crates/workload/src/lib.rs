@@ -32,7 +32,7 @@
 //! * [`truth`] — the cost-truth executor mapping (plan truth, instance,
 //!   load) → true exec-time;
 //! * [`generator`] — fleet assembly and event-log generation;
-//! * [`stats`] — Fig. 1a/1b style fleet statistics.
+//! * [`stats`] — the per-instance daily-unique fraction behind Fig. 1a.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
@@ -47,6 +47,6 @@ pub mod truth;
 pub use export::{read_jsonl, write_jsonl};
 pub use generator::{Fleet, FleetConfig, InstanceWorkload, QueryEvent};
 pub use instance::{InstanceSpec, InstanceTruth, NodeType};
-pub use stats::{daily_unique_fraction, fleet_latency_histogram};
+pub use stats::daily_unique_fraction;
 pub use template::{Template, TemplateKind};
 pub use truth::{CostTruthModel, LoadProfile};

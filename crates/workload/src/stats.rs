@@ -1,13 +1,12 @@
-//! Fleet statistics reproducing Fig. 1 of the paper.
+//! Per-instance repeat statistics behind Fig. 1a of the paper.
 //!
-//! * [`daily_unique_fraction`] — the fraction of an instance's queries that
-//!   had *no* identical query (same flattened feature vector) within the
-//!   preceding 24 hours (Fig. 1a plots its distribution over clusters);
-//! * [`fleet_latency_histogram`] — the fleet-wide latency distribution
-//!   (Fig. 1b).
+//! [`daily_unique_fraction`] is the fraction of an instance's queries that
+//! had *no* identical query (same flattened feature vector) within the
+//! preceding 24 hours; Fig. 1a plots its distribution over clusters. The
+//! experiments runner computes that distribution, and Fig. 1b's fleet-wide
+//! latency histogram, per instance in parallel (`stage-bench`'s `fig1`).
 
-use crate::generator::{Fleet, QueryEvent};
-use stage_metrics::LogHistogram;
+use crate::generator::QueryEvent;
 use stage_plan::plan_feature_vector;
 use std::collections::HashMap;
 
@@ -39,30 +38,11 @@ pub fn repeat_fraction(events: &[QueryEvent]) -> Option<f64> {
     daily_unique_fraction(events).map(|u| 1.0 - u)
 }
 
-/// Fleet-wide exec-time histogram (log-spaced 1 ms – 10 h, Fig. 1b).
-pub fn fleet_latency_histogram(fleet: &Fleet) -> LogHistogram {
-    let mut h = LogHistogram::for_latencies();
-    for inst in &fleet.instances {
-        for e in &inst.events {
-            h.record(e.true_exec_secs);
-        }
-    }
-    h
-}
-
-/// Per-instance daily-unique fractions (the Fig. 1a distribution).
-pub fn unique_fraction_distribution(fleet: &Fleet) -> Vec<f64> {
-    fleet
-        .instances
-        .iter()
-        .filter_map(|i| daily_unique_fraction(&i.events))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::{Fleet, FleetConfig, InstanceWorkload};
+    use stage_metrics::LogHistogram;
 
     #[test]
     fn empty_log_is_none() {
@@ -123,7 +103,11 @@ mod tests {
             ..FleetConfig::default()
         };
         let fleet = Fleet::generate(cfg);
-        let dist = unique_fraction_distribution(&fleet);
+        let dist: Vec<f64> = fleet
+            .instances
+            .iter()
+            .filter_map(|i| daily_unique_fraction(&i.events))
+            .collect();
         assert_eq!(dist.len(), 10);
         let min = dist.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = dist.iter().cloned().fold(0.0f64, f64::max);
@@ -133,7 +117,10 @@ mod tests {
     #[test]
     fn latency_histogram_covers_all_events() {
         let fleet = Fleet::generate(FleetConfig::tiny());
-        let h = fleet_latency_histogram(&fleet);
+        let mut h = LogHistogram::for_latencies();
+        for e in fleet.instances.iter().flat_map(|i| &i.events) {
+            h.record(e.true_exec_secs);
+        }
         assert_eq!(h.total() as usize, fleet.total_events());
     }
 }

@@ -152,10 +152,7 @@ fn episode(instance: u32) -> Episode {
 
 #[test]
 fn a_step_change_is_detected_retrained_and_recovered() {
-    let nominal = StagePredictor::new(bench_stage_config())
-        .drift()
-        .config()
-        .target_coverage;
+    let nominal = stage::core::drift::TARGET_COVERAGE;
     let shards: Vec<Episode> = (0..2).map(episode).collect();
     let of = |field: fn(&Episode) -> Option<f64>| {
         mean(&shards.iter().filter_map(field).collect::<Vec<_>>())
