@@ -6,7 +6,7 @@ use serde::Serialize;
 use stage_core::{
     AutoWlmConfig, AutoWlmPredictor, GlobalModel, GlobalModelConfig, StageConfig, StagePredictor,
 };
-use stage_gbdt::{EnsembleParams, GbmParams, NgBoostParams};
+use stage_gbdt::{EnsembleParams, GbmParams};
 use stage_wlm::WlmConfig;
 use stage_workload::instance::INSTANCE_FEATURE_DIM;
 use stage_workload::{FleetConfig, InstanceWorkload};
@@ -48,10 +48,7 @@ impl HarnessConfig {
     pub fn quick() -> Self {
         let local_ensemble = EnsembleParams {
             n_members: 5,
-            member: NgBoostParams {
-                n_estimators: 40,
-                ..NgBoostParams::default()
-            },
+            n_estimators: 40,
             seed: 42,
         };
         let mut stage = StageConfig::default();
@@ -117,7 +114,7 @@ impl HarnessConfig {
             epochs: 20,
             ..GlobalModelConfig::default()
         };
-        cfg.stage.local.ensemble.member.n_estimators = 60;
+        cfg.stage.local.ensemble.n_estimators = 60;
         cfg.stage.local.ensemble.n_members = 10;
         cfg.autowlm.gbm.n_estimators = 60;
         cfg

@@ -128,7 +128,7 @@ pub(crate) mod tests {
         cfg.global.hidden = 8;
         cfg.global.gcn_layers = 1;
         cfg.stage.local.ensemble.n_members = 3;
-        cfg.stage.local.ensemble.member.n_estimators = 12;
+        cfg.stage.local.ensemble.n_estimators = 12;
         cfg.autowlm.gbm.n_estimators = 12;
         cfg.out_dir = std::env::temp_dir().join("stage-bench-test");
         ExperimentContext::new(cfg)

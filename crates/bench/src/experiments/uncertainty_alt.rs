@@ -33,7 +33,7 @@ pub fn uncertainty_sources(ctx: &ExperimentContext) -> ExperimentReport {
         // slowly: the quantile heads take a larger step, subsample and wait
         // longer before stopping than the squared/NLL models.
         &GbmParams {
-            n_estimators: ctx.config.stage.local.ensemble.member.n_estimators,
+            n_estimators: ctx.config.stage.local.ensemble.n_estimators,
             learning_rate: 0.2,
             subsample: 0.9,
             early_stopping_rounds: 25,

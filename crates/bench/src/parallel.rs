@@ -142,7 +142,7 @@ mod tests {
     fn replay_records_identical_across_parallelism() {
         use crate::replay::replay;
         use stage_core::{StageConfig, StagePredictor};
-        use stage_gbdt::{EnsembleParams, NgBoostParams};
+        use stage_gbdt::EnsembleParams;
         use stage_workload::{FleetConfig, InstanceWorkload};
 
         let fleet = FleetConfig {
@@ -155,10 +155,7 @@ mod tests {
         let mut config = StageConfig::default();
         config.local.ensemble = EnsembleParams {
             n_members: 3,
-            member: NgBoostParams {
-                n_estimators: 10,
-                ..NgBoostParams::default()
-            },
+            n_estimators: 10,
             seed: 11,
         };
         config.local.min_train_examples = 15;

@@ -180,17 +180,14 @@ fn take_evenly(from: &[usize], cap: usize, into: &mut Vec<usize>) {
 mod tests {
     use super::*;
     use stage_core::{AutoWlmConfig, AutoWlmPredictor, LocalModelConfig, StageConfig};
-    use stage_gbdt::{EnsembleParams, NgBoostParams};
+    use stage_gbdt::EnsembleParams;
     use stage_workload::FleetConfig;
 
     fn quick_local() -> LocalModelConfig {
         LocalModelConfig {
             ensemble: EnsembleParams {
                 n_members: 3,
-                member: NgBoostParams {
-                    n_estimators: 15,
-                    ..NgBoostParams::default()
-                },
+                n_estimators: 15,
                 seed: 3,
             },
             min_train_examples: 25,

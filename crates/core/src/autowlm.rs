@@ -19,9 +19,11 @@ use stage_plan::{plan_feature_vector, PhysicalPlan};
 /// AutoWLM predictor configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct AutoWlmConfig {
-    /// GBM hyper-parameters (paper: same 200-estimator/depth-6 settings as
-    /// one Stage local-model member, but squared-error loss; default trims
+    /// The GBM's boosting schedule (paper: the same 200 estimators as one
+    /// Stage local-model member, but squared-error loss; the default trims
     /// estimators for replay speed, symmetrically with the local model).
+    /// The trees' depth 6, the validation split and the bin count are
+    /// `stage-gbdt` constants.
     pub gbm: GbmParams,
     /// FIFO training-set capacity (every executed query is added).
     pub train_capacity: usize,

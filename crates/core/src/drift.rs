@@ -48,6 +48,7 @@
 
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
+use crate::storefmt::policy_slot;
 use serde::{Deserialize, Serialize, Value};
 use stage_metrics::quantile::quantile_of_sorted;
 use stage_metrics::{interval_coverage, Welford};
@@ -366,17 +367,6 @@ impl DriftSentinel {
             degraded_hold_left,
         })
     }
-}
-
-/// Refuses a CALIBRATION policy slot whose bits are not its constant's:
-/// every build writes the constants, so anything else is damage or a lie.
-fn policy_slot(slot: &str, got: u64, want: u64) -> Result<(), StoreError> {
-    if got == want {
-        return Ok(());
-    }
-    Err(StoreError::Malformed {
-        detail: format!("calibration policy slot {slot} holds bits {got:#x}, not {want:#x}"),
-    })
 }
 
 /// The conformal scores, as a bounded ring and a sorted copy of it. The

@@ -8,15 +8,19 @@
 
 use crate::from_log_space;
 use crate::pool::TrainingPool;
+use crate::storefmt::policy_slot;
 use serde::{Deserialize, Serialize};
-use stage_gbdt::{BayesianEnsemble, EnsembleParams, EnsemblePrediction, NgBoostParams};
+use stage_gbdt::{gbm, ngboost, tree};
+use stage_gbdt::{BayesianEnsemble, EnsembleParams, EnsemblePrediction};
 
 /// Local-model configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct LocalModelConfig {
-    /// Ensemble hyper-parameters (paper: K = 10 members, 200 estimators,
-    /// depth 6; the default trims estimators for online replay speed —
-    /// early stopping usually stops far earlier anyway).
+    /// The ensemble's member count, rounds per member and seed (paper:
+    /// K = 10 members, 200 estimators; the default trims estimators for
+    /// online replay speed — early stopping usually stops far earlier
+    /// anyway). The trees' depth 6 and every other member setting are
+    /// `stage-gbdt` constants.
     pub ensemble: EnsembleParams,
     /// Minimum pool size before the first training.
     pub min_train_examples: usize,
@@ -29,10 +33,7 @@ impl Default for LocalModelConfig {
         Self {
             ensemble: EnsembleParams {
                 n_members: 10,
-                member: NgBoostParams {
-                    n_estimators: 60,
-                    ..NgBoostParams::default()
-                },
+                n_estimators: 60,
                 seed: 42,
             },
             min_train_examples: 30,
@@ -237,7 +238,10 @@ impl LocalModel {
     /// retrain policy (so a restored shard keeps the same cadence), then
     /// every ensemble member as scalar head state plus both tree heads in
     /// the flat five-array layout. Everything is written via `to_bits`
-    /// images, so restored predictions are bit-identical.
+    /// images, so restored predictions are bit-identical. The booster
+    /// settings that are constants keep their slots ([`FIXED_SLOTS`], and
+    /// each member's shrinkage and variance clamp), so no byte of the
+    /// layout moves.
     pub(crate) fn store_encode(&self, w: &mut stage_store::SectionWriter) {
         encode_ensemble_params(w, &self.config.ensemble);
         w.put_u64(self.config.min_train_examples as u64);
@@ -278,10 +282,10 @@ impl LocalModel {
     /// Decodes a local model from an artefact-store section; malformed
     /// trees (bad child links), inconsistent heads, and members the predict
     /// path would panic on are typed errors: every member must share the
-    /// section's feature width (the first member's `n_cols`), split only on
-    /// features below it, and carry a finite `lo <= hi` variance clamp. The
-    /// retrain hyper-parameters are checked with the rest of the snapshot's
-    /// config ([`crate::StageConfig::validate`]).
+    /// section's feature width (the first member's `n_cols`) and split only
+    /// on features below it. Every slot that holds a constant must hold its
+    /// exact bits. The member count and rounds are checked with the rest of
+    /// the snapshot's config ([`crate::StageConfig::validate`]).
     pub(crate) fn store_decode(
         r: &mut stage_store::SectionReader<'_>,
     ) -> Result<Self, stage_store::StoreError> {
@@ -306,13 +310,11 @@ impl LocalModel {
             for _ in 0..n_members {
                 let base_mu = r.f64()?;
                 let base_log_var = r.f64()?;
-                let learning_rate = r.f64()?;
-                let log_var_range = (r.f64()?, r.f64()?);
+                let (lr, (lo, hi)) = (ngboost::LEARNING_RATE, ngboost::LOG_VAR_RANGE);
+                policy_slot("member learning_rate", r.u64()?, lr.to_bits())?;
+                policy_slot("member log_var_lo", r.u64()?, lo.to_bits())?;
+                policy_slot("member log_var_hi", r.u64()?, hi.to_bits())?;
                 let n_cols = usize::try_from(r.u64()?).map_err(|_| malformed("n_cols"))?;
-                let (lo, hi) = log_var_range;
-                if !(lo.is_finite() && hi.is_finite() && lo <= hi) {
-                    return Err(malformed("member log_var_range is not a finite lo <= hi"));
-                }
                 if members
                     .first()
                     .is_some_and(|m| m.scalar_parts().4 != n_cols)
@@ -351,8 +353,6 @@ impl LocalModel {
                 let member = stage_gbdt::NgBoost::from_parts(
                     base_mu,
                     base_log_var,
-                    learning_rate,
-                    log_var_range,
                     n_cols,
                     mu_trees,
                     var_trees,
@@ -381,28 +381,41 @@ impl LocalModel {
     }
 }
 
-/// Writes every ensemble hyper-parameter (member NGBoost + tree params
-/// included) so a restored model retrains exactly as the original would.
+/// The fourteen ensemble slots after `n_estimators`, as `(slot, bits)`.
+/// Earlier builds wrote settable booster hyper-parameters here; every
+/// build wrote these values, which are now `stage-gbdt` constants, so a
+/// restore refuses any other bits rather than trusting them.
+const FIXED_SLOTS: [(&str, u64); 14] = [
+    ("learning_rate", ngboost::LEARNING_RATE.to_bits()),
+    ("subsample", ngboost::SUBSAMPLE.to_bits()),
+    // Column subsampling, gone: every tree searches every column.
+    ("colsample", 1.0f64.to_bits()),
+    (
+        "early_stopping_rounds",
+        ngboost::EARLY_STOPPING_ROUNDS as u64,
+    ),
+    ("validation_fraction", gbm::VALIDATION_FRACTION.to_bits()),
+    ("n_bins", gbm::N_BINS as u64),
+    ("log_var_lo", ngboost::LOG_VAR_RANGE.0.to_bits()),
+    ("log_var_hi", ngboost::LOG_VAR_RANGE.1.to_bits()),
+    // A member seed that never reached a member: member k trains with
+    // `splitmix(seed, k)`.
+    ("member_seed", 42),
+    ("max_depth", tree::MAX_DEPTH as u64),
+    ("lambda", tree::LAMBDA.to_bits()),
+    ("min_child_weight", (tree::MIN_CHILD as f64).to_bits()),
+    ("min_samples_leaf", tree::MIN_CHILD as u64),
+    ("min_gain", tree::MIN_GAIN.to_bits()),
+];
+
+/// Writes the ensemble's settable values, then [`FIXED_SLOTS`].
 fn encode_ensemble_params(w: &mut stage_store::SectionWriter, p: &EnsembleParams) {
     w.put_u64(p.n_members as u64);
     w.put_u64(p.seed);
-    let m = &p.member;
-    w.put_u64(m.n_estimators as u64);
-    w.put_f64(m.learning_rate);
-    w.put_f64(m.subsample);
-    w.put_f64(m.colsample);
-    w.put_u64(m.early_stopping_rounds as u64);
-    w.put_f64(m.validation_fraction);
-    w.put_u64(m.n_bins as u64);
-    w.put_f64(m.log_var_range.0);
-    w.put_f64(m.log_var_range.1);
-    w.put_u64(m.seed);
-    let t = &m.tree;
-    w.put_u64(t.max_depth as u64);
-    w.put_f64(t.lambda);
-    w.put_f64(t.min_child_weight);
-    w.put_u64(t.min_samples_leaf as u64);
-    w.put_f64(t.min_gain);
+    w.put_u64(p.n_estimators as u64);
+    for (_, bits) in FIXED_SLOTS {
+        w.put_u64(bits);
+    }
 }
 
 fn decode_ensemble_params(
@@ -414,39 +427,12 @@ fn decode_ensemble_params(
     let n_members = to_usize(r.u64()?)?;
     let seed = r.u64()?;
     let n_estimators = to_usize(r.u64()?)?;
-    let learning_rate = r.f64()?;
-    let subsample = r.f64()?;
-    let colsample = r.f64()?;
-    let early_stopping_rounds = to_usize(r.u64()?)?;
-    let validation_fraction = r.f64()?;
-    let n_bins = to_usize(r.u64()?)?;
-    let log_var_range = (r.f64()?, r.f64()?);
-    let member_seed = r.u64()?;
-    let max_depth = to_usize(r.u64()?)?;
-    let lambda = r.f64()?;
-    let min_child_weight = r.f64()?;
-    let min_samples_leaf = to_usize(r.u64()?)?;
-    let min_gain = r.f64()?;
+    for (slot, bits) in FIXED_SLOTS {
+        policy_slot(slot, r.u64()?, bits)?;
+    }
     Ok(EnsembleParams {
         n_members,
-        member: NgBoostParams {
-            n_estimators,
-            learning_rate,
-            tree: stage_gbdt::TreeParams {
-                max_depth,
-                lambda,
-                min_child_weight,
-                min_samples_leaf,
-                min_gain,
-            },
-            subsample,
-            colsample,
-            early_stopping_rounds,
-            validation_fraction,
-            n_bins,
-            log_var_range,
-            seed: member_seed,
-        },
+        n_estimators,
         seed,
     })
 }
@@ -462,10 +448,7 @@ mod tests {
         LocalModelConfig {
             ensemble: EnsembleParams {
                 n_members: 4,
-                member: NgBoostParams {
-                    n_estimators: 25,
-                    ..NgBoostParams::default()
-                },
+                n_estimators: 25,
                 seed: 7,
             },
             min_train_examples: 20,

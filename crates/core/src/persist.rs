@@ -224,27 +224,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn failed_save_preserves_existing_artefact() {
-        let dir = fresh_dir("fail");
-        let path = dir.join("snapshot.store");
-        save_stage_store(&snapshot_with(1), &path, None).unwrap();
-
-        // A save that fails after its temp file is written must leave the
-        // artefact untouched and clean up the temp file.
-        let faults = ScriptedFaults {
-            fail_fsync: true,
-            ..ScriptedFaults::default()
-        };
-        assert!(save_stage_store(&snapshot_with(2), &path, Some(&faults)).is_err());
-        assert_eq!(cached(&path), 1);
-        assert!(
-            tmp_files(&dir).is_empty(),
-            "temp file not cleaned up after failed save"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// A scripted fault hook for exercising the injection points directly.
     #[derive(Default)]
     struct ScriptedFaults {

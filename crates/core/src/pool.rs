@@ -143,15 +143,6 @@ impl TrainingPool {
         self.len() == 0
     }
 
-    /// Examples per bucket (all in slot 0 when bucketing is off).
-    pub fn bucket_lens(&self) -> [usize; N_BUCKETS] {
-        let mut out = [0; N_BUCKETS];
-        for (o, b) in out.iter_mut().zip(&self.buckets) {
-            *o = b.len();
-        }
-        out
-    }
-
     /// Lifetime number of `add` calls (including evicted examples).
     pub fn total_added(&self) -> u64 {
         self.total_added
@@ -284,6 +275,11 @@ impl TrainingPool {
 mod tests {
     use super::*;
 
+    /// Examples per bucket (all in slot 0 when bucketing is off).
+    fn bucket_lens(p: &TrainingPool) -> [usize; N_BUCKETS] {
+        p.buckets.each_ref().map(|b| b.len())
+    }
+
     fn feat(x: f64) -> Vec<f64> {
         vec![x, x * 2.0]
     }
@@ -310,7 +306,7 @@ mod tests {
             p.add(feat(i as f64), 30.0); // bucket 1
             p.add(feat(i as f64), 300.0); // bucket 2
         }
-        assert_eq!(p.bucket_lens(), [3, 2, 1]);
+        assert_eq!(bucket_lens(&p), [3, 2, 1]);
         assert_eq!(p.len(), 6);
         assert_eq!(p.total_added(), 30);
     }
@@ -324,7 +320,7 @@ mod tests {
         for i in 0..5_000 {
             p.add(feat(i as f64), 0.05);
         }
-        assert_eq!(p.bucket_lens()[2], 1, "long query was evicted");
+        assert_eq!(bucket_lens(&p)[2], 1, "long query was evicted");
     }
 
     #[test]
@@ -407,7 +403,7 @@ mod tests {
                 for (i, &s) in secs.iter().enumerate() {
                     p.add(vec![i as f64, s], s);
                     if bucketing {
-                        let lens = p.bucket_lens();
+                        let lens = bucket_lens(&p);
                         prop_assert!(lens[0] <= 5 && lens[1] <= 3 && lens[2] <= 2);
                     } else {
                         prop_assert!(p.len() <= 10);

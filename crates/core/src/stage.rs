@@ -42,7 +42,6 @@ use crate::predictor::{
 };
 use crate::to_log_space;
 use serde::{Deserialize, Serialize};
-use stage_gbdt::Binner;
 use stage_plan::{plan_feature_vector, PhysicalPlan};
 use std::sync::Arc;
 
@@ -101,15 +100,13 @@ impl StageConfig {
     /// predict paths assume, naming the first one that fails. A config that
     /// passes cannot panic later: not in [`ExecTimeCache::new`], not in a
     /// pool add (the summed bucket caps), and not inside a verb's retrain
-    /// (`Binner::fit`'s bin count, `f64::clamp` on the variance range,
-    /// `2 × min_samples_leaf`). `stage-serve` refuses
+    /// (a member count or a round count no retrain finishes). Every other
+    /// booster setting is a `stage-gbdt` constant. `stage-serve` refuses
     /// to start on a failing config, and the snapshot decoder quarantines a
     /// file whose config fails.
     pub fn validate(&self) -> Result<(), String> {
         let unit = |x: f64| (0.0..=1.0).contains(&x);
         let (c, e) = (&self.cache, &self.local.ensemble);
-        let m = &e.member;
-        let (lo, hi) = m.log_var_range;
         let checks = [
             (c.capacity > 0, "cache.capacity must be positive"),
             (unit(c.alpha), "cache.alpha must be in [0, 1]"),
@@ -134,28 +131,8 @@ impl StageConfig {
                 "ensemble n_members must be in 1..=1000",
             ),
             (
-                m.n_estimators <= MAX_BOOSTING_ROUNDS,
+                e.n_estimators <= MAX_BOOSTING_ROUNDS,
                 "ensemble n_estimators must be at most 100000",
-            ),
-            (
-                (2..=Binner::MAX_BINS).contains(&m.n_bins),
-                "ensemble n_bins must be in 2..=256",
-            ),
-            (
-                lo.is_finite() && hi.is_finite() && lo <= hi,
-                "ensemble log_var_range must be finite with lo <= hi",
-            ),
-            (
-                m.subsample > 0.0 && m.subsample <= 1.0 && m.colsample > 0.0 && m.colsample <= 1.0,
-                "ensemble subsample and colsample must be in (0, 1]",
-            ),
-            (
-                (0.0..1.0).contains(&m.validation_fraction),
-                "ensemble validation_fraction must be in [0, 1)",
-            ),
-            (
-                m.tree.min_samples_leaf.checked_mul(2).is_some(),
-                "ensemble min_samples_leaf overflows when doubled",
             ),
         ];
         match checks.iter().find(|(ok, _)| !ok) {
@@ -713,7 +690,7 @@ mod tests {
     use super::*;
     use crate::global::{plan_to_tree_sample, GlobalModelConfig};
     use crate::local::LocalModelConfig;
-    use stage_gbdt::{EnsembleParams, NgBoostParams};
+    use stage_gbdt::EnsembleParams;
     use stage_plan::{PlanBuilder, S3Format};
 
     fn plan(rows: f64) -> PhysicalPlan {
@@ -732,10 +709,7 @@ mod tests {
             local: LocalModelConfig {
                 ensemble: EnsembleParams {
                     n_members: 4,
-                    member: NgBoostParams {
-                        n_estimators: 25,
-                        ..NgBoostParams::default()
-                    },
+                    n_estimators: 25,
                     seed: 5,
                 },
                 min_train_examples: 20,

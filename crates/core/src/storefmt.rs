@@ -38,7 +38,7 @@ use crate::persist::{self, PersistFaults, RestoreError};
 use crate::pool::TrainingPool;
 use crate::stage::{DegradedStats, RoutingConfig, RoutingStats, StageConfig, StageSnapshot};
 use serde::{Deserialize, Serialize};
-use stage_store::{build_file, SectionReader, SectionWriter, StoreView};
+use stage_store::{build_file, SectionReader, SectionWriter, StoreError, StoreView};
 use std::io;
 use std::path::Path;
 
@@ -60,6 +60,17 @@ pub const SECTION_CALIBRATION: u32 = 6;
 /// Section id: the fleet-shared global model (a versioned, kind-tagged JSON
 /// envelope; lives in its own single-section file, not in snapshot files).
 pub const SECTION_GLOBAL: u32 = 16;
+
+/// Refuses a slot that every build fills with a constant when its bits are
+/// not that constant's: anything else is damage or a lie.
+pub(crate) fn policy_slot(slot: &str, got: u64, want: u64) -> Result<(), StoreError> {
+    if got == want {
+        return Ok(());
+    }
+    Err(StoreError::Malformed {
+        detail: format!("policy slot {slot} holds bits {got:#x}, not {want:#x}"),
+    })
+}
 
 fn missing_section(id: u32) -> RestoreError {
     RestoreError::Malformed {

@@ -6,8 +6,8 @@
 //! a warm restart. The hostile-input half of this file proves restore
 //! never panics and never silently half-loads: truncation at every section
 //! boundary, single-bit flips across the whole file, wrong magic/version,
-//! a file past the size bound and a calibration policy slot that differs
-//! from the constants all surface as typed [`RestoreError`]s and quarantine
+//! a file past the size bound and a calibration or local-model slot that
+//! differs from its constant all surface as typed [`RestoreError`]s and quarantine
 //! the file.
 
 use proptest::prelude::*;
@@ -16,7 +16,7 @@ use stage_core::predictor::{ExecTimePredictor, SystemContext};
 use stage_core::stage::{StageConfig, StagePredictor, StageSnapshot};
 use stage_core::storefmt::{load_stage_store, save_stage_store, snapshot_sections};
 use stage_core::{CacheConfig, LocalModelConfig, PoolConfig};
-use stage_gbdt::{EnsembleParams, NgBoostParams};
+use stage_gbdt::EnsembleParams;
 use stage_plan::{PlanBuilder, S3Format};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -37,10 +37,7 @@ fn small_config(seed: u64) -> StageConfig {
         local: LocalModelConfig {
             ensemble: EnsembleParams {
                 n_members: 2,
-                member: NgBoostParams {
-                    n_estimators: 8,
-                    ..NgBoostParams::default()
-                },
+                n_estimators: 8,
                 seed,
             },
             min_train_examples: 20,
@@ -361,36 +358,68 @@ fn calibration_section_corruption_quarantines_and_absence_is_cold_start() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The CALIBRATION section opens with eleven policy slots that every build
-/// fills with the drift sentinel's constants. A file whose `fallback_z`
-/// slot claims 1e300 behind valid CRCs is refused — typed `Malformed`, and
-/// quarantined — rather than restored into a sentinel that serves `(0, ∞)`
-/// for every local answer until its score window fills.
+/// A file whose constant slot holds anything but its constant is refused —
+/// typed `Malformed`, and quarantined — rather than restored into a model
+/// that serves nonsense: a `fallback_z` of 1e300 serves `(0, ∞)` for every
+/// local answer until the score window fills, a member `learning_rate` of
+/// 1e300 serves `inf` s from the Local tier, and a `lambda` of −1.0 serves
+/// 0.0 s after the next retrain.
 #[test]
 fn a_hostile_policy_slot_is_refused() {
-    use stage_core::storefmt::SECTION_CALIBRATION;
+    use stage_core::storefmt::{SECTION_CALIBRATION, SECTION_LOCAL};
 
+    // `(section, byte offset, slot, its constant, the lie)`. CALIBRATION
+    // opens with the drift sentinel's eleven policy slots: `fallback_z`
+    // sits past four f64 slots, a u64, a u32 and `target_coverage`. LOCAL
+    // opens with seventeen ensemble slots, `lambda` the fourteenth; the
+    // first member's `learning_rate` follows them, five u64 counters, the
+    // trained flag, the member count and two f64 base scores.
+    let cases: [(u32, usize, &str, f64, f64); 3] = [
+        (
+            SECTION_CALIBRATION,
+            4 * 8 + 8 + 4 + 8,
+            "fallback_z",
+            1.645,
+            1e300,
+        ),
+        (SECTION_LOCAL, 13 * 8, "lambda", 1.0, -1.0),
+        (
+            SECTION_LOCAL,
+            17 * 8 + 5 * 8 + 1 + 8 + 2 * 8,
+            "learning_rate",
+            0.1,
+            1e300,
+        ),
+    ];
     let dir = fresh_dir("policy");
     let path = dir.join("snapshot.store");
     let snap = warm_predictor(7, 32).snapshot();
-    // Past four f64 slots, a u64 and a u32, then `target_coverage`.
-    const FALLBACK_Z_AT: usize = 4 * 8 + 8 + 4 + 8;
-    let sections: Vec<(u32, Vec<u8>)> = snapshot_sections(&snap)
-        .into_iter()
-        .map(|(id, mut bytes)| {
-            if id == SECTION_CALIBRATION {
-                let slot = &mut bytes[FALLBACK_Z_AT..FALLBACK_Z_AT + 8];
-                assert_eq!(slot, &1.645f64.to_le_bytes()[..], "not the fallback_z slot");
-                slot.copy_from_slice(&1e300f64.to_le_bytes());
-            }
-            (id, bytes)
-        })
-        .collect();
-    std::fs::write(&path, stage_store::build_file(&sections, 0)).unwrap();
-    let err = load_stage_store(&path, None).unwrap_err();
-    assert!(matches!(err, RestoreError::Malformed { .. }), "{err}");
-    assert!(!path.exists(), "hostile file left in place");
-    assert!(quarantine_path(&path).exists(), "no quarantine file");
+    assert!(snap.local.is_trained(), "no member slot to lie in");
+    for (section, at, slot, constant, lie) in cases {
+        let sections: Vec<(u32, Vec<u8>)> = snapshot_sections(&snap)
+            .into_iter()
+            .map(|(id, mut bytes)| {
+                if id == section {
+                    let bits = &mut bytes[at..at + 8];
+                    assert_eq!(bits, &constant.to_le_bytes()[..], "not the {slot} slot");
+                    bits.copy_from_slice(&lie.to_le_bytes());
+                }
+                (id, bytes)
+            })
+            .collect();
+        std::fs::write(&path, stage_store::build_file(&sections, 0)).unwrap();
+        let err = load_stage_store(&path, None).unwrap_err();
+        assert!(
+            matches!(err, RestoreError::Malformed { .. }),
+            "{slot}: {err}"
+        );
+        assert!(!path.exists(), "{slot}: hostile file left in place");
+        assert!(
+            quarantine_path(&path).exists(),
+            "{slot}: no quarantine file"
+        );
+        let _ = std::fs::remove_file(quarantine_path(&path));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -80,15 +80,6 @@ impl Dataset {
     pub fn target(&self, i: usize) -> f64 {
         self.targets[i]
     }
-
-    /// Mean of the targets (0.0 when empty).
-    pub fn target_mean(&self) -> f64 {
-        if self.targets.is_empty() {
-            0.0
-        } else {
-            self.targets.iter().sum::<f64>() / self.targets.len() as f64
-        }
-    }
 }
 
 /// Per-feature quantile cut points. Bin of value `x` = number of cuts `< x`
@@ -109,8 +100,7 @@ impl Binner {
     /// # Panics
     /// Panics if `n_bins < 2` or `n_bins > 256`, or the dataset is empty.
     pub fn fit(data: &Dataset, n_bins: usize) -> Self {
-        // Never fires on a serving path: stage_core's StageConfig::validate
-        // rejects such an n_bins at server start and on every restored snapshot.
+        // Never fires on a serving path: every model bins into `gbm::N_BINS`.
         assert!(
             (2..=Self::MAX_BINS).contains(&n_bins),
             "n_bins must be in 2..=256"
@@ -236,7 +226,6 @@ mod tests {
         assert_eq!(ds.n_cols(), 3);
         assert_eq!(ds.row(7), &[7.0, 7.0, 5.0]);
         assert_eq!(ds.target(7), 14.0);
-        assert!((ds.target_mean() - 99.0).abs() < 1e-9);
     }
 
     /// The width check is a `debug_assert`, so this holds in debug builds

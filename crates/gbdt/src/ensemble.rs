@@ -14,16 +14,19 @@
 //! noise. Both trigger Stage's escalation to the global model.
 
 use crate::dataset::{Binner, Dataset};
-use crate::ngboost::{NgBoost, NgBoostParams};
+use crate::gbm::N_BINS;
+use crate::ngboost::NgBoost;
 use serde::{Deserialize, Serialize};
 
-/// Ensemble hyper-parameters. The paper trains K = 10 members.
+/// Ensemble hyper-parameters: the paper trains K = 10 members of at most
+/// 200 rounds each. Every other member setting is a constant of
+/// [`crate::ngboost`] and [`crate::tree`].
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct EnsembleParams {
     /// Number of independently trained members.
     pub n_members: usize,
-    /// Member hyper-parameters; each member gets a distinct derived seed.
-    pub member: NgBoostParams,
+    /// Most boosting rounds per member.
+    pub n_estimators: usize,
     /// Base seed; member k trains with `splitmix(seed, k)`.
     pub seed: u64,
 }
@@ -32,7 +35,7 @@ impl Default for EnsembleParams {
     fn default() -> Self {
         Self {
             n_members: 10,
-            member: NgBoostParams::default(),
+            n_estimators: 200,
             seed: 42,
         }
     }
@@ -96,16 +99,13 @@ impl BayesianEnsemble {
         if data.is_empty() || params.n_members == 0 {
             return None;
         }
-        // Binning depends on the pool and `n_bins` only, so it is shared.
-        let binner = Binner::fit(data, params.member.n_bins);
+        // Binning depends on the pool only, so it is shared.
+        let binner = Binner::fit(data, N_BINS);
         let binned = binner.transform(data);
         let members = (0..params.n_members)
             .map(|k| {
-                let member_params = NgBoostParams {
-                    seed: splitmix(params.seed, k as u64),
-                    ..params.member
-                };
-                NgBoost::fit_binned(data, &binner, &binned, &member_params)
+                let seed = splitmix(params.seed, k as u64);
+                NgBoost::fit_binned(data, &binner, &binned, params.n_estimators, seed)
             })
             .collect();
         Some(Self { members })
@@ -213,10 +213,7 @@ mod tests {
     fn small_params(n_members: usize) -> EnsembleParams {
         EnsembleParams {
             n_members,
-            member: NgBoostParams {
-                n_estimators: 40,
-                ..Default::default()
-            },
+            n_estimators: 40,
             seed: 7,
         }
     }
@@ -331,14 +328,8 @@ mod tests {
         let ens = BayesianEnsemble::fit(&data, &params).unwrap();
         assert_eq!(ens.n_members(), 10);
         for (k, member) in ens.members().iter().enumerate() {
-            let alone = NgBoost::fit(
-                &data,
-                &NgBoostParams {
-                    seed: splitmix(params.seed, k as u64),
-                    ..params.member
-                },
-            )
-            .unwrap();
+            let seed = splitmix(params.seed, k as u64);
+            let alone = NgBoost::fit(&data, params.n_estimators, seed).unwrap();
             assert_eq!(member_bits(member), member_bits(&alone), "member {k}");
         }
     }

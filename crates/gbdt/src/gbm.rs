@@ -4,39 +4,37 @@
 //! The prior Redshift predictor is "a lightweight XGBoost model" trained on
 //! flattened plan vectors (paper §2.1). [`Gbm`] reproduces that: additive
 //! regression trees fit to squared-error gradients with shrinkage, optional
-//! row/column subsampling, and early stopping on a held-out validation
-//! fraction (the paper holds out 20%). The same rounds, over one head or
+//! row subsampling, and early stopping on a held-out validation fraction
+//! (the paper holds out 20%). The same rounds, over one head or
 //! two, fit the pinball-loss [`Gbm::fit_quantile`] and the Gaussian
 //! [`crate::NgBoost`].
 
 use crate::dataset::{BinnedDataset, Binner, Dataset};
-use crate::tree::{Tree, TreeParams};
+use crate::tree::Tree;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// Gradient-boosting hyper-parameters. Defaults mirror the paper's §5.1:
-/// 200 estimators, depth 6, 20% validation for early stopping.
+/// Fraction of rows boosting holds out for early stopping (the paper's 20%).
+pub const VALIDATION_FRACTION: f64 = 0.2;
+/// Histogram bins per feature, for every model this crate fits.
+pub const N_BINS: usize = 64;
+
+/// The boosting schedule a caller may set; the trees grow under the
+/// [`crate::tree`] constants. Defaults mirror the paper's §5.1: 200
+/// estimators and early stopping on a 20% validation split.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct GbmParams {
     /// Maximum number of boosting rounds.
     pub n_estimators: usize,
     /// Shrinkage applied to every tree's output.
     pub learning_rate: f64,
-    /// Per-tree growing parameters.
-    pub tree: TreeParams,
     /// Fraction of rows sampled (without replacement) per tree.
     pub subsample: f64,
-    /// Fraction of columns sampled per tree.
-    pub colsample: f64,
     /// Stop when validation loss has not improved for this many rounds
     /// (0 disables early stopping).
     pub early_stopping_rounds: usize,
-    /// Fraction of rows held out for early stopping.
-    pub validation_fraction: f64,
-    /// Number of histogram bins.
-    pub n_bins: usize,
     /// RNG seed for subsampling and the validation split.
     pub seed: u64,
 }
@@ -46,12 +44,8 @@ impl Default for GbmParams {
         Self {
             n_estimators: 200,
             learning_rate: 0.1,
-            tree: TreeParams::default(),
             subsample: 1.0,
-            colsample: 1.0,
             early_stopping_rounds: 10,
-            validation_fraction: 0.2,
-            n_bins: 64,
             seed: 42,
         }
     }
@@ -78,8 +72,8 @@ impl Gbm {
         )
     }
 
-    /// A one-head [`boost`] under `params`, binning `data` with
-    /// `params.n_bins`; `None` on an empty dataset.
+    /// A one-head [`boost`] under `params`, binning `data` into
+    /// [`N_BINS`]; `None` on an empty dataset.
     pub(crate) fn fit_loss(
         data: &Dataset,
         params: &GbmParams,
@@ -90,7 +84,7 @@ impl Gbm {
         if data.is_empty() {
             return None;
         }
-        let binner = Binner::fit(data, params.n_bins);
+        let binner = Binner::fit(data, N_BINS);
         let binned = binner.transform(data);
         let ([base], [trees]) = boost(
             data,
@@ -157,9 +151,9 @@ impl Gbm {
 /// bit for bit, NaN included.
 pub(crate) const UNCLAMPED: (f64, f64) = (f64::NEG_INFINITY, f64::INFINITY);
 
-/// The one boosting loop, over `K` heads that share every round's row and
-/// column sample (one head for squared and pinball loss, two for NGBoost's
-/// μ and log σ²). A model supplies only its loss:
+/// The one boosting loop, over `K` heads that share every round's row
+/// sample (one head for squared and pinball loss, two for NGBoost's μ and
+/// log σ²). A model supplies only its loss:
 ///
 /// * `base` — each head's start, from the training rows' targets in split
 ///   order;
@@ -168,11 +162,12 @@ pub(crate) const UNCLAMPED: (f64, f64) = (f64::NEG_INFINITY, f64::INFINITY);
 /// * `loss` — one validation row's loss, averaged for early stopping;
 ///
 /// plus each head's clamp `range` ([`UNCLAMPED`] for none).
-/// The loop owns the rest: the seeded shuffle and validation split (none
-/// below 10 rows or without early stopping), each round's samples, one
-/// [`Tree::fit`] per head, the update `f ← clamp(f + lr·tree(x))` in head
-/// order, and early stopping, which truncates every head to the best
-/// round. Returns each head's base and trees.
+/// The loop owns the rest: the seeded shuffle and the
+/// [`VALIDATION_FRACTION`] split (none below 10 rows or without early
+/// stopping), each round's row sample, one [`Tree::fit`] per head over
+/// every column, the update `f ← clamp(f + lr·tree(x))` in head order, and
+/// early stopping, which truncates every head to the best round. Returns
+/// each head's base and trees.
 pub(crate) fn boost<const K: usize>(
     data: &Dataset,
     (binner, binned): (&Binner, &BinnedDataset),
@@ -188,7 +183,7 @@ pub(crate) fn boost<const K: usize>(
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(&mut rng);
     let n_val = if params.early_stopping_rounds > 0 && n >= 10 {
-        ((n as f64 * params.validation_fraction) as usize).min(n - 1)
+        ((n as f64 * VALIDATION_FRACTION) as usize).min(n - 1)
     } else {
         0
     };
@@ -200,7 +195,6 @@ pub(crate) fn boost<const K: usize>(
     let at = |f: &[Vec<f64>; K], i: usize| -> [f64; K] { std::array::from_fn(|k| f[k][i]) };
     let mut grads: [Vec<f64>; K] = std::array::from_fn(|_| vec![0.0; n]);
     let mut leaf = vec![0.0; n];
-    let all_cols: Vec<usize> = (0..data.n_cols()).collect();
     let all_rows: Vec<&[f64]> = (0..n).map(|i| data.row(i)).collect();
 
     let mut best_val = f64::INFINITY;
@@ -215,11 +209,7 @@ pub(crate) fn boost<const K: usize>(
             }
         }
         let rows = sample(train_idx, params.subsample, &mut rng);
-        let mut cols = sample(&all_cols, params.colsample, &mut rng);
-        cols.sort_unstable();
-        let trees: [Tree; K] = std::array::from_fn(|k| {
-            Tree::fit(binned, binner, &grads[k], &rows, &cols, &params.tree)
-        });
+        let trees: [Tree; K] = std::array::from_fn(|k| Tree::fit(binned, binner, &grads[k], &rows));
         for ((fk, (lo, hi)), tree) in f.iter_mut().zip(range).zip(&trees) {
             tree.predict_rows(&all_rows, &mut leaf);
             for (v, w) in fk.iter_mut().zip(&leaf) {
@@ -305,7 +295,7 @@ mod tests {
             .sum::<f64>()
             / 100.0;
         let var: f64 = {
-            let m = test.target_mean();
+            let m = test.targets().iter().sum::<f64>() / 100.0;
             test.targets().iter().map(|y| (y - m).powi(2)).sum::<f64>() / 100.0
         };
         assert!(mse < 0.1 * var, "mse={mse} var={var}");

@@ -17,8 +17,8 @@
 //! * [`gbm`] — squared-error gradient boosting with shrinkage, subsampling,
 //!   and early stopping (the AutoWLM baseline model), and the one boosting
 //!   loop every model here fits through: it owns the validation split, the
-//!   row and column samples, the trees, the updates and early stopping,
-//!   and a model supplies only its loss;
+//!   row samples, the trees, the updates and early stopping, and a model
+//!   supplies only its loss;
 //! * [`quantile`] — pinball-loss boosting ([`Gbm::fit_quantile`]) and the
 //!   (lo, median, hi) [`QuantileBand`], the §2.2 alternative;
 //! * [`ngboost`] — natural-gradient boosting of a Gaussian predictive
@@ -29,6 +29,13 @@
 //!   trained NGBoost members; prediction = mean of member means, total
 //!   uncertainty = variance of member means (model/knowledge uncertainty)
 //!   + mean of member variances (data uncertainty).
+//!
+//! The settings the paper fixes and no caller varies are constants: the
+//! tree shape in [`tree`] (depth 6, λ 1), the validation split and bin
+//! count in [`gbm`], and an NGBoost member's shrinkage, row sample,
+//! patience and variance clamp in [`ngboost`]. [`GbmParams`] keeps the
+//! schedule the AutoWLM baseline and the ablations vary, and
+//! [`EnsembleParams`] the member count, round count and seed.
 //!
 //! A fitted [`Tree`] is one `Vec` arena whose leaves loop to themselves:
 //! `fit` emits it, one branch-free kernel walks it — [`tree::LANES`]
@@ -57,6 +64,6 @@ pub use dataset::{BinnedDataset, Binner, Dataset};
 pub use ensemble::{BayesianEnsemble, EnsembleParams, EnsemblePrediction};
 pub use gbm::{Gbm, GbmParams};
 pub use mixed::{MixedEnsemble, MixedEnsembleParams};
-pub use ngboost::{NgBoost, NgBoostParams};
+pub use ngboost::NgBoost;
 pub use quantile::QuantileBand;
-pub use tree::{Tree, TreeParams};
+pub use tree::Tree;

@@ -104,7 +104,6 @@ impl MixedEnsemble {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ngboost::NgBoostParams;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -125,10 +124,7 @@ mod tests {
         MixedEnsembleParams {
             bayesian: EnsembleParams {
                 n_members: 4,
-                member: NgBoostParams {
-                    n_estimators: 25,
-                    ..NgBoostParams::default()
-                },
+                n_estimators: 25,
                 seed: 3,
             },
             squared: GbmParams {

@@ -13,103 +13,69 @@
 //! * each round fits one tree per parameter to the natural gradient and
 //!   updates `θ ← θ − lr·tree(x)`;
 //! * early stopping monitors validation NLL.
+//!
+//! Only the round count and the seed are the caller's; shrinkage, the row
+//! sample, the early-stopping patience and the log-variance clamp are this
+//! module's constants (the paper's member settings).
 
 use crate::dataset::{BinnedDataset, Binner, Dataset};
-use crate::gbm::{boost, GbmParams, UNCLAMPED};
-use crate::tree::{walk, Tree, TreeParams, LANES};
+use crate::gbm::{boost, GbmParams, N_BINS, UNCLAMPED};
+use crate::tree::{walk, Tree, LANES};
 use serde::{Deserialize, Serialize};
 
-/// NGBoost hyper-parameters (defaults mirror the paper's local-model member:
-/// 200 estimators, depth 6, 20% validation early stopping).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct NgBoostParams {
-    /// Maximum boosting rounds (each fits a μ-tree and an s-tree).
-    pub n_estimators: usize,
-    /// Shrinkage.
-    pub learning_rate: f64,
-    /// Per-tree parameters.
-    pub tree: TreeParams,
-    /// Row subsample fraction per round.
-    pub subsample: f64,
-    /// Column subsample fraction per round.
-    pub colsample: f64,
-    /// Early-stopping patience in rounds (0 disables).
-    pub early_stopping_rounds: usize,
-    /// Validation fraction for early stopping.
-    pub validation_fraction: f64,
-    /// Histogram bins.
-    pub n_bins: usize,
-    /// Clamp for `s = ln σ²` to keep the variance head stable.
-    pub log_var_range: (f64, f64),
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for NgBoostParams {
-    fn default() -> Self {
-        Self {
-            n_estimators: 200,
-            learning_rate: 0.1,
-            tree: TreeParams::default(),
-            subsample: 0.8,
-            colsample: 1.0,
-            early_stopping_rounds: 10,
-            validation_fraction: 0.2,
-            n_bins: 64,
-            log_var_range: (-12.0, 12.0),
-            seed: 42,
-        }
-    }
-}
+/// Shrinkage applied to both heads' trees.
+pub const LEARNING_RATE: f64 = 0.1;
+/// Fraction of the training rows each round samples.
+pub const SUBSAMPLE: f64 = 0.8;
+/// Rounds without a better validation NLL before boosting stops.
+pub const EARLY_STOPPING_ROUNDS: usize = 10;
+/// Clamp for `s = ln σ²`, keeping the variance head stable.
+pub const LOG_VAR_RANGE: (f64, f64) = (-12.0, 12.0);
 
 /// A trained Gaussian NGBoost model: predicts `(μ, σ²)` per row.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NgBoost {
     base_mu: f64,
     base_log_var: f64,
-    learning_rate: f64,
-    log_var_range: (f64, f64),
     mu_trees: Vec<Tree>,
     var_trees: Vec<Tree>,
     n_cols: usize,
 }
 
 impl NgBoost {
-    /// Fits the model; `None` on an empty dataset.
-    pub fn fit(data: &Dataset, params: &NgBoostParams) -> Option<Self> {
+    /// Fits at most `n_estimators` rounds (each a μ-tree and an s-tree)
+    /// with the RNG seeded by `seed`; `None` on an empty dataset.
+    pub fn fit(data: &Dataset, n_estimators: usize, seed: u64) -> Option<Self> {
         if data.is_empty() {
             return None;
         }
-        let binner = Binner::fit(data, params.n_bins);
+        let binner = Binner::fit(data, N_BINS);
         let binned = binner.transform(data);
-        Some(Self::fit_binned(data, &binner, &binned, params))
+        Some(Self::fit_binned(data, &binner, &binned, n_estimators, seed))
     }
 
-    /// [`NgBoost::fit`] on a non-empty dataset already binned with
-    /// `params.n_bins`, so the ensemble bins its pool once for all members.
+    /// [`NgBoost::fit`] on a non-empty dataset already binned into
+    /// [`N_BINS`], so the ensemble bins its pool once for all members.
     pub(crate) fn fit_binned(
         data: &Dataset,
         binner: &Binner,
         binned: &BinnedDataset,
-        params: &NgBoostParams,
+        n_estimators: usize,
+        seed: u64,
     ) -> Self {
         let schedule = GbmParams {
-            n_estimators: params.n_estimators,
-            learning_rate: params.learning_rate,
-            tree: params.tree,
-            subsample: params.subsample,
-            colsample: params.colsample,
-            early_stopping_rounds: params.early_stopping_rounds,
-            validation_fraction: params.validation_fraction,
-            n_bins: params.n_bins,
-            seed: params.seed,
+            n_estimators,
+            learning_rate: LEARNING_RATE,
+            subsample: SUBSAMPLE,
+            early_stopping_rounds: EARLY_STOPPING_ROUNDS,
+            seed,
         };
-        let (lo, hi) = params.log_var_range;
+        let (lo, hi) = LOG_VAR_RANGE;
         let ([base_mu, base_log_var], [mu_trees, var_trees]) = boost(
             data,
             (binner, binned),
             &schedule,
-            [UNCLAMPED, (lo, hi)],
+            [UNCLAMPED, LOG_VAR_RANGE],
             |ys| {
                 let nt = ys.len() as f64;
                 let mu = ys.iter().sum::<f64>() / nt;
@@ -130,8 +96,6 @@ impl NgBoost {
         NgBoost {
             base_mu,
             base_log_var,
-            learning_rate: params.learning_rate,
-            log_var_range: params.log_var_range,
             mu_trees,
             var_trees,
             n_cols: data.n_cols(),
@@ -145,7 +109,7 @@ impl NgBoost {
         debug_assert_eq!(row.len(), self.n_cols);
         let mut mu = self.base_mu;
         let mut s = self.base_log_var;
-        let (lo, hi) = self.log_var_range;
+        let (lo, hi) = LOG_VAR_RANGE;
         let mut leaf = [0.0; LANES];
         for (tm, ts) in self
             .mu_trees
@@ -155,11 +119,11 @@ impl NgBoost {
             let leaf = &mut leaf[..tm.len()];
             walk(leaf, |j| (&tm[j], row));
             for w in leaf.iter() {
-                mu += self.learning_rate * w;
+                mu += LEARNING_RATE * w;
             }
             walk(leaf, |j| (&ts[j], row));
             for w in leaf.iter() {
-                s = (s + self.learning_rate * w).clamp(lo, hi);
+                s = (s + LEARNING_RATE * w).clamp(lo, hi);
             }
         }
         (mu, s.exp())
@@ -172,18 +136,18 @@ impl NgBoost {
     /// (with the per-round clamp), exactly the scalar update order.
     pub fn predict_dist_batch<R: AsRef<[f64]>>(&self, rows: &[R]) -> Vec<(f64, f64)> {
         let n = rows.len();
-        let (lo, hi) = self.log_var_range;
+        let (lo, hi) = LOG_VAR_RANGE;
         let mut mu = vec![self.base_mu; n];
         let mut s = vec![self.base_log_var; n];
         let mut leaf = vec![0.0; n];
         for (tm, ts) in self.mu_trees.iter().zip(&self.var_trees) {
             tm.predict_rows(rows, &mut leaf);
             for (m, w) in mu.iter_mut().zip(&leaf) {
-                *m += self.learning_rate * w;
+                *m += LEARNING_RATE * w;
             }
             ts.predict_rows(rows, &mut leaf);
             for (sv, w) in s.iter_mut().zip(&leaf) {
-                *sv = (*sv + self.learning_rate * w).clamp(lo, hi);
+                *sv = (*sv + LEARNING_RATE * w).clamp(lo, hi);
             }
         }
         mu.into_iter().zip(s).map(|(m, sv)| (m, sv.exp())).collect()
@@ -217,13 +181,14 @@ impl NgBoost {
     }
 
     /// Scalar head state `(base_mu, base_log_var, learning_rate,
-    /// log_var_range, n_cols)` for the artefact store.
+    /// log_var_range, n_cols)` for the artefact store; the shrinkage and
+    /// the clamp are [`LEARNING_RATE`] and [`LOG_VAR_RANGE`].
     pub fn scalar_parts(&self) -> (f64, f64, f64, (f64, f64), usize) {
         (
             self.base_mu,
             self.base_log_var,
-            self.learning_rate,
-            self.log_var_range,
+            LEARNING_RATE,
+            LOG_VAR_RANGE,
             self.n_cols,
         )
     }
@@ -238,15 +203,14 @@ impl NgBoost {
         &self.var_trees
     }
 
-    /// Reassembles a model from [`NgBoost::scalar_parts`] plus both tree
-    /// heads (the artefact-store decode path). Returns `None` when the
-    /// heads have different lengths — `fit` always truncates them together,
-    /// so a mismatch means the artefact is corrupt.
+    /// Reassembles a model from the fitted parts of
+    /// [`NgBoost::scalar_parts`] plus both tree heads (the artefact-store
+    /// decode path). Returns `None` when the heads have different lengths —
+    /// `fit` always truncates them together, so a mismatch means the
+    /// artefact is corrupt.
     pub fn from_parts(
         base_mu: f64,
         base_log_var: f64,
-        learning_rate: f64,
-        log_var_range: (f64, f64),
         n_cols: usize,
         mu_trees: Vec<Tree>,
         var_trees: Vec<Tree>,
@@ -257,8 +221,6 @@ impl NgBoost {
         Some(Self {
             base_mu,
             base_log_var,
-            learning_rate,
-            log_var_range,
             mu_trees,
             var_trees,
             n_cols,
@@ -318,7 +280,7 @@ mod tests {
     #[test]
     fn learns_mean_function() {
         let data = hetero(2000, 1);
-        let model = NgBoost::fit(&data, &NgBoostParams::default()).unwrap();
+        let model = NgBoost::fit(&data, 200, 42).unwrap();
         for x in [0.2, 0.8, 1.5] {
             let (mu, _) = model.predict_dist(&[x]);
             assert!((mu - 3.0 * x).abs() < 0.6, "x={x} mu={mu}");
@@ -328,7 +290,7 @@ mod tests {
     #[test]
     fn learns_heteroscedastic_variance() {
         let data = hetero(3000, 2);
-        let model = NgBoost::fit(&data, &NgBoostParams::default()).unwrap();
+        let model = NgBoost::fit(&data, 200, 42).unwrap();
         let (_, var_lo) = model.predict_dist(&[0.1]);
         let (_, var_hi) = model.predict_dist(&[1.9]);
         // True std at 0.1 is 0.2; at 1.9 it is 2.0 -> variance 0.04 vs 4.0.
@@ -340,25 +302,25 @@ mod tests {
 
     #[test]
     fn empty_returns_none() {
-        assert!(NgBoost::fit(&Dataset::new(2), &NgBoostParams::default()).is_none());
+        assert!(NgBoost::fit(&Dataset::new(2), 200, 42).is_none());
     }
 
     #[test]
     fn variance_stays_positive_and_bounded() {
         let data = hetero(500, 3);
-        let model = NgBoost::fit(&data, &NgBoostParams::default()).unwrap();
+        let model = NgBoost::fit(&data, 200, 42).unwrap();
         for x in [-5.0, 0.0, 1.0, 10.0] {
             let (_, var) = model.predict_dist(&[x]);
             assert!(var > 0.0 && var.is_finite());
-            assert!(var <= 12.0f64.exp() + 1.0);
+            assert!(var <= LOG_VAR_RANGE.1.exp() + 1.0);
         }
     }
 
     #[test]
     fn deterministic_given_seed() {
         let data = hetero(300, 4);
-        let a = NgBoost::fit(&data, &NgBoostParams::default()).unwrap();
-        let b = NgBoost::fit(&data, &NgBoostParams::default()).unwrap();
+        let a = NgBoost::fit(&data, 200, 42).unwrap();
+        let b = NgBoost::fit(&data, 200, 42).unwrap();
         for x in [0.1, 0.9, 1.7] {
             assert_eq!(a.predict_dist(&[x]), b.predict_dist(&[x]));
         }
@@ -368,7 +330,7 @@ mod tests {
     fn constant_target_gives_tiny_variance() {
         let rows: Vec<Vec<f64>> = (0..200).map(|i| vec![(i % 10) as f64]).collect();
         let data = Dataset::from_rows(&rows, &vec![5.0; 200]);
-        let model = NgBoost::fit(&data, &NgBoostParams::default()).unwrap();
+        let model = NgBoost::fit(&data, 200, 42).unwrap();
         let (mu, var) = model.predict_dist(&[3.0]);
         assert!((mu - 5.0).abs() < 1e-3);
         assert!(var < 1e-3, "var={var}");
@@ -377,7 +339,7 @@ mod tests {
     #[test]
     fn early_stopping_truncates_both_heads() {
         let data = hetero(400, 5);
-        let model = NgBoost::fit(&data, &NgBoostParams::default()).unwrap();
+        let model = NgBoost::fit(&data, 200, 42).unwrap();
         assert_eq!(model.mu_trees.len(), model.var_trees.len());
         assert!(model.n_rounds() >= 1);
     }

@@ -38,32 +38,15 @@ pub type FlatParts = (Vec<u32>, Vec<f64>, Vec<u32>, Vec<u32>, Vec<f64>);
 /// How many (tree, row) chains one walk interleaves.
 pub const LANES: usize = 16;
 
-/// Tree-growing hyper-parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct TreeParams {
-    /// Maximum tree depth (root = depth 0; `max_depth = 6` as in the paper).
-    pub max_depth: usize,
-    /// L2 regularization λ on leaf weights.
-    pub lambda: f64,
-    /// Minimum hessian sum per child.
-    pub min_child_weight: f64,
-    /// Minimum samples per leaf.
-    pub min_samples_leaf: usize,
-    /// Minimum gain required to split.
-    pub min_gain: f64,
-}
-
-impl Default for TreeParams {
-    fn default() -> Self {
-        Self {
-            max_depth: 6,
-            lambda: 1.0,
-            min_child_weight: 1.0,
-            min_samples_leaf: 1,
-            min_gain: 1e-8,
-        }
-    }
-}
+/// Deepest a leaf may sit (the root is depth 0; the paper's depth 6).
+pub const MAX_DEPTH: usize = 6;
+/// L2 regularization λ on leaf weights.
+pub const LAMBDA: f64 = 1.0;
+/// Fewest rows a child may hold: one sample per leaf and, hessians being 1,
+/// a child weight of at least 1.0.
+pub const MIN_CHILD: usize = 1;
+/// Gain a split must exceed.
+pub const MIN_GAIN: f64 = 1e-8;
 
 /// Arena node. A split goes to `kids[0]` iff `x[feature] <= threshold`,
 /// else to `kids[1]`. A leaf at index `i` has `kids == [i, i]`, its weight
@@ -129,22 +112,14 @@ pub(crate) fn walk<'a>(out: &mut [f64], chain: impl Fn(usize) -> (&'a Tree, &'a 
 
 impl Tree {
     /// Fits a tree on the given per-row gradients (unit hessians) over the
-    /// rows in `indices`. `columns` restricts split search to a feature
-    /// subset (column subsampling); pass all columns for no subsampling.
-    pub fn fit(
-        binned: &BinnedDataset,
-        binner: &Binner,
-        grads: &[f64],
-        indices: &[usize],
-        columns: &[usize],
-        params: &TreeParams,
-    ) -> Self {
+    /// rows in `indices`, searching every column for splits.
+    pub fn fit(binned: &BinnedDataset, binner: &Binner, grads: &[f64], indices: &[usize]) -> Self {
         assert_eq!(grads.len(), binned.n_rows());
         assert!(!indices.is_empty(), "cannot fit a tree on zero rows");
         let mut idx = indices.to_vec();
-        let mut grower = Grower::new(binned, binner, grads, idx.len(), columns, params);
+        let mut grower = Grower::new(binned, binner, grads, idx.len());
         let g_sum: f64 = idx.iter().map(|&r| grads[r]).sum();
-        let hist = (!grower.is_terminal(idx.len(), 0)).then(|| grower.histogram_of(&idx));
+        let hist = (!is_terminal(idx.len(), 0)).then(|| grower.histogram_of(&idx));
         grower.build(&mut idx, g_sum, 0, hist);
         Tree {
             nodes: grower.nodes,
@@ -348,26 +323,28 @@ struct Split {
     n_left: usize,
 }
 
+/// Whether a node of `n` rows at `depth` is a leaf before any split search
+/// — such nodes never get a histogram.
+fn is_terminal(n: usize, depth: usize) -> bool {
+    depth >= MAX_DEPTH || n < 2 * MIN_CHILD
+}
+
 /// Per-tree growing state.
 struct Grower<'a> {
     binned: &'a BinnedDataset,
     binner: &'a Binner,
     grads: &'a [f64],
-    params: &'a TreeParams,
-    /// The candidate columns with at least two bins, in `columns` order
-    /// (scan order breaks gain ties).
+    /// The columns with at least two bins, in column order (scan order
+    /// breaks gain ties).
     active: Vec<ActiveCol>,
     /// Histogram length: the active columns' bin counts summed.
     total_bins: usize,
     /// `inv[k] = 1/(k+λ)` for every row count a node of this tree can have.
     inv: Vec<f64>,
-    /// Fewest rows a child may hold: `min_samples_leaf` and, hessians being
-    /// 1, `min_child_weight` rounded up.
-    min_child: usize,
     /// Histogram buffers not owned by a live node. A node at depth `d` has at
     /// most `d` pending right siblings above it plus its own and one fresh
     /// child buffer, and the last split level needs none, so at most
-    /// `max_depth + 1` are ever allocated.
+    /// `MAX_DEPTH + 1` are ever allocated.
     free: Vec<Vec<Bin>>,
     /// Right-hand rows of the partition in flight, one slot per tree row.
     spill: Vec<usize>,
@@ -378,17 +355,10 @@ struct Grower<'a> {
 }
 
 impl<'a> Grower<'a> {
-    fn new(
-        binned: &'a BinnedDataset,
-        binner: &'a Binner,
-        grads: &'a [f64],
-        n_rows: usize,
-        columns: &[usize],
-        params: &'a TreeParams,
-    ) -> Self {
-        let mut active = Vec::with_capacity(columns.len());
+    fn new(binned: &'a BinnedDataset, binner: &'a Binner, grads: &'a [f64], n_rows: usize) -> Self {
+        let mut active = Vec::with_capacity(binner.n_features());
         let mut total_bins = 0;
-        for &col in columns {
+        for col in 0..binner.n_features() {
             let n_bins = binner.n_bins(col);
             if n_bins >= 2 {
                 active.push(ActiveCol {
@@ -403,31 +373,15 @@ impl<'a> Grower<'a> {
             binned,
             binner,
             grads,
-            params,
             active,
             total_bins,
-            inv: (0..=n_rows)
-                .map(|k| 1.0 / (k as f64 + params.lambda))
-                .collect(),
-            // `as` saturates: a non-positive weight floor constrains nothing.
-            min_child: params
-                .min_samples_leaf
-                .max(params.min_child_weight.ceil() as usize),
+            inv: (0..=n_rows).map(|k| 1.0 / (k as f64 + LAMBDA)).collect(),
             free: Vec::new(),
             spill: vec![0; n_rows],
             nodes: Vec::new(),
             gains: Vec::new(),
             depth: 0,
         }
-    }
-
-    /// Whether a node of `n` rows at `depth` is a leaf before any split
-    /// search — such nodes never get a histogram.
-    fn is_terminal(&self, n: usize, depth: usize) -> bool {
-        depth >= self.params.max_depth
-            || n < 2 * self.params.min_samples_leaf
-            || n < 2
-            || (n as f64) < 2.0 * self.params.min_child_weight
     }
 
     /// The histogram of `rows`, in a free buffer when there is one.
@@ -457,11 +411,11 @@ impl<'a> Grower<'a> {
     }
 
     /// Scans every bin boundary of every active column for the highest gain
-    /// above `min_gain`; the first candidate in scan order wins a tie.
+    /// above [`MIN_GAIN`]; the first candidate in scan order wins a tie.
     fn best_split(&self, hist: &[Bin], g_sum: f64, n: usize) -> Option<Split> {
         let parent_score = g_sum * g_sum * self.inv[n];
         let mut best = None;
-        let mut best_gain = self.params.min_gain;
+        let mut best_gain = MIN_GAIN;
         for a in &self.active {
             let mut gl = 0.0;
             let mut cl = 0usize;
@@ -470,7 +424,7 @@ impl<'a> Grower<'a> {
                 gl += slot.g;
                 cl += slot.n;
                 let cr = n - cl;
-                if cl < self.min_child || cr < self.min_child {
+                if cl < MIN_CHILD || cr < MIN_CHILD {
                     continue;
                 }
                 let gr = g_sum - gl;
@@ -510,11 +464,11 @@ impl<'a> Grower<'a> {
         };
         // Terminality is monotone in the row count, so a needed small child
         // implies a needed large one.
-        if self.is_terminal(large.len(), depth) {
+        if is_terminal(large.len(), depth) {
             self.free.push(parent);
             return (None, None);
         }
-        let need_small = !self.is_terminal(small.len(), depth);
+        let need_small = !is_terminal(small.len(), depth);
         let small_hist = if large.len() * self.active.len() < self.total_bins {
             parent.fill(Bin::default());
             self.fill(&mut parent, large);
@@ -548,7 +502,7 @@ impl<'a> Grower<'a> {
 
     fn push_leaf(&mut self, g_sum: f64, n: usize, depth: usize) -> u32 {
         let at = self.nodes.len();
-        let weight = -g_sum / (n as f64 + self.params.lambda);
+        let weight = -g_sum / (n as f64 + LAMBDA);
         self.nodes.push(Node::leaf(at, weight));
         self.gains.push(0.0);
         self.depth = self.depth.max(depth);
@@ -620,13 +574,12 @@ mod tests {
     /// Fits a tree directly on squared-error gradients of targets
     /// (pred = 0 start, grad = -y): the leaf weights then equal regularized
     /// leaf means of y.
-    fn fit_on_targets(data: &Dataset, params: &TreeParams) -> Tree {
+    fn fit_on_targets(data: &Dataset) -> Tree {
         let binner = Binner::fit(data, 32);
         let binned = binner.transform(data);
         let grads: Vec<f64> = data.targets().iter().map(|&y| -y).collect();
         let indices: Vec<usize> = (0..data.n_rows()).collect();
-        let columns: Vec<usize> = (0..data.n_cols()).collect();
-        Tree::fit(&binned, &binner, &grads, &indices, &columns, params)
+        Tree::fit(&binned, &binner, &grads, &indices)
     }
 
     /// The split search this file used before histogram subtraction, kept
@@ -638,18 +591,16 @@ mod tests {
         binner: &Binner,
         grads: &[f64],
         rows: &[usize],
-        columns: &[usize],
-        params: &TreeParams,
     ) -> Option<(usize, u8, f64)> {
         let g_sum: f64 = rows.iter().map(|&r| grads[r]).sum();
         let h_sum = rows.len() as f64;
-        let parent_score = g_sum * g_sum / (h_sum + params.lambda);
+        let parent_score = g_sum * g_sum / (h_sum + LAMBDA);
         let mut best: Option<(usize, u8, f64)> = None;
         let mut hist_g = [0.0f64; Binner::MAX_BINS];
         let mut hist_h = [0.0f64; Binner::MAX_BINS];
         let mut hist_c = [0usize; Binner::MAX_BINS];
 
-        for &c in columns {
+        for c in 0..binner.n_features() {
             let n_bins = binner.n_bins(c);
             if n_bins < 2 {
                 continue; // constant feature
@@ -673,16 +624,11 @@ mod tests {
                 let gr = g_sum - gl;
                 let hr = h_sum - hl;
                 let cr = rows.len() - cl;
-                if cl < params.min_samples_leaf
-                    || cr < params.min_samples_leaf
-                    || hl < params.min_child_weight
-                    || hr < params.min_child_weight
-                {
+                if cl < MIN_CHILD || cr < MIN_CHILD {
                     continue;
                 }
-                let gain =
-                    gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda) - parent_score;
-                if gain > params.min_gain && best.map(|(_, _, g)| gain > g).unwrap_or(true) {
+                let gain = gl * gl / (hl + LAMBDA) + gr * gr / (hr + LAMBDA) - parent_score;
+                if gain > MIN_GAIN && best.map(|(_, _, g)| gain > g).unwrap_or(true) {
                     best = Some((c, b as u8, gain));
                 }
             }
@@ -697,8 +643,6 @@ mod tests {
         binned: &'a BinnedDataset,
         binner: &'a Binner,
         grads: &'a [f64],
-        columns: &'a [usize],
-        params: &'a TreeParams,
         /// Σ|g| over the root's rows: prefix sums and subtracted histograms
         /// carry rounding error on that scale down to every leaf.
         g_scale: f64,
@@ -708,15 +652,10 @@ mod tests {
         /// Walks the subtree at `node` with the training rows that reach it
         /// and checks every split and leaf against the reference.
         fn check(&self, node: u32, rows: &[usize], depth: usize) -> Result<(), TestCaseError> {
-            let p = self.params;
             let n = rows.len();
             let g_sum: f64 = rows.iter().map(|&r| self.grads[r]).sum();
-            let reference =
-                reference_best_split(self.binned, self.binner, self.grads, rows, self.columns, p);
-            let must_be_leaf = depth >= p.max_depth
-                || n < 2 * p.min_samples_leaf
-                || n < 2
-                || (n as f64) < 2.0 * p.min_child_weight;
+            let reference = reference_best_split(self.binned, self.binner, self.grads, rows);
+            let must_be_leaf = depth >= MAX_DEPTH || n < 2 * MIN_CHILD;
             let at = node as usize;
             let Node {
                 threshold,
@@ -725,8 +664,8 @@ mod tests {
             } = self.tree.nodes[at];
             if self.tree.nodes[at].is_leaf(at) {
                 let weight = threshold;
-                let want = -g_sum / (n as f64 + p.lambda);
-                let tol = 1e-12 * self.g_scale / (n as f64 + p.lambda);
+                let want = -g_sum / (n as f64 + LAMBDA);
+                let tol = 1e-12 * self.g_scale / (n as f64 + LAMBDA);
                 prop_assert!(
                     (weight - want).abs() <= tol,
                     "leaf weight {weight} != {want} over {n} rows"
@@ -735,24 +674,24 @@ mod tests {
                 if let (false, Some((_, _, best))) = (must_be_leaf, reference) {
                     // Only a gain the two roundings disagree on may be left unsplit.
                     prop_assert!(
-                        best <= p.min_gain + 1e-9 * self.g_scale.max(1.0),
+                        best <= MIN_GAIN + 1e-9 * self.g_scale.max(1.0),
                         "leaf over {n} rows although the reference gains {best}"
                     );
                 }
             } else {
                 let gain = self.tree.gains[at];
                 prop_assert!(!must_be_leaf, "split at depth {depth} over {n} rows");
-                prop_assert!(self.columns.contains(&(feature as usize)));
+                prop_assert!((feature as usize) < self.data.n_cols());
                 let (l, r): (Vec<usize>, Vec<usize>) = rows
                     .iter()
                     .partition(|&&i| self.data.row(i)[feature as usize] <= threshold);
-                let min_child = |rows: &[usize]| {
-                    rows.len() >= p.min_samples_leaf && rows.len() as f64 >= p.min_child_weight
-                };
-                prop_assert!(min_child(&l) && min_child(&r), "child too small");
+                prop_assert!(
+                    l.len() >= MIN_CHILD && r.len() >= MIN_CHILD,
+                    "child too small"
+                );
                 let score = |rows: &[usize]| {
                     let g: f64 = rows.iter().map(|&i| self.grads[i]).sum();
-                    g * g / (rows.len() as f64 + p.lambda)
+                    g * g / (rows.len() as f64 + LAMBDA)
                 };
                 let placed = score(&l) + score(&r) - score(rows);
                 let best = reference.map_or(f64::NEG_INFINITY, |(_, _, g)| g);
@@ -772,27 +711,23 @@ mod tests {
         }
     }
 
-    /// Fits on `indices` × `columns` and checks the whole tree against
+    /// Fits on `indices` and checks the whole tree against
     /// [`reference_best_split`].
     fn check_against_reference(
         data: &Dataset,
         grads: &[f64],
         n_bins: usize,
         indices: &[usize],
-        columns: &[usize],
-        params: &TreeParams,
     ) -> Result<Tree, TestCaseError> {
         let binner = Binner::fit(data, n_bins);
         let binned = binner.transform(data);
-        let tree = Tree::fit(&binned, &binner, grads, indices, columns, params);
+        let tree = Tree::fit(&binned, &binner, grads, indices);
         Fitted {
             tree: &tree,
             data,
             binned: &binned,
             binner: &binner,
             grads,
-            columns,
-            params,
             g_scale: indices.iter().map(|&r| grads[r].abs()).sum(),
         }
         .check(0, indices, 0)?;
@@ -809,7 +744,7 @@ mod tests {
     #[test]
     fn learns_a_step_function() {
         let data = step_data();
-        let tree = fit_on_targets(&data, &TreeParams::default());
+        let tree = fit_on_targets(&data);
         assert!(tree.n_leaves() >= 2);
         let lo = tree.predict(&[10.0]);
         let hi = tree.predict(&[90.0]);
@@ -825,79 +760,27 @@ mod tests {
     }
 
     #[test]
-    fn depth_zero_yields_single_leaf() {
-        let data = step_data();
-        let params = TreeParams {
-            max_depth: 0,
-            ..Default::default()
-        };
-        let tree = fit_on_targets(&data, &params);
-        assert_eq!(tree.n_nodes(), 1);
-        // Leaf = regularized mean of y: 500/(100+1)
-        let w = tree.predict(&[0.0]);
-        assert!((w - 500.0 / 101.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn respects_max_depth() {
-        // Noisy-ish data that wants many splits.
+        // Noisy-ish zero-mean data that wants many splits (around a large
+        // mean, λ would outweigh every split's gain).
         let rows: Vec<Vec<f64>> = (0..256).map(|i| vec![i as f64]).collect();
-        let targets: Vec<f64> = (0..256).map(|i| ((i * 7919) % 97) as f64).collect();
+        let targets: Vec<f64> = (0..256).map(|i| ((i * 7919) % 97) as f64 - 48.0).collect();
         let data = Dataset::from_rows(&rows, &targets);
-        for depth in [1usize, 2, 3] {
-            let params = TreeParams {
-                max_depth: depth,
-                ..Default::default()
-            };
-            let tree = fit_on_targets(&data, &params);
-            assert!(
-                tree.n_leaves() <= 1 << depth,
-                "depth {depth}: {} leaves",
-                tree.n_leaves()
-            );
-        }
-    }
-
-    #[test]
-    fn min_samples_leaf_enforced() {
-        let data = step_data();
-        let params = TreeParams {
-            min_samples_leaf: 60, // each child would need >= 60 of 100 rows: impossible
-            ..Default::default()
-        };
-        let tree = fit_on_targets(&data, &params);
-        assert_eq!(tree.n_leaves(), 1);
+        let tree = fit_on_targets(&data);
+        assert_eq!(tree.depth, MAX_DEPTH, "the depth cap never bound");
+        assert!(
+            tree.n_leaves() <= 1 << MAX_DEPTH,
+            "{} leaves",
+            tree.n_leaves()
+        );
     }
 
     #[test]
     fn constant_target_produces_single_leaf() {
         let rows: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64]).collect();
         let data = Dataset::from_rows(&rows, &vec![7.0; 50]);
-        let tree = fit_on_targets(&data, &TreeParams::default());
+        let tree = fit_on_targets(&data);
         assert_eq!(tree.n_leaves(), 1, "no gain available on constant target");
-    }
-
-    #[test]
-    fn column_subset_restricts_splits() {
-        // Feature 0 is informative, feature 1 is noise; restrict to column 1.
-        let rows: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64, (i % 3) as f64]).collect();
-        let targets: Vec<f64> = (0..100).map(|i| if i < 50 { 0.0 } else { 10.0 }).collect();
-        let data = Dataset::from_rows(&rows, &targets);
-        let binner = Binner::fit(&data, 32);
-        let binned = binner.transform(&data);
-        let grads: Vec<f64> = targets.iter().map(|&y| -y).collect();
-        let indices: Vec<usize> = (0..100).collect();
-        let tree = Tree::fit(
-            &binned,
-            &binner,
-            &grads,
-            &indices,
-            &[1],
-            &TreeParams::default(),
-        );
-        // Splitting on the noise column can't separate the step cleanly:
-        // prediction at x0=10 and x0=90 with identical x1 must be equal.
-        assert_eq!(tree.predict(&[10.0, 1.0]), tree.predict(&[90.0, 1.0]));
     }
 
     #[test]
@@ -914,7 +797,7 @@ mod tests {
             }
         }
         let data = Dataset::from_rows(&rows, &targets);
-        let tree = fit_on_targets(&data, &TreeParams::default());
+        let tree = fit_on_targets(&data);
         assert!(tree.predict(&[80.0, 80.0]) > 4.0);
         assert!(tree.predict(&[80.0, 10.0]) < 1.0);
         assert!(tree.predict(&[10.0, 80.0]) < 1.0);
@@ -923,7 +806,7 @@ mod tests {
     #[test]
     fn flat_parts_round_trip_is_bit_exact() {
         let data = step_data();
-        let tree = fit_on_targets(&data, &TreeParams::default());
+        let tree = fit_on_targets(&data);
         let (f, t, l, r, g) = tree.to_flat_parts();
         let back = Tree::from_flat_parts(&f, &t, &l, &r, &g).unwrap();
         assert_eq!(back.n_nodes(), tree.n_nodes());
@@ -995,7 +878,7 @@ mod tests {
         .unwrap();
         assert_eq!((root_leaf.depth, root_leaf.predict(&[])), (0, 4.0));
         // Fitting and restoring agree on the depth.
-        let fitted = fit_on_targets(&step_data(), &TreeParams::default());
+        let fitted = fit_on_targets(&step_data());
         let (f, t, l, r, g) = fitted.to_flat_parts();
         assert_eq!(
             Tree::from_flat_parts(&f, &t, &l, &r, &g).unwrap().depth,
@@ -1055,11 +938,7 @@ mod tests {
             })
             .collect();
         let targets: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0f64..5.0)).collect();
-        let params = TreeParams {
-            max_depth: rng.gen_range(0usize..7),
-            ..TreeParams::default()
-        };
-        fit_on_targets(&Dataset::from_rows(&rows, &targets), &params)
+        fit_on_targets(&Dataset::from_rows(&rows, &targets))
     }
 
     proptest! {
@@ -1102,32 +981,30 @@ mod tests {
 
     #[test]
     fn top_bin_of_256_lands_in_its_own_slot() {
-        // Column 0 takes 1024 distinct values, so 256 bins put rows in bin
-        // 255; column 1 is coarse. Whichever column comes second starts right
-        // behind the other's last slot, so an off-by-one there (or past the
-        // end of the buffer) breaks the reference comparison.
-        let rows: Vec<Vec<f64>> = (0..1024)
-            .map(|i| vec![i as f64, ((i * 7) % 5) as f64])
-            .collect();
+        // The wide column takes 1024 distinct values, so 256 bins put rows
+        // in bin 255; the other is coarse. Whichever column comes second
+        // starts right behind the other's last slot, so an off-by-one there
+        // (or past the end of the buffer) breaks the reference comparison.
         let targets: Vec<f64> = (0..1024)
             .map(|i| if i >= 1020 { 50.0 } else { (i % 5) as f64 })
             .collect();
-        let data = Dataset::from_rows(&rows, &targets);
-        let binned = Binner::fit(&data, 256).transform(&data);
-        assert_eq!(binned.bin(1023, 0), 255);
         let grads: Vec<f64> = targets.iter().map(|&y| -y).collect();
         let indices: Vec<usize> = (0..1024).collect();
-        for columns in [[0, 1], [1, 0]] {
-            let tree = check_against_reference(
-                &data,
-                &grads,
-                256,
-                &indices,
-                &columns,
-                &TreeParams::default(),
-            )
-            .unwrap();
-            assert!(tree.predict(&[1023.0, 0.0]) > 25.0);
+        for wide in [0, 1] {
+            let rows: Vec<Vec<f64>> = (0..1024)
+                .map(|i| {
+                    let mut row = vec![((i * 7) % 5) as f64; 2];
+                    row[wide] = i as f64;
+                    row
+                })
+                .collect();
+            let data = Dataset::from_rows(&rows, &targets);
+            let binned = Binner::fit(&data, 256).transform(&data);
+            assert_eq!(binned.bin(1023, wide), 255);
+            let tree = check_against_reference(&data, &grads, 256, &indices).unwrap();
+            let mut probe = [0.0; 2];
+            probe[wide] = 1023.0;
+            assert!(tree.predict(&probe) > 25.0);
         }
     }
 
@@ -1136,7 +1013,7 @@ mod tests {
         let rows = vec![vec![3.0, -1.0]; 40];
         let targets: Vec<f64> = (0..40).map(|i| i as f64).collect();
         let data = Dataset::from_rows(&rows, &targets);
-        let tree = fit_on_targets(&data, &TreeParams::default());
+        let tree = fit_on_targets(&data);
         assert_eq!(tree.n_nodes(), 1);
         let want = targets.iter().sum::<f64>() / 41.0;
         assert!((tree.predict(&[3.0, -1.0]) - want).abs() < 1e-12 * want);
@@ -1148,8 +1025,6 @@ mod tests {
             seed in 0u64..u64::MAX,
             n in 12usize..260,
             n_bins_pick in 0usize..3,
-            (max_depth, min_samples_leaf) in (1usize..7, 1usize..6),
-            (min_child_weight, lambda) in (0.5f64..6.0, 0.0f64..3.0),
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             // Column kinds: continuous, few distinct values, constant, and a
@@ -1173,22 +1048,11 @@ mod tests {
                 .collect();
             let data = Dataset::from_rows(&rows, &vec![0.0; n]);
             let grads: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0f64..5.0)).collect();
-            // A row subsample and a shuffled column subset, as the boosters pass.
+            // A row subsample, as the boosters pass.
             let indices: Vec<usize> = (0..n).filter(|_| rng.gen_range(0u32..5) > 0).collect();
             prop_assume!(!indices.is_empty());
-            let mut columns: Vec<usize> = (0..n_cols).filter(|_| rng.gen_range(0u32..4) > 0).collect();
-            for i in (1..columns.len()).rev() {
-                columns.swap(i, rng.gen_range(0..=i));
-            }
-            let params = TreeParams {
-                max_depth,
-                lambda,
-                min_child_weight,
-                min_samples_leaf,
-                min_gain: 1e-8,
-            };
             let n_bins = [2, 32, 256][n_bins_pick];
-            check_against_reference(&data, &grads, n_bins, &indices, &columns, &params)?;
+            check_against_reference(&data, &grads, n_bins, &indices)?;
         }
 
         #[test]
@@ -1199,7 +1063,7 @@ mod tests {
             let rows: Vec<Vec<f64>> = pairs.iter().map(|p| vec![p.0]).collect();
             let targets: Vec<f64> = pairs.iter().map(|p| p.1).collect();
             let data = Dataset::from_rows(&rows, &targets);
-            let tree = fit_on_targets(&data, &TreeParams::default());
+            let tree = fit_on_targets(&data);
             let lo = targets.iter().cloned().fold(f64::INFINITY, f64::min);
             let hi = targets.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             let p = tree.predict(&[probe]);
@@ -1214,8 +1078,8 @@ mod tests {
             let rows: Vec<Vec<f64>> = pairs.iter().map(|p| vec![p.0]).collect();
             let targets: Vec<f64> = pairs.iter().map(|p| p.1).collect();
             let data = Dataset::from_rows(&rows, &targets);
-            let t1 = fit_on_targets(&data, &TreeParams::default());
-            let t2 = fit_on_targets(&data, &TreeParams::default());
+            let t1 = fit_on_targets(&data);
+            let t2 = fit_on_targets(&data);
             for x in [0.0, 25.0, 50.0, 75.0, 100.0] {
                 prop_assert_eq!(t1.predict(&[x]), t2.predict(&[x]));
             }

@@ -11,23 +11,17 @@
 
 use proptest::prelude::*;
 use stage_gbdt::ensemble::{BayesianEnsemble, EnsembleParams};
-use stage_gbdt::ngboost::{NgBoost, NgBoostParams};
+use stage_gbdt::ngboost::NgBoost;
 use stage_gbdt::tree::LANES;
 use stage_gbdt::Dataset;
 
-/// Small-but-real hyper-parameters: enough rounds to grow several trees.
-fn ngboost_params(seed: u64) -> NgBoostParams {
-    NgBoostParams {
-        n_estimators: 15,
-        seed,
-        ..NgBoostParams::default()
-    }
-}
+/// Small-but-real: enough rounds to grow several trees.
+const N_ESTIMATORS: usize = 15;
 
 fn ensemble_params(seed: u64) -> EnsembleParams {
     EnsembleParams {
         n_members: 3,
-        member: ngboost_params(0),
+        n_estimators: N_ESTIMATORS,
         seed,
     }
 }
@@ -55,7 +49,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let data = dataset(&triples);
-        let model = NgBoost::fit(&data, &ngboost_params(seed)).expect("non-empty dataset");
+        let model = NgBoost::fit(&data, N_ESTIMATORS, seed).expect("non-empty dataset");
         let rows = probe_rows(&probes);
         let batch = model.predict_dist_batch(&rows);
         prop_assert_eq!(batch.len(), rows.len());
@@ -98,13 +92,14 @@ proptest! {
 /// chain, one short of a full chunk, a full chunk, one over.
 const BOUNDARIES: [usize; 4] = [1, LANES - 1, LANES, LANES + 1];
 
-/// Heads of exactly 1, K−1, K and K+1 trees (no early stopping), walked by
-/// batches of 1, K−1, K and K+1 rows: the batch answers, the scalar
-/// answers and a fold of the heads' trees one `Tree::predict` at a time in
-/// boosting order all agree to the bit.
+/// Heads of exactly 1, K−1, K and K+1 trees, walked by batches of 1, K−1,
+/// K and K+1 rows: the batch answers, the scalar answers and a fold of the
+/// heads' trees one `Tree::predict` at a time in boosting order all agree
+/// to the bit. Nine training rows are below the ten at which boosting
+/// holds out a validation split, so no model stops early.
 #[test]
 fn ngboost_batch_bit_identical_at_every_lane_boundary() {
-    let triples: Vec<(f64, f64, f64)> = (0..90)
+    let triples: Vec<(f64, f64, f64)> = (0..9)
         .map(|i| {
             let x0 = ((i * 37) % 23) as f64 - 11.0;
             let x1 = ((i * 11) % 7) as f64;
@@ -121,12 +116,7 @@ fn ngboost_batch_bit_identical_at_every_lane_boundary() {
         })
         .collect();
     for n_trees in BOUNDARIES {
-        let params = NgBoostParams {
-            n_estimators: n_trees,
-            early_stopping_rounds: 0,
-            ..ngboost_params(n_trees as u64)
-        };
-        let model = NgBoost::fit(&data, &params).expect("non-empty dataset");
+        let model = NgBoost::fit(&data, n_trees, n_trees as u64).expect("non-empty dataset");
         assert_eq!(model.n_rounds(), n_trees);
         let (base_mu, base_log_var, lr, (lo, hi), _) = model.scalar_parts();
         for n_rows in BOUNDARIES {

@@ -86,16 +86,6 @@ impl Welford {
         }
     }
 
-    /// Unbiased sample variance (`m2 / (n - 1)`); `0.0` with fewer than two
-    /// observations.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
@@ -138,7 +128,6 @@ mod tests {
         assert_eq!(w.count(), 0);
         assert_eq!(w.mean(), 0.0);
         assert_eq!(w.variance(), 0.0);
-        assert_eq!(w.sample_variance(), 0.0);
     }
 
     #[test]
@@ -147,7 +136,6 @@ mod tests {
         assert_eq!(w.count(), 1);
         assert_eq!(w.mean(), 7.5);
         assert_eq!(w.variance(), 0.0);
-        assert_eq!(w.sample_variance(), 0.0);
     }
 
     #[test]
@@ -158,8 +146,6 @@ mod tests {
         let (mean, var) = naive_mean_var(&xs);
         assert!((w.mean() - mean).abs() < 1e-12);
         assert!((w.variance() - var).abs() < 1e-12);
-        let sample = var * xs.len() as f64 / (xs.len() - 1) as f64;
-        assert!((w.sample_variance() - sample).abs() < 1e-12);
     }
 
     #[test]

@@ -320,11 +320,6 @@ impl Template {
         self.query_type
     }
 
-    /// Whether parameters vary per execution (ad-hoc).
-    pub fn is_parameterized(&self) -> bool {
-        self.param_jitter > 0.0
-    }
-
     /// Hidden execution multiplier (see the field docs). Exposed for the
     /// generator and for ablations; predictors must never read it.
     pub fn latent_factor(&self) -> f64 {
@@ -448,7 +443,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let ts = tables(&mut rng);
         let tpl = Template::sample(0, TemplateKind::AdHoc, &ts, &mut rng);
-        assert!(tpl.is_parameterized());
+        assert!(tpl.param_jitter > 0.0);
         let stats: Vec<f64> = ts.iter().map(|t| t.rows_at_t0).collect();
         let hashes: std::collections::HashSet<u64> = (0..10)
             .map(|i| {

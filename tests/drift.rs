@@ -9,7 +9,7 @@
 use stage::core::{
     ExecTimePredictor, LocalModelConfig, StageConfig, StagePredictor, SystemContext,
 };
-use stage::gbdt::{EnsembleParams, NgBoostParams};
+use stage::gbdt::EnsembleParams;
 use stage::metrics::interval_coverage;
 use stage::workload::{FleetConfig, InstanceWorkload};
 
@@ -29,10 +29,7 @@ fn bench_stage_config() -> StageConfig {
         local: LocalModelConfig {
             ensemble: EnsembleParams {
                 n_members: 4,
-                member: NgBoostParams {
-                    n_estimators: 25,
-                    ..NgBoostParams::default()
-                },
+                n_estimators: 25,
                 seed: 11,
             },
             min_train_examples: 20,

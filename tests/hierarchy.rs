@@ -6,7 +6,7 @@ use stage::core::{
     ExecTimePredictor, LocalModelConfig, PredictionSource, StageConfig, StagePredictor,
     SystemContext,
 };
-use stage::gbdt::{EnsembleParams, NgBoostParams};
+use stage::gbdt::EnsembleParams;
 use stage::plan::{PlanBuilder, S3Format};
 use stage::workload::{FleetConfig, InstanceWorkload};
 use stage_bench::replay::replay;
@@ -16,10 +16,7 @@ fn quick_stage_config() -> StageConfig {
         local: LocalModelConfig {
             ensemble: EnsembleParams {
                 n_members: 4,
-                member: NgBoostParams {
-                    n_estimators: 20,
-                    ..NgBoostParams::default()
-                },
+                n_estimators: 20,
                 seed: 9,
             },
             min_train_examples: 25,

@@ -204,7 +204,7 @@ fn no_lying_word_in_a_wire_payload_panics_or_sizes_an_allocation() {
 fn small_predictor() -> StagePredictor {
     let mut config = StageConfig::default();
     config.local.ensemble.n_members = 2;
-    config.local.ensemble.member.n_estimators = 5;
+    config.local.ensemble.n_estimators = 5;
     config.local.min_train_examples = 20;
     config.local.retrain_interval = 20;
     StagePredictor::new(config)

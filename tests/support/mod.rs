@@ -337,7 +337,7 @@ pub fn setup(shards: u32, seed: u64, sites: &[(FaultSite, SitePolicy)]) -> Setup
 pub fn small_stage() -> StageConfig {
     let mut stage = StageConfig::default();
     stage.local.ensemble.n_members = 2;
-    stage.local.ensemble.member.n_estimators = 10;
+    stage.local.ensemble.n_estimators = 10;
     stage.local.min_train_examples = 20;
     stage.local.retrain_interval = 20;
     stage
