@@ -1,10 +1,14 @@
 //! Heap bounds, read off a counting global allocator: what one epoch of
-//! global-model training holds at its peak, and what a young shard holds
-//! once it has seen a couple of dozen observations. This file is its own
-//! test binary because the allocator counts the whole process.
+//! global-model training and one local-model retrain hold at their peak,
+//! and what a young shard holds once it has seen a couple of dozen
+//! observations. This file is its own test binary because the allocator
+//! counts the whole process.
 
 use stage::core::global::plan_to_tree_sample;
-use stage::core::{GlobalModel, GlobalModelConfig, StageConfig, SystemContext};
+use stage::core::{
+    GlobalModel, GlobalModelConfig, PoolConfig, StageConfig, SystemContext, TrainingPool,
+};
+use stage::gbdt::{BayesianEnsemble, EnsembleParams};
 use stage::nn::TreeSample;
 use stage::plan::{plan_feature_vector, PhysicalPlan};
 use stage::workload::generator::{FleetConfig, InstanceWorkload};
@@ -139,6 +143,42 @@ fn one_global_training_epoch_peaks_at_a_few_megabytes() {
     assert!(
         peak <= 7_620 << 10,
         "one epoch peaked at {peak} B of live heap"
+    );
+}
+
+/// One retrain of the local model at the paper's shape (ten members of at
+/// most 200 rounds, the default `EnsembleParams`) on `tests/exactness.rs`'s
+/// pool: the first 300 queries of each of a four-instance fleet (seed 32)
+/// through the default training pool, 1 200 rows. The peak is the trained
+/// ensemble plus one member's fit in flight — the binned pool, each head's
+/// scores and gradients, the round's row sample and the grower's buffers:
+/// 2 388 KiB with every tree allocating its own. The bound is that plus
+/// 50 %.
+#[test]
+fn one_local_retrain_peaks_at_a_few_megabytes() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let cfg = FleetConfig {
+        n_instances: 4,
+        duration_days: 1.0,
+        max_events_per_instance: 300,
+        seed: 32,
+        ..FleetConfig::default()
+    };
+    let mut pool = TrainingPool::new(PoolConfig::default());
+    for id in 0..4 {
+        let events = InstanceWorkload::generate(&cfg, id).events;
+        for e in events.iter().take(300) {
+            pool.add(plan_feature_vector(&e.plan).0, e.true_exec_secs);
+        }
+    }
+    let data = pool.to_dataset().expect("a non-empty pool");
+    assert_eq!(data.n_rows(), 1_200);
+    let (ens, _, peak) = measure(|| BayesianEnsemble::fit(&data, &EnsembleParams::default()));
+    assert_eq!(ens.expect("trains").members().len(), 10);
+    eprintln!("one local retrain: peak live heap {} KiB", peak / 1024);
+    assert!(
+        peak <= 3_582 << 10,
+        "one local retrain peaked at {peak} B of live heap"
     );
 }
 
