@@ -6,7 +6,7 @@ use serde::Serialize;
 use stage_core::{
     AutoWlmConfig, AutoWlmPredictor, GlobalModel, GlobalModelConfig, StageConfig, StagePredictor,
 };
-use stage_gbdt::{EnsembleParams, GbmParams};
+use stage_gbdt::EnsembleParams;
 use stage_wlm::WlmConfig;
 use stage_workload::instance::INSTANCE_FEATURE_DIM;
 use stage_workload::{FleetConfig, InstanceWorkload};
@@ -73,10 +73,7 @@ impl HarnessConfig {
             },
             stage,
             autowlm: AutoWlmConfig {
-                gbm: GbmParams {
-                    n_estimators: 40,
-                    ..GbmParams::default()
-                },
+                n_estimators: 40,
                 retrain_interval: 250,
                 ..AutoWlmConfig::default()
             },
@@ -116,7 +113,7 @@ impl HarnessConfig {
         };
         cfg.stage.local.ensemble.n_estimators = 60;
         cfg.stage.local.ensemble.n_members = 10;
-        cfg.autowlm.gbm.n_estimators = 60;
+        cfg.autowlm.n_estimators = 60;
         cfg
     }
 }

@@ -373,7 +373,7 @@ pub fn drift(ctx: &ExperimentContext) -> ExperimentReport {
 /// absolute error into the Bayesian ensemble" (§5.4). Trains on the first
 /// 70% of an instance's cache-missing queries, evaluates on the rest.
 pub fn mixed_ensemble(ctx: &ExperimentContext) -> ExperimentReport {
-    use stage_gbdt::{BayesianEnsemble, Dataset, MixedEnsemble, MixedEnsembleParams};
+    use stage_gbdt::{BayesianEnsemble, Dataset, GbmParams, MixedEnsemble, MixedEnsembleParams};
 
     let mut rows = Vec::new();
     let pooled = dedup_pool(ctx);
@@ -390,7 +390,10 @@ pub fn mixed_ensemble(ctx: &ExperimentContext) -> ExperimentReport {
         &train,
         &MixedEnsembleParams {
             bayesian: bayes_params,
-            squared: ctx.config.autowlm.gbm,
+            squared: GbmParams {
+                n_estimators: ctx.config.autowlm.n_estimators,
+                ..GbmParams::default()
+            },
             squared_weight: 1.0 / (bayes_params.n_members as f64 + 1.0),
         },
     )
@@ -658,14 +661,18 @@ pub fn env_features(ctx: &ExperimentContext) -> ExperimentReport {
 /// featurization techniques" (§2.1), and this shows which parts of the
 /// vector carry the signal on the synthetic fleet.
 pub fn feature_importance(ctx: &ExperimentContext) -> ExperimentReport {
-    use stage_gbdt::{BayesianEnsemble, Dataset, Gbm};
+    use stage_gbdt::{BayesianEnsemble, Dataset, Gbm, GbmParams};
     use stage_plan::feature_name;
 
     let mut train = Dataset::new(stage_plan::CACHE_FEATURE_DIM);
     for (f, secs) in &dedup_pool(ctx) {
         train.push(f, secs.ln_1p());
     }
-    let gbm = Gbm::fit(&train, &ctx.config.autowlm.gbm).expect("non-empty");
+    let params = GbmParams {
+        n_estimators: ctx.config.autowlm.n_estimators,
+        ..GbmParams::default()
+    };
+    let gbm = Gbm::fit(&train, &params).expect("non-empty");
     let ensemble =
         BayesianEnsemble::fit(&train, &ctx.config.stage.local.ensemble).expect("non-empty");
     let gi = gbm.feature_importance();

@@ -129,7 +129,7 @@ pub(crate) mod tests {
         cfg.global.gcn_layers = 1;
         cfg.stage.local.ensemble.n_members = 3;
         cfg.stage.local.ensemble.n_estimators = 12;
-        cfg.autowlm.gbm.n_estimators = 12;
+        cfg.autowlm.n_estimators = 12;
         cfg.out_dir = std::env::temp_dir().join("stage-bench-test");
         ExperimentContext::new(cfg)
     }

@@ -19,12 +19,13 @@ use stage_plan::{plan_feature_vector, PhysicalPlan};
 /// AutoWLM predictor configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct AutoWlmConfig {
-    /// The GBM's boosting schedule (paper: the same 200 estimators as one
-    /// Stage local-model member, but squared-error loss; the default trims
-    /// estimators for replay speed, symmetrically with the local model).
-    /// The trees' depth 6, the validation split and the bin count are
+    /// Most boosting rounds of the GBM (paper: the same 200 estimators as
+    /// one Stage local-model member, but squared-error loss; the default
+    /// trims estimators for replay speed, symmetrically with the local
+    /// model). The rest of its schedule is `GbmParams::default()`, and the
+    /// trees' depth 6, the validation split and the bin count are
     /// `stage-gbdt` constants.
-    pub gbm: GbmParams,
+    pub n_estimators: usize,
     /// FIFO training-set capacity (every executed query is added).
     pub train_capacity: usize,
     /// Minimum training-set size before the first training.
@@ -36,10 +37,7 @@ pub struct AutoWlmConfig {
 impl Default for AutoWlmConfig {
     fn default() -> Self {
         Self {
-            gbm: GbmParams {
-                n_estimators: 60,
-                ..GbmParams::default()
-            },
+            n_estimators: 60,
             train_capacity: 2_000,
             min_train_examples: 30,
             retrain_interval: 300,
@@ -107,10 +105,12 @@ impl AutoWlmPredictor {
         };
         // Same per-instance-state-only derivation as the Stage local model:
         // base seed ⊕ instance salt, stepped by the retrain counter.
+        let schedule = GbmParams::default();
         let params = GbmParams {
-            seed: (self.config.gbm.seed ^ self.instance_salt.wrapping_mul(0xD6E8_FEB8_6659_FD93))
+            n_estimators: self.config.n_estimators,
+            seed: (schedule.seed ^ self.instance_salt.wrapping_mul(0xD6E8_FEB8_6659_FD93))
                 .wrapping_add(self.trainings.wrapping_mul(0x9E37_79B9)),
-            ..self.config.gbm
+            ..schedule
         };
         if let Some(m) = Gbm::fit(&dataset, &params) {
             self.model = Some(m);
@@ -168,10 +168,7 @@ mod tests {
 
     fn quick() -> AutoWlmConfig {
         AutoWlmConfig {
-            gbm: GbmParams {
-                n_estimators: 30,
-                ..GbmParams::default()
-            },
+            n_estimators: 30,
             min_train_examples: 20,
             retrain_interval: 100,
             ..AutoWlmConfig::default()

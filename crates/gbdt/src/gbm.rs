@@ -8,9 +8,21 @@
 //! (the paper holds out 20%). The same rounds, over one head or
 //! two, fit the pinball-loss [`Gbm::fit_quantile`] and the Gaussian
 //! [`crate::NgBoost`].
+//!
+//! A round grows every head's tree on the same row sample in one call of
+//! the grower, which fills all the heads' root histograms in one pass over
+//! the rows and writes each grown row's leaf weight as it places the leaf.
+//! The loop then walks only the rows the trees were not grown on — the
+//! validation rows and the rows the sample left out — to update every
+//! row's score. A grown row's leaf is the one the walk would find:
+//! [`Binner`] makes `x ≤ cuts[b]` and `bin(x) ≤ b` the same test and puts
+//! NaN in the top bin, so the partition and the walk send every row the
+//! same way. The grower's buffers, the leaf weights and the shuffled rows
+//! are allocated once per fit, not once per tree, and no step changes a
+//! trained bit.
 
 use crate::dataset::{BinnedDataset, Binner, Dataset};
-use crate::tree::Tree;
+use crate::tree::{Scratch, Tree};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -164,10 +176,11 @@ pub(crate) const UNCLAMPED: (f64, f64) = (f64::NEG_INFINITY, f64::INFINITY);
 /// plus each head's clamp `range` ([`UNCLAMPED`] for none).
 /// The loop owns the rest: the seeded shuffle and the
 /// [`VALIDATION_FRACTION`] split (none below 10 rows or without early
-/// stopping), each round's row sample, one [`Tree::fit`] per head over
-/// every column, the update `f ← clamp(f + lr·tree(x))` in head order, and
-/// early stopping, which truncates every head to the best round. Returns
-/// each head's base and trees.
+/// stopping), each round's row sample, one [`Tree::fit_heads`] for all
+/// heads over every column, the update `f ← clamp(f + lr·tree(x))` of
+/// every row — its leaf taken from the grower for a sampled row, from a
+/// walk for any other — and early stopping, which truncates every head to
+/// the best round. Returns each head's base and trees.
 pub(crate) fn boost<const K: usize>(
     data: &Dataset,
     (binner, binned): (&Binner, &BinnedDataset),
@@ -194,8 +207,11 @@ pub(crate) fn boost<const K: usize>(
     let mut f: [Vec<f64>; K] = base.map(|b| vec![b; n]);
     let at = |f: &[Vec<f64>; K], i: usize| -> [f64; K] { std::array::from_fn(|k| f[k][i]) };
     let mut grads: [Vec<f64>; K] = std::array::from_fn(|_| vec![0.0; n]);
-    let mut leaf = vec![0.0; n];
-    let all_rows: Vec<&[f64]> = (0..n).map(|i| data.row(i)).collect();
+    // Allocated once per fit: the grower's buffers, each head's leaf weight
+    // per row, and the round's shuffled training rows.
+    let mut scratch = Scratch::new(binner, train_idx.len());
+    let mut leaves: [Vec<f64>; K] = std::array::from_fn(|_| vec![0.0; n]);
+    let mut shuffled = Vec::with_capacity(train_idx.len());
 
     let mut best_val = f64::INFINITY;
     let mut best_len = 0usize;
@@ -208,12 +224,28 @@ pub(crate) fn boost<const K: usize>(
                 gk[i] = g;
             }
         }
-        let rows = sample(train_idx, params.subsample, &mut rng);
-        let trees: [Tree; K] = std::array::from_fn(|k| Tree::fit(binned, binner, &grads[k], &rows));
-        for ((fk, (lo, hi)), tree) in f.iter_mut().zip(range).zip(&trees) {
-            tree.predict_rows(&all_rows, &mut leaf);
-            for (v, w) in fk.iter_mut().zip(&leaf) {
-                *v = (*v + params.learning_rate * w).clamp(lo, hi);
+        let n_sampled = sample(train_idx, params.subsample, &mut rng, &mut shuffled);
+        let (rows, unsampled) = shuffled.split_at(n_sampled);
+        let head_grads = grads.each_ref().map(Vec::as_slice);
+        let trees = Tree::fit_heads(
+            &mut scratch,
+            (binner, binned),
+            head_grads,
+            rows,
+            &mut leaves,
+        );
+        for ((fk, leaf), ((lo, hi), tree)) in
+            f.iter_mut().zip(&mut leaves).zip(range.iter().zip(&trees))
+        {
+            debug_assert!(
+                rows.iter()
+                    .all(|&r| tree.predict(data.row(r)).to_bits() == leaf[r].to_bits()),
+                "a grown row's leaf weight is not the one the walk finds"
+            );
+            tree.predict_at(data, val_idx, leaf);
+            tree.predict_at(data, unsampled, leaf);
+            for (v, w) in fk.iter_mut().zip(leaf.iter()) {
+                *v = (*v + params.learning_rate * w).clamp(*lo, *hi);
             }
         }
         for (head, tree) in heads.iter_mut().zip(trees) {
@@ -246,20 +278,22 @@ pub(crate) fn boost<const K: usize>(
     (base, heads)
 }
 
-/// Samples `frac` of `from` without replacement (at least one), by a
-/// partial Fisher-Yates shuffle of the first `k`.
-fn sample(from: &[usize], frac: f64, rng: &mut StdRng) -> Vec<usize> {
+/// Copies `from` into `v` and shuffles it so that `v[..k]` samples `frac`
+/// of it without replacement (at least one), by a partial Fisher-Yates
+/// shuffle of the first `k`, and returns `k`; `v[k..]` holds the rows left
+/// out.
+fn sample(from: &[usize], frac: f64, rng: &mut StdRng, v: &mut Vec<usize>) -> usize {
+    v.clear();
+    v.extend_from_slice(from);
     if frac >= 1.0 {
-        return from.to_vec();
+        return from.len();
     }
     let k = ((from.len() as f64 * frac).round() as usize).clamp(1, from.len());
-    let mut v = from.to_vec();
     for i in 0..k {
         let j = rng.gen_range(i..v.len());
         v.swap(i, j);
     }
-    v.truncate(k);
-    v
+    k
 }
 
 #[cfg(test)]
@@ -408,17 +442,24 @@ mod tests {
     fn sample_bounds() {
         let mut rng = StdRng::seed_from_u64(0);
         let from: Vec<usize> = (0..100).collect();
-        let s = sample(&from, 0.3, &mut rng);
-        assert_eq!(s.len(), 30);
+        let mut v = Vec::new();
+        let k = sample(&from, 0.3, &mut rng, &mut v);
+        assert_eq!(k, 30);
+        // Every row once: the sample first, the rest behind it.
+        let mut all = v.clone();
+        all.sort_unstable();
+        assert_eq!(all, from);
+        let s = &v[..k];
         assert!(s.iter().all(|i| *i < 100));
         // No duplicates.
-        let mut q = s.clone();
+        let mut q = s.to_vec();
         q.sort_unstable();
         q.dedup();
         assert_eq!(q.len(), 30);
         // frac >= 1 keeps everything.
-        assert_eq!(sample(&from, 1.0, &mut rng).len(), 100);
+        assert_eq!(sample(&from, 1.0, &mut rng, &mut v), 100);
+        assert_eq!(v, from);
         // tiny frac still samples one.
-        assert_eq!(sample(&from, 1e-9, &mut rng).len(), 1);
+        assert_eq!(sample(&from, 1e-9, &mut rng, &mut v), 1);
     }
 }

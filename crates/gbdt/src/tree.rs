@@ -16,7 +16,17 @@
 //! The grower is the standard histogram scheme: one row-major pass per node
 //! fills a flat `(Σg, count)` histogram over the tree's non-constant columns;
 //! after a split only the smaller child is filled from rows and its sibling
-//! is `parent − smaller`; candidates are scored from a `1/(k+λ)` table.
+//! is `parent − smaller`; candidates are scored from a `1/(k+λ)` table, and
+//! a column's scan stops at the first boundary that leaves its right side
+//! too small. It grows one tree per boosting head on the same rows
+//! (`Tree::fit_heads`): the root pass reads each row's bins once and adds
+//! every head's gradient — each head's sums still in row order, so each
+//! root histogram is bit for bit the one a pass for that head alone would
+//! fill — and below the root each head grows alone. Placing a leaf writes
+//! its weight for every row the partition brought there, which is the
+//! weight a walk of the finished tree finds for that row; the boosting loop
+//! reads it instead of walking the rows it grew on. All buffers live in a
+//! `Scratch` that one boosting fit allocates once.
 //!
 //! A fitted tree is one `Vec` arena of 24-byte nodes plus its depth. A step
 //! from node `n` goes to `n.kids[!(x[n.feature] <= n.threshold)]` — NaN goes
@@ -28,7 +38,7 @@
 //! is one chain, a boosted head walks many trees for one row, and a batch
 //! walks one tree for many rows.
 
-use crate::dataset::{BinnedDataset, Binner};
+use crate::dataset::{BinnedDataset, Binner, Dataset};
 use serde::{Deserialize, Serialize};
 
 /// The five parallel arrays of [`Tree::to_flat_parts`]:
@@ -111,21 +121,82 @@ pub(crate) fn walk<'a>(out: &mut [f64], chain: impl Fn(usize) -> (&'a Tree, &'a 
 }
 
 impl Tree {
-    /// Fits a tree on the given per-row gradients (unit hessians) over the
-    /// rows in `indices`, searching every column for splits.
-    pub fn fit(binned: &BinnedDataset, binner: &Binner, grads: &[f64], indices: &[usize]) -> Self {
-        assert_eq!(grads.len(), binned.n_rows());
-        assert!(!indices.is_empty(), "cannot fit a tree on zero rows");
-        let mut idx = indices.to_vec();
-        let mut grower = Grower::new(binned, binner, grads, idx.len());
-        let g_sum: f64 = idx.iter().map(|&r| grads[r]).sum();
-        let hist = (!is_terminal(idx.len(), 0)).then(|| grower.histogram_of(&idx));
-        grower.build(&mut idx, g_sum, 0, hist);
-        Tree {
-            nodes: grower.nodes,
-            gains: grower.gains,
-            depth: grower.depth,
+    /// Grows one tree per head over the same non-empty `rows` (at most the
+    /// `max_rows` `scratch` was made for), head `k` on `grads[k]` with unit
+    /// hessians, searching every column for splits, and writes the leaf
+    /// weight each of `rows` gets in head `k`'s tree to `leaves[k][row]`. The root histograms of all heads come from one
+    /// pass over the rows; below the root each head grows alone. Every
+    /// buffer is `scratch`'s, so a fit of many rounds allocates them once.
+    pub(crate) fn fit_heads<const K: usize>(
+        scratch: &mut Scratch,
+        (binner, binned): (&Binner, &BinnedDataset),
+        grads: [&[f64]; K],
+        rows: &[usize],
+        leaves: &mut [Vec<f64>; K],
+    ) -> [Tree; K] {
+        debug_assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
+        debug_assert!(rows.len() <= scratch.spill.len(), "scratch too small");
+        debug_assert!(grads.iter().all(|g| g.len() == binned.n_rows()));
+        let Scratch {
+            active,
+            total_bins,
+            inv,
+            free,
+            spill,
+            idx,
+        } = scratch;
+        let n = rows.len();
+        let mut roots: [Option<Vec<Bin>>; K] = [(); K].map(|()| None);
+        if !is_terminal(n, 0) {
+            let mut hists = [(); K].map(|()| take_zeroed(free, *total_bins));
+            fill(
+                active,
+                binned,
+                grads,
+                rows,
+                hists.each_mut().map(Vec::as_mut_slice),
+            );
+            roots = hists.map(Some);
         }
+        std::array::from_fn(|k| {
+            let g_sum: f64 = rows.iter().map(|&r| grads[k][r]).sum();
+            idx.clear();
+            idx.extend_from_slice(rows);
+            let mut grower = Grower {
+                binned,
+                binner,
+                grads: grads[k],
+                active,
+                total_bins: *total_bins,
+                inv,
+                free,
+                spill,
+                leaf: &mut leaves[k],
+                nodes: Vec::new(),
+                gains: Vec::new(),
+                depth: 0,
+            };
+            grower.build(idx, g_sum, 0, roots[k].take());
+            Tree {
+                nodes: grower.nodes,
+                gains: grower.gains,
+                depth: grower.depth,
+            }
+        })
+    }
+
+    /// One head of [`Tree::fit_heads`] with buffers of its own.
+    #[cfg(test)]
+    pub(crate) fn fit(
+        binned: &BinnedDataset,
+        binner: &Binner,
+        grads: &[f64],
+        rows: &[usize],
+    ) -> Self {
+        let leaf = vec![0.0; grads.len()];
+        let mut scratch = Scratch::new(binner, rows.len());
+        let [tree] = Tree::fit_heads(&mut scratch, (binner, binned), [grads], rows, &mut [leaf]);
+        tree
     }
 
     /// Creates a single-leaf tree with a constant output.
@@ -276,6 +347,19 @@ impl Tree {
         }
     }
 
+    /// `leaf[i]` = this tree's leaf weight for `data.row(i)`, for every `i`
+    /// in `at`, the rows walked [`LANES`] at a time.
+    pub(crate) fn predict_at(&self, data: &Dataset, at: &[usize], leaf: &mut [f64]) {
+        let mut out = [0.0; LANES];
+        for rs in at.chunks(LANES) {
+            let out = &mut out[..rs.len()];
+            walk(out, |j| (self, data.row(rs[j])));
+            for (&i, &w) in rs.iter().zip(out.iter()) {
+                leaf[i] = w;
+            }
+        }
+    }
+
     /// The walk this module used before the lockstep kernel: follow
     /// children until a leaf. The reference the kernel is held to.
     #[cfg(test)]
@@ -329,33 +413,32 @@ fn is_terminal(n: usize, depth: usize) -> bool {
     depth >= MAX_DEPTH || n < 2 * MIN_CHILD
 }
 
-/// Per-tree growing state.
-struct Grower<'a> {
-    binned: &'a BinnedDataset,
-    binner: &'a Binner,
-    grads: &'a [f64],
+/// The grower's buffers, allocated once per boosting fit and reused by
+/// every tree of every head: they depend on the binning and the largest
+/// row sample only.
+pub(crate) struct Scratch {
     /// The columns with at least two bins, in column order (scan order
     /// breaks gain ties).
     active: Vec<ActiveCol>,
     /// Histogram length: the active columns' bin counts summed.
     total_bins: usize,
-    /// `inv[k] = 1/(k+λ)` for every row count a node of this tree can have.
+    /// `inv[k] = 1/(k+λ)` for every row count a node can have.
     inv: Vec<f64>,
-    /// Histogram buffers not owned by a live node. A node at depth `d` has at
-    /// most `d` pending right siblings above it plus its own and one fresh
-    /// child buffer, and the last split level needs none, so at most
-    /// `MAX_DEPTH + 1` are ever allocated.
+    /// Histogram buffers not owned by a live node. A node at depth `d` has
+    /// at most `d` pending right siblings above it plus its own and one
+    /// fresh child buffer, the last split level needs none, and the other
+    /// heads' roots wait while one head grows, so at most
+    /// `MAX_DEPTH + K` are ever allocated.
     free: Vec<Vec<Bin>>,
     /// Right-hand rows of the partition in flight, one slot per tree row.
     spill: Vec<usize>,
-    nodes: Vec<Node>,
-    gains: Vec<f64>,
-    /// The deepest leaf pushed so far.
-    depth: usize,
+    /// The tree's rows, partitioned in place as it grows.
+    idx: Vec<usize>,
 }
 
-impl<'a> Grower<'a> {
-    fn new(binned: &'a BinnedDataset, binner: &'a Binner, grads: &'a [f64], n_rows: usize) -> Self {
+impl Scratch {
+    /// Buffers for trees over at most `max_rows` rows binned by `binner`.
+    pub(crate) fn new(binner: &Binner, max_rows: usize) -> Self {
         let mut active = Vec::with_capacity(binner.n_features());
         let mut total_bins = 0;
         for col in 0..binner.n_features() {
@@ -369,54 +452,103 @@ impl<'a> Grower<'a> {
                 total_bins += n_bins;
             }
         }
-        Grower {
-            binned,
-            binner,
-            grads,
+        Scratch {
             active,
             total_bins,
-            inv: (0..=n_rows).map(|k| 1.0 / (k as f64 + LAMBDA)).collect(),
+            inv: (0..=max_rows).map(|k| 1.0 / (k as f64 + LAMBDA)).collect(),
             free: Vec::new(),
-            spill: vec![0; n_rows],
-            nodes: Vec::new(),
-            gains: Vec::new(),
-            depth: 0,
+            spill: vec![0; max_rows],
+            idx: Vec::with_capacity(max_rows),
         }
     }
+}
 
+/// A free histogram buffer, zeroed, or a new one.
+fn take_zeroed(free: &mut Vec<Vec<Bin>>, total_bins: usize) -> Vec<Bin> {
+    match free.pop() {
+        Some(mut buf) => {
+            buf.fill(Bin::default());
+            buf
+        }
+        None => vec![Bin::default(); total_bins],
+    }
+}
+
+/// Adds `rows` to every head's histogram in one pass, row-major over the
+/// active columns, so each row's bins are read once. Head `k`'s Σg goes to
+/// `hists[k]`, summed in row order exactly as a pass for that head alone
+/// would sum it; the row counts, which all heads share, are counted in
+/// `hists[0]` and copied to the others.
+fn fill<const K: usize>(
+    active: &[ActiveCol],
+    binned: &BinnedDataset,
+    grads: [&[f64]; K],
+    rows: &[usize],
+    mut hists: [&mut [Bin]; K],
+) {
+    let Some((counted, others)) = hists.split_first_mut() else {
+        return;
+    };
+    for &r in rows {
+        let g: [f64; K] = std::array::from_fn(|k| grads[k][r]);
+        let bins = binned.row(r);
+        for a in active {
+            let slot = a.first + bins[a.col] as usize;
+            counted[slot].g += g[0];
+            counted[slot].n += 1;
+            for (hist, g) in others.iter_mut().zip(&g[1..]) {
+                hist[slot].g += g;
+            }
+        }
+    }
+    for hist in others {
+        for (to, from) in hist.iter_mut().zip(counted.iter()) {
+            to.n = from.n;
+        }
+    }
+}
+
+/// Per-tree growing state over the fit's [`Scratch`].
+struct Grower<'a> {
+    binned: &'a BinnedDataset,
+    binner: &'a Binner,
+    grads: &'a [f64],
+    active: &'a [ActiveCol],
+    total_bins: usize,
+    inv: &'a [f64],
+    free: &'a mut Vec<Vec<Bin>>,
+    spill: &'a mut [usize],
+    /// Each grown row's leaf weight, by row.
+    leaf: &'a mut [f64],
+    nodes: Vec<Node>,
+    gains: Vec<f64>,
+    /// The deepest leaf pushed so far.
+    depth: usize,
+}
+
+impl Grower<'_> {
     /// The histogram of `rows`, in a free buffer when there is one.
     fn histogram_of(&mut self, rows: &[usize]) -> Vec<Bin> {
-        let mut hist = match self.free.pop() {
-            Some(mut buf) => {
-                buf.fill(Bin::default());
-                buf
-            }
-            None => vec![Bin::default(); self.total_bins],
-        };
+        let mut hist = take_zeroed(self.free, self.total_bins);
         self.fill(&mut hist, rows);
         hist
     }
 
-    /// Adds `rows` to `hist`: one pass, row-major over the active columns.
+    /// Adds `rows` to `hist`: [`fill`] for this tree's head alone.
     fn fill(&self, hist: &mut [Bin], rows: &[usize]) {
-        for &r in rows {
-            let g = self.grads[r];
-            let bins = self.binned.row(r);
-            for a in &self.active {
-                let slot = &mut hist[a.first + bins[a.col] as usize];
-                slot.g += g;
-                slot.n += 1;
-            }
-        }
+        fill(self.active, self.binned, [self.grads], rows, [hist]);
     }
 
     /// Scans every bin boundary of every active column for the highest gain
-    /// above [`MIN_GAIN`]; the first candidate in scan order wins a tie.
+    /// above [`MIN_GAIN`]; the first candidate in scan order wins a tie. A
+    /// column's scan stops once its right side is too small: the right
+    /// count only falls as the boundary moves right, so no later candidate
+    /// of that column could be taken.
     fn best_split(&self, hist: &[Bin], g_sum: f64, n: usize) -> Option<Split> {
         let parent_score = g_sum * g_sum * self.inv[n];
         let mut best = None;
         let mut best_gain = MIN_GAIN;
-        for a in &self.active {
+        for a in self.active {
             let mut gl = 0.0;
             let mut cl = 0usize;
             // Split after bin b (left = bins 0..=b); last bin can't split.
@@ -424,7 +556,10 @@ impl<'a> Grower<'a> {
                 gl += slot.g;
                 cl += slot.n;
                 let cr = n - cl;
-                if cl < MIN_CHILD || cr < MIN_CHILD {
+                if cr < MIN_CHILD {
+                    break;
+                }
+                if cl < MIN_CHILD {
                     continue;
                 }
                 let gr = g_sum - gl;
@@ -500,9 +635,13 @@ impl<'a> Grower<'a> {
         }
     }
 
-    fn push_leaf(&mut self, g_sum: f64, n: usize, depth: usize) -> u32 {
+    /// Pushes the leaf over `rows` and writes its weight as each row's.
+    fn push_leaf(&mut self, rows: &[usize], g_sum: f64, depth: usize) -> u32 {
         let at = self.nodes.len();
-        let weight = -g_sum / (n as f64 + LAMBDA);
+        let weight = -g_sum / (rows.len() as f64 + LAMBDA);
+        for &r in rows {
+            self.leaf[r] = weight;
+        }
         self.nodes.push(Node::leaf(at, weight));
         self.gains.push(0.0);
         self.depth = self.depth.max(depth);
@@ -521,11 +660,11 @@ impl<'a> Grower<'a> {
     ) -> u32 {
         let n = idx.len();
         let Some(hist) = hist else {
-            return self.push_leaf(g_sum, n, depth);
+            return self.push_leaf(idx, g_sum, depth);
         };
         let Some(split) = self.best_split(&hist, g_sum, n) else {
             self.free.push(hist);
-            return self.push_leaf(g_sum, n, depth);
+            return self.push_leaf(idx, g_sum, depth);
         };
 
         // Stable partition of idx: bin <= split bin stays in front, the rest
@@ -567,7 +706,6 @@ impl<'a> Grower<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::Dataset;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 
@@ -973,6 +1111,154 @@ mod tests {
                     tree.predict_rows(&rows[..k], &mut out);
                     for (row, got) in rows.iter().zip(&out) {
                         prop_assert_eq!(got.to_bits(), tree.reference_predict(row).to_bits());
+                    }
+                }
+            }
+        }
+    }
+
+    /// Random data whose columns hold what the walk and the binning must
+    /// agree on: NaN, ±∞, −0.0 next to 0.0, few distinct values (so rows sit
+    /// exactly on a cut), a constant and a column of distinct values (all
+    /// 256 bins at `n_bins` 256 once there are 256 rows or more).
+    fn edge_data(rng: &mut StdRng, n: usize) -> Dataset {
+        let n_cols = rng.gen_range(1usize..6);
+        let kinds: Vec<u32> = (0..n_cols).map(|_| rng.gen_range(0u32..6)).collect();
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                kinds
+                    .iter()
+                    .map(|&kind| match kind {
+                        0 => rng.gen_range(-100.0f64..100.0),
+                        1 => rng.gen_range(0u32..4) as f64,
+                        2 => 7.5,
+                        3 => i as f64,
+                        4 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.0]
+                            [rng.gen_range(0usize..4)],
+                        _ => [-0.0, 0.0, -1.0, 1.0][rng.gen_range(0usize..4)],
+                    })
+                    .collect()
+            })
+            .collect();
+        Dataset::from_rows(&rows, &vec![0.0; n])
+    }
+
+    /// `rows` as a boosting round passes them: all rows in shuffled order,
+    /// or a subsample of them, or a single row (a terminal root).
+    fn round_rows(rng: &mut StdRng, n: usize) -> Vec<usize> {
+        let mut rows: Vec<usize> = (0..n).collect();
+        for i in 0..n {
+            rows.swap(i, rng.gen_range(i..n));
+        }
+        let keep = match rng.gen_range(0u32..4) {
+            0 => 1,
+            1 => n,
+            _ => ((n as f64 * 0.8).round() as usize).max(1),
+        };
+        rows.truncate(keep);
+        rows
+    }
+
+    proptest! {
+        /// The leaf weight the grower writes for a row it grew on is the one
+        /// the walk finds for that row, bit for bit, so the boosting loop
+        /// need not walk the rows it sampled; rows it did not grow on keep
+        /// whatever they held.
+        #[test]
+        fn prop_grown_leaves_are_the_walked_leaves(
+            seed in 0u64..u64::MAX,
+            n in 1usize..400,
+            n_bins_pick in 0usize..3,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let data = edge_data(&mut rng, n);
+            let binner = Binner::fit(&data, [2, 32, 256][n_bins_pick]);
+            let binned = binner.transform(&data);
+            let grads: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0f64..5.0)).collect();
+            let rows = round_rows(&mut rng, n);
+            let sentinel = f64::from_bits(0x7ff8_dead_beef_0001);
+            let mut leaf = [vec![sentinel; n]];
+            let mut scratch = Scratch::new(&binner, n);
+            let [tree] = Tree::fit_heads(&mut scratch, (&binner, &binned), [&grads], &rows, &mut leaf);
+            let all: Vec<&[f64]> = (0..n).map(|i| data.row(i)).collect();
+            let mut walked = vec![0.0; n];
+            tree.predict_rows(&all, &mut walked);
+            let mut grown = vec![false; n];
+            for &r in &rows {
+                grown[r] = true;
+                prop_assert!(
+                    leaf[0][r].to_bits() == walked[r].to_bits(),
+                    "row {r}: grown {} walked {}",
+                    leaf[0][r],
+                    walked[r]
+                );
+            }
+            for (r, _) in grown.iter().enumerate().filter(|(_, g)| !**g) {
+                prop_assert_eq!(leaf[0][r].to_bits(), sentinel.to_bits());
+            }
+        }
+
+        /// One K-head fit is K one-head fits: the same trees, node for node
+        /// and bit for bit, and the same leaf weights, for K = 1 and 2, over
+        /// several rounds on one scratch (so no buffer carries a round into
+        /// the next) against fits with buffers of their own.
+        #[test]
+        fn prop_a_k_head_fit_is_k_one_head_fits(
+            seed in 0u64..u64::MAX,
+            n in 1usize..300,
+            two_heads in proptest::bool::ANY,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let data = edge_data(&mut rng, n);
+            let binner = Binner::fit(&data, [2, 32, 256][rng.gen_range(0usize..3)]);
+            let binned = binner.transform(&data);
+            let mut scratch = Scratch::new(&binner, n);
+            for _round in 0..3 {
+                let rows = round_rows(&mut rng, n);
+                let g: [Vec<f64>; 2] =
+                    std::array::from_fn(|_| (0..n).map(|_| rng.gen_range(-5.0f64..5.0)).collect());
+                let one = |k: usize| {
+                    let mut leaf = [vec![0.0; n]];
+                    let [tree] = Tree::fit_heads(
+                        &mut Scratch::new(&binner, n),
+                        (&binner, &binned),
+                        [&g[k]],
+                        &rows,
+                        &mut leaf,
+                    );
+                    let [leaf] = leaf;
+                    (tree, leaf)
+                };
+                let expect: Vec<(Tree, Vec<f64>)> = if two_heads {
+                    let mut leaves = [vec![0.0; n], vec![0.0; n]];
+                    let trees = Tree::fit_heads(
+                        &mut scratch,
+                        (&binner, &binned),
+                        [&g[0], &g[1]],
+                        &rows,
+                        &mut leaves,
+                    );
+                    trees.into_iter().zip(leaves).collect()
+                } else {
+                    let mut leaves = [vec![0.0; n]];
+                    let trees =
+                        Tree::fit_heads(&mut scratch, (&binner, &binned), [&g[0]], &rows, &mut leaves);
+                    trees.into_iter().zip(leaves).collect()
+                };
+                for (k, (tree, leaf)) in expect.iter().enumerate() {
+                    let (alone, alone_leaf) = one(k);
+                    let bits = |t: &Tree| {
+                        let (f, th, l, r, g) = t.to_flat_parts();
+                        let th: Vec<u64> = th.iter().map(|x| x.to_bits()).collect();
+                        let g: Vec<u64> = g.iter().map(|x| x.to_bits()).collect();
+                        (f, th, l, r, g, t.depth)
+                    };
+                    prop_assert!(bits(tree) == bits(&alone), "head {k}: trees differ");
+                    for &r in &rows {
+                        prop_assert!(
+                            leaf[r].to_bits() == alone_leaf[r].to_bits(),
+                            "head {k} row {r}: leaves differ"
+                        );
                     }
                 }
             }

@@ -28,6 +28,12 @@ cargo test -q --workspace
 # of the wrong width is padded or cut to the trained width in release
 # builds, the servers' build, instead of asserting. Run them here.
 cargo test --release -q -p stage-core -p stage-gbdt --lib -- in_release
+# The digests that pin every trained bit, in the build the servers ship:
+# the release profile compiles out the debug assertions the step above
+# keeps (the boosting loop's check that each grown row's leaf is the one
+# the walk finds, the grower's subtraction check), so the digests are
+# checked once without them.
+cargo test --release -q --test exactness
 
 # results/ must have been recorded on this code: eight quick artefacts that
 # time nothing (≈ 4 s together on 2 vCPUs) are regenerated and compared
