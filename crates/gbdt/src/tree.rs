@@ -124,9 +124,10 @@ impl Tree {
     /// Grows one tree per head over the same non-empty `rows` (at most the
     /// `max_rows` `scratch` was made for), head `k` on `grads[k]` with unit
     /// hessians, searching every column for splits, and writes the leaf
-    /// weight each of `rows` gets in head `k`'s tree to `leaves[k][row]`. The root histograms of all heads come from one
-    /// pass over the rows; below the root each head grows alone. Every
-    /// buffer is `scratch`'s, so a fit of many rounds allocates them once.
+    /// weight each of `rows` gets in head `k`'s tree to `leaves[k][row]`.
+    /// The root histograms of all heads come from one pass over the rows;
+    /// below the root each head grows alone. Every buffer is `scratch`'s,
+    /// so a fit of many rounds allocates them once.
     pub(crate) fn fit_heads<const K: usize>(
         scratch: &mut Scratch,
         (binner, binned): (&Binner, &BinnedDataset),
