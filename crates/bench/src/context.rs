@@ -77,17 +77,13 @@ impl HarnessConfig {
                 retrain_interval: 250,
                 ..AutoWlmConfig::default()
             },
-            // Concurrency scaling on: Redshift's WLM bounds long-queue
-            // backlog with burst clusters; without it an oversaturated
-            // instance diverges and scheduling quality stops mattering.
             // Redshift-flavoured defaults: a small SQA queue with runtime
             // eviction and a fixed long queue. Instances are provisioned to
-            // their workloads by the generator, so no burst scaling is
-            // needed for stability.
+            // their workloads by the generator, so the long queue needs no
+            // burst slots to stay stable.
             wlm: WlmConfig {
                 short_slots: 2,
                 long_slots: 4,
-                enable_scaling: false,
                 sqa_max_runtime_secs: Some(5.0),
                 ..WlmConfig::default()
             },

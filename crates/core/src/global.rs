@@ -10,45 +10,17 @@
 use crate::predictor::SystemContext;
 use crate::{from_log_space, to_log_space};
 use serde::{Deserialize, Serialize};
-use stage_nn::{GcnConfig, PlanGcn, TreeSample};
+use stage_nn::{PlanGcn, TreeSample};
 use stage_plan::features::{plan_summary_features, PLAN_SUMMARY_DIM};
 use stage_plan::{node_features, PhysicalPlan, PlanNode, NODE_FEATURE_DIM};
 
 /// Number of plan-summary dims appended to the caller's system features.
 pub const GLOBAL_SYS_DIM_BASE: usize = PLAN_SUMMARY_DIM;
 
-/// Global-model configuration (architecture + training schedule).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct GlobalModelConfig {
-    /// Hidden width (paper: 512; CPU default 64).
-    pub hidden: usize,
-    /// Message-passing rounds (paper: 8; CPU default 3).
-    pub gcn_layers: usize,
-    /// Dropout (paper: 0.2).
-    pub dropout: f64,
-    /// Adam learning rate.
-    pub lr: f64,
-    /// Training epochs.
-    pub epochs: usize,
-    /// Mini-batch size.
-    pub batch_size: usize,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for GlobalModelConfig {
-    fn default() -> Self {
-        Self {
-            hidden: 64,
-            gcn_layers: 3,
-            dropout: 0.2,
-            lr: 1e-3,
-            epochs: 25,
-            batch_size: 32,
-            seed: 42,
-        }
-    }
-}
+/// Global-model configuration (architecture + training schedule): the
+/// plan-GCN's own. The node and system widths are not settings;
+/// [`GlobalModel::train`] derives them.
+pub type GlobalModelConfig = stage_nn::GcnConfig;
 
 /// Converts a plan + system context + actual exec-time into a GCN training
 /// sample. Node order is pre-order; children lists mirror the plan tree.
@@ -89,11 +61,11 @@ pub fn plan_to_tree_sample(
     }
 }
 
-/// The trained global model.
+/// The trained global model. Its system width is the GCN's
+/// ([`PlanGcn::sys_feat_dim`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GlobalModel {
     gcn: PlanGcn,
-    sys_dim: usize,
     /// Post-hoc linear calibration `y ≈ a·ŷ + b` in log space, fitted on a
     /// held-out slice of the training samples. Corrects systematic
     /// scale/offset bias without touching the learned structure.
@@ -110,7 +82,9 @@ impl GlobalModel {
     /// of the [`SystemContext`] features the model will be queried with.
     ///
     /// # Panics
-    /// Panics if `samples` is empty or widths disagree with the config.
+    /// Panics if `samples` is empty or a sample's widths are not
+    /// [`NODE_FEATURE_DIM`] and `instance_feature_dim +`
+    /// [`GLOBAL_SYS_DIM_BASE`].
     #[expect(
         clippy::disallowed_macros,
         reason = "training-time precondition: the global model is trained offline, never inside a verb"
@@ -122,25 +96,14 @@ impl GlobalModel {
     ) -> Self {
         assert!(!samples.is_empty(), "global model needs training samples");
         let sys_dim = instance_feature_dim + GLOBAL_SYS_DIM_BASE;
-        let gcn_config = GcnConfig {
-            node_feat_dim: NODE_FEATURE_DIM,
-            sys_feat_dim: sys_dim,
-            hidden: config.hidden,
-            gcn_layers: config.gcn_layers,
-            dropout: config.dropout,
-            lr: config.lr,
-            epochs: config.epochs,
-            batch_size: config.batch_size,
-            seed: config.seed,
-        };
         // Hold out every 10th sample for calibration.
         let (fit_set, holdout): (Vec<_>, Vec<_>) =
             samples.iter().enumerate().partition(|(i, _)| i % 10 != 9);
         let fit_samples: Vec<&TreeSample> = fit_set.into_iter().map(|(_, s)| s).collect();
         let holdout: Vec<&TreeSample> = holdout.into_iter().map(|(_, s)| s).collect();
 
-        let mut gcn = PlanGcn::new(gcn_config);
-        let report = gcn.fit(&fit_samples);
+        let mut gcn = PlanGcn::new(config, NODE_FEATURE_DIM, sys_dim);
+        let training_losses = gcn.fit(&fit_samples, config);
 
         let lo = samples
             .iter()
@@ -191,27 +154,17 @@ impl GlobalModel {
 
         Self {
             gcn,
-            sys_dim,
             calibration,
             target_range: (lo.min(hi), hi.max(lo)),
-            training_losses: report.epoch_losses,
+            training_losses,
         }
     }
 
     /// Checks a deserialized model before it answers anything: the GCN's
-    /// structure ([`PlanGcn::validate`]), a system width equal to the
-    /// GCN's (`predict_log_raw` sizes a buffer by it), a finite calibration,
-    /// and a finite clamp range with `lo <= hi` (`f64::clamp` panics
-    /// otherwise).
+    /// structure ([`PlanGcn::validate`]), a finite calibration, and a
+    /// finite clamp range with `lo <= hi` (`f64::clamp` panics otherwise).
     pub(crate) fn validate(&self) -> Result<(), String> {
         self.gcn.validate()?;
-        let gcn_sys_dim = self.gcn.config().sys_feat_dim;
-        if self.sys_dim != gcn_sys_dim {
-            return Err(format!(
-                "system width {} where the GCN reads {gcn_sys_dim}",
-                self.sys_dim
-            ));
-        }
         let (a, b) = self.calibration;
         if !(a.is_finite() && b.is_finite()) {
             return Err(format!("calibration ({a}, {b}) is not finite"));
@@ -223,11 +176,6 @@ impl GlobalModel {
             ));
         }
         Ok(())
-    }
-
-    /// The fitted calibration `(slope, intercept)` in log space.
-    pub fn calibration(&self) -> (f64, f64) {
-        self.calibration
     }
 
     /// Predicts exec-time in seconds for a plan under a system context
@@ -256,12 +204,13 @@ impl GlobalModel {
         // Width skew between the context and the trained model is a
         // deployment bug: debug builds assert, release builds pad/truncate
         // to the trained width and keep serving.
+        let sys_dim = self.gcn.sys_feat_dim();
         debug_assert_eq!(
             sample.sys_feats.len(),
-            self.sys_dim,
+            sys_dim,
             "system-feature width mismatch"
         );
-        sample.sys_feats.resize(self.sys_dim, 0.0);
+        sample.sys_feats.resize(sys_dim, 0.0);
         self.gcn.predict(&sample)
     }
 
@@ -368,7 +317,7 @@ mod tests {
         let monster = plan(1e12, 2);
         let p = model.predict(&monster, &sys(1.0));
         assert!(p <= 0.5 + 1e-6, "clamp failed: {p}");
-        let (a, _b) = model.calibration();
+        let (a, _b) = model.calibration;
         assert!(a > 0.0);
     }
 
@@ -405,8 +354,9 @@ mod tests {
             assert!(got.is_finite());
             // The same context resized to the trained width by hand.
             let mut sample = plan_to_tree_sample(&plan(1e4, 0), &skewed, 0.0);
-            assert_ne!(sample.sys_feats.len(), model.sys_dim);
-            sample.sys_feats.resize(model.sys_dim, 0.0);
+            let sys_dim = model.gcn.sys_feat_dim();
+            assert_ne!(sample.sys_feats.len(), sys_dim);
+            sample.sys_feats.resize(sys_dim, 0.0);
             let (a, b) = model.calibration;
             let (lo, hi) = model.target_range;
             let raw = model.gcn.predict(&sample);

@@ -227,7 +227,7 @@ pub fn load_stage_store(
 
 /// Payload version of [`SECTION_GLOBAL`]; bump on breaking model-layout
 /// changes so stale artefacts fail loudly instead of predicting garbage.
-const GLOBAL_PAYLOAD_VERSION: u32 = 2;
+const GLOBAL_PAYLOAD_VERSION: u32 = 3;
 /// Payload kind tag of [`SECTION_GLOBAL`].
 const GLOBAL_PAYLOAD_KIND: &str = "stage-global-model";
 
@@ -324,13 +324,54 @@ pub fn store_generation(path: &Path) -> Result<u64, RestoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global::{plan_to_tree_sample, GlobalModelConfig};
+    use crate::global::{plan_to_tree_sample, GlobalModelConfig, GLOBAL_SYS_DIM_BASE};
     use crate::predictor::SystemContext;
-    use stage_plan::{PlanBuilder, S3Format};
+    use stage_plan::{PlanBuilder, S3Format, NODE_FEATURE_DIM};
+
+    /// A version-3 image of a one-round GCN rewritten into the version-2
+    /// layout it retired: the GCN's nine-field config, every layer's
+    /// widths and the head's dropout beside the weights, and the model's
+    /// system width beside the GCN.
+    fn as_version_2(text: &str, cfg: &GlobalModelConfig, sys: usize) -> String {
+        let (node, h) = (NODE_FEATURE_DIM, cfg.hidden);
+        let config = format!(
+            r#"{{"node_feat_dim":{node},"sys_feat_dim":{sys},"hidden":{h},"gcn_layers":1,"dropout":{},"lr":{},"epochs":{},"batch_size":{},"seed":{}}}"#,
+            cfg.dropout, cfg.lr, cfg.epochs, cfg.batch_size, cfg.seed
+        );
+        let head = format!(
+            r#"{{"w":5,"b":6,"in_dim":{},"out_dim":{h}}},{{"w":7,"b":8,"in_dim":{h},"out_dim":1}}],"dropout":{}}}"#,
+            h + sys,
+            cfg.dropout
+        );
+        let edits = [
+            (
+                format!(r#""version":{GLOBAL_PAYLOAD_VERSION}"#),
+                r#""version":2"#.into(),
+            ),
+            (
+                r#""gcn":{"store":"#.into(),
+                format!(r#""gcn":{{"config":{config},"store":"#),
+            ),
+            (
+                r#""embed":{"w":0,"b":1}"#.into(),
+                format!(r#""embed":{{"w":0,"b":1,"in_dim":{node},"out_dim":{h}}}"#),
+            ),
+            (r#"{"w":5,"b":6},{"w":7,"b":8}]}"#.into(), head),
+            (
+                r#"},"calibration":"#.into(),
+                format!(r#"}},"sys_dim":{sys},"calibration":"#),
+            ),
+        ];
+        edits.iter().fold(text.to_string(), |t, (from, to)| {
+            assert_eq!(t.matches(from.as_str()).count(), 1, "{from}");
+            t.replacen(from.as_str(), to, 1)
+        })
+    }
 
     /// The global payload's version and kind tags are checked on restore:
-    /// a stale or foreign payload behind valid section CRCs is a typed
-    /// `Malformed`, never a model that predicts garbage.
+    /// a stale or foreign payload behind valid section CRCs — the retired
+    /// version-2 layout among them — is a typed `Malformed` (the file is
+    /// quarantined), never a model that predicts garbage.
     #[test]
     fn global_payload_of_wrong_version_or_kind_is_malformed() {
         let sys = SystemContext::empty(2);
@@ -356,9 +397,14 @@ mod tests {
         let version = format!("\"version\":{GLOBAL_PAYLOAD_VERSION}");
         let kind = format!("\"kind\":\"{GLOBAL_PAYLOAD_KIND}\"");
         assert!(text.contains(&version) && text.contains(&kind));
+        // The version-2 image is well formed and holds the same weights (the
+        // extra fields are ignored): its tag is what refuses it below.
+        let v2 = as_version_2(&text, &cfg, 2 + GLOBAL_SYS_DIM_BASE);
+        assert!(decode_global(v2.replacen("\"version\":2", &version, 1).as_bytes()).is_ok());
         for damaged in [
             text.replacen(&version, "\"version\":999", 1),
             text.replacen(&kind, "\"kind\":\"stage-local-model\"", 1),
+            v2,
         ] {
             let err = decode_global(damaged.as_bytes()).unwrap_err();
             assert!(matches!(err, RestoreError::Malformed { .. }), "{err}");

@@ -218,14 +218,16 @@ pub(crate) fn boost<const K: usize>(
     let mut stall = 0usize;
 
     for round in 1..=params.n_estimators {
-        for &i in train_idx {
+        // The sample draws no gradient, so only the sampled rows' are
+        // computed: the grower reads no other.
+        let n_sampled = sample(train_idx, params.subsample, &mut rng, &mut shuffled);
+        let (rows, unsampled) = shuffled.split_at(n_sampled);
+        for &i in rows {
             let g = grad(data.target(i), at(&f, i));
             for (gk, g) in grads.iter_mut().zip(g) {
                 gk[i] = g;
             }
         }
-        let n_sampled = sample(train_idx, params.subsample, &mut rng, &mut shuffled);
-        let (rows, unsampled) = shuffled.split_at(n_sampled);
         let head_grads = grads.each_ref().map(Vec::as_slice);
         let trees = Tree::fit_heads(
             &mut scratch,

@@ -15,6 +15,8 @@
 //!
 //! The paper's production model uses hidden size 512 and 8 layers on GPUs;
 //! defaults here are CPU-scaled (64/3) and both are configurable.
+//! A model is its weights: its widths (node, hidden, system) and round
+//! count are read from the parameter shapes and `convs.len()`.
 //!
 //! Training ([`PlanGcn::fit`]) and inference ([`PlanGcn::predict`]) run
 //! one forward over flat `n × hidden` row buffers and the weights as they
@@ -133,13 +135,10 @@ impl TreeSample {
     }
 }
 
-/// GCN architecture and training hyper-parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// GCN architecture and training hyper-parameters: the one settings struct
+/// of the global tier (`stage_core::GlobalModelConfig` names it too).
+#[derive(Debug, Clone)]
 pub struct GcnConfig {
-    /// Width of each node feature vector.
-    pub node_feat_dim: usize,
-    /// Width of the system feature vector.
-    pub sys_feat_dim: usize,
     /// Hidden embedding size (paper: 512; CPU default: 64).
     pub hidden: usize,
     /// Message-passing rounds (paper: 8; CPU default: 3).
@@ -156,17 +155,15 @@ pub struct GcnConfig {
     pub seed: u64,
 }
 
-impl GcnConfig {
-    /// CPU-scaled defaults for the given feature widths.
-    pub fn new(node_feat_dim: usize, sys_feat_dim: usize) -> Self {
+impl Default for GcnConfig {
+    /// CPU-scaled defaults.
+    fn default() -> Self {
         Self {
-            node_feat_dim,
-            sys_feat_dim,
             hidden: 64,
             gcn_layers: 3,
             dropout: 0.2,
             lr: 1e-3,
-            epochs: 30,
+            epochs: 25,
             batch_size: 32,
             seed: 42,
         }
@@ -273,21 +270,13 @@ struct GradRows {
     tmp: Vec<f64>,
 }
 
-/// The trainable plan-GCN model.
+/// The trainable plan-GCN model: its weights and nothing else.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PlanGcn {
-    config: GcnConfig,
     store: ParamStore,
     embed: Linear,
     convs: Vec<ConvLayer>,
     head: Mlp,
-}
-
-/// Loss trajectory returned by [`PlanGcn::fit`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TrainReport {
-    /// Mean training loss per epoch.
-    pub epoch_losses: Vec<f64>,
 }
 
 // A trained plan-GCN is immutable at inference time and is shared across
@@ -300,26 +289,22 @@ const _: () = {
 };
 
 impl PlanGcn {
-    /// Initializes a model with random weights.
-    pub fn new(config: GcnConfig) -> Self {
+    /// Initializes a model with random weights drawn from `config.seed`,
+    /// reading `node_feat_dim` node and `sys_feat_dim` system features.
+    pub fn new(config: &GcnConfig, node_feat_dim: usize, sys_feat_dim: usize) -> Self {
+        let hidden = config.hidden;
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut store = ParamStore::new();
-        let embed = Linear::new(&mut store, config.node_feat_dim, config.hidden, &mut rng);
+        let embed = Linear::new(&mut store, node_feat_dim, hidden, &mut rng);
         let convs = (0..config.gcn_layers)
             .map(|_| ConvLayer {
-                w_self: store.add(Matrix::he_init(config.hidden, config.hidden, &mut rng)),
-                w_child: store.add(Matrix::he_init(config.hidden, config.hidden, &mut rng)),
-                bias: store.add(Matrix::zeros(1, config.hidden)),
+                w_self: store.add(Matrix::he_init(hidden, hidden, &mut rng)),
+                w_child: store.add(Matrix::he_init(hidden, hidden, &mut rng)),
+                bias: store.add(Matrix::zeros(1, hidden)),
             })
             .collect();
-        let head = Mlp::new(
-            &mut store,
-            &[config.hidden + config.sys_feat_dim, config.hidden, 1],
-            config.dropout,
-            &mut rng,
-        );
+        let head = Mlp::new(&mut store, &[hidden + sys_feat_dim, hidden, 1], &mut rng);
         Self {
-            config,
             store,
             embed,
             convs,
@@ -327,14 +312,26 @@ impl PlanGcn {
         }
     }
 
-    /// Forward pass for one sample on the reference tape, which the tests
-    /// hold [`PlanGcn::predict`] (eval mode) and the trainer's gradients
-    /// (training mode) to, bit for bit. Returns the `1×1` prediction var.
+    /// Hidden width: the embedding's output width.
+    fn hidden(&self) -> usize {
+        self.embed.shape(&self.store).1
+    }
+
+    /// System feature width: what the head reads beyond the root's row.
+    pub fn sys_feat_dim(&self) -> usize {
+        self.head.in_dim(&self.store).saturating_sub(self.hidden())
+    }
+
+    /// Forward pass for one sample on the reference tape, dropout `p` when
+    /// `training`, which the tests hold [`PlanGcn::predict`] (eval mode)
+    /// and the trainer's gradients (training mode) to, bit for bit. Returns
+    /// the `1×1` prediction var.
     #[cfg(test)]
     fn tape_forward(
         &self,
         g: &mut Graph,
         sample: &TreeSample,
+        p: f64,
         training: bool,
         rng: &mut StdRng,
     ) -> Var {
@@ -372,7 +369,7 @@ impl PlanGcn {
                 let b = g.param(conv.bias);
                 let biased = g.add_row_broadcast(combined, b);
                 let activated = g.relu(biased);
-                next[v] = Some(g.dropout(activated, self.config.dropout, training, rng));
+                next[v] = Some(g.dropout(activated, p, training, rng));
             }
             h = next;
         }
@@ -383,10 +380,10 @@ impl PlanGcn {
             .get(sample.root)
             .copied()
             .flatten()
-            .unwrap_or_else(|| g.input(Matrix::row_vector(&vec![0.0; self.config.hidden])));
+            .unwrap_or_else(|| g.input(Matrix::row_vector(&vec![0.0; self.hidden()])));
         let sys = g.input(Matrix::row_vector(&sample.sys_feats));
         let cat = g.concat_cols(root_h, sys);
-        self.head.tape_forward(g, cat, training, rng)
+        self.head.tape_forward(g, cat, p, training, rng)
     }
 
     /// Predicts the target for one sample: the forward [`PlanGcn::fit`]
@@ -398,16 +395,16 @@ impl PlanGcn {
     /// child id is left out of its parent's mean, and a root without a row
     /// reads out from a zero one.
     pub fn predict(&self, sample: &TreeSample) -> f64 {
-        self.forward(sample, None, &mut Trace::default())
+        self.forward(sample, 0.0, None, &mut Trace::default())
     }
 
     /// The forward for one sample, in the tape's order: nodes in
     /// post-order, only the rows that reach the readout, and — when `rng`
-    /// is given and dropout is on — dropout drawn after every round and
+    /// is given and `p > 0` — dropout `p` drawn after every round and
     /// every hidden head layer ([`dropout_row`]). Fills `t` for
     /// [`PlanGcn::backward`] and returns the output.
-    fn forward(&self, sample: &TreeSample, rng: Option<&mut StdRng>, t: &mut Trace) -> f64 {
-        let (hidden, p) = (self.config.hidden, self.config.dropout);
+    fn forward(&self, sample: &TreeSample, p: f64, rng: Option<&mut StdRng>, t: &mut Trace) -> f64 {
+        let hidden = self.hidden();
         let mut rng = rng.filter(|_| p > 0.0);
         let n = sample.node_feats.len();
         let row = |v: usize| v * hidden..(v + 1) * hidden;
@@ -470,7 +467,7 @@ impl PlanGcn {
             None => t.cat.resize(hidden, 0.0),
         }
         t.cat.extend_from_slice(&sample.sys_feats);
-        self.head.forward(&self.store, &t.cat, rng, &mut t.head)
+        self.head.forward(&self.store, &t.cat, p, rng, &mut t.head)
     }
 
     /// Backward of one [`PlanGcn::forward`] in the tape's reverse
@@ -481,7 +478,7 @@ impl PlanGcn {
     /// nothing, and a row collects its parent's share of the child mean
     /// before its own `δ·W_selfᵀ`, as the tape's reverse walk adds them.
     fn backward(&mut self, sample: &TreeSample, t: &Trace, wt: &[Matrix], w: &mut GradRows) {
-        let hidden = self.config.hidden;
+        let hidden = self.hidden();
         let n = sample.node_feats.len();
         let row = |v: usize| v * hidden..(v + 1) * hidden;
         let Some(g_cat) = self.head.backward(&mut self.store, wt, &t.head, t.g_out) else {
@@ -537,13 +534,14 @@ impl PlanGcn {
     }
 
     /// One mini-batch: zeroes the store's gradients, runs every sample's
-    /// forward with dropout on in batch order (so dropout draws as the tape
-    /// drew it), then every backward from the last sample to the first (so
-    /// every gradient sums in the tape's order), and returns the batch's
-    /// mean squared error.
+    /// forward with dropout `p` in batch order (so dropout draws as the
+    /// tape drew it), then every backward from the last sample to the
+    /// first (so every gradient sums in the tape's order), and returns the
+    /// batch's mean squared error.
     fn batch_gradients(
         &mut self,
         batch: &[&TreeSample],
+        p: f64,
         rng: &mut StdRng,
         w: &mut Workspace,
     ) -> f64 {
@@ -555,7 +553,7 @@ impl PlanGcn {
         let scale = 1.0 / batch.len() as f64;
         let mut sum: Option<f64> = None;
         for (sample, t) in batch.iter().zip(&mut w.traces) {
-            let d = self.forward(sample, Some(&mut *rng), t) - sample.target;
+            let d = self.forward(sample, p, Some(&mut *rng), t) - sample.target;
             t.g_out = 2.0 * d * scale;
             sum = Some(sum.map_or(d * d, |acc| acc + d * d));
         }
@@ -565,48 +563,50 @@ impl PlanGcn {
         sum.unwrap_or(0.0) * scale
     }
 
-    /// Trains on `samples` (owned or borrowed) with mini-batch Adam;
-    /// returns per-epoch losses. Each batch runs the forward over flat row
-    /// buffers and a hand-written backward (see the module docs); the
-    /// weights it leaves are the reference tape's, to the bit.
+    /// Trains on `samples` (owned or borrowed) with mini-batch Adam under
+    /// `config`'s training settings (`dropout`, `lr`, `epochs`,
+    /// `batch_size`, `seed`; the shape settings were spent by
+    /// [`PlanGcn::new`]); returns the mean training loss of each epoch.
+    /// Each batch runs the forward over flat row buffers and a hand-written
+    /// backward (see the module docs); the weights it leaves are the
+    /// reference tape's, to the bit.
     ///
     /// # Panics
-    /// Panics if any sample fails [`TreeSample::validate`] or has mismatched
-    /// feature widths, or if dropout is not below 1.
+    /// Panics if any sample fails [`TreeSample::validate`] or has feature
+    /// widths other than the model's, or if dropout is not below 1.
     #[expect(
         clippy::panic,
         reason = "training-time precondition: the global model is fit offline on built samples, \
                   never inside a verb"
     )]
-    pub fn fit<S: Borrow<TreeSample>>(&mut self, samples: &[S]) -> TrainReport {
+    pub fn fit<S: Borrow<TreeSample>>(&mut self, samples: &[S], config: &GcnConfig) -> Vec<f64> {
+        let (node_dim, sys_dim) = (self.embed.shape(&self.store).0, self.sys_feat_dim());
         for (i, s) in samples.iter().map(Borrow::borrow).enumerate() {
             if let Err(e) = s.validate() {
                 panic!("invalid sample {i}: {e}");
             }
             assert!(
-                s.node_feats
-                    .iter()
-                    .all(|f| f.len() == self.config.node_feat_dim),
+                s.node_feats.iter().all(|f| f.len() == node_dim),
                 "sample {i}: node feature width mismatch"
             );
             assert_eq!(
                 s.sys_feats.len(),
-                self.config.sys_feat_dim,
+                sys_dim,
                 "sample {i}: system feature width mismatch"
             );
         }
-        assert!(self.config.dropout < 1.0, "dropout probability must be < 1");
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x5eed);
-        let mut adam = Adam::new(&self.store, self.config.lr);
+        assert!(config.dropout < 1.0, "dropout probability must be < 1");
+        let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5eed);
+        let mut adam = Adam::new(&self.store, config.lr);
         let mut order: Vec<usize> = (0..samples.len()).collect();
-        let mut epoch_losses = Vec::with_capacity(self.config.epochs);
+        let mut epoch_losses = Vec::with_capacity(config.epochs);
         let mut work = Workspace::default();
-        let mut batch = Vec::with_capacity(self.config.batch_size);
+        let mut batch = Vec::with_capacity(config.batch_size);
 
-        for epoch in 0..self.config.epochs {
+        for epoch in 0..config.epochs {
             // Step-decay schedule: full LR for the first 60% of epochs,
             // 0.3x until 85%, then 0.1x to settle.
-            let progress = epoch as f64 / self.config.epochs.max(1) as f64;
+            let progress = epoch as f64 / config.epochs.max(1) as f64;
             let factor = if progress < 0.6 {
                 1.0
             } else if progress < 0.85 {
@@ -614,56 +614,45 @@ impl PlanGcn {
             } else {
                 0.1
             };
-            adam.set_lr(self.config.lr * factor);
+            adam.set_lr(config.lr * factor);
             order.shuffle(&mut rng);
             let mut epoch_loss = 0.0;
             let mut batches = 0usize;
-            for chunk in order.chunks(self.config.batch_size.max(1)) {
+            for chunk in order.chunks(config.batch_size.max(1)) {
                 batch.clear();
                 batch.extend(chunk.iter().map(|&i| samples[i].borrow()));
-                epoch_loss += self.batch_gradients(&batch, &mut rng, &mut work);
+                epoch_loss += self.batch_gradients(&batch, config.dropout, &mut rng, &mut work);
                 batches += 1;
                 adam.step(&mut self.store);
             }
             epoch_losses.push(epoch_loss / batches.max(1) as f64);
         }
-        TrainReport { epoch_losses }
+        epoch_losses
     }
 
     /// Checks a deserialized model before it answers anything: every
     /// parameter id in range, every matrix `rows × cols` long with finite
-    /// weights, `gcn_layers` rounds, and every layer shaped as `hidden`,
-    /// `node_feat_dim` and the head's input width `hidden + sys_feat_dim`
-    /// say, the head ending in one output. A model that passes predicts
+    /// weights, and the matrices chaining — the embedding's output width
+    /// is `hidden`, every round is `hidden × hidden` with a `1 × hidden`
+    /// bias, and the head reads at least `hidden` inputs (the rest are the
+    /// system width) and ends in one output. A model that passes predicts
     /// without indexing out of range, and sizes no buffer beyond what its
     /// weights already hold.
     pub fn validate(&self) -> Result<(), String> {
-        let c = &self.config;
         self.store.validate()?;
-        self.embed
-            .validate(&self.store, c.node_feat_dim, c.hidden)?;
-        if self.convs.len() != c.gcn_layers {
+        let (_, hidden) = self.embed.validate(&self.store)?;
+        for conv in &self.convs {
+            self.store.expect_shape(conv.w_self, hidden, hidden)?;
+            self.store.expect_shape(conv.w_child, hidden, hidden)?;
+            self.store.expect_shape(conv.bias, 1, hidden)?;
+        }
+        let head_in = self.head.validate(&self.store, 1)?;
+        if head_in < hidden {
             return Err(format!(
-                "{} message-passing rounds where gcn_layers is {}",
-                self.convs.len(),
-                c.gcn_layers
+                "the head reads {head_in} inputs, fewer than the {hidden}-wide root row"
             ));
         }
-        for conv in &self.convs {
-            self.store.expect_shape(conv.w_self, c.hidden, c.hidden)?;
-            self.store.expect_shape(conv.w_child, c.hidden, c.hidden)?;
-            self.store.expect_shape(conv.bias, 1, c.hidden)?;
-        }
-        let head_in = c
-            .hidden
-            .checked_add(c.sys_feat_dim)
-            .ok_or("head input width overflows")?;
-        self.head.validate(&self.store, head_in, 1)
-    }
-
-    /// Architecture configuration.
-    pub fn config(&self) -> &GcnConfig {
-        &self.config
+        Ok(())
     }
 
     /// Total scalar parameter count.
@@ -711,7 +700,7 @@ mod tests {
         }
     }
 
-    fn quick_config(dim: usize) -> GcnConfig {
+    fn quick_config() -> GcnConfig {
         GcnConfig {
             hidden: 16,
             gcn_layers: 2,
@@ -720,8 +709,13 @@ mod tests {
             epochs: 60,
             batch_size: 16,
             seed: 9,
-            ..GcnConfig::new(dim, 1)
         }
+    }
+
+    /// An untrained [`quick_config`] model over `dim`-wide node features
+    /// and one system feature, as [`synth_sample`] makes them.
+    fn quick_model(dim: usize) -> PlanGcn {
+        PlanGcn::new(&quick_config(), dim, 1)
     }
 
     #[test]
@@ -782,10 +776,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let dim = 3;
         let samples: Vec<TreeSample> = (0..120).map(|_| synth_sample(&mut rng, dim)).collect();
-        let mut model = PlanGcn::new(quick_config(dim));
-        let report = model.fit(&samples);
-        let first = report.epoch_losses[0];
-        let last = *report.epoch_losses.last().unwrap();
+        let mut model = quick_model(dim);
+        let losses = model.fit(&samples, &quick_config());
+        let (first, last) = (losses[0], *losses.last().unwrap());
         assert!(
             last < first * 0.2,
             "training did not converge: first={first} last={last}"
@@ -810,7 +803,7 @@ mod tests {
     fn prediction_deterministic_in_eval_mode() {
         let mut rng = StdRng::seed_from_u64(5);
         let s = synth_sample(&mut rng, 2);
-        let model = PlanGcn::new(quick_config(2));
+        let model = quick_model(2);
         assert_eq!(model.predict(&s), model.predict(&s));
     }
 
@@ -830,7 +823,7 @@ mod tests {
             sys_feats: vec![n as f64],
             target: 1.0,
         };
-        let model = PlanGcn::new(quick_config(2));
+        let model = quick_model(2);
         assert!(model.predict(&s).is_finite());
     }
 
@@ -839,7 +832,7 @@ mod tests {
     fn tape_predict(model: &PlanGcn, sample: &TreeSample) -> f64 {
         let mut rng = StdRng::seed_from_u64(0); // unused in eval mode
         let mut g = Graph::new(&model.store);
-        let out = model.tape_forward(&mut g, sample, false, &mut rng);
+        let out = model.tape_forward(&mut g, sample, 0.0, false, &mut rng);
         g.value(out).get(0, 0)
     }
 
@@ -898,15 +891,16 @@ mod tests {
             (node_dim, sys_dim) in (1usize..7, 0usize..9),
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut model = PlanGcn::new(GcnConfig {
+            let config = GcnConfig {
                 hidden: [1, 16, 48][hidden_pick],
                 gcn_layers,
                 epochs: 2,
                 batch_size: 4,
                 lr: 1e-2,
                 seed,
-                ..GcnConfig::new(node_dim, sys_dim)
-            });
+                ..GcnConfig::default()
+            };
+            let mut model = PlanGcn::new(&config, node_dim, sys_dim);
             // A few Adam steps so that no bias is still at its zero init.
             let train: Vec<TreeSample> = (0..8)
                 .map(|_| {
@@ -914,7 +908,7 @@ mod tests {
                     random_tree(&mut rng, n, false, node_dim, sys_dim)
                 })
                 .collect();
-            model.fit(&train);
+            model.fit(&train, &config);
 
             for case in 0..6 {
                 // Single nodes, chains deeper than `gcn_layers`, bushy trees.
@@ -934,16 +928,21 @@ mod tests {
         }
     }
 
-    /// The reference tape's gradient of one batch's mean squared error,
-    /// left in the store as [`PlanGcn::batch_gradients`] leaves it, and the
-    /// batch loss.
-    fn tape_batch_gradients(model: &mut PlanGcn, batch: &[&TreeSample], rng: &mut StdRng) -> f64 {
+    /// The reference tape's gradient of one batch's mean squared error
+    /// under dropout `p`, left in the store as [`PlanGcn::batch_gradients`]
+    /// leaves it, and the batch loss.
+    fn tape_batch_gradients(
+        model: &mut PlanGcn,
+        batch: &[&TreeSample],
+        p: f64,
+        rng: &mut StdRng,
+    ) -> f64 {
         model.store.zero_grads();
         let mut g = Graph::new(&model.store);
         let terms: Vec<Var> = batch
             .iter()
             .map(|s| {
-                let out = model.tape_forward(&mut g, s, true, rng);
+                let out = model.tape_forward(&mut g, s, p, true, rng);
                 g.squared_error(out, s.target)
             })
             .collect();
@@ -982,19 +981,20 @@ mod tests {
         }
     }
 
-    /// Runs one batch through the tape and through the trainer from the
-    /// same RNG state; fails unless every gradient, the loss and the
-    /// number of dropout draws agree to the bit.
+    /// Runs one batch through the tape and through the trainer, dropout
+    /// `p`, from the same RNG state; fails unless every gradient, the loss
+    /// and the number of dropout draws agree to the bit.
     fn assert_trainer_matches_tape(
         model: &mut PlanGcn,
         batch: &[&TreeSample],
+        p: f64,
         seed: u64,
         work: &mut Workspace,
     ) -> Result<(), proptest::test_runner::TestCaseError> {
         let (mut tape_rng, mut rng) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-        let want_loss = tape_batch_gradients(model, batch, &mut tape_rng);
+        let want_loss = tape_batch_gradients(model, batch, p, &mut tape_rng);
         let want = grad_bits(model);
-        let got_loss = model.batch_gradients(batch, &mut rng, work);
+        let got_loss = model.batch_gradients(batch, p, &mut rng, work);
         let got = grad_bits(model);
         for (pid, (g, w)) in got.iter().zip(&want).enumerate() {
             proptest::prop_assert!(g == w, "parameter {pid}: trainer and tape disagree");
@@ -1022,7 +1022,7 @@ mod tests {
             batch_pick in 0usize..4,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut model = PlanGcn::new(GcnConfig {
+            let config = GcnConfig {
                 hidden: [1, 5, 16, 48][hidden_pick],
                 gcn_layers,
                 dropout: if dropout { 0.2 } else { 0.0 },
@@ -1030,8 +1030,8 @@ mod tests {
                 batch_size: 4,
                 lr: 1e-2,
                 seed,
-                ..GcnConfig::new(node_dim, sys_dim)
-            });
+            };
+            let mut model = PlanGcn::new(&config, node_dim, sys_dim);
             // A few Adam steps so that no bias is still at its zero init.
             let train: Vec<TreeSample> = (0..8)
                 .map(|_| {
@@ -1039,7 +1039,7 @@ mod tests {
                     random_tree(&mut rng, n, false, node_dim, sys_dim)
                 })
                 .collect();
-            model.fit(&train);
+            model.fit(&train, &config);
 
             let mut work = Workspace::default();
             for max_nodes in [41, 4] {
@@ -1062,7 +1062,8 @@ mod tests {
                     })
                     .collect();
                 let batch: Vec<&TreeSample> = samples.iter().collect();
-                assert_trainer_matches_tape(&mut model, &batch, rng.next_u64(), &mut work)?;
+                let (p, seed) = (config.dropout, rng.next_u64());
+                assert_trainer_matches_tape(&mut model, &batch, p, seed, &mut work)?;
             }
         }
     }
@@ -1074,11 +1075,12 @@ mod tests {
     fn a_sample_whose_relus_kill_every_gradient_moves_only_the_output_bias() {
         let (node_dim, sys_dim) = (3, 2);
         let mut rng = StdRng::seed_from_u64(8);
-        let mut model = PlanGcn::new(GcnConfig {
+        let config = GcnConfig {
             hidden: 8,
             dropout: 0.2,
-            ..GcnConfig::new(node_dim, sys_dim)
-        });
+            ..GcnConfig::default()
+        };
+        let mut model = PlanGcn::new(&config, node_dim, sys_dim);
         for pid in 0..model.store.n_tensors() {
             if model.store.value(pid).rows() == 1 {
                 model.store.value_mut(pid).data_mut().fill(-1.0);
@@ -1088,7 +1090,7 @@ mod tests {
         dead.node_feats.iter_mut().for_each(|f| f.fill(0.0));
         dead.sys_feats.fill(0.0);
         let mut work = Workspace::default();
-        assert_trainer_matches_tape(&mut model, &[&dead], 1, &mut work).unwrap();
+        assert_trainer_matches_tape(&mut model, &[&dead], config.dropout, 1, &mut work).unwrap();
         let grads = grad_bits(&model);
         let (output_bias, rest) = grads.split_last().unwrap();
         assert!(rest.iter().flatten().all(|&g| g == 0), "a shut ReLU leaked");
@@ -1102,7 +1104,7 @@ mod tests {
             })
             .collect();
         let batch = [&live[0], &dead, &live[1], &live[2], &live[3]];
-        assert_trainer_matches_tape(&mut model, &batch, 2, &mut work).unwrap();
+        assert_trainer_matches_tape(&mut model, &batch, config.dropout, 2, &mut work).unwrap();
         let grads = grad_bits(&model);
         assert!(
             grads[0].iter().any(|&g| g != 0),
@@ -1117,11 +1119,14 @@ mod tests {
     fn malformed_samples_predict_finite_without_panicking() {
         let mut rng = StdRng::seed_from_u64(21);
         let train: Vec<TreeSample> = (0..8).map(|_| synth_sample(&mut rng, 2)).collect();
-        let mut model = PlanGcn::new(GcnConfig {
-            epochs: 2,
-            ..quick_config(2)
-        });
-        model.fit(&train);
+        let mut model = quick_model(2);
+        model.fit(
+            &train,
+            &GcnConfig {
+                epochs: 2,
+                ..quick_config()
+            },
+        );
         let ok = TreeSample {
             node_feats: vec![vec![0.5, -1.0], vec![0.0, 2.0], vec![1.5, 0.25]],
             children: vec![vec![1, 2], vec![], vec![]],
@@ -1188,21 +1193,73 @@ mod tests {
             sys_feats: vec![0.0],
             target: 0.0,
         };
-        let mut model = PlanGcn::new(quick_config(2));
-        model.fit(&[bad]);
+        let mut model = quick_model(2);
+        model.fit(&[bad], &quick_config());
     }
 
     #[test]
     fn parameter_count_scales_with_hidden() {
-        let small = PlanGcn::new(GcnConfig {
-            hidden: 8,
-            ..GcnConfig::new(4, 2)
-        });
-        let large = PlanGcn::new(GcnConfig {
-            hidden: 32,
-            ..GcnConfig::new(4, 2)
-        });
+        let of_width = |hidden| {
+            let config = GcnConfig {
+                hidden,
+                ..GcnConfig::default()
+            };
+            PlanGcn::new(&config, 4, 2)
+        };
+        let (small, large) = (of_width(8), of_width(32));
         assert!(large.n_parameters() > 5 * small.n_parameters());
         assert!(small.approx_size_bytes() > 0);
+    }
+
+    /// Replaces parameter `pid`'s value and gradient with zeros of shape
+    /// `rows × cols`: a restored store whose matrices are each well formed.
+    fn reshape(model: &mut PlanGcn, pid: usize, rows: usize, cols: usize) {
+        *model.store.value_mut(pid) = Matrix::zeros(rows, cols);
+        *model.store.grad_mut(pid) = Matrix::zeros(rows, cols);
+    }
+
+    /// The widths are read from the weights, so a restored model's only
+    /// structural claim is that its matrices chain: the embedding's output
+    /// width is every round's `hidden × hidden`, and the head reads the
+    /// root's `hidden`-wide row before the system features. A round fed
+    /// by another parameter (a lying id) or by a matrix of the wrong shape,
+    /// or a head narrower than the root row, is refused.
+    #[test]
+    fn validate_refuses_weights_that_do_not_chain() {
+        let config = GcnConfig {
+            hidden: 8,
+            gcn_layers: 2,
+            ..GcnConfig::default()
+        };
+        let (node_dim, sys_dim) = (3, 2);
+        let good = PlanGcn::new(&config, node_dim, sys_dim);
+        assert_eq!(good.validate(), Ok(()));
+        let widths = (
+            good.embed.shape(&good.store).0,
+            good.hidden(),
+            good.sys_feat_dim(),
+        );
+        assert_eq!(widths, (node_dim, 8, sys_dim));
+        let (round_w, head_w) = (good.convs[0].w_self, good.store.n_tensors() - 4);
+
+        let mut lying_id = good.clone();
+        lying_id.convs[1].w_child = 0; // the embedding's 3×8 weight
+        let mut wide_round = good.clone();
+        reshape(&mut wide_round, round_w, 8, 9);
+        let mut narrow_head = good.clone();
+        reshape(&mut narrow_head, head_w, 5, 8);
+        for (what, bad) in [
+            ("a round reading the embedding's weight", lying_id),
+            ("an 8×9 round", wide_round),
+            ("a head narrower than the root row", narrow_head),
+        ] {
+            assert!(bad.validate().is_err(), "{what} was accepted");
+        }
+
+        // A head 13 wide is an 8-wide root row and 5 system features.
+        let mut wider_sys = good.clone();
+        reshape(&mut wider_sys, head_w, 13, 8);
+        assert_eq!(wider_sys.validate(), Ok(()));
+        assert_eq!(wider_sys.sys_feat_dim(), 5);
     }
 }

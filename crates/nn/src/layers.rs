@@ -114,19 +114,23 @@ impl ParamStore {
         Ok(())
     }
 
-    /// Fails unless parameter `pid` exists with shape `rows × cols`.
-    pub(crate) fn expect_shape(&self, pid: usize, rows: usize, cols: usize) -> Result<(), String> {
+    /// Parameter `pid`'s `(rows, cols)`; fails if there is no such
+    /// parameter.
+    pub(crate) fn shape(&self, pid: usize) -> Result<(usize, usize), String> {
         match self.values.get(pid) {
-            Some(m) if (m.rows(), m.cols()) == (rows, cols) => Ok(()),
-            Some(m) => Err(format!(
-                "parameter {pid} is {}x{}, not {rows}x{cols}",
-                m.rows(),
-                m.cols()
-            )),
+            Some(m) => Ok((m.rows(), m.cols())),
             None => Err(format!(
                 "parameter id {pid} out of range ({} parameters)",
                 self.values.len()
             )),
+        }
+    }
+
+    /// Fails unless parameter `pid` exists with shape `rows × cols`.
+    pub(crate) fn expect_shape(&self, pid: usize, rows: usize, cols: usize) -> Result<(), String> {
+        match self.shape(pid)? {
+            (r, c) if (r, c) == (rows, cols) => Ok(()),
+            (r, c) => Err(format!("parameter {pid} is {r}x{c}, not {rows}x{cols}")),
         }
     }
 
@@ -178,13 +182,11 @@ pub(crate) fn relu_dropout_backward(g: &[f64], act: &[f64], mask: &[f64], gz: &m
     gz.iter().any(|&z| z != 0.0)
 }
 
-/// A fully connected layer `y = x·W + b`.
+/// A fully connected layer `y = x·W + b`: its widths are W's shape.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct Linear {
     w: usize,
     b: usize,
-    in_dim: usize,
-    out_dim: usize,
 }
 
 impl Linear {
@@ -192,19 +194,20 @@ impl Linear {
     pub fn new(store: &mut ParamStore, in_dim: usize, out_dim: usize, rng: &mut StdRng) -> Self {
         let w = store.add(Matrix::he_init(in_dim, out_dim, rng));
         let b = store.add(Matrix::zeros(1, out_dim));
-        Self {
-            w,
-            b,
-            in_dim,
-            out_dim,
-        }
+        Self { w, b }
+    }
+
+    /// `(in_dim, out_dim)`: W's shape.
+    pub(crate) fn shape(&self, store: &ParamStore) -> (usize, usize) {
+        let w = store.value(self.w);
+        (w.rows(), w.cols())
     }
 
     /// Forward pass on the tape.
     #[cfg(test)]
     pub fn tape_forward(&self, g: &mut Graph, x: Var) -> Var {
-        debug_assert_eq!(g.value(x).cols(), self.in_dim);
         let w = g.param(self.w);
+        debug_assert_eq!(g.value(x).cols(), g.value(w).rows());
         let b = g.param(self.b);
         let h = g.matmul(x, w);
         g.add_row_broadcast(h, b)
@@ -240,22 +243,12 @@ impl Linear {
         row_matmul_acc(g, wt[self.w].data(), dx);
     }
 
-    /// Fails unless this layer maps `in_dim → out_dim` and its weight and
-    /// bias in `store` have the matching shapes.
-    pub(crate) fn validate(
-        &self,
-        store: &ParamStore,
-        in_dim: usize,
-        out_dim: usize,
-    ) -> Result<(), String> {
-        if (self.in_dim, self.out_dim) != (in_dim, out_dim) {
-            return Err(format!(
-                "a {}→{} layer where {in_dim}→{out_dim} belongs",
-                self.in_dim, self.out_dim
-            ));
-        }
-        store.expect_shape(self.w, in_dim, out_dim)?;
-        store.expect_shape(self.b, 1, out_dim)
+    /// Fails unless W is in `store` and the bias is one row as wide as W;
+    /// returns the layer's `(in_dim, out_dim)`.
+    pub(crate) fn validate(&self, store: &ParamStore) -> Result<(usize, usize), String> {
+        let (in_dim, out_dim) = store.shape(self.w)?;
+        store.expect_shape(self.b, 1, out_dim)?;
+        Ok((in_dim, out_dim))
     }
 }
 
@@ -277,11 +270,10 @@ struct MlpStep {
 }
 
 /// A multi-layer perceptron: Linear → ReLU (→ Dropout) …, with a linear
-/// output layer.
+/// output layer. The dropout probability is the forward's argument.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Mlp {
     layers: Vec<Linear>,
-    dropout: f64,
 }
 
 impl Mlp {
@@ -289,33 +281,45 @@ impl Mlp {
     ///
     /// # Panics
     /// Panics with fewer than two widths.
-    pub fn new(store: &mut ParamStore, widths: &[usize], dropout: f64, rng: &mut StdRng) -> Self {
+    pub fn new(store: &mut ParamStore, widths: &[usize], rng: &mut StdRng) -> Self {
         assert!(widths.len() >= 2, "an MLP needs input and output widths");
         let layers = widths
             .windows(2)
             .map(|w| Linear::new(store, w[0], w[1], rng))
             .collect();
-        Self { layers, dropout }
+        Self { layers }
     }
 
-    /// Forward pass on the tape; ReLU + dropout after every layer except
-    /// the last.
+    /// Input width: the first layer's.
+    pub(crate) fn in_dim(&self, store: &ParamStore) -> usize {
+        self.layers.first().map_or(0, |l| l.shape(store).0)
+    }
+
+    /// Forward pass on the tape; ReLU + dropout `p` after every layer
+    /// except the last.
     #[cfg(test)]
-    pub fn tape_forward(&self, g: &mut Graph, x: Var, training: bool, rng: &mut StdRng) -> Var {
+    pub fn tape_forward(
+        &self,
+        g: &mut Graph,
+        x: Var,
+        p: f64,
+        training: bool,
+        rng: &mut StdRng,
+    ) -> Var {
         let mut h = x;
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
             h = layer.tape_forward(g, h);
             if i < last {
                 h = g.relu(h);
-                h = g.dropout(h, self.dropout, training, rng);
+                h = g.dropout(h, p, training, rng);
             }
         }
         h
     }
 
     /// Forward for one row, everything the backward needs kept in `t`:
-    /// ReLU after every hidden layer, then dropout drawn from `rng`
+    /// ReLU after every hidden layer, then dropout `p` drawn from `rng`
     /// ([`dropout_row`]) when training, none when `rng` is `None` — the
     /// tape's `training == false`, whose `× 1.0` is an identity. Returns
     /// the first output.
@@ -323,10 +327,11 @@ impl Mlp {
         &self,
         store: &ParamStore,
         x: &[f64],
+        p: f64,
         rng: Option<&mut StdRng>,
         t: &mut MlpTrace,
     ) -> f64 {
-        let mut rng = rng.filter(|_| self.dropout > 0.0);
+        let mut rng = rng.filter(|_| p > 0.0);
         t.steps.resize_with(self.layers.len(), MlpStep::default);
         if let Some(first) = t.steps.first_mut() {
             first.x.clear();
@@ -335,19 +340,20 @@ impl Mlp {
         for (i, layer) in self.layers.iter().enumerate() {
             let (done, rest) = t.steps.split_at_mut(i + 1);
             let step = &mut done[i];
+            let (_, out_dim) = layer.shape(store);
             let Some(next) = rest.first_mut() else {
-                t.out.resize(layer.out_dim, 0.0);
+                t.out.resize(out_dim, 0.0);
                 layer.eval_into(store, &step.x, &mut t.out);
                 break;
             };
-            step.act.resize(layer.out_dim, 0.0);
+            step.act.resize(out_dim, 0.0);
             layer.eval_into(store, &step.x, &mut step.act);
             relu_assign(&mut step.act);
-            let width = if rng.is_some() { layer.out_dim } else { 0 };
+            let width = if rng.is_some() { out_dim } else { 0 };
             step.mask.resize(width, 0.0);
-            next.x.resize(layer.out_dim, 0.0);
+            next.x.resize(out_dim, 0.0);
             let r = rng.as_deref_mut();
-            dropout_row(&step.act, self.dropout, r, &mut step.mask, &mut next.x);
+            dropout_row(&step.act, p, r, &mut step.mask, &mut next.x);
         }
         t.out.first().copied().unwrap_or(0.0)
     }
@@ -376,29 +382,31 @@ impl Mlp {
             if !live {
                 return None;
             }
-            g.resize(layer.in_dim, 0.0);
+            g.resize(layer.shape(store).0, 0.0);
             layer.backward(store, wt, &step.x, &gz, &mut g);
         }
         Some(g)
     }
 
-    /// Fails unless the layers chain `in_dim → … → out_dim` with matching
-    /// parameter shapes in `store`.
-    pub(crate) fn validate(
-        &self,
-        store: &ParamStore,
-        in_dim: usize,
-        out_dim: usize,
-    ) -> Result<(), String> {
-        let mut width = in_dim;
-        for layer in &self.layers {
-            layer.validate(store, width, layer.out_dim)?;
-            width = layer.out_dim;
+    /// Fails unless every layer is well formed ([`Linear::validate`]),
+    /// each reads as many inputs as the one before it writes, and the last
+    /// writes `out_dim`; returns the first layer's input width.
+    pub(crate) fn validate(&self, store: &ParamStore, out_dim: usize) -> Result<usize, String> {
+        let shapes: Vec<_> = self
+            .layers
+            .iter()
+            .map(|l| l.validate(store))
+            .collect::<Result<_, _>>()?;
+        if let Some(w) = shapes.windows(2).find(|w| w[0].1 != w[1].0) {
+            return Err(format!(
+                "a {}-input layer after a {}-output one",
+                w[1].0, w[0].1
+            ));
         }
-        if self.layers.is_empty() || width != out_dim {
-            return Err(format!("the MLP does not end in {out_dim} outputs"));
+        match (shapes.first(), shapes.last()) {
+            (Some(&(in_dim, _)), Some(&(_, last))) if last == out_dim => Ok(in_dim),
+            _ => Err(format!("the MLP does not end in {out_dim} outputs")),
         }
-        Ok(())
     }
 }
 
@@ -438,7 +446,7 @@ mod tests {
         // y = 1 if exactly one input > 0.5 else 0: non-linearly separable.
         let mut rng = StdRng::seed_from_u64(7);
         let mut store = ParamStore::new();
-        let mlp = Mlp::new(&mut store, &[2, 16, 16, 1], 0.0, &mut rng);
+        let mlp = Mlp::new(&mut store, &[2, 16, 16, 1], &mut rng);
         let mut adam = Adam::new(&store, 0.01);
         let data: Vec<([f64; 2], f64)> = (0..200)
             .map(|_| {
@@ -455,7 +463,7 @@ mod tests {
             let mut terms = Vec::new();
             for (x, y) in &data {
                 let xin = g.input(Matrix::row_vector(x));
-                let out = mlp.tape_forward(&mut g, xin, true, &mut rng);
+                let out = mlp.tape_forward(&mut g, xin, 0.0, true, &mut rng);
                 terms.push(g.squared_error(out, *y));
             }
             let loss = g.mean_scalars(&terms);
@@ -469,7 +477,7 @@ mod tests {
         let mut eval = |x: [f64; 2]| -> f64 {
             let mut g = Graph::new(&store);
             let xin = g.input(Matrix::row_vector(&x));
-            let out = mlp.tape_forward(&mut g, xin, false, &mut rng);
+            let out = mlp.tape_forward(&mut g, xin, 0.0, false, &mut rng);
             g.value(out).get(0, 0)
         };
         assert!(eval([0.9, 0.1]) > 0.7);
@@ -483,6 +491,6 @@ mod tests {
     fn mlp_rejects_single_width() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut s = ParamStore::new();
-        Mlp::new(&mut s, &[3], 0.0, &mut rng);
+        Mlp::new(&mut s, &[3], &mut rng);
     }
 }

@@ -129,40 +129,6 @@ impl PlanBuilder {
         self
     }
 
-    /// Pops two sub-plans and merge-joins them.
-    pub fn merge_join(mut self, selectivity: f64) -> Self {
-        let right = self.pop("merge_join needs two inputs");
-        let left = self.pop("merge_join needs two inputs");
-        let out_rows = (left.est_rows.max(right.est_rows) * selectivity).max(1.0);
-        let width = left.width + right.width;
-        let cost = (left.est_rows + right.est_rows) * 0.006;
-        self.stack.push(PlanNode::internal(
-            OperatorKind::MergeJoin,
-            cost,
-            out_rows,
-            width,
-            vec![left, right],
-        ));
-        self
-    }
-
-    /// Pops two sub-plans and nested-loop joins them (cost is quadratic-ish).
-    pub fn nested_loop_join(mut self, selectivity: f64) -> Self {
-        let right = self.pop("nested_loop_join needs two inputs");
-        let left = self.pop("nested_loop_join needs two inputs");
-        let out_rows = (left.est_rows * right.est_rows * selectivity).max(1.0);
-        let width = left.width + right.width;
-        let cost = left.est_rows * right.est_rows * 1e-4;
-        self.stack.push(PlanNode::internal(
-            OperatorKind::NestedLoopJoin,
-            cost,
-            out_rows,
-            width,
-            vec![left, right],
-        ));
-        self
-    }
-
     /// Applies a hash aggregation to the top sub-plan; `group_ratio` is the
     /// fraction of input rows surviving as groups.
     pub fn hash_aggregate(self, group_ratio: f64) -> Self {

@@ -19,10 +19,11 @@
 //! * optional **SQA runtime eviction**: a query overrunning the short
 //!   queue's limit is killed and restarted in the long queue (as Redshift's
 //!   short-query acceleration does), so misroutes waste work instead of
-//!   silently stealing short-queue capacity;
-//! * optional **concurrency scaling**: when the long queue backs up beyond a
-//!   threshold, burst slots activate (modeling Redshift's concurrency
-//!   scaling clusters).
+//!   silently stealing short-queue capacity.
+//!
+//! Redshift's concurrency-scaling burst clusters are not modelled: the
+//! generator provisions each instance to its workload, so the long queue
+//! never needs extra slots to stay stable.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]

@@ -21,7 +21,7 @@ pub struct SimQuery {
 pub enum QueueKind {
     /// Dedicated short-query queue.
     Short,
-    /// Long-running queue (and burst slots).
+    /// Long-running queue.
     Long,
 }
 
@@ -64,12 +64,6 @@ pub struct WlmConfig {
     pub short_slots: usize,
     /// Concurrency slots for the long queue.
     pub long_slots: usize,
-    /// Enable burst (concurrency-scaling) slots for the long queue.
-    pub enable_scaling: bool,
-    /// Long-queue length that triggers burst slots.
-    pub scaling_trigger_len: usize,
-    /// Number of burst slots while triggered.
-    pub scaling_slots: usize,
     /// Short-queue (SQA) runtime limit: a query running in the short queue
     /// longer than this is evicted and restarted in the long queue, wasting
     /// the work done so far — Redshift's guard against head-of-line
@@ -83,9 +77,6 @@ impl Default for WlmConfig {
             short_threshold_secs: 5.0,
             short_slots: 3,
             long_slots: 3,
-            enable_scaling: false,
-            scaling_trigger_len: 10,
-            scaling_slots: 5,
             sqa_max_runtime_secs: None,
         }
     }
@@ -250,16 +241,7 @@ impl Simulation {
                     evicted_from_sqa: false,
                 });
             }
-            loop {
-                let effective_slots =
-                    if cfg.enable_scaling && long_queue.len() > cfg.scaling_trigger_len {
-                        cfg.long_slots + cfg.scaling_slots
-                    } else {
-                        cfg.long_slots
-                    };
-                if *busy_long >= effective_slots {
-                    break;
-                }
+            while *busy_long < cfg.long_slots {
                 let Some(w) = long_queue.pop() else { break };
                 let q = &queries[w.seq];
                 *busy_long += 1;
@@ -564,32 +546,6 @@ mod tests {
             active += d;
             assert!(active <= 2, "short slots exceeded");
         }
-    }
-
-    #[test]
-    fn concurrency_scaling_relieves_backlog() {
-        let base = WlmConfig {
-            short_slots: 1,
-            long_slots: 1,
-            enable_scaling: false,
-            ..WlmConfig::default()
-        };
-        let scaled = WlmConfig {
-            enable_scaling: true,
-            scaling_trigger_len: 3,
-            scaling_slots: 4,
-            ..base
-        };
-        // A burst of 30 long queries.
-        let queries: Vec<SimQuery> = (0..30).map(|i| q(i as f64 * 0.1, 20.0, 20.0)).collect();
-        let s_base = Simulation::new(base).summarize(&queries).unwrap();
-        let s_scaled = Simulation::new(scaled).summarize(&queries).unwrap();
-        assert!(
-            s_scaled.avg_latency < 0.5 * s_base.avg_latency,
-            "scaling should cut the backlog: base={} scaled={}",
-            s_base.avg_latency,
-            s_scaled.avg_latency
-        );
     }
 
     #[test]

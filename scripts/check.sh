@@ -2,8 +2,10 @@
 # Repo-wide gate: formatting, clippy and rustdoc (warnings are errors),
 # the workspace test suite — which is where the serving stack's fault
 # suite (tests/oracle.rs), the hostile-bytes sweep and the drift episode
-# (tests/drift.rs) run — and its release-only tests, a check that results/
-# was recorded on this code, then the benchmark harness (its self-tests, a
+# (tests/drift.rs) run — then, in the release build the servers ship, its
+# release-only tests and the digests that pin every trained bit (the
+# boosters' and the global plan-GCN's), a check that results/ was recorded
+# on this code, then the benchmark harness (its self-tests, a
 # 1/50-size run of every workload and the served == library run across a
 # drift retrain).
 # Run from anywhere inside the repository.
@@ -26,13 +28,16 @@ cargo test -q --workspace
 # The step above builds with debug assertions, which compiles out the
 # release-only twins of two debug_assert tests: a system or feature vector
 # of the wrong width is padded or cut to the trained width in release
-# builds, the servers' build, instead of asserting. Run them here.
-cargo test --release -q -p stage-core -p stage-gbdt --lib -- in_release
-# The digests that pin every trained bit, in the build the servers ship:
-# the release profile compiles out the debug assertions the step above
-# keeps (the boosting loop's check that each grown row's leaf is the one
-# the walk finds, the grower's subtraction check), so the digests are
-# checked once without them.
+# builds, the servers' build, instead of asserting. Run them here, with the
+# global plan-GCN's two trained-weight digests (global::tests::
+# trained_weights_*), so its training and predict are pinned in that build
+# too.
+cargo test --release -q -p stage-core -p stage-gbdt --lib -- in_release global::tests::trained_weights
+# The digests that pin every trained bit of the boosters, in the build the
+# servers ship: the release profile compiles out the debug assertions the
+# step above keeps (the boosting loop's check that each grown row's leaf is
+# the one the walk finds, the grower's subtraction check), so the digests
+# are checked once without them.
 cargo test --release -q --test exactness
 
 # results/ must have been recorded on this code: eight quick artefacts that

@@ -293,8 +293,8 @@ fn no_lying_word_in_a_store_image_panics_or_sizes_an_allocation() {
     swapped.put_bytes(format!("{head}\"target_range\":[{hi},{lo}]{rest}").as_bytes());
     let swapped = ("the swapped target_range".to_string(), swapped.finish());
     // And the lies about the GCN's structure, which parse and pass every
-    // CRC: each JSON integer (a parameter id, a shape, a width, a layer
-    // count) set to 4 000 000 000 in turn.
+    // CRC: each JSON integer (the version tag, a parameter id, a shape)
+    // set to 4 000 000 000 in turn.
     let integers: Vec<_> = json_integers(json)
         .into_iter()
         .map(|(key, at, len)| {
@@ -304,7 +304,11 @@ fn no_lying_word_in_a_store_image_panics_or_sizes_an_allocation() {
             (format!("{key} = 4000000000"), lying.finish())
         })
         .collect();
-    assert!(integers.len() > 50, "only {} JSON integers", integers.len());
+    // The scan finds every one: the version, and for each of the tiny
+    // GCN's nine tensors (embedding 2, one round 3, two-layer head 4) its
+    // id and the rows and cols of its value and of its gradient.
+    let tensors = 2 + 3 + 4;
+    assert_eq!(integers.len(), 1 + 5 * tensors, "JSON integers");
     let words = lying_words(&section, 4).map(|(at, lying)| (format!("word {at}"), lying));
     for (what, lying) in words.chain([swapped]).chain(integers) {
         let image = build_file(&[(SECTION_GLOBAL, lying)], 1);
