@@ -227,7 +227,9 @@ pub fn load_stage_store(
 
 /// Payload version of [`SECTION_GLOBAL`]; bump on breaking model-layout
 /// changes so stale artefacts fail loudly instead of predicting garbage.
-const GLOBAL_PAYLOAD_VERSION: u32 = 3;
+/// Version 4 holds the weights only; version 3 kept a last-step gradient
+/// beside each of them, version 2 the GCN's config and every layer's widths.
+const GLOBAL_PAYLOAD_VERSION: u32 = 4;
 /// Payload kind tag of [`SECTION_GLOBAL`].
 const GLOBAL_PAYLOAD_KIND: &str = "stage-global-model";
 
@@ -328,6 +330,31 @@ mod tests {
     use crate::predictor::SystemContext;
     use stage_plan::{PlanBuilder, S3Format, NODE_FEATURE_DIM};
 
+    /// A current image rewritten into the version-3 layout it retired: a
+    /// gradient (zeros) of each parameter's shape beside the values, under
+    /// tag 3.
+    fn as_version_3(text: &str) -> String {
+        let (head, tail) = text.split_once(r#""values":["#).unwrap();
+        let (values, rest) = tail.split_once("]}]").unwrap();
+        let grads: Vec<String> = values
+            .split(r#"{"rows":"#)
+            .skip(1)
+            .map(|m| {
+                let (rows, m) = m.split_once(r#","cols":"#).unwrap();
+                let cols = m.split_once(',').unwrap().0;
+                let n = rows.parse::<usize>().unwrap() * cols.parse::<usize>().unwrap();
+                let data = vec!["0.0"; n].join(",");
+                format!(r#"{{"rows":{rows},"cols":{cols},"data":[{data}]}}"#)
+            })
+            .collect();
+        let grads = grads.join(",");
+        format!(r#"{head}"values":[{values}]}}],"grads":[{grads}]{rest}"#).replacen(
+            &format!(r#""version":{GLOBAL_PAYLOAD_VERSION}"#),
+            r#""version":3"#,
+            1,
+        )
+    }
+
     /// A version-3 image of a one-round GCN rewritten into the version-2
     /// layout it retired: the GCN's nine-field config, every layer's
     /// widths and the head's dropout beside the weights, and the model's
@@ -344,10 +371,7 @@ mod tests {
             cfg.dropout
         );
         let edits = [
-            (
-                format!(r#""version":{GLOBAL_PAYLOAD_VERSION}"#),
-                r#""version":2"#.into(),
-            ),
+            (String::from(r#""version":3"#), r#""version":2"#.into()),
             (
                 r#""gcn":{"store":"#.into(),
                 format!(r#""gcn":{{"config":{config},"store":"#),
@@ -370,8 +394,8 @@ mod tests {
 
     /// The global payload's version and kind tags are checked on restore:
     /// a stale or foreign payload behind valid section CRCs — the retired
-    /// version-2 layout among them — is a typed `Malformed` (the file is
-    /// quarantined), never a model that predicts garbage.
+    /// version-3 and version-2 layouts among them — is a typed `Malformed`
+    /// (the file is quarantined), never a model that predicts garbage.
     #[test]
     fn global_payload_of_wrong_version_or_kind_is_malformed() {
         let sys = SystemContext::empty(2);
@@ -397,13 +421,19 @@ mod tests {
         let version = format!("\"version\":{GLOBAL_PAYLOAD_VERSION}");
         let kind = format!("\"kind\":\"{GLOBAL_PAYLOAD_KIND}\"");
         assert!(text.contains(&version) && text.contains(&kind));
-        // The version-2 image is well formed and holds the same weights (the
-        // extra fields are ignored): its tag is what refuses it below.
-        let v2 = as_version_2(&text, &cfg, 2 + GLOBAL_SYS_DIM_BASE);
-        assert!(decode_global(v2.replacen("\"version\":2", &version, 1).as_bytes()).is_ok());
+        // The version-3 and version-2 images are well formed and hold the
+        // same weights (the extra fields are ignored): their tags are what
+        // refuse them below.
+        let v3 = as_version_3(&text);
+        let v2 = as_version_2(&v3, &cfg, 2 + GLOBAL_SYS_DIM_BASE);
+        for (old, tag) in [(&v3, "\"version\":3"), (&v2, "\"version\":2")] {
+            assert!(decode_global(old.replacen(tag, &version, 1).as_bytes()).is_ok());
+        }
+        assert!(v3.contains(r#""grads":[{"rows":"#));
         for damaged in [
             text.replacen(&version, "\"version\":999", 1),
             text.replacen(&kind, "\"kind\":\"stage-local-model\"", 1),
+            v3,
             v2,
         ] {
             let err = decode_global(damaged.as_bytes()).unwrap_err();

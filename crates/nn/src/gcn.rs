@@ -20,8 +20,9 @@
 //!
 //! Training ([`PlanGcn::fit`]) and inference ([`PlanGcn::predict`]) run
 //! one forward over flat `n × hidden` row buffers and the weights as they
-//! sit in the [`ParamStore`], dropout on for the first and off for the
-//! second; the backward is written by hand. Both run on the
+//! sit in the model's parameter store, dropout on for the first and off
+//! for the second; the backward is written by hand, into gradients that
+//! `fit` owns. Both run on the
 //! multiply-accumulate loop in `tensor.rs`, so every answer and every
 //! trained weight is what the reference autodiff tape (`graph.rs`,
 //! compiled for tests only) computes, to the bit.
@@ -39,7 +40,7 @@ use std::borrow::Borrow;
 
 /// A plan tree prepared for the GCN: per-node feature vectors, child lists,
 /// the root index, system features, and the regression target.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TreeSample {
     /// One feature vector per node; all must share the configured width.
     pub node_feats: Vec<Vec<f64>>,
@@ -253,11 +254,24 @@ struct Round {
 }
 
 /// Buffers one [`PlanGcn::fit`] reuses from batch to batch: a trace per
-/// sample of the batch, and the backward's gradient rows.
-#[derive(Debug, Default)]
+/// sample of the batch, the backward's gradient rows, and the batch's
+/// gradient of every parameter, by id, which Adam steps from.
+#[derive(Debug)]
 struct Workspace {
     traces: Vec<Trace>,
     rows: GradRows,
+    grads: Vec<Matrix>,
+}
+
+impl Workspace {
+    /// Empty buffers and one zero gradient per parameter of `store`.
+    fn new(store: &ParamStore) -> Self {
+        Self {
+            traces: Vec::new(),
+            rows: GradRows::default(),
+            grads: store.zeros_like(),
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -473,15 +487,23 @@ impl PlanGcn {
     /// Backward of one [`PlanGcn::forward`] in the tape's reverse
     /// order — the head, then the rounds from the last to the first with
     /// nodes in reverse post-order, then the embedding — adding every
-    /// weight's gradient into the store. `wt` holds this batch's transposed
-    /// weights. A node whose gradient past its ReLU is all zero sends
-    /// nothing, and a row collects its parent's share of the child mean
-    /// before its own `δ·W_selfᵀ`, as the tape's reverse walk adds them.
-    fn backward(&mut self, sample: &TreeSample, t: &Trace, wt: &[Matrix], w: &mut GradRows) {
+    /// weight's gradient into `grads`, by parameter id. `wt` holds this
+    /// batch's transposed weights. A node whose gradient past its ReLU is
+    /// all zero sends nothing, and a row collects its parent's share of the
+    /// child mean before its own `δ·W_selfᵀ`, as the tape's reverse walk
+    /// adds them.
+    fn backward(
+        &self,
+        sample: &TreeSample,
+        t: &Trace,
+        wt: &[Matrix],
+        w: &mut GradRows,
+        grads: &mut [Matrix],
+    ) {
         let hidden = self.hidden();
         let n = sample.node_feats.len();
         let row = |v: usize| v * hidden..(v + 1) * hidden;
-        let Some(g_cat) = self.head.backward(&mut self.store, wt, &t.head, t.g_out) else {
+        let Some(g_cat) = self.head.backward(&self.store, grads, wt, &t.head, t.g_out) else {
             return;
         };
         w.g.clear();
@@ -499,10 +521,10 @@ impl PlanGcn {
                 if !relu_dropout_backward(&w.g[row(v)], &round.act[row(v)], mask, &mut w.gz) {
                     continue;
                 }
-                add_acc(self.store.grad_mut(conv.bias).data_mut(), &w.gz);
+                add_acc(grads[conv.bias].data_mut(), &w.gz);
                 let kids = &sample.children[v];
                 if !kids.is_empty() {
-                    let grad = self.store.grad_mut(conv.w_child).data_mut();
+                    let grad = grads[conv.w_child].data_mut();
                     outer_acc(&round.agg[row(v)], &w.gz, grad);
                     w.tmp.fill(0.0);
                     row_matmul_acc(&w.gz, wt[conv.w_child].data(), &mut w.tmp);
@@ -516,7 +538,7 @@ impl PlanGcn {
                 w.tmp.fill(0.0);
                 row_matmul_acc(&w.gz, wt[conv.w_self].data(), &mut w.tmp);
                 add_acc(&mut w.g_below[row(v)], &w.tmp);
-                let grad = self.store.grad_mut(conv.w_self).data_mut();
+                let grad = grads[conv.w_self].data_mut();
                 outer_acc(&below.h[row(v)], &w.gz, grad);
             }
             std::mem::swap(&mut w.g, &mut w.g_below);
@@ -527,25 +549,26 @@ impl PlanGcn {
         for &v in t.order.iter().rev() {
             if relu_dropout_backward(&w.g[row(v)], &embedded.act[row(v)], &[], &mut w.gz) {
                 let feats = &sample.node_feats[v];
-                self.embed
-                    .backward(&mut self.store, wt, feats, &w.gz, &mut []);
+                self.embed.backward(grads, wt, feats, &w.gz, &mut []);
             }
         }
     }
 
-    /// One mini-batch: zeroes the store's gradients, runs every sample's
+    /// One mini-batch: zeroes `w`'s gradients, runs every sample's
     /// forward with dropout `p` in batch order (so dropout draws as the
     /// tape drew it), then every backward from the last sample to the
     /// first (so every gradient sums in the tape's order), and returns the
     /// batch's mean squared error.
     fn batch_gradients(
-        &mut self,
+        &self,
         batch: &[&TreeSample],
         p: f64,
         rng: &mut StdRng,
         w: &mut Workspace,
     ) -> f64 {
-        self.store.zero_grads();
+        for g in &mut w.grads {
+            g.data_mut().fill(0.0);
+        }
         let wt = self.store.transposed_values();
         if w.traces.len() < batch.len() {
             w.traces.resize_with(batch.len(), Trace::default);
@@ -558,7 +581,7 @@ impl PlanGcn {
             sum = Some(sum.map_or(d * d, |acc| acc + d * d));
         }
         for (sample, t) in batch.iter().zip(&w.traces).rev() {
-            self.backward(sample, t, &wt, &mut w.rows);
+            self.backward(sample, t, &wt, &mut w.rows, &mut w.grads);
         }
         sum.unwrap_or(0.0) * scale
     }
@@ -597,10 +620,10 @@ impl PlanGcn {
         }
         assert!(config.dropout < 1.0, "dropout probability must be < 1");
         let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5eed);
-        let mut adam = Adam::new(&self.store, config.lr);
+        let mut adam = Adam::new(&self.store);
         let mut order: Vec<usize> = (0..samples.len()).collect();
         let mut epoch_losses = Vec::with_capacity(config.epochs);
-        let mut work = Workspace::default();
+        let mut work = Workspace::new(&self.store);
         let mut batch = Vec::with_capacity(config.batch_size);
 
         for epoch in 0..config.epochs {
@@ -614,7 +637,7 @@ impl PlanGcn {
             } else {
                 0.1
             };
-            adam.set_lr(config.lr * factor);
+            let lr = config.lr * factor;
             order.shuffle(&mut rng);
             let mut epoch_loss = 0.0;
             let mut batches = 0usize;
@@ -623,7 +646,7 @@ impl PlanGcn {
                 batch.extend(chunk.iter().map(|&i| samples[i].borrow()));
                 epoch_loss += self.batch_gradients(&batch, config.dropout, &mut rng, &mut work);
                 batches += 1;
-                adam.step(&mut self.store);
+                adam.step(&mut self.store, &work.grads, lr);
             }
             epoch_losses.push(epoch_loss / batches.max(1) as f64);
         }
@@ -669,6 +692,7 @@ impl PlanGcn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::add_grads;
     use rand::{Rng, RngCore};
 
     /// Builds a random chain/binary tree whose target is a simple function
@@ -929,15 +953,16 @@ mod tests {
     }
 
     /// The reference tape's gradient of one batch's mean squared error
-    /// under dropout `p`, left in the store as [`PlanGcn::batch_gradients`]
-    /// leaves it, and the batch loss.
+    /// under dropout `p`, one per parameter added onto zeros as
+    /// [`PlanGcn::batch_gradients`] leaves them in its workspace, and the
+    /// batch loss.
     fn tape_batch_gradients(
-        model: &mut PlanGcn,
+        model: &PlanGcn,
         batch: &[&TreeSample],
         p: f64,
         rng: &mut StdRng,
-    ) -> f64 {
-        model.store.zero_grads();
+    ) -> (Vec<Matrix>, f64) {
+        let mut grads = model.store.zeros_like();
         let mut g = Graph::new(&model.store);
         let terms: Vec<Var> = batch
             .iter()
@@ -948,24 +973,14 @@ mod tests {
             .collect();
         let loss = g.mean_scalars(&terms);
         let value = g.value(loss).get(0, 0);
-        let grads = g.backward(loss);
-        model.store.add_grads(grads);
-        value
+        add_grads(&mut grads, g.backward(loss));
+        (grads, value)
     }
 
-    /// Every gradient in the store, as bits, tensor by tensor.
-    fn grad_bits(model: &PlanGcn) -> Vec<Vec<u64>> {
-        (0..model.store.n_tensors())
-            .map(|p| {
-                model
-                    .store
-                    .grad(p)
-                    .data()
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect()
-            })
-            .collect()
+    /// Every gradient, as bits, tensor by tensor.
+    fn grad_bits(grads: &[Matrix]) -> Vec<Vec<u64>> {
+        let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect();
+        grads.iter().map(bits).collect()
     }
 
     /// A root over `kids` leaves, the root not node 0.
@@ -985,17 +1000,17 @@ mod tests {
     /// `p`, from the same RNG state; fails unless every gradient, the loss
     /// and the number of dropout draws agree to the bit.
     fn assert_trainer_matches_tape(
-        model: &mut PlanGcn,
+        model: &PlanGcn,
         batch: &[&TreeSample],
         p: f64,
         seed: u64,
         work: &mut Workspace,
     ) -> Result<(), proptest::test_runner::TestCaseError> {
         let (mut tape_rng, mut rng) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-        let want_loss = tape_batch_gradients(model, batch, p, &mut tape_rng);
-        let want = grad_bits(model);
+        let (want, want_loss) = tape_batch_gradients(model, batch, p, &mut tape_rng);
+        let want = grad_bits(&want);
         let got_loss = model.batch_gradients(batch, p, &mut rng, work);
-        let got = grad_bits(model);
+        let got = grad_bits(&work.grads);
         for (pid, (g, w)) in got.iter().zip(&want).enumerate() {
             proptest::prop_assert!(g == w, "parameter {pid}: trainer and tape disagree");
         }
@@ -1041,7 +1056,7 @@ mod tests {
                 .collect();
             model.fit(&train, &config);
 
-            let mut work = Workspace::default();
+            let mut work = Workspace::new(&model.store);
             for max_nodes in [41, 4] {
                 let size = [1, 3, 7, 32][batch_pick];
                 let samples: Vec<TreeSample> = (0..size)
@@ -1063,7 +1078,7 @@ mod tests {
                     .collect();
                 let batch: Vec<&TreeSample> = samples.iter().collect();
                 let (p, seed) = (config.dropout, rng.next_u64());
-                assert_trainer_matches_tape(&mut model, &batch, p, seed, &mut work)?;
+                assert_trainer_matches_tape(&model, &batch, p, seed, &mut work)?;
             }
         }
     }
@@ -1089,9 +1104,9 @@ mod tests {
         let mut dead = random_tree(&mut rng, 9, false, node_dim, sys_dim);
         dead.node_feats.iter_mut().for_each(|f| f.fill(0.0));
         dead.sys_feats.fill(0.0);
-        let mut work = Workspace::default();
-        assert_trainer_matches_tape(&mut model, &[&dead], config.dropout, 1, &mut work).unwrap();
-        let grads = grad_bits(&model);
+        let mut work = Workspace::new(&model.store);
+        assert_trainer_matches_tape(&model, &[&dead], config.dropout, 1, &mut work).unwrap();
+        let grads = grad_bits(&work.grads);
         let (output_bias, rest) = grads.split_last().unwrap();
         assert!(rest.iter().flatten().all(|&g| g == 0), "a shut ReLU leaked");
         assert_ne!(output_bias, &[0]);
@@ -1104,8 +1119,8 @@ mod tests {
             })
             .collect();
         let batch = [&live[0], &dead, &live[1], &live[2], &live[3]];
-        assert_trainer_matches_tape(&mut model, &batch, config.dropout, 2, &mut work).unwrap();
-        let grads = grad_bits(&model);
+        assert_trainer_matches_tape(&model, &batch, config.dropout, 2, &mut work).unwrap();
+        let grads = grad_bits(&work.grads);
         assert!(
             grads[0].iter().any(|&g| g != 0),
             "the live samples moved nothing"
@@ -1211,11 +1226,10 @@ mod tests {
         assert!(small.approx_size_bytes() > 0);
     }
 
-    /// Replaces parameter `pid`'s value and gradient with zeros of shape
-    /// `rows × cols`: a restored store whose matrices are each well formed.
+    /// Replaces parameter `pid`'s value with zeros of shape `rows × cols`:
+    /// a restored store whose matrices are each well formed.
     fn reshape(model: &mut PlanGcn, pid: usize, rows: usize, cols: usize) {
         *model.store.value_mut(pid) = Matrix::zeros(rows, cols);
-        *model.store.grad_mut(pid) = Matrix::zeros(rows, cols);
     }
 
     /// The widths are read from the weights, so a restored model's only

@@ -3,9 +3,9 @@
 //!
 //! A [`Graph`] is a define-by-run tape: every operation appends a node
 //! holding its output value; [`Graph::backward`] walks the tape in reverse,
-//! propagating gradients, and returns the parameters' gradients for
-//! [`ParamStore::add_grads`]. A fresh graph is built per mini-batch, which
-//! keeps the implementation small and auditable.
+//! propagating gradients, and returns the parameters' gradients, which
+//! [`add_grads`] adds into accumulators. A fresh graph is built per
+//! mini-batch, which keeps the implementation small and auditable.
 //!
 //! The library does not use it. `PlanGcn::fit` runs a hand-written forward
 //! and backward over flat row buffers, and `PlanGcn::predict` a tape-free
@@ -247,7 +247,7 @@ impl<'p> Graph<'p> {
 
     /// Reverse pass from `loss` (must be `1×1`). Returns the gradient of
     /// every parameter the tape used, indexed by parameter id (`None` for
-    /// one it never reached); [`ParamStore::add_grads`] accumulates them.
+    /// one it never reached); [`add_grads`] accumulates them.
     /// Consumes the tape: each node's gradient is dropped as soon as the
     /// node has passed it on.
     pub fn backward(self, loss: Var) -> Vec<Option<Matrix>> {
@@ -345,6 +345,16 @@ impl<'p> Graph<'p> {
     }
 }
 
+/// Adds a tape's parameter gradients ([`Graph::backward`]) to `acc`, one
+/// accumulator per parameter id; `None` entries leave theirs untouched.
+pub(crate) fn add_grads(acc: &mut [Matrix], grads: Vec<Option<Matrix>>) {
+    for (acc, g) in acc.iter_mut().zip(grads) {
+        if let Some(g) = g {
+            acc.add_assign(&g);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,12 +363,11 @@ mod tests {
     /// Numerical-gradient check for a scalar function of one parameter.
     fn check_param_grad(build: impl Fn(&mut Graph) -> Var, store: &mut ParamStore, pid: usize) {
         // Analytic gradient.
-        store.zero_grads();
+        let mut grads = store.zeros_like();
         let mut g = Graph::new(store);
         let loss = build(&mut g);
-        let grads = g.backward(loss);
-        store.add_grads(grads);
-        let analytic = store.grad(pid).clone();
+        add_grads(&mut grads, g.backward(loss));
+        let analytic = grads.swap_remove(pid);
 
         // Numerical gradient.
         let eps = 1e-5;
@@ -517,15 +526,14 @@ mod tests {
         };
         let initial = loss_at(&store);
         for _ in 0..50 {
-            store.zero_grads();
+            let mut grads = store.zeros_like();
             let mut g = Graph::new(&store);
             let x = g.input(Matrix::row_vector(&[2.0]));
             let wv = g.param(w);
             let y = g.matmul(x, wv);
             let l = g.squared_error(y, 6.0);
-            let grads = g.backward(l);
-            store.add_grads(grads);
-            let grad = store.grad(w).get(0, 0);
+            add_grads(&mut grads, g.backward(l));
+            let grad = grads[w].get(0, 0);
             let v = store.value(w).get(0, 0);
             store.value_mut(w).set(0, 0, v - 0.05 * grad);
         }

@@ -9,11 +9,11 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Owns all parameter tensors and their gradient accumulators.
+/// Owns all parameter tensors. Their gradients are the trainer's
+/// (`PlanGcn::fit`), not the model's.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ParamStore {
     values: Vec<Matrix>,
-    grads: Vec<Matrix>,
 }
 
 impl ParamStore {
@@ -24,7 +24,6 @@ impl ParamStore {
 
     /// Registers a parameter tensor, returning its id.
     pub fn add(&mut self, value: Matrix) -> usize {
-        self.grads.push(Matrix::zeros(value.rows(), value.cols()));
         self.values.push(value);
         self.values.len() - 1
     }
@@ -39,32 +38,11 @@ impl ParamStore {
         &mut self.values[pid]
     }
 
-    /// Accumulated gradient.
-    pub fn grad(&self, pid: usize) -> &Matrix {
-        &self.grads[pid]
-    }
-
-    /// Mutable gradient accumulator.
-    pub fn grad_mut(&mut self, pid: usize) -> &mut Matrix {
-        &mut self.grads[pid]
-    }
-
-    /// Adds a tape's parameter gradients ([`Graph::backward`]) to the
-    /// accumulators; `None` entries leave theirs untouched.
-    #[cfg(test)]
-    pub fn add_grads(&mut self, grads: Vec<Option<Matrix>>) {
-        for (acc, g) in self.grads.iter_mut().zip(grads) {
-            if let Some(g) = g {
-                acc.add_assign(&g);
-            }
-        }
-    }
-
-    /// Zeroes all gradients (call between optimizer steps).
-    pub fn zero_grads(&mut self) {
-        for g in &mut self.grads {
-            g.fill_zero();
-        }
+    /// A zero matrix of every parameter's shape, by id: a gradient
+    /// accumulator or an optimizer moment.
+    pub(crate) fn zeros_like(&self) -> Vec<Matrix> {
+        let zeros = |m: &Matrix| Matrix::zeros(m.rows(), m.cols());
+        self.values.iter().map(zeros).collect()
     }
 
     /// Number of parameter tensors.
@@ -77,35 +55,22 @@ impl ParamStore {
         self.values.iter().map(|m| m.data().len()).sum()
     }
 
-    /// Approximate in-memory size in bytes (values + grads).
+    /// Approximate in-memory size in bytes: the values.
     pub fn approx_size_bytes(&self) -> usize {
-        self.n_scalars() * 2 * std::mem::size_of::<f64>()
+        self.n_scalars() * std::mem::size_of::<f64>()
     }
 
-    /// Checks a deserialized store: one gradient per value, each of its
-    /// value's shape, every matrix's data exactly `rows × cols` long, and
-    /// every value finite.
+    /// Checks a deserialized store: every matrix's data exactly
+    /// `rows × cols` long, and every value finite.
     pub(crate) fn validate(&self) -> Result<(), String> {
-        if self.grads.len() != self.values.len() {
-            return Err(format!(
-                "{} gradients for {} parameters",
-                self.grads.len(),
-                self.values.len()
-            ));
-        }
-        for (pid, (v, g)) in self.values.iter().zip(&self.grads).enumerate() {
-            for m in [v, g] {
-                if m.rows().checked_mul(m.cols()) != Some(m.data().len()) {
-                    return Err(format!(
-                        "parameter {pid}: {} values for a {}x{} matrix",
-                        m.data().len(),
-                        m.rows(),
-                        m.cols()
-                    ));
-                }
-            }
-            if (g.rows(), g.cols()) != (v.rows(), v.cols()) {
-                return Err(format!("parameter {pid}: gradient shape differs"));
+        for (pid, v) in self.values.iter().enumerate() {
+            if v.rows().checked_mul(v.cols()) != Some(v.data().len()) {
+                return Err(format!(
+                    "parameter {pid}: {} values for a {}x{} matrix",
+                    v.data().len(),
+                    v.rows(),
+                    v.cols()
+                ));
             }
             if !v.data().iter().all(|x| x.is_finite()) {
                 return Err(format!("parameter {pid} has a non-finite weight"));
@@ -225,20 +190,21 @@ impl Linear {
     }
 
     /// Backward of [`Linear::eval_into`] for one row, given `g` = ∂loss/∂y
-    /// (not all zero): `g` adds into b's gradient, the outer product
-    /// `xᵀ·g` into W's, and `dx` (unless empty, as for a layer whose input
-    /// takes no gradient) is set to `g·Wᵀ`, accumulated from `+0.0` against
-    /// `wt[w]`, this batch's transpose of W.
+    /// (not all zero): `g` adds into b's gradient in `grads` (one per
+    /// parameter, by id), the outer product `xᵀ·g` into W's, and `dx`
+    /// (unless empty, as for a layer whose input takes no gradient) is set
+    /// to `g·Wᵀ`, accumulated from `+0.0` against `wt[w]`, this batch's
+    /// transpose of W.
     pub(crate) fn backward(
         &self,
-        store: &mut ParamStore,
+        grads: &mut [Matrix],
         wt: &[Matrix],
         x: &[f64],
         g: &[f64],
         dx: &mut [f64],
     ) {
-        add_acc(store.grad_mut(self.b).data_mut(), g);
-        outer_acc(x, g, store.grad_mut(self.w).data_mut());
+        add_acc(grads[self.b].data_mut(), g);
+        outer_acc(x, g, grads[self.w].data_mut());
         dx.fill(0.0);
         row_matmul_acc(g, wt[self.w].data(), dx);
     }
@@ -360,11 +326,12 @@ impl Mlp {
 
     /// Backward of [`Mlp::forward`] from `g_out` = ∂loss/∂output (a
     /// one-output head), last layer first, every weight's gradient added
-    /// into `store`. Returns ∂loss/∂x, or `None` once a gradient is all
+    /// into `grads`. Returns ∂loss/∂x, or `None` once a gradient is all
     /// zero (then nothing reaches `x`).
     pub(crate) fn backward(
         &self,
-        store: &mut ParamStore,
+        store: &ParamStore,
+        grads: &mut [Matrix],
         wt: &[Matrix],
         t: &MlpTrace,
         g_out: f64,
@@ -383,7 +350,7 @@ impl Mlp {
                 return None;
             }
             g.resize(layer.shape(store).0, 0.0);
-            layer.backward(store, wt, &step.x, &gz, &mut g);
+            layer.backward(grads, wt, &step.x, &gz, &mut g);
         }
         Some(g)
     }
@@ -414,6 +381,7 @@ impl Mlp {
 mod tests {
     use super::*;
     use crate::adam::Adam;
+    use crate::graph::add_grads;
     use rand::{Rng, SeedableRng};
 
     #[test]
@@ -424,10 +392,7 @@ mod tests {
         assert_eq!((a, b), (0, 1));
         assert_eq!(s.n_tensors(), 2);
         assert_eq!(s.n_scalars(), 10);
-        assert!(s.approx_size_bytes() >= 160);
-        s.grad_mut(a).set(1, 1, 5.0);
-        s.zero_grads();
-        assert_eq!(s.grad(a).get(1, 1), 0.0);
+        assert_eq!(s.approx_size_bytes(), 80);
     }
 
     #[test]
@@ -447,7 +412,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let mut store = ParamStore::new();
         let mlp = Mlp::new(&mut store, &[2, 16, 16, 1], &mut rng);
-        let mut adam = Adam::new(&store, 0.01);
+        let mut adam = Adam::new(&store);
         let data: Vec<([f64; 2], f64)> = (0..200)
             .map(|_| {
                 let a: f64 = rng.gen_range(0.0..1.0);
@@ -458,7 +423,7 @@ mod tests {
             .collect();
         let mut last_loss = f64::INFINITY;
         for _epoch in 0..300 {
-            store.zero_grads();
+            let mut grads = store.zeros_like();
             let mut g = Graph::new(&store);
             let mut terms = Vec::new();
             for (x, y) in &data {
@@ -468,9 +433,8 @@ mod tests {
             }
             let loss = g.mean_scalars(&terms);
             last_loss = g.value(loss).get(0, 0);
-            let grads = g.backward(loss);
-            store.add_grads(grads);
-            adam.step(&mut store);
+            add_grads(&mut grads, g.backward(loss));
+            adam.step(&mut store, &grads, 0.01);
         }
         assert!(last_loss < 0.05, "XOR loss did not converge: {last_loss}");
         // Spot-check the four corners.

@@ -38,12 +38,14 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if `data.len() != rows * cols`.
+    #[cfg(test)]
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), rows * cols, "shape/data mismatch");
         Self { rows, cols, data }
     }
 
     /// A 1×n row vector.
+    #[cfg(test)]
     pub fn row_vector(values: &[f64]) -> Self {
         Self::from_vec(1, values.len(), values.to_vec())
     }
@@ -84,11 +86,13 @@ impl Matrix {
     }
 
     /// Element setter.
+    #[cfg(test)]
     pub fn set(&mut self, r: usize, c: usize, v: f64) {
         self.data[r * self.cols + c] = v;
     }
 
     /// Row slice.
+    #[cfg(test)]
     pub fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
@@ -168,8 +172,8 @@ impl Matrix {
     }
 
     /// Elementwise sum into self. A shape mismatch is a programmer error:
-    /// debug builds assert, release builds sum the overlapping prefix
-    /// (degrade, don't take the serving path down).
+    /// debug builds assert, release builds sum the overlapping prefix.
+    #[cfg(test)]
     pub fn add_assign(&mut self, other: &Matrix) {
         debug_assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         for (a, b) in self.data.iter_mut().zip(&other.data) {
@@ -178,15 +182,11 @@ impl Matrix {
     }
 
     /// Scales all elements in place.
+    #[cfg(test)]
     pub fn scale_assign(&mut self, s: f64) {
         for a in &mut self.data {
             *a *= s;
         }
-    }
-
-    /// Sets all elements to zero.
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
     }
 }
 
@@ -194,8 +194,9 @@ impl Matrix {
 /// (`k × out.len()`): the one multiply-accumulate loop in the crate, shared
 /// by the forward and the backward's `δ·Wᵀ` (against a transpose), so
 /// neither can drift from the other by a rounding. `k` runs ascending and
-/// exact-zero entries of `a` are skipped (post-ReLU rows are mostly zeros); a length mismatch multiplies the overlapping prefix
-/// instead of panicking, like [`Matrix::add_assign`].
+/// exact-zero entries of `a` are skipped (post-ReLU rows are mostly
+/// zeros); a length mismatch multiplies the overlapping prefix instead of
+/// panicking.
 pub(crate) fn row_matmul_acc(a: &[f64], b: &[f64], out: &mut [f64]) {
     if out.is_empty() {
         return;
@@ -333,8 +334,6 @@ mod tests {
         assert_eq!(a.data(), &[11.0, 22.0, 33.0]);
         a.scale_assign(0.5);
         assert_eq!(a.data(), &[5.5, 11.0, 16.5]);
-        a.fill_zero();
-        assert_eq!(a.data(), &[0.0, 0.0, 0.0]);
     }
 
     #[test]

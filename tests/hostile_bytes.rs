@@ -306,9 +306,9 @@ fn no_lying_word_in_a_store_image_panics_or_sizes_an_allocation() {
         .collect();
     // The scan finds every one: the version, and for each of the tiny
     // GCN's nine tensors (embedding 2, one round 3, two-layer head 4) its
-    // id and the rows and cols of its value and of its gradient.
+    // id and the rows and cols of its value.
     let tensors = 2 + 3 + 4;
-    assert_eq!(integers.len(), 1 + 5 * tensors, "JSON integers");
+    assert_eq!(integers.len(), 1 + 3 * tensors, "JSON integers");
     let words = lying_words(&section, 4).map(|(at, lying)| (format!("word {at}"), lying));
     for (what, lying) in words.chain([swapped]).chain(integers) {
         let image = build_file(&[(SECTION_GLOBAL, lying)], 1);

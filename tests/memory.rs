@@ -1,7 +1,7 @@
 //! Heap bounds, read off a counting global allocator: what one epoch of
 //! global-model training and one local-model retrain hold at their peak,
-//! and what a young shard holds once it has seen a couple of dozen
-//! observations. This file is its own test binary because the allocator
+//! what a trained global model keeps, and what a young shard holds once it
+//! has seen a couple of dozen observations. This file is its own test binary because the allocator
 //! counts the whole process.
 
 use stage::core::global::plan_to_tree_sample;
@@ -143,6 +143,33 @@ fn one_global_training_epoch_peaks_at_a_few_megabytes() {
     assert!(
         peak <= 7_620 << 10,
         "one epoch peaked at {peak} B of live heap"
+    );
+}
+
+/// What a trained global model keeps, at the benchmark's shape (the
+/// epoch test's samples and config): its weights, eight bytes each, and
+/// little else — 153 592 B for 152 840 B of weights. A store that kept a
+/// gradient beside every weight held 307 072 B. The bound is the weights
+/// plus 25 %.
+#[test]
+fn a_trained_global_model_retains_its_weights_and_little_else() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let samples: Vec<TreeSample> = fleet_queries(7, 50)
+        .iter()
+        .map(|(plan, sys, secs)| plan_to_tree_sample(plan, sys, *secs))
+        .collect();
+    let config = GlobalModelConfig {
+        hidden: 48,
+        gcn_layers: 3,
+        epochs: 1,
+        ..GlobalModelConfig::default()
+    };
+    let (model, live, _) = measure(|| GlobalModel::train(&samples, INSTANCE_FEATURE_DIM, &config));
+    let weights = 8 * model.n_parameters();
+    eprintln!("trained global model: {live} B of live heap for {weights} B of weights");
+    assert!(
+        live as usize <= weights + weights / 4,
+        "a trained global model retains {live} B for {weights} B of weights"
     );
 }
 
