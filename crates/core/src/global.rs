@@ -73,8 +73,6 @@ pub struct GlobalModel {
     /// Log-space target range seen in training; predictions are clamped to
     /// it (the model has no business extrapolating beyond observed labels).
     target_range: (f64, f64),
-    /// Mean epoch losses recorded during training (diagnostics).
-    pub training_losses: Vec<f64>,
 }
 
 impl GlobalModel {
@@ -85,15 +83,25 @@ impl GlobalModel {
     /// Panics if `samples` is empty or a sample's widths are not
     /// [`NODE_FEATURE_DIM`] and `instance_feature_dim +`
     /// [`GLOBAL_SYS_DIM_BASE`].
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "training-time precondition: the global model is trained offline, never inside a verb"
-    )]
     pub fn train(
         samples: &[TreeSample],
         instance_feature_dim: usize,
         config: &GlobalModelConfig,
     ) -> Self {
+        Self::train_with_losses(samples, instance_feature_dim, config).0
+    }
+
+    /// [`GlobalModel::train`], with the mean loss of each training epoch
+    /// as the fit reports it; the model keeps none of them.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "training-time precondition: the global model is trained offline, never inside a verb"
+    )]
+    fn train_with_losses(
+        samples: &[TreeSample],
+        instance_feature_dim: usize,
+        config: &GlobalModelConfig,
+    ) -> (Self, Vec<f64>) {
         assert!(!samples.is_empty(), "global model needs training samples");
         let sys_dim = instance_feature_dim + GLOBAL_SYS_DIM_BASE;
         // Hold out every 10th sample for calibration.
@@ -152,12 +160,12 @@ impl GlobalModel {
             (1.0, 0.0)
         };
 
-        Self {
+        let model = Self {
             gcn,
             calibration,
             target_range: (lo.min(hi), hi.max(lo)),
-            training_losses,
-        }
+        };
+        (model, training_losses)
     }
 
     /// Checks a deserialized model before it answers anything: the GCN's
@@ -292,10 +300,10 @@ mod tests {
                 samples.push(plan_to_tree_sample(&p, &sys(speed), secs));
             }
         }
-        let model = GlobalModel::train(&samples, 2, &quick_config());
-        assert!(model.training_losses.len() == 40);
-        let first = model.training_losses[0];
-        let last = *model.training_losses.last().unwrap();
+        let (model, losses) = GlobalModel::train_with_losses(&samples, 2, &quick_config());
+        assert!(losses.len() == 40);
+        let first = losses[0];
+        let last = *losses.last().unwrap();
         assert!(last < first, "loss should fall: {first} -> {last}");
 
         let small = model.predict(&plan(2e4, 1), &sys(1.0));
@@ -398,7 +406,8 @@ mod tests {
     /// bit: the trainer may change how it holds parameters and gradients,
     /// never the arithmetic. Dropout is on so the mask draws
     /// are pinned too. The digest covers the parameter values; the epoch
-    /// losses and three raw predictions are pinned beside them.
+    /// losses the fit reports and three raw predictions are pinned beside
+    /// them.
     #[test]
     fn trained_weights_are_pinned_to_the_bit() {
         let samples: Vec<TreeSample> = (1..=120)
@@ -417,7 +426,7 @@ mod tests {
             batch_size: 8,
             seed: 17,
         };
-        let model = GlobalModel::train(&samples, 2, &config);
+        let (model, losses) = GlobalModel::train_with_losses(&samples, 2, &config);
         let tree = serde_json::to_value(&model);
         let store = &tree["gcn"]["store"];
         let raw: Vec<u64> = [plan(2e4, 0), plan(3e5, 2), plan(9e5, 3)]
@@ -430,7 +439,7 @@ mod tests {
             "parameter values"
         );
         assert_eq!(
-            digest(&tree["training_losses"]),
+            digest(&serde_json::to_value(&losses)),
             0x1c3e_36d3_f786_88dd,
             "epoch losses"
         );
@@ -477,7 +486,7 @@ mod tests {
             batch_size: 32,
             ..GlobalModelConfig::default()
         };
-        let model = GlobalModel::train(&samples, 2, &config);
+        let (model, losses) = GlobalModel::train_with_losses(&samples, 2, &config);
         let tree = serde_json::to_value(&model);
         let store = &tree["gcn"]["store"];
         let raw: Vec<u64> = [plan(2e4, 0), plan(3e5, 2), plan(9e5, 4)]
@@ -490,7 +499,7 @@ mod tests {
             "parameter values"
         );
         assert_eq!(
-            digest(&tree["training_losses"]),
+            digest(&serde_json::to_value(&losses)),
             0xb5c2_5743_feb4_8435,
             "epoch losses"
         );

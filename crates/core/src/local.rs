@@ -10,7 +10,7 @@ use crate::from_log_space;
 use crate::pool::TrainingPool;
 use crate::storefmt::policy_slot;
 use serde::{Deserialize, Serialize};
-use stage_gbdt::{gbm, ngboost, tree};
+use stage_gbdt::{ensemble, gbm, ngboost, tree};
 use stage_gbdt::{BayesianEnsemble, EnsembleParams, EnsemblePrediction};
 
 /// Local-model configuration.
@@ -266,7 +266,7 @@ impl LocalModel {
                     for head in [m.mu_trees(), m.var_trees()] {
                         w.put_u64(head.len() as u64);
                         for tree in head {
-                            let (feature, threshold, left, right, gain) = tree.to_flat_parts();
+                            let (feature, threshold, left, right, gain) = tree.into_flat_parts();
                             w.put_u32_slice(&feature);
                             w.put_f64_slice(&threshold);
                             w.put_u32_slice(&left);
@@ -283,9 +283,14 @@ impl LocalModel {
     /// trees (bad child links), inconsistent heads, and members the predict
     /// path would panic on are typed errors: every member must share the
     /// section's feature width (the first member's `n_cols`) and split only
-    /// on features below it. Every slot that holds a constant must hold its
-    /// exact bits. The member count and rounds are checked with the rest of
-    /// the snapshot's config ([`crate::StageConfig::validate`]).
+    /// on features below it. So is what the walked layout cannot hold
+    /// exactly (`stage_gbdt::tree`): a tree deeper than
+    /// [`tree::MAX_DEPTH`], a NaN threshold, a feature past
+    /// [`tree::MAX_COLS`], or more than [`tree::MAX_CUTS`] distinct cuts
+    /// on one column across the ensemble. Every slot that holds a constant
+    /// must hold its exact bits. The member count and rounds are checked
+    /// with the rest of the snapshot's config
+    /// ([`crate::StageConfig::validate`]).
     pub(crate) fn store_decode(
         r: &mut stage_store::SectionReader<'_>,
     ) -> Result<Self, stage_store::StoreError> {
@@ -306,7 +311,8 @@ impl LocalModel {
             if n_members.saturating_mul(64) > r.remaining() + 64 {
                 return Err(malformed("member count overruns section"));
             }
-            let mut members: Vec<stage_gbdt::NgBoost> = Vec::with_capacity(n_members);
+            let mut members: Vec<ensemble::MemberParts> = Vec::with_capacity(n_members);
+            let mut width = None;
             for _ in 0..n_members {
                 let base_mu = r.f64()?;
                 let base_log_var = r.f64()?;
@@ -315,10 +321,7 @@ impl LocalModel {
                 policy_slot("member log_var_lo", r.u64()?, lo.to_bits())?;
                 policy_slot("member log_var_hi", r.u64()?, hi.to_bits())?;
                 let n_cols = usize::try_from(r.u64()?).map_err(|_| malformed("n_cols"))?;
-                if members
-                    .first()
-                    .is_some_and(|m| m.scalar_parts().4 != n_cols)
-                {
+                if *width.get_or_insert(n_cols) != n_cols {
                     return Err(malformed("member n_cols differs from the section's width"));
                 }
                 let mut heads = Vec::with_capacity(2);
@@ -343,26 +346,27 @@ impl LocalModel {
                         let tree = stage_gbdt::Tree::from_flat_parts(
                             &feature, &threshold, &left, &right, &gain,
                         )
-                        .ok_or_else(|| malformed("tree arrays are structurally invalid"))?;
+                        .ok_or_else(|| {
+                            malformed("tree arrays are invalid or deeper than the walked layout")
+                        })?;
                         trees.push(tree);
                     }
                     heads.push(trees);
                 }
                 let var_trees = heads.pop().unwrap_or_default();
                 let mu_trees = heads.pop().unwrap_or_default();
-                let member = stage_gbdt::NgBoost::from_parts(
-                    base_mu,
-                    base_log_var,
-                    n_cols,
-                    mu_trees,
-                    var_trees,
-                )
-                .ok_or_else(|| malformed("member heads disagree on length"))?;
-                members.push(member);
+                if mu_trees.len() != var_trees.len() {
+                    return Err(malformed("member heads disagree on length"));
+                }
+                members.push((base_mu, base_log_var, mu_trees, var_trees));
             }
+            let Some(n_cols) = width else {
+                return Err(malformed("trained flag set but zero members"));
+            };
             Some(
-                BayesianEnsemble::from_members(members)
-                    .ok_or_else(|| malformed("trained flag set but zero members"))?,
+                BayesianEnsemble::from_parts(n_cols, members).ok_or_else(|| {
+                    malformed("a column has more distinct cuts than the walked layout holds")
+                })?,
             )
         } else {
             None

@@ -227,9 +227,11 @@ pub fn load_stage_store(
 
 /// Payload version of [`SECTION_GLOBAL`]; bump on breaking model-layout
 /// changes so stale artefacts fail loudly instead of predicting garbage.
-/// Version 4 holds the weights only; version 3 kept a last-step gradient
-/// beside each of them, version 2 the GCN's config and every layer's widths.
-const GLOBAL_PAYLOAD_VERSION: u32 = 4;
+/// Version 5 holds what prediction reads: the weights, the calibration and
+/// the clamp range. Version 4 also kept the training's epoch losses,
+/// version 3 a last-step gradient beside each weight, version 2 the GCN's
+/// config and every layer's widths.
+const GLOBAL_PAYLOAD_VERSION: u32 = 5;
 /// Payload kind tag of [`SECTION_GLOBAL`].
 const GLOBAL_PAYLOAD_KIND: &str = "stage-global-model";
 
@@ -330,7 +332,19 @@ mod tests {
     use crate::predictor::SystemContext;
     use stage_plan::{PlanBuilder, S3Format, NODE_FEATURE_DIM};
 
-    /// A current image rewritten into the version-3 layout it retired: a
+    /// A current image rewritten into the version-4 layout it retired: the
+    /// epoch losses after the clamp range, under tag 4.
+    fn as_version_4(text: &str) -> String {
+        let (head, tail) = text.split_once(r#""target_range":["#).unwrap();
+        let (range, rest) = tail.split_once(']').unwrap();
+        format!(r#"{head}"target_range":[{range}],"training_losses":[0.5,0.25]{rest}"#).replacen(
+            &format!(r#""version":{GLOBAL_PAYLOAD_VERSION}"#),
+            r#""version":4"#,
+            1,
+        )
+    }
+
+    /// A version-4 image rewritten into the version-3 layout it retired: a
     /// gradient (zeros) of each parameter's shape beside the values, under
     /// tag 3.
     fn as_version_3(text: &str) -> String {
@@ -349,7 +363,7 @@ mod tests {
             .collect();
         let grads = grads.join(",");
         format!(r#"{head}"values":[{values}]}}],"grads":[{grads}]{rest}"#).replacen(
-            &format!(r#""version":{GLOBAL_PAYLOAD_VERSION}"#),
+            r#""version":4"#,
             r#""version":3"#,
             1,
         )
@@ -394,8 +408,9 @@ mod tests {
 
     /// The global payload's version and kind tags are checked on restore:
     /// a stale or foreign payload behind valid section CRCs — the retired
-    /// version-3 and version-2 layouts among them — is a typed `Malformed`
-    /// (the file is quarantined), never a model that predicts garbage.
+    /// version-4, version-3 and version-2 layouts among them — is a typed
+    /// `Malformed` (the file is quarantined), never a model that predicts
+    /// garbage.
     #[test]
     fn global_payload_of_wrong_version_or_kind_is_malformed() {
         let sys = SystemContext::empty(2);
@@ -421,18 +436,25 @@ mod tests {
         let version = format!("\"version\":{GLOBAL_PAYLOAD_VERSION}");
         let kind = format!("\"kind\":\"{GLOBAL_PAYLOAD_KIND}\"");
         assert!(text.contains(&version) && text.contains(&kind));
-        // The version-3 and version-2 images are well formed and hold the
-        // same weights (the extra fields are ignored): their tags are what
-        // refuse them below.
-        let v3 = as_version_3(&text);
+        // The version-4, version-3 and version-2 images are well formed and
+        // hold the same weights (the extra fields are ignored): their tags
+        // are what refuse them below.
+        let v4 = as_version_4(&text);
+        let v3 = as_version_3(&v4);
         let v2 = as_version_2(&v3, &cfg, 2 + GLOBAL_SYS_DIM_BASE);
-        for (old, tag) in [(&v3, "\"version\":3"), (&v2, "\"version\":2")] {
+        for (old, tag) in [
+            (&v4, "\"version\":4"),
+            (&v3, "\"version\":3"),
+            (&v2, "\"version\":2"),
+        ] {
             assert!(decode_global(old.replacen(tag, &version, 1).as_bytes()).is_ok());
         }
+        assert!(v4.contains(r#""training_losses":[0.5,0.25]}"#));
         assert!(v3.contains(r#""grads":[{"rows":"#));
         for damaged in [
             text.replacen(&version, "\"version\":999", 1),
             text.replacen(&kind, "\"kind\":\"stage-local-model\"", 1),
+            v4,
             v3,
             v2,
         ] {

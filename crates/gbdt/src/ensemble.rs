@@ -12,11 +12,18 @@
 //! Model uncertainty grows when members disagree (little/unfamiliar training
 //! data); data uncertainty grows when the features can't explain the label
 //! noise. Both trigger Stage's escalation to the global model.
+//!
+//! All members' trees sit on one cut table — the shared [`Binner`]'s cuts
+//! for a trained ensemble, the stored thresholds of every member for a
+//! decoded one — so a row is ranked once per prediction and every member
+//! walks the same ranks ([`crate::tree`]).
 
 use crate::dataset::{Binner, Dataset};
 use crate::gbm::N_BINS;
-use crate::ngboost::NgBoost;
-use serde::{Deserialize, Serialize};
+use crate::ngboost::{NgBoost, NgBoostImage};
+use crate::tree::{lay_out, Cuts, Ranks, Tree};
+use serde::{Deserialize, Serialize, Value};
+use std::sync::Arc;
 
 /// Ensemble hyper-parameters: the paper trains K = 10 members of at most
 /// 200 rounds each. Every other member setting is a constant of
@@ -65,10 +72,45 @@ impl EnsemblePrediction {
 }
 
 /// The trained ensemble.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BayesianEnsemble {
+    /// The cut table every member's trees sit on (each member holds the
+    /// same `Arc`).
+    cuts: Arc<Cuts>,
     members: Vec<NgBoost>,
 }
+
+/// The serde image of a [`BayesianEnsemble`]: its members' images.
+#[derive(Serialize, Deserialize)]
+struct EnsembleImage {
+    members: Vec<NgBoostImage>,
+}
+
+impl Serialize for BayesianEnsemble {
+    fn to_value(&self) -> Value {
+        let members = self.members.iter().map(NgBoost::image).collect();
+        EnsembleImage { members }.to_value()
+    }
+}
+
+/// Reading the image back is [`BayesianEnsemble::from_parts`].
+impl Deserialize for BayesianEnsemble {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let image = EnsembleImage::from_value(v)?;
+        let n_cols = image.members.first().map_or(0, |m| m.n_cols);
+        let members: Vec<_> = image
+            .members
+            .into_iter()
+            .map(|m| (m.base_mu, m.base_log_var, m.mu_trees, m.var_trees))
+            .collect();
+        Self::from_parts(n_cols, members)
+            .ok_or_else(|| serde::Error::custom("BayesianEnsemble: members cannot be laid out"))
+    }
+}
+
+/// One decoded member of [`BayesianEnsemble::from_parts`]: `(base_mu,
+/// base_log_var, mu_trees, var_trees)`.
+pub type MemberParts = (f64, f64, Vec<Tree>, Vec<Tree>);
 
 /// SplitMix64 — deterministic per-member seed derivation.
 pub(crate) fn splitmix(seed: u64, k: u64) -> u64 {
@@ -99,34 +141,50 @@ impl BayesianEnsemble {
         if data.is_empty() || params.n_members == 0 {
             return None;
         }
-        // Binning depends on the pool only, so it is shared.
+        // Binning depends on the pool only, so it is shared, and so is the
+        // cut table it gives every member's trees.
         let binner = Binner::fit(data, N_BINS);
         let binned = binner.transform(data);
+        let cuts = Arc::new(Cuts::from_binner(&binner));
         let members = (0..params.n_members)
             .map(|k| {
                 let seed = splitmix(params.seed, k as u64);
-                NgBoost::fit_binned(data, &binner, &binned, params.n_estimators, seed)
+                let member_cuts = Arc::clone(&cuts);
+                NgBoost::fit_binned(
+                    data,
+                    (&binner, &binned),
+                    member_cuts,
+                    params.n_estimators,
+                    seed,
+                )
             })
             .collect();
-        Some(Self { members })
+        Some(Self { cuts, members })
     }
 
-    /// Predicts mean and decomposed uncertainty for a raw feature row.
+    /// Predicts mean and decomposed uncertainty for a raw feature row: the
+    /// row ranked once, every member walked on those ranks.
     pub fn predict(&self, row: &[f64]) -> EnsemblePrediction {
-        let dists: Vec<(f64, f64)> = self.members.iter().map(|m| m.predict_dist(row)).collect();
+        let rank = self.cuts.rank(row);
+        let dists: Vec<(f64, f64)> = self
+            .members
+            .iter()
+            .map(|m| m.predict_ranked(&rank))
+            .collect();
         combine(&dists)
     }
 
     /// Predicts mean and decomposed uncertainty for a batch of rows —
     /// bit-identical to calling [`BayesianEnsemble::predict`] per row. Each
-    /// member runs [`NgBoost::predict_dist_batch`] over the whole batch
-    /// (member-major), then each row's member answers are combined in
-    /// member order, exactly as the scalar path combines them.
+    /// row is ranked once; each member walks the whole batch's ranks
+    /// round-major (member-major), then each row's member answers are
+    /// combined in member order, exactly as the scalar path combines them.
     pub fn predict_batch<R: AsRef<[f64]>>(&self, rows: &[R]) -> Vec<EnsemblePrediction> {
+        let ranks: Vec<Ranks> = rows.iter().map(|r| self.cuts.rank(r.as_ref())).collect();
         let per_member: Vec<Vec<(f64, f64)>> = self
             .members
             .iter()
-            .map(|m| m.predict_dist_batch(rows))
+            .map(|m| m.predict_ranked_batch(&ranks))
             .collect();
         let mut dists = Vec::with_capacity(per_member.len());
         (0..rows.len())
@@ -148,14 +206,32 @@ impl BayesianEnsemble {
         &self.members
     }
 
-    /// Reassembles an ensemble from restored members (the artefact-store
-    /// decode path); `None` on an empty member list, mirroring `fit`.
-    pub fn from_members(members: Vec<NgBoost>) -> Option<Self> {
+    /// Reassembles an ensemble from decoded members over `n_cols`
+    /// features (the artefact-store decode path), every member's trees
+    /// laid out on one cut table built from all their thresholds. `None`
+    /// on an empty member list (mirroring `fit`), on a member whose heads
+    /// have different lengths, or when a column's thresholds across the
+    /// ensemble exceed [`crate::tree::MAX_CUTS`] distinct values.
+    pub fn from_parts(n_cols: usize, members: Vec<MemberParts>) -> Option<Self> {
         if members.is_empty() {
-            None
-        } else {
-            Some(Self { members })
+            return None;
         }
+        let heads: Vec<&[Tree]> = members
+            .iter()
+            .flat_map(|(_, _, mu, var)| [mu.as_slice(), var.as_slice()])
+            .collect();
+        let (cuts, forests) = lay_out(&heads)?;
+        let cuts = Arc::new(cuts);
+        let mut forests = forests.into_iter();
+        let members = members
+            .iter()
+            .map(|&(base_mu, base_log_var, _, _)| {
+                let (mu, var) = (forests.next()?, forests.next()?);
+                let member_cuts = Arc::clone(&cuts);
+                NgBoost::from_forests(base_mu, base_log_var, n_cols, member_cuts, mu, var)
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some(Self { cuts, members })
     }
 
     /// Mean of the members' gain-based feature importances (normalized).
@@ -180,13 +256,15 @@ impl BayesianEnsemble {
         acc
     }
 
-    /// Rough in-memory size in bytes (≈ 10× a single model, as Fig. 9 notes).
+    /// Rough in-memory size in bytes (≈ 10× a single model, as Fig. 9
+    /// notes): the members' trees and the one cut table they share.
     pub fn approx_size_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
+            + self.cuts.size_bytes()
             + self
                 .members
                 .iter()
-                .map(NgBoost::approx_size_bytes)
+                .map(NgBoost::heads_size_bytes)
                 .sum::<usize>()
     }
 }

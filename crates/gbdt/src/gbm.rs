@@ -14,19 +14,20 @@
 //! the rows and writes each grown row's leaf weight as it places the leaf.
 //! The loop then walks only the rows the trees were not grown on — the
 //! validation rows and the rows the sample left out — to update every
-//! row's score. A grown row's leaf is the one the walk would find:
-//! [`Binner`] makes `x ≤ cuts[b]` and `bin(x) ≤ b` the same test and puts
-//! NaN in the top bin, so the partition and the walk send every row the
-//! same way. The grower's buffers, the leaf weights and the shuffled rows
-//! are allocated once per fit, not once per tree, and no step changes a
+//! row's score. A fitted forest's cut table is the [`Binner`]'s, so a
+//! training row's bins are its ranks and the loop walks the binned rows
+//! as they are; a grown row's leaf is the one the walk finds, because the
+//! partition and the walk compare the same bin with the same cut index.
+//! The grower's buffers, the leaf weights and the shuffled rows are
+//! allocated once per fit, not once per tree, and no step changes a
 //! trained bit.
 
 use crate::dataset::{BinnedDataset, Binner, Dataset};
-use crate::tree::{Scratch, Tree};
+use crate::tree::{fit_heads, lay_out, Cuts, Forest, Scratch, Tree};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// Fraction of rows boosting holds out for early stopping (the paper's 20%).
 pub const VALIDATION_FRACTION: f64 = 0.2;
@@ -64,12 +65,58 @@ impl Default for GbmParams {
 }
 
 /// A trained squared-error GBM.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Gbm {
+    base: f64,
+    learning_rate: f64,
+    /// The trees' cut table: the fit's [`Binner`] cuts, or a decoded
+    /// model's thresholds.
+    cuts: Cuts,
+    trees: Forest,
+    n_cols: usize,
+}
+
+/// The serde image of a [`Gbm`]: its scalars and its trees in arena form.
+#[derive(Serialize, Deserialize)]
+struct GbmImage {
     base: f64,
     learning_rate: f64,
     trees: Vec<Tree>,
     n_cols: usize,
+}
+
+impl Serialize for Gbm {
+    fn to_value(&self) -> Value {
+        GbmImage {
+            base: self.base,
+            learning_rate: self.learning_rate,
+            trees: self
+                .trees
+                .export(&self.cuts, 0..self.trees.len())
+                .into_iter()
+                .collect(),
+            n_cols: self.n_cols,
+        }
+        .to_value()
+    }
+}
+
+/// Reading the image back lays its trees out on the cuts of their own
+/// thresholds, which answer every row as the fit's did.
+impl Deserialize for Gbm {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let image = GbmImage::from_value(v)?;
+        let (cuts, forests) = lay_out(&[&image.trees])
+            .ok_or_else(|| serde::Error::custom("Gbm: a column has too many cuts"))?;
+        let trees = forests.into_iter().next().unwrap_or_default();
+        Ok(Gbm {
+            base: image.base,
+            learning_rate: image.learning_rate,
+            cuts,
+            trees,
+            n_cols: image.n_cols,
+        })
+    }
 }
 
 impl Gbm {
@@ -110,20 +157,24 @@ impl Gbm {
         Some(Gbm {
             base,
             learning_rate: params.learning_rate,
+            cuts: Cuts::from_binner(&binner),
             trees,
             n_cols: data.n_cols(),
         })
     }
 
-    /// Predicts the target for a raw feature row.
+    /// Predicts the target for a raw feature row: the row ranked once, its
+    /// trees walked [`crate::tree::LANES`] at a time.
     pub fn predict(&self, row: &[f64]) -> f64 {
         debug_assert_eq!(row.len(), self.n_cols);
-        self.base
-            + self
-                .trees
-                .iter()
-                .map(|t| self.learning_rate * t.predict(row))
-                .sum::<f64>()
+        // Summed from −0.0 in tree order, the fold `Iterator::sum` makes for
+        // `f64`, then added to the base.
+        let mut sum = -0.0;
+        let rank = self.cuts.rank(row);
+        self.trees.for_each_walk(&rank, |_, leaves| {
+            leaves.iter().for_each(|w| sum += self.learning_rate * w);
+        });
+        self.base + sum
     }
 
     /// Number of trees after early stopping.
@@ -140,9 +191,8 @@ impl Gbm {
     /// when the model never split). Mirrors XGBoost's `total_gain`.
     pub fn feature_importance(&self) -> Vec<f64> {
         let mut imp = vec![0.0; self.n_cols];
-        for t in &self.trees {
-            t.accumulate_importance(&mut imp);
-        }
+        self.trees
+            .accumulate_importance(0..self.trees.len(), &mut imp);
         let total: f64 = imp.iter().sum();
         if total > 0.0 {
             for v in &mut imp {
@@ -152,10 +202,10 @@ impl Gbm {
         imp
     }
 
-    /// In-memory size in bytes: the struct plus every tree's arena (for
-    /// Fig. 9-style reporting).
+    /// In-memory size in bytes: the struct, its cut table and its trees
+    /// (for Fig. 9-style reporting).
     pub fn approx_size_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.trees.iter().map(Tree::size_bytes).sum::<usize>()
+        std::mem::size_of::<Self>() + self.cuts.size_bytes() + self.trees.size_bytes()
     }
 }
 
@@ -176,11 +226,12 @@ pub(crate) const UNCLAMPED: (f64, f64) = (f64::NEG_INFINITY, f64::INFINITY);
 /// plus each head's clamp `range` ([`UNCLAMPED`] for none).
 /// The loop owns the rest: the seeded shuffle and the
 /// [`VALIDATION_FRACTION`] split (none below 10 rows or without early
-/// stopping), each round's row sample, one [`Tree::fit_heads`] for all
+/// stopping), each round's row sample, one [`fit_heads`] for all
 /// heads over every column, the update `f ← clamp(f + lr·tree(x))` of
 /// every row — its leaf taken from the grower for a sampled row, from a
-/// walk for any other — and early stopping, which truncates every head to
-/// the best round. Returns each head's base and trees.
+/// walk of its bins for any other — and early stopping, which truncates
+/// every head to the best round. Returns each head's base and trees, laid
+/// out on the cuts of `binner`.
 pub(crate) fn boost<const K: usize>(
     data: &Dataset,
     (binner, binned): (&Binner, &BinnedDataset),
@@ -189,7 +240,7 @@ pub(crate) fn boost<const K: usize>(
     base: impl FnOnce(Vec<f64>) -> [f64; K],
     grad: impl Fn(f64, [f64; K]) -> [f64; K],
     loss: impl Fn(f64, [f64; K]) -> f64,
-) -> ([f64; K], [Vec<Tree>; K]) {
+) -> ([f64; K], [Forest; K]) {
     let mut rng = StdRng::seed_from_u64(params.seed);
     let n = data.n_rows();
 
@@ -203,7 +254,7 @@ pub(crate) fn boost<const K: usize>(
     let (val_idx, train_idx) = order.split_at(n_val);
 
     let base = base(train_idx.iter().map(|&i| data.target(i)).collect());
-    let mut heads: [Vec<Tree>; K] = std::array::from_fn(|_| Vec::new());
+    let mut heads: [Forest; K] = std::array::from_fn(|_| Forest::default());
     let mut f: [Vec<f64>; K] = base.map(|b| vec![b; n]);
     let at = |f: &[Vec<f64>; K], i: usize| -> [f64; K] { std::array::from_fn(|k| f[k][i]) };
     let mut grads: [Vec<f64>; K] = std::array::from_fn(|_| vec![0.0; n]);
@@ -229,29 +280,48 @@ pub(crate) fn boost<const K: usize>(
             }
         }
         let head_grads = grads.each_ref().map(Vec::as_slice);
-        let trees = Tree::fit_heads(
+        fit_heads(
             &mut scratch,
-            (binner, binned),
+            binned,
             head_grads,
             rows,
             &mut leaves,
+            &mut heads,
         );
-        for ((fk, leaf), ((lo, hi), tree)) in
-            f.iter_mut().zip(&mut leaves).zip(range.iter().zip(&trees))
+        for ((fk, leaf), ((lo, hi), head)) in
+            f.iter_mut().zip(&mut leaves).zip(range.iter().zip(&heads))
         {
+            let t = head.len() - 1;
             debug_assert!(
-                rows.iter()
-                    .all(|&r| tree.predict(data.row(r)).to_bits() == leaf[r].to_bits()),
+                {
+                    let mut walked = Vec::with_capacity(rows.len());
+                    head.tree_leaves(
+                        t,
+                        rows.len(),
+                        |i| binned.row(rows[i]),
+                        |_, w| {
+                            walked.push(w);
+                        },
+                    );
+                    rows.iter()
+                        .zip(&walked)
+                        .all(|(&r, w)| w.to_bits() == leaf[r].to_bits())
+                },
                 "a grown row's leaf weight is not the one the walk finds"
             );
-            tree.predict_at(data, val_idx, leaf);
-            tree.predict_at(data, unsampled, leaf);
+            for at in [val_idx, unsampled] {
+                head.tree_leaves(
+                    t,
+                    at.len(),
+                    |i| binned.row(at[i]),
+                    |i, w| {
+                        leaf[at[i]] = w;
+                    },
+                );
+            }
             for (v, w) in fk.iter_mut().zip(leaf.iter()) {
                 *v = (*v + params.learning_rate * w).clamp(*lo, *hi);
             }
-        }
-        for (head, tree) in heads.iter_mut().zip(trees) {
-            head.push(tree);
         }
 
         if n_val > 0 {

@@ -37,12 +37,13 @@
 //! schedule the AutoWLM baseline and the ablations vary, and
 //! [`EnsembleParams`] the member count, round count and seed.
 //!
-//! A fitted [`Tree`] is one `Vec` arena whose leaves loop to themselves:
-//! `fit` emits it, one branch-free kernel walks it — [`tree::LANES`]
-//! (tree, row) chains in lockstep, each exactly the tree's depth in steps;
-//! [`Tree::predict`] is one chain, a boosted head walks many trees per row
-//! and a batch many rows per tree — and `to_flat_parts` /
-//! `from_flat_parts` move it through the artefact store.
+//! Every forest is walked in one layout ([`tree`]): a cut table per model
+//! (an ensemble's members share one), each row ranked on it once, and
+//! complete depth-6 trees of 2-byte `(rank, column)` nodes that one
+//! branch-free kernel walks [`tree::LANES`] (tree, row) chains at a time —
+//! a boosted head walks many trees per row and a batch many rows per
+//! tree. A [`Tree`] is one tree's arena form, which `to_flat_parts` /
+//! `from_flat_parts` move through the artefact store.
 //!
 //! All training is deterministic given the seed.
 

@@ -17,11 +17,19 @@
 //! Only the round count and the seed are the caller's; shrinkage, the row
 //! sample, the early-stopping patience and the log-variance clamp are this
 //! module's constants (the paper's member settings).
+//!
+//! Both heads are one forest in [`crate::tree`]'s walked layout — the μ
+//! trees, then the s trees — over one cut table, which an ensemble's
+//! members share: a row is ranked once, then the forest is walked
+//! [`crate::tree::LANES`] trees at a time by the one kernel. The table is
+//! the fit's [`Binner`] cuts, or a decoded model's thresholds; either
+//! answers every row the same.
 
 use crate::dataset::{BinnedDataset, Binner, Dataset};
 use crate::gbm::{boost, GbmParams, N_BINS, UNCLAMPED};
-use crate::tree::{walk, Tree, LANES};
-use serde::{Deserialize, Serialize};
+use crate::tree::{lay_out, Cuts, Forest, Ranks, Tree, Trees};
+use serde::{Deserialize, Serialize, Value};
+use std::sync::Arc;
 
 /// Shrinkage applied to both heads' trees.
 pub const LEARNING_RATE: f64 = 0.1;
@@ -33,13 +41,46 @@ pub const EARLY_STOPPING_ROUNDS: usize = 10;
 pub const LOG_VAR_RANGE: (f64, f64) = (-12.0, 12.0);
 
 /// A trained Gaussian NGBoost model: predicts `(μ, σ²)` per row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NgBoost {
     base_mu: f64,
     base_log_var: f64,
-    mu_trees: Vec<Tree>,
-    var_trees: Vec<Tree>,
+    /// The heads' cut table, shared by every member of an ensemble.
+    cuts: Arc<Cuts>,
+    /// The μ head's trees, then the s head's: `2 × rounds` trees.
+    trees: Forest,
     n_cols: usize,
+}
+
+/// The serde image of an [`NgBoost`]: its scalars and both heads in arena
+/// form.
+#[derive(Serialize, Deserialize)]
+pub(crate) struct NgBoostImage {
+    pub(crate) base_mu: f64,
+    pub(crate) base_log_var: f64,
+    pub(crate) mu_trees: Vec<Tree>,
+    pub(crate) var_trees: Vec<Tree>,
+    pub(crate) n_cols: usize,
+}
+
+impl Serialize for NgBoost {
+    fn to_value(&self) -> Value {
+        self.image().to_value()
+    }
+}
+
+/// Reading the image back lays both heads out on the cuts of their own
+/// thresholds, which answer every row as the fit's did.
+impl Deserialize for NgBoost {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let image = NgBoostImage::from_value(v)?;
+        let (cuts, heads) = lay_out(&[&image.mu_trees, &image.var_trees])
+            .ok_or_else(|| serde::Error::custom("NgBoost: a column has too many cuts"))?;
+        let [mu, var] = <[Forest; 2]>::try_from(heads).unwrap_or_default();
+        let (base_mu, base_log_var, n_cols) = (image.base_mu, image.base_log_var, image.n_cols);
+        NgBoost::from_forests(base_mu, base_log_var, n_cols, Arc::new(cuts), mu, var)
+            .ok_or_else(|| serde::Error::custom("NgBoost: heads of different lengths"))
+    }
 }
 
 impl NgBoost {
@@ -51,15 +92,23 @@ impl NgBoost {
         }
         let binner = Binner::fit(data, N_BINS);
         let binned = binner.transform(data);
-        Some(Self::fit_binned(data, &binner, &binned, n_estimators, seed))
+        let cuts = Arc::new(Cuts::from_binner(&binner));
+        Some(Self::fit_binned(
+            data,
+            (&binner, &binned),
+            cuts,
+            n_estimators,
+            seed,
+        ))
     }
 
     /// [`NgBoost::fit`] on a non-empty dataset already binned into
-    /// [`N_BINS`], so the ensemble bins its pool once for all members.
+    /// [`N_BINS`], so the ensemble bins its pool once for all members and
+    /// they share `cuts`, the table of `binner`.
     pub(crate) fn fit_binned(
         data: &Dataset,
-        binner: &Binner,
-        binned: &BinnedDataset,
+        (binner, binned): (&Binner, &BinnedDataset),
+        cuts: Arc<Cuts>,
         n_estimators: usize,
         seed: u64,
     ) -> Self {
@@ -71,7 +120,7 @@ impl NgBoost {
             seed,
         };
         let (lo, hi) = LOG_VAR_RANGE;
-        let ([base_mu, base_log_var], [mu_trees, var_trees]) = boost(
+        let ([base_mu, base_log_var], [mu, var]) = boost(
             data,
             (binner, binned),
             &schedule,
@@ -93,62 +142,102 @@ impl NgBoost {
                 0.5 * (s + d * d * (-s).exp())
             },
         );
+        let mut trees = mu;
+        trees.append(var);
         NgBoost {
             base_mu,
             base_log_var,
-            mu_trees,
-            var_trees,
+            cuts,
+            trees,
             n_cols: data.n_cols(),
         }
     }
 
-    /// Predicts `(μ, σ²)` for a raw feature row. Each head's trees are
-    /// walked [`LANES`] at a time in lockstep; μ and s then take the leaf
-    /// weights in boosting order, each s step clamped.
+    /// A model of two laid-out heads on `cuts`; `None` when the heads have
+    /// different lengths — `fit` always truncates them together, so a
+    /// mismatch means the artefact is corrupt.
+    pub(crate) fn from_forests(
+        base_mu: f64,
+        base_log_var: f64,
+        n_cols: usize,
+        cuts: Arc<Cuts>,
+        mut mu: Forest,
+        var: Forest,
+    ) -> Option<Self> {
+        if mu.len() != var.len() {
+            return None;
+        }
+        mu.append(var);
+        Some(NgBoost {
+            base_mu,
+            base_log_var,
+            cuts,
+            trees: mu,
+            n_cols,
+        })
+    }
+
+    /// The model's serde image: both heads exported to arena form.
+    pub(crate) fn image(&self) -> NgBoostImage {
+        NgBoostImage {
+            base_mu: self.base_mu,
+            base_log_var: self.base_log_var,
+            mu_trees: self.mu_trees().into_iter().collect(),
+            var_trees: self.var_trees().into_iter().collect(),
+            n_cols: self.n_cols,
+        }
+    }
+
+    /// Predicts `(μ, σ²)` for a raw feature row: the row ranked on the cut
+    /// table, then walked on those ranks.
     pub fn predict_dist(&self, row: &[f64]) -> (f64, f64) {
         debug_assert_eq!(row.len(), self.n_cols);
-        let mut mu = self.base_mu;
-        let mut s = self.base_log_var;
+        self.predict_ranked(&self.cuts.rank(row))
+    }
+
+    /// `(μ, σ²)` for a row ranked on this model's cut table. Both heads'
+    /// trees are walked [`crate::tree::LANES`] at a time in lockstep; μ and
+    /// s take their head's leaf weights in boosting order, each s step
+    /// clamped.
+    pub(crate) fn predict_ranked(&self, rank: &Ranks) -> (f64, f64) {
         let (lo, hi) = LOG_VAR_RANGE;
-        let mut leaf = [0.0; LANES];
-        for (tm, ts) in self
-            .mu_trees
-            .chunks(LANES)
-            .zip(self.var_trees.chunks(LANES))
-        {
-            let leaf = &mut leaf[..tm.len()];
-            walk(leaf, |j| (&tm[j], row));
-            for w in leaf.iter() {
-                mu += LEARNING_RATE * w;
-            }
-            walk(leaf, |j| (&ts[j], row));
-            for w in leaf.iter() {
-                s = (s + LEARNING_RATE * w).clamp(lo, hi);
-            }
-        }
+        let rounds = self.n_rounds();
+        let (mut mu, mut s) = (self.base_mu, self.base_log_var);
+        self.trees.for_each_walk(rank, |t, leaves| {
+            let (mu_leaves, s_leaves) = leaves.split_at(rounds.saturating_sub(t).min(leaves.len()));
+            mu_leaves.iter().for_each(|w| mu += LEARNING_RATE * w);
+            s_leaves
+                .iter()
+                .for_each(|w| s = (s + LEARNING_RATE * w).clamp(lo, hi));
+        });
         (mu, s.exp())
     }
 
     /// Predicts `(μ, σ²)` for a batch of rows — bit-identical to calling
-    /// [`NgBoost::predict_dist`] per row. The loop is round-major: each
-    /// tree walks the whole batch, [`LANES`] rows in lockstep, while its
-    /// nodes are hot; each round updates every row's μ, then every row's s
-    /// (with the per-round clamp), exactly the scalar update order.
+    /// [`NgBoost::predict_dist`] per row: each row ranked once, then
+    /// every tree walked over the whole batch of ranks.
     pub fn predict_dist_batch<R: AsRef<[f64]>>(&self, rows: &[R]) -> Vec<(f64, f64)> {
-        let n = rows.len();
+        let ranks: Vec<Ranks> = rows.iter().map(|r| self.cuts.rank(r.as_ref())).collect();
+        self.predict_ranked_batch(&ranks)
+    }
+
+    /// `(μ, σ²)` for rows ranked on this model's cut table. The loop is
+    /// round-major: each tree walks the whole batch, [`crate::tree::LANES`]
+    /// rows in lockstep, while its nodes are hot; each round updates every
+    /// row's μ, then every row's s (with the per-round clamp), exactly the
+    /// scalar update order.
+    pub(crate) fn predict_ranked_batch(&self, ranks: &[Ranks]) -> Vec<(f64, f64)> {
+        let n = ranks.len();
         let (lo, hi) = LOG_VAR_RANGE;
         let mut mu = vec![self.base_mu; n];
         let mut s = vec![self.base_log_var; n];
-        let mut leaf = vec![0.0; n];
-        for (tm, ts) in self.mu_trees.iter().zip(&self.var_trees) {
-            tm.predict_rows(rows, &mut leaf);
-            for (m, w) in mu.iter_mut().zip(&leaf) {
-                *m += LEARNING_RATE * w;
-            }
-            ts.predict_rows(rows, &mut leaf);
-            for (sv, w) in s.iter_mut().zip(&leaf) {
-                *sv = (*sv + LEARNING_RATE * w).clamp(lo, hi);
-            }
+        let rounds = self.n_rounds();
+        let rank = |i: usize| &ranks[i];
+        for t in 0..rounds {
+            let mu_step = |i: usize, w: f64| mu[i] += LEARNING_RATE * w;
+            self.trees.tree_leaves(t, n, rank, mu_step);
+            let s_step = |i: usize, w: f64| s[i] = (s[i] + LEARNING_RATE * w).clamp(lo, hi);
+            self.trees.tree_leaves(rounds + t, n, rank, s_step);
         }
         mu.into_iter().zip(s).map(|(m, sv)| (m, sv.exp())).collect()
     }
@@ -160,7 +249,7 @@ impl NgBoost {
 
     /// Boosting rounds kept after early stopping.
     pub fn n_rounds(&self) -> usize {
-        self.mu_trees.len()
+        self.trees.len() / 2
     }
 
     /// Gain-based feature importance of the mean (μ) head, normalized to
@@ -168,9 +257,8 @@ impl NgBoost {
     /// about what drives the *prediction*, not its error bar.
     pub fn feature_importance(&self) -> Vec<f64> {
         let mut imp = vec![0.0; self.n_cols];
-        for t in &self.mu_trees {
-            t.accumulate_importance(&mut imp);
-        }
+        self.trees
+            .accumulate_importance(0..self.n_rounds(), &mut imp);
         let total: f64 = imp.iter().sum();
         if total > 0.0 {
             for v in &mut imp {
@@ -193,38 +281,15 @@ impl NgBoost {
         )
     }
 
-    /// The μ-head trees, in boosting order.
-    pub fn mu_trees(&self) -> &[Tree] {
-        &self.mu_trees
+    /// The μ-head trees in arena form, in boosting order.
+    pub fn mu_trees(&self) -> Trees<'_> {
+        self.trees.export(&self.cuts, 0..self.n_rounds())
     }
 
-    /// The s-head (log-variance) trees, in boosting order.
-    pub fn var_trees(&self) -> &[Tree] {
-        &self.var_trees
-    }
-
-    /// Reassembles a model from the fitted parts of
-    /// [`NgBoost::scalar_parts`] plus both tree heads (the artefact-store
-    /// decode path). Returns `None` when the heads have different lengths —
-    /// `fit` always truncates them together, so a mismatch means the
-    /// artefact is corrupt.
-    pub fn from_parts(
-        base_mu: f64,
-        base_log_var: f64,
-        n_cols: usize,
-        mu_trees: Vec<Tree>,
-        var_trees: Vec<Tree>,
-    ) -> Option<Self> {
-        if mu_trees.len() != var_trees.len() {
-            return None;
-        }
-        Some(Self {
-            base_mu,
-            base_log_var,
-            mu_trees,
-            var_trees,
-            n_cols,
-        })
+    /// The s-head (log-variance) trees in arena form, in boosting order.
+    pub fn var_trees(&self) -> Trees<'_> {
+        let rounds = self.n_rounds();
+        self.trees.export(&self.cuts, rounds..2 * rounds)
     }
 
     /// The feature width this model was fitted on.
@@ -232,15 +297,15 @@ impl NgBoost {
         self.n_cols
     }
 
-    /// In-memory size in bytes: the struct plus every tree's arena.
+    /// In-memory size in bytes: the struct, its cut table and both heads.
     pub fn approx_size_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self
-                .mu_trees
-                .iter()
-                .chain(&self.var_trees)
-                .map(Tree::size_bytes)
-                .sum::<usize>()
+        self.cuts.size_bytes() + self.heads_size_bytes()
+    }
+
+    /// The struct and both heads, without the cut table an ensemble's
+    /// members share.
+    pub(crate) fn heads_size_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.trees.size_bytes()
     }
 }
 
@@ -340,7 +405,7 @@ mod tests {
     fn early_stopping_truncates_both_heads() {
         let data = hetero(400, 5);
         let model = NgBoost::fit(&data, 200, 42).unwrap();
-        assert_eq!(model.mu_trees.len(), model.var_trees.len());
+        assert_eq!(model.mu_trees().len(), model.var_trees().len());
         assert!(model.n_rounds() >= 1);
     }
 }

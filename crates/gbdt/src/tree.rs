@@ -1,5 +1,5 @@
 //! Second-order regression trees with histogram split finding, and the one
-//! walk that reads them.
+//! walk that reads every forest.
 //!
 //! Trees are grown depth-first on per-sample gradients with the XGBoost gain
 //! criterion
@@ -10,8 +10,8 @@
 //!
 //! and leaf weights `−G/(H+λ)`. Every loss this crate boosts has unit
 //! hessians, so `H` is the row count. Split candidates are bin boundaries
-//! produced by [`crate::dataset::Binner`]; the chosen split stores the raw
-//! cut value so prediction needs only the original (unbinned) feature vector.
+//! produced by [`crate::dataset::Binner`]: a split on bin `b` of column `c`
+//! sends a row left iff `x[c] ≤ cuts[c][b]`.
 //!
 //! The grower is the standard histogram scheme: one row-major pass per node
 //! fills a flat `(Σg, count)` histogram over the tree's non-constant columns;
@@ -19,7 +19,7 @@
 //! is `parent − smaller`; candidates are scored from a `1/(k+λ)` table, and
 //! a column's scan stops at the first boundary that leaves its right side
 //! too small. It grows one tree per boosting head on the same rows
-//! (`Tree::fit_heads`): the root pass reads each row's bins once and adds
+//! (`fit_heads`): the root pass reads each row's bins once and adds
 //! every head's gradient — each head's sums still in row order, so each
 //! root histogram is bit for bit the one a pass for that head alone would
 //! fill — and below the root each head grows alone. Placing a leaf writes
@@ -28,18 +28,32 @@
 //! reads it instead of walking the rows it grew on. All buffers live in a
 //! `Scratch` that one boosting fit allocates once.
 //!
-//! A fitted tree is one `Vec` arena of 24-byte nodes plus its depth. A step
-//! from node `n` goes to `n.kids[!(x[n.feature] <= n.threshold)]` — NaN goes
-//! right — and a leaf's two kids are the leaf itself, its weight in the
-//! threshold slot. Walking exactly `depth` steps from the root therefore
-//! lands on the leaf a walk that stops at leaves would find, with no
-//! data-dependent branch. The kernel walks up to [`LANES`] independent
-//! (tree, row) chains in lockstep, so their loads overlap: [`Tree::predict`]
-//! is one chain, a boosted head walks many trees for one row, and a batch
-//! walks one tree for many rows.
+//! Every forest is walked in one layout:
+//!
+//! * **Cut table.** Per column, the sorted cuts the forest's splits compare
+//!   against: for a fitted model the cuts of the [`Binner`] it grew on, for
+//!   a decoded one the distinct thresholds its trees store.
+//! * **Ranks.** A row is ranked once per table: `rank[c] = #{cuts < x[c]}`,
+//!   NaN above every cut. A training row's rank is its bin.
+//! * **Complete trees.** Each tree is a complete depth-[`MAX_DEPTH`] tree
+//!   of 2-byte `(k, column)` nodes in heap order, its 2^`MAX_DEPTH` leaf
+//!   weights beside them. A leaf grown shallower sits at its leftmost
+//!   descendant, and the padding nodes above it (`k = 255`) step left.
+//! * **One kernel.** Up to [`LANES`] (tree, ranked row) chains walk in
+//!   lockstep, each exactly `MAX_DEPTH` steps of `c = 2c + 1 + (rank[col] > k)`.
+//!
+//! The step is exact: for cuts sorted ascending, `x ≤ cuts[k] ⇔
+//! #{cuts < x} ≤ k` (ties and −0.0 included), and NaN, ranked above every
+//! cut, goes right at every split as `NaN <= t` does. So a column holds at
+//! most [`MAX_CUTS`] cuts and a node addresses [`MAX_COLS`] columns.
+//!
+//! A [`Tree`] is one tree in the artefact store's arena form (five parallel
+//! arrays, [`Tree::to_flat_parts`]): models export their trees to it and are
+//! rebuilt from it, and no model walks it.
 
-use crate::dataset::{BinnedDataset, Binner, Dataset};
-use serde::{Deserialize, Serialize};
+use crate::dataset::{BinnedDataset, Binner};
+use serde::{Deserialize, Serialize, Value};
+use std::ops::Range;
 
 /// The five parallel arrays of [`Tree::to_flat_parts`]:
 /// `(feature, threshold, left, right, gain)`.
@@ -57,223 +71,466 @@ pub const LAMBDA: f64 = 1.0;
 pub const MIN_CHILD: usize = 1;
 /// Gain a split must exceed.
 pub const MIN_GAIN: f64 = 1e-8;
+/// Columns a node can address: its column is one byte. The grower never
+/// splits on a later column.
+pub const MAX_COLS: usize = 1 << 8;
+/// Most distinct cuts one column of a cut table holds: a rank (0 to the
+/// cut count) fits a byte, and `k = 255` is left to padding.
+pub const MAX_CUTS: usize = u8::MAX as usize;
 
-/// Arena node. A split goes to `kids[0]` iff `x[feature] <= threshold`,
-/// else to `kids[1]`. A leaf at index `i` has `kids == [i, i]`, its weight
-/// as `threshold` and `feature == 0`, so a step from it stays put.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+/// Leaf slots of a complete tree, and its node slots: nodes `1` to
+/// `LEAVES − 1` are the splits of depths 0 to `MAX_DEPTH − 1`.
+const LEAVES: usize = 1 << MAX_DEPTH;
+
+/// One node of a complete tree: a row goes right iff its rank in `col`
+/// exceeds `k`, i.e. iff its value exceeds cut `k` of that column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Node {
-    threshold: f64,
-    kids: [u32; 2],
-    feature: u32,
+    k: u8,
+    col: u8,
 }
 
-const _: () = assert!(std::mem::size_of::<Node>() <= 24);
+const _: () = assert!(std::mem::size_of::<Node>() == 2);
+
+/// A padding node: no rank exceeds 255, so it always steps left.
+const PAD: Node = Node { k: u8::MAX, col: 0 };
 
 impl Node {
-    fn leaf(at: usize, weight: f64) -> Self {
-        Node {
-            threshold: weight,
-            kids: [at as u32; 2],
-            feature: 0,
-        }
-    }
-
-    fn is_leaf(&self, at: usize) -> bool {
-        self.kids[0] as usize == at
+    fn is_pad(self) -> bool {
+        self.k == u8::MAX
     }
 }
 
-/// A trained regression tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Tree {
-    nodes: Vec<Node>,
-    /// Each split's gain (0 at a leaf), parallel to `nodes`: read only by
-    /// feature importance and export, so it stays out of the walked node.
-    gains: Vec<f64>,
-    /// The longest root-to-leaf path: every walk takes this many steps.
-    depth: usize,
+/// One tree as the kernel walks it, numbered as a heap from 1: node `c`'s
+/// children are `2c` (left) and `2c + 1`, and `MAX_DEPTH` steps from the
+/// root (node 1) land on `LEAVES + i`, whose weight is `leaves[i]`. Slot 0
+/// is never read. The non-padding nodes are exactly the tree's splits:
+/// nothing is written below a leaf.
+#[derive(Debug, Clone)]
+struct Complete {
+    nodes: [Node; LEAVES],
+    leaves: [f64; LEAVES],
 }
 
-/// Walks `out.len()` (at most [`LANES`]) chains in lockstep, chain `j`
-/// being tree `chain(j).0` on row `chain(j).1`, and writes each chain's leaf
-/// weight to `out[j]`. Every chain takes the deepest tree's step count; a
-/// chain already at its leaf steps onto the same leaf.
+impl Complete {
+    /// All padding: the single leaf `leaves[0]`.
+    const EMPTY: Complete = Complete {
+        nodes: [PAD; LEAVES],
+        leaves: [0.0; LEAVES],
+    };
+
+    fn n_splits(&self) -> usize {
+        self.nodes.iter().filter(|n| !n.is_pad()).count()
+    }
+}
+
+/// The leaf slot a walk reaches from node `c` at `depth` by stepping left
+/// until `MAX_DEPTH`: where a leaf placed at `c` keeps its weight.
+fn leftmost(c: usize, depth: usize) -> usize {
+    (c << (MAX_DEPTH - depth)) - LEAVES
+}
+
+/// A row's ranks in every column a node can address.
+pub(crate) type Ranks = [u8; MAX_COLS];
+
+/// A ranked row as the kernel reads it.
+pub(crate) trait Ranked {
+    /// The row's rank in column `col`.
+    fn rank(&self, col: u8) -> u8;
+}
+
+impl Ranked for Ranks {
+    #[inline]
+    fn rank(&self, col: u8) -> u8 {
+        self[usize::from(col)]
+    }
+}
+
+/// A binned training row, whose bins are its ranks on its [`Binner`]'s
+/// table; a column past the row ranks 0, so padding still steps left.
+impl Ranked for [u8] {
+    #[inline]
+    fn rank(&self, col: u8) -> u8 {
+        self.get(usize::from(col)).copied().unwrap_or(0)
+    }
+}
+
+/// The kernel. Walks `out.len()` (1 to [`LANES`]) chains in lockstep,
+/// chain `j` being tree `chain(j).0` on ranked row `chain(j).1`, and writes
+/// each chain's leaf weight to `out[j]`. Every chain takes `MAX_DEPTH`
+/// steps `c = 2c + (rank[col] > k)`, so no branch depends on the data. The
+/// step loop always runs [`LANES`] chains, a fixed trip count the compiler
+/// unrolls; a shorter call repeats its last chain in the spare lanes and
+/// writes nothing for them.
 #[inline]
-#[expect(
-    clippy::neg_cmp_op_on_partial_ord,
-    reason = "`!(x <= t)` is the step: a NaN feature compares false and goes right"
-)]
-pub(crate) fn walk<'a>(out: &mut [f64], chain: impl Fn(usize) -> (&'a Tree, &'a [f64])) {
-    let mut at = [0u32; LANES];
-    let at = &mut at[..out.len()];
-    let depth = (0..at.len()).map(|j| chain(j).0.depth).max().unwrap_or(0);
-    for _ in 0..depth {
-        for (j, i) in at.iter_mut().enumerate() {
-            let (tree, row) = chain(j);
-            let node = &tree.nodes[*i as usize];
-            *i = node.kids[usize::from(!(row[node.feature as usize] <= node.threshold))];
+fn walk<'t, 'r, R: Ranked + ?Sized + 'r>(
+    out: &mut [f64],
+    chain: impl Fn(usize) -> (&'t Complete, &'r R),
+) {
+    let last = out.len().saturating_sub(1);
+    let chains: [(&Complete, &R); LANES] = std::array::from_fn(|j| chain(j.min(last)));
+    let mut at = [1usize; LANES];
+    for _ in 0..MAX_DEPTH {
+        for (c, (tree, rank)) in at.iter_mut().zip(&chains) {
+            // Below `LEAVES` until the last step, so the mask changes nothing.
+            let node = tree.nodes[*c % LEAVES];
+            *c = 2 * *c + usize::from(rank.rank(node.col) > node.k);
         }
     }
-    for (j, (o, &i)) in out.iter_mut().zip(at.iter()).enumerate() {
-        *o = chain(j).0.nodes[i as usize].threshold;
+    for (o, (&c, (tree, _))) in out.iter_mut().zip(at.iter().zip(&chains)) {
+        // `c` is `LEAVES + i` for leaf `i`.
+        *o = tree.leaves[c % LEAVES];
     }
+}
+
+/// Per column, the sorted cuts a forest's splits compare against.
+#[derive(Debug, Clone)]
+pub(crate) struct Cuts {
+    /// Every column's cuts end to end, each column's ascending.
+    cuts: Vec<f64>,
+    /// Column `c`'s cuts are `cuts[starts[c]..starts[c + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl Cuts {
+    /// One column per entry of `columns`, each sorted ascending and of at
+    /// most [`MAX_CUTS`] cuts; at most [`MAX_COLS`] columns.
+    fn from_columns<'a>(columns: impl Iterator<Item = &'a [f64]>) -> Self {
+        let mut cuts = Vec::new();
+        let mut starts = vec![0];
+        for col in columns.take(MAX_COLS) {
+            debug_assert!(col.len() <= MAX_CUTS && col.is_sorted_by(|a, b| a <= b));
+            cuts.extend_from_slice(col);
+            starts.push(cuts.len());
+        }
+        Cuts { cuts, starts }
+    }
+
+    /// The table of a model fitted on `binner`'s bins: its cuts, so a
+    /// binned row's bins are its ranks.
+    pub(crate) fn from_binner(binner: &Binner) -> Self {
+        Self::from_columns((0..binner.n_features()).map(|c| binner.cuts(c)))
+    }
+
+    /// The table of decoded trees: per column, the distinct thresholds
+    /// (bit for bit, so −0.0 and 0.0 are two) of every split their roots
+    /// reach, ascending. `None` if a column has more than [`MAX_CUTS`].
+    fn of_trees<'a>(trees: impl Iterator<Item = &'a Tree>) -> Option<Self> {
+        let mut columns: Vec<Vec<f64>> = Vec::new();
+        for tree in trees {
+            tree.each_reached_split(0, &mut |col, threshold| {
+                if columns.len() <= col {
+                    columns.resize_with(col + 1, Vec::new);
+                }
+                columns[col].push(threshold);
+            });
+        }
+        for col in &mut columns {
+            col.sort_by(f64::total_cmp);
+            col.dedup_by(|a, b| a.to_bits() == b.to_bits());
+            if col.len() > MAX_CUTS {
+                return None;
+            }
+        }
+        Some(Self::from_columns(columns.iter().map(Vec::as_slice)))
+    }
+
+    /// `row`'s ranks: `#{cuts < x}` per column of the table, NaN above
+    /// every cut; 0 for columns past the table or the row.
+    pub(crate) fn rank(&self, row: &[f64]) -> Ranks {
+        let mut rank = [0; MAX_COLS];
+        for ((r, &x), w) in rank.iter_mut().zip(row).zip(self.starts.windows(2)) {
+            let cuts = &self.cuts[w[0]..w[1]];
+            let below = if x.is_nan() {
+                cuts.len()
+            } else {
+                cuts.partition_point(|&c| c < x)
+            };
+            *r = below as u8;
+        }
+        rank
+    }
+
+    /// Column `col`'s cuts, if the table has that column.
+    fn column(&self, col: usize) -> Option<&[f64]> {
+        let (&lo, &hi) = (self.starts.get(col)?, self.starts.get(col + 1)?);
+        Some(&self.cuts[lo..hi])
+    }
+
+    /// The index of `threshold`'s exact bits among column `col`'s cuts.
+    fn k_of(&self, col: usize, threshold: f64) -> Option<u8> {
+        let cuts = self.column(col)?;
+        let k = cuts.partition_point(|c| c.total_cmp(&threshold).is_lt());
+        let hit = cuts.get(k)?.to_bits() == threshold.to_bits();
+        hit.then_some(k as u8)
+    }
+
+    /// Cut `k` of column `col`: the threshold of a split node.
+    fn cut(&self, node: Node) -> f64 {
+        self.column(usize::from(node.col))
+            .and_then(|cuts| cuts.get(usize::from(node.k)))
+            .copied()
+            .unwrap_or(f64::NAN)
+    }
+
+    pub(crate) fn size_bytes(&self) -> usize {
+        self.cuts.len() * std::mem::size_of::<f64>()
+            + self.starts.len() * std::mem::size_of::<usize>()
+    }
+}
+
+/// Trees in the walked layout — one head's, or an NGBoost member's two
+/// heads one after the other — over a [`Cuts`] table that the model
+/// holding them keeps.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Forest {
+    trees: Vec<Complete>,
+    /// Every split's gain, tree by tree, each tree's in preorder: read only
+    /// by feature importance and export, so it stays out of the walk.
+    gains: Vec<f64>,
+}
+
+impl Forest {
+    /// Lays `trees` out on `cuts`; `None` if a split's threshold is not
+    /// one of the table's cuts.
+    fn on(cuts: &Cuts, trees: &[Tree]) -> Option<Self> {
+        let mut forest = Forest {
+            trees: Vec::with_capacity(trees.len()),
+            gains: Vec::new(),
+        };
+        for tree in trees {
+            let mut complete = Complete::EMPTY;
+            tree.unroll(0, 1, 0, cuts, &mut complete, &mut forest.gains)?;
+            forest.trees.push(complete);
+        }
+        Some(forest)
+    }
+
+    /// Number of trees.
+    pub(crate) fn len(&self) -> usize {
+        self.trees.len()
+    }
+
+    /// Keeps the first `n` trees.
+    pub(crate) fn truncate(&mut self, n: usize) {
+        let kept = self.trees.iter().take(n).map(Complete::n_splits).sum();
+        self.trees.truncate(n);
+        self.gains.truncate(kept);
+    }
+
+    /// Puts `other`'s trees after this forest's, so one walk takes both.
+    pub(crate) fn append(&mut self, mut other: Forest) {
+        self.trees.append(&mut other.trees);
+        self.gains.append(&mut other.gains);
+    }
+
+    /// The gains of the trees in `range`.
+    fn gains_of(&self, range: Range<usize>) -> &[f64] {
+        let splits = |trees: &[Complete]| trees.iter().map(Complete::n_splits).sum::<usize>();
+        let before = splits(&self.trees[..range.start]);
+        &self.gains[before..before + splits(&self.trees[range])]
+    }
+
+    /// Every tree's leaf weight for one ranked row, the trees walked
+    /// [`LANES`] at a time: `put(t, weights)` receives the weights of trees
+    /// `t..t + weights.len()`, in tree order.
+    #[inline]
+    pub(crate) fn for_each_walk(&self, rank: &Ranks, mut put: impl FnMut(usize, &[f64])) {
+        let mut out = [0.0; LANES];
+        for (i, ts) in self.trees.chunks(LANES).enumerate() {
+            let out = &mut out[..ts.len()];
+            walk(out, |j| (&ts[j], rank));
+            put(i * LANES, out);
+        }
+    }
+
+    /// Tree `t`'s leaf weight for `n` ranked rows, `rank(i)` being row
+    /// `i`'s ranks, handed to `put(i, weight)`; the rows walked [`LANES`]
+    /// at a time.
+    pub(crate) fn tree_leaves<'r, R: Ranked + ?Sized + 'r>(
+        &self,
+        t: usize,
+        n: usize,
+        rank: impl Fn(usize) -> &'r R,
+        mut put: impl FnMut(usize, f64),
+    ) {
+        let tree = &self.trees[t];
+        let mut out = [0.0; LANES];
+        for first in (0..n).step_by(LANES) {
+            let out = &mut out[..LANES.min(n - first)];
+            walk(out, |j| (tree, rank(first + j)));
+            for (j, &w) in out.iter().enumerate() {
+                put(first + j, w);
+            }
+        }
+    }
+
+    /// Adds each split's gain in the trees of `range` to `into[column]`,
+    /// tree by tree in preorder (gain-based feature importance, as reported
+    /// by XGBoost's `total_gain`).
+    ///
+    /// # Panics
+    /// Panics if a split references a column outside `into`.
+    pub(crate) fn accumulate_importance(&self, range: Range<usize>, into: &mut [f64]) {
+        let mut gains = self.gains_of(range.clone()).iter();
+        for tree in &self.trees[range] {
+            splits_in_preorder(tree, 1, 0, &mut |node| {
+                into[usize::from(node.col)] += gains.next().map_or(0.0, |g| g.max(0.0));
+            });
+        }
+    }
+
+    /// The trees of `range` in the artefact store's arena form, thresholds
+    /// read from `cuts`.
+    pub(crate) fn export<'a>(&'a self, cuts: &'a Cuts, range: Range<usize>) -> Trees<'a> {
+        Trees {
+            cuts,
+            gains: self.gains_of(range.clone()),
+            trees: &self.trees[range],
+        }
+    }
+
+    /// Bytes the trees and gains occupy on the heap.
+    pub(crate) fn size_bytes(&self) -> usize {
+        self.trees.len() * std::mem::size_of::<Complete>()
+            + self.gains.len() * std::mem::size_of::<f64>()
+    }
+}
+
+/// Calls `f` on every split of the subtree at node `c` (at `depth`), in
+/// preorder.
+fn splits_in_preorder(tree: &Complete, c: usize, depth: usize, f: &mut impl FnMut(Node)) {
+    if depth == MAX_DEPTH || tree.nodes[c].is_pad() {
+        return;
+    }
+    f(tree.nodes[c]);
+    splits_in_preorder(tree, 2 * c, depth + 1, f);
+    splits_in_preorder(tree, 2 * c + 1, depth + 1, f);
+}
+
+/// Lays decoded heads out on one cut table built from all their
+/// thresholds, so a row is ranked once for every head. `None` if a column
+/// would hold more than [`MAX_CUTS`] distinct cuts.
+pub(crate) fn lay_out(heads: &[&[Tree]]) -> Option<(Cuts, Vec<Forest>)> {
+    let cuts = Cuts::of_trees(heads.iter().flat_map(|h| h.iter()))?;
+    let forests = heads
+        .iter()
+        .map(|h| Forest::on(&cuts, h))
+        .collect::<Option<Vec<_>>>()?;
+    Some((cuts, forests))
+}
+
+/// A head's trees in the artefact store's arena form, each built when the
+/// iteration reaches it: one [`Tree`] per fitted tree, node for node the
+/// arena the grower's preorder would have written.
+#[derive(Debug, Clone, Copy)]
+pub struct Trees<'a> {
+    cuts: &'a Cuts,
+    trees: &'a [Complete],
+    /// The trees' gains, tree by tree.
+    gains: &'a [f64],
+}
+
+impl<'a> Trees<'a> {
+    /// Number of trees.
+    pub fn len(&self) -> usize {
+        self.trees.len()
+    }
+
+    /// Whether the head has no tree.
+    pub fn is_empty(&self) -> bool {
+        self.trees.is_empty()
+    }
+
+    /// The trees, in boosting order.
+    pub fn iter(&self) -> TreeIter<'a> {
+        TreeIter {
+            cuts: self.cuts,
+            trees: self.trees.iter(),
+            gains: self.gains,
+        }
+    }
+}
+
+impl<'a> IntoIterator for Trees<'a> {
+    type Item = Tree;
+    type IntoIter = TreeIter<'a>;
+
+    fn into_iter(self) -> TreeIter<'a> {
+        self.iter()
+    }
+}
+
+/// The iterator of [`Trees`].
+#[derive(Debug, Clone)]
+pub struct TreeIter<'a> {
+    cuts: &'a Cuts,
+    trees: std::slice::Iter<'a, Complete>,
+    /// The gains of the trees not yet exported.
+    gains: &'a [f64],
+}
+
+impl Iterator for TreeIter<'_> {
+    type Item = Tree;
+
+    fn next(&mut self) -> Option<Tree> {
+        let complete = self.trees.next()?;
+        let (gains, rest) = self
+            .gains
+            .split_at(complete.n_splits().min(self.gains.len()));
+        self.gains = rest;
+        let mut tree = Tree::default();
+        tree.export(complete, self.cuts, &mut gains.iter().copied(), 1, 0);
+        Some(tree)
+    }
+}
+
+/// One tree in the artefact store's arena form: node `i` of the arena at
+/// index `i` of five parallel arrays. A split goes left iff
+/// `x[feature] <= threshold` (NaN goes right) to child `left`, else to
+/// `right`; children follow their parent. A leaf is `feature = u32::MAX`
+/// with its weight in the threshold slot, zero children and zero gain.
+///
+/// Only what the walked layout holds exactly is a `Tree`: every split's
+/// threshold is a number, its feature below [`MAX_COLS`], and no leaf the
+/// root reaches is deeper than [`MAX_DEPTH`]. Models export their trees to
+/// this form and are rebuilt from it; no model walks it.
+#[derive(Debug, Clone, Default, Serialize)]
+pub struct Tree {
+    feature: Vec<u32>,
+    threshold: Vec<f64>,
+    left: Vec<u32>,
+    right: Vec<u32>,
+    gain: Vec<f64>,
 }
 
 impl Tree {
-    /// Grows one tree per head over the same non-empty `rows` (at most the
-    /// `max_rows` `scratch` was made for), head `k` on `grads[k]` with unit
-    /// hessians, searching every column for splits, and writes the leaf
-    /// weight each of `rows` gets in head `k`'s tree to `leaves[k][row]`.
-    /// The root histograms of all heads come from one pass over the rows;
-    /// below the root each head grows alone. Every buffer is `scratch`'s,
-    /// so a fit of many rounds allocates them once.
-    pub(crate) fn fit_heads<const K: usize>(
-        scratch: &mut Scratch,
-        (binner, binned): (&Binner, &BinnedDataset),
-        grads: [&[f64]; K],
-        rows: &[usize],
-        leaves: &mut [Vec<f64>; K],
-    ) -> [Tree; K] {
-        debug_assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
-        debug_assert!(rows.len() <= scratch.spill.len(), "scratch too small");
-        debug_assert!(grads.iter().all(|g| g.len() == binned.n_rows()));
-        let Scratch {
-            active,
-            total_bins,
-            inv,
-            free,
-            spill,
-            idx,
-        } = scratch;
-        let n = rows.len();
-        let mut roots: [Option<Vec<Bin>>; K] = [(); K].map(|()| None);
-        if !is_terminal(n, 0) {
-            let mut hists = [(); K].map(|()| take_zeroed(free, *total_bins));
-            fill(
-                active,
-                binned,
-                grads,
-                rows,
-                hists.each_mut().map(Vec::as_mut_slice),
-            );
-            roots = hists.map(Some);
-        }
-        std::array::from_fn(|k| {
-            let g_sum: f64 = rows.iter().map(|&r| grads[k][r]).sum();
-            idx.clear();
-            idx.extend_from_slice(rows);
-            let mut grower = Grower {
-                binned,
-                binner,
-                grads: grads[k],
-                active,
-                total_bins: *total_bins,
-                inv,
-                free,
-                spill,
-                leaf: &mut leaves[k],
-                nodes: Vec::new(),
-                gains: Vec::new(),
-                depth: 0,
-            };
-            grower.build(idx, g_sum, 0, roots[k].take());
-            Tree {
-                nodes: grower.nodes,
-                gains: grower.gains,
-                depth: grower.depth,
-            }
-        })
-    }
-
-    /// One head of [`Tree::fit_heads`] with buffers of its own.
-    #[cfg(test)]
-    pub(crate) fn fit(
-        binned: &BinnedDataset,
-        binner: &Binner,
-        grads: &[f64],
-        rows: &[usize],
-    ) -> Self {
-        let leaf = vec![0.0; grads.len()];
-        let mut scratch = Scratch::new(binner, rows.len());
-        let [tree] = Tree::fit_heads(&mut scratch, (binner, binned), [grads], rows, &mut [leaf]);
-        tree
-    }
-
-    /// Creates a single-leaf tree with a constant output.
-    pub fn constant(weight: f64) -> Self {
-        Tree {
-            nodes: vec![Node::leaf(0, weight)],
-            gains: vec![0.0],
-            depth: 0,
-        }
-    }
-
-    /// Number of nodes.
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of leaves.
-    pub fn n_leaves(&self) -> usize {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, n)| n.is_leaf(*i))
-            .count()
-    }
-
-    /// Adds each split's gain to `into[feature]` (gain-based feature
-    /// importance, as reported by XGBoost's `total_gain`).
-    ///
-    /// # Panics
-    /// Panics if a split references a feature outside `into`.
-    pub fn accumulate_importance(&self, into: &mut [f64]) {
-        for (i, (node, gain)) in self.nodes.iter().zip(&self.gains).enumerate() {
-            if !node.is_leaf(i) {
-                into[node.feature as usize] += gain.max(0.0);
-            }
-        }
-    }
-
-    /// Bytes the arena's nodes and gains occupy on the heap.
-    pub(crate) fn size_bytes(&self) -> usize {
-        self.nodes.len() * (std::mem::size_of::<Node>() + std::mem::size_of::<f64>())
-    }
-
-    /// Exports the arena as five parallel arrays for the artefact store:
-    /// `(feature, threshold, left, right, gain)`, node `i` of the arena at
-    /// index `i` of each. A leaf is `feature = u32::MAX` with its weight in
-    /// the threshold slot, zero children and zero gain. The inverse is
-    /// [`Tree::from_flat_parts`]; a round trip is bit-exact.
+    /// The five parallel arrays `(feature, threshold, left, right, gain)`.
+    /// The inverse is [`Tree::from_flat_parts`]; a round trip is bit-exact.
     pub fn to_flat_parts(&self) -> FlatParts {
-        let n = self.nodes.len();
-        let mut feature = Vec::with_capacity(n);
-        let mut threshold = Vec::with_capacity(n);
-        let mut left = Vec::with_capacity(n);
-        let mut right = Vec::with_capacity(n);
-        let mut gain = Vec::with_capacity(n);
-        for (i, (node, g)) in self.nodes.iter().zip(&self.gains).enumerate() {
-            let leaf = node.is_leaf(i);
-            feature.push(if leaf { u32::MAX } else { node.feature });
-            threshold.push(node.threshold);
-            left.push(if leaf { 0 } else { node.kids[0] });
-            right.push(if leaf { 0 } else { node.kids[1] });
-            gain.push(if leaf { 0.0 } else { *g });
-        }
-        (feature, threshold, left, right, gain)
+        self.clone().into_flat_parts()
+    }
+
+    /// [`Tree::to_flat_parts`], moving the arrays out.
+    pub fn into_flat_parts(self) -> FlatParts {
+        (
+            self.feature,
+            self.threshold,
+            self.left,
+            self.right,
+            self.gain,
+        )
     }
 
     /// Rebuilds a tree from [`Tree::to_flat_parts`] arrays. Returns `None`
-    /// on malformed input — mismatched lengths, zero nodes, a leaf with
-    /// children, or a split child index that is out of bounds or not
-    /// strictly greater than its parent (the arena is built depth-first, so
-    /// children always follow their parent).
-    ///
-    /// The walk's step count is the longest path from the root to a leaf it
-    /// reaches: a child two parents share takes the deeper of the two, and
-    /// unreachable nodes count for nothing. Children strictly follow their
-    /// parent, so the depth is below the node count.
+    /// on what the walked layout cannot hold exactly or on malformed
+    /// input: mismatched lengths, zero nodes, a leaf with children, a
+    /// split child index that is out of bounds or not strictly greater
+    /// than its parent (the arena is built depth-first, so children always
+    /// follow their parent), a split on a feature past [`MAX_COLS`] or at a
+    /// NaN threshold, or a leaf the root reaches deeper than [`MAX_DEPTH`]
+    /// (a child two parents share counts at the deeper of the two;
+    /// unreachable nodes count for nothing).
     pub fn from_flat_parts(
         feature: &[u32],
         threshold: &[f64],
@@ -286,97 +543,225 @@ impl Tree {
         {
             return None;
         }
-        let mut nodes = Vec::with_capacity(n);
-        let mut gains = Vec::with_capacity(n);
         for i in 0..n {
-            if feature[i] == u32::MAX {
-                if left[i] != 0 || right[i] != 0 {
-                    return None;
-                }
-                nodes.push(Node::leaf(i, threshold[i]));
-                gains.push(0.0);
+            let (l, r) = (left[i] as usize, right[i] as usize);
+            let ok = if feature[i] == u32::MAX {
+                l == 0 && r == 0
             } else {
-                let (l, r) = (left[i] as usize, right[i] as usize);
-                if l <= i || r <= i || l >= n || r >= n {
-                    return None;
-                }
-                nodes.push(Node {
-                    threshold: threshold[i],
-                    kids: [left[i], right[i]],
-                    feature: feature[i],
-                });
-                gains.push(gain[i]);
+                l > i
+                    && r > i
+                    && l < n
+                    && r < n
+                    && (feature[i] as usize) < MAX_COLS
+                    && !threshold[i].is_nan()
+            };
+            if !ok {
+                return None;
             }
         }
-        // Depth of each node the root reaches, in arena order: every parent
-        // precedes its children, so a node's depth is final when visited.
+        let tree = Tree {
+            feature: feature.to_vec(),
+            threshold: threshold.to_vec(),
+            left: left.to_vec(),
+            right: right.to_vec(),
+            gain: gain.to_vec(),
+        };
+        (tree.reached_depth() <= MAX_DEPTH).then_some(tree)
+    }
+
+    /// The longest path from the root to a leaf it reaches. Children
+    /// strictly follow their parent, so one pass in arena order finalizes
+    /// each reached node's depth before its children read it.
+    fn reached_depth(&self) -> usize {
+        let n = self.feature.len();
         let mut reached: Vec<Option<usize>> = vec![None; n];
         reached[0] = Some(0);
         let mut depth = 0;
         for i in 0..n {
             let Some(d) = reached[i] else { continue };
-            if nodes[i].is_leaf(i) {
+            if self.feature[i] == u32::MAX {
                 depth = depth.max(d);
             } else {
-                for k in nodes[i].kids {
+                for k in [self.left[i], self.right[i]] {
                     let kid = &mut reached[k as usize];
                     *kid = Some(kid.map_or(d + 1, |e| e.max(d + 1)));
                 }
             }
         }
-        Some(Tree {
-            nodes,
+        depth
+    }
+
+    /// Calls `f(feature, threshold)` on every split the subtree at node `i`
+    /// reaches (a shared child once per path to it).
+    fn each_reached_split(&self, i: usize, f: &mut impl FnMut(usize, f64)) {
+        if self.feature[i] == u32::MAX {
+            return;
+        }
+        f(self.feature[i] as usize, self.threshold[i]);
+        self.each_reached_split(self.left[i] as usize, f);
+        self.each_reached_split(self.right[i] as usize, f);
+    }
+
+    /// Writes the subtree at arena node `i` into `out` at heap node `c`,
+    /// `depth` deep, its split gains onto `gains` in preorder; a shared
+    /// child is written once per path to it, an unreachable node not at
+    /// all. `None` if a threshold is not one of `cuts`.
+    fn unroll(
+        &self,
+        i: usize,
+        c: usize,
+        depth: usize,
+        cuts: &Cuts,
+        out: &mut Complete,
+        gains: &mut Vec<f64>,
+    ) -> Option<()> {
+        if self.feature[i] == u32::MAX {
+            *out.leaves.get_mut(leftmost(c, depth))? = self.threshold[i];
+            return Some(());
+        }
+        let col = u8::try_from(self.feature[i]).ok()?;
+        let k = cuts.k_of(usize::from(col), self.threshold[i])?;
+        *out.nodes.get_mut(c)? = Node { k, col };
+        gains.push(self.gain[i]);
+        self.unroll(self.left[i] as usize, 2 * c, depth + 1, cuts, out, gains)?;
+        self.unroll(
+            self.right[i] as usize,
+            2 * c + 1,
+            depth + 1,
+            cuts,
+            out,
             gains,
-            depth,
-        })
+        )
     }
 
-    /// Predicts the leaf weight for a raw (unbinned) feature row: the walk
-    /// with one chain.
+    /// Appends the subtree at heap node `c` of `tree` (at `depth`) in
+    /// preorder, each split's threshold read from `cuts` and its gain from
+    /// `gains`, and returns its arena index.
+    fn export(
+        &mut self,
+        tree: &Complete,
+        cuts: &Cuts,
+        gains: &mut impl Iterator<Item = f64>,
+        c: usize,
+        depth: usize,
+    ) -> u32 {
+        let at = self.feature.len();
+        let node = if depth < MAX_DEPTH {
+            tree.nodes[c]
+        } else {
+            PAD
+        };
+        if node.is_pad() {
+            self.feature.push(u32::MAX);
+            self.threshold.push(tree.leaves[leftmost(c, depth)]);
+            self.left.push(0);
+            self.right.push(0);
+            self.gain.push(0.0);
+        } else {
+            self.feature.push(u32::from(node.col));
+            self.threshold.push(cuts.cut(node));
+            self.left.push(0);
+            self.right.push(0);
+            self.gain.push(gains.next().unwrap_or(0.0));
+            let left = self.export(tree, cuts, gains, 2 * c, depth + 1);
+            let right = self.export(tree, cuts, gains, 2 * c + 1, depth + 1);
+            self.left[at] = left;
+            self.right[at] = right;
+        }
+        at as u32
+    }
+
+    /// The leaf weight for a raw (unbinned) feature row: this tree laid out
+    /// alone on the cuts of its own thresholds, the row ranked on them and
+    /// walked by the one kernel. For tools and tests; a model walks its
+    /// own forest.
     pub fn predict(&self, row: &[f64]) -> f64 {
-        let mut out = [0.0];
-        walk(&mut out, |_| (self, row));
-        out[0]
-    }
-
-    /// `out[j]` = this tree's leaf weight for `rows[j]`, the rows walked
-    /// [`LANES`] at a time. `out` and `rows` have the same length.
-    pub(crate) fn predict_rows<R: AsRef<[f64]>>(&self, rows: &[R], out: &mut [f64]) {
-        debug_assert_eq!(rows.len(), out.len());
-        for (rs, o) in rows.chunks(LANES).zip(out.chunks_mut(LANES)) {
-            walk(o, |j| (self, rs[j].as_ref()));
+        let Some((cuts, forests)) = lay_out(&[std::slice::from_ref(self)]) else {
+            return f64::NAN;
+        };
+        let mut leaf = f64::NAN;
+        if let Some(forest) = forests.first() {
+            forest.for_each_walk(&cuts.rank(row), |_, w| leaf = w[0]);
         }
+        leaf
     }
+}
 
-    /// `leaf[i]` = this tree's leaf weight for `data.row(i)`, for every `i`
-    /// in `at`, the rows walked [`LANES`] at a time.
-    pub(crate) fn predict_at(&self, data: &Dataset, at: &[usize], leaf: &mut [f64]) {
-        let mut out = [0.0; LANES];
-        for rs in at.chunks(LANES) {
-            let out = &mut out[..rs.len()];
-            walk(out, |j| (self, data.row(rs[j])));
-            for (&i, &w) in rs.iter().zip(out.iter()) {
-                leaf[i] = w;
-            }
-        }
+/// The serde image is the five arrays; reading one back goes through
+/// [`Tree::from_flat_parts`], so a deserialized tree is one a model can
+/// lay out.
+impl Deserialize for Tree {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let obj = serde::expect_object(v, "Tree")?;
+        let feature: Vec<u32> = serde::de_field(obj, "feature", "Tree")?;
+        let threshold: Vec<f64> = serde::de_field(obj, "threshold", "Tree")?;
+        let left: Vec<u32> = serde::de_field(obj, "left", "Tree")?;
+        let right: Vec<u32> = serde::de_field(obj, "right", "Tree")?;
+        let gain: Vec<f64> = serde::de_field(obj, "gain", "Tree")?;
+        Tree::from_flat_parts(&feature, &threshold, &left, &right, &gain)
+            .ok_or_else(|| serde::Error::custom("Tree: arrays the walked layout cannot hold"))
     }
+}
 
-    /// The walk this module used before the lockstep kernel: follow
-    /// children until a leaf. The reference the kernel is held to.
-    #[cfg(test)]
-    fn reference_predict(&self, row: &[f64]) -> f64 {
-        let mut i = 0usize;
-        loop {
-            let node = &self.nodes[i];
-            if node.is_leaf(i) {
-                return node.threshold;
-            }
-            i = if row[node.feature as usize] <= node.threshold {
-                node.kids[0] as usize
-            } else {
-                node.kids[1] as usize
-            };
-        }
+/// Grows one tree per head over the same non-empty `rows` (at most the
+/// `max_rows` `scratch` was made for), head `k` on `grads[k]` with unit
+/// hessians, searching every column below [`MAX_COLS`] for splits; pushes
+/// head `k`'s tree onto `heads[k]`, whose cut table is the [`Binner`]'s
+/// that binned `binned`, and writes the leaf weight each of `rows` gets in
+/// it to `leaves[k][row]`. The root histograms of all heads come from one
+/// pass over the rows; below the root each head grows alone. Every buffer
+/// is `scratch`'s, so a fit of many rounds allocates them once.
+pub(crate) fn fit_heads<const K: usize>(
+    scratch: &mut Scratch,
+    binned: &BinnedDataset,
+    grads: [&[f64]; K],
+    rows: &[usize],
+    leaves: &mut [Vec<f64>; K],
+    heads: &mut [Forest; K],
+) {
+    debug_assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
+    debug_assert!(rows.len() <= scratch.spill.len(), "scratch too small");
+    debug_assert!(grads.iter().all(|g| g.len() == binned.n_rows()));
+    let Scratch {
+        active,
+        total_bins,
+        inv,
+        free,
+        spill,
+        idx,
+    } = scratch;
+    let n = rows.len();
+    let mut roots: [Option<Vec<Bin>>; K] = [(); K].map(|()| None);
+    if !is_terminal(n, 0) {
+        let mut hists = [(); K].map(|()| take_zeroed(free, *total_bins));
+        fill(
+            active,
+            binned,
+            grads,
+            rows,
+            hists.each_mut().map(Vec::as_mut_slice),
+        );
+        roots = hists.map(Some);
+    }
+    for (k, head) in heads.iter_mut().enumerate() {
+        let g_sum: f64 = rows.iter().map(|&r| grads[k][r]).sum();
+        idx.clear();
+        idx.extend_from_slice(rows);
+        let mut grower = Grower {
+            binned,
+            grads: grads[k],
+            active,
+            total_bins: *total_bins,
+            inv,
+            free,
+            spill,
+            leaf: &mut leaves[k],
+            tree: Complete::EMPTY,
+            gains: &mut head.gains,
+        };
+        grower.build(idx, g_sum, 0, roots[k].take(), 1);
+        let tree = grower.tree;
+        head.trees.push(tree);
     }
 }
 
@@ -440,9 +825,10 @@ pub(crate) struct Scratch {
 impl Scratch {
     /// Buffers for trees over at most `max_rows` rows binned by `binner`.
     pub(crate) fn new(binner: &Binner, max_rows: usize) -> Self {
-        let mut active = Vec::with_capacity(binner.n_features());
+        let n_cols = binner.n_features().min(MAX_COLS);
+        let mut active = Vec::with_capacity(n_cols);
         let mut total_bins = 0;
-        for col in 0..binner.n_features() {
+        for col in 0..n_cols {
             let n_bins = binner.n_bins(col);
             if n_bins >= 2 {
                 active.push(ActiveCol {
@@ -512,7 +898,6 @@ fn fill<const K: usize>(
 /// Per-tree growing state over the fit's [`Scratch`].
 struct Grower<'a> {
     binned: &'a BinnedDataset,
-    binner: &'a Binner,
     grads: &'a [f64],
     active: &'a [ActiveCol],
     total_bins: usize,
@@ -521,10 +906,11 @@ struct Grower<'a> {
     spill: &'a mut [usize],
     /// Each grown row's leaf weight, by row.
     leaf: &'a mut [f64],
-    nodes: Vec<Node>,
-    gains: Vec<f64>,
-    /// The deepest leaf pushed so far.
-    depth: usize,
+    /// The tree being grown: a split's `k` is its bin, which is its cut's
+    /// index in the head's table.
+    tree: Complete,
+    /// The head's gains, this tree's appended in preorder.
+    gains: &'a mut Vec<f64>,
 }
 
 impl Grower<'_> {
@@ -636,36 +1022,34 @@ impl Grower<'_> {
         }
     }
 
-    /// Pushes the leaf over `rows` and writes its weight as each row's.
-    fn push_leaf(&mut self, rows: &[usize], g_sum: f64, depth: usize) -> u32 {
-        let at = self.nodes.len();
+    /// Places the leaf over `rows` at heap node `c` (at `depth`) and
+    /// writes its weight as each row's.
+    fn place_leaf(&mut self, rows: &[usize], g_sum: f64, c: usize, depth: usize) {
         let weight = -g_sum / (rows.len() as f64 + LAMBDA);
         for &r in rows {
             self.leaf[r] = weight;
         }
-        self.nodes.push(Node::leaf(at, weight));
-        self.gains.push(0.0);
-        self.depth = self.depth.max(depth);
-        at as u32
+        self.tree.leaves[leftmost(c, depth)] = weight;
     }
 
-    /// Recursively builds the subtree over `idx`, returning the arena index
-    /// of the created node. Partitions `idx` in place. `g_sum` is the rows'
-    /// gradient sum; `hist` their histogram, `None` iff the node is terminal.
+    /// Recursively builds the subtree over `idx` at heap node `c` (at
+    /// `depth`), partitioning `idx` in place. `g_sum` is the rows' gradient
+    /// sum; `hist` their histogram, `None` iff the node is terminal.
     fn build(
         &mut self,
         idx: &mut [usize],
         g_sum: f64,
         depth: usize,
         hist: Option<Vec<Bin>>,
-    ) -> u32 {
+        c: usize,
+    ) {
         let n = idx.len();
         let Some(hist) = hist else {
-            return self.push_leaf(idx, g_sum, depth);
+            return self.place_leaf(idx, g_sum, c, depth);
         };
         let Some(split) = self.best_split(&hist, g_sum, n) else {
             self.free.push(hist);
-            return self.push_leaf(idx, g_sum, depth);
+            return self.place_leaf(idx, g_sum, c, depth);
         };
 
         // Stable partition of idx: bin <= split bin stays in front, the rest
@@ -689,26 +1073,84 @@ impl Grower<'_> {
         let (left_rows, right_rows) = idx.split_at_mut(mid);
         let (hist_left, hist_right) = self.child_histograms(hist, left_rows, right_rows, depth + 1);
 
-        let node_pos = self.nodes.len();
-        // Placeholder; children indices patched after recursion.
-        self.nodes.push(Node {
-            threshold: self.binner.cuts(split.col)[split.bin as usize],
-            kids: [0, 0],
-            feature: split.col as u32,
-        });
+        // `Scratch::new` takes no column past `MAX_COLS`, and a split's bin
+        // is below the column's last, so below `MAX_CUTS`.
+        self.tree.nodes[c] = Node {
+            k: split.bin,
+            col: split.col as u8,
+        };
         self.gains.push(split.gain);
-        let left = self.build(left_rows, split.g_left, depth + 1, hist_left);
-        let right = self.build(right_rows, g_sum - split.g_left, depth + 1, hist_right);
-        self.nodes[node_pos].kids = [left, right];
-        node_pos as u32
+        self.build(left_rows, split.g_left, depth + 1, hist_left, 2 * c);
+        self.build(
+            right_rows,
+            g_sum - split.g_left,
+            depth + 1,
+            hist_right,
+            2 * c + 1,
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Dataset;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
+
+    impl Tree {
+        /// A single-leaf tree with a constant output.
+        fn constant(weight: f64) -> Self {
+            Tree::from_flat_parts(&[u32::MAX], &[weight], &[0], &[0], &[0.0]).unwrap()
+        }
+
+        fn n_nodes(&self) -> usize {
+            self.feature.len()
+        }
+
+        fn n_leaves(&self) -> usize {
+            self.feature.iter().filter(|&&f| f == u32::MAX).count()
+        }
+
+        /// The walk this module used before the complete layout: follow
+        /// the arena's children until a leaf. The reference the kernel is
+        /// held to.
+        fn reference_predict(&self, row: &[f64]) -> f64 {
+            let mut i = 0usize;
+            loop {
+                if self.feature[i] == u32::MAX {
+                    return self.threshold[i];
+                }
+                i = if row[self.feature[i] as usize] <= self.threshold[i] {
+                    self.left[i] as usize
+                } else {
+                    self.right[i] as usize
+                };
+            }
+        }
+
+        /// One head of [`fit_heads`] with buffers of its own, exported.
+        fn fit(binned: &BinnedDataset, binner: &Binner, grads: &[f64], rows: &[usize]) -> Self {
+            let (cuts, forest) = grow(binned, binner, grads, rows);
+            forest.export(&cuts, 0..1).iter().next().unwrap()
+        }
+    }
+
+    /// One head of [`fit_heads`] with buffers of its own: its one-tree
+    /// forest and the cut table it was grown on.
+    fn grow(
+        binned: &BinnedDataset,
+        binner: &Binner,
+        grads: &[f64],
+        rows: &[usize],
+    ) -> (Cuts, Forest) {
+        let mut leaf = [vec![0.0; grads.len()]];
+        let mut heads = [Forest::default()];
+        let mut scratch = Scratch::new(binner, rows.len());
+        fit_heads(&mut scratch, binned, [grads], rows, &mut leaf, &mut heads);
+        let [forest] = heads;
+        (Cuts::from_binner(binner), forest)
+    }
 
     /// Fits a tree directly on squared-error gradients of targets
     /// (pred = 0 start, grad = -y): the leaf weights then equal regularized
@@ -788,20 +1230,18 @@ mod tests {
     }
 
     impl Fitted<'_> {
-        /// Walks the subtree at `node` with the training rows that reach it
-        /// and checks every split and leaf against the reference.
+        /// Walks the subtree at arena node `node` with the training rows
+        /// that reach it and checks every split and leaf against the
+        /// reference.
         fn check(&self, node: u32, rows: &[usize], depth: usize) -> Result<(), TestCaseError> {
             let n = rows.len();
             let g_sum: f64 = rows.iter().map(|&r| self.grads[r]).sum();
             let reference = reference_best_split(self.binned, self.binner, self.grads, rows);
             let must_be_leaf = depth >= MAX_DEPTH || n < 2 * MIN_CHILD;
             let at = node as usize;
-            let Node {
-                threshold,
-                kids: [left, right],
-                feature,
-            } = self.tree.nodes[at];
-            if self.tree.nodes[at].is_leaf(at) {
+            let t = self.tree;
+            let (feature, threshold) = (t.feature[at], t.threshold[at]);
+            if feature == u32::MAX {
                 let weight = threshold;
                 let want = -g_sum / (n as f64 + LAMBDA);
                 let tol = 1e-12 * self.g_scale / (n as f64 + LAMBDA);
@@ -809,7 +1249,7 @@ mod tests {
                     (weight - want).abs() <= tol,
                     "leaf weight {weight} != {want} over {n} rows"
                 );
-                prop_assert!(depth <= self.tree.depth, "leaf below the tree's depth");
+                prop_assert!(depth <= MAX_DEPTH, "leaf below the deepest level");
                 if let (false, Some((_, _, best))) = (must_be_leaf, reference) {
                     // Only a gain the two roundings disagree on may be left unsplit.
                     prop_assert!(
@@ -818,7 +1258,7 @@ mod tests {
                     );
                 }
             } else {
-                let gain = self.tree.gains[at];
+                let gain = t.gain[at];
                 prop_assert!(!must_be_leaf, "split at depth {depth} over {n} rows");
                 prop_assert!((feature as usize) < self.data.n_cols());
                 let (l, r): (Vec<usize>, Vec<usize>) = rows
@@ -843,8 +1283,8 @@ mod tests {
                     (gain - placed).abs() <= tol,
                     "stored gain {gain} != {placed}"
                 );
-                self.check(left, &l, depth + 1)?;
-                self.check(right, &r, depth + 1)?;
+                self.check(t.left[at], &l, depth + 1)?;
+                self.check(t.right[at], &r, depth + 1)?;
             }
             Ok(())
         }
@@ -906,7 +1346,7 @@ mod tests {
         let targets: Vec<f64> = (0..256).map(|i| ((i * 7919) % 97) as f64 - 48.0).collect();
         let data = Dataset::from_rows(&rows, &targets);
         let tree = fit_on_targets(&data);
-        assert_eq!(tree.depth, MAX_DEPTH, "the depth cap never bound");
+        assert_eq!(tree.reached_depth(), MAX_DEPTH, "the depth cap never bound");
         assert!(
             tree.n_leaves() <= 1 << MAX_DEPTH,
             "{} leaves",
@@ -942,42 +1382,93 @@ mod tests {
         assert!(tree.predict(&[10.0, 80.0]) < 1.0);
     }
 
+    /// Each tree's leaf weight for `rank`, by its bits.
+    fn leaf_bits(forest: &Forest, rank: &Ranks) -> Vec<u64> {
+        let mut bits = Vec::new();
+        forest.for_each_walk(rank, |_, w| bits.extend(w.iter().map(|w| w.to_bits())));
+        bits
+    }
+
+    /// Every word of a tree's flat parts, floats by their bits.
+    fn part_bits(tree: &Tree) -> Vec<u64> {
+        let (f, t, l, r, g) = tree.to_flat_parts();
+        let words = |v: Vec<u32>| v.into_iter().map(u64::from);
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits);
+        words(f)
+            .chain(bits(t))
+            .chain(words(l))
+            .chain(words(r))
+            .chain(bits(g))
+            .collect()
+    }
+
+    /// A grown forest exports arenas that rebuild bit for bit, and laid
+    /// out again on the cuts of their own thresholds (the decode path)
+    /// they export the same arenas, walk to the same leaves and sum the
+    /// same importance as on the [`Binner`]'s cuts they grew on.
     #[test]
     fn flat_parts_round_trip_is_bit_exact() {
-        let data = step_data();
-        let tree = fit_on_targets(&data);
-        let (f, t, l, r, g) = tree.to_flat_parts();
-        let back = Tree::from_flat_parts(&f, &t, &l, &r, &g).unwrap();
-        assert_eq!(back.n_nodes(), tree.n_nodes());
-        assert_eq!(back.n_leaves(), tree.n_leaves());
-        for x in [0.0, 10.0, 49.0, 50.0, 51.0, 99.0] {
-            assert_eq!(
-                back.predict(&[x]).to_bits(),
-                tree.predict(&[x]).to_bits(),
-                "x={x}"
+        let data = edge_data(&mut StdRng::seed_from_u64(5), 300);
+        let binner = Binner::fit(&data, 64);
+        let binned = binner.transform(&data);
+        let mut rng = StdRng::seed_from_u64(6);
+        let n = data.n_rows();
+        let mut scratch = Scratch::new(&binner, n);
+        let mut leaf = [vec![0.0; n]];
+        let mut grown = [Forest::default()];
+        for _ in 0..8 {
+            let grads: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0f64..5.0)).collect();
+            let rows = round_rows(&mut rng, n);
+            fit_heads(
+                &mut scratch,
+                &binned,
+                [&grads],
+                &rows,
+                &mut leaf,
+                &mut grown,
             );
         }
-        let mut imp_a = vec![0.0; 1];
-        let mut imp_b = vec![0.0; 1];
-        tree.accumulate_importance(&mut imp_a);
-        back.accumulate_importance(&mut imp_b);
-        assert_eq!(imp_a[0].to_bits(), imp_b[0].to_bits());
+        let cuts = Cuts::from_binner(&binner);
+        let exported: Vec<Tree> = grown[0].export(&cuts, 0..8).into_iter().collect();
+        assert_eq!(exported.len(), 8);
+        for tree in &exported {
+            let (f, t, l, r, g) = tree.to_flat_parts();
+            let back = Tree::from_flat_parts(&f, &t, &l, &r, &g).unwrap();
+            assert_eq!(part_bits(&back), part_bits(tree));
+        }
+        let (own, decoded) = lay_out(&[&exported]).unwrap();
+        let again: Vec<Tree> = decoded[0].export(&own, 0..8).into_iter().collect();
+        assert_eq!(
+            again.iter().map(part_bits).collect::<Vec<_>>(),
+            exported.iter().map(part_bits).collect::<Vec<_>>()
+        );
+        for i in 0..n {
+            let a = leaf_bits(&grown[0], &cuts.rank(data.row(i)));
+            let b = leaf_bits(&decoded[0], &own.rank(data.row(i)));
+            assert_eq!(a, b, "row {i}");
+        }
+        let mut imp_a = vec![0.0; data.n_cols()];
+        let mut imp_b = vec![0.0; data.n_cols()];
+        grown[0].accumulate_importance(0..8, &mut imp_a);
+        decoded[0].accumulate_importance(0..8, &mut imp_b);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&imp_a), bits(&imp_b));
     }
 
     #[test]
     fn from_flat_parts_rejects_malformed() {
+        let leaf = u32::MAX;
         // Length mismatch.
-        assert!(Tree::from_flat_parts(&[u32::MAX], &[1.0, 2.0], &[0], &[0], &[0.0]).is_none());
+        assert!(Tree::from_flat_parts(&[leaf], &[1.0, 2.0], &[0], &[0], &[0.0]).is_none());
         // Zero nodes.
         assert!(Tree::from_flat_parts(&[], &[], &[], &[], &[]).is_none());
         // Split child out of bounds.
         assert!(
-            Tree::from_flat_parts(&[0, u32::MAX], &[1.0, 2.0], &[1, 0], &[9, 0], &[0.5, 0.0])
-                .is_none()
+            Tree::from_flat_parts(&[0, leaf], &[1.0, 2.0], &[1, 0], &[9, 0], &[0.5, 0.0]).is_none()
         );
         // Split child pointing backwards (cycle).
         assert!(Tree::from_flat_parts(
-            &[0, 0, u32::MAX],
+            &[0, 0, leaf],
             &[1.0, 1.0, 2.0],
             &[1, 0, 0],
             &[2, 2, 0],
@@ -985,7 +1476,36 @@ mod tests {
         )
         .is_none());
         // Leaf with nonzero children.
-        assert!(Tree::from_flat_parts(&[u32::MAX], &[1.0], &[1], &[0], &[0.0]).is_none());
+        assert!(Tree::from_flat_parts(&[leaf], &[1.0], &[1], &[0], &[0.0]).is_none());
+        // What the walked layout cannot hold: a NaN threshold, a feature a
+        // node cannot address, a leaf deeper than MAX_DEPTH.
+        let one_split = |feature: u32, threshold: f64| {
+            Tree::from_flat_parts(
+                &[feature, leaf, leaf],
+                &[threshold, 1.0, 2.0],
+                &[1, 0, 0],
+                &[2, 0, 0],
+                &[0.5, 0.0, 0.0],
+            )
+        };
+        assert!(one_split(0, f64::NAN).is_none());
+        assert!(one_split(MAX_COLS as u32, 0.0).is_none());
+        assert!(one_split(MAX_COLS as u32 - 1, f64::INFINITY).is_some());
+        // A chain of `splits` splits, each with the last node (a leaf) as
+        // its right child: that leaf sits `splits` deep.
+        let chain = |splits: usize| {
+            let n = splits + 1;
+            let feature: Vec<u32> = (0..n).map(|i| if i < splits { 0 } else { leaf }).collect();
+            let left: Vec<u32> = (0..n)
+                .map(|i| if i < splits { i as u32 + 1 } else { 0 })
+                .collect();
+            let right: Vec<u32> = (0..n)
+                .map(|i| if i < splits { splits as u32 } else { 0 })
+                .collect();
+            Tree::from_flat_parts(&feature, &vec![0.0; n], &left, &right, &vec![0.0; n])
+        };
+        assert!(chain(MAX_DEPTH).is_some());
+        assert!(chain(MAX_DEPTH + 1).is_none());
     }
 
     #[test]
@@ -1001,12 +1521,26 @@ mod tests {
             &[1.0, 2.0, 0.0, 0.0, 4.0, 5.0, 0.0],
         )
         .unwrap();
-        assert_eq!(tree.depth, 2);
+        assert_eq!(tree.reached_depth(), 2);
         assert_eq!(tree.predict(&[0.0, -2.0]), 7.0);
         assert_eq!(tree.predict(&[0.0, 2.0]), 9.0);
         assert_eq!(tree.predict(&[1.0, -2.0]), 9.0);
         assert_eq!(tree.predict(&[f64::NAN, -2.0]), 9.0);
-        // A leaf root walks no step, so it never reads the row.
+        // Laid out, the shared leaf is written once per path to it and the
+        // unreachable nodes are gone.
+        let (cuts, forests) = lay_out(&[std::slice::from_ref(&tree)]).unwrap();
+        let unrolled = forests[0].export(&cuts, 0..1).iter().next().unwrap();
+        assert_eq!(
+            unrolled.to_flat_parts(),
+            (
+                vec![0, 1, leaf, leaf, leaf],
+                vec![0.5, -1.0, 7.0, 9.0, 9.0],
+                vec![1, 2, 0, 0, 0],
+                vec![4, 3, 0, 0, 0],
+                vec![1.0, 2.0, 0.0, 0.0, 0.0],
+            )
+        );
+        // A leaf root walks only padding, so it reads no rank of the row.
         let root_leaf = Tree::from_flat_parts(
             &[leaf, 0, leaf],
             &[4.0, 1.0, 2.0],
@@ -1015,103 +1549,155 @@ mod tests {
             &[0.0; 3],
         )
         .unwrap();
-        assert_eq!((root_leaf.depth, root_leaf.predict(&[])), (0, 4.0));
-        // Fitting and restoring agree on the depth.
-        let fitted = fit_on_targets(&step_data());
-        let (f, t, l, r, g) = fitted.to_flat_parts();
         assert_eq!(
-            Tree::from_flat_parts(&f, &t, &l, &r, &g).unwrap().depth,
-            fitted.depth
+            (root_leaf.reached_depth(), root_leaf.predict(&[])),
+            (0, 4.0)
         );
-        assert!(fitted.depth >= 1);
+        assert!(fit_on_targets(&step_data()).reached_depth() >= 1);
     }
 
-    /// A random arena in [`Tree::to_flat_parts`] form, restored: the last
-    /// node is a leaf, any other a leaf or a split whose kids are drawn from
-    /// the nodes after it, so kids are shared and nodes unreachable as often
-    /// as not, and the root is a leaf (depth 0) one time in three.
-    fn random_arena(rng: &mut StdRng, n_cols: usize) -> Tree {
-        let n = rng.gen_range(1usize..24);
-        let mut parts: FlatParts = Default::default();
-        for i in 0..n {
-            let split =
-                i + 1 < n && (i > 0 || rng.gen_range(0u32..3) > 0) && rng.gen_range(0u32..4) > 0;
-            let (f, l, r) = if split {
-                let kid = |rng: &mut StdRng| rng.gen_range(i as u32 + 1..n as u32);
-                (rng.gen_range(0..n_cols as u32), kid(rng), kid(rng))
-            } else {
-                (u32::MAX, 0, 0)
-            };
-            parts.0.push(f);
-            parts.1.push(rng.gen_range(-2.0f64..2.0).round());
-            parts.2.push(l);
-            parts.3.push(r);
-            parts.4.push(rng.gen_range(0.0f64..1.0));
-        }
-        let (f, t, l, r, g) = parts;
-        Tree::from_flat_parts(&f, &t, &l, &r, &g).unwrap()
-    }
-
-    /// A row of whole numbers near the arena thresholds, so rows land on
-    /// them exactly, with NaN and ±∞ mixed in.
-    fn random_row(rng: &mut StdRng, n_cols: usize) -> Vec<f64> {
+    /// The cut table the kernel test lays its trees on: column 0 holds
+    /// [`MAX_CUTS`] distinct cuts (every whole number from −127 to 127),
+    /// column 1 both −0.0 and 0.0, the others a few numbers.
+    fn kernel_columns(n_cols: usize) -> Vec<Vec<f64>> {
         (0..n_cols)
-            .map(|_| match rng.gen_range(0u32..8) {
-                0 => f64::NAN,
-                1 => f64::INFINITY,
-                2 => f64::NEG_INFINITY,
-                3 => -0.0,
-                _ => rng.gen_range(-3.0f64..3.0).round(),
+            .map(|c| match c {
+                0 => (-127..=127).map(f64::from).collect(),
+                1 => vec![-1.0, -0.0, 0.0, 1.0],
+                _ => vec![-2.0, 0.0, 0.5, f64::INFINITY],
             })
             .collect()
     }
 
-    /// A fitted tree on random whole-number data.
-    fn random_fitted(rng: &mut StdRng, n_cols: usize) -> Tree {
-        let n = rng.gen_range(4usize..60);
-        let rows: Vec<Vec<f64>> = (0..n)
-            .map(|_| {
-                (0..n_cols)
-                    .map(|_| rng.gen_range(-3.0f64..3.0).round())
-                    .collect()
+    /// Appends a random subtree of height at most `h` — exactly `h` down
+    /// its leftmost path when `exact` — to `parts` in preorder, each
+    /// threshold one of `columns`' cuts, and returns its root's index. A
+    /// right child is the left one, shared, one time in six.
+    fn random_subtree(
+        rng: &mut StdRng,
+        parts: &mut FlatParts,
+        columns: &[Vec<f64>],
+        h: usize,
+        exact: bool,
+    ) -> u32 {
+        let at = parts.0.len();
+        let leaf = h == 0 || (!exact && rng.gen_range(0u32..3) == 0);
+        let (feature, threshold, gain) = if leaf {
+            (u32::MAX, rng.gen_range(-1.0f64..1.0), 0.0)
+        } else {
+            let col = rng.gen_range(0..columns.len());
+            let cuts = &columns[col];
+            let t = cuts[rng.gen_range(0..cuts.len())];
+            (col as u32, t, rng.gen_range(0.0f64..1.0))
+        };
+        parts.0.push(feature);
+        parts.1.push(threshold);
+        parts.2.push(0);
+        parts.3.push(0);
+        parts.4.push(gain);
+        if !leaf {
+            let left = random_subtree(rng, parts, columns, h - 1, exact);
+            let right = if rng.gen_range(0u32..6) == 0 {
+                left
+            } else {
+                random_subtree(rng, parts, columns, h - 1, false)
+            };
+            parts.2[at] = left;
+            parts.3[at] = right;
+        }
+        at as u32
+    }
+
+    /// A random arena whose root reaches leaves exactly `depth` deep, with
+    /// shared children and up to two unreachable three-node subtrees
+    /// behind it.
+    fn random_tree(rng: &mut StdRng, columns: &[Vec<f64>], depth: usize) -> Tree {
+        let mut parts = FlatParts::default();
+        random_subtree(rng, &mut parts, columns, depth, true);
+        for _ in 0..rng.gen_range(0..3) {
+            let at = parts.0.len() as u32;
+            parts.0.extend([0, u32::MAX, u32::MAX]);
+            parts.1.extend([columns[0][0], 5.0, 6.0]);
+            parts.2.extend([at + 1, 0, 0]);
+            parts.3.extend([at + 2, 0, 0]);
+            parts.4.extend([1.0, 0.0, 0.0]);
+        }
+        let (f, t, l, r, g) = parts;
+        let tree = Tree::from_flat_parts(&f, &t, &l, &r, &g).unwrap();
+        assert_eq!(tree.reached_depth(), depth);
+        tree
+    }
+
+    /// A row whose every value is a cut, between two cuts, NaN, ±∞, −0.0
+    /// or 0.0.
+    fn random_row(rng: &mut StdRng, columns: &[Vec<f64>]) -> Vec<f64> {
+        columns
+            .iter()
+            .map(|cuts| {
+                let on = cuts[rng.gen_range(0..cuts.len())];
+                match rng.gen_range(0u32..9) {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    3 => -0.0,
+                    4 => 0.0,
+                    5 => on + 0.25,
+                    _ => on,
+                }
             })
-            .collect();
-        let targets: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0f64..5.0)).collect();
-        fit_on_targets(&Dataset::from_rows(&rows, &targets))
+            .collect()
     }
 
     proptest! {
-        /// The lockstep walk lands where the stop-at-a-leaf walk does, bit
-        /// for bit: K trees × 1 row and 1 tree × K rows for K one under,
-        /// at and one over [`LANES`], on fitted trees, constants and
-        /// restored arenas with shared kids and unreachable nodes.
+        /// The kernel lands where the stop-at-a-leaf walk does, bit for
+        /// bit: K trees × 1 row and 1 tree × K rows for K one under, at
+        /// and one over [`LANES`] (and 1), on trees of every depth from 0
+        /// to [`MAX_DEPTH`] with shared children and unreachable nodes,
+        /// laid out on a full table (one column of [`MAX_CUTS`] cuts, one
+        /// with −0.0 and 0.0) and on the table of their own thresholds,
+        /// over rows of NaN, ±∞, ±0.0 and values on and between cuts.
+        /// `Tree::predict` on each arena answers the same, and the laid-out
+        /// trees export arenas that walk the same.
         #[test]
-        fn prop_lockstep_walk_equals_the_reference(seed in 0u64..u64::MAX) {
+        fn prop_kernel_walk_equals_the_reference(seed in 0u64..u64::MAX) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let n_cols = rng.gen_range(1usize..5);
-            let trees: Vec<Tree> = (0..LANES + 1)
-                .map(|_| match rng.gen_range(0u32..4) {
-                    0 => Tree::constant(rng.gen_range(-1.0f64..1.0)),
-                    1 => random_fitted(&mut rng, n_cols),
-                    _ => random_arena(&mut rng, n_cols),
+            let columns = kernel_columns(rng.gen_range(2usize..5));
+            let full = Cuts::from_columns(columns.iter().map(Vec::as_slice));
+            let trees: Vec<Tree> = (0..=LANES)
+                .map(|t| {
+                    let depth = if t <= MAX_DEPTH { t } else { rng.gen_range(0..=MAX_DEPTH) };
+                    random_tree(&mut rng, &columns, depth)
                 })
                 .collect();
-            let rows: Vec<Vec<f64>> = (0..LANES + 1).map(|_| random_row(&mut rng, n_cols)).collect();
-            for k in [1, LANES - 1, LANES, LANES + 1] {
-                let mut out = vec![f64::NAN; k];
-                for row in &rows {
-                    for (ts, o) in trees[..k].chunks(LANES).zip(out.chunks_mut(LANES)) {
-                        walk(o, |j| (&ts[j], row));
-                    }
-                    for (tree, got) in trees.iter().zip(&out) {
-                        prop_assert_eq!(got.to_bits(), tree.reference_predict(row).to_bits());
-                        prop_assert_eq!(tree.predict(row).to_bits(), got.to_bits());
-                    }
+            let rows: Vec<Vec<f64>> = (0..=LANES).map(|_| random_row(&mut rng, &columns)).collect();
+            let want: Vec<Vec<u64>> = trees
+                .iter()
+                .map(|t| rows.iter().map(|r| t.reference_predict(r).to_bits()).collect())
+                .collect();
+            for (t, tree) in trees.iter().enumerate() {
+                for (r, row) in rows.iter().enumerate() {
+                    prop_assert_eq!(tree.predict(row).to_bits(), want[t][r]);
                 }
-                for tree in &trees {
-                    tree.predict_rows(&rows[..k], &mut out);
-                    for (row, got) in rows.iter().zip(&out) {
-                        prop_assert_eq!(got.to_bits(), tree.reference_predict(row).to_bits());
+            }
+            for k in [1, LANES - 1, LANES, LANES + 1] {
+                let (own, laid) = lay_out(&[&trees[..k]]).unwrap();
+                let on_full = Forest::on(&full, &trees[..k]).unwrap();
+                for (cuts, forest) in [(&full, &on_full), (&own, &laid[0])] {
+                    let ranks: Vec<Ranks> = rows.iter().map(|r| cuts.rank(r)).collect();
+                    for (r, rank) in ranks.iter().enumerate() {
+                        let got = leaf_bits(forest, rank);
+                        let expect: Vec<u64> = want[..k].iter().map(|w| w[r]).collect();
+                        prop_assert!(got == expect, "{k} trees, row {r}");
+                    }
+                    for (t, want) in want[..k].iter().enumerate() {
+                        let mut got = vec![0; k];
+                        forest.tree_leaves(t, k, |i| &ranks[i], |i, w| got[i] = w.to_bits());
+                        prop_assert!(got[..] == want[..k], "tree {t} on {k} rows");
+                    }
+                    for (t, back) in forest.export(cuts, 0..k).into_iter().enumerate() {
+                        for (r, row) in rows.iter().enumerate() {
+                            prop_assert_eq!(back.reference_predict(row).to_bits(), want[t][r]);
+                        }
                     }
                 }
             }
@@ -1162,9 +1748,10 @@ mod tests {
 
     proptest! {
         /// The leaf weight the grower writes for a row it grew on is the one
-        /// the walk finds for that row, bit for bit, so the boosting loop
+        /// the kernel finds for that row, bit for bit, so the boosting loop
         /// need not walk the rows it sampled; rows it did not grow on keep
-        /// whatever they held.
+        /// whatever they held. A row ranked on the grown forest's table
+        /// (the [`Binner`]'s cuts) has its bins as ranks.
         #[test]
         fn prop_grown_leaves_are_the_walked_leaves(
             seed in 0u64..u64::MAX,
@@ -1180,10 +1767,15 @@ mod tests {
             let sentinel = f64::from_bits(0x7ff8_dead_beef_0001);
             let mut leaf = [vec![sentinel; n]];
             let mut scratch = Scratch::new(&binner, n);
-            let [tree] = Tree::fit_heads(&mut scratch, (&binner, &binned), [&grads], &rows, &mut leaf);
-            let all: Vec<&[f64]> = (0..n).map(|i| data.row(i)).collect();
+            let mut heads = [Forest::default()];
+            fit_heads(&mut scratch, &binned, [&grads], &rows, &mut leaf, &mut heads);
+            let cuts = Cuts::from_binner(&binner);
+            let ranks: Vec<Ranks> = (0..n).map(|i| cuts.rank(data.row(i))).collect();
+            for (i, rank) in ranks.iter().enumerate() {
+                prop_assert!(&rank[..data.n_cols()] == binned.row(i), "row {i}");
+            }
             let mut walked = vec![0.0; n];
-            tree.predict_rows(&all, &mut walked);
+            heads[0].tree_leaves(0, n, |i| &ranks[i], |i, w| walked[i] = w);
             let mut grown = vec![false; n];
             for &r in &rows {
                 grown[r] = true;
@@ -1213,6 +1805,7 @@ mod tests {
             let data = edge_data(&mut rng, n);
             let binner = Binner::fit(&data, [2, 32, 256][rng.gen_range(0usize..3)]);
             let binned = binner.transform(&data);
+            let cuts = Cuts::from_binner(&binner);
             let mut scratch = Scratch::new(&binner, n);
             for _round in 0..3 {
                 let rows = round_rows(&mut rng, n);
@@ -1220,41 +1813,33 @@ mod tests {
                     std::array::from_fn(|_| (0..n).map(|_| rng.gen_range(-5.0f64..5.0)).collect());
                 let one = |k: usize| {
                     let mut leaf = [vec![0.0; n]];
-                    let [tree] = Tree::fit_heads(
+                    let mut heads = [Forest::default()];
+                    fit_heads(
                         &mut Scratch::new(&binner, n),
-                        (&binner, &binned),
+                        &binned,
                         [&g[k]],
                         &rows,
                         &mut leaf,
+                        &mut heads,
                     );
-                    let [leaf] = leaf;
-                    (tree, leaf)
+                    let ([forest], [leaf]) = (heads, leaf);
+                    (forest, leaf)
                 };
-                let expect: Vec<(Tree, Vec<f64>)> = if two_heads {
+                let expect: Vec<(Forest, Vec<f64>)> = if two_heads {
                     let mut leaves = [vec![0.0; n], vec![0.0; n]];
-                    let trees = Tree::fit_heads(
-                        &mut scratch,
-                        (&binner, &binned),
-                        [&g[0], &g[1]],
-                        &rows,
-                        &mut leaves,
-                    );
-                    trees.into_iter().zip(leaves).collect()
+                    let mut heads = [Forest::default(), Forest::default()];
+                    fit_heads(&mut scratch, &binned, [&g[0], &g[1]], &rows, &mut leaves, &mut heads);
+                    heads.into_iter().zip(leaves).collect()
                 } else {
                     let mut leaves = [vec![0.0; n]];
-                    let trees =
-                        Tree::fit_heads(&mut scratch, (&binner, &binned), [&g[0]], &rows, &mut leaves);
-                    trees.into_iter().zip(leaves).collect()
+                    let mut heads = [Forest::default()];
+                    fit_heads(&mut scratch, &binned, [&g[0]], &rows, &mut leaves, &mut heads);
+                    heads.into_iter().zip(leaves).collect()
                 };
-                for (k, (tree, leaf)) in expect.iter().enumerate() {
+                for (k, (forest, leaf)) in expect.iter().enumerate() {
                     let (alone, alone_leaf) = one(k);
-                    let bits = |t: &Tree| {
-                        let (f, th, l, r, g) = t.to_flat_parts();
-                        let th: Vec<u64> = th.iter().map(|x| x.to_bits()).collect();
-                        let g: Vec<u64> = g.iter().map(|x| x.to_bits()).collect();
-                        (f, th, l, r, g, t.depth)
-                    };
-                    prop_assert!(bits(tree) == bits(&alone), "head {k}: trees differ");
+                    let bits = |f: &Forest| f.export(&cuts, 0..f.len()).into_iter().map(|t| part_bits(&t)).collect::<Vec<_>>();
+                    prop_assert!(bits(forest) == bits(&alone), "head {k}: trees differ");
                     for &r in &rows {
                         prop_assert!(
                             leaf[r].to_bits() == alone_leaf[r].to_bits(),

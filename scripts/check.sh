@@ -31,8 +31,11 @@ cargo test -q --workspace
 # builds, the servers' build, instead of asserting. Run them here, with the
 # global plan-GCN's two trained-weight digests (global::tests::
 # trained_weights_*), so its training and predict are pinned in that build
-# too.
-cargo test --release -q -p stage-core -p stage-gbdt --lib -- in_release global::tests::trained_weights
+# too, and with the property test that holds the one tree kernel to the
+# stop-at-a-leaf reference walk (tree::tests::
+# prop_kernel_walk_equals_the_reference), so the walk the servers run is
+# the one checked.
+cargo test --release -q -p stage-core -p stage-gbdt --lib -- in_release global::tests::trained_weights tree::tests::prop_kernel_walk_equals_the_reference
 # The digests that pin every trained bit of the boosters, in the build the
 # servers ship: the release profile compiles out the debug assertions the
 # step above keeps (the boosting loop's check that each grown row's leaf is

@@ -189,3 +189,55 @@ fn trained_boosters_are_pinned_to_the_bit() {
     assert_eq!(n_trees, [75, 90, 54, 92, 117]);
     assert_eq!(h.0, 0x26cd_9216_3c39_3e47, "booster digest");
 }
+
+/// The answer bits of an ensemble prediction.
+fn answer_bits(p: &stage::gbdt::EnsemblePrediction) -> [u64; 3] {
+    [p.mean, p.model_uncertainty, p.data_uncertainty].map(f64::to_bits)
+}
+
+/// A decoded ensemble walks its trees on a cut table rebuilt from their
+/// stored thresholds, a trained one on its `Binner`'s cuts: on every pool
+/// row (and an all-NaN row) the two answer bit for bit alike, scalar and
+/// batch, and the decoded one exports the trees it was built from.
+#[test]
+fn a_decoded_ensemble_answers_as_the_trained_one() {
+    let data = fleet_pool();
+    let ens = BayesianEnsemble::fit(&data, &EnsembleParams::default()).expect("trains");
+    let parts = |e: &BayesianEnsemble| -> Vec<_> {
+        e.members()
+            .iter()
+            .map(|m| {
+                let (base_mu, base_log_var, ..) = m.scalar_parts();
+                let mu: Vec<Tree> = m.mu_trees().into_iter().collect();
+                let var: Vec<Tree> = m.var_trees().into_iter().collect();
+                (base_mu, base_log_var, mu, var)
+            })
+            .collect()
+    };
+    let decoded = BayesianEnsemble::from_parts(data.n_cols(), parts(&ens)).expect("lays out");
+    let words = |e: &BayesianEnsemble| {
+        let mut h = Fnv::new();
+        for (base_mu, base_log_var, mu, var) in parts(e) {
+            h.f64(base_mu);
+            h.f64(base_log_var);
+            for tree in mu.iter().chain(&var) {
+                let (feature, threshold, left, right, gain) = tree.to_flat_parts();
+                feature.iter().for_each(|&f| h.word(u64::from(f)));
+                threshold.iter().for_each(|&t| h.f64(t));
+                left.iter().for_each(|&l| h.word(u64::from(l)));
+                right.iter().for_each(|&r| h.word(u64::from(r)));
+                gain.iter().for_each(|&g| h.f64(g));
+            }
+        }
+        h.0
+    };
+    assert_eq!(words(&decoded), words(&ens), "exported trees");
+    let mut rows: Vec<Vec<f64>> = (0..data.n_rows()).map(|i| data.row(i).to_vec()).collect();
+    rows.push(vec![f64::NAN; data.n_cols()]);
+    let batch = decoded.predict_batch(&rows);
+    for (row, b) in rows.iter().zip(&batch) {
+        let want = answer_bits(&ens.predict(row));
+        assert_eq!(answer_bits(&decoded.predict(row)), want, "scalar");
+        assert_eq!(answer_bits(b), want, "batch");
+    }
+}
