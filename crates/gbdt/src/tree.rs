@@ -479,7 +479,13 @@ impl Iterator for TreeIter<'_> {
             .gains
             .split_at(complete.n_splits().min(self.gains.len()));
         self.gains = rest;
-        let mut tree = Tree::default();
+        let mut tree = Tree {
+            feature: Vec::new(),
+            threshold: Vec::new(),
+            left: Vec::new(),
+            right: Vec::new(),
+            gain: Vec::new(),
+        };
         tree.export(complete, self.cuts, &mut gains.iter().copied(), 1, 0);
         Some(tree)
     }
@@ -495,7 +501,7 @@ impl Iterator for TreeIter<'_> {
 /// threshold is a number, its feature below [`MAX_COLS`], and no leaf the
 /// root reaches is deeper than [`MAX_DEPTH`]. Models export their trees to
 /// this form and are rebuilt from it; no model walks it.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Tree {
     feature: Vec<u32>,
     threshold: Vec<f64>,
