@@ -337,10 +337,16 @@ impl Forest {
     #[inline]
     pub(crate) fn for_each_walk(&self, rank: &Ranks, mut put: impl FnMut(usize, &[f64])) {
         let mut out = [0.0; LANES];
-        for (i, ts) in self.trees.chunks(LANES).enumerate() {
-            let out = &mut out[..ts.len()];
-            walk(out, |j| (&ts[j], rank));
-            put(i * LANES, out);
+        // Full chunks as arrays, so every chain's tree is at a fixed offset.
+        let (full, rest) = self.trees.as_chunks::<LANES>();
+        for (i, ts) in full.iter().enumerate() {
+            walk(&mut out, |j| (&ts[j], rank));
+            put(i * LANES, &out);
+        }
+        if !rest.is_empty() {
+            let out = &mut out[..rest.len()];
+            walk(out, |j| (&rest[j], rank));
+            put(full.len() * LANES, out);
         }
     }
 
@@ -356,11 +362,18 @@ impl Forest {
     ) {
         let tree = &self.trees[t];
         let mut out = [0.0; LANES];
-        for first in (0..n).step_by(LANES) {
-            let out = &mut out[..LANES.min(n - first)];
-            walk(out, |j| (tree, rank(first + j)));
+        let full = n - n % LANES;
+        for first in (0..full).step_by(LANES) {
+            walk(&mut out, |j| (tree, rank(first + j)));
             for (j, &w) in out.iter().enumerate() {
                 put(first + j, w);
+            }
+        }
+        if full < n {
+            let out = &mut out[..n - full];
+            walk(out, |j| (tree, rank(full + j)));
+            for (j, &w) in out.iter().enumerate() {
+                put(full + j, w);
             }
         }
     }
