@@ -436,4 +436,47 @@ mod tests {
         let s: std::collections::HashSet<u64> = (0..100).map(|k| splitmix(42, k)).collect();
         assert_eq!(s.len(), 100);
     }
+
+    /// A decoded ensemble's cut table holds at most `MAX_CUTS` distinct
+    /// thresholds per column, counted across every member: spread over
+    /// two members, 255 lay out and answer as their trees do, 256 are
+    /// refused.
+    #[test]
+    fn from_parts_refuses_a_column_past_max_cuts() {
+        let split = |t: f64| {
+            let leaf = u32::MAX;
+            Tree::from_flat_parts(
+                &[0, leaf, leaf],
+                &[t, -1.0, 1.0],
+                &[1, 0, 0],
+                &[2, 0, 0],
+                &[1.0, 0.0, 0.0],
+            )
+            .unwrap()
+        };
+        let member = |ts: &[f64]| -> MemberParts {
+            let trees: Vec<Tree> = ts.iter().map(|&t| split(t)).collect();
+            (0.0, 0.0, trees.clone(), trees)
+        };
+        let cuts: Vec<f64> = (0..=crate::tree::MAX_CUTS).map(|i| i as f64).collect();
+        let (fits, over) = (&cuts[..crate::tree::MAX_CUTS], &cuts[..]);
+        let (lo, hi) = fits.split_at(fits.len() / 2);
+        let ens = BayesianEnsemble::from_parts(1, vec![member(lo), member(hi)])
+            .expect("255 distinct cuts lay out");
+        // Row 127.5 lies above thresholds 0..=127 and below the rest.
+        let row = [127.5];
+        let fold = |ts: &[f64]| {
+            ts.iter().fold(0.0, |mu, &t| {
+                mu + crate::ngboost::LEARNING_RATE * split(t).predict(&row)
+            })
+        };
+        let want = [fold(lo), fold(hi)].iter().sum::<f64>() / 2.0;
+        assert_eq!(ens.predict(&row).mean.to_bits(), want.to_bits());
+        let half = over.len() / 2;
+        assert!(BayesianEnsemble::from_parts(
+            1,
+            vec![member(&over[..half]), member(&over[half..])]
+        )
+        .is_none());
+    }
 }
