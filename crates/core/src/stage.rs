@@ -277,6 +277,17 @@ pub struct TierAnswers {
     pub global: Option<f64>,
 }
 
+/// One local answer the last predict call walked for: the plan's cache key,
+/// the exact local input, the [`LocalModel::trainings`] generation it was
+/// walked on, and the answer. An observe of the same input on the same
+/// generation scores the drift sentinel with it instead of walking again.
+struct HeldAnswer {
+    key: u64,
+    generation: u64,
+    input: Vec<f64>,
+    answer: LocalPrediction,
+}
+
 /// The hierarchical Stage predictor.
 pub struct StagePredictor {
     config: StageConfig,
@@ -288,6 +299,12 @@ pub struct StagePredictor {
     degraded: DegradedStats,
     drift: DriftSentinel,
     faults: Option<Arc<dyn ComponentFaults>>,
+    /// The local answers the most recent predict call walked for; the
+    /// next predict call replaces them. Never persisted.
+    held: Vec<HeldAnswer>,
+    /// Observes that walked the ensemble (tests count them).
+    #[cfg(test)]
+    observe_walks: u64,
 }
 
 impl StagePredictor {
@@ -303,6 +320,9 @@ impl StagePredictor {
             degraded: DegradedStats::default(),
             drift: DriftSentinel::default(),
             faults: None,
+            held: Vec::new(),
+            #[cfg(test)]
+            observe_walks: 0,
             config,
         }
     }
@@ -380,6 +400,9 @@ impl StagePredictor {
             degraded: snapshot.degraded,
             drift: snapshot.calibration,
             faults: None,
+            held: Vec::new(),
+            #[cfg(test)]
+            observe_walks: 0,
         }
     }
 
@@ -473,6 +496,38 @@ impl StagePredictor {
         features
     }
 
+    /// The local answer an observe scores the drift sentinel with: the one
+    /// the last predict call walked for this exact input on the current
+    /// ensemble generation, else a fresh walk. Debug builds walk anyway and
+    /// check that the two agree to the bit.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug_assert! expands to assert!; release builds compile the check out"
+    )]
+    fn observed_local(&mut self, key: u64, input: &[f64]) -> Option<LocalPrediction> {
+        let generation = self.local.trainings();
+        let held = (self.held.iter())
+            .find(|h| h.key == key && h.generation == generation && same_bits(&h.input, input))
+            .map(|h| h.answer);
+        match held {
+            Some(answer) => {
+                debug_assert!(
+                    self.local.predict(input).map(answer_bits) == Some(answer_bits(answer)),
+                    "a held local answer is not the one the walk finds"
+                );
+                Some(answer)
+            }
+            None => {
+                let answer = self.local.predict(input);
+                #[cfg(test)]
+                {
+                    self.observe_walks += u64::from(answer.is_some());
+                }
+                answer
+            }
+        }
+    }
+
     /// What every tier would answer for `plan` now — the same key, the same
     /// local input and the same models [`ExecTimePredictor::predict`] reads,
     /// asked side by side instead of routed. Touches no counter, consults no
@@ -542,13 +597,15 @@ impl StagePredictor {
         plans: &[PhysicalPlan],
         sys: &SystemContext,
     ) -> Vec<Prediction> {
+        self.held.clear();
         // Pass 1: extract + hash once per plan, probe the cache.
         let mut cached: Vec<Option<f64>> = Vec::with_capacity(plans.len());
-        let mut miss_features: Vec<Vec<f64>> = Vec::new();
+        let (mut miss_keys, mut miss_features) = (Vec::new(), Vec::new());
         for plan in plans {
             let (key, features) = Self::keyed_features(plan);
             let hit = self.cache.lookup(key);
             if hit.is_none() {
+                miss_keys.push(key);
                 miss_features.push(self.local_input(features, sys));
             }
             cached.push(hit);
@@ -561,6 +618,18 @@ impl StagePredictor {
         } else {
             self.local.predict_batch(&miss_features)
         };
+        // Hold every walked answer for the observes that follow.
+        if let Some(preds) = &local_preds {
+            let generation = self.local.trainings();
+            let walked = miss_keys.into_iter().zip(miss_features).zip(preds);
+            self.held
+                .extend(walked.map(|((key, input), &answer)| HeldAnswer {
+                    key,
+                    generation,
+                    input,
+                    answer,
+                }));
+        }
         // Pass 3: answer in request order; misses take their local answers
         // (none at all on a cold start or failover) in the order pass 1
         // found them.
@@ -584,6 +653,7 @@ impl StagePredictor {
 
 impl ExecTimePredictor for StagePredictor {
     fn predict(&mut self, plan: &PhysicalPlan, sys: &SystemContext) -> Prediction {
+        self.held.clear();
         let (key, features) = Self::keyed_features(plan);
         // Stage 1: exact-match cache.
         if let Some(secs) = self.cache.lookup(key) {
@@ -598,6 +668,14 @@ impl ExecTimePredictor for StagePredictor {
         } else {
             self.local.predict(&features)
         };
+        if let Some(answer) = local {
+            self.held.push(HeldAnswer {
+                key,
+                generation: self.local.trainings(),
+                input: features,
+                answer,
+            });
+        }
         // Stage 3: local answer, global model or default.
         self.route_miss(plan, sys, local)
     }
@@ -611,8 +689,9 @@ impl ExecTimePredictor for StagePredictor {
         // measures what the shard would actually have mispredicted. Every
         // observation is scored (cache hits included): a step change shows
         // up on repeated queries too, and dedup must not blind the
-        // detector to them.
-        if let Some(lp) = self.local.predict(&features) {
+        // detector to them. The answer the predict before it walked is
+        // reused when it still holds.
+        if let Some(lp) = self.observed_local(key, &features) {
             self.drift
                 .observe_residual(lp.log_mean, lp.log_std(), to_log_space(actual_secs));
         }
@@ -666,6 +745,22 @@ impl ExecTimePredictor for StagePredictor {
         let (c, p, l) = self.size_breakdown();
         std::mem::size_of::<Self>() + c + p + l + self.drift.approx_size_bytes()
     }
+}
+
+/// Whether two local inputs are equal to the bit.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// A local answer's fields as bits, for bit-equality checks.
+fn answer_bits(p: LocalPrediction) -> [u64; 4] {
+    [
+        p.exec_secs,
+        p.log_mean,
+        p.model_uncertainty,
+        p.data_uncertainty,
+    ]
+    .map(f64::to_bits)
 }
 
 // Thread-safety contract of the shard-parallel fleet replay engine,
@@ -1371,6 +1466,213 @@ mod tests {
         let restored = StagePredictor::from_snapshot(s.snapshot());
         assert_eq!(restored.drift(), s.drift());
         assert_eq!(restored.drift().coverage(), s.drift().coverage());
+    }
+
+    /// One step of [`prop_held_answers_change_nothing`]'s traces.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Predict then observe the plan under the same `sys`.
+        Pair(usize, usize),
+        /// Predict, then observe under another `sys`.
+        PairNewSys(usize, usize, usize),
+        Predict(usize, usize),
+        /// Observe a plan that may never have been predicted.
+        Observe(usize, usize),
+        /// Predict a batch (duplicates included), then observe it in order.
+        Batch(Vec<usize>, usize),
+        /// Toggle a 30× step change in the observed times.
+        Shift,
+        /// Fail the local tier for the next `n` consults.
+        LocalDown(u64),
+        /// Snapshot and restore.
+        Restore,
+    }
+
+    fn draw_op(rng: &mut rand::rngs::StdRng) -> Op {
+        use rand::Rng;
+        let (p, a, b) = (
+            rng.gen_range(0usize..120),
+            rng.gen_range(0usize..3),
+            rng.gen_range(0usize..3),
+        );
+        match rng.gen_range(0u32..100) {
+            0..=39 => Op::Pair(p, a),
+            40..=49 => Op::PairNewSys(p, a, b),
+            50..=59 => Op::Predict(p, a),
+            60..=74 => Op::Observe(p, a),
+            75..=89 => {
+                let len = rng.gen_range(1..=12);
+                Op::Batch(
+                    (0..len)
+                        .map(|_| (p + rng.gen_range(0usize..6)) % 120)
+                        .collect(),
+                    a,
+                )
+            }
+            90..=92 => Op::Shift,
+            93..=95 => Op::LocalDown(rng.gen_range(1..=2)),
+            _ => Op::Restore,
+        }
+    }
+
+    /// Runs `op` on one twin and returns the answers it gave. The twin with
+    /// `drop_held` forgets its held answers before every observe, so it
+    /// walks the ensemble for each one.
+    fn apply(
+        twin: &mut (StagePredictor, Arc<ScriptedComponentFaults>),
+        op: &Op,
+        mult: f64,
+        drop_held: bool,
+    ) -> Vec<Prediction> {
+        let systems = [
+            SystemContext {
+                features: vec![1.0, 0.5],
+            },
+            SystemContext {
+                features: vec![3.0, 0.5],
+            },
+            SystemContext { features: vec![] },
+        ];
+        let plan_of = |p: usize| plan((p + 1) as f64 * 1e4);
+        let (s, faults) = twin;
+        let observe = |s: &mut StagePredictor, p: usize, sys: usize| {
+            if drop_held {
+                s.held.clear();
+            }
+            let rows = (p + 1) as f64 * 1e4;
+            s.observe(&plan(rows), &systems[sys], mult * rows / 1e5);
+        };
+        match *op {
+            Op::Pair(p, a) => {
+                let answer = s.predict(&plan_of(p), &systems[a]);
+                observe(s, p, a);
+                vec![answer]
+            }
+            Op::PairNewSys(p, a, b) => {
+                let answer = s.predict(&plan_of(p), &systems[a]);
+                observe(s, p, b);
+                vec![answer]
+            }
+            Op::Predict(p, a) => vec![s.predict(&plan_of(p), &systems[a])],
+            Op::Observe(p, a) => {
+                observe(s, p, a);
+                vec![]
+            }
+            Op::Batch(ref ps, a) => {
+                let plans: Vec<PhysicalPlan> = ps.iter().map(|&p| plan_of(p)).collect();
+                let answers = s.predict_batch(&plans, &systems[a]);
+                ps.iter().for_each(|&p| observe(s, p, a));
+                answers
+            }
+            Op::Shift => vec![],
+            Op::LocalDown(n) => {
+                faults.local_down.store(n, Ordering::SeqCst);
+                vec![]
+            }
+            Op::Restore => {
+                let walks = s.observe_walks;
+                *s = StagePredictor::from_snapshot(s.snapshot());
+                s.set_component_faults(Arc::clone(faults) as Arc<dyn ComponentFaults>);
+                s.observe_walks = walks;
+                vec![]
+            }
+        }
+    }
+
+    /// Holding the local answers of the last predict call changes nothing
+    /// a predictor answers or keeps: over random interleavings of every
+    /// verb, a twin that drops its held answers before each observe (and so
+    /// walks every time) gives the same answers, the same drift sentinel,
+    /// the same pool and the same store sections — across drift-forced
+    /// retrains, local fail-overs, changed `sys` contexts and restores,
+    /// with the environment features on and off. `check.sh` runs it in the
+    /// release build too, where the debug check on every held answer is
+    /// compiled out.
+    #[test]
+    fn prop_held_answers_change_nothing() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(47);
+        let (mut reused, mut forced, mut failovers, mut restores) = (0, 0, 0, 0);
+        for case in 0..12 {
+            let mut cfg = quick_config();
+            cfg.env_features = case % 2 == 1;
+            cfg.local.retrain_interval = 40;
+            let ops: Vec<Op> = (0..rng.gen_range(120..200))
+                .map(|_| draw_op(&mut rng))
+                .collect();
+            let fresh = || {
+                let faults = Arc::new(ScriptedComponentFaults::default());
+                let mut p = StagePredictor::new(cfg);
+                p.set_component_faults(Arc::clone(&faults) as Arc<dyn ComponentFaults>);
+                (p, faults)
+            };
+            let (mut held, mut walked) = (fresh(), fresh());
+            let mut mult = 1.0;
+            for op in &ops {
+                let answers = apply(&mut held, op, mult, false);
+                assert_eq!(answers, apply(&mut walked, op, mult, true), "{op:?}");
+                if matches!(op, Op::Shift) {
+                    mult = if mult == 1.0 { 30.0 } else { 1.0 };
+                }
+                let (h, w) = (&held.0, &walked.0);
+                assert_eq!(h.drift(), w.drift(), "{op:?}");
+                assert_eq!(h.pool().len(), w.pool().len(), "{op:?}");
+                assert_eq!(h.stats(), w.stats(), "{op:?}");
+                assert_eq!(h.degraded_stats(), w.degraded_stats(), "{op:?}");
+            }
+            let (h, w) = (&held.0, &walked.0);
+            let sections = |p: &StagePredictor| crate::storefmt::snapshot_sections(&p.snapshot());
+            assert_eq!(sections(h), sections(w), "case {case}");
+            reused += w.observe_walks - h.observe_walks;
+            forced += h.drift().forced_retrains();
+            failovers += h.degraded_stats().local_failover;
+            restores += ops.iter().filter(|op| matches!(op, Op::Restore)).count();
+        }
+        assert!(
+            reused > 0 && forced > 0 && failovers > 0 && restores > 0,
+            "vacuous: reused {reused}, forced {forced}, failovers {failovers}, restores {restores}"
+        );
+    }
+
+    /// On a trained shard a predict → observe pair walks the ensemble once
+    /// (the predict's walk), and a batch of 64 followed by its 64 observes
+    /// walks again only for the plans the batch answered from the cache.
+    #[test]
+    fn an_observe_walks_only_where_its_predict_did_not() {
+        let mut cfg = quick_config();
+        cfg.local.retrain_interval = 10_000;
+        let mut s = StagePredictor::new(cfg);
+        for i in 1..=60 {
+            let rows = i as f64 * 1e4;
+            s.observe(&plan(rows), &sys(), rows / 1e5);
+        }
+        assert!(s.local().is_trained());
+        let q = plan(3.33e5);
+        let before = s.observe_walks;
+        assert_eq!(s.predict(&q, &sys()).source, PredictionSource::Local);
+        s.observe(&q, &sys(), 3.33);
+        assert_eq!(s.observe_walks, before);
+
+        // Seen plans (cache hits), fresh ones, and fresh ones twice.
+        let plans: Vec<PhysicalPlan> = (0..64)
+            .map(|i| match i % 4 {
+                0 => plan((i / 4 + 1) as f64 * 1e4),
+                1 | 2 => plan(1e6 + (i / 4) as f64 * 1e3),
+                _ => plan(2e6 + i as f64 * 1e3),
+            })
+            .collect();
+        let answers = s.predict_batch(&plans, &sys());
+        let hits = answers
+            .iter()
+            .filter(|p| p.source == PredictionSource::Cache)
+            .count() as u64;
+        assert_eq!(hits, 16);
+        let before = s.observe_walks;
+        for q in &plans {
+            s.observe(q, &sys(), 1.0);
+        }
+        assert_eq!(s.observe_walks - before, hits);
+        assert_eq!(s.local().trainings(), 1, "no retrain inside the check");
     }
 
     #[test]

@@ -69,19 +69,35 @@ impl FeatureVector {
 /// extracted features without the wrapper (e.g. the batched serve path,
 /// which hashes each plan's features exactly once per request).
 pub fn stable_hash_slice(features: &[f64]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = FNV_OFFSET;
     for &v in features {
-        // Normalize -0.0 to 0.0 so equal values hash equally.
-        let bits = if v == 0.0 { 0u64 } else { v.to_bits() };
-        for byte in bits.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(FNV_PRIME);
+        // -0.0 hashes as 0.0, so equal values hash equally. A zero word's
+        // eight steps `h = (h ^ 0)·P` are one multiply by P⁸ (mod 2⁶⁴); a
+        // plan vector is mostly zeros.
+        if v == 0.0 {
+            h = h.wrapping_mul(FNV_PRIME_POW8);
+        } else {
+            for byte in v.to_bits().to_le_bytes() {
+                h ^= byte as u64;
+                h = h.wrapping_mul(FNV_PRIME);
+            }
         }
     }
     h
 }
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// `FNV_PRIME⁸ mod 2⁶⁴`: eight FNV-1a steps over zero bytes.
+const FNV_PRIME_POW8: u64 = {
+    let mut p = 1u64;
+    let mut i = 0;
+    while i < 8 {
+        p = p.wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    p
+};
 
 /// Flattens a plan into its 33-dim feature vector (paper §4.2).
 pub fn plan_feature_vector(plan: &PhysicalPlan) -> FeatureVector {
@@ -277,7 +293,54 @@ mod tests {
         feature_name(CACHE_FEATURE_DIM);
     }
 
+    /// FNV-1a over every byte of every word, -0.0 read as 0.0: the hash
+    /// [`stable_hash_slice`] must equal bit for bit.
+    fn bytewise_hash(features: &[f64]) -> u64 {
+        let mut h = FNV_OFFSET;
+        for &v in features {
+            let bits = if v == 0.0 { 0u64 } else { v.to_bits() };
+            for byte in bits.to_le_bytes() {
+                h ^= byte as u64;
+                h = h.wrapping_mul(FNV_PRIME);
+            }
+        }
+        h
+    }
+
+    /// One word of a kind the hash must not confuse: ±0.0, a NaN with a
+    /// random payload and sign, a subnormal, an ordinary value, any bits.
+    fn word(kind: u8, bits: u64) -> f64 {
+        const SIGN: u64 = 1 << 63;
+        const MANTISSA: u64 = (1 << 52) - 1;
+        match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from_bits(0x7ff0_0000_0000_0000 | (bits & SIGN) | (bits & MANTISSA).max(1)),
+            3 => f64::from_bits((bits & SIGN) | (bits & MANTISSA).max(1)),
+            4 => (bits >> 11) as f64 * 1e-3,
+            _ => f64::from_bits(bits),
+        }
+    }
+
+    #[test]
+    fn all_zero_vectors_hash_bytewise() {
+        for len in 0..=64 {
+            for zero in [0.0, -0.0] {
+                let v = vec![zero; len];
+                assert_eq!(stable_hash_slice(&v), bytewise_hash(&v), "len {len}");
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_zero_word_step_hashes_bytewise(
+            words in proptest::collection::vec((0u8..6, 0u64..=u64::MAX), 0..=64),
+        ) {
+            let v: Vec<f64> = words.iter().map(|&(kind, bits)| word(kind, bits)).collect();
+            prop_assert_eq!(stable_hash_slice(&v), bytewise_hash(&v));
+        }
+
         #[test]
         fn prop_onehot_is_exactly_one(
             op_idx in 0..OperatorKind::COUNT,

@@ -478,6 +478,36 @@ mod tests {
         server.join().unwrap();
     }
 
+    /// A JSON line nested far past `serde_json::MAX_NESTING` (≈ 200 KB,
+    /// well under the frame limit) is answered with an error instead of
+    /// overflowing the serve loop's stack; that connection and others keep
+    /// being served.
+    #[test]
+    fn a_deeply_nested_json_line_is_an_error_not_an_abort() {
+        use std::io::{BufRead, BufReader, Write};
+        let server = Server::start(ServeConfig::default()).unwrap();
+        let mut conn = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        let deep = 100_000;
+        let line = format!(
+            "{{\"Predict\":{{\"instance\":0,\"plan\":{}1{},\"sys\":[]}}}}\n{{\"Stats\":{{\"instance\":0}}}}\n",
+            "[".repeat(deep),
+            "]".repeat(deep)
+        );
+        conn.write_all(line.as_bytes()).unwrap();
+        let mut replies = BufReader::new(conn.try_clone().unwrap()).lines();
+        let mut reply = || serde_json::from_str::<Response>(&replies.next().unwrap().unwrap());
+        let Response::Error { message } = reply().unwrap() else {
+            panic!("a deep line must answer Error");
+        };
+        assert!(message.contains("nesting"), "{message}");
+        assert!(matches!(reply().unwrap(), Response::Stats { .. }));
+        let mut other = ServeClient::connect(server.local_addr()).unwrap();
+        assert!(matches!(other.stats(0).unwrap(), Response::Stats { .. }));
+        other.shutdown().unwrap();
+        drop((conn, other));
+        server.join().unwrap();
+    }
+
     #[test]
     fn unknown_instances_are_rejected_not_aliased() {
         // An id the registry does not host must be rejected explicitly,

@@ -965,6 +965,54 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
+    /// The deepest plan the binary decoder admits (root at depth 0, a leaf
+    /// at [`MAX_PLAN_DEPTH`]) also parses from JSON inside every verb that
+    /// carries plans, within `serde_json::MAX_NESTING`, on a thread with
+    /// the default 2 MiB stack like the serve loops'.
+    #[test]
+    fn the_deepest_binary_plan_parses_as_json() {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let mut deepest = plan();
+                deepest.root = PlanNode::leaf(OperatorKind::ALL[0], 1.0, 1.0, 1.0);
+                for _ in 0..MAX_PLAN_DEPTH {
+                    deepest.root =
+                        PlanNode::internal(OperatorKind::ALL[0], 1.0, 1.0, 1.0, vec![deepest.root]);
+                }
+                let sys = vec![1.0, 0.5];
+                for request in [
+                    Request::Predict {
+                        instance: 0,
+                        plan: deepest.clone(),
+                        sys: sys.clone(),
+                    },
+                    Request::PredictBatch {
+                        instance: 0,
+                        plans: vec![deepest.clone()],
+                        sys: sys.clone(),
+                    },
+                    Request::Observe {
+                        instance: 0,
+                        plan: deepest.clone(),
+                        sys: sys.clone(),
+                        actual_secs: 1.0,
+                    },
+                ] {
+                    let (mut payload, mut again) = (Vec::new(), Vec::new());
+                    encode_request(&request, &mut payload);
+                    encode_request(&decode_request(&payload).unwrap(), &mut again);
+                    assert_eq!(again, payload);
+                    let json = serde_json::to_string(&request).unwrap();
+                    let parsed: Request = serde_json::from_str(&json).unwrap();
+                    assert_eq!(serde_json::to_string(&parsed).unwrap(), json);
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
     #[test]
     fn garbage_payloads_error_not_panic() {
         for payload in [

@@ -34,8 +34,11 @@ cargo test -q --workspace
 # too, and with the property test that holds the one tree kernel to the
 # stop-at-a-leaf reference walk (tree::tests::
 # prop_kernel_walk_equals_the_reference), so the walk the servers run is
-# the one checked.
-cargo test --release -q -p stage-core -p stage-gbdt --lib -- in_release global::tests::trained_weights tree::tests::prop_kernel_walk_equals_the_reference
+# the one checked, and with the property test that holds an observe which
+# reuses its predict's local answer to one that walks again (stage::tests::
+# prop_held_answers_change_nothing): the debug build also walks and compares
+# on every reuse, so only here is the reuse alone checked.
+cargo test --release -q -p stage-core -p stage-gbdt --lib -- in_release global::tests::trained_weights tree::tests::prop_kernel_walk_equals_the_reference stage::tests::prop_held_answers_change_nothing
 # The digests that pin every trained bit of the boosters, in the build the
 # servers ship: the release profile compiles out the debug assertions the
 # step above keeps (the boosting loop's check that each grown row's leaf is
