@@ -145,9 +145,8 @@ impl ExecTimeCache {
         })
     }
 
-    /// [`ExecTimeCache::peek`], counted as a hit or a miss. The one lookup:
-    /// the scalar and batch predict paths both call it once per plan, so
-    /// their counters agree.
+    /// [`ExecTimeCache::peek`], counted as a hit or a miss: the one lookup,
+    /// which the predict path calls once per plan.
     pub fn lookup(&mut self, key: u64) -> Option<f64> {
         let hit = self.peek(key);
         match hit {

@@ -196,17 +196,15 @@ impl LocalModel {
         }
     }
 
-    /// Predicts exec-time and uncertainty for a 33-dim feature vector.
-    /// `None` until the first training.
+    /// Predicts exec-time and uncertainty for a 33-dim feature vector: a
+    /// batch of one. `None` until the first training.
     pub fn predict(&self, features: &[f64]) -> Option<LocalPrediction> {
-        Some(self.ensemble.as_ref()?.predict(features).into())
+        self.predict_batch(&[features])?.pop()
     }
 
-    /// Predicts exec-time and uncertainty for a batch of feature vectors —
-    /// bit-identical to calling [`LocalModel::predict`] per row, but one
-    /// tree-major pass: every tree is walked by the whole batch before the
-    /// next tree is touched. `None` until the first training (matching the
-    /// scalar contract for every row at once).
+    /// Predicts exec-time and uncertainty for a batch of feature vectors
+    /// ([`BayesianEnsemble::predict_batch`]). `None` until the first
+    /// training.
     pub fn predict_batch<R: AsRef<[f64]>>(&self, features: &[R]) -> Option<Vec<LocalPrediction>> {
         let ensemble = self.ensemble.as_ref()?;
         Some(

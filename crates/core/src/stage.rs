@@ -219,7 +219,7 @@ pub struct DegradedStats {
     /// Predictions that wanted the global model but found it unavailable
     /// (served by the local tier or the default instead).
     pub global_failover: u64,
-    /// Predictions (scalar) or batches that found the local model
+    /// Predict calls (one plan or a batch) that found the local model
     /// unavailable (served by the global tier or the default instead).
     pub local_failover: u64,
     /// Due retrains skipped because the training was poisoned; the stale
@@ -584,22 +584,21 @@ impl StagePredictor {
         }
     }
 
-    /// Predicts a whole batch of plans under one `sys` context. Routing
-    /// decisions, predictions, and every counter are identical to calling
-    /// [`ExecTimePredictor::predict`] once per plan in order — both go
-    /// through the same extraction, the same [`ExecTimeCache::lookup`] and
-    /// the same miss routing. What the batch amortises is the local tier:
-    /// all cache misses go through one tree-major ensemble pass
-    /// ([`LocalModel::predict_batch`], bit-identical to per-row predict), and
-    /// the local fault oracle is consulted once per batch, not per miss.
+    /// Predicts a whole batch of plans under one `sys` context;
+    /// [`ExecTimePredictor::predict`] is a batch of one, so the two verbs
+    /// share every step. Each plan is extracted and hashed once and probed
+    /// in the cache; every miss goes through one
+    /// [`LocalModel::predict_batch`] call, the local fault oracle consulted
+    /// once per call with a miss; then each miss is routed in request order.
     pub fn predict_batch(
         &mut self,
         plans: &[PhysicalPlan],
         sys: &SystemContext,
     ) -> Vec<Prediction> {
         self.held.clear();
-        // Pass 1: extract + hash once per plan, probe the cache.
-        let mut cached: Vec<Option<f64>> = Vec::with_capacity(plans.len());
+        // Pass 1: extract + hash once per plan and probe the cache; a hit
+        // is answered here.
+        let mut answers = Vec::with_capacity(plans.len());
         let (mut miss_keys, mut miss_features) = (Vec::new(), Vec::new());
         for plan in plans {
             let (key, features) = Self::keyed_features(plan);
@@ -608,7 +607,8 @@ impl StagePredictor {
                 miss_keys.push(key);
                 miss_features.push(self.local_input(features, sys));
             }
-            cached.push(hit);
+            self.stats.cache += u64::from(hit.is_some());
+            answers.push(hit.map(|secs| Prediction::point(secs, PredictionSource::Cache)));
         }
         // Pass 2: one batched local-model call covers every miss. The fault
         // oracle is consulted once per batch that would use the local tier
@@ -630,54 +630,27 @@ impl StagePredictor {
                     answer,
                 }));
         }
-        // Pass 3: answer in request order; misses take their local answers
-        // (none at all on a cold start or failover) in the order pass 1
-        // found them.
+        // Pass 3: route the misses in request order; they take their local
+        // answers (none at all on a cold start or failover) in the order
+        // pass 1 found them.
         let mut local_preds = local_preds.into_iter().flatten();
-        plans
-            .iter()
-            .zip(cached)
-            .map(|(plan, hit)| match hit {
-                Some(secs) => {
-                    self.stats.cache += 1;
-                    Prediction::point(secs, PredictionSource::Cache)
-                }
-                None => {
-                    let local = local_preds.next();
-                    self.route_miss(plan, sys, local)
-                }
+        answers
+            .into_iter()
+            .zip(plans)
+            .map(|(hit, plan)| {
+                hit.unwrap_or_else(|| self.route_miss(plan, sys, local_preds.next()))
             })
             .collect()
     }
 }
 
 impl ExecTimePredictor for StagePredictor {
+    /// A batch of one ([`StagePredictor::predict_batch`]).
     fn predict(&mut self, plan: &PhysicalPlan, sys: &SystemContext) -> Prediction {
-        self.held.clear();
-        let (key, features) = Self::keyed_features(plan);
-        // Stage 1: exact-match cache.
-        if let Some(secs) = self.cache.lookup(key) {
-            self.stats.cache += 1;
-            return Prediction::point(secs, PredictionSource::Cache);
-        }
-        // Stage 2: local model (bypassed entirely when the fault oracle
-        // declares the tier down — the failover is counted in the consult).
-        let features = self.local_input(features, sys);
-        let local = if self.fault_local_unavailable() {
-            None
-        } else {
-            self.local.predict(&features)
-        };
-        if let Some(answer) = local {
-            self.held.push(HeldAnswer {
-                key,
-                generation: self.local.trainings(),
-                input: features,
-                answer,
-            });
-        }
-        // Stage 3: local answer, global model or default.
-        self.route_miss(plan, sys, local)
+        let answers = self.predict_batch(std::slice::from_ref(plan), sys);
+        // A batch answers each of its plans, so this is never the default.
+        let default = Prediction::point(DEFAULT_PREDICTION_SECS, PredictionSource::Default);
+        answers.into_iter().next().unwrap_or(default)
     }
 
     fn observe(&mut self, plan: &PhysicalPlan, sys: &SystemContext, actual_secs: f64) {

@@ -16,7 +16,7 @@
 //! All members' trees sit on one cut table — the shared [`Binner`]'s cuts
 //! for a trained ensemble, the stored thresholds of every member for a
 //! decoded one — so a row is ranked once per prediction and every member
-//! walks the same ranks ([`crate::tree`]).
+//! walks the same ranks ([`crate::tree`]): a prediction is a batch of one.
 
 use crate::dataset::{Binner, Dataset};
 use crate::gbm::N_BINS;
@@ -122,11 +122,11 @@ pub(crate) fn splitmix(seed: u64, k: u64) -> u64 {
 
 /// Eqs. 1–2 over the members' `(μ_k, σ_k²)`, each sum taken in member
 /// order.
-fn combine(dists: &[(f64, f64)]) -> EnsemblePrediction {
-    let k = dists.len() as f64;
-    let mean = dists.iter().map(|d| d.0).sum::<f64>() / k;
-    let model_uncertainty = dists.iter().map(|d| (d.0 - mean).powi(2)).sum::<f64>() / k;
-    let data_uncertainty = dists.iter().map(|d| d.1).sum::<f64>() / k;
+fn combine<'a>(dists: impl Iterator<Item = &'a (f64, f64)> + Clone) -> EnsemblePrediction {
+    let k = dists.clone().count() as f64;
+    let mean = dists.clone().map(|d| d.0).sum::<f64>() / k;
+    let model_uncertainty = dists.clone().map(|d| (d.0 - mean).powi(2)).sum::<f64>() / k;
+    let data_uncertainty = dists.map(|d| d.1).sum::<f64>() / k;
     EnsemblePrediction {
         mean,
         model_uncertainty,
@@ -162,37 +162,25 @@ impl BayesianEnsemble {
         Some(Self { cuts, members })
     }
 
-    /// Predicts mean and decomposed uncertainty for a raw feature row: the
-    /// row ranked once, every member walked on those ranks.
+    /// Predicts mean and decomposed uncertainty for a raw feature row: a
+    /// batch of one.
     pub fn predict(&self, row: &[f64]) -> EnsemblePrediction {
-        let rank = self.cuts.rank(row);
-        let dists: Vec<(f64, f64)> = self
-            .members
-            .iter()
-            .map(|m| m.predict_ranked(&rank))
-            .collect();
-        combine(&dists)
+        self.predict_batch(&[row])[0]
     }
 
-    /// Predicts mean and decomposed uncertainty for a batch of rows —
-    /// bit-identical to calling [`BayesianEnsemble::predict`] per row. Each
-    /// row is ranked once; each member walks the whole batch's ranks
-    /// round-major (member-major), then each row's member answers are
-    /// combined in member order, exactly as the scalar path combines them.
+    /// Predicts mean and decomposed uncertainty for a batch of rows. Each
+    /// row is ranked once; every member fills its slice of one member-major
+    /// buffer of `(μ_k, σ_k²)`, then each row's answers are combined in
+    /// member order.
     pub fn predict_batch<R: AsRef<[f64]>>(&self, rows: &[R]) -> Vec<EnsemblePrediction> {
         let ranks: Vec<Ranks> = rows.iter().map(|r| self.cuts.rank(r.as_ref())).collect();
-        let per_member: Vec<Vec<(f64, f64)>> = self
-            .members
-            .iter()
-            .map(|m| m.predict_ranked_batch(&ranks))
-            .collect();
-        let mut dists = Vec::with_capacity(per_member.len());
-        (0..rows.len())
-            .map(|r| {
-                dists.clear();
-                dists.extend(per_member.iter().map(|d| d[r]));
-                combine(&dists)
-            })
+        let n = ranks.len();
+        let mut dists = vec![(0.0, 0.0); n * self.members.len()];
+        for (member, dists) in self.members.iter().zip(dists.chunks_exact_mut(n.max(1))) {
+            member.dists(&ranks, dists);
+        }
+        (0..n)
+            .map(|r| combine(dists.iter().skip(r).step_by(n)))
             .collect()
     }
 

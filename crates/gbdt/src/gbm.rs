@@ -163,17 +163,17 @@ impl Gbm {
         })
     }
 
-    /// Predicts the target for a raw feature row: the row ranked once, its
-    /// trees walked [`crate::tree::LANES`] at a time.
+    /// Predicts the target for a raw feature row: the row ranked once, then
+    /// walked through its trees in order by [`crate::tree`]'s one walk.
     pub fn predict(&self, row: &[f64]) -> f64 {
         debug_assert_eq!(row.len(), self.n_cols);
         // Summed from −0.0 in tree order, the fold `Iterator::sum` makes for
         // `f64`, then added to the base.
         let mut sum = -0.0;
         let rank = self.cuts.rank(row);
-        self.trees.for_each_walk(&rank, |_, leaves| {
-            leaves.iter().for_each(|w| sum += self.learning_rate * w);
-        });
+        let add =
+            |_, _, _, leaves: &[f64]| leaves.iter().for_each(|w| sum += self.learning_rate * w);
+        self.trees.walk(0..self.trees.len(), 1, |_| &rank, add);
         self.base + sum
     }
 
@@ -292,30 +292,31 @@ pub(crate) fn boost<const K: usize>(
             f.iter_mut().zip(&mut leaves).zip(range.iter().zip(&heads))
         {
             let t = head.len() - 1;
+            // One tree: every run goes along the rows.
             debug_assert!(
                 {
-                    let mut walked = Vec::with_capacity(rows.len());
-                    head.tree_leaves(
-                        t,
+                    let mut same = true;
+                    head.walk(
+                        t..t + 1,
                         rows.len(),
                         |i| binned.row(rows[i]),
-                        |_, w| {
-                            walked.push(w);
+                        |_, i, _, w| {
+                            same &= (i..)
+                                .zip(w)
+                                .all(|(i, w)| w.to_bits() == leaf[rows[i]].to_bits());
                         },
                     );
-                    rows.iter()
-                        .zip(&walked)
-                        .all(|(&r, w)| w.to_bits() == leaf[r].to_bits())
+                    same
                 },
                 "a grown row's leaf weight is not the one the walk finds"
             );
             for at in [val_idx, unsampled] {
-                head.tree_leaves(
-                    t,
+                head.walk(
+                    t..t + 1,
                     at.len(),
                     |i| binned.row(at[i]),
-                    |i, w| {
-                        leaf[at[i]] = w;
+                    |_, i, _, w| {
+                        (i..).zip(w).for_each(|(i, &w)| leaf[at[i]] = w);
                     },
                 );
             }

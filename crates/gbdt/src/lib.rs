@@ -41,9 +41,10 @@
 //! (an ensemble's members share one), each row ranked on it once, and
 //! complete depth-6 trees of 2-byte `(rank, column)` nodes that one
 //! branch-free kernel walks [`tree::LANES`] (tree, row) chains at a time —
-//! a boosted head walks many trees per row and a batch many rows per
-//! tree. A [`Tree`] is one tree's arena form, which `to_flat_parts` /
-//! `from_flat_parts` move through the artefact store.
+//! one row across many trees, or, once a batch fills the lanes, many rows
+//! across one tree; a prediction is a batch of one. A [`Tree`] is one
+//! tree's arena form, which `to_flat_parts` / `from_flat_parts` move
+//! through the artefact store.
 //!
 //! All training is deterministic given the seed.
 

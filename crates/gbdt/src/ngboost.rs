@@ -20,14 +20,14 @@
 //!
 //! Both heads are one forest in [`crate::tree`]'s walked layout — the μ
 //! trees, then the s trees — over one cut table, which an ensemble's
-//! members share: a row is ranked once, then the forest is walked
-//! [`crate::tree::LANES`] trees at a time by the one kernel. The table is
-//! the fit's [`Binner`] cuts, or a decoded model's thresholds; either
-//! answers every row the same.
+//! members share: a row is ranked once, then walked through the forest in
+//! boosting order by the one walk, whether it comes alone or in a batch.
+//! The table is the fit's [`Binner`] cuts, or a decoded model's
+//! thresholds; either answers every row the same.
 
 use crate::dataset::{BinnedDataset, Binner, Dataset};
 use crate::gbm::{boost, GbmParams, N_BINS, UNCLAMPED};
-use crate::tree::{lay_out, Cuts, Forest, Ranks, Tree, Trees};
+use crate::tree::{lay_out, Along, Cuts, Forest, Ranks, Tree, Trees};
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
 
@@ -188,58 +188,59 @@ impl NgBoost {
         }
     }
 
-    /// Predicts `(μ, σ²)` for a raw feature row: the row ranked on the cut
-    /// table, then walked on those ranks.
+    /// Predicts `(μ, σ²)` for a raw feature row: a batch of one.
     pub fn predict_dist(&self, row: &[f64]) -> (f64, f64) {
         debug_assert_eq!(row.len(), self.n_cols);
-        self.predict_ranked(&self.cuts.rank(row))
+        self.predict_dist_batch(&[row])[0]
     }
 
-    /// `(μ, σ²)` for a row ranked on this model's cut table. Both heads'
-    /// trees are walked [`crate::tree::LANES`] at a time in lockstep; μ and
-    /// s take their head's leaf weights in boosting order, each s step
-    /// clamped.
-    pub(crate) fn predict_ranked(&self, rank: &Ranks) -> (f64, f64) {
-        let (lo, hi) = LOG_VAR_RANGE;
-        let rounds = self.n_rounds();
-        let (mut mu, mut s) = (self.base_mu, self.base_log_var);
-        self.trees.for_each_walk(rank, |t, leaves| {
-            let (mu_leaves, s_leaves) = leaves.split_at(rounds.saturating_sub(t).min(leaves.len()));
-            mu_leaves.iter().for_each(|w| mu += LEARNING_RATE * w);
-            s_leaves
-                .iter()
-                .for_each(|w| s = (s + LEARNING_RATE * w).clamp(lo, hi));
-        });
-        (mu, s.exp())
-    }
-
-    /// Predicts `(μ, σ²)` for a batch of rows — bit-identical to calling
-    /// [`NgBoost::predict_dist`] per row: each row ranked once, then
-    /// every tree walked over the whole batch of ranks.
+    /// Predicts `(μ, σ²)` for a batch of rows, each row ranked once on the
+    /// cut table.
     pub fn predict_dist_batch<R: AsRef<[f64]>>(&self, rows: &[R]) -> Vec<(f64, f64)> {
         let ranks: Vec<Ranks> = rows.iter().map(|r| self.cuts.rank(r.as_ref())).collect();
-        self.predict_ranked_batch(&ranks)
+        let mut dists = vec![(0.0, 0.0); ranks.len()];
+        self.dists(&ranks, &mut dists);
+        dists
     }
 
-    /// `(μ, σ²)` for rows ranked on this model's cut table. The loop is
-    /// round-major: each tree walks the whole batch, [`crate::tree::LANES`]
-    /// rows in lockstep, while its nodes are hot; each round updates every
-    /// row's μ, then every row's s (with the per-round clamp), exactly the
-    /// scalar update order.
-    pub(crate) fn predict_ranked_batch(&self, ranks: &[Ranks]) -> Vec<(f64, f64)> {
-        let n = ranks.len();
+    /// Writes `(μ, σ²)` for each row ranked on this model's cut table to
+    /// the same index of `out`. Both heads' trees are one [`Forest::walk`],
+    /// so each row meets them in boosting order however many rows there
+    /// are: μ takes its head's leaf weights, then s takes its head's, each
+    /// s step clamped.
+    pub(crate) fn dists(&self, ranks: &[Ranks], out: &mut [(f64, f64)]) {
         let (lo, hi) = LOG_VAR_RANGE;
-        let mut mu = vec![self.base_mu; n];
-        let mut s = vec![self.base_log_var; n];
         let rounds = self.n_rounds();
+        out.fill((self.base_mu, self.base_log_var));
         let rank = |i: usize| &ranks[i];
-        for t in 0..rounds {
-            let mu_step = |i: usize, w: f64| mu[i] += LEARNING_RATE * w;
-            self.trees.tree_leaves(t, n, rank, mu_step);
-            let s_step = |i: usize, w: f64| s[i] = (s[i] + LEARNING_RATE * w).clamp(lo, hi);
-            self.trees.tree_leaves(rounds + t, n, rank, s_step);
-        }
-        mu.into_iter().zip(s).map(|(m, sv)| (m, sv.exp())).collect()
+        self.trees.walk(
+            0..2 * rounds,
+            ranks.len(),
+            rank,
+            |along, i, t, leaves| match along {
+                // One row along the trees: its μ and s stay in registers.
+                Along::Trees => {
+                    let (mut mu, mut s) = out[i];
+                    let (mu_leaves, s_leaves) =
+                        leaves.split_at(rounds.saturating_sub(t).min(leaves.len()));
+                    mu_leaves.iter().for_each(|w| mu += LEARNING_RATE * w);
+                    s_leaves
+                        .iter()
+                        .for_each(|w| s = (s + LEARNING_RATE * w).clamp(lo, hi));
+                    out[i] = (mu, s);
+                }
+                // One tree along the rows: every row's μ, or every row's s.
+                Along::Rows => {
+                    let rows = out[i..].iter_mut().zip(leaves);
+                    if t < rounds {
+                        rows.for_each(|((mu, _), w)| *mu += LEARNING_RATE * w);
+                    } else {
+                        rows.for_each(|((_, s), w)| *s = (*s + LEARNING_RATE * w).clamp(lo, hi));
+                    }
+                }
+            },
+        );
+        out.iter_mut().for_each(|(_, s)| *s = s.exp());
     }
 
     /// Point prediction (the mean).

@@ -39,8 +39,11 @@
 //!   of 2-byte `(k, column)` nodes in heap order, its 2^`MAX_DEPTH` leaf
 //!   weights beside them. A leaf grown shallower sits at its leftmost
 //!   descendant, and the padding nodes above it (`k = 255`) step left.
-//! * **One kernel.** Up to [`LANES`] (tree, ranked row) chains walk in
-//!   lockstep, each exactly `MAX_DEPTH` steps of `c = 2c + 1 + (rank[col] > k)`.
+//! * **One walk.** Up to [`LANES`] (tree, ranked row) chains step in
+//!   lockstep, each exactly `MAX_DEPTH` steps of `c = 2c + (rank[col] > k)`:
+//!   one row across [`LANES`] trees when fewer rows than [`LANES`] meet
+//!   several trees, else one tree across [`LANES`] rows. A single row and a
+//!   batch take this one walk, and each row meets the trees in order.
 //!
 //! The step is exact: for cuts sorted ascending, `x ≤ cuts[k] ⇔
 //! #{cuts < x} ≤ k` (ties and −0.0 included), and NaN, ranked above every
@@ -155,6 +158,14 @@ impl Ranked for [u8] {
     }
 }
 
+/// Which way a run of leaf weights from [`Forest::walk`] goes: one row's
+/// leaves in consecutive trees, or one tree's for consecutive rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Along {
+    Trees,
+    Rows,
+}
+
 /// The kernel. Walks `out.len()` (1 to [`LANES`]) chains in lockstep,
 /// chain `j` being tree `chain(j).0` on ranked row `chain(j).1`, and writes
 /// each chain's leaf weight to `out[j]`. Every chain takes `MAX_DEPTH`
@@ -163,7 +174,7 @@ impl Ranked for [u8] {
 /// unrolls; a shorter call repeats its last chain in the spare lanes and
 /// writes nothing for them.
 #[inline]
-fn walk<'t, 'r, R: Ranked + ?Sized + 'r>(
+fn kernel<'t, 'r, R: Ranked + ?Sized + 'r>(
     out: &mut [f64],
     chain: impl Fn(usize) -> (&'t Complete, &'r R),
 ) {
@@ -180,6 +191,29 @@ fn walk<'t, 'r, R: Ranked + ?Sized + 'r>(
     for (o, (&c, (tree, _))) in out.iter_mut().zip(at.iter().zip(&chains)) {
         // `c` is `LEAVES + i` for leaf `i`.
         *o = tree.leaves[c % LEAVES];
+    }
+}
+
+/// [`Forest::walk`] along the rows: `tree` (the forest's tree `t`) for
+/// `n` ranked rows, [`LANES`] per kernel call. Kept out of line: inlined
+/// beside the walk along the trees, it made a 64-row batch ≈ 10 % slower.
+fn along_rows<'r, R: Ranked + ?Sized + 'r>(
+    tree: &Complete,
+    t: usize,
+    n: usize,
+    rank: impl Fn(usize) -> &'r R,
+    mut put: impl FnMut(Along, usize, usize, &[f64]),
+) {
+    let mut out = [0.0; LANES];
+    let full = n - n % LANES;
+    for i in (0..full).step_by(LANES) {
+        kernel(&mut out, |j| (tree, rank(i + j)));
+        put(Along::Rows, i, t, &out);
+    }
+    if full < n {
+        let out = &mut out[..n - full];
+        kernel(out, |j| (tree, rank(full + j)));
+        put(Along::Rows, full, t, out);
     }
 }
 
@@ -331,49 +365,40 @@ impl Forest {
         &self.gains[before..before + splits(&self.trees[range])]
     }
 
-    /// Every tree's leaf weight for one ranked row, the trees walked
-    /// [`LANES`] at a time: `put(t, weights)` receives the weights of trees
-    /// `t..t + weights.len()`, in tree order.
+    /// The leaf weight of every tree of `trees` for `n` ranked rows,
+    /// `rank(i)` being row `i`'s ranks, handed to `put(along, i, t, w)` in
+    /// runs of up to [`LANES`]: `w[j]` is row `i`'s leaf in tree `t + j`
+    /// along the trees, row `i + j`'s in tree `t` along the rows. Fewer rows
+    /// than [`LANES`] on more than one tree go along the trees, else along
+    /// the rows, tree by tree; full chunks are walked as arrays.
     #[inline]
-    pub(crate) fn for_each_walk(&self, rank: &Ranks, mut put: impl FnMut(usize, &[f64])) {
-        let mut out = [0.0; LANES];
-        // Full chunks as arrays, so every chain's tree is at a fixed offset.
-        let (full, rest) = self.trees.as_chunks::<LANES>();
-        for (i, ts) in full.iter().enumerate() {
-            walk(&mut out, |j| (&ts[j], rank));
-            put(i * LANES, &out);
-        }
-        if !rest.is_empty() {
-            let out = &mut out[..rest.len()];
-            walk(out, |j| (&rest[j], rank));
-            put(full.len() * LANES, out);
-        }
-    }
-
-    /// Tree `t`'s leaf weight for `n` ranked rows, `rank(i)` being row
-    /// `i`'s ranks, handed to `put(i, weight)`; the rows walked [`LANES`]
-    /// at a time.
-    pub(crate) fn tree_leaves<'r, R: Ranked + ?Sized + 'r>(
+    pub(crate) fn walk<'r, R: Ranked + ?Sized + 'r>(
         &self,
-        t: usize,
+        trees: Range<usize>,
         n: usize,
         rank: impl Fn(usize) -> &'r R,
-        mut put: impl FnMut(usize, f64),
+        mut put: impl FnMut(Along, usize, usize, &[f64]),
     ) {
-        let tree = &self.trees[t];
-        let mut out = [0.0; LANES];
-        let full = n - n % LANES;
-        for first in (0..full).step_by(LANES) {
-            walk(&mut out, |j| (tree, rank(first + j)));
-            for (j, &w) in out.iter().enumerate() {
-                put(first + j, w);
+        let first = trees.start;
+        let trees = &self.trees[trees];
+        if n < LANES && trees.len() > 1 {
+            let mut out = [0.0; LANES];
+            let (full, rest) = trees.as_chunks::<LANES>();
+            for i in 0..n {
+                let rank = rank(i);
+                for (c, ts) in full.iter().enumerate() {
+                    kernel(&mut out, |j| (&ts[j], rank));
+                    put(Along::Trees, i, first + c * LANES, &out);
+                }
+                if !rest.is_empty() {
+                    let out = &mut out[..rest.len()];
+                    kernel(out, |j| (&rest[j], rank));
+                    put(Along::Trees, i, first + full.len() * LANES, out);
+                }
             }
-        }
-        if full < n {
-            let out = &mut out[..n - full];
-            walk(out, |j| (tree, rank(full + j)));
-            for (j, &w) in out.iter().enumerate() {
-                put(full + j, w);
+        } else {
+            for (t, tree) in (first..).zip(trees) {
+                along_rows(tree, t, n, &rank, &mut put);
             }
         }
     }
@@ -700,7 +725,8 @@ impl Tree {
         };
         let mut leaf = f64::NAN;
         if let Some(forest) = forests.first() {
-            forest.for_each_walk(&cuts.rank(row), |_, w| leaf = w[0]);
+            let rank = cuts.rank(row);
+            forest.walk(0..1, 1, |_| &rank, |_, _, _, w| leaf = w[0]);
         }
         leaf
     }
@@ -1404,8 +1430,53 @@ mod tests {
     /// Each tree's leaf weight for `rank`, by its bits.
     fn leaf_bits(forest: &Forest, rank: &Ranks) -> Vec<u64> {
         let mut bits = Vec::new();
-        forest.for_each_walk(rank, |_, w| bits.extend(w.iter().map(|w| w.to_bits())));
+        forest.walk(
+            0..forest.len(),
+            1,
+            |_| rank,
+            |_, _, _, w| {
+                bits.extend(w.iter().map(|w| w.to_bits()));
+            },
+        );
         bits
+    }
+
+    /// Walks the trees of `range` over the first `n` of `ranks` and checks
+    /// that each row meets every tree once, in tree order, at the leaf
+    /// `want[tree][row]` holds the bits of, and that the walk goes along
+    /// the trees exactly when there are fewer rows than [`LANES`] and more
+    /// than one tree.
+    fn check_walk(
+        forest: &Forest,
+        range: Range<usize>,
+        ranks: &[Ranks],
+        n: usize,
+        want: &[Vec<u64>],
+    ) -> Result<(), TestCaseError> {
+        let along_trees = n < LANES && range.len() > 1;
+        let mut got = vec![Vec::new(); n];
+        let mut lane_order = true;
+        forest.walk(
+            range.clone(),
+            n,
+            |i| &ranks[i],
+            |along, i, t, w| {
+                lane_order &= (along == Along::Trees) == along_trees;
+                for (j, w) in w.iter().enumerate() {
+                    let (i, t) = match along {
+                        Along::Trees => (i, t + j),
+                        Along::Rows => (i + j, t),
+                    };
+                    got[i].push((t, w.to_bits()));
+                }
+            },
+        );
+        prop_assert!(lane_order, "trees {range:?} on {n} rows: lane order");
+        for (i, got) in got.iter().enumerate() {
+            let expect: Vec<(usize, u64)> = range.clone().map(|t| (t, want[t][i])).collect();
+            prop_assert!(*got == expect, "trees {range:?} on {n} rows: row {i}");
+        }
+        Ok(())
     }
 
     /// Every word of a tree's flat parts, floats by their bits.
@@ -1669,14 +1740,18 @@ mod tests {
 
     proptest! {
         /// The kernel lands where the stop-at-a-leaf walk does, bit for
-        /// bit: K trees × 1 row and 1 tree × K rows for K one under, at
-        /// and one over [`LANES`] (and 1), on trees of every depth from 0
-        /// to [`MAX_DEPTH`] with shared children and unreachable nodes,
-        /// laid out on a full table (one column of [`MAX_CUTS`] cuts, one
-        /// with −0.0 and 0.0) and on the table of their own thresholds,
-        /// over rows of NaN, ±∞, ±0.0 and values on and between cuts.
-        /// `Tree::predict` on each arena answers the same, and the laid-out
-        /// trees export arenas that walk the same.
+        /// bit, in every shape [`Forest::walk`] is asked for on both sides
+        /// of its lane-order switch: K trees × R rows for K and R each 1,
+        /// one under, at and one over [`LANES`] (so 17 trees × 1, 15, 16
+        /// and 17 rows, and 1 tree × the same), each single tree of the
+        /// forest alone over 17 rows, and 5 trees inside the forest × 5
+        /// rows. The trees have every depth from 0 to [`MAX_DEPTH`], shared
+        /// children and unreachable nodes, and are laid out on a full table
+        /// (one column of [`MAX_CUTS`] cuts, one with −0.0 and 0.0) and on
+        /// the table of their own thresholds; the rows hold NaN, ±∞, ±0.0
+        /// and values on and between cuts. `Tree::predict` on each arena
+        /// answers the same, and the laid-out trees export arenas that walk
+        /// the same.
         #[test]
         fn prop_kernel_walk_equals_the_reference(seed in 0u64..u64::MAX) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -1698,20 +1773,20 @@ mod tests {
                     prop_assert_eq!(tree.predict(row).to_bits(), want[t][r]);
                 }
             }
-            for k in [1, LANES - 1, LANES, LANES + 1] {
+            let boundaries = [1, LANES - 1, LANES, LANES + 1];
+            for k in boundaries {
                 let (own, laid) = lay_out(&[&trees[..k]]).unwrap();
                 let on_full = Forest::on(&full, &trees[..k]).unwrap();
                 for (cuts, forest) in [(&full, &on_full), (&own, &laid[0])] {
                     let ranks: Vec<Ranks> = rows.iter().map(|r| cuts.rank(r)).collect();
-                    for (r, rank) in ranks.iter().enumerate() {
-                        let got = leaf_bits(forest, rank);
-                        let expect: Vec<u64> = want[..k].iter().map(|w| w[r]).collect();
-                        prop_assert!(got == expect, "{k} trees, row {r}");
+                    for n in boundaries {
+                        check_walk(forest, 0..k, &ranks, n, &want)?;
                     }
-                    for (t, want) in want[..k].iter().enumerate() {
-                        let mut got = vec![0; k];
-                        forest.tree_leaves(t, k, |i| &ranks[i], |i, w| got[i] = w.to_bits());
-                        prop_assert!(got[..] == want[..k], "tree {t} on {k} rows");
+                    for t in 0..k {
+                        check_walk(forest, t..t + 1, &ranks, rows.len(), &want)?;
+                    }
+                    if k > 10 {
+                        check_walk(forest, 6..11, &ranks, 5, &want)?;
                     }
                     for (t, back) in forest.export(cuts, 0..k).into_iter().enumerate() {
                         for (r, row) in rows.iter().enumerate() {
@@ -1794,7 +1869,9 @@ mod tests {
                 prop_assert!(&rank[..data.n_cols()] == binned.row(i), "row {i}");
             }
             let mut walked = vec![0.0; n];
-            heads[0].tree_leaves(0, n, |i| &ranks[i], |i, w| walked[i] = w);
+            heads[0].walk(0..1, n, |i| &ranks[i], |_, i, _, w| {
+                (i..).zip(w).for_each(|(i, &w)| walked[i] = w);
+            });
             let mut grown = vec![false; n];
             for &r in &rows {
                 grown[r] = true;

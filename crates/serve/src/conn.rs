@@ -246,7 +246,7 @@ fn process_input(
                 decoded.map_err(|e| e.to_string())
             }
         };
-        let (response, close) = match decoded {
+        let (response, close) = match decoded.and_then(Request::admit) {
             Ok(request) => serve_request(shared, request, arrived, conn.wbuf.len() - conn.wpos),
             Err(e) => {
                 let message = format!("bad request: {e}");

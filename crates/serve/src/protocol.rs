@@ -62,6 +62,27 @@ pub enum Request {
     Shutdown,
 }
 
+/// Tallest plan a request of either codec may carry: a leaf at
+/// [`crate::wire::MAX_PLAN_DEPTH`], the binary decoder's deepest node.
+pub const MAX_PLAN_HEIGHT: usize = crate::wire::MAX_PLAN_DEPTH + 1;
+
+impl Request {
+    /// The request, if no plan it carries is taller than [`MAX_PLAN_HEIGHT`].
+    pub fn admit(self) -> Result<Self, String> {
+        let tallest = match &self {
+            Request::Predict { plan, .. } | Request::Observe { plan, .. } => plan.height(),
+            Request::PredictBatch { plans, .. } => {
+                plans.iter().map(PhysicalPlan::height).max().unwrap_or(0)
+            }
+            _ => 0,
+        };
+        if tallest > MAX_PLAN_HEIGHT {
+            return Err(format!("plan of {tallest} levels, over {MAX_PLAN_HEIGHT}"));
+        }
+        Ok(self)
+    }
+}
+
 /// One element of a [`Response::PredictionsBatch`] answer, mirroring the
 /// per-prediction fields of [`Response::Predicted`] without the per-message
 /// latency (the batch carries one latency for the whole round trip).

@@ -66,8 +66,8 @@ impl Shard {
 
     /// Serves a whole batch of predictions in submission order under the
     /// one shard-lock acquisition the caller already holds. Routing
-    /// counters advance per prediction exactly as the scalar path would;
-    /// only the batch counter is new.
+    /// counters advance per prediction exactly as one `predict` per plan
+    /// would; only the batch counter is new.
     pub fn predict_batch(
         &mut self,
         plans: &[PhysicalPlan],

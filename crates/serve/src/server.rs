@@ -508,6 +508,51 @@ mod tests {
         server.join().unwrap();
     }
 
+    /// Both codecs admit the same plans: on each, the tallest plan the
+    /// binary decoder reads ([`crate::protocol::MAX_PLAN_HEIGHT`] levels)
+    /// is served in every verb that carries plans, and one level taller is
+    /// answered `Error`, the connection still usable.
+    #[test]
+    fn both_codecs_bound_a_plan_to_the_same_height() {
+        use crate::client::Codec;
+        use crate::protocol::MAX_PLAN_HEIGHT;
+        use stage_plan::{OperatorKind, PlanNode};
+        let of_height = |height: usize| {
+            let mut tall = plan(1e4);
+            tall.root = PlanNode::leaf(OperatorKind::ALL[0], 1.0, 1.0, 1.0);
+            for _ in 1..height {
+                tall.root =
+                    PlanNode::internal(OperatorKind::ALL[0], 1.0, 1.0, 1.0, vec![tall.root]);
+            }
+            assert_eq!(tall.height(), height);
+            tall
+        };
+        let server = Server::start(ServeConfig::default()).unwrap();
+        for codec in [Codec::Json, Codec::Binary] {
+            let mut client =
+                ServeClient::connect_with_codec(server.local_addr(), None, codec).unwrap();
+            for (height, admitted) in [(MAX_PLAN_HEIGHT, true), (MAX_PLAN_HEIGHT + 1, false)] {
+                let tall = of_height(height);
+                let answers = [
+                    client.predict(0, &tall, &[]).unwrap(),
+                    client
+                        .predict_batch(0, &[plan(1e4), tall.clone()], &[])
+                        .unwrap(),
+                    client.observe(0, &tall, &[], 1.0).unwrap(),
+                ];
+                for answer in answers {
+                    let refused = matches!(answer, Response::Error { .. });
+                    assert_eq!(refused, !admitted, "{codec:?}, {height} levels: {answer:?}");
+                }
+            }
+            assert!(matches!(client.stats(0).unwrap(), Response::Stats { .. }));
+        }
+        let mut client = ServeClient::connect(server.local_addr()).unwrap();
+        client.shutdown().unwrap();
+        drop(client);
+        server.join().unwrap();
+    }
+
     #[test]
     fn unknown_instances_are_rejected_not_aliased() {
         // An id the registry does not host must be rejected explicitly,

@@ -37,8 +37,19 @@ cargo test -q --workspace
 # the one checked, and with the property test that holds an observe which
 # reuses its predict's local answer to one that walks again (stage::tests::
 # prop_held_answers_change_nothing): the debug build also walks and compares
-# on every reuse, so only here is the reuse alone checked.
-cargo test --release -q -p stage-core -p stage-gbdt --lib -- in_release global::tests::trained_weights tree::tests::prop_kernel_walk_equals_the_reference stage::tests::prop_held_answers_change_nothing
+# on every reuse, so only here is the reuse alone checked. A filter that
+# matches no test fails the step, so a renamed test cannot leave it running
+# nothing.
+release_tests=(-p stage-core -p stage-gbdt --lib)
+release_filters=(in_release global::tests::trained_weights tree::tests::prop_kernel_walk_equals_the_reference stage::tests::prop_held_answers_change_nothing)
+listed=$(cargo test --release -q "${release_tests[@]}" -- --list "${release_filters[@]}")
+for filter in "${release_filters[@]}"; do
+  grep -qF -- "$filter" <<<"$listed" || {
+    echo "no test matches the release filter \`$filter\`" >&2
+    exit 1
+  }
+done
+cargo test --release -q "${release_tests[@]}" -- "${release_filters[@]}"
 # The digests that pin every trained bit of the boosters, in the build the
 # servers ship: the release profile compiles out the debug assertions the
 # step above keeps (the boosting loop's check that each grown row's leaf is
