@@ -12,12 +12,11 @@ use crate::pool::{PoolConfig, TrainingPool};
 use crate::predictor::{
     ExecTimePredictor, Prediction, PredictionSource, SystemContext, DEFAULT_PREDICTION_SECS,
 };
-use serde::{Deserialize, Serialize};
 use stage_gbdt::{Gbm, GbmParams};
 use stage_plan::{plan_feature_vector, PhysicalPlan};
 
 /// AutoWLM predictor configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AutoWlmConfig {
     /// Most boosting rounds of the GBM (paper: the same 200 estimators as
     /// one Stage local-model member, but squared-error loss; the default
@@ -46,7 +45,7 @@ impl Default for AutoWlmConfig {
 }
 
 /// The AutoWLM baseline predictor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AutoWlmPredictor {
     config: AutoWlmConfig,
     pool: TrainingPool,

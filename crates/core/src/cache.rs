@@ -38,7 +38,7 @@ pub enum CacheMode {
     },
 }
 
-/// Cache tuning knobs.
+/// Cache tuning knobs. Its serde image is part of [`ExecTimeCache`]'s.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct CacheConfig {
     /// Maximum number of unique queries retained (paper: 2 000): an
@@ -72,6 +72,11 @@ struct Entry {
 }
 
 /// The exec-time cache. See the module docs.
+///
+/// A shard persists its cache as the store's CACHE section; the serde
+/// image stays because `tests/artifacts.rs`
+/// (`persisted_cache_resumes_mid_replay`) checkpoints a bare cache through
+/// it mid-replay.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExecTimeCache {
     config: CacheConfig,

@@ -49,7 +49,6 @@
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use crate::storefmt::policy_slot;
-use serde::{Deserialize, Serialize, Value};
 use stage_metrics::quantile::quantile_of_sorted;
 use stage_metrics::{interval_coverage, Welford};
 use stage_store::{SectionReader, SectionWriter, StoreError};
@@ -106,7 +105,7 @@ const MIN_Z: f64 = 1e-3;
 /// deterministic function of the residuals pushed in (the crate denies
 /// clock and entropy reads, `clippy::disallowed_methods`), which makes
 /// chaos runs replayable.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DriftSentinel {
     // Detector state: Welford baseline over |residual| since the last
     // reset, plus the one-sided CUSUM statistic.
@@ -445,26 +444,6 @@ impl ScoreWindow {
     }
 }
 
-/// The serde image is the ring and its cursor, as the store section holds
-/// them; the sorted copy is rebuilt.
-impl Serialize for ScoreWindow {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("ring".to_string(), self.ring.to_value()),
-            ("next".to_string(), self.next.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for ScoreWindow {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let obj = serde::expect_object(v, "ScoreWindow")?;
-        let ring: Vec<f64> = serde::de_field(obj, "ring", "ScoreWindow")?;
-        let next: u32 = serde::de_field(obj, "next", "ScoreWindow")?;
-        Self::from_ring(ring, next).map_err(serde::Error::custom)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -776,7 +755,7 @@ mod tests {
     proptest! {
         /// The sorted copy answers what sorting the ring answers, to the
         /// bit, after every push — repeats, zeros and wrap-around of the
-        /// full window included — and survives both encodings.
+        /// full window included — and survives the store encoding.
         #[test]
         fn prop_sorted_window_quantile_equals_sorting_the_ring(
             coverage in 0.0f64..1.0,
@@ -803,19 +782,6 @@ mod tests {
             let mut w = SectionWriter::new();
             s.store_encode(&mut w);
             prop_assert_eq!(&decode(&w.finish()).unwrap(), &s);
-            prop_assert_eq!(&DriftSentinel::from_value(&serde::Serialize::to_value(&s)).unwrap(), &s);
         }
-    }
-
-    #[test]
-    fn serde_round_trip_is_lossless() {
-        use serde::Deserialize;
-        let mut s = DriftSentinel::default();
-        for _ in 0..30 {
-            s.observe_residual(1.0, 0.2, 1.4);
-        }
-        let v = serde::Serialize::to_value(&s);
-        let back = DriftSentinel::from_value(&v).expect("round trip");
-        assert_eq!(back, s);
     }
 }

@@ -62,7 +62,8 @@ pub fn plan_to_tree_sample(
 }
 
 /// The trained global model. Its system width is the GCN's
-/// ([`PlanGcn::sys_feat_dim`]).
+/// ([`PlanGcn::sys_feat_dim`]). Its serde image is the payload of
+/// [`crate::storefmt::SECTION_GLOBAL`], the fleet-shared model's file.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GlobalModel {
     gcn: PlanGcn,

@@ -9,12 +9,11 @@
 use crate::from_log_space;
 use crate::pool::TrainingPool;
 use crate::storefmt::policy_slot;
-use serde::{Deserialize, Serialize};
 use stage_gbdt::{ensemble, gbm, ngboost, tree};
 use stage_gbdt::{BayesianEnsemble, EnsembleParams, EnsemblePrediction};
 
 /// Local-model configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LocalModelConfig {
     /// The ensemble's member count, rounds per member and seed (paper:
     /// K = 10 members, 200 estimators; the default trims estimators for
@@ -44,7 +43,7 @@ impl Default for LocalModelConfig {
 
 /// A local-model prediction with decomposed uncertainty, all uncertainty in
 /// `ln(1+secs)` space.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalPrediction {
     /// Point prediction in seconds.
     pub exec_secs: f64,
@@ -89,7 +88,7 @@ impl LocalPrediction {
 }
 
 /// The local model: an optional trained ensemble plus retraining policy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LocalModel {
     config: LocalModelConfig,
     ensemble: Option<BayesianEnsemble>,

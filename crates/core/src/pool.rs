@@ -15,7 +15,6 @@
 //! Both dedup and bucketing are individually switchable for the paper's
 //! ablations.
 
-use serde::{Deserialize, Serialize};
 use stage_gbdt::Dataset;
 use std::collections::VecDeque;
 
@@ -26,7 +25,7 @@ pub const BUCKET_EDGES_SECS: [f64; 2] = [10.0, 60.0];
 pub const N_BUCKETS: usize = BUCKET_EDGES_SECS.len() + 1;
 
 /// Pool configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PoolConfig {
     /// Per-bucket capacity when bucketing is enabled.
     pub bucket_capacity: [usize; N_BUCKETS],
@@ -46,14 +45,14 @@ impl Default for PoolConfig {
 
 /// One training example: the 33-dim feature vector and the target in
 /// `ln(1+secs)` space.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Example {
     features: Vec<f64>,
     log_target: f64,
 }
 
 /// The bounded, stratified training pool.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainingPool {
     config: PoolConfig,
     buckets: [VecDeque<Example>; N_BUCKETS],
@@ -185,7 +184,10 @@ impl TrainingPool {
     }
 
     /// Decodes a pool from an artefact-store section; structural problems
-    /// (wrong bucket count, over-cap buckets) are typed errors.
+    /// (wrong bucket count, over-cap buckets, examples of different
+    /// widths) are typed errors. Every example a shard adds has its one
+    /// input width, so a mixed pool is damage: restored, its next retrain
+    /// would train on rows of the first example's width.
     pub(crate) fn store_decode(
         r: &mut stage_store::SectionReader<'_>,
     ) -> Result<Self, stage_store::StoreError> {
@@ -213,6 +215,7 @@ impl TrainingPool {
             .fold(0usize, |sum, &cap| sum.saturating_add(cap))
             .max(1);
         let mut buckets: [VecDeque<Example>; N_BUCKETS] = Default::default();
+        let mut width = None;
         for (b, (&bucket_cap, bucket)) in bucket_capacity.iter().zip(&mut buckets).enumerate() {
             let len = usize::try_from(r.u64()?)
                 .map_err(|_| malformed("pool bucket length overflows".into()))?;
@@ -236,6 +239,9 @@ impl TrainingPool {
             bucket.reserve_exact(len);
             for _ in 0..len {
                 let features = r.f64_vec()?;
+                if *width.get_or_insert(features.len()) != features.len() {
+                    return Err(malformed("pool examples differ in width".into()));
+                }
                 let log_target = r.f64()?;
                 bucket.push_back(Example {
                     features,
@@ -379,6 +385,31 @@ mod tests {
         p.add(feat(1.0), -5.0);
         let ds = p.to_dataset().unwrap();
         assert_eq!(ds.target(0), 0.0);
+    }
+
+    /// A section whose examples differ in width is refused, in one bucket
+    /// or across two; one width restores.
+    #[test]
+    fn a_mixed_width_section_is_refused() {
+        let decode = |p: &TrainingPool| {
+            let mut w = stage_store::SectionWriter::new();
+            p.store_encode(&mut w);
+            let bytes = w.finish();
+            TrainingPool::store_decode(&mut stage_store::SectionReader::new(&bytes))
+        };
+        let mut p = TrainingPool::new(PoolConfig::default());
+        p.add(feat(1.0), 1.0);
+        p.add(feat(2.0), 30.0);
+        assert!(decode(&p).is_ok());
+        for secs in [1.0, 30.0] {
+            let mut mixed = p.clone();
+            mixed.add(vec![3.0], secs);
+            let err = decode(&mixed).unwrap_err();
+            assert!(
+                matches!(&err, stage_store::StoreError::Malformed { detail } if detail.contains("width")),
+                "{err:?}"
+            );
+        }
     }
 
     mod properties {

@@ -8,7 +8,8 @@ use stage_plan::PhysicalPlan;
 /// workload manager's behaviour sane until models warm up.
 pub const DEFAULT_PREDICTION_SECS: f64 = 1.0;
 
-/// Which stage of the hierarchy produced a prediction.
+/// Which stage of the hierarchy produced a prediction. Its serde image is
+/// part of the serving protocol's replies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PredictionSource {
     /// Exec-time cache hit.
@@ -22,7 +23,7 @@ pub enum PredictionSource {
 }
 
 /// A prediction with optional uncertainty.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prediction {
     /// Predicted execution time in seconds.
     pub exec_secs: f64,
@@ -58,7 +59,7 @@ impl Prediction {
 /// instance features and the current concurrency level. The global model
 /// appends these to its readout (paper §4.4); the cache and local model
 /// ignore them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemContext {
     /// Instance/system feature vector (node type one-hot, node count,
     /// ln memory, concurrency — see `stage_workload::InstanceSpec`).

@@ -46,7 +46,7 @@ use stage_plan::{plan_feature_vector, PhysicalPlan};
 use std::sync::Arc;
 
 /// Escalation policy from the local to the global model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RoutingConfig {
     /// Local predictions below this (seconds) are returned directly — the
     /// paper only escalates when the query "is longer than a couple of
@@ -72,7 +72,7 @@ impl Default for RoutingConfig {
 }
 
 /// Full Stage configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StageConfig {
     /// Exec-time cache settings.
     pub cache: CacheConfig,
@@ -143,7 +143,8 @@ impl StageConfig {
 }
 
 /// Counters for which stage served each prediction (paper Fig. 9 reports
-/// the global model firing ~3% of the time, the cache ~60%).
+/// the global model firing ~3% of the time, the cache ~60%). Its serde
+/// image is part of the serving protocol's `Stats` reply.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RoutingStats {
     /// Served by the exec-time cache.
@@ -213,7 +214,8 @@ pub trait ComponentFaults: Send + Sync {
 
 /// Counters for degraded-mode answers: each increment is one fault the
 /// predictor absorbed by falling back a tier instead of failing the
-/// request.
+/// request. Its serde image is part of the serving protocol's `Stats`
+/// reply.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DegradedStats {
     /// Predictions that wanted the global model but found it unavailable
@@ -236,14 +238,15 @@ impl DegradedStats {
     }
 }
 
-/// The full serializable state of a [`StagePredictor`] minus the global
+/// The full persistable state of a [`StagePredictor`] minus the global
 /// model: cache, training pool, local model, routing counters, and the
-/// configuration they were built under. The global model is deliberately
+/// configuration they were built under. Its one encoding is the artefact
+/// store's ([`crate::storefmt`]). The global model is deliberately
 /// excluded — it is fleet-trained and shipped separately (paper Fig. 9
 /// deploys it as a shared service), so a snapshot stays a per-instance
 /// artefact and re-attaching the global model after restore is the
 /// caller's job ([`StagePredictor::set_global`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StageSnapshot {
     /// Configuration the predictor was running with.
     pub config: StageConfig,
@@ -259,8 +262,7 @@ pub struct StageSnapshot {
     pub degraded: DegradedStats,
     /// Drift sentinel + conformal calibration state. Store files written
     /// before the sentinel existed have no CALIBRATION section and restore
-    /// a cold one ([`crate::storefmt`]'s absent-section arm); the serde
-    /// image has no such fallback — `DriftSentinel` derives `Deserialize`.
+    /// a cold one ([`crate::storefmt`]'s absent-section arm).
     pub calibration: DriftSentinel,
 }
 

@@ -4,10 +4,12 @@
 //! This module lays a [`crate::stage::StageSnapshot`] out in the
 //! `stage-store v1` sectioned binary format (`stage-store` crate): one
 //! section per predictor component, each independently CRC'd, 8-aligned,
-//! little-endian, floats as `to_bits` images. A shard restores by reading
+//! little-endian, floats as `to_bits` images. It is a snapshot's only
+//! encoding: no component keeps a second one. A shard restores by reading
 //! the file, validating every byte of it and decoding the sections, and
-//! answers **bit-identically** to a serde round trip of the same snapshot
-//! (the reference `tests/store_identity.rs` compares against).
+//! answers **bit-identically** to the predictor the snapshot was taken
+//! from, whose sections it re-encodes to byte for byte
+//! (`tests/store_identity.rs` checks both).
 //!
 //! This module only lays bytes out. There is one way to write an artefact
 //! and one way to read it, both in [`crate::persist`], which alone calls a
@@ -141,6 +143,16 @@ fn decode_snapshot(view: &StoreView<'_>) -> Result<StageSnapshot, RestoreError> 
     let mut r = SectionReader::new(need(SECTION_LOCAL)?);
     let local = LocalModel::store_decode(&mut r)?;
     r.expect_end()?;
+    // A shard cuts or pads every input to one width, so a pool that holds
+    // another width than its trained ensemble is damage: restored, its
+    // next retrain would train on rows the ensemble was not fit on.
+    if let (Some(pool_cols), Some(local_cols)) = (pool.n_cols(), local.n_cols()) {
+        if pool_cols != local_cols {
+            return Err(RestoreError::Malformed {
+                detail: format!("pool width {pool_cols} != ensemble width {local_cols}"),
+            });
+        }
+    }
 
     let mut r = SectionReader::new(need(SECTION_STATS)?);
     let stats = RoutingStats {

@@ -1,14 +1,15 @@
-//! The artefact-store persistence path is checked against a serde
-//! reference: a snapshot written as a store file and read back must
-//! answer every prediction **bit-identically** to the same snapshot pushed
-//! through a plain `serde_json` round trip — the serving layer routes on exact
-//! thresholds, so even 1-ulp drift would route requests differently after
-//! a warm restart. The hostile-input half of this file proves restore
-//! never panics and never silently half-loads: truncation at every section
-//! boundary, single-bit flips across the whole file, wrong magic/version,
-//! a file past the size bound and a calibration or local-model slot that
-//! differs from its constant all surface as typed [`RestoreError`]s and quarantine
-//! the file.
+//! The artefact-store persistence path is checked against the predictor it
+//! was saved from: a snapshot written as a store file and read back must
+//! answer every prediction **bit-identically** to the original, before and
+//! after further learning, and re-encode to the same section bytes — the
+//! serving layer routes on exact thresholds, so even 1-ulp drift would
+//! route requests differently after a warm restart. The hostile-input half
+//! of this file proves restore never panics and never silently half-loads:
+//! truncation at every section boundary, single-bit flips across the whole
+//! file, wrong magic/version, a file past the size bound, a calibration or
+//! local-model slot that differs from its constant and a pool of another
+//! width than its own examples or its ensemble all surface as typed
+//! [`RestoreError`]s and quarantine the file.
 
 use proptest::prelude::*;
 use stage_core::persist::{PersistFaults, RestoreError};
@@ -129,46 +130,49 @@ fn store_round_trip(snap: &StageSnapshot, dir: &Path) -> StageSnapshot {
     plain
 }
 
-/// The reference the store format is checked against: the derived serde
-/// image of the snapshot, no envelope.
-fn serde_round_trip(snap: &StageSnapshot) -> StageSnapshot {
-    serde_json::from_str(&serde_json::to_string(snap).unwrap()).unwrap()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// store-file restore == serde restore == the original, bit for bit,
-    /// across randomly seeded trained predictors.
+    /// store-file restore == the original, bit for bit, across randomly
+    /// seeded trained predictors: every probe answer, the re-encoded
+    /// sections, and both again after further learning.
     #[test]
-    fn store_restore_bit_identical_to_serde(seed in 0u64..500, n_obs in 25usize..60) {
+    fn store_restore_answers_as_the_original(seed in 0u64..500, n_obs in 25usize..60) {
         let dir = fresh_dir(&format!("prop-{seed}-{n_obs}"));
-        let original = warm_predictor(seed, n_obs);
-        let snap = original.snapshot();
+        let snap = warm_predictor(seed, n_obs).snapshot();
         // The scenario must exercise a real trained ensemble, not just the
         // cache tier.
         prop_assert!(snap.local.is_trained(), "warm-up never trained the ensemble");
 
         let mut via_store = StagePredictor::from_snapshot(store_round_trip(&snap, &dir));
-        let mut via_serde = StagePredictor::from_snapshot(serde_round_trip(&snap));
-        assert_bit_identical(&mut via_serde, &mut via_store, "store vs serde");
-        // The drift sentinel / conformal calibrator (CALIBRATION section)
-        // must survive both encodings bit-exactly: its Welford baseline and
-        // score ring drive interval widths after a warm restart.
+        let mut original = StagePredictor::from_snapshot(snap.clone());
+        let sections = |p: &StagePredictor| snapshot_sections(&p.snapshot());
         prop_assert!(
-            via_store.drift() == &snap.calibration && via_serde.drift() == &snap.calibration,
+            sections(&via_store) == sections(&original),
+            "restore re-encodes to other bytes"
+        );
+        assert_bit_identical(&mut original, &mut via_store, "store vs original");
+        // The drift sentinel / conformal calibrator (CALIBRATION section)
+        // must survive bit-exactly: its Welford baseline and score ring
+        // drive interval widths after a warm restart.
+        prop_assert!(
+            via_store.drift() == &snap.calibration,
             "calibration state diverged across restore"
         );
 
-        // Both restored predictors keep learning identically (same retrain
-        // cadence, same seeds) — restore is not a frozen copy.
+        // The restored predictor keeps learning as the original does (same
+        // retrain cadence, same seeds) — restore is not a frozen copy.
         let sys = SystemContext::empty(2);
         for i in 1..=30 {
             let q = plan((i % 9 + 1) as f64 * 2.1e4);
-            via_serde.observe(&q, &sys, i as f64 * 0.2);
+            original.observe(&q, &sys, i as f64 * 0.2);
             via_store.observe(&q, &sys, i as f64 * 0.2);
         }
-        assert_bit_identical(&mut via_serde, &mut via_store, "post-restore learning");
+        assert_bit_identical(&mut original, &mut via_store, "post-restore learning");
+        prop_assert!(
+            sections(&via_store) == sections(&original),
+            "post-restore learning re-encodes to other bytes"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -417,6 +421,81 @@ fn a_hostile_policy_slot_is_refused() {
         assert!(
             quarantine_path(&path).exists(),
             "{slot}: no quarantine file"
+        );
+        let _ = std::fs::remove_file(quarantine_path(&path));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The POOL section re-encoded with `extra(i)` more zero columns on its
+/// `i`-th example, every other word as it was.
+fn widen_pool(section: &[u8], extra: impl Fn(usize) -> usize) -> Vec<u8> {
+    use stage_store::{SectionReader, SectionWriter};
+    let (mut r, mut w) = (SectionReader::new(section), SectionWriter::new());
+    for _ in 0..3 {
+        w.put_u64(r.u64().unwrap());
+    }
+    w.put_bool(r.bool().unwrap());
+    w.put_u64(r.u64().unwrap());
+    let n_buckets = r.u64().unwrap();
+    w.put_u64(n_buckets);
+    let mut i = 0;
+    for _ in 0..n_buckets {
+        let len = r.u64().unwrap();
+        w.put_u64(len);
+        for _ in 0..len {
+            let mut features = r.f64_vec().unwrap();
+            features.resize(features.len() + extra(i), 0.0);
+            w.put_f64_slice(&features);
+            w.put_f64(r.f64().unwrap());
+            i += 1;
+        }
+    }
+    r.expect_end().unwrap();
+    w.finish()
+}
+
+/// A shard cuts or pads every input to one width, so no sequence of verbs
+/// leaves a pool of mixed widths, or a pool of another width than its
+/// trained ensemble. A file that holds either is refused — typed
+/// `Malformed`, and quarantined — rather than restored into a shard whose
+/// next retrain trains on rows of the wrong width.
+#[test]
+fn a_pool_of_another_width_is_refused() {
+    use stage_core::storefmt::SECTION_POOL;
+
+    let dir = fresh_dir("width");
+    let path = dir.join("snapshot.store");
+    let snap = warm_predictor(9, 40).snapshot();
+    assert!(snap.local.is_trained() && snap.pool.len() > 1);
+    let (_, original) = (snapshot_sections(&snap).into_iter())
+        .find(|(id, _)| *id == SECTION_POOL)
+        .unwrap();
+    // Re-encoding with no change is the section itself.
+    assert_eq!(widen_pool(&original, |_| 0), original);
+    // Only the first example one column wider, then every example.
+    for (case, mixed) in [
+        ("mixed widths", true),
+        ("one width, not the ensemble's", false),
+    ] {
+        let extra = |i: usize| usize::from(!mixed || i == 0);
+        let sections: Vec<(u32, Vec<u8>)> = snapshot_sections(&snap)
+            .into_iter()
+            .map(|(id, bytes)| match id {
+                SECTION_POOL => (id, widen_pool(&bytes, extra)),
+                _ => (id, bytes),
+            })
+            .collect();
+        std::fs::write(&path, stage_store::build_file(&sections, 0)).unwrap();
+        let err = load_stage_store(&path, None).unwrap_err();
+        assert!(
+            matches!(&err, RestoreError::Malformed { detail } if detail.contains("width")),
+            "{case}: {err}"
+        );
+        assert!(!path.exists(), "{case}: refused file left in place");
+        assert!(
+            quarantine_path(&path).exists(),
+            "{case}: no quarantine file"
         );
         let _ = std::fs::remove_file(quarantine_path(&path));
     }

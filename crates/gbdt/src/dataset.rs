@@ -4,10 +4,8 @@
 //! quantile cut points computed once per training set; split finding then
 //! scans bin histograms instead of sorted feature values.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense row-major feature matrix with regression targets.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Dataset {
     n_cols: usize,
     /// Row-major features, `n_rows * n_cols`.
@@ -86,7 +84,7 @@ impl Dataset {
 /// … computed as the partition point of `cuts` under `c < x`, so
 /// `x <= cuts[b]` ⇔ `bin(x) <= b`; a split "go left if bin ≤ b" is exactly
 /// "go left if x ≤ `cuts[b]`", which is what [`crate::tree::Tree`] stores.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Binner {
     cuts: Vec<Vec<f64>>,
 }

@@ -20,15 +20,14 @@
 
 use crate::dataset::{Binner, Dataset};
 use crate::gbm::N_BINS;
-use crate::ngboost::{NgBoost, NgBoostImage};
+use crate::ngboost::NgBoost;
 use crate::tree::{lay_out, Cuts, Ranks, Tree};
-use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
 
 /// Ensemble hyper-parameters: the paper trains K = 10 members of at most
 /// 200 rounds each. Every other member setting is a constant of
 /// [`crate::ngboost`] and [`crate::tree`].
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EnsembleParams {
     /// Number of independently trained members.
     pub n_members: usize,
@@ -49,7 +48,7 @@ impl Default for EnsembleParams {
 }
 
 /// A prediction with decomposed uncertainty (Eq. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnsemblePrediction {
     /// Mean prediction ŷ (Eq. 1).
     pub mean: f64,
@@ -78,34 +77,6 @@ pub struct BayesianEnsemble {
     /// same `Arc`).
     cuts: Arc<Cuts>,
     members: Vec<NgBoost>,
-}
-
-/// The serde image of a [`BayesianEnsemble`]: its members' images.
-#[derive(Serialize, Deserialize)]
-struct EnsembleImage {
-    members: Vec<NgBoostImage>,
-}
-
-impl Serialize for BayesianEnsemble {
-    fn to_value(&self) -> Value {
-        let members = self.members.iter().map(NgBoost::image).collect();
-        EnsembleImage { members }.to_value()
-    }
-}
-
-/// Reading the image back is [`BayesianEnsemble::from_parts`].
-impl Deserialize for BayesianEnsemble {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let image = EnsembleImage::from_value(v)?;
-        let n_cols = image.members.first().map_or(0, |m| m.n_cols);
-        let members: Vec<_> = image
-            .members
-            .into_iter()
-            .map(|m| (m.base_mu, m.base_log_var, m.mu_trees, m.var_trees))
-            .collect();
-        Self::from_parts(n_cols, members)
-            .ok_or_else(|| serde::Error::custom("BayesianEnsemble: members cannot be laid out"))
-    }
 }
 
 /// One decoded member of [`BayesianEnsemble::from_parts`]: `(base_mu,
@@ -195,7 +166,8 @@ impl BayesianEnsemble {
     }
 
     /// Reassembles an ensemble from decoded members over `n_cols`
-    /// features (the artefact-store decode path), every member's trees
+    /// features — the one decoder of a trained ensemble, which the
+    /// artefact store's restore reads through — every member's trees
     /// laid out on one cut table built from all their thresholds. `None`
     /// on an empty member list (mirroring `fit`), on a member whose heads
     /// have different lengths, or when a column's thresholds across the

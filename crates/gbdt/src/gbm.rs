@@ -23,11 +23,11 @@
 //! trained bit.
 
 use crate::dataset::{BinnedDataset, Binner, Dataset};
-use crate::tree::{fit_heads, lay_out, Cuts, Forest, Scratch, Tree};
+use crate::tree::{fit_heads, Cuts, Forest, Scratch, Tree};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
 /// Fraction of rows boosting holds out for early stopping (the paper's 20%).
 pub const VALIDATION_FRACTION: f64 = 0.2;
@@ -37,7 +37,7 @@ pub const N_BINS: usize = 64;
 /// The boosting schedule a caller may set; the trees grow under the
 /// [`crate::tree`] constants. Defaults mirror the paper's §5.1: 200
 /// estimators and early stopping on a 20% validation split.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GbmParams {
     /// Maximum number of boosting rounds.
     pub n_estimators: usize,
@@ -69,15 +69,16 @@ impl Default for GbmParams {
 pub struct Gbm {
     base: f64,
     learning_rate: f64,
-    /// The trees' cut table: the fit's [`Binner`] cuts, or a decoded
-    /// model's thresholds.
+    /// The trees' cut table: the fit's [`Binner`] cuts.
     cuts: Cuts,
     trees: Forest,
     n_cols: usize,
 }
 
 /// The serde image of a [`Gbm`]: its scalars and its trees in arena form.
-#[derive(Serialize, Deserialize)]
+/// Nothing decodes it; it stays because `tests/exactness.rs`
+/// (`trained_boosters_are_pinned_to_the_bit`) hashes the trees it exports.
+#[derive(Serialize)]
 struct GbmImage {
     base: f64,
     learning_rate: f64,
@@ -98,24 +99,6 @@ impl Serialize for Gbm {
             n_cols: self.n_cols,
         }
         .to_value()
-    }
-}
-
-/// Reading the image back lays its trees out on the cuts of their own
-/// thresholds, which answer every row as the fit's did.
-impl Deserialize for Gbm {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let image = GbmImage::from_value(v)?;
-        let (cuts, forests) = lay_out(&[&image.trees])
-            .ok_or_else(|| serde::Error::custom("Gbm: a column has too many cuts"))?;
-        let trees = forests.into_iter().next().unwrap_or_default();
-        Ok(Gbm {
-            base: image.base,
-            learning_rate: image.learning_rate,
-            cuts,
-            trees,
-            n_cols: image.n_cols,
-        })
     }
 }
 

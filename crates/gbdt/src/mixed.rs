@@ -12,10 +12,9 @@
 use crate::dataset::Dataset;
 use crate::ensemble::{BayesianEnsemble, EnsembleParams, EnsemblePrediction};
 use crate::gbm::{Gbm, GbmParams};
-use serde::{Deserialize, Serialize};
 
 /// Mixed-ensemble hyper-parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MixedEnsembleParams {
     /// The probabilistic (NLL) ensemble.
     pub bayesian: EnsembleParams,
@@ -38,7 +37,7 @@ impl Default for MixedEnsembleParams {
 }
 
 /// A Bayesian ensemble augmented with one squared-error member.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MixedEnsemble {
     bayesian: BayesianEnsemble,
     squared: Gbm,

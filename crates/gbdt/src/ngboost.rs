@@ -27,8 +27,7 @@
 
 use crate::dataset::{BinnedDataset, Binner, Dataset};
 use crate::gbm::{boost, GbmParams, N_BINS, UNCLAMPED};
-use crate::tree::{lay_out, Along, Cuts, Forest, Ranks, Tree, Trees};
-use serde::{Deserialize, Serialize, Value};
+use crate::tree::{Along, Cuts, Forest, Ranks, Trees};
 use std::sync::Arc;
 
 /// Shrinkage applied to both heads' trees.
@@ -50,37 +49,6 @@ pub struct NgBoost {
     /// The μ head's trees, then the s head's: `2 × rounds` trees.
     trees: Forest,
     n_cols: usize,
-}
-
-/// The serde image of an [`NgBoost`]: its scalars and both heads in arena
-/// form.
-#[derive(Serialize, Deserialize)]
-pub(crate) struct NgBoostImage {
-    pub(crate) base_mu: f64,
-    pub(crate) base_log_var: f64,
-    pub(crate) mu_trees: Vec<Tree>,
-    pub(crate) var_trees: Vec<Tree>,
-    pub(crate) n_cols: usize,
-}
-
-impl Serialize for NgBoost {
-    fn to_value(&self) -> Value {
-        self.image().to_value()
-    }
-}
-
-/// Reading the image back lays both heads out on the cuts of their own
-/// thresholds, which answer every row as the fit's did.
-impl Deserialize for NgBoost {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let image = NgBoostImage::from_value(v)?;
-        let (cuts, heads) = lay_out(&[&image.mu_trees, &image.var_trees])
-            .ok_or_else(|| serde::Error::custom("NgBoost: a column has too many cuts"))?;
-        let [mu, var] = <[Forest; 2]>::try_from(heads).unwrap_or_default();
-        let (base_mu, base_log_var, n_cols) = (image.base_mu, image.base_log_var, image.n_cols);
-        NgBoost::from_forests(base_mu, base_log_var, n_cols, Arc::new(cuts), mu, var)
-            .ok_or_else(|| serde::Error::custom("NgBoost: heads of different lengths"))
-    }
 }
 
 impl NgBoost {
@@ -175,17 +143,6 @@ impl NgBoost {
             trees: mu,
             n_cols,
         })
-    }
-
-    /// The model's serde image: both heads exported to arena form.
-    pub(crate) fn image(&self) -> NgBoostImage {
-        NgBoostImage {
-            base_mu: self.base_mu,
-            base_log_var: self.base_log_var,
-            mu_trees: self.mu_trees().into_iter().collect(),
-            var_trees: self.var_trees().into_iter().collect(),
-            n_cols: self.n_cols,
-        }
     }
 
     /// Predicts `(μ, σ²)` for a raw feature row: a batch of one.

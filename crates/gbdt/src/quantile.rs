@@ -14,7 +14,6 @@
 
 use crate::dataset::Dataset;
 use crate::gbm::{Gbm, GbmParams};
-use serde::{Deserialize, Serialize};
 
 /// Pinball loss of one prediction.
 pub fn pinball_loss(q: f64, y: f64, pred: f64) -> f64 {
@@ -48,7 +47,7 @@ impl Gbm {
 }
 
 /// A (lo, median, hi) quantile triple with a spread-based uncertainty proxy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QuantileBand {
     lo: Gbm,
     mid: Gbm,

@@ -538,7 +538,9 @@ impl Iterator for TreeIter<'_> {
 /// Only what the walked layout holds exactly is a `Tree`: every split's
 /// threshold is a number, its feature below [`MAX_COLS`], and no leaf the
 /// root reaches is deeper than [`MAX_DEPTH`]. Models export their trees to
-/// this form and are rebuilt from it; no model walks it.
+/// this form and are rebuilt from it; no model walks it. Its serde image
+/// is part of a [`crate::Gbm`]'s, which `tests/exactness.rs` reads back to
+/// hash the trees.
 #[derive(Debug, Clone, Serialize)]
 pub struct Tree {
     feature: Vec<u32>,

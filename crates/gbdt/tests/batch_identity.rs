@@ -5,12 +5,15 @@
 //! Reordering the loops must not change a single prediction: the serving
 //! layer routes on exact thresholds (`short_circuit_secs`, confidence
 //! bounds), so even 1-ulp drift between `predict` and `predict_batch` would
-//! make batch and scalar requests route differently. These property tests
+//! make batch and scalar requests route differently. An ensemble rebuilt
+//! by `BayesianEnsemble::from_parts` from its exported members — the
+//! artefact store's decode path — walks a cut table of its own and must
+//! answer as the trained one does, scalar and batch. These property tests
 //! fit real models on random datasets (deterministically seeded by the
 //! vendored proptest runner) and compare every float by its bit pattern.
 
 use proptest::prelude::*;
-use stage_gbdt::ensemble::{BayesianEnsemble, EnsembleParams};
+use stage_gbdt::ensemble::{BayesianEnsemble, EnsembleParams, EnsemblePrediction, MemberParts};
 use stage_gbdt::ngboost::NgBoost;
 use stage_gbdt::tree::LANES;
 use stage_gbdt::Dataset;
@@ -35,6 +38,25 @@ fn dataset(triples: &[(f64, f64, f64)]) -> Dataset {
 
 fn probe_rows(probes: &[(f64, f64)]) -> Vec<Vec<f64>> {
     probes.iter().map(|p| vec![p.0, p.1]).collect()
+}
+
+/// The answer bits of an ensemble prediction.
+fn bits(p: &EnsemblePrediction) -> [u64; 3] {
+    [p.mean, p.model_uncertainty, p.data_uncertainty].map(f64::to_bits)
+}
+
+/// Every member's scalars and both heads exported in arena form: what the
+/// artefact store keeps of an ensemble, and [`BayesianEnsemble::from_parts`]
+/// rebuilds it from.
+fn exported(ens: &BayesianEnsemble) -> Vec<MemberParts> {
+    (ens.members().iter())
+        .map(|m| {
+            let (base_mu, base_log_var, ..) = m.scalar_parts();
+            let mu = m.mu_trees().into_iter().collect();
+            let var = m.var_trees().into_iter().collect();
+            (base_mu, base_log_var, mu, var)
+        })
+        .collect()
 }
 
 proptest! {
@@ -70,20 +92,17 @@ proptest! {
     ) {
         let data = dataset(&triples);
         let ens = BayesianEnsemble::fit(&data, &ensemble_params(seed)).expect("non-empty dataset");
+        let decoded = BayesianEnsemble::from_parts(data.n_cols(), exported(&ens)).expect("lays out");
         let rows = probe_rows(&probes);
         let batch = ens.predict_batch(&rows);
+        let decoded_batch = decoded.predict_batch(&rows);
         prop_assert_eq!(batch.len(), rows.len());
-        for (row, got) in rows.iter().zip(&batch) {
-            let scalar = ens.predict(row);
-            prop_assert_eq!(scalar.mean.to_bits(), got.mean.to_bits());
-            prop_assert_eq!(
-                scalar.model_uncertainty.to_bits(),
-                got.model_uncertainty.to_bits()
-            );
-            prop_assert_eq!(
-                scalar.data_uncertainty.to_bits(),
-                got.data_uncertainty.to_bits()
-            );
+        prop_assert_eq!(decoded_batch.len(), rows.len());
+        for ((row, got), decoded_got) in rows.iter().zip(&batch).zip(&decoded_batch) {
+            let want = bits(&ens.predict(row));
+            prop_assert_eq!(bits(got), want);
+            prop_assert_eq!(bits(&decoded.predict(row)), want);
+            prop_assert_eq!(bits(decoded_got), want);
         }
     }
 }
@@ -142,32 +161,5 @@ fn ngboost_batch_bit_identical_at_every_lane_boundary() {
                 );
             }
         }
-    }
-}
-
-/// A serde round-trip restores the same trees: the restored model's batch
-/// path must still match bit-for-bit.
-#[test]
-fn batch_identity_survives_serde_round_trip() {
-    let triples: Vec<(f64, f64, f64)> = (0..120)
-        .map(|i| {
-            let x0 = (i % 11) as f64;
-            let x1 = (i % 4) as f64 * 2.0;
-            (x0, x1, x0 * 1.3 - x1)
-        })
-        .collect();
-    let data = dataset(&triples);
-    let ens = BayesianEnsemble::fit(&data, &ensemble_params(5)).expect("non-empty dataset");
-    let json = serde_json::to_string(&ens).expect("serialize ensemble");
-    let restored: BayesianEnsemble = serde_json::from_str(&json).expect("restore ensemble");
-    let rows: Vec<Vec<f64>> = (0..25).map(|i| vec![i as f64, (i % 3) as f64]).collect();
-    let original = ens.predict_batch(&rows);
-    let rebuilt = restored.predict_batch(&rows);
-    for ((row, a), b) in rows.iter().zip(&original).zip(&rebuilt) {
-        let scalar = ens.predict(row);
-        assert_eq!(scalar.mean.to_bits(), a.mean.to_bits());
-        assert_eq!(a.mean.to_bits(), b.mean.to_bits());
-        assert_eq!(a.model_uncertainty.to_bits(), b.model_uncertainty.to_bits());
-        assert_eq!(a.data_uncertainty.to_bits(), b.data_uncertainty.to_bits());
     }
 }

@@ -14,6 +14,9 @@ use serde::{Deserialize, Serialize};
 /// cache uses the population variance since it describes exactly the
 /// observations it has seen.
 ///
+/// Its serde image is part of the exec-time cache's, which a checkpoint
+/// test in the facade crate round-trips through JSON.
+///
 /// ```
 /// use stage_metrics::Welford;
 /// let mut w = Welford::new();

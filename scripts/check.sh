@@ -3,8 +3,9 @@
 # the workspace test suite — which is where the serving stack's fault
 # suite (tests/oracle.rs), the hostile-bytes sweep and the drift episode
 # (tests/drift.rs) run — then, in the release build the servers ship, its
-# release-only tests and the digests that pin every trained bit (the
-# boosters' and the global plan-GCN's), a check that results/ was recorded
+# release-only tests, the digests that pin every trained bit (the
+# boosters' and the global plan-GCN's) and the store's restore == original
+# property, a check that results/ was recorded
 # on this code, then the benchmark harness (its self-tests, a
 # 1/50-size run of every workload and the served == library run across a
 # drift retrain).
@@ -56,6 +57,11 @@ cargo test --release -q "${release_tests[@]}" -- "${release_filters[@]}"
 # the one the walk finds, the grower's subtraction check), so the digests
 # are checked once without them.
 cargo test --release -q --test exactness
+# Restore == the original, in the build the servers ship: there a pool
+# row of the wrong width is padded by `Dataset::push` instead of tripping
+# its debug assertion, so only here would a restore that trusted a lying
+# width retrain on zero-padded rows unnoticed.
+cargo test --release -q -p stage-core --test store_identity
 
 # results/ must have been recorded on this code: eight quick artefacts that
 # time nothing (≈ 4 s together on 2 vCPUs) are regenerated and compared
