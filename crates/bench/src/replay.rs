@@ -5,7 +5,8 @@
 
 use serde::{Deserialize, Serialize};
 use stage_core::{
-    plan_to_tree_sample, ExecTimePredictor, PredictionSource, StagePredictor, SystemContext,
+    from_log_space, plan_to_tree_sample, ExecTimePredictor, PredictionSource, StagePredictor,
+    SystemContext,
 };
 use stage_workload::{InstanceWorkload, QueryEvent};
 
@@ -102,9 +103,9 @@ pub fn ablation_replay(
             arrival_secs: event.arrival_secs,
             actual_secs: event.true_exec_secs,
             cache_secs: t.cache,
-            local_secs: t.local.map(|l| l.exec_secs),
-            local_log_std: t.local.map(|l| l.log_std()),
-            local_secs_std: t.local.map(|l| l.seconds_std()),
+            local_secs: t.local.map(|l| from_log_space(l.mean)),
+            local_log_std: t.local.map(|l| l.std_dev()),
+            local_secs_std: t.local.map(|l| from_log_space(l.mean) * l.std_dev()),
             global_secs: t.global,
         });
     });

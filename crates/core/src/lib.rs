@@ -45,7 +45,7 @@ pub use autowlm::{AutoWlmConfig, AutoWlmPredictor};
 pub use cache::{CacheConfig, CacheMode, ExecTimeCache};
 pub use drift::DriftSentinel;
 pub use global::{plan_to_tree_sample, GlobalModel, GlobalModelConfig, GLOBAL_SYS_DIM_BASE};
-pub use local::{LocalModel, LocalModelConfig, LocalPrediction};
+pub use local::{LocalModel, LocalModelConfig};
 pub use persist::{PersistFaults, RestoreError};
 pub use pool::{PoolConfig, TrainingPool};
 pub use predictor::{

@@ -6,7 +6,6 @@
 
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
-use crate::from_log_space;
 use crate::pool::TrainingPool;
 use crate::storefmt::policy_slot;
 use stage_gbdt::{ensemble, gbm, ngboost, tree};
@@ -38,52 +37,6 @@ impl Default for LocalModelConfig {
             min_train_examples: 30,
             retrain_interval: 300,
         }
-    }
-}
-
-/// A local-model prediction with decomposed uncertainty, all uncertainty in
-/// `ln(1+secs)` space.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LocalPrediction {
-    /// Point prediction in seconds.
-    pub exec_secs: f64,
-    /// Mean in log space (the raw ensemble output, Eq. 1).
-    pub log_mean: f64,
-    /// Ensemble-disagreement (model/knowledge) uncertainty (Eq. 2, term 1).
-    pub model_uncertainty: f64,
-    /// Mean member variance (data uncertainty; Eq. 2, term 2).
-    pub data_uncertainty: f64,
-}
-
-impl From<EnsemblePrediction> for LocalPrediction {
-    /// The ensemble's log-space answer, with its mean mapped back to seconds.
-    fn from(p: EnsemblePrediction) -> Self {
-        LocalPrediction {
-            exec_secs: from_log_space(p.mean),
-            log_mean: p.mean,
-            model_uncertainty: p.model_uncertainty,
-            data_uncertainty: p.data_uncertainty,
-        }
-    }
-}
-
-impl LocalPrediction {
-    /// Total predictive variance (Eq. 2).
-    pub fn total_variance(&self) -> f64 {
-        self.model_uncertainty + self.data_uncertainty
-    }
-
-    /// Total predictive standard deviation in log space.
-    pub fn log_std(&self) -> f64 {
-        self.total_variance().sqrt()
-    }
-
-    /// First-order standard deviation in *seconds*: `exec_secs × log_std`.
-    /// Log-space std is scale-free (good for routing thresholds); this
-    /// scale-aware version is what correlates with absolute error and is
-    /// used for PRR-style uncertainty ranking (paper Figs. 10–11).
-    pub fn seconds_std(&self) -> f64 {
-        self.exec_secs * self.log_std()
     }
 }
 
@@ -140,42 +93,26 @@ impl LocalModel {
         self.trainings
     }
 
-    /// Notes one new pool observation and retrains when due: first at
-    /// `min_train_examples`, then every `retrain_interval` observations —
-    /// or at once when `drifted` (the shard's drift sentinel is latched).
-    pub fn note_observation(&mut self, pool: &TrainingPool, drifted: bool) {
-        let due = self.retrain_due_after_next(pool, drifted);
+    /// Counts one pool add (`pool` already holds it) and says whether it
+    /// makes a retrain due: first at `min_train_examples`, then every
+    /// `retrain_interval` adds — or at once when `drifted` (the shard's
+    /// drift sentinel is latched; an untrained model still waits for
+    /// `min_train_examples`). The caller then [`LocalModel::retrain`]s, or
+    /// skips a poisoned retrain: the stale ensemble keeps serving and the
+    /// count keeps climbing past the interval, so the next add is due too.
+    pub fn note_pool_add(&mut self, pool: &TrainingPool, drifted: bool) -> bool {
         self.observations_since_train += 1;
-        if due {
-            self.retrain(pool);
-        }
-    }
-
-    /// Whether the *next* [`LocalModel::note_observation`] call would
-    /// trigger a retraining (given `pool` already contains the new
-    /// observation). Lets callers intercept a due retrain — e.g. to skip a
-    /// poisoned one — before committing to it. A latched drift sentinel
-    /// (`drifted`) brings a trained model's next retrain forward to this
-    /// observation; an untrained one still waits for `min_train_examples`.
-    pub fn retrain_due_after_next(&self, pool: &TrainingPool, drifted: bool) -> bool {
         match self.ensemble {
             None => pool.len() >= self.config.min_train_examples,
-            Some(_) => drifted || self.observations_since_train + 1 >= self.config.retrain_interval,
+            Some(_) => drifted || self.observations_since_train >= self.config.retrain_interval,
         }
     }
 
-    /// Counts an observation *without* retraining even if one is due — the
-    /// degraded path for a poisoned retrain: the stale ensemble keeps
-    /// serving, and the skipped training is re-attempted at the next due
-    /// observation (the counter keeps climbing past the interval).
-    pub fn defer_retrain(&mut self) {
-        self.observations_since_train += 1;
-    }
-
-    /// Retrains from the pool now (no-op on an empty pool).
-    pub fn retrain(&mut self, pool: &TrainingPool) {
+    /// Retrains from the pool now; whether it trained (not on an empty
+    /// pool).
+    pub fn retrain(&mut self, pool: &TrainingPool) -> bool {
         let Some(dataset) = pool.to_dataset() else {
-            return;
+            return false;
         };
         // Vary the seed across retrainings so ensembles don't ossify, and
         // across instances so fleets don't train in lockstep. Derived only
@@ -188,31 +125,29 @@ impl LocalModel {
             .wrapping_add(self.trainings.wrapping_mul(0x9E37_79B9)),
             ..self.config.ensemble
         };
-        if let Some(e) = BayesianEnsemble::fit(&dataset, &params) {
-            self.ensemble = Some(e);
-            self.trainings += 1;
-            self.observations_since_train = 0;
-        }
+        let Some(e) = BayesianEnsemble::fit(&dataset, &params) else {
+            return false;
+        };
+        self.ensemble = Some(e);
+        self.trainings += 1;
+        self.observations_since_train = 0;
+        true
     }
 
-    /// Predicts exec-time and uncertainty for a 33-dim feature vector: a
-    /// batch of one. `None` until the first training.
-    pub fn predict(&self, features: &[f64]) -> Option<LocalPrediction> {
-        self.predict_batch(&[features])?.pop()
+    /// Predicts the log-space mean and decomposed uncertainty for a 33-dim
+    /// feature vector ([`BayesianEnsemble::predict`]). `None` until the
+    /// first training.
+    pub fn predict(&self, features: &[f64]) -> Option<EnsemblePrediction> {
+        Some(self.ensemble.as_ref()?.predict(features))
     }
 
-    /// Predicts exec-time and uncertainty for a batch of feature vectors
-    /// ([`BayesianEnsemble::predict_batch`]). `None` until the first
-    /// training.
-    pub fn predict_batch<R: AsRef<[f64]>>(&self, features: &[R]) -> Option<Vec<LocalPrediction>> {
-        let ensemble = self.ensemble.as_ref()?;
-        Some(
-            ensemble
-                .predict_batch(features)
-                .into_iter()
-                .map(LocalPrediction::from)
-                .collect(),
-        )
+    /// [`LocalModel::predict`] for a batch of feature vectors
+    /// ([`BayesianEnsemble::predict_batch`]).
+    pub fn predict_batch<R: AsRef<[f64]>>(
+        &self,
+        features: &[R],
+    ) -> Option<Vec<EnsemblePrediction>> {
+        Some(self.ensemble.as_ref()?.predict_batch(features))
     }
 
     /// Approximate resident size in bytes.
@@ -484,7 +419,9 @@ mod tests {
         for i in 0..25 {
             let x: f64 = rng.gen_range(0.0..100.0);
             pool.add(vec![x, 1.0], 0.1 * x);
-            m.note_observation(&pool, false);
+            if m.note_pool_add(&pool, false) {
+                assert!(m.retrain(&pool));
+            }
             if i < 18 {
                 assert!(!m.is_trained(), "trained too early at {i}");
             }
@@ -500,7 +437,9 @@ mod tests {
         m.retrain(&pool);
         assert_eq!(m.trainings(), 1);
         for _ in 0..50 {
-            m.note_observation(&pool, false);
+            if m.note_pool_add(&pool, false) {
+                m.retrain(&pool);
+            }
         }
         assert_eq!(m.trainings(), 2);
     }
@@ -510,14 +449,9 @@ mod tests {
         let mut m = LocalModel::new(quick_config());
         m.retrain(&filled_pool(500, 3));
         let p = m.predict(&[50.0, 1.0]).unwrap();
-        assert!(
-            (p.exec_secs - 5.0).abs() < 2.0,
-            "expected ~5s, got {}",
-            p.exec_secs
-        );
+        let secs = crate::from_log_space(p.mean);
+        assert!((secs - 5.0).abs() < 2.0, "expected ~5s, got {secs}");
         assert!(p.total_variance() > 0.0);
-        assert!((p.log_std().powi(2) - p.total_variance()).abs() < 1e-12);
-        assert!(p.exec_secs >= 0.0);
     }
 
     #[test]
@@ -546,31 +480,32 @@ mod tests {
     fn retrain_due_preview_and_deferral() {
         let mut m = LocalModel::new(quick_config()); // min 20, interval 50
         let pool = filled_pool(100, 5);
-        // Untrained + a big-enough pool: the next observation would train.
-        assert!(m.retrain_due_after_next(&pool, false));
-        m.retrain(&pool);
+        // Untrained + a big-enough pool: this add is due.
+        assert!(m.note_pool_add(&pool, false));
+        assert!(m.retrain(&pool));
         assert_eq!(m.trainings(), 1);
-        for _ in 0..48 {
-            assert!(!m.retrain_due_after_next(&pool, false));
-            m.note_observation(&pool, false);
+        for _ in 0..49 {
+            assert!(!m.note_pool_add(&pool, false));
         }
-        assert_eq!(m.trainings(), 1);
-        m.note_observation(&pool, false); // 49th since training
-        assert!(m.retrain_due_after_next(&pool, false), "50th would retrain");
-        // A poisoned retrain defers: the observation counts, training
-        // doesn't run, and the debt stays due until a healthy observation.
-        m.defer_retrain();
-        assert_eq!(m.trainings(), 1);
-        assert!(m.retrain_due_after_next(&pool, false));
-        m.note_observation(&pool, false);
+        assert!(m.note_pool_add(&pool, false), "the 50th add is due");
+        // A poisoned retrain is simply not run: the debt stays due on the
+        // next add, and a healthy retrain settles it.
+        assert!(m.note_pool_add(&pool, false));
+        assert!(m.retrain(&pool));
         assert_eq!(m.trainings(), 2);
+        assert!(!m.note_pool_add(&pool, false));
+        // A latched drift sentinel brings the trained model's retrain
+        // forward to this add; an untrained one still waits for the pool.
+        assert!(m.note_pool_add(&pool, true));
+        let mut cold = LocalModel::new(quick_config());
+        assert!(!cold.note_pool_add(&filled_pool(19, 5), true));
     }
 
     #[test]
     fn retrain_on_empty_pool_is_noop() {
         let mut m = LocalModel::new(quick_config());
         let empty = TrainingPool::new(PoolConfig::default());
-        m.retrain(&empty);
+        assert!(!m.retrain(&empty));
         assert!(!m.is_trained());
         assert_eq!(m.trainings(), 0);
     }

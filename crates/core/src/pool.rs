@@ -78,8 +78,19 @@ impl TrainingPool {
     }
 
     /// Adds one executed query. `actual_secs` selects the duration bucket;
-    /// the stored target is `ln(1+actual_secs)`.
-    pub fn add(&mut self, features: Vec<f64>, actual_secs: f64) {
+    /// the stored target is `ln(1+actual_secs)`. The first example sets the
+    /// pool's width, and every later one is held to it as
+    /// [`Dataset::push`] holds a row: debug builds assert, release builds
+    /// zero-pad or cut, so the next retrain never sees mixed widths.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug_assert! expands to assert!; release builds compile the check out"
+    )]
+    pub fn add(&mut self, mut features: Vec<f64>, actual_secs: f64) {
+        if let Some(width) = self.n_cols() {
+            debug_assert_eq!(features.len(), width, "feature dimension mismatch");
+            features.resize(width, 0.0);
+        }
         self.total_added += 1;
         let example = Example {
             features,
@@ -401,9 +412,14 @@ mod tests {
         p.add(feat(1.0), 1.0);
         p.add(feat(2.0), 30.0);
         assert!(decode(&p).is_ok());
-        for secs in [1.0, 30.0] {
+        for b in [0, 1] {
+            // `add` holds every example to the pool's width, so only
+            // damaged bytes can mix them: plant a narrow example directly.
             let mut mixed = p.clone();
-            mixed.add(vec![3.0], secs);
+            mixed.buckets[b].push_back(Example {
+                features: vec![3.0],
+                log_target: 1.0,
+            });
             let err = decode(&mixed).unwrap_err();
             assert!(
                 matches!(&err, stage_store::StoreError::Malformed { detail } if detail.contains("width")),

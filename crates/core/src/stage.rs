@@ -35,13 +35,14 @@
 use crate::cache::{CacheConfig, CacheMode, ExecTimeCache};
 use crate::drift::DriftSentinel;
 use crate::global::GlobalModel;
-use crate::local::{LocalModel, LocalModelConfig, LocalPrediction};
+use crate::local::{LocalModel, LocalModelConfig};
 use crate::pool::{PoolConfig, TrainingPool};
 use crate::predictor::{
     ExecTimePredictor, Prediction, PredictionSource, SystemContext, DEFAULT_PREDICTION_SECS,
 };
-use crate::to_log_space;
+use crate::{from_log_space, to_log_space};
 use serde::{Deserialize, Serialize};
+use stage_gbdt::EnsemblePrediction;
 use stage_plan::{plan_feature_vector, PhysicalPlan};
 use std::sync::Arc;
 
@@ -273,21 +274,27 @@ pub struct StageSnapshot {
 pub struct TierAnswers {
     /// The exec-time cache's blended answer (`None` on a miss).
     pub cache: Option<f64>,
-    /// The local model's answer (`None` before its first training).
-    pub local: Option<LocalPrediction>,
+    /// The local model's log-space answer (`None` before its first
+    /// training).
+    pub local: Option<EnsemblePrediction>,
     /// The global model's answer (`None` when none is attached).
     pub global: Option<f64>,
 }
 
-/// One local answer the last predict call walked for: the plan's cache key,
-/// the exact local input, the [`LocalModel::trainings`] generation it was
-/// walked on, and the answer. An observe of the same input on the same
-/// generation scores the drift sentinel with it instead of walking again.
+/// One cache miss of the last predict call: the plan's cache key, the exact
+/// local input (the row the walk reads) and the local answer. An observe of
+/// the same input on the same ensemble generation scores the drift sentinel
+/// with it instead of walking again.
 struct HeldAnswer {
     key: u64,
-    generation: u64,
     input: Vec<f64>,
-    answer: LocalPrediction,
+    answer: EnsemblePrediction,
+}
+
+impl AsRef<[f64]> for HeldAnswer {
+    fn as_ref(&self) -> &[f64] {
+        &self.input
+    }
 }
 
 /// The hierarchical Stage predictor.
@@ -304,6 +311,8 @@ pub struct StagePredictor {
     /// The local answers the most recent predict call walked for; the
     /// next predict call replaces them. Never persisted.
     held: Vec<HeldAnswer>,
+    /// The [`LocalModel::trainings`] generation `held` was walked on.
+    held_generation: u64,
     /// Observes that walked the ensemble (tests count them).
     #[cfg(test)]
     observe_walks: u64,
@@ -323,6 +332,7 @@ impl StagePredictor {
             drift: DriftSentinel::default(),
             faults: None,
             held: Vec::new(),
+            held_generation: 0,
             #[cfg(test)]
             observe_walks: 0,
             config,
@@ -403,6 +413,7 @@ impl StagePredictor {
             drift: snapshot.calibration,
             faults: None,
             held: Vec::new(),
+            held_generation: 0,
             #[cfg(test)]
             observe_walks: 0,
         }
@@ -506,10 +517,10 @@ impl StagePredictor {
         clippy::disallowed_macros,
         reason = "debug_assert! expands to assert!; release builds compile the check out"
     )]
-    fn observed_local(&mut self, key: u64, input: &[f64]) -> Option<LocalPrediction> {
-        let generation = self.local.trainings();
+    fn observed_local(&mut self, key: u64, input: &[f64]) -> Option<EnsemblePrediction> {
+        let current = self.held_generation == self.local.trainings();
         let held = (self.held.iter())
-            .find(|h| h.key == key && h.generation == generation && same_bits(&h.input, input))
+            .find(|h| current && h.key == key && same_bits(&h.input, input))
             .map(|h| h.answer);
         match held {
             Some(answer) => {
@@ -557,11 +568,11 @@ impl StagePredictor {
         &mut self,
         plan: &PhysicalPlan,
         sys: &SystemContext,
-        local: Option<LocalPrediction>,
+        local: Option<EnsemblePrediction>,
     ) -> Prediction {
         let wants_global = local.as_ref().is_none_or(|lp| {
-            let short = lp.exec_secs < self.config.routing.short_circuit_secs;
-            let confident = lp.log_std() <= self.config.routing.confident_log_std;
+            let short = from_log_space(lp.mean) < self.config.routing.short_circuit_secs;
+            let confident = lp.std_dev() <= self.config.routing.confident_log_std;
             !short && !confident
         });
         if wants_global && self.global.is_some() && !self.fault_global_unavailable() {
@@ -574,7 +585,7 @@ impl StagePredictor {
             Some(lp) => {
                 self.stats.local += 1;
                 Prediction {
-                    exec_secs: lp.exec_secs,
+                    exec_secs: from_log_space(lp.mean),
                     log_variance: Some(lp.total_variance()),
                     source: PredictionSource::Local,
                 }
@@ -589,9 +600,10 @@ impl StagePredictor {
     /// Predicts a whole batch of plans under one `sys` context;
     /// [`ExecTimePredictor::predict`] is a batch of one, so the two verbs
     /// share every step. Each plan is extracted and hashed once and probed
-    /// in the cache; every miss goes through one
-    /// [`LocalModel::predict_batch`] call, the local fault oracle consulted
-    /// once per call with a miss; then each miss is routed in request order.
+    /// in the cache; each miss is held with its local input, every held
+    /// input goes through one [`LocalModel::predict_batch`] call, the local
+    /// fault oracle consulted once per call with a miss; then each miss is
+    /// routed in request order.
     pub fn predict_batch(
         &mut self,
         plans: &[PhysicalPlan],
@@ -599,15 +611,18 @@ impl StagePredictor {
     ) -> Vec<Prediction> {
         self.held.clear();
         // Pass 1: extract + hash once per plan and probe the cache; a hit
-        // is answered here.
+        // is answered here, a miss is held with its local input.
         let mut answers = Vec::with_capacity(plans.len());
-        let (mut miss_keys, mut miss_features) = (Vec::new(), Vec::new());
         for plan in plans {
             let (key, features) = Self::keyed_features(plan);
             let hit = self.cache.lookup(key);
             if hit.is_none() {
-                miss_keys.push(key);
-                miss_features.push(self.local_input(features, sys));
+                let input = self.local_input(features, sys);
+                self.held.push(HeldAnswer {
+                    key,
+                    input,
+                    answer: EnsemblePrediction::default(),
+                });
             }
             self.stats.cache += u64::from(hit.is_some());
             answers.push(hit.map(|secs| Prediction::point(secs, PredictionSource::Cache)));
@@ -615,33 +630,28 @@ impl StagePredictor {
         // Pass 2: one batched local-model call covers every miss. The fault
         // oracle is consulted once per batch that would use the local tier
         // (an all-hit batch never touches it), keeping the ledger exact.
-        let local_preds = if miss_features.is_empty() || self.fault_local_unavailable() {
+        let local = if self.held.is_empty() || self.fault_local_unavailable() {
             None
         } else {
-            self.local.predict_batch(&miss_features)
+            self.local.predict_batch(&self.held)
         };
-        // Hold every walked answer for the observes that follow.
-        if let Some(preds) = &local_preds {
-            let generation = self.local.trainings();
-            let walked = miss_keys.into_iter().zip(miss_features).zip(preds);
-            self.held
-                .extend(walked.map(|((key, input), &answer)| HeldAnswer {
-                    key,
-                    generation,
-                    input,
-                    answer,
-                }));
+        // Hold every walked answer for the observes that follow; without
+        // one there is nothing to hold.
+        match &local {
+            Some(walked) => {
+                self.held_generation = self.local.trainings();
+                (self.held.iter_mut().zip(walked)).for_each(|(h, &answer)| h.answer = answer);
+            }
+            None => self.held.clear(),
         }
         // Pass 3: route the misses in request order; they take their local
         // answers (none at all on a cold start or failover) in the order
         // pass 1 found them.
-        let mut local_preds = local_preds.into_iter().flatten();
+        let mut local = local.into_iter().flatten();
         answers
             .into_iter()
             .zip(plans)
-            .map(|(hit, plan)| {
-                hit.unwrap_or_else(|| self.route_miss(plan, sys, local_preds.next()))
-            })
+            .map(|(hit, plan)| hit.unwrap_or_else(|| self.route_miss(plan, sys, local.next())))
             .collect()
     }
 }
@@ -668,47 +678,45 @@ impl ExecTimePredictor for StagePredictor {
         // reused when it still holds.
         if let Some(lp) = self.observed_local(key, &features) {
             self.drift
-                .observe_residual(lp.log_mean, lp.log_std(), to_log_space(actual_secs));
+                .observe_residual(lp.mean, lp.std_dev(), to_log_space(actual_secs));
         }
         self.cache.record(key, actual_secs);
         // Dedup via the cache (paper §4.3): only cache *misses* enter the
         // local training pool.
-        if !was_cached || !self.config.routing.dedup_via_cache {
-            self.pool.add(features, actual_secs);
-            // A latched sentinel makes this pool add's retrain due, on the
-            // same path as the cadence; an observation that adds nothing to
-            // the pool never refits it, latched or not.
-            let drifted = self.drift.drift_detected();
-            let trainings_before = self.local.trainings();
-            // Retrain interception: the fault oracle is consulted only when
-            // this observation would actually trigger a retrain, so the
-            // injection ledger lines up one-to-one with retrain attempts.
-            let fault = if self.local.retrain_due_after_next(&self.pool, drifted) {
-                self.faults.as_ref().and_then(|f| f.retrain_fault())
-            } else {
-                None
-            };
-            match fault {
-                Some(RetrainFault::Poisoned) => {
-                    // Skip the retrain; the stale ensemble keeps serving and
-                    // the training debt (and any latch) stays for the next add.
-                    self.degraded.retrains_poisoned += 1;
-                    self.local.defer_retrain();
-                }
-                Some(RetrainFault::Slowed) => {
-                    // The hook models the latency itself (e.g. it slept
-                    // before returning); the retrain then proceeds normally.
-                    self.degraded.retrains_slowed += 1;
-                    self.local.note_observation(&self.pool, drifted);
-                }
-                None => self.local.note_observation(&self.pool, drifted),
+        if was_cached && self.config.routing.dedup_via_cache {
+            return;
+        }
+        self.pool.add(features, actual_secs);
+        // A latched sentinel makes this pool add's retrain due, on the same
+        // path as the cadence; an observation that adds nothing to the pool
+        // never refits it, latched or not.
+        let drifted = self.drift.drift_detected();
+        if !self.local.note_pool_add(&self.pool, drifted) {
+            return;
+        }
+        // Retrain interception: the fault oracle is consulted only when this
+        // pool add makes a retrain due, so the injection ledger lines up
+        // one-to-one with retrain attempts.
+        let trained = match self.faults.as_ref().and_then(|f| f.retrain_fault()) {
+            // Skip the retrain; the stale ensemble keeps serving and the
+            // training debt (and any latch) stays for the next add.
+            Some(RetrainFault::Poisoned) => {
+                self.degraded.retrains_poisoned += 1;
+                false
             }
-            // A retrain ran while latched: count it and re-arm the detector
-            // (its baseline described the old model; the score window stays).
-            if drifted && self.local.trainings() > trainings_before {
-                self.drift.note_forced_retrain();
-                self.drift.reset_after_retrain();
+            // The hook models the latency itself (e.g. it slept before
+            // returning); the retrain then proceeds normally.
+            Some(RetrainFault::Slowed) => {
+                self.degraded.retrains_slowed += 1;
+                self.local.retrain(&self.pool)
             }
+            None => self.local.retrain(&self.pool),
+        };
+        // A retrain ran while latched: count it and re-arm the detector (its
+        // baseline described the old model; the score window stays).
+        if drifted && trained {
+            self.drift.note_forced_retrain();
+            self.drift.reset_after_retrain();
         }
     }
 
@@ -728,14 +736,8 @@ fn same_bits(a: &[f64], b: &[f64]) -> bool {
 }
 
 /// A local answer's fields as bits, for bit-equality checks.
-fn answer_bits(p: LocalPrediction) -> [u64; 4] {
-    [
-        p.exec_secs,
-        p.log_mean,
-        p.model_uncertainty,
-        p.data_uncertainty,
-    ]
-    .map(f64::to_bits)
+fn answer_bits(p: EnsemblePrediction) -> [u64; 3] {
+    [p.mean, p.model_uncertainty, p.data_uncertainty].map(f64::to_bits)
 }
 
 // Thread-safety contract of the shard-parallel fleet replay engine,
@@ -1016,6 +1018,52 @@ mod tests {
             cold.pool().n_cols(),
             Some(stage_plan::CACHE_FEATURE_DIM + 2)
         );
+    }
+
+    /// A warm shard's snapshot whose public pool is handed a 1-column
+    /// example, a width no shard of this config ever adds.
+    fn warm_snapshot_with_a_narrow_pool_add() -> StageSnapshot {
+        let mut warm = StagePredictor::new(quick_config());
+        for i in 1..=60 {
+            let rows = i as f64 * 1e4;
+            warm.observe(&plan(rows), &sys(), rows / 1e5);
+        }
+        assert!(warm.local().is_trained());
+        let mut snap = warm.snapshot();
+        snap.pool.add(vec![1.0], 2.0);
+        snap
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "feature dimension mismatch")]
+    fn a_pool_add_of_another_width_asserts() {
+        warm_snapshot_with_a_narrow_pool_add();
+    }
+
+    /// The release twin: the add is zero-padded to the pool's 33 columns,
+    /// so the pool's section restores (one width), and the next retrain
+    /// trains on them.
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn a_pool_add_of_another_width_is_padded_in_release() {
+        let mut s = StagePredictor::from_snapshot(warm_snapshot_with_a_narrow_pool_add());
+        let width = stage_plan::CACHE_FEATURE_DIM;
+        let data = s.pool().to_dataset().unwrap();
+        assert_eq!(data.n_cols(), width);
+        let mut padded = vec![0.0; width];
+        padded[0] = 1.0;
+        assert!((0..data.n_rows()).any(|r| data.row(r) == padded.as_slice()));
+        let sections = crate::storefmt::snapshot_sections(&s.snapshot());
+        let (_, pool) = (sections.iter())
+            .find(|(id, _)| *id == crate::storefmt::SECTION_POOL)
+            .unwrap();
+        let mut r = stage_store::SectionReader::new(pool);
+        assert!(TrainingPool::store_decode(&mut r).is_ok());
+        let trainings = s.local().trainings();
+        assert!(s.local.retrain(&s.pool));
+        assert_eq!(s.local().trainings(), trainings + 1);
+        assert_eq!(s.local().n_cols(), Some(width));
     }
 
     /// Restores two identical predictors from `warm` (same global model,

@@ -48,7 +48,7 @@ impl Default for EnsembleParams {
 }
 
 /// A prediction with decomposed uncertainty (Eq. 2).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnsemblePrediction {
     /// Mean prediction ŷ (Eq. 1).
     pub mean: f64,

@@ -145,14 +145,8 @@ impl NgBoost {
         })
     }
 
-    /// Predicts `(μ, σ²)` for a raw feature row: a batch of one.
-    pub fn predict_dist(&self, row: &[f64]) -> (f64, f64) {
-        debug_assert_eq!(row.len(), self.n_cols);
-        self.predict_dist_batch(&[row])[0]
-    }
-
     /// Predicts `(μ, σ²)` for a batch of rows, each row ranked once on the
-    /// cut table.
+    /// cut table; one row is a batch of one.
     pub fn predict_dist_batch<R: AsRef<[f64]>>(&self, rows: &[R]) -> Vec<(f64, f64)> {
         let ranks: Vec<Ranks> = rows.iter().map(|r| self.cuts.rank(r.as_ref())).collect();
         let mut dists = vec![(0.0, 0.0); ranks.len()];
@@ -198,11 +192,6 @@ impl NgBoost {
             },
         );
         out.iter_mut().for_each(|(_, s)| *s = s.exp());
-    }
-
-    /// Point prediction (the mean).
-    pub fn predict(&self, row: &[f64]) -> f64 {
-        self.predict_dist(row).0
     }
 
     /// Boosting rounds kept after early stopping.
@@ -305,7 +294,7 @@ mod tests {
         let data = hetero(2000, 1);
         let model = NgBoost::fit(&data, 200, 42).unwrap();
         for x in [0.2, 0.8, 1.5] {
-            let (mu, _) = model.predict_dist(&[x]);
+            let (mu, _) = model.predict_dist_batch(&[[x]])[0];
             assert!((mu - 3.0 * x).abs() < 0.6, "x={x} mu={mu}");
         }
     }
@@ -314,8 +303,8 @@ mod tests {
     fn learns_heteroscedastic_variance() {
         let data = hetero(3000, 2);
         let model = NgBoost::fit(&data, 200, 42).unwrap();
-        let (_, var_lo) = model.predict_dist(&[0.1]);
-        let (_, var_hi) = model.predict_dist(&[1.9]);
+        let (_, var_lo) = model.predict_dist_batch(&[[0.1]])[0];
+        let (_, var_hi) = model.predict_dist_batch(&[[1.9]])[0];
         // True std at 0.1 is 0.2; at 1.9 it is 2.0 -> variance 0.04 vs 4.0.
         assert!(
             var_hi > 4.0 * var_lo,
@@ -333,7 +322,7 @@ mod tests {
         let data = hetero(500, 3);
         let model = NgBoost::fit(&data, 200, 42).unwrap();
         for x in [-5.0, 0.0, 1.0, 10.0] {
-            let (_, var) = model.predict_dist(&[x]);
+            let (_, var) = model.predict_dist_batch(&[[x]])[0];
             assert!(var > 0.0 && var.is_finite());
             assert!(var <= LOG_VAR_RANGE.1.exp() + 1.0);
         }
@@ -345,7 +334,7 @@ mod tests {
         let a = NgBoost::fit(&data, 200, 42).unwrap();
         let b = NgBoost::fit(&data, 200, 42).unwrap();
         for x in [0.1, 0.9, 1.7] {
-            assert_eq!(a.predict_dist(&[x]), b.predict_dist(&[x]));
+            assert_eq!(a.predict_dist_batch(&[[x]]), b.predict_dist_batch(&[[x]]));
         }
     }
 
@@ -354,7 +343,7 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..200).map(|i| vec![(i % 10) as f64]).collect();
         let data = Dataset::from_rows(&rows, &vec![5.0; 200]);
         let model = NgBoost::fit(&data, 200, 42).unwrap();
-        let (mu, var) = model.predict_dist(&[3.0]);
+        let (mu, var) = model.predict_dist_batch(&[[3.0]])[0];
         assert!((mu - 5.0).abs() < 1e-3);
         assert!(var < 1e-3, "var={var}");
     }

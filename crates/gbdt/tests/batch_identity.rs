@@ -1,6 +1,7 @@
 //! Bit-identity of the batched inference path (tree-major: one tree walks
-//! many rows in lockstep) against the scalar path (row-major: one row walks
-//! many trees in lockstep), across every model class the serving path uses.
+//! many rows in lockstep) against a batch of one row (row-major: one row
+//! walks many trees in lockstep), across every model class the serving path
+//! uses.
 //!
 //! Reordering the loops must not change a single prediction: the serving
 //! layer routes on exact thresholds (`short_circuit_secs`, confidence
@@ -76,7 +77,7 @@ proptest! {
         let batch = model.predict_dist_batch(&rows);
         prop_assert_eq!(batch.len(), rows.len());
         for (row, got) in rows.iter().zip(&batch) {
-            let (mu, var) = model.predict_dist(row);
+            let (mu, var) = model.predict_dist_batch(&[row])[0];
             prop_assert_eq!(mu.to_bits(), got.0.to_bits());
             prop_assert_eq!(var.to_bits(), got.1.to_bits());
         }
@@ -112,7 +113,7 @@ proptest! {
 const BOUNDARIES: [usize; 4] = [1, LANES - 1, LANES, LANES + 1];
 
 /// Heads of exactly 1, K−1, K and K+1 trees, walked by batches of 1, K−1,
-/// K and K+1 rows: the batch answers, the scalar answers and a fold of the
+/// K and K+1 rows: the batch answers, the one-row answers and a fold of the
 /// heads' trees one `Tree::predict` at a time in boosting order all agree
 /// to the bit. Nine training rows are below the ten at which boosting
 /// holds out a validation split, so no model stops early.
@@ -146,9 +147,9 @@ fn ngboost_batch_bit_identical_at_every_lane_boundary() {
                     mu += lr * tm.predict(row);
                     s = (s + lr * ts.predict(row)).clamp(lo, hi);
                 }
-                let scalar = model.predict_dist(row);
-                assert_eq!(scalar.0.to_bits(), mu.to_bits(), "{n_trees} trees: μ");
-                assert_eq!(scalar.1.to_bits(), s.exp().to_bits(), "{n_trees} trees: σ²");
+                let one = model.predict_dist_batch(&[row])[0];
+                assert_eq!(one.0.to_bits(), mu.to_bits(), "{n_trees} trees: μ");
+                assert_eq!(one.1.to_bits(), s.exp().to_bits(), "{n_trees} trees: σ²");
                 assert_eq!(
                     got.0.to_bits(),
                     mu.to_bits(),

@@ -51,6 +51,10 @@ for filter in "${release_filters[@]}"; do
   }
 done
 cargo test --release -q "${release_tests[@]}" -- "${release_filters[@]}"
+# Beside the kernel's property test, the boosters' own batch identity
+# (crates/gbdt/tests/batch_identity.rs: each row alone against the batch,
+# and a decoded ensemble against the trained one), in the same build.
+cargo test --release -q -p stage-gbdt --test batch_identity
 # The digests that pin every trained bit of the boosters, in the build the
 # servers ship: the release profile compiles out the debug assertions the
 # step above keeps (the boosting loop's check that each grown row's leaf is
