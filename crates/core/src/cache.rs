@@ -11,15 +11,17 @@
 //! ```
 //!
 //! Eviction removes the least-recently-*updated* entry once capacity is
-//! exceeded (the paper keeps 2 000 unique queries). Capacity is that bound
-//! and nothing more: the table starts empty and grows with its entries, so
-//! a young shard holding two dozen queries costs two dozen entries, not a
+//! exceeded (the paper keeps 2 000 unique queries), found in O(1)
+//! amortised from an update-ordered queue rather than by a scan; a cache
+//! keeps the queue from its first eviction on. Capacity is that bound and
+//! nothing more: the table starts empty and grows with its entries, so a
+//! young shard holding two dozen queries costs two dozen entries, not a
 //! table sized for 2 000.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use stage_metrics::Welford;
 use stage_plan::{plan_feature_vector, PhysicalPlan};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// How a cached query's history becomes a prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -74,16 +76,67 @@ struct Entry {
 /// The exec-time cache. See the module docs.
 ///
 /// A shard persists its cache as the store's CACHE section; the serde
-/// image stays because `tests/artifacts.rs`
-/// (`persisted_cache_resumes_mid_replay`) checkpoints a bare cache through
-/// it mid-replay.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// image (every field but the eviction queue) stays because
+/// `tests/artifacts.rs` (`persisted_cache_resumes_mid_replay`) checkpoints
+/// a bare cache through it mid-replay.
+#[derive(Debug, Clone)]
 pub struct ExecTimeCache {
+    config: CacheConfig,
+    entries: HashMap<u64, Entry>,
+    /// `(last_update, key)` of every entry, oldest first, among stale
+    /// pairs of entries updated since: the first live pair is the eviction
+    /// victim. Empty until an eviction needs it, which builds it from
+    /// `entries`; every record keeps it from then on. So a cache below its
+    /// capacity keeps none, and since it is derived it is neither persisted
+    /// nor in the serde image: a restored cache builds it again at its
+    /// next eviction.
+    order: VecDeque<(u64, u64)>,
+    update_seq: u64,
+    hits: u64,
+    misses: u64,
+}
+
+/// The serde image of an [`ExecTimeCache`]: every field but the eviction
+/// queue, which a decoded cache rebuilds.
+#[derive(Serialize, Deserialize)]
+struct CacheImage {
     config: CacheConfig,
     entries: HashMap<u64, Entry>,
     update_seq: u64,
     hits: u64,
     misses: u64,
+}
+
+impl Serialize for ExecTimeCache {
+    fn to_value(&self) -> Value {
+        CacheImage {
+            config: self.config,
+            entries: self.entries.clone(),
+            update_seq: self.update_seq,
+            hits: self.hits,
+            misses: self.misses,
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for ExecTimeCache {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let image = CacheImage::from_value(v)?;
+        if (image.entries.values()).any(|e| e.last_update > image.update_seq) {
+            return Err(serde::Error::custom(
+                "ExecTimeCache: an entry updated after the cache's last update",
+            ));
+        }
+        Ok(Self {
+            config: image.config,
+            entries: image.entries,
+            order: VecDeque::new(),
+            update_seq: image.update_seq,
+            hits: image.hits,
+            misses: image.misses,
+        })
+    }
 }
 
 impl ExecTimeCache {
@@ -115,6 +168,7 @@ impl ExecTimeCache {
         Self {
             config,
             entries: HashMap::new(),
+            order: VecDeque::new(),
             update_seq: 0,
             hits: 0,
             misses: 0,
@@ -204,10 +258,16 @@ impl ExecTimeCache {
                         holt_trend: 0.0,
                     },
                 );
-                if self.entries.len() > self.config.capacity {
-                    self.evict_oldest();
-                }
             }
+        }
+        if !self.order.is_empty() {
+            self.order.push_back((seq, key));
+            if self.order.len() > 2 * self.entries.len() {
+                self.rebuild_order();
+            }
+        }
+        if self.entries.len() > self.config.capacity {
+            self.evict_oldest();
         }
         debug_assert!(
             self.entries.len() <= self.config.capacity,
@@ -250,10 +310,11 @@ impl ExecTimeCache {
     /// Approximate resident size in bytes: every slot the table has
     /// reserved, held or not — a key (8) plus four stat scalars + seq (the
     /// paper's "4 values per hash table entry" plus bookkeeping) and one
-    /// control byte.
+    /// control byte — and every slot of the eviction queue.
     pub fn approx_size_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.entries.capacity() * (std::mem::size_of::<(u64, Entry)>() + 1)
+            + self.order.capacity() * std::mem::size_of::<(u64, u64)>()
     }
 
     /// The configuration this cache was built with (store restore needs it
@@ -393,6 +454,13 @@ impl ExecTimeCache {
         if n > capacity {
             return Err(malformed("cache holds more entries than its capacity"));
         }
+        // Eviction order follows the update sequence, so no entry may have
+        // been updated after the cache's last update.
+        if last_updates.iter().any(|&seq| seq > update_seq) {
+            return Err(malformed(
+                "cache entry updated after the cache's last update",
+            ));
+        }
         let mut entries = HashMap::with_capacity(n);
         for i in 0..n {
             let prev = entries.insert(
@@ -416,28 +484,46 @@ impl ExecTimeCache {
                 mode,
             },
             entries,
+            order: VecDeque::new(),
             update_seq,
             hits,
             misses,
         })
     }
 
-    /// Evicts the entry with the smallest `last_update`. Linear scan —
-    /// at the paper's capacity (2 000) this is microseconds and happens at
-    /// most once per insert.
+    /// Evicts the entry with the smallest `last_update`: the first pair of
+    /// `order` that is still an entry's own, skipping (and dropping) the
+    /// stale ones before it. Debug builds check the victim against a scan
+    /// for the minimum, the rule this replaces.
     #[expect(
         clippy::disallowed_macros,
         reason = "debug_assert! expands to assert!; release builds compile the check out"
     )]
     fn evict_oldest(&mut self) {
-        let before = self.entries.len();
-        if let Some((&key, _)) = self.entries.iter().min_by_key(|(_, e)| e.last_update) {
-            self.entries.remove(&key);
+        if self.order.is_empty() {
+            self.rebuild_order();
+        }
+        let mut victim = None;
+        while let Some((seq, key)) = self.order.pop_front() {
+            if self.entries.get(&key).is_some_and(|e| e.last_update == seq) {
+                victim = self.entries.remove(&key).map(|e| e.last_update);
+                break;
+            }
         }
         debug_assert!(
-            self.entries.len() < before.max(1),
-            "eviction must shrink a non-empty cache"
+            victim.is_some_and(|v| self.entries.values().all(|e| e.last_update >= v)),
+            "the evicted entry is not the least recently updated"
         );
+    }
+
+    /// Rebuilds `order` from the entries alone: one live pair each, oldest
+    /// first. Runs at the first eviction (the first since a restore, too)
+    /// and whenever stale pairs pass half of the queue, so it holds at most
+    /// twice the entries.
+    fn rebuild_order(&mut self) {
+        self.order.clear();
+        (self.order).extend(self.entries.iter().map(|(&key, e)| (e.last_update, key)));
+        self.order.make_contiguous().sort_unstable();
     }
 }
 
@@ -560,7 +646,7 @@ mod tests {
 
     /// The size follows the table, and the table follows the entries: an
     /// empty cache reserves no slot whatever its capacity, and a filled one
-    /// counts every slot it reserved.
+    /// counts every slot it reserved (and, once it evicts, its queue's).
     #[test]
     fn size_accounting_tracks_the_reservation() {
         let mut c = cache(100_000, 0.8);
@@ -573,6 +659,15 @@ mod tests {
         assert!(c.entries.capacity() >= 50);
         assert_eq!(c.approx_size_bytes(), empty + c.entries.capacity() * slot);
         assert!(c.approx_size_bytes() < empty + 128 * slot);
+        // A cache that has evicted keeps its eviction queue, and counts it.
+        let mut full = cache(8, 0.8);
+        for k in 0..20u64 {
+            full.record(k, 1.0);
+        }
+        assert!(!full.order.is_empty());
+        let queued = full.order.capacity() * std::mem::size_of::<(u64, u64)>();
+        let table = full.entries.capacity() * slot;
+        assert_eq!(full.approx_size_bytes(), empty + table + queued);
     }
 
     fn encoded(c: &ExecTimeCache) -> Vec<u8> {
@@ -607,6 +702,23 @@ mod tests {
             assert_eq!(encoded(&grown), encoded(&decoded), "step {k}");
         }
         assert_eq!(grown.len(), 64);
+    }
+
+    /// The queue's order is the update order, so both decoders refuse an
+    /// entry stamped after the cache's last update.
+    #[test]
+    fn decoders_refuse_an_entry_updated_after_the_last_update() {
+        let mut c = cache(8, 0.8);
+        for k in 0..4u64 {
+            c.record(k, 1.0);
+        }
+        c.update_seq = 3;
+        let bytes = encoded(&c);
+        let mut r = stage_store::SectionReader::new(&bytes);
+        assert!(ExecTimeCache::store_decode(&mut r).is_err());
+        assert!(ExecTimeCache::from_value(&c.to_value()).is_err());
+        c.update_seq = 4;
+        assert!(ExecTimeCache::from_value(&c.to_value()).is_ok());
     }
 
     #[test]
@@ -732,6 +844,40 @@ mod tests {
                 if let Some(p) = c.lookup(k) {
                     prop_assert!(p >= 0.0, "Holt prediction went negative: {p}");
                 }
+            }
+        }
+
+        // The eviction queue evicts the entry the scan for the minimum
+        // `last_update` picks, and nothing else, over random records with
+        // restores from the store image (which drop the queue, so the next
+        // eviction rebuilds it) in between.
+        #[test]
+        fn prop_the_queue_evicts_what_the_scan_evicts(
+            ops in proptest::collection::vec((0u64..24, 0u32..16), 1..400)
+        ) {
+            const CAP: usize = 6;
+            let mut c = cache(CAP, 0.8);
+            for &(key, roll) in &ops {
+                if roll == 0 {
+                    let bytes = encoded(&c);
+                    let mut r = stage_store::SectionReader::new(&bytes);
+                    c = ExecTimeCache::store_decode(&mut r).unwrap();
+                    prop_assert!(c.order.is_empty());
+                    continue;
+                }
+                let scan = (!c.contains(key) && c.len() == CAP)
+                    .then(|| c.entries.iter().min_by_key(|(_, e)| e.last_update))
+                    .flatten()
+                    .map(|(&k, _)| k);
+                let mut expected: Vec<u64> = c.entries.keys().copied().collect();
+                expected.retain(|&k| Some(k) != scan && k != key);
+                expected.push(key);
+                expected.sort_unstable();
+                c.record(key, 1.0 + roll as f64);
+                let mut kept: Vec<u64> = c.entries.keys().copied().collect();
+                kept.sort_unstable();
+                prop_assert_eq!(kept, expected);
+                prop_assert!(c.order.len() <= 2 * c.len());
             }
         }
 

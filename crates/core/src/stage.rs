@@ -44,6 +44,7 @@ use crate::{from_log_space, to_log_space};
 use serde::{Deserialize, Serialize};
 use stage_gbdt::EnsemblePrediction;
 use stage_plan::{plan_feature_vector, PhysicalPlan};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Escalation policy from the local to the global model.
@@ -281,10 +282,12 @@ pub struct TierAnswers {
     pub global: Option<f64>,
 }
 
-/// One cache miss of the last predict call: the plan's cache key, the exact
-/// local input (the row the walk reads) and the local answer. An observe of
-/// the same input on the same ensemble generation scores the drift sentinel
-/// with it instead of walking again.
+/// One local answer the shard walked: the plan's cache key, the exact local
+/// input (the row the walk read) and what the ensemble answered. A predict
+/// call's misses are a list of these until the walk fills their answers;
+/// then they, and every answer an observe walks for, are memoised by key.
+/// An observe of the same input on the same ensemble generation scores the
+/// drift sentinel with it instead of walking again.
 struct HeldAnswer {
     key: u64,
     input: Vec<f64>,
@@ -308,9 +311,11 @@ pub struct StagePredictor {
     degraded: DegradedStats,
     drift: DriftSentinel,
     faults: Option<Arc<dyn ComponentFaults>>,
-    /// The local answers the most recent predict call walked for; the
-    /// next predict call replaces them. Never persisted.
-    held: Vec<HeldAnswer>,
+    /// The local answers walked on the current ensemble generation, by
+    /// cache key: a predict's misses and an observe's own walks. Emptied
+    /// when the ensemble is replaced or when a new key finds it holding
+    /// the cache's capacity. Never persisted.
+    held: HashMap<u64, HeldAnswer>,
     /// The [`LocalModel::trainings`] generation `held` was walked on.
     held_generation: u64,
     /// Observes that walked the ensemble (tests count them).
@@ -331,7 +336,7 @@ impl StagePredictor {
             degraded: DegradedStats::default(),
             drift: DriftSentinel::default(),
             faults: None,
-            held: Vec::new(),
+            held: HashMap::new(),
             held_generation: 0,
             #[cfg(test)]
             observe_walks: 0,
@@ -412,7 +417,7 @@ impl StagePredictor {
             degraded: snapshot.degraded,
             drift: snapshot.calibration,
             faults: None,
-            held: Vec::new(),
+            held: HashMap::new(),
             held_generation: 0,
             #[cfg(test)]
             observe_walks: 0,
@@ -509,36 +514,58 @@ impl StagePredictor {
         features
     }
 
-    /// The local answer an observe scores the drift sentinel with: the one
-    /// the last predict call walked for this exact input on the current
-    /// ensemble generation, else a fresh walk. Debug builds walk anyway and
-    /// check that the two agree to the bit.
+    /// The memo of local answers, emptied first if the ensemble was
+    /// replaced since it was filled.
+    fn held_now(&mut self) -> &mut HashMap<u64, HeldAnswer> {
+        let generation = self.local.trainings();
+        if self.held_generation != generation {
+            self.held.clear();
+            self.held_generation = generation;
+        }
+        &mut self.held
+    }
+
+    /// Memoises one walked answer, replacing its key's older one. A new key
+    /// that finds the memo holding the cache's capacity empties it first.
+    fn hold(&mut self, walked: HeldAnswer) {
+        let capacity = self.config.cache.capacity;
+        let held = self.held_now();
+        if held.len() >= capacity && !held.contains_key(&walked.key) {
+            held.clear();
+        }
+        held.insert(walked.key, walked);
+    }
+
+    /// The local answer an observe scores the drift sentinel with: the
+    /// memoised one for this key when its input is this one to the bit,
+    /// else a fresh walk, which is memoised in turn. Debug builds walk
+    /// anyway and check that the two agree to the bit.
     #[expect(
         clippy::disallowed_macros,
         reason = "debug_assert! expands to assert!; release builds compile the check out"
     )]
     fn observed_local(&mut self, key: u64, input: &[f64]) -> Option<EnsemblePrediction> {
-        let current = self.held_generation == self.local.trainings();
-        let held = (self.held.iter())
-            .find(|h| current && h.key == key && same_bits(&h.input, input))
+        let held = (self.held_now().get(&key))
+            .filter(|h| same_bits(&h.input, input))
             .map(|h| h.answer);
-        match held {
-            Some(answer) => {
-                debug_assert!(
-                    self.local.predict(input).map(answer_bits) == Some(answer_bits(answer)),
-                    "a held local answer is not the one the walk finds"
-                );
-                Some(answer)
-            }
-            None => {
-                let answer = self.local.predict(input);
-                #[cfg(test)]
-                {
-                    self.observe_walks += u64::from(answer.is_some());
-                }
-                answer
-            }
+        if let Some(answer) = held {
+            debug_assert!(
+                self.local.predict(input).map(answer_bits) == Some(answer_bits(answer)),
+                "a held local answer is not the one the walk finds"
+            );
+            return Some(answer);
         }
+        let answer = self.local.predict(input)?;
+        #[cfg(test)]
+        {
+            self.observe_walks += 1;
+        }
+        self.hold(HeldAnswer {
+            key,
+            input: input.to_vec(),
+            answer,
+        });
+        Some(answer)
     }
 
     /// What every tier would answer for `plan` now — the same key, the same
@@ -600,27 +627,27 @@ impl StagePredictor {
     /// Predicts a whole batch of plans under one `sys` context;
     /// [`ExecTimePredictor::predict`] is a batch of one, so the two verbs
     /// share every step. Each plan is extracted and hashed once and probed
-    /// in the cache; each miss is held with its local input, every held
+    /// in the cache; each miss is listed with its local input, every listed
     /// input goes through one [`LocalModel::predict_batch`] call, the local
-    /// fault oracle consulted once per call with a miss; then each miss is
-    /// routed in request order.
+    /// fault oracle consulted once per call with a miss, and the walked
+    /// answers are memoised for the observes that follow; then each miss
+    /// is routed in request order.
     pub fn predict_batch(
         &mut self,
         plans: &[PhysicalPlan],
         sys: &SystemContext,
     ) -> Vec<Prediction> {
-        self.held.clear();
         // Pass 1: extract + hash once per plan and probe the cache; a hit
-        // is answered here, a miss is held with its local input.
+        // is answered here, a miss is listed with its local input.
         let mut answers = Vec::with_capacity(plans.len());
+        let mut misses = Vec::new();
         for plan in plans {
             let (key, features) = Self::keyed_features(plan);
             let hit = self.cache.lookup(key);
             if hit.is_none() {
-                let input = self.local_input(features, sys);
-                self.held.push(HeldAnswer {
+                misses.push(HeldAnswer {
                     key,
-                    input,
+                    input: self.local_input(features, sys),
                     answer: EnsemblePrediction::default(),
                 });
             }
@@ -630,19 +657,15 @@ impl StagePredictor {
         // Pass 2: one batched local-model call covers every miss. The fault
         // oracle is consulted once per batch that would use the local tier
         // (an all-hit batch never touches it), keeping the ledger exact.
-        let local = if self.held.is_empty() || self.fault_local_unavailable() {
+        let local = if misses.is_empty() || self.fault_local_unavailable() {
             None
         } else {
-            self.local.predict_batch(&self.held)
+            self.local.predict_batch(&misses)
         };
-        // Hold every walked answer for the observes that follow; without
-        // one there is nothing to hold.
-        match &local {
-            Some(walked) => {
-                self.held_generation = self.local.trainings();
-                (self.held.iter_mut().zip(walked)).for_each(|(h, &answer)| h.answer = answer);
-            }
-            None => self.held.clear(),
+        // Memoise every walked answer; without a walk nothing is held.
+        for (mut miss, &answer) in misses.into_iter().zip(local.iter().flatten()) {
+            miss.answer = answer;
+            self.hold(miss);
         }
         // Pass 3: route the misses in request order; they take their local
         // answers (none at all on a cold start or failover) in the order
@@ -724,9 +747,15 @@ impl ExecTimePredictor for StagePredictor {
         "Stage"
     }
 
+    /// The components, the drift sentinel and the memo of local answers:
+    /// every slot its table reserved and every memoised input.
     fn approx_size_bytes(&self) -> usize {
         let (c, p, l) = self.size_breakdown();
-        std::mem::size_of::<Self>() + c + p + l + self.drift.approx_size_bytes()
+        let held = self.held.capacity() * (std::mem::size_of::<(u64, HeldAnswer)>() + 1)
+            + (self.held.values())
+                .map(|h| h.input.capacity() * std::mem::size_of::<f64>())
+                .sum::<usize>();
+        std::mem::size_of::<Self>() + c + p + l + self.drift.approx_size_bytes() + held
     }
 }
 
@@ -1602,10 +1631,10 @@ mod tests {
         }
     }
 
-    /// Holding the local answers of the last predict call changes nothing
-    /// a predictor answers or keeps: over random interleavings of every
-    /// verb, a twin that drops its held answers before each observe (and so
-    /// walks every time) gives the same answers, the same drift sentinel,
+    /// Memoising the local answers walked on the current ensemble
+    /// generation changes nothing a predictor answers or keeps: over random
+    /// interleavings of every verb, a twin that drops its whole memo before
+    /// each observe (and so walks every time) gives the same answers, the same drift sentinel,
     /// the same pool and the same store sections — across drift-forced
     /// retrains, local fail-overs, changed `sys` contexts and restores,
     /// with the environment features on and off. `check.sh` runs it in the
@@ -1696,6 +1725,73 @@ mod tests {
         }
         assert_eq!(s.observe_walks - before, hits);
         assert_eq!(s.local().trainings(), 1, "no retrain inside the check");
+    }
+
+    /// Repeated observes of one cached plan walk the ensemble once per
+    /// ensemble generation: once, once more after a retrain, once more
+    /// after a restore — and, with the environment features on, once more
+    /// under another `sys`, whose input differs. A cache-hit predict
+    /// between them walks nothing.
+    #[test]
+    fn a_cached_plan_is_walked_once_per_generation() {
+        for env_features in [false, true] {
+            let mut cfg = quick_config();
+            cfg.env_features = env_features;
+            cfg.local.retrain_interval = 30;
+            let mut s = StagePredictor::new(cfg);
+            let observe_fresh = |s: &mut StagePredictor, from: usize, n: usize| {
+                for i in from..from + n {
+                    let rows = i as f64 * 1e4;
+                    s.observe(&plan(rows), &sys(), rows / 1e5);
+                }
+            };
+            let q = plan(3.33e5);
+            let other = SystemContext {
+                features: vec![3.0, 0.5],
+            };
+            let walks = |s: &mut StagePredictor, sys: &SystemContext| {
+                let before = s.observe_walks;
+                for _ in 0..4 {
+                    s.observe(&q, sys, 3.33);
+                    assert_eq!(s.predict(&q, sys).source, PredictionSource::Cache);
+                }
+                s.observe_walks - before
+            };
+            observe_fresh(&mut s, 1, 20);
+            assert_eq!(s.local().trainings(), 1);
+            assert_eq!(walks(&mut s, &sys()), 1, "env {env_features}");
+            assert_eq!(walks(&mut s, &sys()), 0, "env {env_features}");
+
+            observe_fresh(&mut s, 100, 30);
+            assert_eq!(s.local().trainings(), 2);
+            assert_eq!(walks(&mut s, &sys()), 1, "env {env_features}: retrained");
+            assert_eq!(walks(&mut s, &sys()), 0, "env {env_features}: retrained");
+
+            s = StagePredictor::from_snapshot(s.snapshot());
+            assert_eq!(walks(&mut s, &sys()), 1, "env {env_features}: restored");
+            assert_eq!(walks(&mut s, &sys()), 0, "env {env_features}: restored");
+
+            let new_sys = u64::from(env_features);
+            assert_eq!(walks(&mut s, &other), new_sys, "env {env_features}: sys");
+            assert_eq!(walks(&mut s, &other), 0, "env {env_features}: sys");
+        }
+    }
+
+    /// A shard with no ensemble walks nothing, so it holds nothing: a
+    /// hundred predict → observe pairs on a young shard leave the memo
+    /// without a reserved slot.
+    #[test]
+    fn a_shard_with_no_ensemble_holds_nothing() {
+        let mut cfg = quick_config();
+        cfg.local.min_train_examples = 1_000;
+        let mut s = StagePredictor::new(cfg);
+        for i in 0..100 {
+            let rows = (i % 37 + 1) as f64 * 1e4;
+            s.predict(&plan(rows), &sys());
+            s.observe(&plan(rows), &sys(), rows / 1e5);
+        }
+        assert!(!s.local().is_trained());
+        assert_eq!(s.held.capacity(), 0);
     }
 
     #[test]

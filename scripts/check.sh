@@ -36,13 +36,14 @@ cargo test -q --workspace
 # stop-at-a-leaf reference walk (tree::tests::
 # prop_kernel_walk_equals_the_reference), so the walk the servers run is
 # the one checked, and with the property test that holds an observe which
-# reuses its predict's local answer to one that walks again (stage::tests::
-# prop_held_answers_change_nothing): the debug build also walks and compares
-# on every reuse, so only here is the reuse alone checked. A filter that
-# matches no test fails the step, so a renamed test cannot leave it running
-# nothing.
+# reuses a memoised local answer to one that walks again (stage::tests::
+# prop_held_answers_change_nothing) and the test that counts the memo's
+# walks (stage::tests::a_cached_plan_is_walked_once_per_generation): the
+# debug build also walks and compares on every reuse, so only here is the
+# reuse alone checked. A filter that matches no test fails the step, so a
+# renamed test cannot leave it running nothing.
 release_tests=(-p stage-core -p stage-gbdt --lib)
-release_filters=(in_release global::tests::trained_weights tree::tests::prop_kernel_walk_equals_the_reference stage::tests::prop_held_answers_change_nothing)
+release_filters=(in_release global::tests::trained_weights tree::tests::prop_kernel_walk_equals_the_reference stage::tests::prop_held_answers_change_nothing stage::tests::a_cached_plan_is_walked_once_per_generation)
 listed=$(cargo test --release -q "${release_tests[@]}" -- --list "${release_filters[@]}")
 for filter in "${release_filters[@]}"; do
   grep -qF -- "$filter" <<<"$listed" || {
@@ -51,6 +52,10 @@ for filter in "${release_filters[@]}"; do
   }
 done
 cargo test --release -q "${release_tests[@]}" -- "${release_filters[@]}"
+# The heap bounds in the same build, with the allocation counts only it
+# compiles (tests/memory.rs: a memoised cache-hit observe allocates no more
+# than feature extraction does, and each predict no more than measured).
+cargo test --release -q --test memory
 # Beside the kernel's property test, the boosters' own batch identity
 # (crates/gbdt/tests/batch_identity.rs: each row alone against the batch,
 # and a decoded ensemble against the trained one), in the same build.

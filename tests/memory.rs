@@ -1,10 +1,13 @@
 //! Heap bounds, read off a counting global allocator: what one epoch of
 //! global-model training and one local-model retrain hold at their peak,
 //! what a trained global model keeps, and what a young shard holds once it
-//! has seen a couple of dozen observations. This file is its own test binary because the allocator
-//! counts the whole process.
+//! has seen a couple of dozen observations — and, in the release build,
+//! how many allocations a served predict and observe make. This file is
+//! its own test binary because the allocator counts the whole process.
 
 use stage::core::global::plan_to_tree_sample;
+#[cfg(not(debug_assertions))]
+use stage::core::{ExecTimePredictor, PredictionSource, StagePredictor};
 use stage::core::{
     GlobalModel, GlobalModelConfig, PoolConfig, StageConfig, SystemContext, TrainingPool,
 };
@@ -19,17 +22,20 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Mutex, PoisonError};
 
-/// The system allocator, counting live bytes and their high-water mark.
+/// The system allocator, counting live bytes, their high-water mark and
+/// the calls that allocate (`alloc`, `alloc_zeroed`, `realloc`).
 struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static CALLS: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: every method forwards to `System` with the caller's own
 // arguments, so `System`'s guarantees are this allocator's; the counters
 // are plain statistics that no allocation depends on.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Relaxed);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
@@ -39,6 +45,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Relaxed);
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         let p = unsafe { System.alloc_zeroed(layout) };
         if !p.is_null() {
@@ -55,6 +62,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Relaxed);
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract, and
         // `ptr` came from `System` with `layout`.
         let p = unsafe { System.realloc(ptr, layout, new_size) };
@@ -86,6 +94,27 @@ fn measure<R>(f: impl FnOnce() -> R) -> (R, isize, usize) {
     let r = f();
     let live = LIVE.load(Relaxed) as isize - base as isize;
     (r, live, PEAK.load(Relaxed) - base)
+}
+
+/// `(r, allocator calls f made)`.
+#[cfg(not(debug_assertions))]
+fn calls<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let before = CALLS.load(Relaxed);
+    let r = f();
+    (r, CALLS.load(Relaxed) - before)
+}
+
+/// `n` queries of distinct plans from a fleet of eight instances, in fleet
+/// order.
+fn distinct_queries(seed: u64, n: usize) -> Vec<(PhysicalPlan, SystemContext, f64)> {
+    let mut seen = HashSet::new();
+    let queries: Vec<_> = fleet_queries(seed, 2_000)
+        .into_iter()
+        .filter(|(plan, _, _)| seen.insert(plan_feature_vector(plan).stable_hash()))
+        .take(n)
+        .collect();
+    assert_eq!(queries.len(), n);
+    queries
 }
 
 /// `n` queries a fleet of eight instances ran, evenly spaced through each
@@ -266,4 +295,74 @@ fn a_warm_shard_holds_a_few_megabytes() {
     assert!(trainings >= Some(2), "the shard trained: {trainings:?}");
     eprintln!("warm shard: {} KiB of live heap", live / 1024);
     assert!(live <= 7 << 19, "a warm shard holds {live} B");
+}
+
+/// The warm shard above, then each of its 1 500 plans observed once more:
+/// a cache hit, whose local answer the shard memoises, so every cached
+/// plan is memoised (the memo holds at most the cache's 2 000). It stays
+/// under the same bound.
+#[test]
+fn a_warm_shard_with_every_plan_memoised_holds_a_few_megabytes() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let queries = distinct_queries(13, 1_500);
+    let (registry, live, _) = measure(|| {
+        let registry = ShardRegistry::new(1, StageConfig::default());
+        for (plan, sys, secs) in queries.iter().chain(&queries) {
+            registry.with_shard_write(0, |s| s.observe(plan, sys, *secs));
+        }
+        registry
+    });
+    let cached = registry.with_shard_read(0, |s| s.predictor().cache().len());
+    assert_eq!(cached, Some(1_500));
+    eprintln!(
+        "warm shard, every plan memoised: {} KiB of live heap",
+        live / 1024
+    );
+    assert!(live <= 7 << 19, "a warm shard holds {live} B");
+}
+
+/// Allocator calls of the verbs a server runs, on a default-config shard
+/// trained on 200 distinct observes, in the build the servers ship (a
+/// debug build also walks the ensemble on every reuse of a memoised
+/// answer). A cache-hit observe whose local answer is memoised allocates
+/// no more than extracting its plan's features does (3; 6 while such an
+/// observe walked the ensemble); a cache-hit and a cache-miss predict
+/// allocate no more than they were measured to: 4 and 8.
+#[cfg(not(debug_assertions))]
+#[test]
+fn a_memoised_observe_allocates_no_more_than_feature_extraction() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let queries = distinct_queries(17, 201);
+    let ((fresh, _, _), warm) = queries.split_last().expect("201 queries");
+    let mut s = StagePredictor::new(StageConfig::default());
+    for (plan, sys, secs) in warm {
+        s.observe(plan, sys, *secs);
+    }
+    assert!(s.local().is_trained());
+    let (plan, sys, secs) = &warm[0];
+    // The first hit observe walks (warm[0] was seen before the training)
+    // and memoises its answer; the second reuses it.
+    s.observe(plan, sys, *secs);
+    let (_, observe) = calls(|| s.observe(plan, sys, *secs));
+    let (_, extract) = calls(|| plan_feature_vector(plan));
+    let (hit, hit_predict) = calls(|| s.predict(plan, sys));
+    let (miss, miss_predict) = calls(|| s.predict(fresh, sys));
+    assert_eq!(hit.source, PredictionSource::Cache);
+    assert_eq!(miss.source, PredictionSource::Local);
+    eprintln!(
+        "allocator calls: memoised hit observe {observe}, plan_feature_vector {extract}, \
+         hit predict {hit_predict}, miss predict {miss_predict}"
+    );
+    assert!(
+        observe <= extract,
+        "a memoised observe made {observe} calls"
+    );
+    assert!(
+        hit_predict <= 4,
+        "a cache-hit predict made {hit_predict} calls"
+    );
+    assert!(
+        miss_predict <= 8,
+        "a cache-miss predict made {miss_predict} calls"
+    );
 }
