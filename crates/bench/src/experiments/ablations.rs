@@ -36,10 +36,9 @@ pub(super) fn dedup_pool(ctx: &ExperimentContext) -> Vec<(Vec<f64>, f64)> {
             let mut out = Vec::new();
             for e in &w.events {
                 let key = ExecTimeCache::key_of(&e.plan);
-                if !cache.contains(key) {
+                if !cache.record(key, e.true_exec_secs) {
                     out.push((plan_feature_vector(&e.plan).0, e.true_exec_secs));
                 }
-                cache.record(key, e.true_exec_secs);
             }
             out
         })

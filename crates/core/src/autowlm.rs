@@ -8,6 +8,7 @@
 //! calls out.
 
 use crate::from_log_space;
+use crate::local::retrain_seed;
 use crate::pool::{PoolConfig, TrainingPool};
 use crate::predictor::{
     ExecTimePredictor, Prediction, PredictionSource, SystemContext, DEFAULT_PREDICTION_SECS,
@@ -102,13 +103,10 @@ impl AutoWlmPredictor {
         let Some(dataset) = self.pool.to_dataset() else {
             return;
         };
-        // Same per-instance-state-only derivation as the Stage local model:
-        // base seed ⊕ instance salt, stepped by the retrain counter.
         let schedule = GbmParams::default();
         let params = GbmParams {
             n_estimators: self.config.n_estimators,
-            seed: (schedule.seed ^ self.instance_salt.wrapping_mul(0xD6E8_FEB8_6659_FD93))
-                .wrapping_add(self.trainings.wrapping_mul(0x9E37_79B9)),
+            seed: retrain_seed(schedule.seed, self.instance_salt, self.trainings),
             ..schedule
         };
         if let Some(m) = Gbm::fit(&dataset, &params) {

@@ -215,22 +215,18 @@ impl ExecTimeCache {
         hit
     }
 
-    /// Whether a key is cached (no counter side effects).
-    pub fn contains(&self, key: u64) -> bool {
-        self.entries.contains_key(&key)
-    }
-
     /// Records an observed exec-time, inserting or updating the entry and
     /// evicting the least-recently-updated entry when over capacity.
+    /// Returns whether `key` was cached before (no counter side effects).
     #[expect(
         clippy::disallowed_macros,
         reason = "debug_assert! expands to assert!; release builds compile the check out"
     )]
-    pub fn record(&mut self, key: u64, actual_secs: f64) {
+    pub fn record(&mut self, key: u64, actual_secs: f64) -> bool {
         self.update_seq += 1;
         let seq = self.update_seq;
         let mode = self.config.mode;
-        match self.entries.get_mut(&key) {
+        let was_cached = match self.entries.get_mut(&key) {
             Some(e) => {
                 e.stats.push(actual_secs);
                 e.last_secs = actual_secs;
@@ -246,6 +242,7 @@ impl ExecTimeCache {
                     e.holt_trend = trend_beta * (e.holt_level - prev_level)
                         + (1.0 - trend_beta) * e.holt_trend;
                 }
+                true
             }
             None => {
                 self.entries.insert(
@@ -258,8 +255,9 @@ impl ExecTimeCache {
                         holt_trend: 0.0,
                     },
                 );
+                false
             }
-        }
+        };
         if !self.order.is_empty() {
             self.order.push_back((seq, key));
             if self.order.len() > 2 * self.entries.len() {
@@ -275,6 +273,7 @@ impl ExecTimeCache {
             self.entries.len(),
             self.config.capacity
         );
+        was_cached
     }
 
     /// Number of cached unique queries.
@@ -584,9 +583,9 @@ mod tests {
         c.record(2, 2.0);
         c.record(1, 1.5); // refresh key 1; key 2 is now oldest
         c.record(3, 3.0); // evicts key 2
-        assert!(c.contains(1));
-        assert!(!c.contains(2));
-        assert!(c.contains(3));
+        assert!(c.peek(1).is_some());
+        assert!(c.peek(2).is_none());
+        assert!(c.peek(3).is_some());
         assert_eq!(c.len(), 2);
     }
 
@@ -599,7 +598,7 @@ mod tests {
         }
         // The five most recent survive.
         for k in 95..100 {
-            assert!(c.contains(k));
+            assert!(c.peek(k).is_some());
         }
     }
 
@@ -820,7 +819,7 @@ mod tests {
                 prop_assert_eq!(c.len(), reference.len());
             }
             for k in reference.keys() {
-                prop_assert!(c.contains(*k));
+                prop_assert!(c.peek(*k).is_some());
             }
             prop_assert_eq!(c.hits() + c.misses(), lookups);
         }
@@ -865,7 +864,7 @@ mod tests {
                     prop_assert!(c.order.is_empty());
                     continue;
                 }
-                let scan = (!c.contains(key) && c.len() == CAP)
+                let scan = (c.peek(key).is_none() && c.len() == CAP)
                     .then(|| c.entries.iter().min_by_key(|(_, e)| e.last_update))
                     .flatten()
                     .map(|(&k, _)| k);

@@ -40,6 +40,17 @@ impl Default for LocalModelConfig {
     }
 }
 
+/// The seed of a model's retrain after `trainings` earlier ones, from its
+/// `base` seed and its instance's salt: it varies across retrainings so
+/// ensembles don't ossify, and across instances so fleets don't train in
+/// lockstep. It derives only from per-instance state — never from global
+/// counters or thread identity — so a replay is deterministic at any
+/// parallelism. The AutoWLM baseline retrains under the same rule.
+pub(crate) fn retrain_seed(base: u64, instance_salt: u64, trainings: u64) -> u64 {
+    (base ^ instance_salt.wrapping_mul(0xD6E8_FEB8_6659_FD93))
+        .wrapping_add(trainings.wrapping_mul(0x9E37_79B9))
+}
+
 /// The local model: an optional trained ensemble plus retraining policy.
 #[derive(Debug, Clone)]
 pub struct LocalModel {
@@ -114,15 +125,13 @@ impl LocalModel {
         let Some(dataset) = pool.to_dataset() else {
             return false;
         };
-        // Vary the seed across retrainings so ensembles don't ossify, and
-        // across instances so fleets don't train in lockstep. Derived only
-        // from per-instance state (base seed, instance salt, retrain
-        // counter) — never from global counters or thread identity — so a
-        // replay is deterministic at any parallelism.
+        let seed = retrain_seed(
+            self.config.ensemble.seed,
+            self.instance_salt,
+            self.trainings,
+        );
         let params = EnsembleParams {
-            seed: (self.config.ensemble.seed
-                ^ self.instance_salt.wrapping_mul(0xD6E8_FEB8_6659_FD93))
-            .wrapping_add(self.trainings.wrapping_mul(0x9E37_79B9)),
+            seed,
             ..self.config.ensemble
         };
         let Some(e) = BayesianEnsemble::fit(&dataset, &params) else {

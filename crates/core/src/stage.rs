@@ -311,13 +311,11 @@ pub struct StagePredictor {
     degraded: DegradedStats,
     drift: DriftSentinel,
     faults: Option<Arc<dyn ComponentFaults>>,
-    /// The local answers walked on the current ensemble generation, by
-    /// cache key: a predict's misses and an observe's own walks. Emptied
-    /// when the ensemble is replaced or when a new key finds it holding
-    /// the cache's capacity. Never persisted.
+    /// The local answers walked on the current ensemble, by cache key: a
+    /// predict's misses and an observe's own walks. Emptied by the retrain
+    /// that replaces the ensemble, or when a new key finds it holding the
+    /// cache's capacity. Never persisted: a restore starts it empty.
     held: HashMap<u64, HeldAnswer>,
-    /// The [`LocalModel::trainings`] generation `held` was walked on.
-    held_generation: u64,
     /// Observes that walked the ensemble (tests count them).
     #[cfg(test)]
     observe_walks: u64,
@@ -337,7 +335,6 @@ impl StagePredictor {
             drift: DriftSentinel::default(),
             faults: None,
             held: HashMap::new(),
-            held_generation: 0,
             #[cfg(test)]
             observe_walks: 0,
             config,
@@ -418,7 +415,6 @@ impl StagePredictor {
             drift: snapshot.calibration,
             faults: None,
             held: HashMap::new(),
-            held_generation: 0,
             #[cfg(test)]
             observe_walks: 0,
         }
@@ -514,26 +510,13 @@ impl StagePredictor {
         features
     }
 
-    /// The memo of local answers, emptied first if the ensemble was
-    /// replaced since it was filled.
-    fn held_now(&mut self) -> &mut HashMap<u64, HeldAnswer> {
-        let generation = self.local.trainings();
-        if self.held_generation != generation {
-            self.held.clear();
-            self.held_generation = generation;
-        }
-        &mut self.held
-    }
-
     /// Memoises one walked answer, replacing its key's older one. A new key
     /// that finds the memo holding the cache's capacity empties it first.
     fn hold(&mut self, walked: HeldAnswer) {
-        let capacity = self.config.cache.capacity;
-        let held = self.held_now();
-        if held.len() >= capacity && !held.contains_key(&walked.key) {
-            held.clear();
+        if self.held.len() >= self.config.cache.capacity && !self.held.contains_key(&walked.key) {
+            self.held.clear();
         }
-        held.insert(walked.key, walked);
+        self.held.insert(walked.key, walked);
     }
 
     /// The local answer an observe scores the drift sentinel with: the
@@ -545,7 +528,7 @@ impl StagePredictor {
         reason = "debug_assert! expands to assert!; release builds compile the check out"
     )]
     fn observed_local(&mut self, key: u64, input: &[f64]) -> Option<EnsemblePrediction> {
-        let held = (self.held_now().get(&key))
+        let held = (self.held.get(&key))
             .filter(|h| same_bits(&h.input, input))
             .map(|h| h.answer);
         if let Some(answer) = held {
@@ -690,7 +673,6 @@ impl ExecTimePredictor for StagePredictor {
 
     fn observe(&mut self, plan: &PhysicalPlan, sys: &SystemContext, actual_secs: f64) {
         let (key, features) = Self::keyed_features(plan);
-        let was_cached = self.cache.contains(key);
         let features = self.local_input(features, sys);
         // Drift sentinel: score the observation against the *current* local
         // model, before cache/pool/retrain absorb it — the residual then
@@ -703,7 +685,7 @@ impl ExecTimePredictor for StagePredictor {
             self.drift
                 .observe_residual(lp.mean, lp.std_dev(), to_log_space(actual_secs));
         }
-        self.cache.record(key, actual_secs);
+        let was_cached = self.cache.record(key, actual_secs);
         // Dedup via the cache (paper §4.3): only cache *misses* enter the
         // local training pool.
         if was_cached && self.config.routing.dedup_via_cache {
@@ -735,6 +717,10 @@ impl ExecTimePredictor for StagePredictor {
             }
             None => self.local.retrain(&self.pool),
         };
+        // A new ensemble answers anew: nothing walked on the old one holds.
+        if trained {
+            self.held.clear();
+        }
         // A retrain ran while latched: count it and re-arm the detector (its
         // baseline described the old model; the score window stays).
         if drifted && trained {

@@ -1,8 +1,10 @@
-//! Feature matrices and quantile binning.
+//! Feature matrices and their binned form.
 //!
 //! Histogram GBDT discretizes each feature into at most `n_bins` buckets via
-//! quantile cut points computed once per training set; split finding then
-//! scans bin histograms instead of sorted feature values.
+//! quantile cut points computed once per training set
+//! ([`crate::tree`]'s cut table, which the fitted trees are then walked
+//! on); split finding then scans bin histograms instead of sorted feature
+//! values.
 
 /// A dense row-major feature matrix with regression targets.
 #[derive(Debug, Clone, Default)]
@@ -80,126 +82,38 @@ impl Dataset {
     }
 }
 
-/// Per-feature quantile cut points. Bin of value `x` = number of cuts `< x`
-/// … computed as the partition point of `cuts` under `c < x`, so
-/// `x <= cuts[b]` ⇔ `bin(x) <= b`; a split "go left if bin ≤ b" is exactly
-/// "go left if x ≤ `cuts[b]`", which is what [`crate::tree::Tree`] stores.
+/// A dataset binned by `Cuts::bin`: row-major `u8` bins, each a row's
+/// rank in its column of the table.
 #[derive(Debug, Clone)]
-pub struct Binner {
-    cuts: Vec<Vec<f64>>,
-}
-
-impl Binner {
-    /// Maximum number of bins supported (bin indices are `u8`).
-    pub const MAX_BINS: usize = 256;
-
-    /// Computes up to `n_bins - 1` quantile cut points per feature.
-    ///
-    /// # Panics
-    /// Panics if `n_bins < 2` or `n_bins > 256`, or the dataset is empty.
-    pub fn fit(data: &Dataset, n_bins: usize) -> Self {
-        // Never fires on a serving path: every model bins into `gbm::N_BINS`.
-        assert!(
-            (2..=Self::MAX_BINS).contains(&n_bins),
-            "n_bins must be in 2..=256"
-        );
-        assert!(!data.is_empty(), "cannot bin an empty dataset");
-        let n = data.n_rows();
-        let mut cuts = Vec::with_capacity(data.n_cols());
-        let mut col = vec![0.0f64; n];
-        for c in 0..data.n_cols() {
-            for (r, slot) in col.iter_mut().enumerate() {
-                *slot = data.row(r)[c];
-            }
-            // `total_cmp`, not `partial_cmp(..).expect(..)`: a NaN feature
-            // sorts last and lands in the top bin instead of aborting a
-            // serving-path retrain.
-            col.sort_by(f64::total_cmp);
-            let mut feature_cuts = Vec::new();
-            for k in 1..n_bins {
-                let pos = k * n / n_bins;
-                let v = col[pos.min(n - 1)];
-                if feature_cuts.last() != Some(&v) && v > col[0] {
-                    feature_cuts.push(v);
-                }
-            }
-            cuts.push(feature_cuts);
-        }
-        Self { cuts }
-    }
-
-    /// Number of features.
-    pub fn n_features(&self) -> usize {
-        self.cuts.len()
-    }
-
-    /// Number of bins for feature `c` (cuts + 1).
-    pub fn n_bins(&self, c: usize) -> usize {
-        self.cuts[c].len() + 1
-    }
-
-    /// Cut points for feature `c` (ascending).
-    pub fn cuts(&self, c: usize) -> &[f64] {
-        &self.cuts[c]
-    }
-
-    /// Bin index of value `x` in feature `c`. NaN goes to the top bin:
-    /// `NaN <= t` is false for every threshold, so [`crate::tree::Tree`]
-    /// sends it right at every split, and the grower must too.
-    pub fn bin(&self, c: usize, x: f64) -> u8 {
-        let cuts = &self.cuts[c];
-        if x.is_nan() {
-            return cuts.len() as u8;
-        }
-        // partition_point: first index where !(cut < x); bins: x <= cuts[b] -> bin <= b.
-        cuts.partition_point(|&cut| cut < x) as u8
-    }
-
-    /// Bins an entire dataset into a [`BinnedDataset`].
-    pub fn transform(&self, data: &Dataset) -> BinnedDataset {
-        assert_eq!(data.n_cols(), self.n_features());
-        let n = data.n_rows();
-        let mut bins = vec![0u8; n * self.n_features()];
-        for r in 0..n {
-            let row = data.row(r);
-            for c in 0..self.n_features() {
-                bins[r * self.n_features() + c] = self.bin(c, row[c]);
-            }
-        }
-        BinnedDataset {
-            n_cols: self.n_features(),
-            bins,
-            n_rows: n,
-        }
-    }
-}
-
-/// A dataset discretized by a [`Binner`]: row-major `u8` bin indices.
-#[derive(Debug, Clone)]
-pub struct BinnedDataset {
+pub(crate) struct BinnedDataset {
     n_cols: usize,
     n_rows: usize,
     bins: Vec<u8>,
 }
 
 impl BinnedDataset {
+    /// `n_rows` rows of `n_cols` bins, row-major in `bins`.
+    pub(crate) fn new(n_cols: usize, n_rows: usize, bins: Vec<u8>) -> Self {
+        debug_assert_eq!(bins.len(), n_cols * n_rows);
+        Self {
+            n_cols,
+            n_rows,
+            bins,
+        }
+    }
+
     /// Number of rows.
-    pub fn n_rows(&self) -> usize {
+    pub(crate) fn n_rows(&self) -> usize {
         self.n_rows
     }
 
-    /// Number of feature columns.
-    pub fn n_cols(&self) -> usize {
-        self.n_cols
-    }
-
     /// Bin of row `r`, feature `c`.
-    pub fn bin(&self, r: usize, c: usize) -> u8 {
+    pub(crate) fn bin(&self, r: usize, c: usize) -> u8 {
         self.bins[r * self.n_cols + c]
     }
 
     /// Binned row `r`.
-    pub fn row(&self, r: usize) -> &[u8] {
+    pub(crate) fn row(&self, r: usize) -> &[u8] {
         &self.bins[r * self.n_cols..(r + 1) * self.n_cols]
     }
 }
@@ -207,6 +121,7 @@ impl BinnedDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::Cuts;
     use proptest::prelude::*;
 
     fn toy() -> Dataset {
@@ -248,26 +163,26 @@ mod tests {
     }
 
     #[test]
-    fn binner_monotone_bins() {
+    fn cuts_monotone_bins() {
         let ds = toy();
-        let binner = Binner::fit(&ds, 16);
+        let cuts = Cuts::fit(&ds, 16);
         // Feature 0 spans 0..100: higher values never get lower bins.
         let mut prev = 0u8;
         for i in 0..100 {
-            let b = binner.bin(0, i as f64);
+            let b = cuts.bin_of(0, i as f64);
             assert!(b >= prev);
             prev = b;
         }
-        assert!(binner.n_bins(0) > 4, "wide feature should get several bins");
+        assert!(cuts.n_bins(0) > 4, "wide feature should get several bins");
     }
 
     #[test]
     fn constant_feature_has_no_cuts() {
         let ds = toy();
-        let binner = Binner::fit(&ds, 16);
-        assert_eq!(binner.n_bins(2), 1);
-        assert_eq!(binner.bin(2, 5.0), 0);
-        assert_eq!(binner.bin(2, 100.0), 0);
+        let cuts = Cuts::fit(&ds, 16);
+        assert_eq!(cuts.n_bins(2), 1);
+        assert_eq!(cuts.bin_of(2, 5.0), 0);
+        assert_eq!(cuts.bin_of(2, 100.0), 0);
     }
 
     #[test]
@@ -276,8 +191,8 @@ mod tests {
         // for every value a row can carry: the grower routes by bin, the
         // fitted tree by the raw comparison, and the two must agree.
         let ds = toy();
-        let binner = Binner::fit(&ds, 8);
-        let cuts = binner.cuts(0).to_vec();
+        let table = Cuts::fit(&ds, 8);
+        let cuts = table.column(0).unwrap().to_vec();
         for (b, &cut) in cuts.iter().enumerate() {
             for x in [
                 cut - 0.5,
@@ -288,8 +203,8 @@ mod tests {
                 f64::NEG_INFINITY,
             ] {
                 let lhs = x <= cut;
-                let rhs = (binner.bin(0, x) as usize) <= b;
-                assert_eq!(lhs, rhs, "x={x} cut={cut} b={b} bin={}", binner.bin(0, x));
+                let rhs = (table.bin_of(0, x) as usize) <= b;
+                assert_eq!(lhs, rhs, "x={x} cut={cut} b={b} bin={}", table.bin_of(0, x));
             }
         }
     }
@@ -297,22 +212,22 @@ mod tests {
     #[test]
     fn transform_matches_bin() {
         let ds = toy();
-        let binner = Binner::fit(&ds, 16);
-        let binned = binner.transform(&ds);
+        let cuts = Cuts::fit(&ds, 16);
+        let binned = cuts.bin(&ds);
         assert_eq!(binned.n_rows(), ds.n_rows());
         for r in (0..ds.n_rows()).step_by(7) {
             for c in 0..ds.n_cols() {
-                assert_eq!(binned.bin(r, c), binner.bin(c, ds.row(r)[c]));
+                assert_eq!(binned.bin(r, c), cuts.bin_of(c, ds.row(r)[c]));
             }
         }
     }
 
     #[test]
-    fn binner_respects_max_bins() {
+    fn cuts_respect_max_bins() {
         let ds = toy();
-        let binner = Binner::fit(&ds, 4);
+        let cuts = Cuts::fit(&ds, 4);
         for c in 0..3 {
-            assert!(binner.n_bins(c) <= 4);
+            assert!(cuts.n_bins(c) <= 4);
         }
     }
 
@@ -325,11 +240,11 @@ mod tests {
             let rows: Vec<Vec<f64>> = values.iter().map(|&v| vec![v]).collect();
             let targets = vec![0.0; values.len()];
             let ds = Dataset::from_rows(&rows, &targets);
-            let binner = Binner::fit(&ds, n_bins);
+            let cuts = Cuts::fit(&ds, n_bins);
             for &v in &values {
-                prop_assert!((binner.bin(0, v) as usize) < binner.n_bins(0));
+                prop_assert!((cuts.bin_of(0, v) as usize) < cuts.n_bins(0));
             }
-            prop_assert!(binner.n_bins(0) <= n_bins);
+            prop_assert!(cuts.n_bins(0) <= n_bins);
         }
 
         #[test]
@@ -338,11 +253,11 @@ mod tests {
         ) {
             let rows: Vec<Vec<f64>> = values.iter().map(|&v| vec![v]).collect();
             let ds = Dataset::from_rows(&rows, &vec![0.0; values.len()]);
-            let binner = Binner::fit(&ds, 32);
+            let cuts = Cuts::fit(&ds, 32);
             let mut sorted = values.clone();
             sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
             for w in sorted.windows(2) {
-                prop_assert!(binner.bin(0, w[0]) <= binner.bin(0, w[1]));
+                prop_assert!(cuts.bin_of(0, w[0]) <= cuts.bin_of(0, w[1]));
             }
         }
     }

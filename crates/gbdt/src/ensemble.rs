@@ -13,12 +13,13 @@
 //! data); data uncertainty grows when the features can't explain the label
 //! noise. Both trigger Stage's escalation to the global model.
 //!
-//! All members' trees sit on one cut table — the shared [`Binner`]'s cuts
-//! for a trained ensemble, the stored thresholds of every member for a
-//! decoded one — so a row is ranked once per prediction and every member
-//! walks the same ranks ([`crate::tree`]): a prediction is a batch of one.
+//! All members' trees sit on one cut table — the quantile cuts the pool
+//! was binned on once for a trained ensemble, the stored thresholds of
+//! every member for a decoded one — so a row is ranked once per
+//! prediction and every member walks the same ranks ([`crate::tree`]): a
+//! prediction is a batch of one.
 
-use crate::dataset::{Binner, Dataset};
+use crate::dataset::Dataset;
 use crate::gbm::N_BINS;
 use crate::ngboost::NgBoost;
 use crate::tree::{lay_out, Cuts, Ranks, Tree};
@@ -114,20 +115,12 @@ impl BayesianEnsemble {
         }
         // Binning depends on the pool only, so it is shared, and so is the
         // cut table it gives every member's trees.
-        let binner = Binner::fit(data, N_BINS);
-        let binned = binner.transform(data);
-        let cuts = Arc::new(Cuts::from_binner(&binner));
+        let cuts = Arc::new(Cuts::fit(data, N_BINS));
+        let binned = cuts.bin(data);
         let members = (0..params.n_members)
             .map(|k| {
                 let seed = splitmix(params.seed, k as u64);
-                let member_cuts = Arc::clone(&cuts);
-                NgBoost::fit_binned(
-                    data,
-                    (&binner, &binned),
-                    member_cuts,
-                    params.n_estimators,
-                    seed,
-                )
+                NgBoost::fit_binned(data, &binned, Arc::clone(&cuts), params.n_estimators, seed)
             })
             .collect();
         Some(Self { cuts, members })

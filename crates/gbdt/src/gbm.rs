@@ -14,15 +14,16 @@
 //! the rows and writes each grown row's leaf weight as it places the leaf.
 //! The loop then walks only the rows the trees were not grown on — the
 //! validation rows and the rows the sample left out — to update every
-//! row's score. A fitted forest's cut table is the [`Binner`]'s, so a
-//! training row's bins are its ranks and the loop walks the binned rows
-//! as they are; a grown row's leaf is the one the walk finds, because the
-//! partition and the walk compare the same bin with the same cut index.
+//! row's score. A fitted forest's cut table is the one its rows were
+//! binned on, so a training row's bins are its ranks and the loop walks
+//! the binned rows as they are; a grown row's leaf is the one the walk
+//! finds, because the partition and the walk compare the same bin with the
+//! same cut index.
 //! The grower's buffers, the leaf weights and the shuffled rows are
 //! allocated once per fit, not once per tree, and no step changes a
 //! trained bit.
 
-use crate::dataset::{BinnedDataset, Binner, Dataset};
+use crate::dataset::{BinnedDataset, Dataset};
 use crate::tree::{fit_heads, Cuts, Forest, Scratch, Tree};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -69,7 +70,7 @@ impl Default for GbmParams {
 pub struct Gbm {
     base: f64,
     learning_rate: f64,
-    /// The trees' cut table: the fit's [`Binner`] cuts.
+    /// The trees' cut table: the quantile cuts the fit binned its rows on.
     cuts: Cuts,
     trees: Forest,
     n_cols: usize,
@@ -126,11 +127,11 @@ impl Gbm {
         if data.is_empty() {
             return None;
         }
-        let binner = Binner::fit(data, N_BINS);
-        let binned = binner.transform(data);
+        let cuts = Cuts::fit(data, N_BINS);
+        let binned = cuts.bin(data);
         let ([base], [trees]) = boost(
             data,
-            (&binner, &binned),
+            (&cuts, &binned),
             params,
             [UNCLAMPED],
             base,
@@ -140,7 +141,7 @@ impl Gbm {
         Some(Gbm {
             base,
             learning_rate: params.learning_rate,
-            cuts: Cuts::from_binner(&binner),
+            cuts,
             trees,
             n_cols: data.n_cols(),
         })
@@ -214,10 +215,10 @@ pub(crate) const UNCLAMPED: (f64, f64) = (f64::NEG_INFINITY, f64::INFINITY);
 /// every row — its leaf taken from the grower for a sampled row, from a
 /// walk of its bins for any other — and early stopping, which truncates
 /// every head to the best round. Returns each head's base and trees, laid
-/// out on the cuts of `binner`.
+/// out on `cuts`, the table that binned `binned`.
 pub(crate) fn boost<const K: usize>(
     data: &Dataset,
-    (binner, binned): (&Binner, &BinnedDataset),
+    (cuts, binned): (&Cuts, &BinnedDataset),
     params: &GbmParams,
     range: [(f64, f64); K],
     base: impl FnOnce(Vec<f64>) -> [f64; K],
@@ -243,7 +244,7 @@ pub(crate) fn boost<const K: usize>(
     let mut grads: [Vec<f64>; K] = std::array::from_fn(|_| vec![0.0; n]);
     // Allocated once per fit: the grower's buffers, each head's leaf weight
     // per row, and the round's shuffled training rows.
-    let mut scratch = Scratch::new(binner, train_idx.len());
+    let mut scratch = Scratch::new(cuts, train_idx.len());
     let mut leaves: [Vec<f64>; K] = std::array::from_fn(|_| vec![0.0; n]);
     let mut shuffled = Vec::with_capacity(train_idx.len());
 

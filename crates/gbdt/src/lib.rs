@@ -9,7 +9,7 @@
 //! The paper uses the CatBoost/XGBoost packages; the Rust ML ecosystem has no
 //! canonical equivalent, so this crate implements the needed subset directly:
 //!
-//! * [`dataset`] — row-major feature matrices and quantile *binning* for
+//! * [`dataset`] — row-major feature matrices and their binned form for
 //!   histogram-based split finding;
 //! * [`tree`] — second-order regression trees (XGBoost-style gain with L2
 //!   regularization) grown from per-sample gradients with unit hessians:
@@ -38,11 +38,12 @@
 //! [`EnsembleParams`] the member count, round count and seed.
 //!
 //! Every forest is walked in one layout ([`tree`]): a cut table per model
-//! (an ensemble's members share one), each row ranked on it once, and
-//! complete depth-6 trees of 2-byte `(rank, column)` nodes that one
-//! branch-free kernel walks [`tree::LANES`] (tree, row) chains at a time —
-//! one row across many trees, or, once a batch fills the lanes, many rows
-//! across one tree; a prediction is a batch of one. A [`Tree`] is one
+//! (the quantile cuts its pool was binned on, or a decoded model's
+//! thresholds; an ensemble's members share one), each row ranked on it
+//! once, and complete depth-6 trees of 2-byte `(rank, column)` nodes that
+//! one branch-free kernel walks [`tree::LANES`] (tree, row) chains at a
+//! time — one row across many trees, or, once a batch fills the lanes,
+//! many rows across one tree; a prediction is a batch of one. A [`Tree`] is one
 //! tree's arena form, which `to_flat_parts` / `from_flat_parts` move
 //! through the artefact store.
 //!
@@ -62,7 +63,7 @@ pub mod ngboost;
 pub mod quantile;
 pub mod tree;
 
-pub use dataset::{BinnedDataset, Binner, Dataset};
+pub use dataset::Dataset;
 pub use ensemble::{BayesianEnsemble, EnsembleParams, EnsemblePrediction};
 pub use gbm::{Gbm, GbmParams};
 pub use mixed::{MixedEnsemble, MixedEnsembleParams};

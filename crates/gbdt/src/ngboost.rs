@@ -22,10 +22,10 @@
 //! trees, then the s trees — over one cut table, which an ensemble's
 //! members share: a row is ranked once, then walked through the forest in
 //! boosting order by the one walk, whether it comes alone or in a batch.
-//! The table is the fit's [`Binner`] cuts, or a decoded model's
-//! thresholds; either answers every row the same.
+//! The table is the quantile cuts the fit binned its rows on, or a
+//! decoded model's thresholds; either answers every row the same.
 
-use crate::dataset::{BinnedDataset, Binner, Dataset};
+use crate::dataset::{BinnedDataset, Dataset};
 use crate::gbm::{boost, GbmParams, N_BINS, UNCLAMPED};
 use crate::tree::{Along, Cuts, Forest, Ranks, Trees};
 use std::sync::Arc;
@@ -58,24 +58,17 @@ impl NgBoost {
         if data.is_empty() {
             return None;
         }
-        let binner = Binner::fit(data, N_BINS);
-        let binned = binner.transform(data);
-        let cuts = Arc::new(Cuts::from_binner(&binner));
-        Some(Self::fit_binned(
-            data,
-            (&binner, &binned),
-            cuts,
-            n_estimators,
-            seed,
-        ))
+        let cuts = Arc::new(Cuts::fit(data, N_BINS));
+        let binned = cuts.bin(data);
+        Some(Self::fit_binned(data, &binned, cuts, n_estimators, seed))
     }
 
     /// [`NgBoost::fit`] on a non-empty dataset already binned into
-    /// [`N_BINS`], so the ensemble bins its pool once for all members and
-    /// they share `cuts`, the table of `binner`.
+    /// [`N_BINS`] on `cuts`, so the ensemble bins its pool once for all
+    /// members and they share the table.
     pub(crate) fn fit_binned(
         data: &Dataset,
-        (binner, binned): (&Binner, &BinnedDataset),
+        binned: &BinnedDataset,
         cuts: Arc<Cuts>,
         n_estimators: usize,
         seed: u64,
@@ -90,7 +83,7 @@ impl NgBoost {
         let (lo, hi) = LOG_VAR_RANGE;
         let ([base_mu, base_log_var], [mu, var]) = boost(
             data,
-            (binner, binned),
+            (&cuts, binned),
             &schedule,
             [UNCLAMPED, LOG_VAR_RANGE],
             |ys| {

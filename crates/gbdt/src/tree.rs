@@ -9,9 +9,10 @@
 //! ```
 //!
 //! and leaf weights `−G/(H+λ)`. Every loss this crate boosts has unit
-//! hessians, so `H` is the row count. Split candidates are bin boundaries
-//! produced by [`crate::dataset::Binner`]: a split on bin `b` of column `c`
-//! sends a row left iff `x[c] ≤ cuts[c][b]`.
+//! hessians, so `H` is the row count. Split candidates are the boundaries
+//! of the quantile bins `Cuts::fit` draws (a pool row's bin in a column
+//! is its rank there, `Cuts::bin`): a split on bin `b` of column `c` sends a
+//! row left iff `x[c] ≤ cuts[c][b]`.
 //!
 //! The grower is the standard histogram scheme: one row-major pass per node
 //! fills a flat `(Σg, count)` histogram over the tree's non-constant columns;
@@ -31,8 +32,8 @@
 //! Every forest is walked in one layout:
 //!
 //! * **Cut table.** Per column, the sorted cuts the forest's splits compare
-//!   against: for a fitted model the cuts of the [`Binner`] it grew on, for
-//!   a decoded one the distinct thresholds its trees store.
+//!   against: for a fitted model the quantile cuts its pool was binned
+//!   on, for a decoded one the distinct thresholds its trees store.
 //! * **Ranks.** A row is ranked once per table: `rank[c] = #{cuts < x[c]}`,
 //!   NaN above every cut. A training row's rank is its bin.
 //! * **Complete trees.** Each tree is a complete depth-[`MAX_DEPTH`] tree
@@ -54,7 +55,7 @@
 //! arrays, [`Tree::to_flat_parts`]): models export their trees to it and are
 //! rebuilt from it, and no model walks it.
 
-use crate::dataset::{BinnedDataset, Binner};
+use crate::dataset::{BinnedDataset, Dataset};
 use serde::{Deserialize, Serialize, Value};
 use std::ops::Range;
 
@@ -149,8 +150,8 @@ impl Ranked for Ranks {
     }
 }
 
-/// A binned training row, whose bins are its ranks on its [`Binner`]'s
-/// table; a column past the row ranks 0, so padding still steps left.
+/// A binned training row, whose bins are its ranks on the table that
+/// binned it; a column past the row ranks 0, so padding still steps left.
 impl Ranked for [u8] {
     #[inline]
     fn rank(&self, col: u8) -> u8 {
@@ -240,10 +241,54 @@ impl Cuts {
         Cuts { cuts, starts }
     }
 
-    /// The table of a model fitted on `binner`'s bins: its cuts, so a
-    /// binned row's bins are its ranks.
-    pub(crate) fn from_binner(binner: &Binner) -> Self {
-        Self::from_columns((0..binner.n_features()).map(|c| binner.cuts(c)))
+    /// The table a model grows on: at most `n_bins − 1` quantile cuts per
+    /// column of `data` (its first [`MAX_COLS`]). The column is sorted with
+    /// `total_cmp`, so a NaN sorts last instead of aborting a serving
+    /// retrain; the values at positions `k·n/n_bins`, `k` in `1..n_bins`,
+    /// are its cuts, less a repeat (by `==`, so −0.0 and 0.0 are one cut)
+    /// and any value not above the column's least.
+    ///
+    /// # Panics
+    /// Panics if `n_bins` is outside `2..=MAX_CUTS + 1` or `data` is empty.
+    pub(crate) fn fit(data: &Dataset, n_bins: usize) -> Self {
+        // Never fires on a serving path: every model bins into `gbm::N_BINS`.
+        assert!(
+            (2..=MAX_CUTS + 1).contains(&n_bins),
+            "n_bins must be in 2..=256"
+        );
+        assert!(!data.is_empty(), "cannot bin an empty dataset");
+        let n = data.n_rows();
+        let mut cuts = Vec::new();
+        let mut starts = vec![0];
+        let mut col = vec![0.0f64; n];
+        for c in 0..data.n_cols().min(MAX_COLS) {
+            for (r, slot) in col.iter_mut().enumerate() {
+                *slot = data.row(r)[c];
+            }
+            col.sort_by(f64::total_cmp);
+            let start = cuts.len();
+            for k in 1..n_bins {
+                let v = col[(k * n / n_bins).min(n - 1)];
+                if cuts[start..].last() != Some(&v) && v > col[0] {
+                    cuts.push(v);
+                }
+            }
+            starts.push(cuts.len());
+        }
+        // The table lives as long as the model: keep no spare capacity.
+        cuts.shrink_to_fit();
+        Cuts { cuts, starts }
+    }
+
+    /// Every row of `data` ranked on this table by [`Cuts::rank`], so a
+    /// pool row's bins are its ranks by construction.
+    pub(crate) fn bin(&self, data: &Dataset) -> BinnedDataset {
+        let n_cols = self.starts.len() - 1;
+        let mut bins = Vec::with_capacity(data.n_rows() * n_cols);
+        for r in 0..data.n_rows() {
+            bins.extend_from_slice(&self.rank(data.row(r))[..n_cols]);
+        }
+        BinnedDataset::new(n_cols, data.n_rows(), bins)
     }
 
     /// The table of decoded trees: per column, the distinct thresholds
@@ -286,7 +331,7 @@ impl Cuts {
     }
 
     /// Column `col`'s cuts, if the table has that column.
-    fn column(&self, col: usize) -> Option<&[f64]> {
+    pub(crate) fn column(&self, col: usize) -> Option<&[f64]> {
         let (&lo, &hi) = (self.starts.get(col)?, self.starts.get(col + 1)?);
         Some(&self.cuts[lo..hi])
     }
@@ -753,8 +798,8 @@ impl Deserialize for Tree {
 /// Grows one tree per head over the same non-empty `rows` (at most the
 /// `max_rows` `scratch` was made for), head `k` on `grads[k]` with unit
 /// hessians, searching every column below [`MAX_COLS`] for splits; pushes
-/// head `k`'s tree onto `heads[k]`, whose cut table is the [`Binner`]'s
-/// that binned `binned`, and writes the leaf weight each of `rows` gets in
+/// head `k`'s tree onto `heads[k]`, whose cut table is the one that
+/// binned `binned`, and writes the leaf weight each of `rows` gets in
 /// it to `leaves[k][row]`. The root histograms of all heads come from one
 /// pass over the rows; below the root each head grows alone. Every buffer
 /// is `scratch`'s, so a fit of many rounds allocates them once.
@@ -870,13 +915,12 @@ pub(crate) struct Scratch {
 }
 
 impl Scratch {
-    /// Buffers for trees over at most `max_rows` rows binned by `binner`.
-    pub(crate) fn new(binner: &Binner, max_rows: usize) -> Self {
-        let n_cols = binner.n_features().min(MAX_COLS);
-        let mut active = Vec::with_capacity(n_cols);
+    /// Buffers for trees over at most `max_rows` rows binned by `cuts`.
+    pub(crate) fn new(cuts: &Cuts, max_rows: usize) -> Self {
+        let mut active = Vec::with_capacity(cuts.starts.len() - 1);
         let mut total_bins = 0;
-        for col in 0..n_cols {
-            let n_bins = binner.n_bins(col);
+        for (col, w) in cuts.starts.windows(2).enumerate() {
+            let n_bins = w[1] - w[0] + 1;
             if n_bins >= 2 {
                 active.push(ActiveCol {
                     col,
@@ -1177,37 +1221,38 @@ mod tests {
         }
 
         /// One head of [`fit_heads`] with buffers of its own, exported.
-        fn fit(binned: &BinnedDataset, binner: &Binner, grads: &[f64], rows: &[usize]) -> Self {
-            let (cuts, forest) = grow(binned, binner, grads, rows);
-            forest.export(&cuts, 0..1).iter().next().unwrap()
+        fn fit(binned: &BinnedDataset, cuts: &Cuts, grads: &[f64], rows: &[usize]) -> Self {
+            let mut leaf = [vec![0.0; grads.len()]];
+            let mut heads = [Forest::default()];
+            let mut scratch = Scratch::new(cuts, rows.len());
+            fit_heads(&mut scratch, binned, [grads], rows, &mut leaf, &mut heads);
+            heads[0].export(cuts, 0..1).iter().next().unwrap()
         }
     }
 
-    /// One head of [`fit_heads`] with buffers of its own: its one-tree
-    /// forest and the cut table it was grown on.
-    fn grow(
-        binned: &BinnedDataset,
-        binner: &Binner,
-        grads: &[f64],
-        rows: &[usize],
-    ) -> (Cuts, Forest) {
-        let mut leaf = [vec![0.0; grads.len()]];
-        let mut heads = [Forest::default()];
-        let mut scratch = Scratch::new(binner, rows.len());
-        fit_heads(&mut scratch, binned, [grads], rows, &mut leaf, &mut heads);
-        let [forest] = heads;
-        (Cuts::from_binner(binner), forest)
+    impl Cuts {
+        /// Column `c`'s bin count: its cuts, and one.
+        pub(crate) fn n_bins(&self, c: usize) -> usize {
+            self.column(c).unwrap().len() + 1
+        }
+
+        /// The bin of `x` in column `c`: its rank there.
+        pub(crate) fn bin_of(&self, c: usize, x: f64) -> u8 {
+            let mut row = vec![0.0; c + 1];
+            row[c] = x;
+            self.rank(&row)[c]
+        }
     }
 
     /// Fits a tree directly on squared-error gradients of targets
     /// (pred = 0 start, grad = -y): the leaf weights then equal regularized
     /// leaf means of y.
     fn fit_on_targets(data: &Dataset) -> Tree {
-        let binner = Binner::fit(data, 32);
-        let binned = binner.transform(data);
+        let cuts = Cuts::fit(data, 32);
+        let binned = cuts.bin(data);
         let grads: Vec<f64> = data.targets().iter().map(|&y| -y).collect();
         let indices: Vec<usize> = (0..data.n_rows()).collect();
-        Tree::fit(&binned, &binner, &grads, &indices)
+        Tree::fit(&binned, &cuts, &grads, &indices)
     }
 
     /// The split search this file used before histogram subtraction, kept
@@ -1216,7 +1261,7 @@ mod tests {
     /// the best `(feature, bin, gain)`.
     fn reference_best_split(
         binned: &BinnedDataset,
-        binner: &Binner,
+        cuts: &Cuts,
         grads: &[f64],
         rows: &[usize],
     ) -> Option<(usize, u8, f64)> {
@@ -1224,12 +1269,12 @@ mod tests {
         let h_sum = rows.len() as f64;
         let parent_score = g_sum * g_sum / (h_sum + LAMBDA);
         let mut best: Option<(usize, u8, f64)> = None;
-        let mut hist_g = [0.0f64; Binner::MAX_BINS];
-        let mut hist_h = [0.0f64; Binner::MAX_BINS];
-        let mut hist_c = [0usize; Binner::MAX_BINS];
+        let mut hist_g = [0.0f64; MAX_CUTS + 1];
+        let mut hist_h = [0.0f64; MAX_CUTS + 1];
+        let mut hist_c = [0usize; MAX_CUTS + 1];
 
-        for c in 0..binner.n_features() {
-            let n_bins = binner.n_bins(c);
+        for c in 0..cuts.starts.len() - 1 {
+            let n_bins = cuts.n_bins(c);
             if n_bins < 2 {
                 continue; // constant feature
             }
@@ -1269,7 +1314,7 @@ mod tests {
         tree: &'a Tree,
         data: &'a Dataset,
         binned: &'a BinnedDataset,
-        binner: &'a Binner,
+        cuts: &'a Cuts,
         grads: &'a [f64],
         /// Σ|g| over the root's rows: prefix sums and subtracted histograms
         /// carry rounding error on that scale down to every leaf.
@@ -1283,7 +1328,7 @@ mod tests {
         fn check(&self, node: u32, rows: &[usize], depth: usize) -> Result<(), TestCaseError> {
             let n = rows.len();
             let g_sum: f64 = rows.iter().map(|&r| self.grads[r]).sum();
-            let reference = reference_best_split(self.binned, self.binner, self.grads, rows);
+            let reference = reference_best_split(self.binned, self.cuts, self.grads, rows);
             let must_be_leaf = depth >= MAX_DEPTH || n < 2 * MIN_CHILD;
             let at = node as usize;
             let t = self.tree;
@@ -1345,14 +1390,14 @@ mod tests {
         n_bins: usize,
         indices: &[usize],
     ) -> Result<Tree, TestCaseError> {
-        let binner = Binner::fit(data, n_bins);
-        let binned = binner.transform(data);
-        let tree = Tree::fit(&binned, &binner, grads, indices);
+        let cuts = Cuts::fit(data, n_bins);
+        let binned = cuts.bin(data);
+        let tree = Tree::fit(&binned, &cuts, grads, indices);
         Fitted {
             tree: &tree,
             data,
             binned: &binned,
-            binner: &binner,
+            cuts: &cuts,
             grads,
             g_scale: indices.iter().map(|&r| grads[r].abs()).sum(),
         }
@@ -1497,15 +1542,15 @@ mod tests {
     /// A grown forest exports arenas that rebuild bit for bit, and laid
     /// out again on the cuts of their own thresholds (the decode path)
     /// they export the same arenas, walk to the same leaves and sum the
-    /// same importance as on the [`Binner`]'s cuts they grew on.
+    /// same importance as on the quantile cuts they grew on.
     #[test]
     fn flat_parts_round_trip_is_bit_exact() {
         let data = edge_data(&mut StdRng::seed_from_u64(5), 300);
-        let binner = Binner::fit(&data, 64);
-        let binned = binner.transform(&data);
+        let cuts = Cuts::fit(&data, 64);
+        let binned = cuts.bin(&data);
         let mut rng = StdRng::seed_from_u64(6);
         let n = data.n_rows();
-        let mut scratch = Scratch::new(&binner, n);
+        let mut scratch = Scratch::new(&cuts, n);
         let mut leaf = [vec![0.0; n]];
         let mut grown = [Forest::default()];
         for _ in 0..8 {
@@ -1520,7 +1565,6 @@ mod tests {
                 &mut grown,
             );
         }
-        let cuts = Cuts::from_binner(&binner);
         let exported: Vec<Tree> = grown[0].export(&cuts, 0..8).into_iter().collect();
         assert_eq!(exported.len(), 8);
         for tree in &exported {
@@ -1847,7 +1891,7 @@ mod tests {
         /// the kernel finds for that row, bit for bit, so the boosting loop
         /// need not walk the rows it sampled; rows it did not grow on keep
         /// whatever they held. A row ranked on the grown forest's table
-        /// (the [`Binner`]'s cuts) has its bins as ranks.
+        /// (the quantile cuts that binned it) has its bins as ranks.
         #[test]
         fn prop_grown_leaves_are_the_walked_leaves(
             seed in 0u64..u64::MAX,
@@ -1856,16 +1900,15 @@ mod tests {
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let data = edge_data(&mut rng, n);
-            let binner = Binner::fit(&data, [2, 32, 256][n_bins_pick]);
-            let binned = binner.transform(&data);
+            let cuts = Cuts::fit(&data, [2, 32, 256][n_bins_pick]);
+            let binned = cuts.bin(&data);
             let grads: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0f64..5.0)).collect();
             let rows = round_rows(&mut rng, n);
             let sentinel = f64::from_bits(0x7ff8_dead_beef_0001);
             let mut leaf = [vec![sentinel; n]];
-            let mut scratch = Scratch::new(&binner, n);
+            let mut scratch = Scratch::new(&cuts, n);
             let mut heads = [Forest::default()];
             fit_heads(&mut scratch, &binned, [&grads], &rows, &mut leaf, &mut heads);
-            let cuts = Cuts::from_binner(&binner);
             let ranks: Vec<Ranks> = (0..n).map(|i| cuts.rank(data.row(i))).collect();
             for (i, rank) in ranks.iter().enumerate() {
                 prop_assert!(&rank[..data.n_cols()] == binned.row(i), "row {i}");
@@ -1901,10 +1944,9 @@ mod tests {
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let data = edge_data(&mut rng, n);
-            let binner = Binner::fit(&data, [2, 32, 256][rng.gen_range(0usize..3)]);
-            let binned = binner.transform(&data);
-            let cuts = Cuts::from_binner(&binner);
-            let mut scratch = Scratch::new(&binner, n);
+            let cuts = Cuts::fit(&data, [2, 32, 256][rng.gen_range(0usize..3)]);
+            let binned = cuts.bin(&data);
+            let mut scratch = Scratch::new(&cuts, n);
             for _round in 0..3 {
                 let rows = round_rows(&mut rng, n);
                 let g: [Vec<f64>; 2] =
@@ -1913,7 +1955,7 @@ mod tests {
                     let mut leaf = [vec![0.0; n]];
                     let mut heads = [Forest::default()];
                     fit_heads(
-                        &mut Scratch::new(&binner, n),
+                        &mut Scratch::new(&cuts, n),
                         &binned,
                         [&g[k]],
                         &rows,
@@ -1969,7 +2011,7 @@ mod tests {
                 })
                 .collect();
             let data = Dataset::from_rows(&rows, &targets);
-            let binned = Binner::fit(&data, 256).transform(&data);
+            let binned = Cuts::fit(&data, 256).bin(&data);
             assert_eq!(binned.bin(1023, wide), 255);
             let tree = check_against_reference(&data, &grads, 256, &indices).unwrap();
             let mut probe = [0.0; 2];

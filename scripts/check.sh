@@ -35,15 +35,20 @@ cargo test -q --workspace
 # too, and with the property test that holds the one tree kernel to the
 # stop-at-a-leaf reference walk (tree::tests::
 # prop_kernel_walk_equals_the_reference), so the walk the servers run is
-# the one checked, and with the property test that holds an observe which
-# reuses a memoised local answer to one that walks again (stage::tests::
-# prop_held_answers_change_nothing) and the test that counts the memo's
-# walks (stage::tests::a_cached_plan_is_walked_once_per_generation): the
-# debug build also walks and compares on every reuse, so only here is the
-# reuse alone checked. A filter that matches no test fails the step, so a
+# the one checked, and with the property test that holds a grown row's
+# leaf to the one the kernel finds from its ranks (tree::tests::
+# prop_grown_leaves_are_the_walked_leaves): the boosting loop's own check
+# of that is a debug_assert, so in this build only the property checks the
+# leaf the loop takes without walking. Also the property test that holds
+# an observe which reuses a memoised local answer to one that walks again
+# (stage::tests::prop_held_answers_change_nothing) and the test that
+# counts the memo's walks
+# (stage::tests::a_cached_plan_is_walked_once_per_generation): the debug
+# build also walks and compares on every reuse, so only here is the reuse
+# alone checked. A filter that matches no test fails the step, so a
 # renamed test cannot leave it running nothing.
 release_tests=(-p stage-core -p stage-gbdt --lib)
-release_filters=(in_release global::tests::trained_weights tree::tests::prop_kernel_walk_equals_the_reference stage::tests::prop_held_answers_change_nothing stage::tests::a_cached_plan_is_walked_once_per_generation)
+release_filters=(in_release global::tests::trained_weights tree::tests::prop_kernel_walk_equals_the_reference tree::tests::prop_grown_leaves_are_the_walked_leaves stage::tests::prop_held_answers_change_nothing stage::tests::a_cached_plan_is_walked_once_per_generation)
 listed=$(cargo test --release -q "${release_tests[@]}" -- --list "${release_filters[@]}")
 for filter in "${release_filters[@]}"; do
   grep -qF -- "$filter" <<<"$listed" || {

@@ -196,7 +196,7 @@ fn answer_bits(p: &stage::gbdt::EnsemblePrediction) -> [u64; 3] {
 }
 
 /// A decoded ensemble walks its trees on a cut table rebuilt from their
-/// stored thresholds, a trained one on its `Binner`'s cuts: on every pool
+/// stored thresholds, a trained one on the quantile cuts of its pool: on every pool
 /// row (and an all-NaN row) the two answer bit for bit alike, scalar and
 /// batch, and the decoded one exports the trees it was built from.
 #[test]
